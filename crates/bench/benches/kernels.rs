@@ -223,7 +223,7 @@ fn bench_group_by(c: &mut Criterion) {
 /// on a single-core host they measure the sharding overhead.
 fn bench_sharded_operators(c: &mut Criterion) {
     use wake_core::agg::AggSpec;
-    use wake_core::ops::{AggOp, JoinOp, Operator, ShardMode, ShardPlan};
+    use wake_core::ops::{AggOp, JoinOp, Operator};
     use wake_core::{EdfMeta, JoinKind, Progress, Update, UpdateKind};
     use wake_expr::col;
 
@@ -274,7 +274,7 @@ fn bench_sharded_operators(c: &mut Criterion) {
                         false,
                     )
                     .unwrap()
-                    .with_shards(ShardPlan::new(shards, ShardMode::Pool));
+                    .with_shards(shards);
                     black_box(op.on_update(0, upd).unwrap())
                 })
             },
@@ -326,7 +326,7 @@ fn bench_sharded_operators(c: &mut Criterion) {
                         JoinKind::Inner,
                     )
                     .unwrap()
-                    .with_shards(ShardPlan::new(shards, ShardMode::Pool));
+                    .with_shards(shards);
                     op.on_update(0, l).unwrap(); // build
                     black_box(op.on_update(1, r).unwrap()) // probe + gather
                 })

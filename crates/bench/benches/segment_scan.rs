@@ -12,10 +12,11 @@
 //! - `decode_zones` — raw decode of every zone (no query machinery), the
 //!   floor the scan overhead sits on.
 //!
-//! Besides the criterion timings this bench records the tracked perf
-//! trajectory artifact `BENCH_PR7.json` (medians + bytes-scanned
-//! counters) at the repo root, and ASSERTS — in `--test` smoke mode too,
-//! so regressions fail loudly — that pruning cuts decoded bytes by ≥2×.
+//! Besides the criterion timings this bench prints the medians and
+//! bytes-scanned counters, and ASSERTS — in `--test` smoke mode too, so
+//! regressions fail loudly — that pruning cuts decoded bytes by ≥2×.
+//! Nothing is written: the repo's benchmark record is `wake-e2e/records/`
+//! (its `tpch.wseg` workload).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
@@ -164,34 +165,6 @@ fn bench_segment_scan(c: &mut Criterion) {
         pruned.scan.zones_pruned,
         pruned.scan.zones_total,
     );
-
-    // The tracked perf-trajectory artifact (ROADMAP: one BENCH_*.json per
-    // PR). Written from the bench so the numbers can never drift from the
-    // code that produced them.
-    let repo_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .unwrap()
-        .to_path_buf();
-    let json = format!(
-        "{{\n  \"pr\": 7,\n  \"bench\": \"segment_scan\",\n  \"smoke\": {smoke},\n  \
-         \"rows\": {n},\n  \"zones\": {ZONES},\n  \"full_scan\": {{\"median_ms\": {full_ms:.3}, \
-         \"bytes_decoded\": {}, \"bytes_compressed\": {}, \"zones_scanned\": {}}},\n  \
-         \"pruned_scan\": {{\"median_ms\": {pruned_ms:.3}, \"bytes_decoded\": {}, \
-         \"bytes_compressed\": {}, \"zones_scanned\": {}, \"zones_pruned\": {}}},\n  \
-         \"decode_only\": {{\"median_ms\": {decode_ms:.3}}},\n  \
-         \"bytes_decoded_reduction\": {:.2},\n  \"wall_clock_speedup\": {:.2}\n}}\n",
-        full.scan.decompressed_bytes,
-        full.scan.compressed_bytes,
-        full.scan.zones_scanned,
-        pruned.scan.decompressed_bytes,
-        pruned.scan.compressed_bytes,
-        pruned.scan.zones_scanned,
-        pruned.scan.zones_pruned,
-        full.scan.decompressed_bytes as f64 / pruned.scan.decompressed_bytes.max(1) as f64,
-        full_ms / pruned_ms,
-    );
-    std::fs::write(repo_root.join("BENCH_PR7.json"), json).unwrap();
 
     let mut group = c.benchmark_group("segment_scan");
     group.sample_size(10);

@@ -14,7 +14,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 use wake_core::agg::AggSpec;
-use wake_core::ops::{AggOp, JoinOp, Operator, ShardMode, ShardPlan};
+use wake_core::ops::{AggOp, JoinOp, Operator};
 use wake_core::{EdfMeta, JoinKind, Progress, Update, UpdateKind};
 use wake_data::{Column, DataFrame, DataType, Field, Schema};
 use wake_expr::col;
@@ -86,8 +86,7 @@ fn bench_spill_operators(c: &mut Criterion) {
                         false,
                     )
                     .unwrap()
-                    .with_spill(plan_for(budget))
-                    .with_shards(ShardPlan::new(1, ShardMode::Inline));
+                    .with_spill(plan_for(budget));
                     black_box(op.on_update(0, upd).unwrap())
                 })
             },
@@ -135,8 +134,7 @@ fn bench_spill_operators(c: &mut Criterion) {
             false,
         )
         .unwrap()
-        .with_spill(Some(plan))
-        .with_shards(ShardPlan::new(1, ShardMode::Inline));
+        .with_spill(Some(plan));
         for upd in &stream_updates {
             black_box(op.on_update(0, upd).unwrap());
         }
@@ -218,8 +216,7 @@ fn bench_spill_operators(c: &mut Criterion) {
                         JoinKind::Inner,
                     )
                     .unwrap()
-                    .with_spill(plan_for(budget))
-                    .with_shards(ShardPlan::new(1, ShardMode::Inline));
+                    .with_spill(plan_for(budget));
                     op.on_update(0, l).unwrap(); // build
                     let probed = op.on_update(1, r).unwrap(); // probe
                     let flush = op.on_eof(1).unwrap(); // resolve spilled parts

@@ -9,7 +9,6 @@
 use crate::agg::AggSpec;
 use crate::meta::EdfMeta;
 pub use crate::ops::join::JoinKind;
-pub use crate::ops::sharded::{ShardMode, ShardPlan};
 use crate::ops::{AggOp, FilterOp, JoinOp, MapOp, Operator, SortOp};
 use crate::update::UpdateKind;
 use crate::Result;
@@ -166,9 +165,8 @@ impl QueryGraph {
         )
     }
 
-    /// Number of hash-keyed (shardable) nodes — executors that run all
-    /// nodes concurrently divide the `Auto` core budget by this so a
-    /// multi-join plan does not oversubscribe the machine.
+    /// Number of hash-keyed (shardable) nodes — the memory budget is
+    /// apportioned over these.
     pub fn shardable_node_count(&self) -> usize {
         (0..self.nodes.len())
             .filter(|&i| self.is_shardable(NodeId(i)))
@@ -466,30 +464,22 @@ pub fn read_meta(source: &dyn TableSource) -> EdfMeta {
         .with_clustering(m.clustering_key.clone())
 }
 
-/// Instantiate the operator for a non-source node on the serial (single
-/// shard) plan. See [`build_operator_with`] for partition parallelism.
+/// Instantiate the operator for a non-source node on a single shard,
+/// without memory governance. See [`build_operator_spilling`] for partition
+/// parallelism and spilling.
 pub fn build_operator(kind: &NodeKind, inputs: &[&EdfMeta]) -> Result<Box<dyn Operator>> {
-    build_operator_with(kind, inputs, ShardPlan::serial())
-}
-
-/// [`build_operator_spilling`] without memory governance (unbounded).
-pub fn build_operator_with(
-    kind: &NodeKind,
-    inputs: &[&EdfMeta],
-    plan: ShardPlan,
-) -> Result<Box<dyn Operator>> {
-    build_operator_spilling(kind, inputs, plan, None)
+    build_operator_spilling(kind, inputs, 1, None)
 }
 
 /// Instantiate the operator for a non-source node with an explicit shard
-/// plan and (optionally) a memory-governance plan. Only hash-keyed
-/// operators (join, group-by) honour `plan.shards > 1` and the spill
-/// plan; `ShardPlan::serial()` + `None` reproduces the unsharded,
-/// unbounded code path exactly.
+/// count and (optionally) a memory-governance plan. Only hash-keyed
+/// operators (join, group-by) honour `shards > 1` and the spill plan;
+/// one shard + `None` reproduces the unsharded, unbounded code path
+/// exactly.
 pub fn build_operator_spilling(
     kind: &NodeKind,
     inputs: &[&EdfMeta],
-    plan: ShardPlan,
+    shards: usize,
     spill: Option<&wake_store::SpillPlan>,
 ) -> Result<Box<dyn Operator>> {
     let need = |n: usize| -> Result<()> {
@@ -530,7 +520,7 @@ pub fn build_operator_spilling(
                     *kind,
                 )?
                 .with_spill(spill.cloned())
-                .with_shards(plan),
+                .with_shards(shards),
             )
         }
         NodeKind::Agg {
@@ -544,7 +534,7 @@ pub fn build_operator_spilling(
                 AggOp::new(inputs[0], keys.clone(), specs.clone(), *with_variance)?
                     .with_fixed_growth(*fixed_growth)
                     .with_spill(spill.cloned())
-                    .with_shards(plan),
+                    .with_shards(shards),
             )
         }
         NodeKind::Sort {

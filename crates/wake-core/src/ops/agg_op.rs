@@ -41,7 +41,7 @@ use crate::ci::variance_column;
 use crate::growth::GrowthModel;
 use crate::meta::EdfMeta;
 use crate::ops::key_index::GroupIndex;
-use crate::ops::sharded::{ShardPlan, ShardWork, ShardedState};
+use crate::ops::sharded::{ShardWork, ShardedState};
 use crate::ops::spill as spill_codec;
 use crate::ops::Operator;
 use crate::progress::Progress;
@@ -947,9 +947,9 @@ pub struct AggOp {
     growth: GrowthModel,
     /// Memory-governance plan (None = unbounded, the resident-only path).
     spill: Option<SpillPlan>,
-    /// The current shard plan (so `with_spill` and `with_shards` compose
+    /// The current shard count (so `with_spill` and `with_shards` compose
     /// in either order).
-    shard_plan: ShardPlan,
+    shards: usize,
     progress: Progress,
     emitted_complete: bool,
     meta: EdfMeta,
@@ -1032,10 +1032,7 @@ impl AggOp {
             key_schema,
         });
         Ok(AggOp {
-            state: ShardedState::new(
-                ShardPlan::serial().mode,
-                vec![AggShard::new(cfg.clone(), 1, None)],
-            ),
+            state: ShardedState::new(vec![AggShard::new(cfg.clone(), 1, None)]),
             shard_groups: vec![0],
             shard_rows: vec![0.0],
             shard_bytes: vec![0],
@@ -1043,7 +1040,7 @@ impl AggOp {
             input_kind: input.kind,
             growth,
             spill: None,
-            shard_plan: ShardPlan::serial(),
+            shards: 1,
             progress: Progress::new(),
             emitted_complete: false,
             meta,
@@ -1064,22 +1061,23 @@ impl AggOp {
         self.rebuild_shards()
     }
 
-    /// Re-plan the operator onto `plan.shards` hash-range shards executed
-    /// in `plan.mode`. Must be called before any update is consumed.
-    pub fn with_shards(mut self, plan: ShardPlan) -> Self {
+    /// Re-plan the operator onto `shards` hash-range shards (one runs on
+    /// the caller's thread, more on persistent workers — see
+    /// [`crate::ops::sharded`]). Must be called before any update is
+    /// consumed.
+    pub fn with_shards(mut self, shards: usize) -> Self {
         debug_assert!(
             !self.emitted_complete && self.progress.t() == 0.0,
             "with_shards must precede execution"
         );
-        self.shard_plan = plan;
+        self.shards = shards.max(1);
         self.rebuild_shards()
     }
 
     fn rebuild_shards(mut self) -> Self {
-        let shards = self.shard_plan.shards.max(1);
+        let shards = self.shards;
         let env = self.spill.as_ref().map(|p| p.shard_env(shards));
         self.state = ShardedState::new(
-            self.shard_plan.mode,
             (0..shards)
                 .map(|_| AggShard::new(self.cfg.clone(), shards, env.clone()))
                 .collect(),
@@ -1241,7 +1239,6 @@ impl AggOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::sharded::ShardMode;
     use crate::ops::testutil::kv_frame;
     use wake_expr::col;
 
@@ -1517,11 +1514,11 @@ mod tests {
             let governor = plan.governor.clone();
             let mut reference = AggOp::new(&delta_meta(), vec!["k".into()], specs(), true)
                 .unwrap()
-                .with_shards(ShardPlan::new(shards, ShardMode::Inline));
+                .with_shards(shards);
             let mut spilled = AggOp::new(&delta_meta(), vec!["k".into()], specs(), true)
                 .unwrap()
                 .with_spill(Some(plan))
-                .with_shards(ShardPlan::new(shards, ShardMode::Inline));
+                .with_shards(shards);
             for step in 1..=4i64 {
                 let u = Update::delta(frame(step), Progress::single(0, step as u64 * 40, 160));
                 let a = reference.on_update(0, &u).unwrap();
@@ -1796,28 +1793,25 @@ mod tests {
             ]
         };
         for shards in [2usize, 3, 8] {
-            for mode in [ShardMode::Inline, ShardMode::Scoped, ShardMode::Pool] {
-                let mut reference =
-                    AggOp::new(&delta_meta(), vec!["k".into()], specs(), true).unwrap();
-                let mut sharded = AggOp::new(&delta_meta(), vec!["k".into()], specs(), true)
-                    .unwrap()
-                    .with_shards(ShardPlan::new(shards, mode));
-                for step in 1..=4i64 {
-                    let u = Update::delta(frame(step), Progress::single(0, step as u64 * 25, 100));
-                    let a = reference.on_update(0, &u).unwrap();
-                    let b = sharded.on_update(0, &u).unwrap();
-                    assert_eq!(a.len(), b.len());
-                    assert_eq!(
-                        a[0].frame.as_ref(),
-                        b[0].frame.as_ref(),
-                        "S={shards} {mode:?} step {step}"
-                    );
-                }
-                let a = reference.on_eof(0).unwrap();
-                let b = sharded.on_eof(0).unwrap();
+            let mut reference = AggOp::new(&delta_meta(), vec!["k".into()], specs(), true).unwrap();
+            let mut sharded = AggOp::new(&delta_meta(), vec!["k".into()], specs(), true)
+                .unwrap()
+                .with_shards(shards);
+            for step in 1..=4i64 {
+                let u = Update::delta(frame(step), Progress::single(0, step as u64 * 25, 100));
+                let a = reference.on_update(0, &u).unwrap();
+                let b = sharded.on_update(0, &u).unwrap();
                 assert_eq!(a.len(), b.len());
-                assert!(sharded.state_bytes() > 0);
+                assert_eq!(
+                    a[0].frame.as_ref(),
+                    b[0].frame.as_ref(),
+                    "S={shards} step {step}"
+                );
             }
+            let a = reference.on_eof(0).unwrap();
+            let b = sharded.on_eof(0).unwrap();
+            assert_eq!(a.len(), b.len());
+            assert!(sharded.state_bytes() > 0);
         }
     }
 }

@@ -39,7 +39,7 @@
 
 use crate::meta::EdfMeta;
 use crate::ops::key_index::KeyIndex;
-use crate::ops::sharded::{ShardPlan, ShardWork, ShardedState};
+use crate::ops::sharded::{ShardWork, ShardedState};
 use crate::ops::{Operator, RowRef, RowStore};
 use crate::progress::Progress;
 use crate::update::{Update, UpdateKind};
@@ -1168,9 +1168,9 @@ pub struct JoinOp {
     shard_bytes: Vec<usize>,
     /// Memory-governance plan (None = unbounded, the resident-only path).
     spill: Option<SpillPlan>,
-    /// The current shard plan (so `with_spill` and `with_shards` compose
+    /// The current shard count (so `with_spill` and `with_shards` compose
     /// in either order).
-    shard_plan: ShardPlan,
+    shards: usize,
     left_eof: bool,
     right_eof: bool,
     emitted_any: bool,
@@ -1239,14 +1239,11 @@ impl JoinOp {
             out_schema,
         });
         Ok(JoinOp {
-            state: ShardedState::new(
-                ShardPlan::serial().mode,
-                vec![JoinShard::new(cfg.clone(), 1, None)],
-            ),
+            state: ShardedState::new(vec![JoinShard::new(cfg.clone(), 1, None)]),
             shard_bytes: vec![0],
             cfg,
             spill: None,
-            shard_plan: ShardPlan::serial(),
+            shards: 1,
             left_eof: false,
             right_eof: false,
             emitted_any: false,
@@ -1269,22 +1266,23 @@ impl JoinOp {
         self.rebuild_shards()
     }
 
-    /// Re-plan the operator onto `plan.shards` hash-range shards executed
-    /// in `plan.mode`. Must be called before any update is consumed.
-    pub fn with_shards(mut self, plan: ShardPlan) -> Self {
+    /// Re-plan the operator onto `shards` hash-range shards (one runs on
+    /// the caller's thread, more on persistent workers — see
+    /// [`crate::ops::sharded`]). Must be called before any update is
+    /// consumed.
+    pub fn with_shards(mut self, shards: usize) -> Self {
         debug_assert!(
             !self.emitted_any && self.progress.t() == 0.0,
             "with_shards must precede execution"
         );
-        self.shard_plan = plan;
+        self.shards = shards.max(1);
         self.rebuild_shards()
     }
 
     fn rebuild_shards(mut self) -> Self {
-        let shards = self.shard_plan.shards.max(1);
+        let shards = self.shards;
         let env = self.spill.as_ref().map(|p| p.shard_env(shards));
         self.state = ShardedState::new(
-            self.shard_plan.mode,
             (0..shards)
                 .map(|_| JoinShard::new(self.cfg.clone(), shards, env.clone()))
                 .collect(),
@@ -1482,7 +1480,6 @@ impl Operator for JoinOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::sharded::ShardMode;
     use crate::ops::testutil::kv_frame;
     use std::sync::Arc;
     use wake_data::{Column, DataType, Field, Value};
@@ -1893,9 +1890,7 @@ mod tests {
                 let plan = cfg.build_plan(1).unwrap().unwrap();
                 let governor = plan.governor.clone();
                 let mut reference = join(kind);
-                let mut spilled = join(kind)
-                    .with_spill(Some(plan))
-                    .with_shards(ShardPlan::new(shards, ShardMode::Inline));
+                let mut spilled = join(kind).with_spill(Some(plan)).with_shards(shards);
                 let mut ref_outs = Vec::new();
                 let mut sp_outs = Vec::new();
                 let mut step = 0u64;
@@ -2048,45 +2043,43 @@ mod tests {
             JoinKind::Anti,
         ] {
             for shards in [2usize, 3, 8] {
-                for mode in [ShardMode::Inline, ShardMode::Scoped, ShardMode::Pool] {
-                    let mut reference = join(kind);
-                    let mut sharded = join(kind).with_shards(ShardPlan::new(shards, mode));
-                    let mut step = 0u64;
-                    let mut feed = |op: &mut JoinOp, port: usize, f: &DataFrame| {
-                        step += 1;
-                        let u = Update::delta(f.clone(), Progress::single(port as u32, step, 10));
-                        op.on_update(port, &u).unwrap()
+                let mut reference = join(kind);
+                let mut sharded = join(kind).with_shards(shards);
+                let mut step = 0u64;
+                let mut feed = |op: &mut JoinOp, port: usize, f: &DataFrame| {
+                    step += 1;
+                    let u = Update::delta(f.clone(), Progress::single(port as u32, step, 10));
+                    op.on_update(port, &u).unwrap()
+                };
+                for (lf, rf) in left_seq.iter().zip(&right_seq) {
+                    let a = feed(&mut reference, 0, lf);
+                    let b = feed(&mut sharded, 0, lf);
+                    let concat = |outs: Vec<Update>| {
+                        outs.iter()
+                            .flat_map(|u| rows_sorted(&u.frame))
+                            .collect::<Vec<_>>()
                     };
-                    for (lf, rf) in left_seq.iter().zip(&right_seq) {
-                        let a = feed(&mut reference, 0, lf);
-                        let b = feed(&mut sharded, 0, lf);
-                        let concat = |outs: Vec<Update>| {
-                            outs.iter()
-                                .flat_map(|u| rows_sorted(&u.frame))
-                                .collect::<Vec<_>>()
-                        };
-                        let (mut am, mut bm) = (concat(a), concat(b));
-                        am.sort();
-                        bm.sort();
-                        assert_eq!(am, bm, "{kind:?} S={shards} {mode:?} left step");
-                        let a = feed(&mut reference, 1, rf);
-                        let b = feed(&mut sharded, 1, rf);
-                        let (mut am, mut bm) = (concat(a), concat(b));
-                        am.sort();
-                        bm.sort();
-                        assert_eq!(am, bm, "{kind:?} S={shards} {mode:?} right step");
-                    }
-                    let a = reference.on_eof(1).unwrap();
-                    let b = sharded.on_eof(1).unwrap();
-                    let flat = |outs: Vec<Update>| {
-                        let mut rows: Vec<Vec<Value>> =
-                            outs.iter().flat_map(|u| rows_sorted(&u.frame)).collect();
-                        rows.sort();
-                        rows
-                    };
-                    assert_eq!(flat(a), flat(b), "{kind:?} S={shards} {mode:?} eof flush");
-                    assert!(sharded.state_bytes() > 0);
+                    let (mut am, mut bm) = (concat(a), concat(b));
+                    am.sort();
+                    bm.sort();
+                    assert_eq!(am, bm, "{kind:?} S={shards} left step");
+                    let a = feed(&mut reference, 1, rf);
+                    let b = feed(&mut sharded, 1, rf);
+                    let (mut am, mut bm) = (concat(a), concat(b));
+                    am.sort();
+                    bm.sort();
+                    assert_eq!(am, bm, "{kind:?} S={shards} right step");
                 }
+                let a = reference.on_eof(1).unwrap();
+                let b = sharded.on_eof(1).unwrap();
+                let flat = |outs: Vec<Update>| {
+                    let mut rows: Vec<Vec<Value>> =
+                        outs.iter().flat_map(|u| rows_sorted(&u.frame)).collect();
+                    rows.sort();
+                    rows
+                };
+                assert_eq!(flat(a), flat(b), "{kind:?} S={shards} eof flush");
+                assert!(sharded.state_bytes() > 0);
             }
         }
     }

@@ -22,7 +22,6 @@ pub use agg_op::AggOp;
 pub use filter::FilterOp;
 pub use join::JoinOp;
 pub use map::MapOp;
-pub use sharded::{ShardMode, ShardPlan};
 pub use sort::SortOp;
 
 use crate::meta::EdfMeta;

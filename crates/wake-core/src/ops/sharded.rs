@@ -9,32 +9,27 @@
 //! 1. **split** — one vectorized `hash_keys` pass plus per-shard selection
 //!    vectors; sub-frames are materialised with a typed columnar gather,
 //! 2. **apply** — each shard folds its sub-frame into its private state
-//!    ([`ShardWork::run`]), potentially on its own worker thread,
+//!    ([`ShardWork::run`]),
 //! 3. **merge** — a join-point collects per-shard partials in shard order
 //!    and the operator emits one merged update downstream (group states
 //!    combine with the `⊕` merge family; join outputs concatenate, since
 //!    shards are key-disjoint).
 //!
-//! [`ShardedState`] owns stage 2 and hides three execution strategies:
+//! [`ShardedState`] owns stage 2, and the shard count alone decides where
+//! it runs:
 //!
-//! - **Inline** (`S = 1`, and the forced mode of `Parallelism(1)`): the
-//!   single shard runs on the caller's thread; no scatter, no threads —
-//!   byte-identical to the pre-sharding operators.
-//! - **Scoped**: shards run on `std::thread::scope` workers spawned per
-//!   call and re-joined before returning. Used by the deterministic
-//!   `SteppedExecutor`: no persistent threads outlive a step, results are
-//!   merged in shard order, and a panicking shard surfaces as an error on
-//!   the calling thread.
-//! - **Pool**: `S` persistent worker threads, each owning its shard's
+//! - **`S = 1`**: the single shard runs on the caller's thread; no
+//!   scatter, no threads — byte-identical to the pre-sharding operators.
+//! - **`S > 1`**: `S` persistent worker threads, each owning its shard's
 //!   state for the lifetime of the operator, fed by per-shard **bounded**
 //!   channels (capacity [`POOL_TASK_CAPACITY`]) so a slow shard
-//!   backpressures the splitter instead of queueing unboundedly. Used by
-//!   the pipelined `ThreadedExecutor`. Worker panics are caught and
-//!   reported as a typed query error — never a hang.
+//!   backpressures the splitter. Worker panics are caught and reported as
+//!   a typed query error — never a hang. Dropping the operator joins the
+//!   workers.
 //!
-//! All three strategies produce identical results for identical inputs:
-//! the fork-join barrier plus shard-ordered merge keeps sharded execution
-//! deterministic in value regardless of scheduling.
+//! Results are identical for identical inputs either way: the fork-join
+//! barrier plus shard-ordered merge keeps sharded execution deterministic
+//! in value regardless of scheduling.
 
 use crate::Result;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,12 +37,12 @@ use std::sync::mpsc;
 use std::thread::JoinHandle;
 use wake_data::DataError;
 
-/// Per-shard bounded task-channel capacity in Pool mode. [`ShardedState::
-/// run`] is a strict fork-join barrier — it collects every dispatched
-/// result before returning — so at most one task per shard is ever in
-/// flight and capacity 1 suffices; the bound exists so any future
-/// split-ahead pipelining inherits blocking-send backpressure rather than
-/// an unbounded queue.
+/// Per-shard bounded task-channel capacity. [`ShardedState::run`] is a
+/// strict fork-join barrier — it collects every dispatched result before
+/// returning — so at most one task per shard is ever in flight and
+/// capacity 1 suffices; the bound exists so any future split-ahead
+/// pipelining inherits blocking-send backpressure rather than an unbounded
+/// queue.
 pub const POOL_TASK_CAPACITY: usize = 1;
 
 /// One shard's private state: receives owned tasks, returns owned partial
@@ -60,87 +55,32 @@ pub trait ShardWork: Send + 'static {
     fn run(&mut self, task: Self::Task) -> Self::Out;
 }
 
-/// How a sharded operator executes its per-shard folds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardMode {
-    /// Run every shard on the calling thread, in shard order.
-    #[default]
-    Inline,
-    /// Fork scoped worker threads per call; join before returning.
-    Scoped,
-    /// Persistent per-shard worker threads fed by bounded channels.
-    Pool,
-}
-
-/// Shard count plus execution mode — the resolved form of the user-facing
-/// [`Parallelism`](crate::graph::Parallelism) knob that executors hand to
-/// [`build_operator_with`](crate::graph::build_operator_with).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPlan {
-    pub shards: usize,
-    pub mode: ShardMode,
-}
-
-impl ShardPlan {
-    /// The unsharded plan: one shard, inline — today's single-threaded
-    /// operator code path, byte for byte.
-    pub fn serial() -> Self {
-        ShardPlan {
-            shards: 1,
-            mode: ShardMode::Inline,
-        }
-    }
-
-    pub fn new(shards: usize, mode: ShardMode) -> Self {
-        let shards = shards.max(1);
-        ShardPlan {
-            shards,
-            // A single shard gains nothing from workers; force inline so
-            // Parallelism(1) cannot diverge from the serial path.
-            mode: if shards == 1 { ShardMode::Inline } else { mode },
-        }
-    }
-}
-
-impl Default for ShardPlan {
-    fn default() -> Self {
-        Self::serial()
-    }
-}
-
 enum Inner<W: ShardWork> {
-    /// Shards live on the operator; folds run inline or under a scope.
-    Local { shards: Vec<W>, scoped: bool },
+    /// The single shard lives on the operator and runs on its thread.
+    Local(W),
     /// Shards live on persistent worker threads.
     Pool(Pool<W>),
 }
 
 /// `S` shards of operator state plus the machinery to run tasks against
-/// them. See the module docs for the execution strategies.
+/// them. See the module docs for where the shards run.
 pub struct ShardedState<W: ShardWork> {
     inner: Inner<W>,
     num_shards: usize,
 }
 
 impl<W: ShardWork> ShardedState<W> {
-    /// Build from per-shard states (`shards.len()` = S ≥ 1).
-    pub fn new(mode: ShardMode, shards: Vec<W>) -> Self {
+    /// Build from per-shard states (`shards.len()` = S ≥ 1). A single
+    /// shard gains nothing from a worker, so it stays on the caller's
+    /// thread and `Parallelism::Fixed(1)` cannot diverge from the serial
+    /// path.
+    pub fn new(mut shards: Vec<W>) -> Self {
         assert!(!shards.is_empty(), "need at least one shard");
         let num_shards = shards.len();
-        let inner = match mode {
-            _ if num_shards == 1 => Inner::Local {
-                shards,
-                scoped: false,
-            },
-            ShardMode::Inline => Inner::Local {
-                shards,
-                scoped: false,
-            },
-            ShardMode::Scoped => Inner::Local {
-                shards,
-                scoped: true,
-            },
-            ShardMode::Pool => Inner::Pool(Pool::spawn(shards)),
+        let inner = if num_shards == 1 {
+            Inner::Local(shards.remove(0))
+        } else {
+            Inner::Pool(Pool::spawn(shards))
         };
         ShardedState { inner, num_shards }
     }
@@ -153,47 +93,16 @@ impl<W: ShardWork> ShardedState<W> {
     /// shard) and gather the outputs in shard order. This is the fork-join
     /// barrier: it returns only when every dispatched shard has finished.
     ///
-    /// A panicking shard — under any mode — surfaces as a typed
-    /// [`DataError`] so a malformed frame can fail the query instead of
-    /// hanging or poisoning the process.
-    pub fn run(&mut self, mut tasks: Vec<Option<W::Task>>) -> Result<Vec<Option<W::Out>>> {
+    /// A panicking shard worker surfaces as a typed [`DataError`] so a
+    /// malformed frame can fail the query instead of hanging or poisoning
+    /// the process.
+    pub fn run(&mut self, tasks: Vec<Option<W::Task>>) -> Result<Vec<Option<W::Out>>> {
         debug_assert_eq!(tasks.len(), self.num_shards);
-        let live = tasks.iter().filter(|t| t.is_some()).count();
         match &mut self.inner {
-            Inner::Local { shards, scoped } => {
-                let scoped = *scoped && live > 1;
-                if !scoped {
-                    let mut outs: Vec<Option<W::Out>> = Vec::with_capacity(tasks.len());
-                    for (shard, task) in shards.iter_mut().zip(tasks) {
-                        outs.push(task.map(|t| shard.run(t)));
-                    }
-                    return Ok(outs);
-                }
-                // Fork one scoped worker per dispatched shard; join returns
-                // Err on panic, which we convert to a query error.
-                let mut outs: Vec<Option<W::Out>> =
-                    std::iter::repeat_with(|| None).take(tasks.len()).collect();
-                let mut panicked = false;
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = shards
-                        .iter_mut()
-                        .zip(tasks.drain(..))
-                        .map(|(shard, task)| task.map(|t| scope.spawn(move || shard.run(t))))
-                        .collect();
-                    for (slot, handle) in outs.iter_mut().zip(handles) {
-                        if let Some(h) = handle {
-                            match h.join() {
-                                Ok(out) => *slot = Some(out),
-                                Err(_) => panicked = true,
-                            }
-                        }
-                    }
-                });
-                if panicked {
-                    return Err(shard_panic_error());
-                }
-                Ok(outs)
-            }
+            Inner::Local(shard) => Ok(tasks
+                .into_iter()
+                .map(|task| task.map(|t| shard.run(t)))
+                .collect()),
             Inner::Pool(pool) => pool.run(tasks),
         }
     }
@@ -307,8 +216,9 @@ mod tests {
         }
     }
 
-    fn doubled(mode: ShardMode) {
-        let mut st = ShardedState::new(mode, vec![Doubler { total: 0 }, Doubler { total: 100 }]);
+    #[test]
+    fn pool_scatter_gathers_in_shard_order() {
+        let mut st = ShardedState::new(vec![Doubler { total: 0 }, Doubler { total: 100 }]);
         assert_eq!(st.num_shards(), 2);
         let outs = st.run(vec![Some(1), Some(2)]).unwrap();
         assert_eq!(outs, vec![Some(1), Some(102)]);
@@ -320,23 +230,11 @@ mod tests {
     }
 
     #[test]
-    fn all_modes_scatter_gather_in_shard_order() {
-        doubled(ShardMode::Inline);
-        doubled(ShardMode::Scoped);
-        doubled(ShardMode::Pool);
-    }
-
-    #[test]
     fn worker_panic_surfaces_as_error_not_hang() {
-        for mode in [ShardMode::Scoped, ShardMode::Pool] {
-            let mut st = ShardedState::new(mode, vec![Doubler { total: 0 }, Doubler { total: 0 }]);
-            let err = st.run(vec![Some(i64::MIN), Some(1)]);
-            assert!(err.is_err(), "{mode:?}");
-            if mode == ShardMode::Pool {
-                // Poisoned pool fails fast afterwards.
-                assert!(st.run(vec![Some(1), None]).is_err());
-            }
-        }
+        let mut st = ShardedState::new(vec![Doubler { total: 0 }, Doubler { total: 0 }]);
+        assert!(st.run(vec![Some(i64::MIN), Some(1)]).is_err());
+        // Poisoned pool fails fast afterwards.
+        assert!(st.run(vec![Some(1), None]).is_err());
     }
 
     struct SpilledPanicker {
@@ -359,48 +257,46 @@ mod tests {
     fn mid_fold_panic_with_spilled_state_is_typed_and_leak_free() {
         // A worker that panics while its shard owns a *flushed* spill run
         // (the mid-fold-while-spilled case): the panic must surface as a
-        // typed error under every threaded mode, and dropping the state
-        // must delete the spill files the panicking shard held.
+        // typed error, and dropping the state must delete the spill files
+        // the panicking shard held.
         use std::sync::Arc;
         use wake_data::{DataFrame, Field, Schema};
         use wake_store::colfile::Chunk;
         use wake_store::{MemoryGovernor, RunWriter, SpillDir};
-        for mode in [ShardMode::Scoped, ShardMode::Pool] {
-            let dir = Arc::new(SpillDir::new_temp().unwrap());
-            let gov = Arc::new(MemoryGovernor::new(Some(1 << 20)));
-            let root = dir.root().to_path_buf();
-            let shard = |tag: &str| {
-                let mut run = RunWriter::new(dir.clone(), gov.clone(), tag).with_flush_threshold(1);
-                let schema = Arc::new(Schema::new(vec![Field::new(
-                    "x",
-                    wake_data::DataType::Int64,
-                )]));
-                run.push(&Chunk::frame_only(Arc::new(DataFrame::empty(schema))))
-                    .unwrap();
-                SpilledPanicker { run }
-            };
-            let mut st = ShardedState::new(mode, vec![shard("a"), shard("b")]);
-            assert_eq!(root.read_dir().unwrap().count(), 2, "{mode:?}: flushed");
-            let err = st.run(vec![Some(true), Some(false)]).unwrap_err();
-            assert!(matches!(err, DataError::Invalid(_)), "{mode:?}: {err}");
-            // Dropping the sharded state (pool workers join on drop) must
-            // release every shard's run and delete its files.
-            drop(st);
-            assert_eq!(
-                root.read_dir().unwrap().count(),
-                0,
-                "{mode:?}: spill files leaked past a worker panic"
-            );
-        }
+        let dir = Arc::new(SpillDir::new_temp().unwrap());
+        let gov = Arc::new(MemoryGovernor::new(Some(1 << 20)));
+        let root = dir.root().to_path_buf();
+        let shard = |tag: &str| {
+            let mut run = RunWriter::new(dir.clone(), gov.clone(), tag).with_flush_threshold(1);
+            let schema = Arc::new(Schema::new(vec![Field::new(
+                "x",
+                wake_data::DataType::Int64,
+            )]));
+            run.push(&Chunk::frame_only(Arc::new(DataFrame::empty(schema))))
+                .unwrap();
+            SpilledPanicker { run }
+        };
+        let mut st = ShardedState::new(vec![shard("a"), shard("b")]);
+        assert_eq!(root.read_dir().unwrap().count(), 2, "flushed");
+        let err = st.run(vec![Some(true), Some(false)]).unwrap_err();
+        assert!(matches!(err, DataError::Invalid(_)), "{err}");
+        // Dropping the sharded state (workers join on drop) must release
+        // every shard's run and delete its files.
+        drop(st);
+        assert_eq!(
+            root.read_dir().unwrap().count(),
+            0,
+            "spill files leaked past a worker panic"
+        );
     }
 
     #[test]
-    fn single_shard_forces_inline() {
-        let mut st = ShardedState::new(ShardMode::Pool, vec![Doubler { total: 0 }]);
-        match st.inner {
-            Inner::Local { .. } => {}
-            Inner::Pool(_) => panic!("S=1 must not spawn workers"),
-        }
+    fn single_shard_runs_on_the_caller() {
+        let mut st = ShardedState::new(vec![Doubler { total: 0 }]);
+        assert!(
+            matches!(st.inner, Inner::Local(_)),
+            "S=1 must not spawn workers"
+        );
         assert_eq!(st.run(vec![Some(5)]).unwrap(), vec![Some(5)]);
     }
 }

@@ -76,35 +76,9 @@ pub fn reorder_scans(graph: &mut QueryGraph, seed: u64) -> usize {
     n
 }
 
-/// Aggregate the scan metrics of every source in the graph (zeros when no
-/// source tracks any).
-pub fn scan_metrics(graph: &QueryGraph) -> wake_data::ScanMetrics {
-    let mut total = wake_data::ScanMetrics::default();
-    for id in graph.sources() {
-        if let NodeKind::Read { source } = &graph.node(id).kind {
-            if let Some(m) = source.scan_metrics() {
-                total.merge(&m);
-            }
-        }
-    }
-    total
-}
-
-/// The sources of a graph as shared handles, for executors that need to
-/// read scan metrics after the graph itself is gone (threaded streams).
-pub fn source_handles(graph: &QueryGraph) -> Vec<std::sync::Arc<dyn wake_data::TableSource>> {
-    graph
-        .sources()
-        .iter()
-        .filter_map(|&id| match &graph.node(id).kind {
-            NodeKind::Read { source } => Some(source.clone()),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Source handles keyed by their read node's id, for per-node scan
-/// attribution in query profiles.
+/// The sources of a graph as shared handles keyed by their read node's
+/// id, for reading scan metrics (query-wide and per node) after the graph
+/// itself is gone.
 pub fn source_handles_by_node(
     graph: &QueryGraph,
 ) -> Vec<(usize, std::sync::Arc<dyn wake_data::TableSource>)> {
@@ -118,12 +92,13 @@ pub fn source_handles_by_node(
         .collect()
 }
 
-/// Sum scan metrics over source handles captured by [`source_handles`].
+/// Sum scan metrics over the handles captured by
+/// [`source_handles_by_node`] (zeros when no source tracks any).
 pub fn scan_metrics_of(
-    sources: &[std::sync::Arc<dyn wake_data::TableSource>],
+    sources: &[(usize, std::sync::Arc<dyn wake_data::TableSource>)],
 ) -> wake_data::ScanMetrics {
     let mut total = wake_data::ScanMetrics::default();
-    for s in sources {
+    for (_, s) in sources {
         if let Some(m) = s.scan_metrics() {
             total.merge(&m);
         }
@@ -226,7 +201,10 @@ mod tests {
         g.sink(f);
         assert_eq!(push_down_predicates(&mut g), 0);
         assert_eq!(reorder_scans(&mut g, 42), 0);
-        assert_eq!(scan_metrics(&g), wake_data::ScanMetrics::default());
+        assert_eq!(
+            scan_metrics_of(&source_handles_by_node(&g)),
+            wake_data::ScanMetrics::default()
+        );
     }
 
     #[test]
@@ -238,9 +216,9 @@ mod tests {
         let mut g = QueryGraph::new();
         let r = g.read_arc(rec.clone());
         g.sink(r);
-        assert_eq!(scan_metrics(&g).zones_total, 2);
+        assert_eq!(scan_metrics_of(&source_handles_by_node(&g)).zones_total, 2);
         assert_eq!(reorder_scans(&mut g, 42), 1);
-        let handles = source_handles(&g);
+        let handles = source_handles_by_node(&g);
         assert_eq!(handles.len(), 1);
         // After reorder the source is a plain MemorySource: no metrics.
         assert_eq!(scan_metrics_of(&handles), wake_data::ScanMetrics::default());

@@ -1,15 +1,11 @@
 //! Unified execution configuration — every knob in one place.
 //!
-//! Before this module, execution configuration was fragmented across
-//! three layers: `QueryGraph::set_parallelism`, per-executor builders
-//! (`SteppedExecutor::with_config` vs `ThreadedExecutor::with_memory_budget`
-//! / `with_spill_config` / `with_channel_capacity` / `with_trace`), and the
-//! ambient `WAKE_MEM_BUDGET` / `WAKE_SPILL_DIR` environment that each
-//! constructor consulted (or silently failed to) on its own. [`EngineConfig`]
-//! replaces all of that: one builder consumed by both executors, with the
-//! environment fallback resolved in exactly one place
-//! ([`EngineConfig::spill_config`]) and **per knob** — an explicitly set
-//! spill directory no longer hides an ambient memory budget.
+//! [`EngineConfig`] is the one builder both executors consume — graph-level
+//! knobs, memory governance, observability, serving — with the ambient
+//! `WAKE_*` environment as a fallback resolved in exactly one place
+//! ([`EngineConfig::spill_config`] for memory governance) and **per knob**:
+//! an explicitly set spill directory does not hide an ambient memory
+//! budget.
 //!
 //! ```no_run
 //! use wake_engine::{EngineConfig, ExecutorKind};
@@ -27,9 +23,10 @@
 //! # }
 //! ```
 
-use crate::stream::{EstimateStream, Executor};
+use crate::query::Query;
+use crate::stream::EstimateStream;
 use crate::trace::TraceLog;
-use crate::{Result, SteppedExecutor, ThreadedExecutor};
+use crate::Result;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -209,7 +206,7 @@ impl EngineConfig {
         self
     }
 
-    /// Record per-node processing spans into `log` (threaded engine).
+    /// Record per-node processing spans into `log` (either engine).
     pub fn with_trace(mut self, log: TraceLog) -> Self {
         self.trace = Some(log);
         self
@@ -458,40 +455,6 @@ impl EngineConfig {
         }
     }
 
-    /// Per-knob overlay of a legacy [`SpillConfig`] — the routing that
-    /// keeps the `#[deprecated]` executor shims on the unified
-    /// env-resolution path: every knob the legacy config leaves unset
-    /// (`None` / `0`) keeps its ambient fallback, so e.g. a
-    /// shim-configured executor with only a spill directory still
-    /// honours `WAKE_MEM_BUDGET`.
-    pub(crate) fn apply_legacy_spill(mut self, config: &SpillConfig) -> EngineConfig {
-        if let Some(bytes) = config.budget_bytes {
-            self = self.with_memory_budget(bytes);
-        }
-        if let Some(dir) = &config.spill_dir {
-            self = self.with_spill_dir(dir.clone());
-        }
-        if config.fanout != 0 {
-            self = self.with_spill_fanout(config.fanout);
-        }
-        if config.max_depth != 0 {
-            self = self.with_spill_max_depth(config.max_depth);
-        }
-        if let Some(ratio) = config.delta_ratio {
-            self = self.with_spill_delta_ratio(ratio);
-        }
-        if let Some(io) = &config.io {
-            self = self.with_spill_io(io.clone());
-        }
-        if let Some(attempts) = config.retry_attempts {
-            self = self.with_spill_retries(attempts);
-        }
-        if let Some(delay) = config.retry_base_delay {
-            self = self.with_spill_retry_delay(delay);
-        }
-        self
-    }
-
     /// Apply the graph-level knobs this config carries, then run the
     /// planner passes: seeded scan reordering first (when a seed is set),
     /// predicate pushdown second (unless pruning is disabled) — pruning a
@@ -509,16 +472,14 @@ impl EngineConfig {
         }
     }
 
-    /// Build the configured executor and start streaming estimates. The
-    /// stepped engine is fully lazy (one driver step per poll); the
-    /// threaded engine spawns its node threads here and yields from the
-    /// sink channel. Dropping the returned stream cancels the query.
-    /// (Graph-level knobs are applied by `with_engine_config` below.)
-    pub fn start(&self, graph: QueryGraph) -> Result<EstimateStream> {
-        match self.executor {
-            ExecutorKind::Stepped => SteppedExecutor::with_engine_config(graph, self)?.stream(),
-            ExecutorKind::Threaded => ThreadedExecutor::with_engine_config(graph, self).stream(),
-        }
+    /// Build the query and start streaming estimates on the configured
+    /// engine. The stepped engine is fully lazy (one driver step per
+    /// poll); the threaded engine spawns its node threads here and yields
+    /// from the sink channel. Dropping the returned stream cancels the
+    /// query.
+    pub fn start(&self, mut graph: QueryGraph) -> Result<EstimateStream> {
+        self.apply_to_graph(&mut graph);
+        Ok(Query::build(graph, self, self.executor)?.start())
     }
 
     /// [`Self::start`] + drain: the materialised estimate series.
@@ -567,43 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_spill_overlay_keeps_ambient_fallbacks() {
-        // The deprecated shims route through this overlay: knobs the
-        // legacy SpillConfig leaves unset must keep their ambient
-        // fallback instead of silently clobbering it — the PR 4 per-knob
-        // fix, now applied to the shims too.
-        let ambient = SpillConfig::from_env();
-        let legacy = SpillConfig {
-            spill_dir: Some(PathBuf::from("/tmp/wake-legacy-shim")),
-            ..SpillConfig::default()
-        };
-        let resolved = EngineConfig::new()
-            .apply_legacy_spill(&legacy)
-            .spill_config();
-        assert_eq!(resolved.budget_bytes, ambient.budget_bytes);
-        assert_eq!(resolved.delta_ratio, ambient.delta_ratio);
-        assert_eq!(
-            resolved.spill_dir,
-            Some(PathBuf::from("/tmp/wake-legacy-shim"))
-        );
-        // Set knobs are honoured verbatim.
-        let legacy = SpillConfig {
-            budget_bytes: Some(4096),
-            fanout: 4,
-            max_depth: 2,
-            delta_ratio: Some(0.0),
-            ..SpillConfig::default()
-        };
-        let resolved = EngineConfig::new()
-            .apply_legacy_spill(&legacy)
-            .spill_config();
-        assert_eq!(resolved.budget_bytes, Some(4096));
-        assert_eq!(resolved.fanout, 4);
-        assert_eq!(resolved.max_depth, 2);
-        assert_eq!(resolved.delta_ratio, Some(0.0));
-    }
-
-    #[test]
     fn retry_knobs_resolve_per_knob() {
         let ambient = SpillConfig::from_env();
         // Unset: defer to the ambient WAKE_SPILL_RETRIES / default device.
@@ -619,15 +543,6 @@ mod tests {
         assert_eq!(resolved.retry_base_delay, Some(Duration::from_micros(10)));
         assert!(resolved.io.is_some());
         assert_eq!(resolved.budget_bytes, ambient.budget_bytes);
-        // The legacy overlay forwards the new knobs too.
-        let legacy = SpillConfig {
-            retry_attempts: Some(1),
-            ..SpillConfig::default()
-        };
-        let resolved = EngineConfig::new()
-            .apply_legacy_spill(&legacy)
-            .spill_config();
-        assert_eq!(resolved.retry_attempts, Some(1));
     }
 
     #[test]

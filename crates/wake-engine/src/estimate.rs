@@ -1,5 +1,7 @@
 //! Estimates collected at the query sink.
 
+use crate::query::QueryLedger;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 use wake_core::ci::variance_column;
@@ -91,40 +93,29 @@ impl Estimate {
 /// The full estimate stream of one query run.
 pub type EstimateSeries = Vec<Estimate>;
 
-/// Shared sink-side materialisation for both engine streams: turns sink
-/// updates into [`Estimate`]s (accumulating delta-mode frames), numbers
-/// them, and produces the degenerate empty-frame answer when a pipeline
-/// ends without ever publishing a state. Keeping this in one place is
-/// what the 22-query stepped-vs-threaded equivalence suites rely on —
-/// the engines must never diverge in estimate semantics.
+/// The sink side of a query, shared by both drivers: turns sink updates
+/// into [`Estimate`]s (accumulating delta-mode frames), numbers them, and
+/// decides finality. While the query runs the newest estimate is **held
+/// back** — it is the candidate final — and handed out only once a newer
+/// one arrives or the driver reports the end of input, when it is flagged
+/// [`Estimate::is_final`]. A pipeline that ends without ever publishing a
+/// state (degenerate graph) answers with the empty frame. One place, so
+/// the drivers cannot diverge in estimate semantics.
 pub(crate) struct SinkState {
     kind: wake_core::update::UpdateKind,
     schema: Arc<wake_data::Schema>,
     buffer: wake_core::ops::RowStore,
     seq: usize,
     start: std::time::Instant,
-    telemetry: Option<SinkTelemetry>,
-}
-
-/// Live handles the sink reads to stamp cumulative spill/scan bytes onto
-/// each estimate. Only attached when observability is enabled, so the
-/// `Off` path publishes estimates without touching a single extra atomic.
-pub(crate) struct SinkTelemetry {
-    pub(crate) governor: Option<Arc<wake_store::MemoryGovernor>>,
-    pub(crate) sources: Vec<Arc<dyn wake_data::TableSource>>,
-}
-
-impl SinkTelemetry {
-    fn spill_bytes(&self) -> u64 {
-        self.governor
-            .as_ref()
-            .map(|g| g.metrics().spilled_bytes as u64)
-            .unwrap_or(0)
-    }
-
-    fn scan_bytes(&self) -> u64 {
-        wake_core::plan::scan_metrics_of(&self.sources).decompressed_bytes
-    }
+    /// Read to stamp cumulative spill/scan bytes onto each estimate. Only
+    /// attached when observability is enabled, so the `Off` path publishes
+    /// estimates without touching a single extra atomic.
+    telemetry: Option<Arc<QueryLedger>>,
+    /// Materialised but not yet handed out; the back is the candidate
+    /// final.
+    held: VecDeque<Estimate>,
+    /// No further update will arrive.
+    ended: bool,
 }
 
 impl SinkState {
@@ -132,6 +123,7 @@ impl SinkState {
         kind: wake_core::update::UpdateKind,
         schema: Arc<wake_data::Schema>,
         start: std::time::Instant,
+        telemetry: Option<Arc<QueryLedger>>,
     ) -> Self {
         SinkState {
             kind,
@@ -139,29 +131,32 @@ impl SinkState {
             buffer: wake_core::ops::RowStore::new(),
             seq: 0,
             start,
-            telemetry: None,
+            telemetry,
+            held: VecDeque::new(),
+            ended: false,
         }
     }
 
-    /// Attach live telemetry handles (observability enabled): every
-    /// estimate published from here on carries cumulative spill/scan
-    /// bytes.
-    pub(crate) fn with_telemetry(mut self, telemetry: SinkTelemetry) -> Self {
-        self.telemetry = Some(telemetry);
-        self
+    fn estimate(&mut self, frame: Arc<DataFrame>, t: f64, rows_processed: u64) -> Estimate {
+        let est = Estimate {
+            frame,
+            t,
+            rows_processed,
+            elapsed: self.start.elapsed(),
+            spill_bytes: self.telemetry.as_ref().map_or(0, |l| l.spilled_bytes()),
+            scan_bytes: self
+                .telemetry
+                .as_ref()
+                .map_or(0, |l| l.scan().decompressed_bytes),
+            seq: self.seq,
+            is_final: false,
+        };
+        self.seq += 1;
+        est
     }
 
-    /// Estimates published so far.
-    pub(crate) fn published(&self) -> usize {
-        self.seq
-    }
-
-    /// Materialise one sink update as the next estimate (`is_final` is
-    /// settled later, once the engine knows no further update follows).
-    pub(crate) fn materialise(
-        &mut self,
-        update: &wake_core::update::Update,
-    ) -> crate::Result<Estimate> {
+    /// Materialise one sink update as the next (held-back) estimate.
+    pub(crate) fn push(&mut self, update: &wake_core::update::Update) -> crate::Result<()> {
         let frame: Arc<DataFrame> = match self.kind {
             wake_core::update::UpdateKind::Snapshot => update.frame.clone(),
             wake_core::update::UpdateKind::Delta => {
@@ -170,36 +165,46 @@ impl SinkState {
                 Arc::new(self.buffer.concat(&self.schema)?)
             }
         };
-        let est = Estimate {
-            frame,
-            t: update.t(),
-            rows_processed: update.progress.sources().iter().map(|s| s.processed).sum(),
-            elapsed: self.start.elapsed(),
-            spill_bytes: self.telemetry.as_ref().map_or(0, |t| t.spill_bytes()),
-            scan_bytes: self.telemetry.as_ref().map_or(0, |t| t.scan_bytes()),
-            seq: self.seq,
-            is_final: false,
-        };
-        self.seq += 1;
-        Ok(est)
+        let rows = update.progress.sources().iter().map(|s| s.processed).sum();
+        let est = self.estimate(frame, update.t(), rows);
+        self.held.push_back(est);
+        Ok(())
     }
 
-    /// The answer of a pipeline that produced no states at all
-    /// (degenerate graph): the empty frame at full progress.
-    pub(crate) fn empty_answer(&mut self) -> Estimate {
-        debug_assert_eq!(self.seq, 0, "empty answer only when nothing was published");
-        let est = Estimate {
-            frame: Arc::new(DataFrame::empty(self.schema.clone())),
-            t: 1.0,
-            rows_processed: 0,
-            elapsed: self.start.elapsed(),
-            spill_bytes: self.telemetry.as_ref().map_or(0, |t| t.spill_bytes()),
-            scan_bytes: self.telemetry.as_ref().map_or(0, |t| t.scan_bytes()),
-            seq: self.seq,
-            is_final: false,
-        };
-        self.seq += 1;
-        est
+    /// The input is exhausted: the newest estimate is the exact answer —
+    /// or, when nothing was ever published, the empty frame at full
+    /// progress is.
+    pub(crate) fn end(&mut self) {
+        if self.seq == 0 {
+            let empty = Arc::new(DataFrame::empty(self.schema.clone()));
+            let est = self.estimate(empty, 1.0, 0);
+            self.held.push_back(est);
+        }
+        if let Some(last) = self.held.back_mut() {
+            last.is_final = true;
+        }
+        self.ended = true;
+    }
+
+    /// End the stream without an answer (cancellation or failure): held
+    /// estimates are discarded, none is flagged final.
+    pub(crate) fn fuse(&mut self) {
+        self.held.clear();
+        self.ended = true;
+    }
+
+    pub(crate) fn ended(&self) -> bool {
+        self.ended
+    }
+
+    /// The next estimate that may be handed out: everything but the
+    /// candidate final while the query runs, everything once it ended.
+    pub(crate) fn pop(&mut self) -> Option<Estimate> {
+        if self.ended || self.held.len() >= 2 {
+            self.held.pop_front()
+        } else {
+            None
+        }
     }
 }
 

@@ -1,39 +1,46 @@
 //! # wake-engine
 //!
-//! Execution engines for Wake query graphs (§7.2 "Execution Engine"),
+//! The execution engine for Wake query graphs (§7.2 "Execution Engine"),
 //! behind a **streaming-first** surface: every query runs as a lazy,
 //! cancellable [`EstimateStream`] of converging estimates (§3.1) — the
 //! batch entry points (`run_collect`, `run_final`) are thin adapters that
 //! drain it.
 //!
-//! - [`SteppedExecutor`]: a deterministic, single-threaded driver that
-//!   interleaves source partitions round-robin and pushes every update
-//!   through the DAG synchronously; its stream performs one driver step
-//!   per poll. Used by tests (reproducible estimate sequences) and as the
-//!   reference semantics.
-//! - [`ThreadedExecutor`]: the paper's pipelined design — every node runs
-//!   on its own thread, edges are bounded channels carrying shared frame
-//!   pointers, and a special EOF message terminates each node (§7.2,
-//!   Fig 6). Its stream yields from the sink channel as estimates arrive;
-//!   dropping it cancels the query (threads joined, spill temp dirs
-//!   removed). Per-node processing spans can be traced to reproduce the
-//!   pipeline timeline of Fig 13.
+//! There is **one query core and two drivers**. The core (`query.rs`) is
+//! the paper's graph of nodes exchanging update and EOF messages (Fig 6):
+//! one constructor builds the operators, one *node actor* holds the only
+//! copy of the message protocol (what a node does with an update or an
+//! EOF, when it forwards EOF, what it records), one *ledger* holds what
+//! `stats()` / `profile()` read, and one sink decides which estimate is
+//! final. A driver only decides how emitted messages travel:
 //!
-//! Both engines implement [`Executor`] and are configured through one
-//! builder, [`EngineConfig`] — executor choice, parallelism, memory
-//! budget, spill directory, channel capacity, tracing — which resolves
-//! the ambient `WAKE_MEM_BUDGET` / `WAKE_SPILL_DIR` environment in
-//! exactly one place. OLA stopping conditions
-//! ([`EstimateStream::until_confidence`],
+//! - [`SteppedExecutor`] — the **inline** driver: a run queue drained on
+//!   the polling thread, one source partition per poll, sources
+//!   interleaved by progress. Deterministic, first estimate soonest; the
+//!   reference semantics.
+//! - [`ThreadedExecutor`] — the **thread-per-actor** driver, the paper's
+//!   pipelined design: every node on its own thread, edges are bounded
+//!   channels carrying shared frame pointers, so reading, joining and
+//!   aggregating overlap and the exact answer arrives sooner. Dropping
+//!   the stream cancels the query (threads joined, spill dirs removed).
+//!
+//! Both stay because each wins a workload of the repo's benchmark
+//! (`wake-e2e`: `tpch.resident` first estimate and determinism,
+//! `tpch.threaded` final latency); [`ExecutorKind`] selects. Sharded
+//! operators (`wake_core::ops::sharded`) and span tracing ([`TraceLog`],
+//! Fig 13) work the same under either. Both produce the same final
+//! state; intermediate estimates may differ in granularity/interleaving
+//! (inherent to pipelined execution).
+//!
+//! One builder configures everything, [`EngineConfig`], resolving the
+//! ambient `WAKE_*` environment in exactly one place. OLA stopping
+//! conditions ([`EstimateStream::until_confidence`],
 //! [`EstimateStream::until_rows_processed`]) end a stream — and cancel
 //! its query — the moment the estimate is good enough.
-//!
-//! Both engines produce the same final state; the stream of intermediate
-//! estimates may differ in granularity/interleaving (that is inherent to
-//! pipelined execution).
 
 mod config;
 mod estimate;
+mod query;
 mod stepped;
 mod stream;
 mod threaded;
@@ -41,9 +48,10 @@ mod trace;
 
 pub use config::{EngineConfig, ExecutorKind};
 pub use estimate::{Estimate, EstimateSeries, SeriesExt};
-pub use stepped::{RunStats, SteppedExecutor, SteppedStream};
+pub use query::RunStats;
+pub use stepped::SteppedExecutor;
 pub use stream::{CancelHandle, EstimateStream, Executor, StopStream, DEFAULT_CONFIDENCE};
-pub use threaded::{ThreadedExecutor, ThreadedStream, DEFAULT_CHANNEL_CAPACITY};
+pub use threaded::{ThreadedExecutor, DEFAULT_CHANNEL_CAPACITY};
 pub use trace::{TraceEvent, TraceLog, DEFAULT_TRACE_CAPACITY};
 // Memory-governance configuration (the per-query budget knob on both
 // executors and the process-wide ledger wake-serve leases from) plus the

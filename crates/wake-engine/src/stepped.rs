@@ -1,96 +1,57 @@
-//! Deterministic single-stepped executor.
+//! The deterministic single-stepped executor: the query core
+//! ([`crate::query`]) under the **inline driver**.
 //!
 //! Sources are read one partition at a time, always advancing the source
 //! with the lowest progress fraction (balanced interleaving, mimicking the
-//! paper's concurrent readers deterministically). Every update is pushed
-//! through the DAG synchronously, so the estimate stream is exactly
-//! reproducible — the property the integration and property tests rely on.
+//! paper's concurrent readers deterministically). Every message the read
+//! sets off is delivered on the polling thread before the step returns,
+//! so the estimate stream is exactly reproducible — the property the
+//! integration and property tests rely on.
 //!
-//! The engine is **pull-based**: [`SteppedExecutor`] builds the operator
-//! DAG, and streaming it (via [`crate::Executor::stream`]) yields a lazy
-//! [`SteppedStream`] that performs one driver step per poll. Nothing runs
-//! between polls, so an analyst loop can stop after any estimate and pay
-//! for exactly the input consumed so far; `run_collect` and friends are
-//! thin adapters that drain the stream. Dropping the stream abandons the
-//! query: operator state (and any spill files) is released immediately.
+//! The engine is **pull-based**: streaming a [`SteppedExecutor`] (via
+//! [`crate::Executor::stream`]) yields a lazy stream that performs one
+//! driver step per poll. Nothing runs between polls, so an analyst loop
+//! can stop after any estimate and pay for exactly the input consumed so
+//! far; `run_collect` and friends are thin adapters that drain the
+//! stream. Dropping the stream abandons the query: operator state (and
+//! any spill files) is released immediately.
 //!
-//! Partition parallelism: hash-keyed nodes are built on the graph's
-//! [`Parallelism`](wake_core::graph::Parallelism) plan in **scoped** shard
-//! mode (`ShardMode::Scoped`) — per-shard folds fork scoped worker threads
-//! that are joined before the step returns, and partials merge in shard
-//! order. No rayon, no persistent threads: a single-stepped run is fully
-//! reproducible *for a given shard count* regardless of scheduling.
-//! Caveat: the shard count itself changes observable-but-insignificant
-//! detail — a sharded join emits its matches in shard-concat order, so a
-//! float aggregate downstream of a join may reassociate its sums — and
-//! `Parallelism::Auto` resolves to the host's core count. Golden-value
+//! ## The run queue
+//!
+//! A step delivers messages in two FIFO classes: every pending `Update`
+//! before the next `Eof`. Updates alone are a breadth-first walk of the
+//! DAG from the reader; an EOF wave therefore sees each node's flush reach
+//! all of its descendants before the next node in the wave is told its
+//! input closed. The order in which a multi-input node (a join) meets its
+//! two sides is part of the estimate stream, so it is fixed here rather
+//! than left to queue position (one FIFO for both classes changes q21's
+//! stream under a spilling budget).
+//!
+//! ## Reproducibility
+//!
+//! A run is fully reproducible *for a given shard count* regardless of
+//! scheduling: hash-keyed nodes fold their shards behind a fork-join
+//! barrier and merge partials in shard order ([`wake_core::ops::sharded`]).
+//! The shard count itself changes observable-but-insignificant detail — a
+//! sharded join emits its matches in shard-concat order, so a float
+//! aggregate downstream may reassociate its sums — and
+//! `Parallelism::Auto` resolves to the host's core count, so golden-value
 //! tests and cross-machine reproductions should pin
-//! `Parallelism::Fixed(n)` (`Fixed(1)` is byte-identical to the
-//! pre-sharding engine); the equivalence suites assert agreement across
-//! shard counts up to that float reassociation.
+//! `Parallelism::Fixed(n)` (`Fixed(1)` runs everything on the polling
+//! thread, byte-identical to the pre-sharding engine).
 
-use crate::estimate::{Estimate, EstimateSeries, SinkState, SinkTelemetry};
-use crate::{EngineConfig, Result};
+use crate::estimate::{EstimateSeries, SinkState};
+use crate::query::{Message, NodeActor, Query, QueryLedger, ReaderActor, RunStats, Target};
+use crate::stream::{Driver, EstimateStream, Executor};
+use crate::{EngineConfig, ExecutorKind, Result};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-use wake_core::graph::{build_operator_spilling, NodeId, NodeKind, QueryGraph};
-use wake_core::ops::{Operator, ShardMode, ShardPlan};
-use wake_core::progress::Progress;
-use wake_core::update::{Update, UpdateKind};
-use wake_data::{DataError, DataFrame};
-use wake_obs::{NodeProfile, ObsLevel, QueryObs};
-use wake_store::{SpillConfig, SpillMetrics, SpillPlan};
-
-/// Execution statistics for one query run, retrievable from a live,
-/// exhausted, or cancelled stream (and from the `*_stats` adapters).
-#[derive(Debug, Clone, Default)]
-pub struct RunStats {
-    /// Maximum bytes buffered inside operators at any partition boundary
-    /// (join build/probe stores, sort buffers, aggregate hash tables).
-    /// On the stepped engine this is a true simultaneous sample; on the
-    /// threaded engine it is the sum of per-node peaks — an upper bound,
-    /// since each node may peak at a different moment.
-    pub peak_state_bytes: usize,
-    /// Spill telemetry (all zeroes when the query ran unbounded).
-    pub spill: SpillMetrics,
-    /// The spill device failed persistently mid-query and the engine fell
-    /// back to memory-resident execution: the answer is still exact, but
-    /// the memory budget was suspended from the point of failure on.
-    pub degraded: bool,
-    /// Persistent-table scan telemetry, summed over every segment-backed
-    /// source in the plan: zones pruned by the pushed-down predicates,
-    /// zones actually decoded, compressed bytes read versus decompressed
-    /// bytes produced, and time spent decoding. All zeroes when every
-    /// source is in-memory/CSV/WCF (those track no scan metrics).
-    pub scan: wake_data::ScanMetrics,
-    /// Per-node profiles (rows/frames/busy/state plus attributed spill
-    /// and scan work), populated when the query ran with
-    /// [`ObsLevel::Stats`] or above; empty at [`ObsLevel::Off`]. The
-    /// per-node spill/scan attributions sum exactly to the `spill` /
-    /// `scan` rollups above when read from a settled stream (live reads
-    /// race benignly); the per-node state peaks sum to an upper bound of
-    /// `peak_state_bytes` on the stepped engine and equal it on the
-    /// threaded one.
-    pub nodes: Vec<NodeProfile>,
-}
+use wake_core::graph::QueryGraph;
+use wake_data::DataFrame;
 
 /// Single-threaded, deterministic query driver.
 pub struct SteppedExecutor {
-    graph: QueryGraph,
-    operators: Vec<Option<Box<dyn Operator>>>,
-    consumers: Vec<Vec<(NodeId, usize)>>,
-    spill: Option<SpillPlan>,
-    /// Per-node child spill plans (observability only): `node_spill[i]`
-    /// is the child ledger operator `i` was built on, so its spill I/O
-    /// can be attributed. Empty at `ObsLevel::Off`, where operators are
-    /// built directly on the shared query-wide plan.
-    node_spill: Vec<Option<SpillPlan>>,
-    obs: Option<Arc<QueryObs>>,
-    sink: NodeId,
-    sink_kind: UpdateKind,
-    sink_schema: Arc<wake_data::Schema>,
+    query: Query,
 }
 
 impl SteppedExecutor {
@@ -98,461 +59,107 @@ impl SteppedExecutor {
     /// default [`EngineConfig`] (memory governance falls back to the
     /// ambient `WAKE_MEM_BUDGET` / `WAKE_SPILL_DIR`; unset = unbounded).
     pub fn new(graph: QueryGraph) -> Result<Self> {
-        let config = EngineConfig::new();
-        Self::with_spill(graph, config.spill_config(), config.obs_level())
+        let query = Query::build(graph, &EngineConfig::new(), ExecutorKind::Stepped)?;
+        Ok(SteppedExecutor { query })
     }
 
     /// Build from the unified [`EngineConfig`] (parallelism, memory
-    /// budget, spill directory — the executor kind and threaded-only
-    /// knobs are ignored here).
+    /// budget, spill directory, tracing — the executor kind and the
+    /// channel capacity are ignored here).
     pub fn with_engine_config(mut graph: QueryGraph, config: &EngineConfig) -> Result<Self> {
         config.apply_to_graph(&mut graph);
-        Self::with_spill(graph, config.spill_config(), config.obs_level())
-    }
-
-    /// Build with an explicit memory budget: the total is apportioned
-    /// over the graph's hash-keyed operators, and each operator spills
-    /// its largest partitions once its slice is exceeded. Routes through
-    /// [`EngineConfig`] per knob, so anything `config` leaves unset
-    /// (`None` budget, no spill dir, `0` fan-out/depth) falls back to
-    /// the ambient environment — explicitly unbounded memory needs
-    /// `EngineConfig::unbounded_memory`.
-    #[deprecated(note = "use `SteppedExecutor::with_engine_config` / `EngineConfig::start`")]
-    pub fn with_config(graph: QueryGraph, config: SpillConfig) -> Result<Self> {
-        Self::with_engine_config(graph, &EngineConfig::new().apply_legacy_spill(&config))
-    }
-
-    /// The resolved query-wide memory budget, if governance is active
-    /// (test/diagnostic hook; `None` = unbounded).
-    #[doc(hidden)]
-    pub fn memory_budget(&self) -> Option<usize> {
-        self.spill.as_ref().and_then(|p| p.governor.budget())
-    }
-
-    /// Shared construction path: a fully *resolved* spill configuration
-    /// (no environment consultation happens past this point).
-    pub(crate) fn with_spill(
-        graph: QueryGraph,
-        config: SpillConfig,
-        obs_level: ObsLevel,
-    ) -> Result<Self> {
-        let sink = graph
-            .sink_id()
-            .ok_or_else(|| DataError::Invalid("query graph has no sink".into()))?;
-        let metas = graph.resolve_metas()?;
-        let spill = config.build_plan(graph.shardable_node_count())?;
-        let obs = obs_level.enabled().then(|| {
-            let (labels, inputs) = graph.plan_skeleton();
-            QueryObs::new(obs_level, labels, inputs)
-        });
-        let mut operators: Vec<Option<Box<dyn Operator>>> = Vec::with_capacity(graph.len());
-        let mut node_spill: Vec<Option<SpillPlan>> = Vec::with_capacity(graph.len());
-        for (idx, node) in graph.nodes().iter().enumerate() {
-            // With observability on, each spillable operator gets a child
-            // ledger for per-node attribution; every count still forwards
-            // to the query-wide parent, so the rollup is unchanged. Off:
-            // operators share the parent plan directly (no forwarding).
-            let node_plan = match (&obs, &spill) {
-                (Some(_), Some(p)) if graph.is_shardable(NodeId(idx)) => Some(p.for_node()),
-                _ => None,
-            };
-            match &node.kind {
-                NodeKind::Read { .. } => operators.push(None),
-                kind => {
-                    let inputs: Vec<&wake_core::EdfMeta> =
-                        node.inputs.iter().map(|i| &metas[i.0]).collect();
-                    let plan = ShardPlan::new(graph.shards_for(NodeId(idx)), ShardMode::Scoped);
-                    operators.push(Some(build_operator_spilling(
-                        kind,
-                        &inputs,
-                        plan,
-                        node_plan.as_ref().or(spill.as_ref()),
-                    )?));
-                }
-            }
-            node_spill.push(node_plan);
-        }
-        let consumers = graph.consumers();
-        let sink_kind = metas[sink.0].kind;
-        let sink_schema = metas[sink.0].schema.clone();
-        Ok(SteppedExecutor {
-            graph,
-            operators,
-            consumers,
-            spill,
-            node_spill,
-            obs,
-            sink,
-            sink_kind,
-            sink_schema,
-        })
-    }
-
-    /// Start the lazy estimate stream: one driver step per poll.
-    pub fn into_stream(self) -> Result<SteppedStream> {
-        // Per-source read cursors.
-        let mut cursors: Vec<Cursor> = Vec::new();
-        for id in self.graph.sources() {
-            let NodeKind::Read { source } = &self.graph.node(id).kind else {
-                return Err(DataError::Invalid("source node is not a Read".into()));
-            };
-            let meta = source.meta();
-            cursors.push(Cursor {
-                node: id,
-                next_partition: 0,
-                partitions: meta.num_partitions(),
-                rows_emitted: 0,
-                total_rows: meta.total_rows() as u64,
-            });
-        }
-        if cursors.is_empty() {
-            return Err(DataError::Invalid("query graph has no sources".into()));
-        }
-        // Pending EOF bookkeeping: number of open input ports per node.
-        let open_ports: Vec<usize> = self.graph.nodes().iter().map(|n| n.inputs.len()).collect();
-        let start = Instant::now();
-        let mut sink = SinkState::new(self.sink_kind, self.sink_schema.clone(), start);
-        if self.obs.is_some() {
-            sink = sink.with_telemetry(SinkTelemetry {
-                governor: self.spill.as_ref().map(|p| p.governor.clone()),
-                sources: wake_core::plan::source_handles(&self.graph),
-            });
-        }
-        Ok(SteppedStream {
-            exec: self,
-            cursors,
-            open_ports,
-            sink,
-            ready: VecDeque::new(),
-            peak_state_bytes: 0,
-            exhausted: false,
-            finished: false,
-            cancel: Arc::new(AtomicBool::new(false)),
-        })
+        let query = Query::build(graph, config, ExecutorKind::Stepped)?;
+        Ok(SteppedExecutor { query })
     }
 
     /// Run to completion, collecting the materialised estimate stream.
     pub fn run_collect(self) -> Result<EstimateSeries> {
-        Ok(self.run_collect_stats()?.0)
+        Executor::run_collect(self)
     }
 
     /// Like [`Self::run_collect`], also reporting run statistics (peak
     /// buffered operator state — the peak-memory metric of §8.2).
     pub fn run_collect_stats(self) -> Result<(EstimateSeries, RunStats)> {
-        crate::Executor::run_collect_stats(self)
+        Executor::run_collect_stats(self)
     }
 
     /// Run and return only the exact final frame.
     pub fn run_final(self) -> Result<Arc<DataFrame>> {
-        crate::Executor::run_final(self)
+        Executor::run_final(self)
     }
 }
 
-/// Per-source read cursor of the balanced interleaving driver.
-struct Cursor {
-    node: NodeId,
-    next_partition: usize,
-    partitions: usize,
-    rows_emitted: u64,
-    total_rows: u64,
+impl Executor for SteppedExecutor {
+    fn stream(self) -> Result<EstimateStream> {
+        Ok(self.query.start())
+    }
 }
 
-/// The lazy estimate stream of the stepped engine: each poll advances the
-/// least-progressed source by one partition and pushes the update through
-/// the DAG synchronously. The sequence of estimates — frames, progress,
-/// sequence numbers, finality — is bit-identical to what
-/// [`SteppedExecutor::run_collect`] materialises (that adapter drains this
-/// stream). The only buffering is a one-estimate lookahead so the last
-/// estimate can be flagged [`Estimate::is_final`].
-pub struct SteppedStream {
-    exec: SteppedExecutor,
-    cursors: Vec<Cursor>,
-    open_ports: Vec<usize>,
-    /// Shared sink-side materialisation (accumulation, numbering, the
-    /// degenerate empty answer) — one implementation for both engines.
-    sink: SinkState,
-    /// Estimates produced but not yet handed out. Invariant: while input
-    /// remains, at least one estimate is held back (the candidate final).
-    ready: VecDeque<Estimate>,
-    peak_state_bytes: usize,
-    /// All sources read and every EOF propagated.
-    exhausted: bool,
-    /// Stream fused (final estimate handed out, or an error surfaced).
-    finished: bool,
-    /// Cross-thread cancellation flag ([`crate::CancelHandle`]): set, the
-    /// next poll fuses the stream instead of stepping. The stepped engine
-    /// runs entirely on the polling thread, so "cancel" simply means
-    /// "stop advancing"; dropping the stream then releases all state.
-    cancel: Arc<AtomicBool>,
+/// Messages emitted but not yet delivered, in the two classes the module
+/// docs describe.
+#[derive(Default)]
+pub(crate) struct RunQueue {
+    updates: VecDeque<(Target, Message)>,
+    eofs: VecDeque<(Target, Message)>,
 }
 
-impl SteppedStream {
-    /// Execution statistics so far (complete once the stream is
-    /// exhausted or dropped; spill metrics come from the shared ledger).
-    pub fn stats(&self) -> RunStats {
-        RunStats {
-            peak_state_bytes: self.peak_state_bytes,
-            spill: self
-                .exec
-                .spill
-                .as_ref()
-                .map(|p| p.governor.metrics())
-                .unwrap_or_default(),
-            degraded: self
-                .exec
-                .spill
-                .as_ref()
-                .is_some_and(|p| p.governor.is_poisoned()),
-            scan: wake_core::plan::scan_metrics(&self.exec.graph),
-            nodes: self.node_profiles(),
+impl RunQueue {
+    fn push(&mut self, target: Target, msg: Message) -> bool {
+        match msg {
+            Message::Update(..) => self.updates.push_back((target, msg)),
+            Message::Eof(_) => self.eofs.push_back((target, msg)),
         }
+        true
     }
 
-    /// Per-node profile snapshots (empty at `ObsLevel::Off`): counter
-    /// snapshots from the shared instruments, spill attribution from the
-    /// per-node child ledgers, scan attribution from each read node's
-    /// own source, and per-shard state detail from the operators at
-    /// `Profile` level.
-    fn node_profiles(&self) -> Vec<NodeProfile> {
-        let Some(obs) = &self.exec.obs else {
-            return Vec::new();
-        };
-        let mut nodes = obs.snapshot_nodes();
-        for (idx, profile) in nodes.iter_mut().enumerate() {
-            if let Some(Some(plan)) = self.exec.node_spill.get(idx) {
-                profile.spill = plan.governor.metrics();
-            }
-            if let NodeKind::Read { source } = &self.exec.graph.node(NodeId(idx)).kind {
-                profile.scan = source.scan_metrics().unwrap_or_default();
-            }
-            if obs.level.is_profile() {
-                if let Some(Some(op)) = self.exec.operators.get(idx) {
-                    profile.shard_state_bytes = op.report().shard_state_bytes;
-                }
-            }
-        }
-        nodes
+    fn pop(&mut self) -> Option<(Target, Message)> {
+        self.updates.pop_front().or_else(|| self.eofs.pop_front())
     }
+}
 
-    /// The per-node query profile, readable at any point in the stream's
-    /// life (live, exhausted, or after an error). `None` when the query
-    /// runs at [`ObsLevel::Off`].
-    pub fn profile(&self) -> Option<wake_obs::QueryProfile> {
-        self.exec
-            .obs
-            .as_ref()
-            .map(|obs| obs.profile_from(self.node_profiles()))
-    }
+/// The inline driver: each [`Driver::advance`] reads one partition from
+/// the least-progressed source and delivers every message that sets off
+/// on the calling thread.
+pub(crate) struct InlineDriver {
+    pub(crate) readers: Vec<ReaderActor>,
+    pub(crate) nodes: Vec<Option<NodeActor>>,
+    pub(crate) queue: RunQueue,
+    pub(crate) ledger: Arc<QueryLedger>,
+}
 
-    /// The directory spill files are written to, when a budget is set.
-    pub fn spill_dir(&self) -> Option<std::path::PathBuf> {
-        self.exec.spill.as_ref().map(|p| p.dir.root().to_path_buf())
-    }
-
-    /// The shared cancellation flag behind [`crate::CancelHandle`].
-    pub(crate) fn cancel_flag(&self) -> Arc<AtomicBool> {
-        self.cancel.clone()
-    }
-
-    /// Advance one driver step: read one partition from the
-    /// least-progressed source and push it (plus any EOF wave) through
-    /// the DAG, appending resulting sink estimates to `ready`.
-    fn step(&mut self) -> Result<()> {
-        let Some(ci) = self
-            .cursors
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.next_partition < c.partitions)
-            .min_by(|(_, a), (_, b)| {
-                let fa = a.next_partition as f64 / a.partitions.max(1) as f64;
-                let fb = b.next_partition as f64 / b.partitions.max(1) as f64;
-                fa.total_cmp(&fb)
-            })
-            .map(|(i, _)| i)
+impl Driver for InlineDriver {
+    fn advance(&mut self, sink: &mut SinkState) -> Result<()> {
+        let InlineDriver {
+            readers,
+            nodes,
+            queue,
+            ledger,
+        } = self;
+        let Some(reader) = readers
+            .iter_mut()
+            .filter(|r| !r.done)
+            .min_by(|a, b| a.progress().total_cmp(&b.progress()))
         else {
-            // Input exhausted: settle finality. A pipeline that produced
-            // no states at all (degenerate graph) answers with the empty
-            // frame.
-            self.exhausted = true;
-            if self.sink.published() == 0 {
-                debug_assert!(self.ready.is_empty());
-                let est = self.sink.empty_answer();
-                self.ready.push_back(est);
-            }
-            if let Some(last) = self.ready.back_mut() {
-                last.is_final = true;
-            }
+            sink.end();
             return Ok(());
         };
-        let cursor = &mut self.cursors[ci];
-        let NodeKind::Read { source } = &self.exec.graph.node(cursor.node).kind else {
-            return Err(DataError::Invalid(
-                "read cursor points at a non-Read node".into(),
-            ));
-        };
-        let read_timer = self.exec.obs.is_some().then(Instant::now);
-        let frame = source.partition(cursor.next_partition)?;
-        cursor.next_partition += 1;
-        cursor.rows_emitted += frame.num_rows() as u64;
-        if let (Some(obs), Some(t0)) = (&self.exec.obs, read_timer) {
-            obs.node(cursor.node.0).record_work(
-                0,
-                0,
-                frame.num_rows() as u64,
-                1,
-                t0.elapsed().as_nanos() as u64,
-                obs.level.is_profile(),
-            );
-        }
-        let progress =
-            Progress::single(cursor.node.0 as u32, cursor.rows_emitted, cursor.total_rows);
-        let update = Update::delta(frame, progress);
-        let node = cursor.node;
-        let fully_read = self.cursors[ci].next_partition >= self.cursors[ci].partitions;
-        self.dispatch(node, update)?;
-        if fully_read {
-            // Drain the EOF wave this source's completion triggers.
-            let mut eof_queue: VecDeque<NodeId> = VecDeque::new();
-            eof_queue.push_back(self.cursors[ci].node);
-            while let Some(done) = eof_queue.pop_front() {
-                self.propagate_eof(done, &mut eof_queue)?;
-            }
-        }
-        // Sample buffered state for the peak-memory metric. The global
-        // peak stays a true simultaneous sample; with observability on,
-        // each node's own gauge (and peak) is sampled at the same
-        // instants, so sum-of-node-peaks ≥ this sampled peak.
-        let mut state = 0usize;
-        for (idx, op) in self.exec.operators.iter().enumerate() {
-            let Some(op) = op else { continue };
-            let bytes = op.state_bytes();
-            state += bytes;
-            if let Some(obs) = &self.exec.obs {
-                obs.node(idx).observe_state(bytes);
-            }
-        }
-        self.peak_state_bytes = self.peak_state_bytes.max(state);
-        Ok(())
-    }
-
-    /// Push `update` produced by `from` into all consumers, breadth-first.
-    fn dispatch(&mut self, from: NodeId, update: Update) -> Result<()> {
-        let mut queue: VecDeque<(NodeId, Update)> = VecDeque::new();
-        queue.push_back((from, update));
-        while let Some((node, update)) = queue.pop_front() {
-            if node == self.exec.sink {
-                self.collect_estimate(&update)?;
-            }
-            let targets = self.exec.consumers[node.0].clone();
-            for (consumer, port) in targets {
-                let op = self.exec.operators[consumer.0]
-                    .as_mut()
-                    .ok_or_else(|| DataError::Invalid("consumer has no operator".into()))?;
-                let outs = match &self.exec.obs {
-                    Some(obs) => {
-                        let t0 = Instant::now();
-                        let outs = op.on_update(port, &update)?;
-                        let rows_out: u64 = outs.iter().map(|u| u.frame.num_rows() as u64).sum();
-                        obs.node(consumer.0).record_work(
-                            update.frame.num_rows() as u64,
-                            1,
-                            rows_out,
-                            outs.len() as u64,
-                            t0.elapsed().as_nanos() as u64,
-                            obs.level.is_profile(),
-                        );
-                        outs
-                    }
-                    None => op.on_update(port, &update)?,
-                };
-                for out in outs {
-                    queue.push_back((consumer, out));
+        reader.read_next(&mut |to, out| queue.push(to, out))?;
+        while let Some((target, msg)) = queue.pop() {
+            match (nodes.get_mut(target), msg) {
+                (Some(Some(actor)), msg) => {
+                    actor.handle(msg, &mut |to, out| queue.push(to, out))?;
                 }
+                // Past the last node is the sink collector. Its `Eof` needs
+                // no handling: the step after the last read ends the stream.
+                (None, Message::Update(_, update)) => sink.push(&update)?,
+                _ => {}
             }
         }
+        // The query-wide peak is a true simultaneous sample: every node's
+        // buffered state at this partition boundary.
+        let state = nodes.iter().flatten().map(|actor| actor.state_bytes).sum();
+        ledger.observe_step(state);
         Ok(())
-    }
-
-    /// Node `done` has finished; deliver EOF to its consumers (flushing any
-    /// held-back state) and recursively finish consumers whose ports are
-    /// all closed.
-    fn propagate_eof(&mut self, done: NodeId, eof_queue: &mut VecDeque<NodeId>) -> Result<()> {
-        for &(consumer, port) in &self.exec.consumers[done.0].clone() {
-            let op = self.exec.operators[consumer.0]
-                .as_mut()
-                .ok_or_else(|| DataError::Invalid("consumer has no operator".into()))?;
-            let flushes = match &self.exec.obs {
-                Some(obs) => {
-                    let t0 = Instant::now();
-                    let flushes = op.on_eof(port)?;
-                    let rows_out: u64 = flushes.iter().map(|u| u.frame.num_rows() as u64).sum();
-                    obs.node(consumer.0).record_work(
-                        0,
-                        0,
-                        rows_out,
-                        flushes.len() as u64,
-                        t0.elapsed().as_nanos() as u64,
-                        obs.level.is_profile(),
-                    );
-                    flushes
-                }
-                None => op.on_eof(port)?,
-            };
-            for out in flushes {
-                self.dispatch(consumer, out)?;
-            }
-            self.open_ports[consumer.0] -= 1;
-            if self.open_ports[consumer.0] == 0 {
-                eof_queue.push_back(consumer);
-            }
-        }
-        Ok(())
-    }
-
-    fn collect_estimate(&mut self, update: &Update) -> Result<()> {
-        let est = self.sink.materialise(update)?;
-        self.ready.push_back(est);
-        Ok(())
-    }
-}
-
-impl Iterator for SteppedStream {
-    type Item = Result<Estimate>;
-
-    fn next(&mut self) -> Option<Result<Estimate>> {
-        if self.finished {
-            return None;
-        }
-        if self.cancel.load(Ordering::Acquire) {
-            self.finished = true;
-            return None;
-        }
-        loop {
-            // Hand out buffered estimates, always holding one back until
-            // the input is exhausted: the held-back estimate is the
-            // candidate final.
-            if self.ready.len() >= 2 {
-                if let Some(est) = self.ready.pop_front() {
-                    return Some(Ok(est));
-                }
-            }
-            if self.exhausted {
-                return match self.ready.pop_front() {
-                    Some(est) => {
-                        self.finished = self.ready.is_empty();
-                        Some(Ok(est))
-                    }
-                    None => {
-                        self.finished = true;
-                        None
-                    }
-                };
-            }
-            if let Err(e) = self.step() {
-                self.finished = true;
-                return Some(Err(e));
-            }
-        }
     }
 }
 
@@ -667,10 +274,7 @@ mod tests {
             .unwrap()
             .run_collect()
             .unwrap();
-        let mut stream = SteppedExecutor::new(build())
-            .unwrap()
-            .into_stream()
-            .unwrap();
+        let mut stream = SteppedExecutor::new(build()).unwrap().stream().unwrap();
         let mut streamed = Vec::new();
         for est in &mut stream {
             streamed.push(est.unwrap());
@@ -686,30 +290,20 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // exercises the legacy `with_config` shim on purpose
-    fn spill_dir_only_shim_honours_ambient_budget() {
-        // The shim must route through EngineConfig's per-knob env
-        // resolution: configuring only a spill directory may not hide an
-        // ambient WAKE_MEM_BUDGET (reading, not mutating, the ambient
-        // environment — setenv from a threaded test is UB on glibc).
-        let ambient = SpillConfig::from_env();
-        let build = || {
-            let mut g = QueryGraph::new();
-            let r = g.read(source(20, 5));
-            let a = g.agg(r, vec!["k"], vec![AggSpec::sum(col("v"), "s")]);
-            g.sink(a);
-            g
-        };
-        let dir = std::env::temp_dir().join("wake-shim-stepped-test");
-        let exec = SteppedExecutor::with_config(
-            build(),
-            SpillConfig {
-                spill_dir: Some(dir),
-                ..SpillConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(exec.memory_budget(), ambient.budget_bytes);
+    fn trace_records_reads_and_operators_on_the_inline_driver() {
+        let mut g = QueryGraph::new();
+        let r = g.read(source(100, 10));
+        let a = g.agg(r, vec!["k"], vec![AggSpec::sum(col("v"), "s")]);
+        g.sink(a);
+        let log = crate::TraceLog::new();
+        let series = EngineConfig::stepped()
+            .with_trace(log.clone())
+            .run_collect(g)
+            .unwrap();
+        assert!(!series.is_empty());
+        let events = log.events();
+        assert!(events.iter().any(|e| e.label.starts_with("read")));
+        assert!(events.iter().any(|e| e.label.starts_with("Agg")));
     }
 
     #[test]
@@ -718,7 +312,7 @@ mod tests {
         let r = g.read(source(100, 5));
         let a = g.agg(r, vec!["k"], vec![AggSpec::sum(col("v"), "s")]);
         g.sink(a);
-        let mut stream = SteppedExecutor::new(g).unwrap().into_stream().unwrap();
+        let mut stream = SteppedExecutor::new(g).unwrap().stream().unwrap();
         let first = stream.next().unwrap().unwrap();
         assert!(!first.is_final);
         assert!(stream.stats().peak_state_bytes > 0);

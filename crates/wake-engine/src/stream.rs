@@ -28,9 +28,8 @@
 //! row budget. Both cancel the underlying query the moment the condition
 //! fires.
 
-use crate::estimate::{Estimate, EstimateSeries};
-use crate::stepped::{RunStats, SteppedStream};
-use crate::threaded::ThreadedStream;
+use crate::estimate::{Estimate, EstimateSeries, SinkState};
+use crate::query::{QueryLedger, RunStats};
 use crate::Result;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -68,25 +67,18 @@ pub trait Executor: Sized {
     }
 }
 
-impl Executor for crate::SteppedExecutor {
-    fn stream(self) -> Result<EstimateStream> {
-        Ok(EstimateStream {
-            inner: Inner::Stepped(Box::new(self.into_stream()?)),
-        })
-    }
-}
+/// What differs between the two engines: how the actors of
+/// [`crate::query`] get to run.
+pub(crate) trait Driver: Send {
+    /// Make progress: push zero or more sink updates into `sink`, or call
+    /// [`SinkState::end`] once no further update can arrive.
+    fn advance(&mut self, sink: &mut SinkState) -> Result<()>;
 
-impl Executor for crate::ThreadedExecutor {
-    fn stream(self) -> Result<EstimateStream> {
-        Ok(EstimateStream {
-            inner: Inner::Threaded(Box::new(self.into_stream()?)),
-        })
+    /// Stop running (idempotent). After a *deliberate* stop every actor
+    /// exits with `Ok`, so an `Err` is a genuine query failure.
+    fn shutdown(&mut self) -> Result<()> {
+        Ok(())
     }
-}
-
-enum Inner {
-    Stepped(Box<SteppedStream>),
-    Threaded(Box<ThreadedStream>),
 }
 
 /// A lazy, cancellable stream of converging estimates — the unified
@@ -102,26 +94,22 @@ enum Inner {
 ///   (peak operator state, spill telemetry) at any point — mid-flight,
 ///   exhausted, or after [`EstimateStream::finish`].
 pub struct EstimateStream {
-    inner: Inner,
+    pub(crate) ledger: Arc<QueryLedger>,
+    pub(crate) sink: SinkState,
+    pub(crate) driver: Box<dyn Driver>,
 }
 
 impl EstimateStream {
     /// Execution statistics so far (complete once the stream ended).
     pub fn stats(&self) -> RunStats {
-        match &self.inner {
-            Inner::Stepped(s) => s.stats(),
-            Inner::Threaded(s) => s.stats(),
-        }
+        self.ledger.stats()
     }
 
     /// The directory spill files are written to, when a memory budget is
     /// in force (`None` when the query runs unbounded). Per-query temp
     /// directories are removed when the stream ends or is dropped.
     pub fn spill_dir(&self) -> Option<PathBuf> {
-        match &self.inner {
-            Inner::Stepped(s) => s.spill_dir(),
-            Inner::Threaded(s) => s.spill_dir(),
-        }
+        self.ledger.spill_dir()
     }
 
     /// The per-node query profile so far: rows/frames in and out, busy
@@ -130,23 +118,14 @@ impl EstimateStream {
     /// cancellation, or after an error. `None` when the query runs at
     /// [`wake_obs::ObsLevel::Off`].
     pub fn profile(&self) -> Option<QueryProfile> {
-        match &self.inner {
-            Inner::Stepped(s) => s.profile(),
-            Inner::Threaded(s) => s.profile(),
-        }
+        self.ledger.profile()
     }
 
     /// EXPLAIN ANALYZE: the plan tree annotated with observed per-node
     /// rows, time, state, spill, and scan work ([`QueryProfile::render`]).
     /// With observability off, returns a note explaining how to enable it.
     pub fn explain_analyze(&self) -> String {
-        match self.profile() {
-            Some(p) => p.render(),
-            None => String::from(
-                "observability is off: enable with EngineConfig::with_obs(ObsLevel::Stats) \
-                 or WAKE_OBS=stats\n",
-            ),
-        }
+        render_profile(self.profile())
     }
 
     /// Stop the query now (if still running) and return the final run
@@ -156,30 +135,16 @@ impl EstimateStream {
     /// [`StopStream`], which re-surfaces it) when failure reporting
     /// matters.
     pub fn finish(self) -> RunStats {
-        self.finish_with_result().0
+        self.finish_full().0
     }
 
-    /// [`Self::finish`], also reporting whether the pipeline shut down
-    /// clean. After a *deliberate* cancellation every node exits with
-    /// `Ok`, so an `Err` here is a genuine query failure (operator
-    /// error or node panic), not cancellation noise.
-    pub(crate) fn finish_with_result(self) -> (RunStats, Result<()>) {
-        let (stats, _, result) = self.finish_full();
-        (stats, result)
-    }
-
-    /// [`Self::finish_with_result`] + the final query profile, captured
-    /// after shutdown so it is not a mid-flight snapshot.
-    pub(crate) fn finish_full(self) -> (RunStats, Option<QueryProfile>, Result<()>) {
-        match self.inner {
-            Inner::Stepped(s) => (s.stats(), s.profile(), Ok(())), // dropped: state released
-            Inner::Threaded(mut s) => {
-                // Join the pipeline before reading the ledgers so the
-                // stats are final, not a mid-flight snapshot.
-                let result = s.shutdown();
-                (s.stats(), s.profile(), result)
-            }
-        }
+    /// [`Self::finish`] + the final query profile and whether the
+    /// pipeline shut down clean ([`Driver::shutdown`]).
+    pub(crate) fn finish_full(mut self) -> (RunStats, Option<QueryProfile>, Result<()>) {
+        // Stop the driver before reading the ledger so the stats are
+        // final, not a mid-flight snapshot.
+        let result = self.driver.shutdown();
+        (self.ledger.stats(), self.ledger.profile(), result)
     }
 
     /// Drain the stream into a materialised [`EstimateSeries`].
@@ -262,29 +227,37 @@ impl EstimateStream {
     }
 
     /// A clonable, thread-safe handle that cancels this query from
-    /// another thread. Setting it makes the stream end (threaded: node
-    /// threads observe the flag and the pipeline winds down; stepped:
-    /// the next poll returns `None`). The serving layer uses this to
-    /// cancel a running query when its client disconnects.
+    /// another thread. Setting it makes the next poll return `None` (on
+    /// the threaded engine the node threads observe the same flag and
+    /// the pipeline winds down). The serving layer uses this to cancel a
+    /// running query when its client disconnects.
     pub fn cancel_handle(&self) -> CancelHandle {
-        let flag = match &self.inner {
-            Inner::Stepped(s) => s.cancel_flag(),
-            Inner::Threaded(s) => s.cancel_flag(),
-        };
-        CancelHandle { flag }
+        self.ledger.cancel.clone()
+    }
+}
+
+fn render_profile(profile: Option<QueryProfile>) -> String {
+    match profile {
+        Some(p) => p.render(),
+        None => String::from(
+            "observability is off: enable with EngineConfig::with_obs(ObsLevel::Stats) \
+             or WAKE_OBS=stats\n",
+        ),
     }
 }
 
 /// A thread-safe cancellation handle for a running query; see
 /// [`EstimateStream::cancel_handle`]. Cheap to clone; outliving the
 /// stream is fine (cancelling a finished query is a no-op).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct CancelHandle {
     flag: Arc<std::sync::atomic::AtomicBool>,
 }
 
 impl CancelHandle {
-    /// Request cancellation. Idempotent.
+    /// Request cancellation. Idempotent. Release pairs with the Acquire
+    /// load in [`Self::is_cancelled`]: work done before the request is
+    /// visible to the threads that observe it.
     pub fn cancel(&self) {
         self.flag.store(true, std::sync::atomic::Ordering::Release);
     }
@@ -299,9 +272,23 @@ impl Iterator for EstimateStream {
     type Item = Result<Estimate>;
 
     fn next(&mut self) -> Option<Result<Estimate>> {
-        match &mut self.inner {
-            Inner::Stepped(s) => s.next(),
-            Inner::Threaded(s) => s.next(),
+        if !self.sink.ended() && self.ledger.cancel.is_cancelled() {
+            self.sink.fuse();
+        }
+        loop {
+            // Everything but the newest estimate may go out; the newest
+            // is held back until the driver reports the end of input.
+            if let Some(est) = self.sink.pop() {
+                return Some(Ok(est));
+            }
+            if self.sink.ended() {
+                return None;
+            }
+            if let Err(e) = self.driver.advance(&mut self.sink) {
+                self.sink.fuse();
+                let _ = self.driver.shutdown();
+                return Some(Err(e));
+            }
         }
     }
 }
@@ -390,23 +377,7 @@ impl StopStream {
     /// EXPLAIN ANALYZE over the stopped (or still-running) query; see
     /// [`EstimateStream::explain_analyze`].
     pub fn explain_analyze(&self) -> String {
-        match self.profile() {
-            Some(p) => p.render(),
-            None => String::from(
-                "observability is off: enable with EngineConfig::with_obs(ObsLevel::Stats) \
-                 or WAKE_OBS=stats\n",
-            ),
-        }
-    }
-
-    fn stop_now(&mut self) {
-        if let Some(stream) = self.inner.take() {
-            let (stats, profile, result) = stream.finish_full();
-            self.stats = stats;
-            self.profile = profile;
-            self.pending_err = result.err();
-        }
-        self.done = true;
+        render_profile(self.profile())
     }
 
     /// Stop the query now (if still running), keeping final statistics
@@ -415,7 +386,13 @@ impl StopStream {
     /// next poll rather than swallowed. Idempotent. The serving layer
     /// calls this when a client disconnects mid-stream.
     pub fn stop(&mut self) {
-        self.stop_now();
+        if let Some(stream) = self.inner.take() {
+            let (stats, profile, result) = stream.finish_full();
+            self.stats = stats;
+            self.profile = profile;
+            self.pending_err = result.err();
+        }
+        self.done = true;
     }
 
     /// Thread-safe cancellation handle for the underlying query; `None`
@@ -441,26 +418,26 @@ impl Iterator for StopStream {
         };
         match stream.next() {
             None => {
-                self.stop_now();
+                self.stop();
                 self.pending_err.take().map(Err)
             }
             Some(Err(e)) => {
-                self.stop_now();
+                self.stop();
                 Some(Err(e))
             }
             Some(Ok(est)) => {
                 let hit = match self.cond.satisfied(&est) {
                     Ok(hit) => hit,
                     Err(e) => {
-                        self.stop_now();
+                        self.stop();
                         return Some(Err(e));
                     }
                 };
                 if est.is_final {
-                    self.stop_now();
+                    self.stop();
                 } else if hit {
                     self.stopped_early = true;
-                    self.stop_now();
+                    self.stop();
                 }
                 Some(Ok(est))
             }

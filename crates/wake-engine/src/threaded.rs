@@ -1,14 +1,14 @@
-//! Pipelined multi-threaded executor (§7.2, Fig 6) with two-level
-//! parallelism: **pipeline × partition**.
+//! The pipelined multi-threaded executor (§7.2, Fig 6): the query core
+//! ([`crate::query`]) under the **thread-per-actor driver**.
 //!
-//! ## Level 1 — pipeline parallelism (across nodes)
+//! ## Pipeline parallelism (across nodes)
 //!
-//! Each node runs on its own OS thread. Edges are **bounded** crossbeam
-//! channels carrying [`Update`] messages whose frames are shared pointers
-//! (no payload copies across threads, §7.3). A reader thread fetches its
+//! Each actor runs on its own OS thread. Edges are **bounded** crossbeam
+//! channels carrying [`Message`]s whose frames are shared pointers (no
+//! payload copies across threads, §7.3). A reader thread fetches its
 //! partitions — so I/O, decoding, joins, and aggregation all overlap — and
-//! finishes with an EOF message; every operator node forwards EOF once all
-//! of its input ports have closed, then terminates (the paper's protocol).
+//! finishes with EOF; every operator node forwards EOF once all of its
+//! input ports have closed, then terminates.
 //!
 //! Bounded edges give backpressure: a fast reader feeding a slow aggregate
 //! blocks once `EngineConfig::with_channel_capacity` updates are in
@@ -16,66 +16,34 @@
 //! DAG and every node drains its mailbox continuously, so blocking sends
 //! cannot deadlock.
 //!
-//! ## Streaming and cancellation
+//! ## Cancellation
 //!
-//! Streaming the executor (via [`crate::Executor::stream`]) spawns the
-//! node threads and returns a [`ThreadedStream`] that yields one
-//! [`Estimate`] per sink update as it arrives. **Dropping the stream
-//! cancels the query**: a shared cancel flag plus the collapse of the
-//! sink channel make every node exit at its next message — a send to a
-//! disconnected mailbox fails, the failure cascades producer-ward as each
-//! exiting node drops its own receiver, and blocked (backpressured)
-//! senders are woken by the disconnect. The drop handler then joins every
-//! node thread, so no threads leak and all operator state — including
-//! spill files and their temp directory — is released before `drop`
-//! returns.
+//! **Dropping the stream cancels the query**: a shared cancel flag plus
+//! the collapse of the sink channel make every node exit at its next
+//! message — a send to a disconnected mailbox fails, the failure cascades
+//! producer-ward as each exiting node drops its own receiver, and blocked
+//! (backpressured) senders are woken by the disconnect. The drop handler
+//! then joins every actor thread, so no threads leak and all operator
+//! state — shard workers, spill files and their temp directory — is
+//! released before `drop` returns.
 //!
-//! ## Level 2 — partition parallelism (within a node)
+//! ## Partition parallelism (within a node)
 //!
-//! A single `JoinOp`/`AggOp` instance used to be the throughput ceiling: one
-//! thread owned the whole keyed state. Hash-keyed nodes are now built on
-//! the graph's [`Parallelism`](wake_core::graph::Parallelism) plan (default:
-//! available cores; `Parallelism(1)` reproduces the unsharded path byte for
-//! byte) in **pool** shard mode: the operator's state is split into `S`
-//! hash-range shards, each owned by a persistent worker thread that lives
-//! as long as the node. The node thread acts as a cheap splitter — one
-//! vectorized `hash_keys` pass plus per-shard selection vectors and typed
-//! sub-frame gathers — and feeds each worker through its own **bounded**
-//! task channel (same backpressure philosophy as the edges). A join-point
-//! barrier collects per-shard partials in shard order before anything is
-//! forwarded downstream, so the per-update emission protocol — and with it
-//! the EOF handling, which is broadcast to every shard — is unchanged from
-//! the single-threaded operators. Shard worker panics surface as typed
-//! query errors, not hangs. See [`wake_core::ops::sharded`] for the
-//! mechanism and `wake_core::ops::join`/`agg_op` for the merge semantics
-//! (key-disjoint concat for joins, `⊕`-style merged snapshots for
-//! aggregates).
+//! Hash-keyed nodes split their state into `S` hash-range shards on
+//! persistent workers; the node thread is a cheap splitter and a
+//! join-point barrier collects per-shard partials in shard order, so the
+//! emission and EOF protocol are those of the unsharded operators. See
+//! [`wake_core::ops::sharded`]; it is the same under either driver.
 
-use crate::estimate::{Estimate, EstimateSeries, SinkState, SinkTelemetry};
-use crate::stepped::RunStats;
-use crate::trace::{TraceEvent, TraceLog};
-use crate::{EngineConfig, Result};
+use crate::estimate::{EstimateSeries, SinkState};
+use crate::query::{Message, NodeActor, Query, QueryLedger, ReaderActor, RunStats, Target};
+use crate::stream::{Driver, EstimateStream, Executor};
+use crate::{EngineConfig, ExecutorKind, Result};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
-use wake_core::graph::{build_operator_spilling, NodeId, NodeKind, Parallelism, QueryGraph};
-use wake_core::ops::{ShardMode, ShardPlan};
-use wake_core::progress::Progress;
-use wake_core::update::Update;
+use wake_core::graph::QueryGraph;
 use wake_data::DataError;
-use wake_obs::{NodeProfile, QueryObs};
-use wake_store::{MemoryGovernor, SpillConfig};
-
-/// Message protocol between node threads.
-enum Message {
-    Update(usize, Update),
-    /// EOF for one input port.
-    Eof(usize),
-}
 
 /// Default per-edge mailbox capacity (in-flight updates, not rows): small
 /// enough that a stalled consumer stops its producers quickly, large enough
@@ -85,10 +53,8 @@ pub const DEFAULT_CHANNEL_CAPACITY: usize = 8;
 /// Multi-threaded pipelined executor.
 pub struct ThreadedExecutor {
     graph: QueryGraph,
-    /// All knobs live in the unified config; the ambient environment is
-    /// resolved once, at stream time, through `EngineConfig::spill_config`
-    /// — the deprecated shims below only edit this config, so they get
-    /// the same per-knob fallback as the modern path.
+    /// The ambient environment is resolved once, at stream time, through
+    /// `EngineConfig::spill_config`.
     config: EngineConfig,
 }
 
@@ -112,378 +78,10 @@ impl ThreadedExecutor {
         }
     }
 
-    /// Record per-node processing spans into `log` (for Fig 13).
-    #[deprecated(note = "use `EngineConfig::with_trace`")]
-    pub fn with_trace(mut self, log: TraceLog) -> Self {
-        self.config = self.config.with_trace(log);
-        self
-    }
-
-    /// Override the per-edge mailbox capacity (minimum 1). Smaller values
-    /// bound memory harder; larger values absorb burstier producers.
-    #[deprecated(note = "use `EngineConfig::with_channel_capacity`")]
-    pub fn with_channel_capacity(mut self, capacity: usize) -> Self {
-        self.config = self.config.with_channel_capacity(capacity);
-        self
-    }
-
-    /// Bound the query's buffered operator state: the budget is
-    /// apportioned over the hash-keyed nodes and their shards, which
-    /// spill their largest partitions to disk when over their slice.
-    #[deprecated(note = "use `EngineConfig::with_memory_budget`")]
-    pub fn with_memory_budget(mut self, bytes: usize) -> Self {
-        self.config = self.config.with_memory_budget(bytes);
-        self
-    }
-
-    /// Full memory-governance configuration (budget, spill dir, fan-out).
-    /// Applied per knob: anything `config` leaves unset keeps its
-    /// ambient-environment fallback — a spill-dir-only config no longer
-    /// hides `WAKE_MEM_BUDGET`. Explicitly unbounded memory needs
-    /// `EngineConfig::unbounded_memory`.
-    #[deprecated(note = "use `EngineConfig` (the single env-resolution point)")]
-    pub fn with_spill_config(mut self, config: SpillConfig) -> Self {
-        self.config = self.config.apply_legacy_spill(&config);
-        self
-    }
-
-    /// The fully resolved memory-governance configuration this executor
-    /// will run with (test/diagnostic hook).
-    #[doc(hidden)]
-    pub fn resolved_spill_config(&self) -> SpillConfig {
-        self.config.spill_config()
-    }
-
-    /// Shard count for one node under this executor. Explicit
-    /// (`Parallelism::Fixed` / per-node overrides) requests are honoured
-    /// verbatim; `Auto` divides the core budget by the number of
-    /// shardable nodes, because *all* nodes run concurrently here — a
-    /// plan with five hash-keyed nodes on a 16-core host should not spawn
-    /// 5 × 16 barrier-synchronized shard workers. (The stepped executor
-    /// runs one node at a time and keeps the full `Auto` budget.)
-    fn budgeted_shards(&self, node: NodeId) -> usize {
-        if !self.graph.is_shardable(node) {
-            return 1;
-        }
-        match self.graph.parallelism_of(node) {
-            Parallelism::Auto => {
-                let cores = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                (cores / self.graph.shardable_node_count().max(1)).max(1)
-            }
-            fixed => fixed.shards(),
-        }
-    }
-
-    /// Spawn the pipeline and return the lazy estimate stream. Estimates
-    /// arrive as the sink produces them; dropping the stream cancels the
-    /// query (see the module docs for the shutdown protocol).
-    pub fn into_stream(self) -> Result<ThreadedStream> {
-        let sink = self
-            .graph
-            .sink_id()
-            .ok_or_else(|| DataError::Invalid("query graph has no sink".into()))?;
-        let metas = self.graph.resolve_metas()?;
-        if self.graph.sources().is_empty() {
-            return Err(DataError::Invalid("query graph has no sources".into()));
-        }
-        let consumers = self.graph.consumers();
-        let channel_capacity = self.config.channel_capacity();
-        let trace_log = self.config.trace();
-        let spill = self
-            .config
-            .spill_config()
-            .build_plan(self.graph.shardable_node_count())?;
-        let governor: Option<Arc<MemoryGovernor>> = spill.as_ref().map(|p| p.governor.clone());
-        let spill_root: Option<PathBuf> = spill.as_ref().map(|p| p.dir.root().to_path_buf());
-        // Scan-telemetry handles: the graph is consumed by the spawn loop
-        // below, but `stats()` must stay readable after the stream ends.
-        let scan_sources = wake_core::plan::source_handles(&self.graph);
-        let node_sources = wake_core::plan::source_handles_by_node(&self.graph);
-        // Observability: the plan skeleton must be captured *before* the
-        // spawn loop consumes the graph; per-node instruments are shared
-        // with the node threads through the `QueryObs`.
-        let obs_level = self.config.obs_level();
-        let obs = obs_level.enabled().then(|| {
-            let (labels, inputs) = self.graph.plan_skeleton();
-            QueryObs::new(obs_level, labels, inputs)
-        });
-        // Per-shard state detail (Profile level only): each operator
-        // thread publishes its latest `OpReport` here, because the
-        // operator itself lives and dies on its thread.
-        let shard_reports: Option<Arc<Vec<Mutex<Vec<usize>>>>> =
-            obs_level.is_profile().then(|| {
-                Arc::new(
-                    (0..self.graph.len())
-                        .map(|_| Mutex::new(Vec::new()))
-                        .collect(),
-                )
-            });
-        let start = Instant::now();
-        let cancel = Arc::new(AtomicBool::new(false));
-        // Per-node peak state size, folded with `fetch_max` after every
-        // message. The query-wide peak reported by `stats()` is the *sum*
-        // of these per-node peaks — an upper bound on any simultaneous
-        // total (nodes rarely peak at the same instant), but one that is
-        // exact per node and free of the cross-thread races the old
-        // shared running-total sampling had.
-        let node_peaks: Arc<Vec<AtomicUsize>> =
-            Arc::new((0..self.graph.len()).map(|_| AtomicUsize::new(0)).collect());
-        // Per-node child spill ledgers (observability only), for spill
-        // attribution in `NodeProfile`.
-        let mut node_governors: Vec<Option<Arc<MemoryGovernor>>> = vec![None; self.graph.len()];
-
-        // Build one channel per node (its input mailbox) + one for the sink
-        // collector.
-        let mut senders: Vec<Sender<Message>> = Vec::with_capacity(self.graph.len());
-        let mut receivers: Vec<Option<Receiver<Message>>> = Vec::with_capacity(self.graph.len());
-        for _ in 0..self.graph.len() {
-            let (tx, rx) = bounded(channel_capacity);
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        let (sink_tx, sink_rx) = bounded::<Message>(channel_capacity);
-
-        // Downstream routing table: (target mailbox, port). The sink node
-        // additionally feeds the collector channel.
-        let mut routes: Vec<Vec<(Sender<Message>, usize)>> = vec![Vec::new(); self.graph.len()];
-        for (node, conss) in consumers.iter().enumerate() {
-            for (consumer, port) in conss {
-                routes[node].push((senders[consumer.0].clone(), *port));
-            }
-            if node == sink.0 {
-                routes[node].push((sink_tx.clone(), 0));
-            }
-        }
-        drop(sink_tx);
-        drop(senders);
-
-        let mut handles = Vec::new();
-        for (idx, node) in self.graph.nodes().iter().enumerate() {
-            let my_routes = std::mem::take(&mut routes[idx]);
-            let trace = trace_log.clone();
-            let cancel = cancel.clone();
-            match &node.kind {
-                NodeKind::Read { source } => {
-                    let source = source.clone();
-                    // Reader threads have no mailbox.
-                    receivers[idx] = None;
-                    let label = format!("read({})", source.meta().name);
-                    let node_obs = obs.as_ref().map(|o| o.node(idx));
-                    let is_profile = obs_level.is_profile();
-                    handles.push(std::thread::spawn(move || -> Result<()> {
-                        let meta = source.meta().clone();
-                        let total = meta.total_rows() as u64;
-                        let mut emitted = 0u64;
-                        'read: for p in 0..meta.num_partitions() {
-                            if cancel.load(Ordering::Acquire) {
-                                return Ok(());
-                            }
-                            let t0 = start.elapsed();
-                            let timer = node_obs.is_some().then(Instant::now);
-                            let frame = source.partition(p)?;
-                            if let (Some(n), Some(t)) = (&node_obs, timer) {
-                                n.record_work(
-                                    0,
-                                    0,
-                                    frame.num_rows() as u64,
-                                    1,
-                                    t.elapsed().as_nanos() as u64,
-                                    is_profile,
-                                );
-                            }
-                            emitted += frame.num_rows() as u64;
-                            let update =
-                                Update::delta(frame, Progress::single(idx as u32, emitted, total));
-                            if let Some(log) = &trace {
-                                log.record(TraceEvent {
-                                    node: idx,
-                                    label: label.clone(),
-                                    start: t0,
-                                    end: start.elapsed(),
-                                    rows: update.frame.num_rows(),
-                                });
-                            }
-                            for (tx, port) in &my_routes {
-                                // A disconnected consumer means the query
-                                // was cancelled (or failed elsewhere):
-                                // stop producing.
-                                if tx.send(Message::Update(*port, update.clone())).is_err() {
-                                    break 'read;
-                                }
-                            }
-                        }
-                        for (tx, port) in &my_routes {
-                            let _ = tx.send(Message::Eof(*port));
-                        }
-                        Ok(())
-                    }));
-                }
-                kind => {
-                    let inputs: Vec<&wake_core::EdfMeta> =
-                        node.inputs.iter().map(|i| &metas[i.0]).collect();
-                    let plan = ShardPlan::new(self.budgeted_shards(NodeId(idx)), ShardMode::Pool);
-                    // With observability on, each spillable operator gets
-                    // a child spill plan whose ledger records locally
-                    // *and* forwards to the shared parent, so per-node
-                    // attribution costs nothing in rollup accuracy. Off
-                    // keeps the exact pre-observability path.
-                    let node_plan = match (&obs, &spill) {
-                        (Some(_), Some(p)) if self.graph.is_shardable(NodeId(idx)) => {
-                            Some(p.for_node())
-                        }
-                        _ => None,
-                    };
-                    node_governors[idx] = node_plan.as_ref().map(|p| p.governor.clone());
-                    let mut op = build_operator_spilling(
-                        kind,
-                        &inputs,
-                        plan,
-                        node_plan.as_ref().or(spill.as_ref()),
-                    )?;
-                    let rx = receivers[idx].take().ok_or_else(|| {
-                        DataError::Invalid("operator mailbox already taken".into())
-                    })?;
-                    let n_ports = node.inputs.len();
-                    let label = format!("{kind:?}");
-                    let node_obs = obs.as_ref().map(|o| o.node(idx));
-                    let is_profile = obs_level.is_profile();
-                    let node_peaks = node_peaks.clone();
-                    let shard_reports = shard_reports.clone();
-                    handles.push(std::thread::spawn(move || -> Result<()> {
-                        let mut closed = 0usize;
-                        'run: while let Ok(msg) = rx.recv() {
-                            if cancel.load(Ordering::Acquire) {
-                                break 'run;
-                            }
-                            match msg {
-                                Message::Update(port, update) => {
-                                    let t0 = start.elapsed();
-                                    let timer = node_obs.is_some().then(Instant::now);
-                                    let rows = update.frame.num_rows();
-                                    let outs = op.on_update(port, &update)?;
-                                    if let (Some(n), Some(t)) = (&node_obs, timer) {
-                                        let rows_out: u64 =
-                                            outs.iter().map(|u| u.frame.num_rows() as u64).sum();
-                                        n.record_work(
-                                            rows as u64,
-                                            1,
-                                            rows_out,
-                                            outs.len() as u64,
-                                            t.elapsed().as_nanos() as u64,
-                                            is_profile,
-                                        );
-                                    }
-                                    if let Some(log) = &trace {
-                                        log.record(TraceEvent {
-                                            node: idx,
-                                            label: label.clone(),
-                                            start: t0,
-                                            end: start.elapsed(),
-                                            rows,
-                                        });
-                                    }
-                                    for out in outs {
-                                        for (tx, p) in &my_routes {
-                                            if tx.send(Message::Update(*p, out.clone())).is_err() {
-                                                break 'run;
-                                            }
-                                        }
-                                    }
-                                }
-                                Message::Eof(port) => {
-                                    let timer = node_obs.is_some().then(Instant::now);
-                                    let flushes = op.on_eof(port)?;
-                                    if let (Some(n), Some(t)) = (&node_obs, timer) {
-                                        let rows_out: u64 =
-                                            flushes.iter().map(|u| u.frame.num_rows() as u64).sum();
-                                        n.record_work(
-                                            0,
-                                            0,
-                                            rows_out,
-                                            flushes.len() as u64,
-                                            t.elapsed().as_nanos() as u64,
-                                            is_profile,
-                                        );
-                                    }
-                                    for out in flushes {
-                                        for (tx, p) in &my_routes {
-                                            if tx.send(Message::Update(*p, out.clone())).is_err() {
-                                                break 'run;
-                                            }
-                                        }
-                                    }
-                                    closed += 1;
-                                    if closed == n_ports {
-                                        for (tx, p) in &my_routes {
-                                            let _ = tx.send(Message::Eof(*p));
-                                        }
-                                        break 'run;
-                                    }
-                                }
-                            }
-                            // Fold buffered state into this node's own
-                            // peak (no cross-thread running total: the
-                            // query-wide figure is the sum of per-node
-                            // peaks, see `stats`).
-                            let now = op.state_bytes();
-                            // relaxed: single-writer peak cell; readers tolerate a stale mid-run sample
-                            node_peaks[idx].fetch_max(now, Ordering::Relaxed);
-                            if let Some(n) = &node_obs {
-                                n.observe_state(now);
-                            }
-                            if let Some(reports) = &shard_reports {
-                                *reports[idx].lock() = op.report().shard_state_bytes;
-                            }
-                        }
-                        // Final sample: the EOF flush (and the `break`
-                        // paths) skip the in-loop sampling above.
-                        let now = op.state_bytes();
-                        // relaxed: single-writer peak cell; readers tolerate a stale mid-run sample
-                        node_peaks[idx].fetch_max(now, Ordering::Relaxed);
-                        if let Some(n) = &node_obs {
-                            n.observe_state(now);
-                        }
-                        if let Some(reports) = &shard_reports {
-                            *reports[idx].lock() = op.report().shard_state_bytes;
-                        }
-                        Ok(())
-                    }));
-                }
-            }
-        }
-
-        let mut sink = SinkState::new(metas[sink.0].kind, metas[sink.0].schema.clone(), start);
-        if obs.is_some() {
-            sink = sink.with_telemetry(SinkTelemetry {
-                governor: governor.clone(),
-                sources: scan_sources.clone(),
-            });
-        }
-        drop(spill); // node threads hold the only spill-dir references now
-        Ok(ThreadedStream {
-            sink_rx: Some(sink_rx),
-            handles,
-            cancel,
-            sink,
-            lookahead: None,
-            governor,
-            spill_root,
-            node_peaks,
-            scan_sources,
-            node_sources,
-            obs,
-            node_governors,
-            shard_reports,
-            finished: false,
-        })
-    }
-
     /// Run to completion; estimates are materialised at the sink exactly
     /// like the stepped executor.
     pub fn run_collect(self) -> Result<EstimateSeries> {
-        Ok(self.run_collect_stats()?.0)
+        Executor::run_collect(self)
     }
 
     /// Like [`Self::run_collect`], also reporting run statistics. The
@@ -492,129 +90,99 @@ impl ThreadedExecutor {
     /// on any simultaneous total, exact per node, rather than the stepped
     /// engine's exact partition-boundary maximum.
     pub fn run_collect_stats(self) -> Result<(EstimateSeries, RunStats)> {
-        crate::Executor::run_collect_stats(self)
+        Executor::run_collect_stats(self)
     }
 }
 
-/// The lazy estimate stream of the threaded engine: yields one
-/// [`Estimate`] per sink update as the pipeline produces it (with a
-/// one-estimate lookahead so the last can be flagged
-/// [`Estimate::is_final`]). Dropping the stream — explicitly or by
-/// leaving a `for` loop early — cancels the query and joins every node
-/// thread; [`ThreadedStream::stats`] stays readable afterwards via the
-/// shared ledgers.
-pub struct ThreadedStream {
+impl Executor for ThreadedExecutor {
+    /// Spawn the pipeline and return the lazy estimate stream. Estimates
+    /// arrive as the sink produces them; dropping the stream cancels the
+    /// query (see the module docs for the shutdown protocol).
+    fn stream(self) -> Result<EstimateStream> {
+        Ok(Query::build(self.graph, &self.config, ExecutorKind::Threaded)?.start())
+    }
+}
+
+/// The thread-per-actor driver: one OS thread per actor, one bounded
+/// mailbox per operator node plus one for the sink collector, which
+/// [`Driver::advance`] receives from.
+pub(crate) struct ThreadDriver {
     sink_rx: Option<Receiver<Message>>,
     handles: Vec<JoinHandle<Result<()>>>,
-    cancel: Arc<AtomicBool>,
-    /// Shared sink-side materialisation (accumulation, numbering, the
-    /// degenerate empty answer) — one implementation for both engines.
-    sink: SinkState,
-    /// Held-back candidate-final estimate (one-message lookahead).
-    lookahead: Option<Estimate>,
-    governor: Option<Arc<MemoryGovernor>>,
-    spill_root: Option<PathBuf>,
-    /// Per-node state peaks, shared with the node threads; readable at
-    /// any point including after cancellation or a node failure.
-    node_peaks: Arc<Vec<AtomicUsize>>,
-    /// Source handles kept alive for post-run scan telemetry (the graph
-    /// itself is consumed when the node threads are spawned).
-    scan_sources: Vec<Arc<dyn wake_data::TableSource>>,
-    /// The same handles keyed by read-node id, for per-node attribution.
-    node_sources: Vec<(usize, Arc<dyn wake_data::TableSource>)>,
-    /// Shared per-node instruments (`None` at [`wake_obs::ObsLevel::Off`]).
-    obs: Option<Arc<QueryObs>>,
-    /// Per-node child spill ledgers (observability only).
-    node_governors: Vec<Option<Arc<MemoryGovernor>>>,
-    /// Latest per-shard state detail published by each operator thread
-    /// (Profile level only).
-    shard_reports: Option<Arc<Vec<Mutex<Vec<usize>>>>>,
-    finished: bool,
+    ledger: Arc<QueryLedger>,
 }
 
-impl ThreadedStream {
-    /// Execution statistics so far (complete once the stream is
-    /// exhausted or cancelled). See
-    /// [`ThreadedExecutor::run_collect_stats`] for the peak-state caveat
-    /// (sum of per-node peaks = documented upper bound).
-    pub fn stats(&self) -> RunStats {
-        RunStats {
-            peak_state_bytes: self
-                .node_peaks
+impl ThreadDriver {
+    pub(crate) fn spawn(
+        readers: Vec<ReaderActor>,
+        nodes: Vec<Option<NodeActor>>,
+        channel_capacity: usize,
+        ledger: Arc<QueryLedger>,
+    ) -> Self {
+        // One mailbox per target; the last is the sink collector's.
+        let (txs, rxs): (Vec<Sender<Message>>, Vec<Receiver<Message>>) =
+            (0..=nodes.len()).map(|_| bounded(channel_capacity)).unzip();
+        // An actor holds senders to its own consumers only: that is what
+        // lets a consumer's exit disconnect its mailbox and cascade the
+        // shutdown producer-ward.
+        let emitter = |routes: &[(Target, usize)]| {
+            let outbox: Vec<(Target, Sender<Message>)> = routes
                 .iter()
-                // relaxed: telemetry peaks; exact after join, approximate mid-run by design
-                .map(|p| p.load(Ordering::Relaxed))
-                .sum(),
-            spill: self
-                .governor
-                .as_ref()
-                .map(|g| g.metrics())
-                .unwrap_or_default(),
-            degraded: self.governor.as_ref().is_some_and(|g| g.is_poisoned()),
-            scan: wake_core::plan::scan_metrics_of(&self.scan_sources),
-            nodes: self.node_profiles(),
-        }
-    }
-
-    /// Per-node profile snapshots (empty at `ObsLevel::Off`): counter
-    /// snapshots from the shared instruments, peaks from the per-node
-    /// atomics, spill attribution from the child ledgers, scan
-    /// attribution from each read node's own source, and per-shard
-    /// detail as last published by the operator threads at Profile
-    /// level. Readable mid-flight, after exhaustion, after cancellation,
-    /// and after an error-terminated run.
-    fn node_profiles(&self) -> Vec<NodeProfile> {
-        let Some(obs) = &self.obs else {
-            return Vec::new();
+                .filter_map(|&(target, _)| Some((target, txs.get(target)?.clone())))
+                .collect();
+            move |target: Target, msg: Message| {
+                let tx = outbox.iter().find(|(t, _)| *t == target);
+                tx.is_some_and(|(_, tx)| tx.send(msg).is_ok())
+            }
         };
-        let mut nodes = obs.snapshot_nodes();
-        for (idx, profile) in nodes.iter_mut().enumerate() {
-            profile.peak_state_bytes = profile
-                .peak_state_bytes
-                // relaxed: telemetry peaks; exact after join, approximate mid-run by design
-                .max(self.node_peaks[idx].load(Ordering::Relaxed));
-            if let Some(Some(gov)) = self.node_governors.get(idx) {
-                profile.spill = gov.metrics();
-            }
-            if let Some(reports) = &self.shard_reports {
-                profile.shard_state_bytes = reports[idx].lock().clone();
+        let mut handles = Vec::new();
+        for mut reader in readers {
+            let (mut emit, ledger) = (emitter(&reader.routes), ledger.clone());
+            handles.push(std::thread::spawn(move || -> Result<()> {
+                while !ledger.cancel.is_cancelled() && reader.read_next(&mut emit)? {}
+                Ok(())
+            }));
+        }
+        let mut rxs = rxs.into_iter();
+        for (actor, rx) in nodes.into_iter().zip(&mut rxs) {
+            let Some(mut actor) = actor else { continue }; // a reader: no mailbox
+            let (mut emit, ledger) = (emitter(&actor.routes), ledger.clone());
+            handles.push(std::thread::spawn(move || -> Result<()> {
+                while let Ok(msg) = rx.recv() {
+                    if ledger.cancel.is_cancelled() || !actor.handle(msg, &mut emit)? {
+                        break;
+                    }
+                }
+                Ok(())
+            }));
+        }
+        ThreadDriver {
+            sink_rx: rxs.next(),
+            handles,
+            ledger,
+        }
+    }
+}
+
+impl Driver for ThreadDriver {
+    fn advance(&mut self, sink: &mut SinkState) -> Result<()> {
+        match self.sink_rx.as_ref().map(|rx| rx.recv()) {
+            Some(Ok(Message::Update(_, update))) => sink.push(&update),
+            // EOF from the sink node, or every sender gone (a node
+            // failed): either way the pipeline is winding down. Join it;
+            // a node error outranks any held-back estimate.
+            _ => {
+                self.shutdown()?;
+                sink.end();
+                Ok(())
             }
         }
-        for (idx, source) in &self.node_sources {
-            nodes[*idx].scan = source.scan_metrics().unwrap_or_default();
-        }
-        nodes
-    }
-
-    /// The per-node query profile, readable at any point in the stream's
-    /// life (live, exhausted, cancelled, or after an error). `None` when
-    /// the query runs at [`wake_obs::ObsLevel::Off`].
-    pub fn profile(&self) -> Option<wake_obs::QueryProfile> {
-        self.obs
-            .as_ref()
-            .map(|obs| obs.profile_from(self.node_profiles()))
-    }
-
-    /// The directory spill files are written to, when a budget is set.
-    /// (The per-query temp directory is removed once the query finishes
-    /// or is cancelled; an explicitly configured directory is kept.)
-    pub fn spill_dir(&self) -> Option<PathBuf> {
-        self.spill_root.clone()
-    }
-
-    /// The shared cancellation flag behind [`crate::CancelHandle`]: the
-    /// same flag every node thread polls, so setting it from any thread
-    /// winds the pipeline down exactly like a drop-cancel.
-    pub(crate) fn cancel_flag(&self) -> Arc<AtomicBool> {
-        self.cancel.clone()
     }
 
     /// Stop the query now: signal cancellation, unblock the pipeline and
-    /// join every node thread. Idempotent; called by `Drop` as well.
-    pub(crate) fn shutdown(&mut self) -> Result<()> {
-        // Release pairs with the node threads' Acquire loads so work
-        // done before the cancel request is visible to their unwind.
-        self.cancel.store(true, Ordering::Release);
+    /// join every actor thread. Idempotent; called by `Drop` as well.
+    fn shutdown(&mut self) -> Result<()> {
+        self.ledger.cancel.cancel();
         // Disconnecting the collector makes the sink node's next send
         // fail; the failure cascades producer-ward and wakes blocked
         // (backpressured) senders.
@@ -632,68 +200,11 @@ impl ThreadedStream {
                 Ok(Ok(())) => {}
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 }
 
-impl Iterator for ThreadedStream {
-    type Item = Result<Estimate>;
-
-    fn next(&mut self) -> Option<Result<Estimate>> {
-        if self.finished {
-            return None;
-        }
-        loop {
-            let ended = match &self.sink_rx {
-                Some(rx) => match rx.recv() {
-                    Ok(Message::Update(_, update)) => {
-                        let est = match self.sink.materialise(&update) {
-                            Ok(est) => est,
-                            Err(e) => {
-                                self.finished = true;
-                                let _ = self.shutdown();
-                                return Some(Err(e));
-                            }
-                        };
-                        if let Some(prev) = self.lookahead.replace(est) {
-                            return Some(Ok(prev));
-                        }
-                        continue;
-                    }
-                    // EOF from the sink, or every sender gone (a node
-                    // failed): either way the pipeline is winding down.
-                    Ok(Message::Eof(_)) | Err(_) => true,
-                },
-                None => true,
-            };
-            debug_assert!(ended);
-            self.finished = true;
-            // Join the pipeline; a node error outranks any buffered
-            // estimate.
-            if let Err(e) = self.shutdown() {
-                return Some(Err(e));
-            }
-            let mut last = self.lookahead.take();
-            if last.is_none() && self.sink.published() == 0 {
-                // The pipeline produced no states at all (degenerate
-                // graph): the answer is the empty frame.
-                last = Some(self.sink.empty_answer());
-            }
-            return match last {
-                Some(mut est) => {
-                    est.is_final = true;
-                    Some(Ok(est))
-                }
-                None => None,
-            };
-        }
-    }
-}
-
-impl Drop for ThreadedStream {
+impl Drop for ThreadDriver {
     fn drop(&mut self) {
         let _ = self.shutdown();
     }
@@ -762,7 +273,7 @@ mod tests {
 
     #[test]
     fn trace_captures_pipeline_activity() {
-        let log = TraceLog::new();
+        let log = crate::TraceLog::new();
         let series = EngineConfig::threaded()
             .with_trace(log.clone())
             .run_collect(agg_graph(100, 10))
@@ -843,35 +354,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // exercises the legacy shims on purpose
-    fn legacy_shims_keep_ambient_budget_per_knob() {
-        // with_spill_config with only a spill dir must not hide an
-        // ambient WAKE_MEM_BUDGET (reading, not mutating, the ambient
-        // environment — setenv from a threaded test is UB on glibc).
-        let ambient = SpillConfig::from_env();
-        let dir = std::env::temp_dir().join("wake-shim-threaded-test");
-        let exec = ThreadedExecutor::new(agg_graph(10, 5)).with_spill_config(SpillConfig {
-            spill_dir: Some(dir.clone()),
-            ..SpillConfig::default()
-        });
-        let resolved = exec.resolved_spill_config();
-        assert_eq!(resolved.budget_bytes, ambient.budget_bytes);
-        assert_eq!(resolved.spill_dir, Some(dir));
-        // And with_memory_budget composes with an ambient spill dir.
-        let exec = ThreadedExecutor::new(agg_graph(10, 5)).with_memory_budget(2048);
-        let resolved = exec.resolved_spill_config();
-        assert_eq!(resolved.budget_bytes, Some(2048));
-        assert_eq!(resolved.spill_dir, ambient.spill_dir);
-    }
-
-    #[test]
     fn dropping_stream_mid_query_joins_all_threads() {
         // Take one estimate, then drop: the shutdown cascade must reach
         // every node (drop joins the handles, so a hang here is a test
         // timeout, not a silent leak).
-        let mut stream = ThreadedExecutor::new(agg_graph(5_000, 8))
-            .into_stream()
-            .unwrap();
+        let mut stream = ThreadedExecutor::new(agg_graph(5_000, 8)).stream().unwrap();
         let first = stream.next().unwrap().unwrap();
         assert!(!first.is_final);
         drop(stream);
@@ -879,9 +366,7 @@ mod tests {
 
     #[test]
     fn exhausted_stream_reports_stats_and_fuses() {
-        let mut stream = ThreadedExecutor::new(agg_graph(200, 16))
-            .into_stream()
-            .unwrap();
+        let mut stream = ThreadedExecutor::new(agg_graph(200, 16)).stream().unwrap();
         let mut count = 0;
         let mut last_final = false;
         for est in &mut stream {

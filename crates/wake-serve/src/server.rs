@@ -245,7 +245,7 @@ fn run_job(job: Job, shared: &Shared) {
         shared
             .registry
             .update(job.id, |r| r.status = QueryStatus::Cancelled);
-        let _ = job.events.try_send(done_line(
+        let _ = job.events.send(done_line(
             job.id,
             QueryStatus::Cancelled,
             &RunStats::default(),
@@ -267,7 +267,7 @@ fn run_job(job: Job, shared: &Shared) {
             });
             let _ = job
                 .events
-                .try_send(error_line(Some(job.id), "query_failed", &msg));
+                .send(error_line(Some(job.id), "query_failed", &msg));
             return;
         }
     };
@@ -326,14 +326,19 @@ fn run_job(job: Job, shared: &Shared) {
             r.stopped_early = stopped_early;
         });
     }
+    // Terminal lines take the same blocking send as estimates: the event
+    // channel is bounded, and a line dropped because the connection thread
+    // is a channel's worth behind would leave the client waiting for
+    // `done` forever. A client that is gone has dropped its receiver, so
+    // the send returns at once and cannot hang the worker.
     if let Some(msg) = error {
         let _ = job
             .events
-            .try_send(error_line(Some(job.id), "query_failed", &msg));
+            .send(error_line(Some(job.id), "query_failed", &msg));
     }
     let _ = job
         .events
-        .try_send(done_line(job.id, status, &stats, stopped_early));
+        .send(done_line(job.id, status, &stats, stopped_early));
 }
 
 fn estimate_line(
@@ -860,4 +865,72 @@ fn http_simple(out: &mut TcpStream, status: u16, reason: &str, body: &str) -> io
         body.len()
     )?;
     out.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wake_core::agg::AggSpec;
+    use wake_data::{Column, DataFrame, DataType, Field, MemorySource, Schema};
+
+    /// A count(*) over `partitions` one-row partitions: one estimate each.
+    fn counting_graph(partitions: i64) -> QueryGraph {
+        let schema = Arc::new(Schema::new(vec![Field::new("v", DataType::Int64)]));
+        let df = DataFrame::new(schema, vec![Column::from_i64((0..partitions).collect())]).unwrap();
+        let src = MemorySource::from_frame("t", &df, 1, vec![], None).unwrap();
+        let mut g = QueryGraph::new();
+        let r = g.read(src);
+        let a = g.agg(r, vec![], vec![AggSpec::count_star("n")]);
+        g.sink(a);
+        g
+    }
+
+    #[test]
+    fn done_line_reaches_a_client_a_full_event_channel_behind() {
+        const CAPACITY: usize = 32;
+        const ESTIMATES: usize = 40;
+        let shared = Shared {
+            engine: EngineConfig::stepped().with_obs(ObsLevel::Stats),
+            catalog: QueryCatalog::new(),
+            registry: Arc::new(QueryRegistry::new()),
+            jobs: Mutex::new(None),
+            shutdown: AtomicBool::new(false),
+            next_id: AtomicU64::new(2),
+            global: None,
+        };
+        let (events, client) = channel::bounded::<String>(CAPACITY);
+        shared.registry.admit(1, "count");
+        let job = Job {
+            id: 1,
+            graph: counting_graph(ESTIMATES as i64),
+            watch: None,
+            deadline: DEFAULT_DEADLINE,
+            events,
+            cancelled: Arc::new(AtomicBool::new(false)),
+        };
+        let lines = std::thread::scope(|scope| {
+            scope.spawn(|| run_job(job, &shared));
+            // The client reads just enough for the worker to queue every
+            // remaining estimate, then stops reading until the query has
+            // completed: the channel is full when `done` is due.
+            for _ in 0..ESTIMATES - CAPACITY {
+                client.recv().unwrap();
+            }
+            while shared.registry.get(1).map(|r| r.status) != Some(QueryStatus::Completed) {
+                std::thread::yield_now();
+            }
+            let mut lines = Vec::new();
+            while let Ok(line) = client.recv() {
+                lines.push(line);
+            }
+            lines
+        });
+        assert_eq!(lines.len(), CAPACITY + 1, "queued estimates, then done");
+        let done = lines.last().unwrap();
+        assert_eq!(json::field_str(done, "type").as_deref(), Some("done"));
+        assert_eq!(
+            json::field_str(done, "status").as_deref(),
+            Some("completed")
+        );
+    }
 }

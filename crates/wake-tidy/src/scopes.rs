@@ -17,6 +17,7 @@ pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/wake-serve/src/server.rs",
     "crates/wake-serve/src/json.rs",
     "crates/wake-serve/src/client.rs",
+    "crates/wake-engine/src/query.rs",
     "crates/wake-engine/src/threaded.rs",
     "crates/wake-engine/src/stepped.rs",
     "crates/wake-engine/src/stream.rs",

@@ -65,8 +65,18 @@ fn high_card_graph(db: &TpchDb) -> QueryGraph {
     g
 }
 
+/// The base of every config in this file, references included. One shard
+/// is pinned because bit-identity is a per-shard-count contract and
+/// `FaultIo` keeps a single op counter per device: at `Auto` ≥ 2 the shard
+/// workers interleave on it, so which operation trips a fault — and
+/// whether a worker waking from backoff lands on a fresh `every`-multiple
+/// and exhausts its retries — would depend on scheduling.
+fn one_shard() -> EngineConfig {
+    EngineConfig::stepped().with_parallelism(Parallelism::Fixed(1))
+}
+
 fn faulted_config(io: &Arc<FaultIo>, budget: usize, retries: u32) -> EngineConfig {
-    EngineConfig::stepped()
+    one_shard()
         .with_memory_budget(budget)
         .with_spill_io(io.clone() as Arc<dyn SpillIo>)
         .with_spill_retries(retries)
@@ -82,7 +92,7 @@ fn transient_faults_retry_to_bit_identical_estimates() {
     let db = TpchDb::new(data, 6);
     let mut total_retries = 0usize;
     for spec in all_queries() {
-        let reference = EngineConfig::stepped()
+        let reference = one_shard()
             .with_memory_budget(BUDGET)
             .run_collect((spec.build)(&db))
             .unwrap();
@@ -131,7 +141,7 @@ fn enospc_degrades_to_resident_execution_with_exact_answers() {
     let db = TpchDb::new(data, 6);
     let mut degraded_runs = 0usize;
     for spec in all_queries() {
-        let reference = EngineConfig::stepped()
+        let reference = one_shard()
             .unbounded_memory()
             .run_collect((spec.build)(&db))
             .unwrap();
@@ -272,7 +282,7 @@ fn seeded_fault_sweep_never_panics_hangs_or_leaks() {
     for seed in base..base + 6 {
         let schedule = FaultSchedule::from_seed(seed);
         for spec in &specs {
-            let reference = EngineConfig::stepped()
+            let reference = one_shard()
                 .with_memory_budget(16 << 10)
                 .run_collect((spec.build)(&db))
                 .unwrap();

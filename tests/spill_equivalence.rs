@@ -275,13 +275,11 @@ fn threaded_executor_honours_the_budget_knob() {
 }
 
 #[test]
-#[allow(deprecated)] // exercises the legacy `with_config` shim on purpose
 fn unbounded_default_is_byte_identical_to_explicit_unbounded() {
     // `SteppedExecutor::new` (the default every other suite uses) and an
-    // explicit config — passed through the deprecated `with_config` shim,
-    // which must stay a faithful alias of the EngineConfig path — must be
-    // the same machine for the same budget. Guards the "budget = ∞ is
-    // pre-PR behavior" acceptance criterion.
+    // explicit `EngineConfig` must be the same machine for the same
+    // budget. Guards the "budget = ∞ is pre-PR behavior" acceptance
+    // criterion.
     // Mutating the process environment from a test would race with
     // concurrent `getenv`s in sibling tests (UB on glibc), so instead
     // read the ambient value once and compare `new` against an explicit
@@ -294,10 +292,11 @@ fn unbounded_default_is_byte_identical_to_explicit_unbounded() {
         .unwrap()
         .run_collect()
         .unwrap();
-    let b = SteppedExecutor::with_config((spec.build)(&db), ambient.clone())
-        .unwrap()
-        .run_collect()
-        .unwrap();
+    let explicit = match ambient.budget_bytes {
+        Some(bytes) => EngineConfig::stepped().with_memory_budget(bytes),
+        None => EngineConfig::stepped().unbounded_memory(),
+    };
+    let b = explicit.run_collect((spec.build)(&db)).unwrap();
     assert_eq!(a.len(), b.len());
     if ambient.budget_bytes.is_none() {
         // Truly unbounded: the resident path must be reproduced bit for

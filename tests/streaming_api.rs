@@ -94,26 +94,36 @@ fn stepped_stream_is_bit_identical_to_run_collect_on_all_tpch_queries() {
     }
 }
 
+/// The configurations that own OS threads while a query runs: one thread
+/// per node, and the stepped engine once a hash-keyed node has more than
+/// one shard (persistent shard workers).
+fn thread_owning_configs() -> [EngineConfig; 2] {
+    [
+        EngineConfig::threaded(),
+        EngineConfig::stepped().with_parallelism(Parallelism::Fixed(4)),
+    ]
+}
+
 #[test]
 fn dropping_threaded_stream_mid_query_leaks_nothing() {
     let _guard = THREADS.lock().unwrap_or_else(|e| e.into_inner());
     let data = Arc::new(TpchData::generate(0.01, 21));
     let db = TpchDb::new(data, 32);
-    let baseline = thread_count();
-    let mut stream = EngineConfig::threaded()
-        .start(high_card_graph(&db))
-        .unwrap();
-    // Mid-query: at least one estimate in, query far from done.
-    let first = stream.next().unwrap().unwrap();
-    assert!(!first.is_final);
-    assert!(first.t < 1.0);
-    assert!(thread_count() > baseline, "pipeline threads are running");
-    drop(stream); // must not hang (drop joins every node thread)
-    let after = settled_thread_count(baseline);
-    assert!(
-        after <= baseline,
-        "leaked node threads: {baseline} before, {after} after cancel"
-    );
+    for config in thread_owning_configs() {
+        let baseline = thread_count();
+        let mut stream = config.start(high_card_graph(&db)).unwrap();
+        // Mid-query: at least one estimate in, query far from done.
+        let first = stream.next().unwrap().unwrap();
+        assert!(!first.is_final);
+        assert!(first.t < 1.0);
+        assert!(thread_count() > baseline, "pipeline threads are running");
+        drop(stream); // must not hang (drop joins every node thread)
+        let after = settled_thread_count(baseline);
+        assert!(
+            after <= baseline,
+            "leaked node threads: {baseline} before, {after} after cancel"
+        );
+    }
 }
 
 #[test]
@@ -121,33 +131,35 @@ fn dropping_threaded_stream_with_spill_budget_cleans_spill_dir() {
     let _guard = THREADS.lock().unwrap_or_else(|e| e.into_inner());
     let data = Arc::new(TpchData::generate(0.01, 22));
     let db = TpchDb::new(data, 32);
-    let baseline = thread_count();
-    let mut stream = EngineConfig::threaded()
-        .with_memory_budget(16 << 10)
-        .start(high_card_graph(&db))
-        .unwrap();
-    let spill_dir = stream.spill_dir().expect("budgeted query has a spill dir");
-    assert!(spill_dir.exists(), "spill dir allocated up front");
-    // Poll until the query demonstrably spilled, then abandon it.
-    let mut spilled = false;
-    while let Some(est) = stream.next() {
-        est.unwrap();
-        if stream.stats().spill.evictions > 0 {
-            spilled = true;
-            break;
+    for config in thread_owning_configs() {
+        let baseline = thread_count();
+        let mut stream = config
+            .with_memory_budget(16 << 10)
+            .start(high_card_graph(&db))
+            .unwrap();
+        let spill_dir = stream.spill_dir().expect("budgeted query has a spill dir");
+        assert!(spill_dir.exists(), "spill dir allocated up front");
+        // Poll until the query demonstrably spilled, then abandon it.
+        let mut spilled = false;
+        while let Some(est) = stream.next() {
+            est.unwrap();
+            if stream.stats().spill.evictions > 0 {
+                spilled = true;
+                break;
+            }
         }
+        assert!(spilled, "16 KiB budget must evict on a high-card group-by");
+        drop(stream);
+        let after = settled_thread_count(baseline);
+        assert!(
+            after <= baseline,
+            "leaked node threads: {baseline} before, {after} after cancel"
+        );
+        assert!(
+            !spill_dir.exists(),
+            "per-query spill temp dir must be removed on cancellation: {spill_dir:?}"
+        );
     }
-    assert!(spilled, "16 KiB budget must evict on a high-card group-by");
-    drop(stream);
-    let after = settled_thread_count(baseline);
-    assert!(
-        after <= baseline,
-        "leaked node threads: {baseline} before, {after} after cancel"
-    );
-    assert!(
-        !spill_dir.exists(),
-        "per-query spill temp dir must be removed on cancellation: {spill_dir:?}"
-    );
 }
 
 #[test]
