@@ -26,10 +26,12 @@
 //! scatter kernels below) instead of `Value`-per-row.
 //!
 //! The keyed state (`KeyStore` + `GroupIndex` + per-group `AggState`s)
-//! lives in `S` hash-range [`AggShard`]s (see [`crate::ops::sharded`]);
-//! frames are routed to shards by key hash, per-shard folds run
-//! independently (on worker threads for `S > 1`), and snapshot emission
-//! merges the per-shard partials: shards are key-disjoint, so the paper's
+//! lives in a [`KeyedState`] of `S` hash-range shards, each `F` spill
+//! partitions of [`AggPart`] (see [`crate::ops::partitions`], which owns
+//! the routing, the eviction policy and the degrade ladder); frames are
+//! routed by key hash, per-shard folds run independently (on worker
+//! threads for `S > 1`), and snapshot emission merges the per-shard
+//! partials: shards are key-disjoint, so the paper's
 //! key-based `⊕` merge of partials reduces to concatenating the per-shard
 //! group lists and restoring the global key order. One shared
 //! [`GrowthModel`] is fit on the *global* group statistics, so estimates
@@ -41,21 +43,19 @@ use crate::ci::variance_column;
 use crate::growth::GrowthModel;
 use crate::meta::EdfMeta;
 use crate::ops::key_index::GroupIndex;
-use crate::ops::sharded::{ShardWork, ShardedState};
+use crate::ops::partitions::{concat_partials, KeyedState, Partition, Partitions};
 use crate::ops::spill as spill_codec;
 use crate::ops::Operator;
 use crate::progress::Progress;
 use crate::update::{Update, UpdateKind};
 use crate::Result;
 use std::sync::Arc;
-use wake_data::hash::{hash_keys, KeyStore};
-use wake_data::partition::shard_selections;
+use wake_data::hash::{hash_keys, KeyHashes, KeyStore};
 use wake_data::{Column, DataError, DataFrame, DataType, Field, Schema, Value};
 use wake_expr::{eval_cow, infer_type, Expr};
 use wake_store::colfile::{Chunk, RunWriter};
 use wake_store::governor::{SpillEnv, SpillPlan};
 use wake_store::merge::kway_merge_refs;
-use wake_store::partition::sub_selections;
 
 struct GroupData {
     states: Vec<AggState>,
@@ -84,8 +84,7 @@ struct AggConfig {
 }
 
 /// The in-memory group-by state of one spill partition (the whole shard
-/// when spilling is off — then `AggShard` holds exactly one of these and
-/// every code path is byte-identical to the pre-spill operator).
+/// when spilling is off).
 struct AggCore {
     cfg: Arc<AggConfig>,
     index: GroupIndex,
@@ -93,7 +92,13 @@ struct AggCore {
     groups: Vec<GroupData>,
 }
 
-/// One spill partition of a shard: resident, or evicted to a state file.
+/// One spill partition of a shard — the payload the shared
+/// [`Partitions`] layer routes to, evicts and rehydrates: resident, or
+/// evicted to a state file.
+// A shard holds at most `fanout` (≤ 8 by default) of these: boxing the
+// run handles would buy a few hundred bytes per shard for an allocation
+// per eviction.
+#[allow(clippy::large_enum_variant)]
 enum AggPart {
     Mem(AggCore),
     /// Evicted: the partition's state lives in a **base** run (one chunk
@@ -107,63 +112,38 @@ enum AggPart {
     /// the exact post-fold group count, so the growth model — which feeds
     /// mid-query estimates — stays bit-identical to resident execution.
     Spilled {
+        env: SpillEnv,
         base: RunWriter,
         delta: RunWriter,
         groups: usize,
     },
 }
 
-impl AggPart {
-    fn groups(&self) -> usize {
-        match self {
-            AggPart::Mem(core) => core.groups.len(),
-            AggPart::Spilled { groups, .. } => *groups,
-        }
-    }
-}
-
-/// One hash range's worth of group-by state: a single resident core, or
-/// (under a memory budget) `fanout` hash-subrange partitions of which the
-/// largest are evicted to disk when the shard exceeds its byte budget.
-struct AggShard {
-    cfg: Arc<AggConfig>,
-    /// Total shard count of the operator (the partition chain must know
-    /// how many high bits shard routing consumed).
-    op_shards: usize,
-    spill: Option<SpillEnv>,
-    parts: Vec<AggPart>,
-    /// Σ group cardinalities (equals rows folded since the last clear).
-    rows_total: f64,
-    /// The governor was poisoned (spill device persistently failed) and
-    /// this shard has rehydrated its spilled partitions and suspended the
-    /// budget: execution continues resident.
-    degraded: bool,
-}
+/// One hash range's worth of group-by state: the shared partition layer
+/// over [`AggPart`] (a single resident core without a budget — then every
+/// code path is byte-identical to the pre-spill operator; under one,
+/// `fanout` hash-subrange partitions of which the largest are evicted).
+type AggShard = Partitions<AggPart>;
 
 /// Work dispatched to one shard. Frames are the shard-local sub-frames
 /// (the full frame when `S = 1`); `hashes` are the matching row hashes.
 enum AggTask {
-    /// Delta input: fold into the group states (`⊕` with the key's state).
+    /// Fold a frame into the group states (`⊕` with the key's state).
+    /// `replace` marks a snapshot input: a new version — clear, then fold
+    /// the refresh.
     Fold {
         frame: Arc<DataFrame>,
-        hashes: Vec<u64>,
-    },
-    /// Snapshot input: new version — clear, then fold the refresh.
-    Replace {
-        frame: Arc<DataFrame>,
-        hashes: Vec<u64>,
+        hashes: KeyHashes,
+        replace: bool,
     },
     /// Finalize this shard's groups under the shared growth context.
     Snapshot { ctx: ScaleContext },
 }
 
-/// One shard's reply: fold statistics or a finalized partial snapshot.
+/// One shard's reply: its group count after a fold, or a finalized
+/// partial snapshot.
 enum AggPartial {
-    Folded {
-        groups: usize,
-        rows: f64,
-        state_bytes: usize,
-    },
+    Folded { groups: usize },
     Snapshot(DataFrame),
 }
 
@@ -241,10 +221,10 @@ impl AggCore {
         for (si, _spec) in cfg.specs.iter().enumerate() {
             let col: &Column = &value_cols[si];
             let weight = weight_cols[si].as_deref();
-            let vectorized = if self.groups.len() == 1 {
+            let vectorized = if let [only] = self.groups.as_mut_slice() {
                 // Single group in this shard (global aggregates, or one
                 // key per hash range): whole-column kernel.
-                self.groups[0].states[si].observe_column(col, weight)
+                only.states[si].observe_column(col, weight)
             } else {
                 observe_column_grouped(&mut self.groups, si, &slots, col, weight)
             };
@@ -351,46 +331,32 @@ impl AggCore {
         })
     }
 
-    /// Inverse of [`to_chunk`]. The group index is rebuilt by re-hashing
-    /// the key frame — hashes are content-deterministic, so the rebuilt
-    /// index candidates match the original insertion order slot for slot.
-    fn from_chunk(cfg: Arc<AggConfig>, chunk: &Chunk) -> Result<AggCore> {
-        let mut core = AggCore::new(cfg);
-        core.apply_chunk(chunk)?;
-        Ok(core)
-    }
-
-    /// Replay one base or delta chunk onto this core: a group already
+    /// Replay one base or delta chunk onto this core (onto an empty one,
+    /// the inverse of [`to_chunk`](Self::to_chunk)): a group already
     /// present (matched by key) is **overwritten** with the chunk's state
     /// — delta entries carry full updated states, so replay in append
     /// order reconstructs the partition bit for bit — and an unseen key
     /// is appended in chunk order, preserving the resident insertion
-    /// order (and with it the index candidate order).
+    /// order. The group index is rebuilt by re-hashing the key frame —
+    /// hashes are content-deterministic, so its candidates match the
+    /// original insertion order slot for slot.
     fn apply_chunk(&mut self, chunk: &Chunk) -> Result<()> {
         let cfg = self.cfg.clone();
         let nkeys = cfg.key_idx.len();
         let key_cols: Vec<usize> = (0..nkeys).collect();
         let mut c = wake_data::colfile::ByteCursor::new(&chunk.extra);
-        let n_groups = c.u64()? as usize;
-        if nkeys > 0 && chunk.frame.num_rows() != n_groups {
+        // Every group costs at least its 8-byte row count. Zero-key
+        // (global) aggregates never spill, so every group has a key row.
+        let n_groups = c.count_u64(8)?;
+        if chunk.frame.num_rows() != n_groups {
             return Err(wake_data::DataError::ShapeMismatch(format!(
                 "spilled agg partition: {} key rows vs {} groups",
                 chunk.frame.num_rows(),
                 n_groups
             )));
         }
-        let hashes = hash_keys(&chunk.frame, &key_cols);
-        for row in 0..n_groups {
-            let h = if nkeys > 0 {
-                hashes.hashes[row]
-            } else {
-                // Zero-key partitions are never spilled, but stay safe.
-                hash_keys(&chunk.frame, &[])
-                    .hashes
-                    .first()
-                    .copied()
-                    .unwrap_or(0)
-            };
+        let hashes = hash_keys(&chunk.frame, &key_cols).hashes;
+        for (row, &h) in hashes.iter().enumerate() {
             let rows = c.f64()?;
             let mut carried_var = Vec::with_capacity(cfg.specs.len());
             for _ in 0..cfg.specs.len() {
@@ -431,41 +397,102 @@ impl AggCore {
     }
 }
 
-impl AggShard {
-    fn new(cfg: Arc<AggConfig>, op_shards: usize, spill: Option<SpillEnv>) -> Self {
-        // Zero-key (global) aggregates hold O(specs) state — partitioning
-        // and spilling them is pure overhead; keep them resident.
-        let spill = if cfg.key_idx.is_empty() { None } else { spill };
-        let parts = match &spill {
-            None => vec![AggPart::Mem(AggCore::new(cfg.clone()))],
-            Some(env) => (0..env.fanout)
-                .map(|_| AggPart::Mem(AggCore::new(cfg.clone())))
-                .collect(),
-        };
-        AggShard {
-            cfg,
-            op_shards: op_shards.max(1),
-            spill,
-            parts,
-            rows_total: 0.0,
-            degraded: false,
+/// Rewrite `base` as one chunk holding `core`'s full state and truncate
+/// the delta run.
+fn compact(
+    env: &SpillEnv,
+    core: &AggCore,
+    base: &mut RunWriter,
+    delta: &mut RunWriter,
+) -> Result<()> {
+    base.clear();
+    base.push(&core.to_chunk()?)?;
+    base.flush()?;
+    delta.clear();
+    env.governor.record_compaction();
+    Ok(())
+}
+
+impl AggPart {
+    fn groups(&self) -> usize {
+        match self {
+            AggPart::Mem(core) => core.groups.len(),
+            AggPart::Spilled { groups, .. } => *groups,
         }
     }
 
-    fn clear(&mut self) {
-        for part in &mut self.parts {
-            match part {
-                AggPart::Mem(core) => *core = AggCore::new(self.cfg.clone()),
-                AggPart::Spilled { base, delta, .. } => {
-                    base.clear();
-                    delta.clear();
-                    *part = AggPart::Mem(AggCore::new(self.cfg.clone()));
+    fn fold(&mut self, cfg: &Arc<AggConfig>, frame: &DataFrame, hashes: &[u64]) -> Result<()> {
+        match self {
+            AggPart::Mem(core) => core.fold_frame(frame, hashes),
+            AggPart::Spilled {
+                env,
+                base,
+                delta,
+                groups,
+            } => {
+                // Write-behind fold: rehydrate (base + replayed
+                // deltas), fold — the per-group accumulation order is
+                // identical to the resident path and the group count
+                // exact (the growth model reads it every update) —
+                // then append ONLY the touched groups' updated states
+                // to the delta run. The full rewrite happens at
+                // compaction, once the delta outgrows its ratio.
+                let (mut core, torn) = AggShard::rehydrate(cfg, base, delta)?;
+                let slots = core.fold_frame_slots(frame, hashes)?;
+                *groups = core.groups.len();
+                // Ratio 0 compacts unconditionally: skip building the
+                // delta chunk it would immediately discard (this is
+                // the legacy rehydrate-fold-rewrite I/O pattern). A
+                // torn delta tail also forces a compact — the rewrite
+                // durably truncates the run to its recovered state.
+                if torn || env.delta_ratio <= 0.0 {
+                    return compact(env, &core, base, delta);
+                }
+                let mut touched = slots;
+                touched.sort_unstable();
+                touched.dedup();
+                let chunk = core.to_chunk_for(&touched)?;
+                let projected = (delta.total_bytes() + chunk.byte_size()) as f64;
+                if projected > env.delta_ratio * base.total_bytes() as f64 {
+                    compact(env, &core, base, delta)
+                } else {
+                    let before = delta.total_bytes();
+                    delta.push(&chunk)?;
+                    delta.flush()?;
+                    env.governor.record_delta(delta.total_bytes() - before);
+                    Ok(())
                 }
             }
         }
-        self.rows_total = 0.0;
     }
 
+    /// This partition's key-sorted partial snapshot, `None` when it holds
+    /// no group. A spilled partition rehydrates (base + replayed deltas).
+    /// Snapshot boundaries are also compaction opportunities: the full
+    /// state is in hand, so an over-ratio delta run (the fold-time check
+    /// estimates chunk sizes and can undershoot) is folded back into its
+    /// base here.
+    fn snapshot(&mut self, cfg: &Arc<AggConfig>, ctx: &ScaleContext) -> Result<Option<DataFrame>> {
+        if self.groups() == 0 {
+            return Ok(None);
+        }
+        match self {
+            AggPart::Mem(core) => core.snapshot(ctx).map(Some),
+            AggPart::Spilled {
+                env, base, delta, ..
+            } => {
+                let (core, torn) = AggShard::rehydrate(cfg, base, delta)?;
+                if torn || delta.total_bytes() as f64 > env.delta_ratio * base.total_bytes() as f64
+                {
+                    compact(env, &core, base, delta)?;
+                }
+                core.snapshot(ctx).map(Some)
+            }
+        }
+    }
+}
+
+impl AggShard {
     /// Reconstruct a spilled partition's current state: the base chunk,
     /// then every delta chunk replayed in append order.
     ///
@@ -481,11 +508,10 @@ impl AggShard {
         base: &RunWriter,
         delta: &RunWriter,
     ) -> Result<(AggCore, bool)> {
-        let chunks = base.read_all()?;
-        let mut core = match chunks.first() {
-            Some(chunk) => AggCore::from_chunk(cfg.clone(), chunk)?,
-            None => AggCore::new(cfg.clone()),
-        };
+        let mut core = AggCore::new(cfg.clone());
+        if let Some(chunk) = base.read_all()?.first() {
+            core.apply_chunk(chunk)?;
+        }
         let mut torn = false;
         if !delta.is_empty() {
             // Untracked: the base read above already counted this
@@ -498,240 +524,95 @@ impl AggShard {
         }
         Ok((core, torn))
     }
+}
 
-    /// Rewrite `base` as one chunk holding `core`'s full state and
-    /// truncate the delta run.
-    fn compact(
-        env: &SpillEnv,
-        core: &AggCore,
-        base: &mut RunWriter,
-        delta: &mut RunWriter,
-    ) -> Result<()> {
-        base.clear();
+impl Partition for AggPart {
+    type Cfg = AggConfig;
+    type Task = AggTask;
+    type Out = AggPartial;
+
+    fn new(cfg: &Arc<AggConfig>) -> Self {
+        AggPart::Mem(AggCore::new(cfg.clone()))
+    }
+
+    fn resident_bytes(&self) -> Option<usize> {
+        match self {
+            AggPart::Mem(core) if !core.groups.is_empty() => Some(core.state_bytes()),
+            _ => None,
+        }
+    }
+
+    fn evict(&mut self, env: &SpillEnv) -> Result<()> {
+        let AggPart::Mem(core) = self else {
+            return Err(DataError::Invalid(
+                "only a resident group-by partition can be evicted".into(),
+            ));
+        };
+        let mut base = env.new_run("agg");
         base.push(&core.to_chunk()?)?;
         base.flush()?;
-        delta.clear();
-        env.governor.record_compaction();
-        Ok(())
-    }
-
-    fn fold_frame(&mut self, frame: &DataFrame, hashes: &[u64]) -> Result<()> {
-        self.rows_total += frame.num_rows() as f64;
-        let Some(env) = self.spill.clone() else {
-            let AggPart::Mem(core) = &mut self.parts[0] else {
-                unreachable!("unspilled shard is always resident");
-            };
-            return core.fold_frame(frame, hashes);
+        *self = AggPart::Spilled {
+            delta: env.new_run("aggd"),
+            groups: core.groups.len(),
+            env: env.clone(),
+            base,
         };
-        if env.governor.is_poisoned() && !self.degraded {
-            self.degrade()?;
-        }
-        // Scatter rows to spill partitions by the next hash digits below
-        // shard routing; fold each sub-frame into its partition.
-        let sels = sub_selections(hashes, self.op_shards, env.fanout, 0);
-        for (p, sel) in sels.into_iter().enumerate() {
-            if sel.is_empty() {
-                continue;
-            }
-            // Borrow the originals when every row routes to this
-            // partition (skewed keys) — `DataFrame` owns its buffers, so
-            // a clone here would deep-copy the whole update.
-            let scattered: Option<(DataFrame, Vec<u64>)> =
-                (sel.len() != frame.num_rows()).then(|| {
-                    (
-                        frame.select(&sel),
-                        sel.iter().map(|&i| hashes[i as usize]).collect(),
-                    )
-                });
-            let (sub, sub_hashes): (&DataFrame, &[u64]) = match &scattered {
-                Some((f, h)) => (f, h),
-                None => (frame, hashes),
-            };
-            match &mut self.parts[p] {
-                AggPart::Mem(core) => core.fold_frame(sub, sub_hashes)?,
-                AggPart::Spilled {
-                    base,
-                    delta,
-                    groups,
-                } => {
-                    // Write-behind fold: rehydrate (base + replayed
-                    // deltas), fold — the per-group accumulation order is
-                    // identical to the resident path and the group count
-                    // exact (the growth model reads it every update) —
-                    // then append ONLY the touched groups' updated states
-                    // to the delta run. The full rewrite happens at
-                    // compaction, once the delta outgrows its ratio.
-                    let (mut core, torn) = Self::rehydrate(&self.cfg, base, delta)?;
-                    let slots = core.fold_frame_slots(sub, sub_hashes)?;
-                    *groups = core.groups.len();
-                    // Ratio 0 compacts unconditionally: skip building the
-                    // delta chunk it would immediately discard (this is
-                    // the legacy rehydrate-fold-rewrite I/O pattern). A
-                    // torn delta tail also forces a compact — the rewrite
-                    // durably truncates the run to its recovered state.
-                    if torn || env.delta_ratio <= 0.0 {
-                        Self::compact(&env, &core, base, delta)?;
-                        continue;
-                    }
-                    let mut touched = slots;
-                    touched.sort_unstable();
-                    touched.dedup();
-                    let chunk = core.to_chunk_for(&touched)?;
-                    let projected = (delta.total_bytes() + chunk.byte_size()) as f64;
-                    if projected > env.delta_ratio * base.total_bytes() as f64 {
-                        Self::compact(&env, &core, base, delta)?;
-                    } else {
-                        let before = delta.total_bytes();
-                        delta.push(&chunk)?;
-                        delta.flush()?;
-                        env.governor.record_delta(delta.total_bytes() - before);
-                    }
-                }
-            }
-        }
-        self.enforce_budget()?;
         Ok(())
     }
 
-    /// Rehydrate every spilled partition back into memory and suspend the
-    /// budget: the spill device has failed persistently, and the query
-    /// finishes resident (the "degraded" half of the recovery ladder).
-    /// Fails typed if a spilled partition is no longer readable.
-    fn degrade(&mut self) -> Result<()> {
-        // Flag first: even if a rehydration read fails below, this shard
-        // must never try to evict to the dead device again.
-        self.degraded = true;
-        for part in &mut self.parts {
-            if let AggPart::Spilled { base, delta, .. } = part {
-                // Torn tails just truncate here — there is no device left
-                // to compact to, and the recovered state is authoritative.
-                let (core, _torn) = Self::rehydrate(&self.cfg, base, delta)?;
-                base.clear();
-                delta.clear();
-                *part = AggPart::Mem(core);
-            }
+    fn rehydrate(&mut self, cfg: &Arc<AggConfig>) -> Result<()> {
+        if let AggPart::Spilled { base, delta, .. } = self {
+            // Torn tails just truncate here — there is no device left
+            // to compact to, and the recovered state is authoritative.
+            let (core, _torn) = AggShard::rehydrate(cfg, base, delta)?;
+            *self = AggPart::Mem(core);
         }
         Ok(())
-    }
-
-    /// While over the shard budget, evict the largest resident partition
-    /// (the governor's eviction policy) to its own spill run.
-    fn enforce_budget(&mut self) -> Result<()> {
-        let Some(env) = self.spill.clone() else {
-            return Ok(());
-        };
-        if self.degraded {
-            return Ok(());
-        }
-        while self.state_bytes() > env.shard_budget() {
-            if env.governor.is_poisoned() {
-                // The device died under this very loop (an eviction's
-                // flush soft-failed): stop evicting — the "spilled" parts
-                // are memory-resident pending buffers, so the loop could
-                // never shed bytes — and go resident for good.
-                return self.degrade();
-            }
-            let victim = self
-                .parts
-                .iter()
-                .enumerate()
-                .filter_map(|(i, p)| match p {
-                    AggPart::Mem(core) if !core.groups.is_empty() => Some((i, core.state_bytes())),
-                    _ => None,
-                })
-                .max_by_key(|&(_, bytes)| bytes);
-            let Some((i, _)) = victim else {
-                break; // everything spillable is already on disk
-            };
-            let AggPart::Mem(core) = &self.parts[i] else {
-                unreachable!()
-            };
-            let chunk = core.to_chunk()?;
-            let groups = core.groups.len();
-            let mut base = RunWriter::new(env.dir.clone(), env.governor.clone(), "agg");
-            base.push(&chunk)?;
-            base.flush()?;
-            let delta = RunWriter::new(env.dir.clone(), env.governor.clone(), "aggd");
-            env.governor.record_eviction();
-            self.parts[i] = AggPart::Spilled {
-                base,
-                delta,
-                groups,
-            };
-        }
-        Ok(())
-    }
-
-    /// Key-sorted partial snapshot across all partitions: resident cores
-    /// snapshot directly, spilled ones rehydrate (base + replayed
-    /// deltas), and the per-partition partials k-way merge by key.
-    /// Partitions are key-disjoint, so the merge is exactly the
-    /// shard-level ⊕ story one level down. Snapshot boundaries are also
-    /// compaction opportunities: the full state is in hand, so an
-    /// over-ratio delta run (the fold-time check estimates chunk sizes
-    /// and can undershoot) is folded back into its base here.
-    fn snapshot(&mut self, ctx: &ScaleContext) -> Result<DataFrame> {
-        let Some(env) = self.spill.clone() else {
-            let AggPart::Mem(core) = &self.parts[0] else {
-                unreachable!()
-            };
-            return core.snapshot(ctx);
-        };
-        if env.governor.is_poisoned() && !self.degraded {
-            self.degrade()?;
-        }
-        let mut partials: Vec<DataFrame> = Vec::new();
-        for part in &mut self.parts {
-            match part {
-                AggPart::Mem(core) => {
-                    if !core.groups.is_empty() {
-                        partials.push(core.snapshot(ctx)?);
-                    }
-                }
-                AggPart::Spilled {
-                    base,
-                    delta,
-                    groups,
-                } => {
-                    if *groups > 0 {
-                        let (core, torn) = Self::rehydrate(&self.cfg, base, delta)?;
-                        if torn
-                            || delta.total_bytes() as f64
-                                > env.delta_ratio * base.total_bytes() as f64
-                        {
-                            Self::compact(&env, &core, base, delta)?;
-                        }
-                        partials.push(core.snapshot(ctx)?);
-                    }
-                }
-            }
-        }
-        merge_key_sorted(&self.cfg, partials)
     }
 
     fn state_bytes(&self) -> usize {
-        self.parts
-            .iter()
-            .map(|p| match p {
-                AggPart::Mem(core) => core.state_bytes(),
-                // Spilled partitions cost their pending write-behind
-                // buffers plus bookkeeping.
-                AggPart::Spilled { base, delta, .. } => {
-                    base.pending_bytes() + delta.pending_bytes() + 64
+        match self {
+            AggPart::Mem(core) => core.state_bytes(),
+            // Spilled partitions cost their pending write-behind
+            // buffers plus bookkeeping.
+            AggPart::Spilled { base, delta, .. } => {
+                base.pending_bytes() + delta.pending_bytes() + 64
+            }
+        }
+    }
+
+    fn run(shard: &mut AggShard, task: AggTask) -> Result<(AggPartial, Option<usize>)> {
+        let cfg = shard.cfg().clone();
+        match task {
+            AggTask::Fold {
+                frame,
+                hashes,
+                replace,
+            } => {
+                if replace {
+                    // Spilled partitions are dropped too, not merged into
+                    // the refresh (their run files delete on drop).
+                    for part in shard.parts_mut() {
+                        *part = AggPart::new(&cfg);
+                    }
                 }
-            })
-            .sum()
-    }
-
-    fn num_groups(&self) -> usize {
-        self.parts.iter().map(|p| p.groups()).sum()
-    }
-
-    fn folded_stats(&self) -> AggPartial {
-        AggPartial::Folded {
-            groups: self.num_groups(),
-            rows: self.rows_total,
-            state_bytes: self.state_bytes(),
+                shard.scatter(&frame, hashes, false, |part, sub, sub_hashes| {
+                    part.fold(&cfg, sub, &sub_hashes.hashes)
+                })?;
+                let groups = shard.parts().iter().map(AggPart::groups).sum();
+                Ok((AggPartial::Folded { groups }, Some(shard.state_bytes())))
+            }
+            AggTask::Snapshot { ctx } => {
+                // Partitions are key-disjoint, so the k-way merge of their
+                // partials is the shard-level ⊕ story one level down.
+                let mut partials: Vec<DataFrame> = Vec::new();
+                shard.each(|part| {
+                    partials.extend(part.snapshot(&cfg, &ctx)?);
+                    Ok(())
+                })?;
+                let frame = merge_key_sorted(&cfg, partials)?;
+                Ok((AggPartial::Snapshot(frame), None))
+            }
         }
     }
 }
@@ -739,47 +620,20 @@ impl AggShard {
 /// Merge key-sorted, key-disjoint partials into one key-sorted frame —
 /// the typed replacement for "concat + global `Value` re-sort". Shared by
 /// the in-shard spill-partition merge and the operator-level shard merge.
-fn merge_key_sorted(cfg: &AggConfig, mut partials: Vec<DataFrame>) -> Result<DataFrame> {
-    match partials.len() {
-        0 => Ok(DataFrame::empty(cfg.out_schema.clone())),
-        1 => Ok(partials.pop().expect("one partial")),
-        _ => {
-            if cfg.keys.is_empty() {
-                let refs: Vec<&DataFrame> = partials.iter().collect();
-                return DataFrame::concat(&refs);
-            }
-            let key_idx: Vec<usize> = (0..cfg.keys.len()).collect();
-            let order = {
-                let refs: Vec<&DataFrame> = partials.iter().collect();
-                kway_merge_refs(&refs, &key_idx)
-            };
-            let mut store = crate::ops::RowStore::new();
-            for p in partials {
-                store.push(Arc::new(p));
-            }
-            store.gather(&order)
-        }
+fn merge_key_sorted(cfg: &AggConfig, partials: Vec<DataFrame>) -> Result<DataFrame> {
+    if partials.len() < 2 || cfg.keys.is_empty() {
+        return concat_partials(&cfg.out_schema, partials);
     }
-}
-
-impl ShardWork for AggShard {
-    type Task = AggTask;
-    type Out = Result<AggPartial>;
-
-    fn run(&mut self, task: AggTask) -> Result<AggPartial> {
-        match task {
-            AggTask::Fold { frame, hashes } => {
-                self.fold_frame(&frame, &hashes)?;
-                Ok(self.folded_stats())
-            }
-            AggTask::Replace { frame, hashes } => {
-                self.clear();
-                self.fold_frame(&frame, &hashes)?;
-                Ok(self.folded_stats())
-            }
-            AggTask::Snapshot { ctx } => Ok(AggPartial::Snapshot(self.snapshot(&ctx)?)),
-        }
+    let key_idx: Vec<usize> = (0..cfg.keys.len()).collect();
+    let order = {
+        let refs: Vec<&DataFrame> = partials.iter().collect();
+        kway_merge_refs(&refs, &key_idx)
+    };
+    let mut store = crate::ops::RowStore::new();
+    for p in partials {
+        store.push(Arc::new(p));
     }
+    store.gather(&order)
 }
 
 /// Typed scatter kernel: fold `col` into the per-row group states for spec
@@ -794,12 +648,12 @@ fn observe_column_grouped(
     col: &Column,
     weight: Option<&Column>,
 ) -> bool {
+    let Some(&first) = slots.first() else {
+        return true; // no rows, nothing to fold
+    };
     // Count-distinct scatters through the typed set — the one kernel that
     // must dispatch on the column type itself (Bool/Utf8 included).
-    if matches!(
-        groups[slots[0] as usize].states[si],
-        AggState::Distinct { .. }
-    ) {
+    if matches!(groups[first as usize].states[si], AggState::Distinct { .. }) {
         observe_distinct_grouped(groups, si, slots, col);
         return true;
     }
@@ -827,7 +681,7 @@ fn observe_column_grouped(
             }
         };
     }
-    match &groups[slots[0] as usize].states[si] {
+    match &groups[first as usize].states[si] {
         AggState::Count { .. } => scatter!(|_row, st| {
             if let AggState::Count { n } = st {
                 *n += 1.0;
@@ -858,10 +712,10 @@ fn observe_column_grouped(
             }
         }),
         AggState::WeightedAvg { .. } => {
-            let Some((wview, _)) = weight.and_then(NumView::of) else {
+            let Some((weight, (wview, _))) = weight.and_then(|w| Some((w, NumView::of(w)?))) else {
                 return false;
             };
-            let wvalid = weight.expect("checked above").validity();
+            let wvalid = weight.validity();
             for (row, &slot) in slots.iter().enumerate() {
                 let ok = valid.is_none_or(|m| m[row]) && wvalid.is_none_or(|m| m[row]);
                 if ok {
@@ -875,7 +729,7 @@ fn observe_column_grouped(
                 }
             }
         }
-        AggState::Distinct { .. } => unreachable!("handled above"),
+        AggState::Distinct { .. } => {} // scattered above
     }
     true
 }
@@ -937,19 +791,14 @@ fn observe_distinct_grouped(groups: &mut [GroupData], si: usize, slots: &[u32], 
 /// sharded state; see the module docs.
 pub struct AggOp {
     cfg: Arc<AggConfig>,
-    state: ShardedState<AggShard>,
-    /// Per-shard statistics from the last fold (shard state may live on
-    /// worker threads, so footprint and group counts travel via results).
+    keyed: KeyedState<AggPart>,
+    /// Per-shard group counts from the last fold (shard state may live on
+    /// worker threads, so they travel via task results).
     shard_groups: Vec<usize>,
-    shard_rows: Vec<f64>,
-    shard_bytes: Vec<usize>,
+    /// Σ group cardinalities: rows folded since the last replace.
+    rows_total: f64,
     input_kind: UpdateKind,
     growth: GrowthModel,
-    /// Memory-governance plan (None = unbounded, the resident-only path).
-    spill: Option<SpillPlan>,
-    /// The current shard count (so `with_spill` and `with_shards` compose
-    /// in either order).
-    shards: usize,
     progress: Progress,
     emitted_complete: bool,
     meta: EdfMeta,
@@ -1032,15 +881,12 @@ impl AggOp {
             key_schema,
         });
         Ok(AggOp {
-            state: ShardedState::new(vec![AggShard::new(cfg.clone(), 1, None)]),
+            keyed: KeyedState::new(cfg.clone()),
             shard_groups: vec![0],
-            shard_rows: vec![0.0],
-            shard_bytes: vec![0],
+            rows_total: 0.0,
             cfg,
             input_kind: input.kind,
             growth,
-            spill: None,
-            shards: 1,
             progress: Progress::new(),
             emitted_complete: false,
             meta,
@@ -1051,14 +897,12 @@ impl AggOp {
     /// `plan.op_budget()` is exceeded, the largest spill partition is
     /// evicted to disk. Composes with [`Self::with_shards`] in either
     /// order; must precede execution. `None` keeps the unbounded
-    /// resident path.
+    /// resident path — as does a zero-key (global) aggregate, whose
+    /// O(specs) state would only pay for partitioning.
     pub fn with_spill(mut self, spill: Option<SpillPlan>) -> Self {
-        debug_assert!(
-            !self.emitted_complete && self.progress.t() == 0.0,
-            "with_spill must precede execution"
-        );
-        self.spill = spill;
-        self.rebuild_shards()
+        let spill = spill.filter(|_| !self.cfg.key_idx.is_empty());
+        self.keyed = self.keyed.with_spill(spill);
+        self
     }
 
     /// Re-plan the operator onto `shards` hash-range shards (one runs on
@@ -1066,57 +910,9 @@ impl AggOp {
     /// [`crate::ops::sharded`]). Must be called before any update is
     /// consumed.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        debug_assert!(
-            !self.emitted_complete && self.progress.t() == 0.0,
-            "with_shards must precede execution"
-        );
-        self.shards = shards.max(1);
-        self.rebuild_shards()
-    }
-
-    fn rebuild_shards(mut self) -> Self {
-        let shards = self.shards;
-        let env = self.spill.as_ref().map(|p| p.shard_env(shards));
-        self.state = ShardedState::new(
-            (0..shards)
-                .map(|_| AggShard::new(self.cfg.clone(), shards, env.clone()))
-                .collect(),
-        );
-        self.shard_groups = vec![0; shards];
-        self.shard_rows = vec![0.0; shards];
-        self.shard_bytes = vec![0; shards];
+        self.keyed = self.keyed.with_shards(shards);
+        self.shard_groups = vec![0; self.keyed.num_shards()];
         self
-    }
-
-    /// Route one input frame to per-shard fold/replace tasks by key hash.
-    fn fold_tasks(&self, frame: &Arc<DataFrame>, replace: bool) -> Vec<Option<AggTask>> {
-        let make = |frame: Arc<DataFrame>, hashes: Vec<u64>| {
-            if replace {
-                AggTask::Replace { frame, hashes }
-            } else {
-                AggTask::Fold { frame, hashes }
-            }
-        };
-        let hashes = hash_keys(frame, &self.cfg.key_idx);
-        let shards = self.state.num_shards();
-        if shards == 1 {
-            return vec![Some(make(frame.clone(), hashes.hashes))];
-        }
-        shard_selections(&hashes, shards)
-            .into_iter()
-            .map(|sel| {
-                if sel.is_empty() && !replace {
-                    // No rows for this shard; skipping keeps its state (and
-                    // the fold statistics we already hold) untouched. A
-                    // Replace must reach every shard to clear stale state.
-                    None
-                } else {
-                    let sub = Arc::new(frame.select(&sel));
-                    let sub_hashes = hashes.take(&sel).hashes;
-                    Some(make(sub, sub_hashes))
-                }
-            })
-            .collect()
     }
 
     fn emit(&mut self, force_exact: bool) -> Result<Update> {
@@ -1131,20 +927,17 @@ impl AggOp {
                 w_variance: self.growth.w_variance(),
             }
         };
-        let shards = self.state.num_shards();
-        let tasks: Vec<Option<AggTask>> = if shards == 1 {
-            vec![Some(AggTask::Snapshot { ctx })]
-        } else {
-            // Empty shards contribute no groups; skip their round-trip.
-            self.shard_groups
-                .iter()
-                .map(|&g| (g > 0).then_some(AggTask::Snapshot { ctx }))
-                .collect()
-        };
-        let outs = self.state.run(tasks)?;
+        // Above one shard, empty shards contribute no groups; skip their
+        // round-trip.
+        let one = self.keyed.num_shards() == 1;
+        let tasks = self
+            .shard_groups
+            .iter()
+            .map(|&g| (one || g > 0).then_some(AggTask::Snapshot { ctx }))
+            .collect();
         let mut partials: Vec<DataFrame> = Vec::new();
-        for out in outs.into_iter().flatten() {
-            if let AggPartial::Snapshot(frame) = out? {
+        for out in self.keyed.run(tasks)?.into_iter().flatten() {
+            if let AggPartial::Snapshot(frame) = out {
                 partials.push(frame);
             }
         }
@@ -1163,8 +956,7 @@ impl AggOp {
         if groups == 0 {
             return;
         }
-        let total: f64 = self.shard_rows.iter().sum();
-        let avg = total / groups as f64;
+        let avg = self.rows_total / groups as f64;
         self.growth.observe(self.progress.t(), avg);
     }
 }
@@ -1173,21 +965,28 @@ impl Operator for AggOp {
     fn on_update(&mut self, port: usize, update: &Update) -> Result<Vec<Update>> {
         debug_assert_eq!(port, 0);
         self.progress.merge(&update.progress);
+        // A snapshot input is a new version: it must reach every shard
+        // to clear stale state, rows or not.
         let replace = self.input_kind == UpdateKind::Snapshot;
-        let tasks = self.fold_tasks(&update.frame, replace);
-        let outs = self.state.run(tasks)?;
-        for (s, out) in outs.into_iter().enumerate() {
-            if let Some(out) = out {
-                if let AggPartial::Folded {
-                    groups,
-                    rows,
-                    state_bytes,
-                } = out?
-                {
-                    self.shard_groups[s] = groups;
-                    self.shard_rows[s] = rows;
-                    self.shard_bytes[s] = state_bytes;
+        let rows = update.frame.num_rows() as f64;
+        self.rows_total = if replace {
+            rows
+        } else {
+            self.rows_total + rows
+        };
+        let hashes = hash_keys(&update.frame, &self.cfg.key_idx);
+        let tasks = self
+            .keyed
+            .scatter(&update.frame, hashes, replace, |frame, hashes| {
+                AggTask::Fold {
+                    frame,
+                    hashes,
+                    replace,
                 }
+            });
+        for (s, out) in self.keyed.run(tasks)?.into_iter().enumerate() {
+            if let Some(AggPartial::Folded { groups }) = out {
+                self.shard_groups[s] = groups;
             }
         }
         self.observe_growth();
@@ -1210,13 +1009,11 @@ impl Operator for AggOp {
     }
 
     fn state_bytes(&self) -> usize {
-        self.shard_bytes.iter().sum()
+        self.keyed.state_bytes()
     }
 
     fn report(&self) -> crate::ops::OpReport {
-        crate::ops::OpReport {
-            shard_state_bytes: self.shard_bytes.clone(),
-        }
+        self.keyed.report()
     }
 }
 

@@ -28,29 +28,28 @@
 //! buffered frames.
 //!
 //! The whole keyed state (`RowStore` sides, `KeyIndex`es, matched flags)
-//! lives in `S` hash-range [`JoinShard`]s (see [`crate::ops::sharded`]).
-//! The already-computed row hashes route each frame's rows to shards via
-//! per-shard selection vectors; build and probe run per shard over
-//! shard-local sub-frames, and emission concatenates the shard outputs —
-//! shards are disjoint by key, so no cross-shard dedup is needed. Rows
-//! with null key components ride in shard 0. `S = 1` (the
+//! lives in a [`KeyedState`] of `S` hash-range shards, each `F` spill
+//! partitions of [`JoinPart`] (see [`crate::ops::partitions`], which owns
+//! the routing, the eviction policy and the degrade ladder). The
+//! already-computed row hashes route each frame's rows; build and probe
+//! run per partition over its sub-frame, and emission concatenates the
+//! outputs — partitions and shards are disjoint by key, so no dedup is
+//! needed. Rows with null key components ride in shard 0. `S = 1` (the
 //! `Parallelism(1)` plan) skips the scatter and is byte-identical to the
 //! unsharded operator.
 
 use crate::meta::EdfMeta;
 use crate::ops::key_index::KeyIndex;
-use crate::ops::sharded::{ShardWork, ShardedState};
+use crate::ops::partitions::{concat_partials, KeyedState, Partition, Partitions};
 use crate::ops::{Operator, RowRef, RowStore};
 use crate::progress::Progress;
 use crate::update::{Update, UpdateKind};
 use crate::Result;
 use std::sync::Arc;
 use wake_data::hash::{hash_keys, keys_equal, KeyHashes};
-use wake_data::partition::shard_selections;
 use wake_data::{DataError, DataFrame, Schema};
 use wake_store::colfile::{Chunk, RunWriter};
 use wake_store::governor::{SpillEnv, SpillPlan};
-use wake_store::partition::sub_selections;
 
 /// Join flavours.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,17 +63,13 @@ pub enum JoinKind {
     Anti,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Streaming,
-    Recompute,
-}
-
 /// Immutable join configuration shared by the operator shell and every
 /// shard (so shard workers can run on their own threads).
 struct JoinConfig {
     kind: JoinKind,
-    mode: Mode,
+    /// Both inputs are delta-mode: the symmetric streaming join. Otherwise
+    /// the recompute strategy (see the module docs).
+    streaming: bool,
     left_on: Vec<usize>,
     right_on: Vec<usize>,
     left_kind: UpdateKind,
@@ -82,6 +77,17 @@ struct JoinConfig {
     left_schema: Arc<Schema>,
     right_schema: Arc<Schema>,
     out_schema: Arc<Schema>,
+}
+
+impl JoinConfig {
+    /// Key columns and stream kind of the input on `port`.
+    fn side(&self, port: usize) -> (&[usize], UpdateKind) {
+        if port == 0 {
+            (&self.left_on, self.left_kind)
+        } else {
+            (&self.right_on, self.right_kind)
+        }
+    }
 }
 
 /// The in-memory join state of one spill partition (the whole shard when
@@ -103,11 +109,12 @@ struct JoinCore {
 /// Work dispatched to one shard. Frames are the shard-local sub-frames
 /// (the full frame when `S = 1`); hashes are the matching sub-hashes.
 enum JoinTask {
-    StreamLeft {
-        frame: Arc<DataFrame>,
-        hashes: KeyHashes,
-    },
-    StreamRight {
+    /// One input (sub-)frame: streamed against the other side, or — in
+    /// recompute mode — buffered. Buffered frames are hashed only to
+    /// route them, so `hashes` is empty when nothing below the operator
+    /// routes.
+    Frame {
+        port: usize,
         frame: Arc<DataFrame>,
         hashes: KeyHashes,
     },
@@ -116,17 +123,8 @@ enum JoinTask {
     /// Both inputs exhausted (spill mode only): resolve the deferred
     /// matches of drained partitions that buffered post-EOF left rows.
     FinalFlush,
-    /// Recompute mode: buffer one side's (sub-)frame.
-    Buffer { port: usize, frame: Arc<DataFrame> },
     /// Recompute mode: re-join the buffered state in full.
     Recompute,
-}
-
-/// One shard's partial result: the rows it contributes to the operator's
-/// next output frame plus its current buffered-state footprint.
-struct JoinPartial {
-    frame: DataFrame,
-    state_bytes: usize,
 }
 
 impl JoinCore {
@@ -201,6 +199,15 @@ impl JoinCore {
             return Ok(DataFrame::empty(self.cfg.out_schema.clone()));
         }
         self.left.gather(refs)
+    }
+
+    /// The output frame of one step: matched pairs for inner/left joins,
+    /// qualifying left rows for semi/anti.
+    fn build(&self, pairs: &[(RowRef, Option<RowRef>)], left_only: &[RowRef]) -> Result<DataFrame> {
+        match self.cfg.kind {
+            JoinKind::Inner | JoinKind::Left => self.build_pairs(pairs),
+            JoinKind::Semi | JoinKind::Anti => self.build_left_only(left_only),
+        }
     }
 
     // ----- streaming mode -----
@@ -292,10 +299,7 @@ impl JoinCore {
         if kind == JoinKind::Anti {
             self.left_hashes.push(hashes);
         }
-        match kind {
-            JoinKind::Inner | JoinKind::Left => self.build_pairs(&pairs),
-            JoinKind::Semi | JoinKind::Anti => self.build_left_only(&left_only),
-        }
+        self.build(&pairs, &left_only)
     }
 
     fn stream_right(&mut self, frame: &Arc<DataFrame>, hashes: KeyHashes) -> Result<DataFrame> {
@@ -345,10 +349,7 @@ impl JoinCore {
                 JoinKind::Anti => {}
             }
         }
-        match kind {
-            JoinKind::Inner | JoinKind::Left => self.build_pairs(&pairs),
-            JoinKind::Semi | JoinKind::Anti => self.build_left_only(&left_only),
-        }
+        self.build(&pairs, &left_only)
     }
 
     fn stream_right_eof(&mut self) -> Result<DataFrame> {
@@ -405,12 +406,13 @@ impl JoinCore {
     // ----- recompute mode -----
 
     fn buffer(&mut self, port: usize, frame: Arc<DataFrame>) {
-        let (store, kind) = if port == 0 {
-            (&mut self.left, self.cfg.left_kind)
+        let snapshot = self.cfg.side(port).1 == UpdateKind::Snapshot;
+        let store = if port == 0 {
+            &mut self.left
         } else {
-            (&mut self.right, self.cfg.right_kind)
+            &mut self.right
         };
-        if kind == UpdateKind::Snapshot {
+        if snapshot {
             store.clear();
         }
         store.push(frame);
@@ -467,16 +469,7 @@ impl JoinCore {
                 }
             }
         }
-        let out = match self.cfg.kind {
-            JoinKind::Inner | JoinKind::Left => self.build_pairs(&pairs)?,
-            JoinKind::Semi | JoinKind::Anti => {
-                if left_only.is_empty() {
-                    DataFrame::empty(self.cfg.out_schema.clone())
-                } else {
-                    self.left.gather(&left_only)?
-                }
-            }
-        };
+        let out = self.build(&pairs, &left_only)?;
         // Recompute rebuilds the index from scratch each refresh; drop it
         // so buffered state stays proportional to the inputs.
         self.right_index.clear();
@@ -556,7 +549,8 @@ impl JoinCore {
 // Spill partitions (grace-hash join below the shard level)
 // ---------------------------------------------------------------------------
 
-/// One spill partition of a join shard.
+/// One spill partition of a join shard — the payload the shared
+/// [`Partitions`] layer routes to, evicts and rehydrates.
 // A shard holds at most `fanout` (≤ 8 by default) of these, so the
 // StreamSpill variant's four inline run handles (~450 B) cost a few KB
 // per shard — not worth an extra allocation per run access.
@@ -574,6 +568,7 @@ enum JoinPart {
     /// exactly `L0×R1 ∪ L1×R0 ∪ L1×R1`: all pairs minus the pre-spill
     /// emissions.
     StreamSpill {
+        env: SpillEnv,
         l0: RunWriter,
         r0: RunWriter,
         l1: RunWriter,
@@ -583,27 +578,13 @@ enum JoinPart {
     /// every buffered left row has been resolved. Later-arriving left
     /// rows buffer into `pending_left` and resolve at the final flush.
     Drained {
+        env: SpillEnv,
         rights: Vec<RunWriter>,
         pending_left: RunWriter,
     },
     /// Recompute-mode eviction: both buffered sides on disk; every
     /// refresh rehydrates and re-joins this hash subrange.
     BufSpill { left: RunWriter, right: RunWriter },
-}
-
-/// One hash range's worth of join state: a single resident core, or
-/// (under a memory budget) `fanout` hash-subrange partitions, evicted
-/// largest-first when the shard exceeds its byte budget and re-joined
-/// out-of-core (recursively re-partitioned when still too big).
-struct JoinShard {
-    cfg: Arc<JoinConfig>,
-    op_shards: usize,
-    spill: Option<SpillEnv>,
-    parts: Vec<JoinPart>,
-    /// The governor was poisoned (spill device persistently failed) and
-    /// this shard has suspended the budget; recompute-mode partitions
-    /// rehydrated resident, streaming ones stay on their (readable) runs.
-    degraded: bool,
 }
 
 /// A stream-spill chunk's key hashes. Every chunk on the streaming spill
@@ -615,18 +596,42 @@ fn chunk_hashes(c: &Chunk) -> Result<KeyHashes> {
     })
 }
 
+/// A partition in the other mode's state. The mode is fixed when the
+/// operator is built, so this is a bug in this file — but the paths that
+/// could meet it run under spill I/O, at `S = 1` on the polling thread
+/// with no `catch_unwind` above them, so it surfaces typed.
+fn wrong_mode() -> DataError {
+    DataError::Invalid("join partition state does not match the join's mode".into())
+}
+
+fn run_from_chunks(env: &SpillEnv, tag: &str, chunks: &[Chunk]) -> Result<RunWriter> {
+    let mut run = env.new_run(tag);
+    for c in chunks {
+        run.push(c)?;
+    }
+    run.flush()?;
+    Ok(run)
+}
+
+/// A scratch core over recompute-mode runs (plain buffered rows).
+fn load_buffered(cfg: &Arc<JoinConfig>, left: &RunWriter, right: &RunWriter) -> Result<JoinCore> {
+    let mut core = JoinCore::new(cfg.clone());
+    for c in left.read_all()? {
+        core.left.push(c.frame);
+    }
+    for c in right.read_all()? {
+        core.right.push(c.frame);
+    }
+    Ok(core)
+}
+
 /// Scatter chunks into `fanout` sub-partitions by the hash digit at
 /// `depth` (recursive grace-hash split). Flags scatter with their rows.
-fn scatter_chunks(
-    chunks: Vec<Chunk>,
-    op_shards: usize,
-    fanout: usize,
-    depth: usize,
-) -> Result<Vec<Vec<Chunk>>> {
-    let mut out: Vec<Vec<Chunk>> = (0..fanout).map(|_| Vec::new()).collect();
+fn scatter_chunks(chunks: Vec<Chunk>, env: &SpillEnv, depth: usize) -> Result<Vec<Vec<Chunk>>> {
+    let mut out: Vec<Vec<Chunk>> = (0..env.fanout).map(|_| Vec::new()).collect();
     for c in chunks {
         let hashes = chunk_hashes(&c)?;
-        let sels = sub_selections(&hashes.hashes, op_shards, fanout, depth);
+        let sels = env.sub_selections(&hashes.hashes, depth);
         for (p, sel) in sels.iter().enumerate() {
             if sel.is_empty() {
                 continue;
@@ -649,45 +654,23 @@ fn scatter_chunks(
     Ok(out)
 }
 
-/// Resolve one spilled streaming partition: emit exactly the matches not
-/// already emitted before eviction (see [`JoinPart::StreamSpill`]), plus
-/// the right-EOF flush (left-join nulls, anti rows). Recurses into
-/// `fanout` sub-partitions while the runs exceed the shard budget —
-/// the multi-pass half of grace hash.
-#[allow(clippy::too_many_arguments)]
+/// Resolve one spilled streaming partition from its runs `[l0, r0, l1,
+/// r1]`: emit exactly the matches not already emitted before eviction
+/// (see [`JoinPart::StreamSpill`]), plus the right-EOF flush (left-join
+/// nulls, anti rows). Recurses into `fanout` sub-partitions while the
+/// runs exceed the shard budget — the multi-pass half of grace hash.
 fn resolve_stream(
     cfg: &Arc<JoinConfig>,
     env: &SpillEnv,
-    op_shards: usize,
     depth: usize,
-    l0: Vec<Chunk>,
-    r0: Vec<Chunk>,
-    l1: Vec<Chunk>,
-    r1: Vec<Chunk>,
+    runs: [Vec<Chunk>; 4],
     out: &mut Vec<DataFrame>,
 ) -> Result<()> {
-    let total: usize = [&l0, &r0, &l1, &r1]
-        .iter()
-        .flat_map(|v| v.iter())
-        .map(|c| c.byte_size())
-        .sum();
+    let total: usize = runs.iter().flatten().map(|c| c.byte_size()).sum();
     if total > env.shard_budget() && depth < env.max_depth {
-        let mut l0s = scatter_chunks(l0, op_shards, env.fanout, depth)?;
-        let mut r0s = scatter_chunks(r0, op_shards, env.fanout, depth)?;
-        let mut l1s = scatter_chunks(l1, op_shards, env.fanout, depth)?;
-        let mut r1s = scatter_chunks(r1, op_shards, env.fanout, depth)?;
-        for p in 0..env.fanout {
-            resolve_stream(
-                cfg,
-                env,
-                op_shards,
-                depth + 1,
-                std::mem::take(&mut l0s[p]),
-                std::mem::take(&mut r0s[p]),
-                std::mem::take(&mut l1s[p]),
-                std::mem::take(&mut r1s[p]),
-                out,
-            )?;
+        let [l0s, r0s, l1s, r1s] = runs.map(|run| scatter_chunks(run, env, depth));
+        for (((l0, r0), l1), r1) in l0s?.into_iter().zip(r0s?).zip(l1s?).zip(r1s?) {
+            resolve_stream(cfg, env, depth + 1, [l0, r0, l1, r1], out)?;
         }
         return Ok(());
     }
@@ -697,464 +680,278 @@ fn resolve_stream(
     //   R0 (probes the — deliberately empty — left index; no pairs),
     //   L1 → pairs L1×(R0 ∪ R1),
     //   right EOF → null-flush / anti resolution over all lefts.
+    let [l0, r0, l1, r1] = &runs;
     let mut core = JoinCore::new(cfg.clone());
-    let push = |f: DataFrame, out: &mut Vec<DataFrame>| {
-        if f.num_rows() > 0 {
-            out.push(f)
-        }
-    };
-    for c in &r1 {
-        let f = core.stream_right(&c.frame, chunk_hashes(c)?)?;
-        push(f, out);
+    for c in r1 {
+        out.push(core.stream_right(&c.frame, chunk_hashes(c)?)?);
     }
-    for c in &l0 {
-        let f = core.stream_left_ext(&c.frame, chunk_hashes(c)?, c.flags.clone(), false)?;
-        push(f, out);
+    for c in l0 {
+        out.push(core.stream_left_ext(&c.frame, chunk_hashes(c)?, c.flags.clone(), false)?);
     }
-    for c in &r0 {
-        let f = core.stream_right(&c.frame, chunk_hashes(c)?)?;
-        push(f, out);
+    for c in r0 {
+        out.push(core.stream_right(&c.frame, chunk_hashes(c)?)?);
     }
-    for c in &l1 {
-        let f = core.stream_left_ext(&c.frame, chunk_hashes(c)?, None, false)?;
-        push(f, out);
+    for c in l1 {
+        out.push(core.stream_left_ext(&c.frame, chunk_hashes(c)?, None, false)?);
     }
-    let f = core.stream_right_eof()?;
-    push(f, out);
+    out.push(core.stream_right_eof()?);
     Ok(())
 }
 
-impl JoinShard {
-    fn new(cfg: Arc<JoinConfig>, op_shards: usize, spill: Option<SpillEnv>) -> Self {
-        let parts = match &spill {
-            None => vec![JoinPart::Mem(Box::new(JoinCore::new(cfg.clone())))],
-            Some(env) => (0..env.fanout)
-                .map(|_| JoinPart::Mem(Box::new(JoinCore::new(cfg.clone()))))
-                .collect(),
-        };
-        JoinShard {
-            cfg,
-            op_shards: op_shards.max(1),
-            spill,
-            parts,
-            degraded: false,
-        }
-    }
-
-    /// The spill env backing an already-spilled partition. A spilled part
-    /// without an env would be a construction bug — but it is on the I/O
-    /// path, so it surfaces typed rather than panicking a worker.
-    fn spill_env(&self) -> Result<SpillEnv> {
-        self.spill
-            .clone()
-            .ok_or_else(|| DataError::Invalid("spilled join partition without a spill env".into()))
-    }
-
-    fn new_run(&self, env: &SpillEnv, tag: &str) -> RunWriter {
-        RunWriter::new(env.dir.clone(), env.governor.clone(), tag)
-    }
-
-    fn run_from_chunks(&self, env: &SpillEnv, tag: &str, chunks: &[Chunk]) -> Result<RunWriter> {
-        let mut run = self.new_run(env, tag);
-        for c in chunks {
-            run.push(c)?;
-        }
-        run.flush()?;
-        Ok(run)
-    }
-
-    /// Route one streaming (sub-)frame to partitions; resident partitions
-    /// emit immediately, spilled ones defer.
-    fn stream_side(
+impl JoinPart {
+    /// One streaming (sub-)frame: a resident core emits its matches now,
+    /// a spilled partition keeps the rows for its EOF replay.
+    fn stream(
         &mut self,
         frame: &Arc<DataFrame>,
         hashes: KeyHashes,
         is_left: bool,
-    ) -> Result<Vec<DataFrame>> {
-        let mut outs = Vec::new();
-        let Some(env) = self.spill.clone() else {
-            let JoinPart::Mem(core) = &mut self.parts[0] else {
-                unreachable!("unspilled shard is always resident");
-            };
-            outs.push(if is_left {
+        outs: &mut Vec<DataFrame>,
+    ) -> Result<()> {
+        match self {
+            JoinPart::Mem(core) => outs.push(if is_left {
                 core.stream_left(frame, hashes)?
             } else {
                 core.stream_right(frame, hashes)?
-            });
-            return Ok(outs);
-        };
-        let sels = sub_selections(&hashes.hashes, self.op_shards, env.fanout, 0);
-        for (p, sel) in sels.iter().enumerate() {
-            if sel.is_empty() {
-                continue;
+            }),
+            JoinPart::StreamSpill { l1, r1, .. } => {
+                let run = if is_left { l1 } else { r1 };
+                run.push(&Chunk::with_hashes(frame.clone(), hashes))?;
             }
-            let (sub, sub_hashes) = if sel.len() == frame.num_rows() {
-                (frame.clone(), hashes.clone())
-            } else {
-                (Arc::new(frame.select(sel)), hashes.take(sel))
-            };
-            match &mut self.parts[p] {
-                JoinPart::Mem(core) => outs.push(if is_left {
-                    core.stream_left(&sub, sub_hashes)?
-                } else {
-                    core.stream_right(&sub, sub_hashes)?
-                }),
-                JoinPart::StreamSpill { l1, r1, .. } => {
-                    let run = if is_left { l1 } else { r1 };
-                    run.push(&Chunk::with_hashes(sub, sub_hashes))?;
-                }
-                JoinPart::Drained {
-                    rights,
-                    pending_left,
-                } => {
-                    if is_left {
-                        pending_left.push(&Chunk::with_hashes(sub, sub_hashes))?;
-                    } else {
-                        // Right rows cannot follow right EOF; keep them
-                        // anyway so a misbehaving source loses no data.
-                        debug_assert!(false, "right row after right EOF");
-                        let run = rights.last_mut().ok_or_else(|| {
-                            DataError::Invalid("drained join partition has no right run".into())
-                        })?;
-                        run.push(&Chunk::with_hashes(sub, sub_hashes))?;
-                    }
-                }
-                JoinPart::BufSpill { .. } => unreachable!("buffer spill in streaming mode"),
-            }
-        }
-        self.enforce_budget()?;
-        Ok(outs)
-    }
-
-    /// Right EOF: resident cores flush; spilled partitions resolve their
-    /// deferred matches (recursively if oversized) and become drained.
-    fn right_eof_all(&mut self) -> Result<Vec<DataFrame>> {
-        let mut outs = Vec::new();
-        for p in 0..self.parts.len() {
-            match &mut self.parts[p] {
-                JoinPart::Mem(core) => {
-                    let f = core.stream_right_eof()?;
-                    if f.num_rows() > 0 {
-                        outs.push(f);
-                    }
-                }
-                JoinPart::StreamSpill { .. } => {
-                    let env = self.spill_env()?;
-                    let placeholder = JoinPart::Mem(Box::new(JoinCore::new(self.cfg.clone())));
-                    let JoinPart::StreamSpill { l0, r0, l1, r1 } =
-                        std::mem::replace(&mut self.parts[p], placeholder)
-                    else {
-                        unreachable!()
-                    };
-                    resolve_stream(
-                        &self.cfg,
-                        &env,
-                        self.op_shards,
-                        1,
-                        l0.read_all()?,
-                        r0.read_all()?,
-                        l1.read_all()?,
-                        r1.read_all()?,
-                        &mut outs,
-                    )?;
-                    // Keep the complete right side on disk for left rows
-                    // that may still arrive; l0/l1 are fully resolved and
-                    // their files delete on drop.
-                    let pending_left = self.new_run(&env, "join-pl");
-                    self.parts[p] = JoinPart::Drained {
-                        rights: vec![r0, r1],
-                        pending_left,
-                    };
-                }
-                JoinPart::Drained { .. } => {}
-                JoinPart::BufSpill { .. } => unreachable!("buffer spill in streaming mode"),
-            }
-        }
-        Ok(outs)
-    }
-
-    /// Both EOFs: resolve drained partitions' pending left rows (they
-    /// probe the full on-disk right side, then take the right-EOF flush).
-    fn final_flush_all(&mut self) -> Result<Vec<DataFrame>> {
-        let mut outs = Vec::new();
-        let spill = self.spill.clone();
-        for part in &mut self.parts {
-            if let JoinPart::Drained {
+            JoinPart::Drained {
                 rights,
                 pending_left,
-            } = part
-            {
-                if pending_left.is_empty() {
-                    continue;
-                }
-                let env = spill.clone().ok_or_else(|| {
-                    DataError::Invalid("spilled join partition without a spill env".into())
-                })?;
-                let mut right_chunks = Vec::new();
-                for r in rights.iter() {
-                    right_chunks.extend(r.read_all()?);
-                }
-                let pending = pending_left.read_all()?;
-                pending_left.clear();
-                resolve_stream(
-                    &self.cfg,
-                    &env,
-                    self.op_shards,
-                    1,
-                    Vec::new(),
-                    right_chunks,
-                    pending,
-                    Vec::new(),
-                    &mut outs,
-                )?;
+                ..
+            } => {
+                let run = if is_left {
+                    pending_left
+                } else {
+                    // Right rows cannot follow right EOF; keep them
+                    // anyway so a misbehaving source loses no data.
+                    debug_assert!(false, "right row after right EOF");
+                    rights.last_mut().ok_or_else(|| {
+                        DataError::Invalid("drained join partition has no right run".into())
+                    })?
+                };
+                run.push(&Chunk::with_hashes(frame.clone(), hashes))?;
             }
+            JoinPart::BufSpill { .. } => return Err(wrong_mode()),
         }
-        Ok(outs)
+        Ok(())
     }
 
-    /// Recompute-mode buffering with partition routing. Snapshot-kind
-    /// sides clear every partition (a refresh invalidates stale state
-    /// even where the new version has no rows).
-    fn buffer_all(&mut self, port: usize, frame: &Arc<DataFrame>) -> Result<()> {
-        let Some(env) = self.spill.clone() else {
-            let JoinPart::Mem(core) = &mut self.parts[0] else {
-                unreachable!()
-            };
-            core.buffer(port, frame.clone());
+    /// Right EOF: a resident core flushes; a spilled partition resolves
+    /// its deferred matches (recursively if oversized) and becomes
+    /// drained.
+    fn right_eof(&mut self, cfg: &Arc<JoinConfig>, outs: &mut Vec<DataFrame>) -> Result<()> {
+        match self {
+            JoinPart::Mem(core) => outs.push(core.stream_right_eof()?),
+            JoinPart::StreamSpill {
+                env,
+                l0,
+                r0,
+                l1,
+                r1,
+            } => {
+                let runs = [
+                    l0.read_all()?,
+                    r0.read_all()?,
+                    l1.read_all()?,
+                    r1.read_all()?,
+                ];
+                resolve_stream(cfg, env, 1, runs, outs)?;
+                // Keep the complete right side on disk for left rows
+                // that may still arrive (a run handle can only leave this
+                // variant by trading places with an empty one); l0/l1 are
+                // fully resolved and their files delete on drop.
+                let rights = [r0, r1].map(|r| std::mem::replace(r, env.new_run("join-r")));
+                *self = JoinPart::Drained {
+                    pending_left: env.new_run("join-pl"),
+                    env: env.clone(),
+                    rights: rights.into(),
+                };
+            }
+            JoinPart::Drained { .. } => {}
+            JoinPart::BufSpill { .. } => return Err(wrong_mode()),
+        }
+        Ok(())
+    }
+
+    /// Both EOFs: a drained partition's pending left rows probe the full
+    /// on-disk right side, then take the right-EOF flush.
+    fn final_flush(&mut self, cfg: &Arc<JoinConfig>, outs: &mut Vec<DataFrame>) -> Result<()> {
+        let JoinPart::Drained {
+            env,
+            rights,
+            pending_left,
+        } = self
+        else {
             return Ok(());
         };
-        let (key_cols, side_kind) = if port == 0 {
-            (&self.cfg.left_on, self.cfg.left_kind)
+        if pending_left.is_empty() {
+            return Ok(());
+        }
+        let mut right_chunks = Vec::new();
+        for r in rights.iter() {
+            right_chunks.extend(r.read_all()?);
+        }
+        let pending = pending_left.read_all()?;
+        pending_left.clear();
+        let runs = [Vec::new(), right_chunks, pending, Vec::new()];
+        resolve_stream(cfg, env, 1, runs, outs)
+    }
+
+    /// Recompute-mode buffering. A snapshot-kind side replaces what this
+    /// partition held (a refresh invalidates stale state even where the
+    /// new version has no rows); a delta side appends.
+    fn buffer(&mut self, port: usize, frame: &Arc<DataFrame>, snapshot: bool) -> Result<()> {
+        match self {
+            JoinPart::Mem(core) => core.buffer(port, frame.clone()),
+            JoinPart::BufSpill { left, right } => {
+                let run = if port == 0 { left } else { right };
+                if snapshot {
+                    run.clear();
+                }
+                if frame.num_rows() > 0 {
+                    run.push(&Chunk::frame_only(frame.clone()))?;
+                }
+            }
+            _ => return Err(wrong_mode()),
+        }
+        Ok(())
+    }
+
+    /// Re-join this partition in full: a resident core in place, a
+    /// spilled one through a scratch core (memory stays ~one partition).
+    fn recompute(&mut self, cfg: &Arc<JoinConfig>) -> Result<DataFrame> {
+        match self {
+            JoinPart::Mem(core) => core.recompute(),
+            JoinPart::BufSpill { left, right } => load_buffered(cfg, left, right)?.recompute(),
+            _ => Err(wrong_mode()),
+        }
+    }
+}
+
+impl Partition for JoinPart {
+    type Cfg = JoinConfig;
+    type Task = JoinTask;
+    /// The rows this shard contributes to the operator's next output.
+    type Out = DataFrame;
+
+    fn new(cfg: &Arc<JoinConfig>) -> Self {
+        JoinPart::Mem(Box::new(JoinCore::new(cfg.clone())))
+    }
+
+    fn resident_bytes(&self) -> Option<usize> {
+        match self {
+            JoinPart::Mem(core) => Some(core.state_bytes()).filter(|&b| b > 0),
+            _ => None,
+        }
+    }
+
+    fn evict(&mut self, env: &SpillEnv) -> Result<()> {
+        let JoinPart::Mem(core) = self else {
+            return Err(DataError::Invalid(
+                "only a resident join partition can be evicted".into(),
+            ));
+        };
+        let spilled = if !core.cfg.streaming {
+            let (lefts, rights) = core.eviction_chunks_buffered();
+            JoinPart::BufSpill {
+                left: run_from_chunks(env, "join-bl", &lefts)?,
+                right: run_from_chunks(env, "join-br", &rights)?,
+            }
         } else {
-            (&self.cfg.right_on, self.cfg.right_kind)
-        };
-        let snapshot = side_kind == UpdateKind::Snapshot;
-        let hashes = hash_keys(frame, key_cols);
-        let sels = sub_selections(&hashes.hashes, self.op_shards, env.fanout, 0);
-        for (p, sel) in sels.iter().enumerate() {
-            let sub: Arc<DataFrame> = if sel.len() == frame.num_rows() {
-                frame.clone()
+            let (lefts, rights) = core.eviction_chunks_streaming();
+            if core.right_eof {
+                // Right side complete and all lefts resolved:
+                // only the rights matter for future left rows.
+                JoinPart::Drained {
+                    env: env.clone(),
+                    rights: vec![run_from_chunks(env, "join-r", &rights)?],
+                    pending_left: env.new_run("join-pl"),
+                }
             } else {
-                Arc::new(frame.select(sel))
-            };
-            match &mut self.parts[p] {
-                JoinPart::Mem(core) => {
-                    if snapshot || !sel.is_empty() {
-                        core.buffer(port, sub);
-                    }
+                JoinPart::StreamSpill {
+                    env: env.clone(),
+                    l0: run_from_chunks(env, "join-l0", &lefts)?,
+                    r0: run_from_chunks(env, "join-r0", &rights)?,
+                    l1: env.new_run("join-l1"),
+                    r1: env.new_run("join-r1"),
                 }
-                JoinPart::BufSpill { left, right } => {
-                    let run = if port == 0 { left } else { right };
-                    if snapshot {
-                        run.clear();
-                    }
-                    if !sel.is_empty() {
-                        run.push(&Chunk::frame_only(sub))?;
-                    }
-                }
-                _ => unreachable!("streaming spill in recompute mode"),
             }
-        }
-        self.enforce_budget()?;
-        Ok(())
-    }
-
-    /// Recompute every partition: resident cores re-join in place,
-    /// spilled ones rehydrate into a scratch core and re-join one
-    /// subrange at a time (memory stays ~one partition).
-    fn recompute_all(&mut self) -> Result<Vec<DataFrame>> {
-        let mut outs = Vec::new();
-        for part in &mut self.parts {
-            match part {
-                JoinPart::Mem(core) => {
-                    let f = core.recompute()?;
-                    if f.num_rows() > 0 {
-                        outs.push(f);
-                    }
-                }
-                JoinPart::BufSpill { left, right } => {
-                    let mut core = JoinCore::new(self.cfg.clone());
-                    for c in left.read_all()? {
-                        core.left.push(c.frame);
-                    }
-                    for c in right.read_all()? {
-                        core.right.push(c.frame);
-                    }
-                    let f = core.recompute()?;
-                    if f.num_rows() > 0 {
-                        outs.push(f);
-                    }
-                }
-                _ => unreachable!("streaming spill in recompute mode"),
-            }
-        }
-        Ok(outs)
-    }
-
-    /// The spill device failed persistently: suspend the budget and bring
-    /// back what can safely come back. Recompute-mode (`BufSpill`)
-    /// partitions rehydrate to resident cores — their runs are plain
-    /// buffered rows. Streaming partitions (`StreamSpill`/`Drained`) stay
-    /// on their runs: the epoch split exists precisely because a
-    /// mid-stream partition cannot be reconstructed resident without
-    /// re-emitting already-emitted matches, and their resolution path
-    /// only *reads* — which a full device (`ENOSPC`) still serves, and a
-    /// persistently unreadable one fails typed. New arrivals to those
-    /// partitions accumulate in the runs' pending buffers (writes
-    /// soft-fail into memory), so no data is lost either way.
-    fn degrade(&mut self) -> Result<()> {
-        // Flag first: a failed rehydration read below must not leave the
-        // shard trying to evict to the dead device forever.
-        self.degraded = true;
-        for part in &mut self.parts {
-            if let JoinPart::BufSpill { left, right } = part {
-                let mut core = JoinCore::new(self.cfg.clone());
-                for c in left.read_all()? {
-                    core.left.push(c.frame);
-                }
-                for c in right.read_all()? {
-                    core.right.push(c.frame);
-                }
-                left.clear();
-                right.clear();
-                *part = JoinPart::Mem(Box::new(core));
-            }
-        }
-        Ok(())
-    }
-
-    /// While over the shard budget, evict the largest resident partition
-    /// (the governor's eviction policy).
-    fn enforce_budget(&mut self) -> Result<()> {
-        let Some(env) = self.spill.clone() else {
-            return Ok(());
         };
-        if self.degraded {
-            return Ok(());
-        }
-        if env.governor.is_poisoned() {
-            return self.degrade();
-        }
-        while self.state_bytes() > env.shard_budget() {
-            if env.governor.is_poisoned() {
-                // An eviction's flush just soft-failed into its pending
-                // buffer: the loop can never shed bytes, stop evicting.
-                return self.degrade();
-            }
-            let victim = self
-                .parts
-                .iter()
-                .enumerate()
-                .filter_map(|(i, p)| match p {
-                    JoinPart::Mem(core) => {
-                        let b = core.state_bytes();
-                        (b > 0).then_some((i, b))
-                    }
-                    _ => None,
-                })
-                .max_by_key(|&(_, bytes)| bytes);
-            let Some((i, _)) = victim else {
-                break; // everything spillable is already on disk
-            };
-            let JoinPart::Mem(core) = &self.parts[i] else {
-                unreachable!()
-            };
-            let new_part = match self.cfg.mode {
-                Mode::Streaming => {
-                    let (lefts, rights) = core.eviction_chunks_streaming();
-                    if core.right_eof {
-                        // Right side complete and all lefts resolved:
-                        // only the rights matter for future left rows.
-                        JoinPart::Drained {
-                            rights: vec![self.run_from_chunks(&env, "join-r", &rights)?],
-                            pending_left: self.new_run(&env, "join-pl"),
-                        }
-                    } else {
-                        JoinPart::StreamSpill {
-                            l0: self.run_from_chunks(&env, "join-l0", &lefts)?,
-                            r0: self.run_from_chunks(&env, "join-r0", &rights)?,
-                            l1: self.new_run(&env, "join-l1"),
-                            r1: self.new_run(&env, "join-r1"),
-                        }
-                    }
-                }
-                Mode::Recompute => {
-                    let (lefts, rights) = core.eviction_chunks_buffered();
-                    JoinPart::BufSpill {
-                        left: self.run_from_chunks(&env, "join-bl", &lefts)?,
-                        right: self.run_from_chunks(&env, "join-br", &rights)?,
-                    }
-                }
-            };
-            env.governor.record_eviction();
-            self.parts[i] = new_part;
+        *self = spilled;
+        Ok(())
+    }
+
+    /// Recompute-mode partitions come back — their runs are plain
+    /// buffered rows. Streaming partitions stay on their runs: the epoch
+    /// split exists precisely because a mid-stream partition cannot be
+    /// reconstructed resident without re-emitting already-emitted
+    /// matches, and their resolution path only *reads* — which a full
+    /// device (`ENOSPC`) still serves, and a persistently unreadable one
+    /// fails typed. New arrivals to those partitions accumulate in the
+    /// runs' pending buffers (writes soft-fail into memory), so no data
+    /// is lost either way.
+    fn rehydrate(&mut self, cfg: &Arc<JoinConfig>) -> Result<()> {
+        if let JoinPart::BufSpill { left, right } = self {
+            *self = JoinPart::Mem(Box::new(load_buffered(cfg, left, right)?));
         }
         Ok(())
     }
 
     fn state_bytes(&self) -> usize {
-        self.parts
-            .iter()
-            .map(|p| match p {
-                JoinPart::Mem(core) => core.state_bytes(),
-                JoinPart::StreamSpill { l0, r0, l1, r1 } => {
-                    l0.pending_bytes()
-                        + r0.pending_bytes()
-                        + l1.pending_bytes()
-                        + r1.pending_bytes()
-                        + 64
-                }
-                JoinPart::Drained {
-                    rights,
-                    pending_left,
-                } => {
-                    rights.iter().map(|r| r.pending_bytes()).sum::<usize>()
-                        + pending_left.pending_bytes()
-                        + 64
-                }
-                JoinPart::BufSpill { left, right } => {
-                    left.pending_bytes() + right.pending_bytes() + 64
-                }
-            })
-            .sum()
-    }
-
-    /// Concatenate partition outputs into the shard's single result frame
-    /// (partitions are key-disjoint, like shards one level up).
-    fn merge_outputs(&self, mut frames: Vec<DataFrame>) -> Result<DataFrame> {
-        frames.retain(|f| f.num_rows() > 0);
-        match frames.len() {
-            0 => Ok(DataFrame::empty(self.cfg.out_schema.clone())),
-            1 => Ok(frames.pop().expect("one frame")),
-            _ => {
-                let refs: Vec<&DataFrame> = frames.iter().collect();
-                DataFrame::concat(&refs)
+        let pending = |runs: &[&RunWriter]| runs.iter().map(|r| r.pending_bytes()).sum::<usize>();
+        match self {
+            JoinPart::Mem(core) => core.state_bytes(),
+            JoinPart::StreamSpill { l0, r0, l1, r1, .. } => pending(&[l0, r0, l1, r1]) + 64,
+            JoinPart::Drained {
+                rights,
+                pending_left,
+                ..
+            } => {
+                rights.iter().map(|r| r.pending_bytes()).sum::<usize>()
+                    + pending_left.pending_bytes()
+                    + 64
             }
+            JoinPart::BufSpill { left, right } => pending(&[left, right]) + 64,
         }
     }
-}
 
-impl ShardWork for JoinShard {
-    type Task = JoinTask;
-    type Out = Result<JoinPartial>;
-
-    fn run(&mut self, task: JoinTask) -> Result<JoinPartial> {
-        let frames = match task {
-            JoinTask::StreamLeft { frame, hashes } => self.stream_side(&frame, hashes, true)?,
-            JoinTask::StreamRight { frame, hashes } => self.stream_side(&frame, hashes, false)?,
-            JoinTask::RightEof => self.right_eof_all()?,
-            JoinTask::FinalFlush => self.final_flush_all()?,
-            JoinTask::Buffer { port, frame } => {
-                self.buffer_all(port, &frame)?;
-                Vec::new()
+    fn run(shard: &mut Partitions<Self>, task: JoinTask) -> Result<(DataFrame, Option<usize>)> {
+        let cfg = shard.cfg().clone();
+        let mut outs = Vec::new();
+        match task {
+            JoinTask::Frame {
+                port,
+                frame,
+                hashes,
+            } if cfg.streaming => {
+                shard.scatter(&frame, hashes, false, |part, sub, sub_hashes| {
+                    part.stream(sub, sub_hashes, port == 0, &mut outs)
+                })?
             }
-            JoinTask::Recompute => self.recompute_all()?,
-        };
-        let frame = self.merge_outputs(frames)?;
-        Ok(JoinPartial {
-            frame,
-            state_bytes: self.state_bytes(),
-        })
+            JoinTask::Frame {
+                port,
+                frame,
+                hashes,
+            } => {
+                let snapshot = cfg.side(port).1 == UpdateKind::Snapshot;
+                shard.scatter(&frame, hashes, snapshot, |part, sub, _| {
+                    part.buffer(port, sub, snapshot)
+                })?
+            }
+            JoinTask::RightEof => shard.each(|part| part.right_eof(&cfg, &mut outs))?,
+            JoinTask::FinalFlush => shard.each(|part| part.final_flush(&cfg, &mut outs))?,
+            JoinTask::Recompute => shard.each(|part| {
+                outs.push(part.recompute(&cfg)?);
+                Ok(())
+            })?,
+        }
+        // Partitions are key-disjoint, like shards one level up.
+        let frame = concat_partials(&cfg.out_schema, outs)?;
+        Ok((frame, Some(shard.state_bytes())))
     }
 }
 
@@ -1162,15 +959,7 @@ impl ShardWork for JoinShard {
 /// The keyed state is hash-range sharded; see the module docs.
 pub struct JoinOp {
     cfg: Arc<JoinConfig>,
-    state: ShardedState<JoinShard>,
-    /// Last-reported buffered bytes per shard (shard state may live on
-    /// worker threads, so the footprint is tracked via task results).
-    shard_bytes: Vec<usize>,
-    /// Memory-governance plan (None = unbounded, the resident-only path).
-    spill: Option<SpillPlan>,
-    /// The current shard count (so `with_spill` and `with_shards` compose
-    /// in either order).
-    shards: usize,
+    keyed: KeyedState<JoinPart>,
     left_eof: bool,
     right_eof: bool,
     emitted_any: bool,
@@ -1225,11 +1014,7 @@ impl JoinOp {
         let meta = EdfMeta::new(out_schema.clone(), left.primary_key.clone(), out_kind);
         let cfg = Arc::new(JoinConfig {
             kind,
-            mode: if streaming {
-                Mode::Streaming
-            } else {
-                Mode::Recompute
-            },
+            streaming,
             left_on: left_idx,
             right_on: right_idx,
             left_kind: left.kind,
@@ -1239,11 +1024,8 @@ impl JoinOp {
             out_schema,
         });
         Ok(JoinOp {
-            state: ShardedState::new(vec![JoinShard::new(cfg.clone(), 1, None)]),
-            shard_bytes: vec![0],
+            keyed: KeyedState::new(cfg.clone()),
             cfg,
-            spill: None,
-            shards: 1,
             left_eof: false,
             right_eof: false,
             emitted_any: false,
@@ -1258,12 +1040,8 @@ impl JoinOp {
     /// with [`Self::with_shards`] in either order; must precede
     /// execution. `None` keeps the unbounded resident path.
     pub fn with_spill(mut self, spill: Option<SpillPlan>) -> Self {
-        debug_assert!(
-            !self.emitted_any && self.progress.t() == 0.0,
-            "with_spill must precede execution"
-        );
-        self.spill = spill;
-        self.rebuild_shards()
+        self.keyed = self.keyed.with_spill(spill);
+        self
     }
 
     /// Re-plan the operator onto `shards` hash-range shards (one runs on
@@ -1271,107 +1049,21 @@ impl JoinOp {
     /// [`crate::ops::sharded`]). Must be called before any update is
     /// consumed.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        debug_assert!(
-            !self.emitted_any && self.progress.t() == 0.0,
-            "with_shards must precede execution"
-        );
-        self.shards = shards.max(1);
-        self.rebuild_shards()
-    }
-
-    fn rebuild_shards(mut self) -> Self {
-        let shards = self.shards;
-        let env = self.spill.as_ref().map(|p| p.shard_env(shards));
-        self.state = ShardedState::new(
-            (0..shards)
-                .map(|_| JoinShard::new(self.cfg.clone(), shards, env.clone()))
-                .collect(),
-        );
-        self.shard_bytes = vec![0; shards];
+        self.keyed = self.keyed.with_shards(shards);
         self
     }
 
-    /// Split one frame into per-shard stream tasks by key hash. With one
-    /// shard, the original frame and hashes pass through untouched.
-    fn stream_tasks(
-        &self,
-        frame: &Arc<DataFrame>,
-        key_cols: &[usize],
-        make: impl Fn(Arc<DataFrame>, KeyHashes) -> JoinTask,
-    ) -> Vec<Option<JoinTask>> {
-        let hashes = hash_keys(frame, key_cols);
-        let shards = self.state.num_shards();
-        if shards == 1 {
-            return vec![Some(make(frame.clone(), hashes))];
-        }
-        shard_selections(&hashes, shards)
-            .into_iter()
-            .map(|sel| {
-                if sel.is_empty() {
-                    None
-                } else {
-                    let sub = Arc::new(frame.select(&sel));
-                    let sub_hashes = hashes.take(&sel);
-                    Some(make(sub, sub_hashes))
-                }
-            })
-            .collect()
+    /// Join the shards' partials: key-disjoint, so plain concat.
+    fn merged(&self, partials: Vec<Option<DataFrame>>) -> Result<DataFrame> {
+        concat_partials(
+            &self.cfg.out_schema,
+            partials.into_iter().flatten().collect(),
+        )
     }
 
-    /// Per-shard buffer tasks for recompute mode. Snapshot-kind sides must
-    /// reach *every* shard (a refresh clears stale state even where the
-    /// new version has no rows); delta sides skip empty sub-frames.
-    fn buffer_tasks(&self, port: usize, frame: &Arc<DataFrame>) -> Vec<Option<JoinTask>> {
-        let (key_cols, side_kind) = if port == 0 {
-            (&self.cfg.left_on, self.cfg.left_kind)
-        } else {
-            (&self.cfg.right_on, self.cfg.right_kind)
-        };
-        let shards = self.state.num_shards();
-        if shards == 1 {
-            return vec![Some(JoinTask::Buffer {
-                port,
-                frame: frame.clone(),
-            })];
-        }
-        let hashes = hash_keys(frame, key_cols);
-        shard_selections(&hashes, shards)
-            .into_iter()
-            .map(|sel| {
-                if sel.is_empty() && side_kind != UpdateKind::Snapshot {
-                    None
-                } else {
-                    Some(JoinTask::Buffer {
-                        port,
-                        frame: Arc::new(frame.select(&sel)),
-                    })
-                }
-            })
-            .collect()
-    }
-
-    /// Scatter tasks, join, fold the partials: record per-shard footprints
-    /// and concatenate the shard outputs (key-disjoint, so plain concat).
-    fn run_merged(&mut self, tasks: Vec<Option<JoinTask>>) -> Result<DataFrame> {
-        let outs = self.state.run(tasks)?;
-        let mut frames: Vec<DataFrame> = Vec::new();
-        for (s, out) in outs.into_iter().enumerate() {
-            if let Some(partial) = out {
-                let partial = partial?;
-                self.shard_bytes[s] = partial.state_bytes;
-                if partial.frame.num_rows() > 0 {
-                    frames.push(partial.frame);
-                }
-            }
-        }
-        match frames.len() {
-            0 => Ok(DataFrame::empty(self.cfg.out_schema.clone())),
-            1 => Ok(frames.pop().expect("one frame")),
-            _ => {
-                let refs: Vec<&DataFrame> = frames.iter().collect();
-                DataFrame::concat(&refs)
-            }
-        }
+    fn broadcast(&mut self, task: impl Fn() -> JoinTask) -> Result<DataFrame> {
+        let partials = self.keyed.broadcast(task)?;
+        self.merged(partials)
     }
 
     fn emit(&mut self, frame: DataFrame) -> Vec<Update> {
@@ -1389,73 +1081,69 @@ impl JoinOp {
 
 impl Operator for JoinOp {
     fn on_update(&mut self, port: usize, update: &Update) -> Result<Vec<Update>> {
+        if port > 1 {
+            return Err(DataError::Invalid(format!("join has 2 ports, got {port}")));
+        }
         self.progress.merge(&update.progress);
-        let out = match self.cfg.mode {
-            Mode::Streaming => {
-                let tasks = match port {
-                    0 => self.stream_tasks(&update.frame, &self.cfg.left_on, |frame, hashes| {
-                        JoinTask::StreamLeft { frame, hashes }
-                    }),
-                    1 => self.stream_tasks(&update.frame, &self.cfg.right_on, |frame, hashes| {
-                        JoinTask::StreamRight { frame, hashes }
-                    }),
-                    _ => return Err(DataError::Invalid(format!("join has 2 ports, got {port}"))),
-                };
-                self.run_merged(tasks)?
-            }
-            Mode::Recompute => {
-                if port > 1 {
-                    return Err(DataError::Invalid(format!("join has 2 ports, got {port}")));
+        let (key_cols, side_kind) = self.cfg.side(port);
+        let streaming = self.cfg.streaming;
+        // Buffered frames are hashed to route them, not to join them
+        // (`recompute` rehashes every refresh).
+        let hashes = if streaming || self.keyed.routes() {
+            hash_keys(&update.frame, key_cols)
+        } else {
+            KeyHashes::default()
+        };
+        // A snapshot-kind side must reach every shard: the refresh clears
+        // stale state even where the new version has no rows.
+        let every = !streaming && side_kind == UpdateKind::Snapshot;
+        let tasks = self
+            .keyed
+            .scatter(&update.frame, hashes, every, |frame, hashes| {
+                JoinTask::Frame {
+                    port,
+                    frame,
+                    hashes,
                 }
-                let buffers = self.buffer_tasks(port, &update.frame);
-                self.run_merged(buffers)?;
-                let shards = self.state.num_shards();
-                self.run_merged((0..shards).map(|_| Some(JoinTask::Recompute)).collect())?
-            }
+            });
+        let partials = self.keyed.run(tasks)?;
+        let out = if streaming {
+            self.merged(partials)?
+        } else {
+            self.broadcast(|| JoinTask::Recompute)?
         };
         Ok(self.emit(out))
     }
 
     fn on_eof(&mut self, port: usize) -> Result<Vec<Update>> {
-        let mut out = match port {
-            0 => {
-                self.left_eof = true;
-                Vec::new()
-            }
+        let streaming = self.cfg.streaming;
+        let mut out = Vec::new();
+        match port {
+            0 => self.left_eof = true,
             1 => {
                 self.right_eof = true;
-                match self.cfg.mode {
-                    Mode::Streaming => {
-                        let shards = self.state.num_shards();
-                        let flush = self
-                            .run_merged((0..shards).map(|_| Some(JoinTask::RightEof)).collect())?;
-                        self.emit(flush)
-                    }
-                    // Recompute mode already reflects the final right state.
-                    Mode::Recompute => Vec::new(),
+                // Recompute mode already reflects the final right state.
+                if streaming {
+                    let flush = self.broadcast(|| JoinTask::RightEof)?;
+                    out = self.emit(flush);
                 }
             }
             _ => return Err(DataError::Invalid(format!("join has 2 ports, got {port}"))),
-        };
-        // Spilled streaming joins may hold deferred matches for left rows
-        // that arrived after right EOF (their partition was drained to
-        // disk): resolve them once both inputs are exhausted.
-        if self.left_eof && self.right_eof && self.spill.is_some() {
-            if let Mode::Streaming = self.cfg.mode {
-                let shards = self.state.num_shards();
-                let flush =
-                    self.run_merged((0..shards).map(|_| Some(JoinTask::FinalFlush)).collect())?;
+        }
+        if self.left_eof && self.right_eof {
+            // Spilled streaming joins may hold deferred matches for left
+            // rows that arrived after right EOF (their partition was
+            // drained to disk): resolve them once both inputs are
+            // exhausted.
+            if streaming && self.keyed.spills() {
+                let flush = self.broadcast(|| JoinTask::FinalFlush)?;
                 out.extend(self.emit(flush));
             }
-        }
-        // Snapshot-mode joins must publish at least one (possibly empty)
-        // state so downstream consumers learn the final answer even when
-        // no input ever arrived.
-        if self.left_eof && self.right_eof && !self.emitted_any {
-            if let Mode::Recompute = self.cfg.mode {
-                let shards = self.state.num_shards();
-                let full =
-                    self.run_merged((0..shards).map(|_| Some(JoinTask::Recompute)).collect())?;
+            // Snapshot-mode joins must publish at least one (possibly
+            // empty) state so downstream consumers learn the final answer
+            // even when no input ever arrived.
+            if !streaming && !self.emitted_any {
+                let full = self.broadcast(|| JoinTask::Recompute)?;
                 out.extend(self.emit(full));
             }
         }
@@ -1467,13 +1155,11 @@ impl Operator for JoinOp {
     }
 
     fn state_bytes(&self) -> usize {
-        self.shard_bytes.iter().sum()
+        self.keyed.state_bytes()
     }
 
     fn report(&self) -> crate::ops::OpReport {
-        crate::ops::OpReport {
-            shard_state_bytes: self.shard_bytes.clone(),
-        }
+        self.keyed.report()
     }
 }
 
@@ -1804,18 +1490,24 @@ mod tests {
         cfg.fanout = 2;
         let plan = cfg.build_plan(1).unwrap().unwrap();
         let env = plan.shard_env(1);
-        let mut shard = JoinShard::new(join(JoinKind::Inner).cfg.clone(), 1, Some(env.clone()));
+        let mut shard = Partitions::new(join(JoinKind::Inner).cfg.clone(), Some(env.clone()));
+        let stream_left = |shard: &mut Partitions<JoinPart>, frame: &Arc<DataFrame>| {
+            let task = JoinTask::Frame {
+                port: 0,
+                frame: frame.clone(),
+                hashes: hash_keys(frame, &[0]),
+            };
+            JoinPart::run(shard, task).unwrap();
+        };
         let lf = Arc::new(kv_frame((0..200).collect(), vec![1.0; 200]));
-        let hashes = hash_keys(&lf, &[0]);
-        shard.stream_side(&lf, hashes.clone(), true).unwrap();
+        stream_left(&mut shard, &lf);
         // Over budget => evicted; stream more lefts into the spilled
         // partitions and confirm their pending bytes are charged.
         let before = shard.state_bytes();
         let lf2 = Arc::new(kv_frame((200..260).collect(), vec![2.0; 60]));
-        let h2 = hash_keys(&lf2, &[0]);
-        shard.stream_side(&lf2, h2, true).unwrap();
+        stream_left(&mut shard, &lf2);
         let pending: usize = shard
-            .parts
+            .parts()
             .iter()
             .map(|p| match p {
                 JoinPart::StreamSpill { l1, .. } => l1.pending_bytes(),

@@ -14,6 +14,7 @@ pub mod join;
 pub mod key_index;
 pub mod map;
 pub mod map_ci;
+pub mod partitions;
 pub mod sharded;
 pub mod sort;
 pub mod spill;

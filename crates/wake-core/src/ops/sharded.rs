@@ -106,12 +106,6 @@ impl<W: ShardWork> ShardedState<W> {
             Inner::Pool(pool) => pool.run(tasks),
         }
     }
-
-    /// Run the same-task-per-shard broadcast built by `f` on every shard.
-    pub fn broadcast(&mut self, f: impl Fn(usize) -> W::Task) -> Result<Vec<Option<W::Out>>> {
-        let tasks = (0..self.num_shards).map(|s| Some(f(s))).collect();
-        self.run(tasks)
-    }
 }
 
 fn shard_panic_error() -> DataError {
@@ -225,7 +219,7 @@ mod tests {
         // Skipped shards keep their state untouched.
         let outs = st.run(vec![None, Some(3)]).unwrap();
         assert_eq!(outs, vec![None, Some(105)]);
-        let outs = st.broadcast(|s| s as i64).unwrap();
+        let outs = st.run(vec![Some(0), Some(1)]).unwrap();
         assert_eq!(outs, vec![Some(1), Some(106)]);
     }
 

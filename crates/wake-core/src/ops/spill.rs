@@ -14,7 +14,7 @@ use crate::agg::{AggState, DistinctSet};
 use crate::Result;
 use std::collections::HashSet;
 use std::sync::Arc;
-use wake_data::colfile::ByteCursor;
+use wake_data::colfile::{read_value, read_value_tagged, write_value, ByteCursor};
 use wake_data::{DataError, Value};
 use wake_stats::Moments;
 
@@ -44,58 +44,21 @@ fn get_moments(c: &mut ByteCursor<'_>) -> Result<Moments> {
     })
 }
 
+/// `Option<Value>` on top of the shared [`Value`] codec: `None` is the one
+/// tag [`write_value`] never writes.
 const VAL_NONE: u8 = 0;
-const VAL_NULL: u8 = 1;
-const VAL_INT: u8 = 2;
-const VAL_FLOAT: u8 = 3;
-const VAL_BOOL: u8 = 4;
-const VAL_STR: u8 = 5;
-const VAL_DATE: u8 = 6;
 
-/// Encode an `Option<Value>` with exact payload bits.
 pub fn put_opt_value(out: &mut Vec<u8>, v: &Option<Value>) {
     match v {
         None => out.push(VAL_NONE),
-        Some(Value::Null) => out.push(VAL_NULL),
-        Some(Value::Int(x)) => {
-            out.push(VAL_INT);
-            put_u64(out, *x as u64);
-        }
-        Some(Value::Float(x)) => {
-            out.push(VAL_FLOAT);
-            put_f64(out, *x);
-        }
-        Some(Value::Bool(b)) => {
-            out.push(VAL_BOOL);
-            out.push(*b as u8);
-        }
-        Some(Value::Str(s)) => {
-            out.push(VAL_STR);
-            put_u64(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Some(Value::Date(x)) => {
-            out.push(VAL_DATE);
-            put_u64(out, *x as u64);
-        }
+        Some(v) => write_value(v, out),
     }
 }
 
 pub fn get_opt_value(c: &mut ByteCursor<'_>) -> Result<Option<Value>> {
     Ok(match c.u8()? {
         VAL_NONE => None,
-        VAL_NULL => Some(Value::Null),
-        VAL_INT => Some(Value::Int(c.i64()?)),
-        VAL_FLOAT => Some(Value::Float(c.f64()?)),
-        VAL_BOOL => Some(Value::Bool(c.u8()? != 0)),
-        VAL_STR => {
-            let n = c.u64()? as usize;
-            let s = std::str::from_utf8(c.take(n)?)
-                .map_err(|_| DataError::Parse("bad utf8 in spilled value".into()))?;
-            Some(Value::str(s))
-        }
-        VAL_DATE => Some(Value::Date(c.i64()?)),
-        t => return Err(DataError::Parse(format!("bad spilled value tag {t}"))),
+        tag => Some(read_value_tagged(tag, c)?),
     })
 }
 
@@ -138,7 +101,7 @@ fn put_distinct(out: &mut Vec<u8>, set: &DistinctSet) {
             out.push(SET_MIXED);
             put_u64(out, s.len() as u64);
             for v in s {
-                put_opt_value(out, &Some(v.clone()));
+                write_value(v, out);
             }
         }
     }
@@ -148,7 +111,7 @@ fn get_distinct(c: &mut ByteCursor<'_>) -> Result<DistinctSet> {
     Ok(match c.u8()? {
         SET_EMPTY => DistinctSet::Empty,
         SET_NUM => {
-            let n = c.u64()? as usize;
+            let n = c.count_u64(8)?;
             let mut s = HashSet::with_capacity(n);
             for _ in 0..n {
                 s.insert(c.u64()?);
@@ -156,10 +119,11 @@ fn get_distinct(c: &mut ByteCursor<'_>) -> Result<DistinctSet> {
             DistinctSet::Num(s)
         }
         SET_STR => {
-            let n = c.u64()? as usize;
+            // Every string costs at least its own 8-byte length header.
+            let n = c.count_u64(8)?;
             let mut s: HashSet<Arc<str>> = HashSet::with_capacity(n);
             for _ in 0..n {
-                let len = c.u64()? as usize;
+                let len = c.count_u64(1)?;
                 let v = std::str::from_utf8(c.take(len)?)
                     .map_err(|_| DataError::Parse("bad utf8 in spilled set".into()))?;
                 s.insert(Arc::from(v));
@@ -174,12 +138,11 @@ fn get_distinct(c: &mut ByteCursor<'_>) -> Result<DistinctSet> {
             }
         }
         SET_MIXED => {
-            let n = c.u64()? as usize;
+            // Every value costs at least its tag byte.
+            let n = c.count_u64(1)?;
             let mut s = HashSet::with_capacity(n);
             for _ in 0..n {
-                let v = get_opt_value(c)?
-                    .ok_or_else(|| DataError::Parse("None in mixed distinct set".into()))?;
-                s.insert(v);
+                s.insert(read_value(c)?);
             }
             DistinctSet::Mixed(s)
         }
@@ -268,7 +231,7 @@ pub fn get_agg_state(template: &mut AggState, c: &mut ByteCursor<'_>) -> Result<
             *n = c.f64()?;
         }
         (AggState::Sample { values, .. }, ST_SAMPLE) => {
-            let n = c.u64()? as usize;
+            let n = c.count_u64(8)?;
             let mut vs = Vec::with_capacity(n);
             for _ in 0..n {
                 vs.push(c.f64()?);
@@ -405,5 +368,36 @@ mod tests {
         put_agg_state(&mut bytes, &AggSpec::count_star("c").new_state());
         let mut wrong = AggSpec::sum(col("x"), "s").new_state();
         assert!(get_agg_state(&mut wrong, &mut ByteCursor::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn hostile_counts_fail_typed_before_allocating() {
+        // A count header larger than the bytes behind it used to reach
+        // `with_capacity` (an allocation-failure abort, not even a
+        // panic). Every counted state must reject it as a parse error.
+        let hostile = (u64::MAX / 16).to_le_bytes();
+        let mut sample = vec![ST_SAMPLE];
+        sample.extend_from_slice(&hostile);
+        let mut st = AggSpec::median(col("x"), "m").new_state();
+        let err = get_agg_state(&mut st, &mut ByteCursor::new(&sample)).unwrap_err();
+        assert!(matches!(err, DataError::Parse(_)), "{err}");
+        for set_tag in [SET_NUM, SET_STR, SET_MIXED] {
+            let mut bytes = vec![ST_DISTINCT, set_tag];
+            bytes.extend_from_slice(&hostile);
+            let mut st = AggSpec::count_distinct(col("x"), "cd").new_state();
+            let err = get_agg_state(&mut st, &mut ByteCursor::new(&bytes)).unwrap_err();
+            assert!(matches!(err, DataError::Parse(_)), "set {set_tag}: {err}");
+        }
+        // A string whose length header overruns the buffer, in a set and
+        // as a spilled extreme.
+        let mut bytes = vec![ST_DISTINCT, SET_STR];
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&hostile);
+        let mut st = AggSpec::count_distinct(col("x"), "cd").new_state();
+        assert!(get_agg_state(&mut st, &mut ByteCursor::new(&bytes)).is_err());
+        let mut bytes = Vec::new();
+        put_opt_value(&mut bytes, &Some(Value::str("pear")));
+        bytes.truncate(bytes.len() - 1);
+        assert!(get_opt_value(&mut ByteCursor::new(&bytes)).is_err());
     }
 }

@@ -22,7 +22,7 @@ use crate::column::{Column, ColumnData};
 use crate::error::DataError;
 use crate::frame::DataFrame;
 use crate::schema::{Field, Schema};
-use crate::value::DataType;
+use crate::value::{DataType, Value};
 use crate::Result;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -192,6 +192,76 @@ impl<'a> ByteCursor<'a> {
     pub fn i64(&mut self) -> Result<i64> {
         Ok(i64::from_le_bytes(self.le_bytes()?))
     }
+
+    /// Read a `u64` element count whose elements take at least
+    /// `min_item_bytes` each. A count the remaining bytes cannot hold
+    /// fails typed here, *before* the caller sizes an allocation by it.
+    pub fn count_u64(&mut self, min_item_bytes: usize) -> Result<usize> {
+        let n = self.u64()?;
+        match usize::try_from(n) {
+            Ok(n) if n <= self.remaining() / min_item_bytes.max(1) => Ok(n),
+            _ => Err(DataError::Parse(format!(
+                "count header {n} exceeds the {} bytes that follow it",
+                self.remaining()
+            ))),
+        }
+    }
+}
+
+/// Tags of the [`Value`] byte codec. `0` is never written by
+/// [`write_value`]: a caller that stores an `Option<Value>` uses it for
+/// `None` (see `wake_core::ops::spill`).
+const VAL_NULL: u8 = 1;
+const VAL_INT: u8 = 2;
+const VAL_FLOAT: u8 = 3;
+const VAL_BOOL: u8 = 4;
+const VAL_STR: u8 = 5;
+const VAL_DATE: u8 = 6;
+
+/// Encode one [`Value`] with its exact variant and payload bits (floats
+/// as raw IEEE bits: `-0.0` and NaN payloads survive). The one byte form
+/// of a cell outside a column: zone-map extremes in segment footers,
+/// spilled min/max states and mixed distinct sets.
+pub fn write_value(v: &Value, out: &mut Vec<u8>) {
+    let mut put = |tag: u8, payload: &[u8]| {
+        out.push(tag);
+        out.extend_from_slice(payload);
+    };
+    match v {
+        Value::Null => put(VAL_NULL, &[]),
+        Value::Int(x) => put(VAL_INT, &x.to_le_bytes()),
+        Value::Float(x) => put(VAL_FLOAT, &x.to_bits().to_le_bytes()),
+        Value::Bool(b) => put(VAL_BOOL, &[*b as u8]),
+        Value::Date(x) => put(VAL_DATE, &x.to_le_bytes()),
+        Value::Str(s) => {
+            put(VAL_STR, &(s.len() as u64).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        }
+    }
+}
+
+/// Inverse of [`write_value`].
+pub fn read_value(c: &mut ByteCursor<'_>) -> Result<Value> {
+    let tag = c.u8()?;
+    read_value_tagged(tag, c)
+}
+
+/// [`read_value`] for a caller that has already consumed the tag byte.
+pub fn read_value_tagged(tag: u8, c: &mut ByteCursor<'_>) -> Result<Value> {
+    Ok(match tag {
+        VAL_NULL => Value::Null,
+        VAL_INT => Value::Int(c.i64()?),
+        VAL_FLOAT => Value::Float(c.f64()?),
+        VAL_BOOL => Value::Bool(c.u8()? != 0),
+        VAL_DATE => Value::Date(c.i64()?),
+        VAL_STR => {
+            let len = c.count_u64(1)?;
+            let s = std::str::from_utf8(c.take(len)?)
+                .map_err(|_| DataError::Parse("bad utf8 in value".into()))?;
+            Value::str(s)
+        }
+        other => return Err(DataError::Parse(format!("bad value tag {other}"))),
+    })
 }
 
 type Cursor<'a> = ByteCursor<'a>;
@@ -390,6 +460,47 @@ mod tests {
         write_colfile(&df, &mut buf).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read_colfile(&buf).is_err());
+    }
+
+    #[test]
+    fn value_codec_roundtrips_bits_and_rejects_hostile_lengths() {
+        let values = [
+            Value::Null,
+            Value::Int(i64::MIN),
+            Value::Float(-0.0),
+            Value::Float(f64::from_bits(0x7ff8_0000_dead_beef)), // NaN payload
+            Value::Bool(true),
+            Value::str("αβ✓"),
+            Value::str(""),
+            Value::Date(19_000),
+        ];
+        let mut buf = Vec::new();
+        for v in &values {
+            write_value(v, &mut buf);
+        }
+        let mut c = ByteCursor::new(&buf);
+        for v in &values {
+            let back = read_value(&mut c).unwrap();
+            match (v, &back) {
+                (Value::Float(a), Value::Float(b)) => assert_eq!(a.to_bits(), b.to_bits()),
+                _ => assert_eq!(v, &back),
+            }
+        }
+        assert_eq!(c.remaining(), 0);
+        // Tag 0 is reserved for the caller's `None`; unknown tags, a
+        // string length past the buffer, and a count the remaining bytes
+        // cannot hold all fail typed.
+        assert!(read_value(&mut ByteCursor::new(&[0])).is_err());
+        assert!(read_value(&mut ByteCursor::new(&[99])).is_err());
+        let mut hostile = vec![VAL_STR];
+        hostile.extend_from_slice(&u64::MAX.to_le_bytes());
+        hostile.extend_from_slice(b"xy");
+        assert!(read_value(&mut ByteCursor::new(&hostile)).is_err());
+        let three = 3u64.to_le_bytes();
+        assert!(ByteCursor::new(&three).count_u64(8).is_err());
+        let mut ok = three.to_vec();
+        ok.extend_from_slice(&[0; 24]);
+        assert_eq!(ByteCursor::new(&ok).count_u64(8).unwrap(), 3);
     }
 
     #[test]

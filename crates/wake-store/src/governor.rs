@@ -547,6 +547,20 @@ impl SpillEnv {
         let total = self.governor.budget().unwrap_or(usize::MAX);
         ((total / self.ops).max(1) / self.shards).max(1)
     }
+
+    /// An empty spill run in this query's spill dir, charged to this
+    /// shard's ledger; `tag` names its file.
+    pub fn new_run(&self, tag: &str) -> crate::colfile::RunWriter {
+        crate::colfile::RunWriter::new(self.dir.clone(), self.governor.clone(), tag)
+    }
+
+    /// Split the rows behind `hashes` over this shard's `fanout` spill
+    /// partitions at `depth` (0 = the first split below shard routing;
+    /// see [`crate::partition`]). The env knows how many high bits shard
+    /// routing consumed, so callers cannot get the chain wrong.
+    pub fn sub_selections(&self, hashes: &[u64], depth: usize) -> Vec<Vec<u32>> {
+        crate::partition::sub_selections(hashes, self.shards, self.fanout, depth)
+    }
 }
 
 #[cfg(test)]

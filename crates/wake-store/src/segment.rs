@@ -45,7 +45,7 @@ use crate::Result;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
-use wake_data::colfile::{dtype_tag, tag_dtype, ByteCursor};
+use wake_data::colfile::{dtype_tag, read_value, tag_dtype, write_value, ByteCursor};
 use wake_data::column::ColumnData;
 use wake_data::scan::{decide_zone_all, ColPredicate, ScanMetrics, ScanTelemetry, ZoneDecision};
 use wake_data::schema::{Field, Schema};
@@ -121,50 +121,6 @@ fn column_stats(col: &Column) -> ZoneStats {
         }
     }
     stats
-}
-
-fn write_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int(x) => {
-            out.push(1);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::Float(x) => {
-            out.push(2);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Bool(x) => {
-            out.push(3);
-            out.push(*x as u8);
-        }
-        Value::Str(s) => {
-            out.push(4);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Date(x) => {
-            out.push(5);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-}
-
-fn read_value(c: &mut ByteCursor<'_>) -> Result<Value> {
-    Ok(match c.u8()? {
-        0 => Value::Null,
-        1 => Value::Int(c.i64()?),
-        2 => Value::Float(c.f64()?),
-        3 => Value::Bool(c.u8()? != 0),
-        4 => {
-            let len = checked_len(c.u32()? as u64, "stat string length")?;
-            let s = std::str::from_utf8(c.take(len)?)
-                .map_err(|_| DataError::Parse("bad utf8 in zone stat".into()))?;
-            Value::str(s)
-        }
-        5 => Value::Date(c.i64()?),
-        other => return Err(DataError::Parse(format!("bad value tag {other}"))),
-    })
 }
 
 fn write_strings(items: &[String], out: &mut Vec<u8>) {

@@ -229,6 +229,32 @@ impl Workspace {
         out
     }
 
+    /// Non-test lines (code, comments and blanks outside `#[cfg(test)]` /
+    /// `#[test]` items and outside test trees) as a markdown table: one
+    /// row per crate, or — with `prefix` — one per file under it. The
+    /// number a simplification PR quotes before and after.
+    pub fn loc_table(&self, prefix: Option<&str>) -> String {
+        let mut rows: BTreeMap<&str, usize> = BTreeMap::new();
+        for f in &self.files {
+            if scopes::is_test_path(&f.path) || !f.path.starts_with(prefix.unwrap_or("")) {
+                continue;
+            }
+            let key = match prefix {
+                Some(_) => f.path.as_str(),
+                None => scopes::crate_of(&f.path),
+            };
+            *rows.entry(key).or_default() += (1..=f.text.lines().count())
+                .filter(|&l| !f.is_test_line(l))
+                .count();
+        }
+        let mut s = String::from("| path | non-test lines |\n|---|---:|\n");
+        for (key, lines) in &rows {
+            s.push_str(&format!("| `{key}` | {lines} |\n"));
+        }
+        s.push_str(&format!("| total | {} |\n", rows.values().sum::<usize>()));
+        s
+    }
+
     /// Render the knob registry as the markdown table ROADMAP embeds.
     pub fn knob_table(&self) -> String {
         let mut s = String::from("| knob | resolved in | purpose |\n|---|---|---|\n");

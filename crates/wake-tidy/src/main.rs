@@ -3,6 +3,8 @@
 //! Exit code 0 when the workspace is finding-free, 1 otherwise, with
 //! one `rule: file:line: message` per finding. `--knob-table` prints
 //! the `WAKE_*` registry as the markdown table embedded in ROADMAP.md.
+//! `--loc [path-prefix]` prints non-test lines per crate (per file under
+//! the prefix, when one is given): a number to quote, never a gate.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -11,17 +13,19 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut knob_table = false;
     let mut list_rules = false;
+    let mut loc: Option<Option<String>> = None;
     let mut root: Option<PathBuf> = None;
-    let mut it = args.iter();
+    let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--check" => {}
             "--knob-table" => knob_table = true,
             "--list" => list_rules = true,
+            "--loc" => loc = Some(it.next_if(|a| !a.starts_with("--")).cloned()),
             "--root" => root = it.next().map(PathBuf::from),
             other => {
                 eprintln!("wake-tidy: unknown argument `{other}`");
-                eprintln!("usage: wake-tidy [--check] [--knob-table] [--list] [--root <dir>]");
+                eprintln!("usage: wake-tidy [--check] [--knob-table] [--loc [prefix]] [--list] [--root <dir>]");
                 return ExitCode::FAILURE;
             }
         }
@@ -56,6 +60,10 @@ fn main() -> ExitCode {
 
     if knob_table {
         print!("{}", ws.knob_table());
+        return ExitCode::SUCCESS;
+    }
+    if let Some(prefix) = loc {
+        print!("{}", ws.loc_table(prefix.as_deref()));
         return ExitCode::SUCCESS;
     }
 

@@ -4,9 +4,11 @@
 /// `panic-path`: modules where a panic is an availability bug — spill
 /// and segment I/O (PR 6's recovery ladder turns device failure into
 /// typed errors; an `unwrap` under it reintroduces the crash), the
-/// serve front-end (a panicked connection thread kills the worker), and
+/// serve front-end (a panicked connection thread kills the worker),
 /// both executors' drive/shutdown paths (a panic mid-shutdown leaks
-/// node threads and spill dirs).
+/// node threads and spill dirs), and the keyed operators with the
+/// partition layer under them (they run under spill I/O, at one shard
+/// on the polling thread with no `catch_unwind` above).
 pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/wake-data/src/colfile.rs",
     "crates/wake-store/src/colfile.rs",
@@ -21,6 +23,9 @@ pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/wake-engine/src/threaded.rs",
     "crates/wake-engine/src/stepped.rs",
     "crates/wake-engine/src/stream.rs",
+    "crates/wake-core/src/ops/partitions.rs",
+    "crates/wake-core/src/ops/join.rs",
+    "crates/wake-core/src/ops/agg_op.rs",
 ];
 
 /// `hostile-len`: decode modules — every byte here may come from a
@@ -31,6 +36,7 @@ pub const DECODE_FILES: &[&str] = &[
     "crates/wake-store/src/colfile.rs",
     "crates/wake-store/src/segment.rs",
     "crates/wake-store/src/compress.rs",
+    "crates/wake-core/src/ops/spill.rs",
 ];
 
 /// `atomics-order`: the one module allowed bare `Relaxed` — wake-obs
@@ -68,6 +74,16 @@ pub fn is_test_path(path: &str) -> bool {
         || path.contains("/benches/")
         || path.contains("/examples/")
         || path.starts_with("examples/")
+}
+
+/// The crate a workspace-relative path belongs to: the directory that
+/// holds its `src/` (`crates/wake-core`, `crates/vendor/rand`,
+/// `wake-e2e`; `.` for the facade at the root).
+pub fn crate_of(path: &str) -> &str {
+    match path.find("src/") {
+        Some(0) | None => ".",
+        Some(i) => &path[..i - 1],
+    }
 }
 
 pub fn in_list(path: &str, list: &[&str]) -> bool {
