@@ -17,7 +17,8 @@
 //!
 //! Run with `cargo run --release -p wake-bench --bin <name>`. Scale factor
 //! and partition counts default to laptop-friendly values and can be
-//! overridden via env vars `WAKE_SF` / `WAKE_PARTS`.
+//! overridden via env vars `WAKE_SF` / `WAKE_PARTS` (`fig11_depth`, which
+//! reads no TPC-H data, sizes its synthetic table with `WAKE_SYNTH_ROWS`).
 
 pub mod harness;
 

@@ -1,11 +1,12 @@
 //! Unified execution configuration — every knob in one place.
 //!
 //! [`EngineConfig`] is the one builder both executors consume — graph-level
-//! knobs, memory governance, observability, serving — with the ambient
-//! `WAKE_*` environment as a fallback resolved in exactly one place
-//! ([`EngineConfig::spill_config`] for memory governance) and **per knob**:
-//! an explicitly set spill directory does not hide an ambient memory
-//! budget.
+//! knobs, memory governance, observability, serving. A knob is set one
+//! way, through its `with_*` builder; the deployment settings and CI-lane
+//! switches among them fall back to the ambient `WAKE_*` environment,
+//! resolved in exactly one place ([`EngineConfig::spill_config`] for
+//! memory governance) and **per knob**: an explicitly set spill directory
+//! does not hide an ambient memory budget.
 //!
 //! ```no_run
 //! use wake_engine::{EngineConfig, ExecutorKind};
@@ -46,19 +47,6 @@ pub enum ExecutorKind {
     Threaded,
 }
 
-/// The memory-budget knob, kept tri-state so the ambient environment can
-/// be a *fallback* rather than something constructors race to read.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum BudgetSetting {
-    /// Not configured: fall back to `WAKE_MEM_BUDGET` at resolve time.
-    #[default]
-    Ambient,
-    /// Explicitly unbounded (overrides the environment).
-    Unbounded,
-    /// Explicit byte budget.
-    Bytes(usize),
-}
-
 /// Builder-style configuration consumed by both executors.
 ///
 /// Defaults: stepped executor, `Parallelism` left to the graph (`Auto`),
@@ -69,14 +57,11 @@ enum BudgetSetting {
 pub struct EngineConfig {
     executor: ExecutorKind,
     parallelism: Option<Parallelism>,
-    budget: BudgetSetting,
-    spill_dir: Option<PathBuf>,
-    spill_fanout: Option<usize>,
-    spill_max_depth: Option<usize>,
-    spill_delta_ratio: Option<f64>,
-    spill_io: Option<Arc<dyn SpillIo>>,
-    spill_retries: Option<u32>,
-    spill_retry_delay: Option<Duration>,
+    /// The spill knobs as set explicitly (`None` = not set); the ambient
+    /// fallback is applied at [`Self::spill_config`].
+    spill: SpillConfig,
+    /// Explicitly unbounded: an ambient `WAKE_MEM_BUDGET` does not apply.
+    unbounded: bool,
     channel_capacity: Option<usize>,
     trace: Option<TraceLog>,
     table_dir: Option<PathBuf>,
@@ -84,7 +69,6 @@ pub struct EngineConfig {
     zone_pruning: Option<bool>,
     scan_seed: Option<u64>,
     obs: Option<ObsLevel>,
-    global: Option<Arc<GlobalGovernor>>,
     serve_addr: Option<String>,
     serve_max_concurrent: Option<usize>,
     serve_max_queued: Option<usize>,
@@ -122,14 +106,16 @@ impl EngineConfig {
     /// Bound buffered operator state: joins and group-bys spill their
     /// largest partitions to disk once `bytes` is exceeded.
     pub fn with_memory_budget(mut self, bytes: usize) -> Self {
-        self.budget = BudgetSetting::Bytes(bytes);
+        self.spill.budget_bytes = Some(bytes);
+        self.unbounded = false;
         self
     }
 
     /// Explicitly unbounded memory — overrides an ambient
     /// `WAKE_MEM_BUDGET` (unlike the default, which falls back to it).
     pub fn unbounded_memory(mut self) -> Self {
-        self.budget = BudgetSetting::Unbounded;
+        self.spill.budget_bytes = None;
+        self.unbounded = true;
         self
     }
 
@@ -137,25 +123,7 @@ impl EngineConfig {
     /// temp dir per query, removed when the query finishes or is
     /// cancelled).
     pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.spill_dir = Some(dir.into());
-        self
-    }
-
-    /// Hash sub-partitions per shard (grace-hash fan-out). The split
-    /// needs at least two ways to make progress, so values below 2
-    /// (including an explicit 0 or 1) resolve to the default fan-out
-    /// (`wake_store::governor::DEFAULT_FANOUT`).
-    pub fn with_spill_fanout(mut self, fanout: usize) -> Self {
-        self.spill_fanout = Some(fanout);
-        self
-    }
-
-    /// Maximum recursive re-partitioning depth for oversized partitions.
-    /// `0` is not a valid depth (the first split *is* depth 1) and
-    /// resolves to the default
-    /// (`wake_store::governor::DEFAULT_MAX_DEPTH`).
-    pub fn with_spill_max_depth(mut self, depth: usize) -> Self {
-        self.spill_max_depth = Some(depth);
+        self.spill.spill_dir = Some(dir.into());
         self
     }
 
@@ -168,7 +136,7 @@ impl EngineConfig {
     /// ratio, estimates stay bit-identical — this knob trades fold-time
     /// write volume against replay/read amplification only.
     pub fn with_spill_delta_ratio(mut self, ratio: f64) -> Self {
-        self.spill_delta_ratio = Some(ratio);
+        self.spill.delta_ratio = Some(ratio);
         self
     }
 
@@ -178,17 +146,17 @@ impl EngineConfig {
     /// [`wake_store::FaultIo`]). Tests and benches inject deterministic
     /// fault schedules here.
     pub fn with_spill_io(mut self, io: Arc<dyn SpillIo>) -> Self {
-        self.spill_io = Some(io);
+        self.spill.io = Some(io);
         self
     }
 
     /// Retries per spill I/O operation beyond the first attempt, with
     /// exponentially doubling backoff. `0` fails fast: the first error
     /// poisons the governor and the query degrades to memory-resident
-    /// execution. Default: `WAKE_SPILL_RETRIES`, else
+    /// execution. Default:
     /// [`wake_store::governor::DEFAULT_RETRY_ATTEMPTS`].
     pub fn with_spill_retries(mut self, attempts: u32) -> Self {
-        self.spill_retries = Some(attempts);
+        self.spill.retry_attempts = Some(attempts);
         self
     }
 
@@ -196,7 +164,7 @@ impl EngineConfig {
     /// retry). Default:
     /// [`wake_store::governor::DEFAULT_RETRY_BASE_DELAY`].
     pub fn with_spill_retry_delay(mut self, delay: Duration) -> Self {
-        self.spill_retry_delay = Some(delay);
+        self.spill.retry_base_delay = Some(delay);
         self
     }
 
@@ -223,8 +191,7 @@ impl EngineConfig {
     /// Rows per zone when persisting segment tables — the pruning
     /// granularity: smaller zones prune more precisely but carry more
     /// per-zone metadata and smaller compression runs. Values below 1
-    /// resolve to the default. Default: `WAKE_ZONE_ROWS`, else
-    /// [`wake_store::DEFAULT_ZONE_ROWS`].
+    /// resolve to the default ([`wake_store::DEFAULT_ZONE_ROWS`]).
     pub fn with_zone_rows(mut self, rows: usize) -> Self {
         self.zone_rows = Some(rows);
         self
@@ -235,8 +202,8 @@ impl EngineConfig {
     /// the source, so zones whose min/max statistics prove no row can
     /// qualify are never read or decoded. Results are unchanged either
     /// way (the filter always stays in the plan); this knob exists to
-    /// measure the win and to disable the pass when debugging. Default:
-    /// `WAKE_ZONE_PRUNING` (`0`/`false`/`off` disables), else **on**.
+    /// measure the win and to disable the pass when debugging. **On**
+    /// by default.
     pub fn with_zone_pruning(mut self, enabled: bool) -> Self {
         self.zone_pruning = Some(enabled);
         self
@@ -246,8 +213,8 @@ impl EngineConfig {
     /// order — the paper's shuffled-input regime, which keeps early
     /// estimates representative when on-disk order is correlated with
     /// values. Each scan mixes its node id into the seed, so runs are
-    /// reproducible. Default: `WAKE_SCAN_SEED`, else no reordering
-    /// (sources are scanned in stored zone order).
+    /// reproducible. Default: no reordering (sources are scanned in
+    /// stored zone order).
     pub fn with_scan_seed(mut self, seed: u64) -> Self {
         self.scan_seed = Some(seed);
         self
@@ -271,7 +238,7 @@ impl EngineConfig {
     /// the total as it enters and leaves — the wake-serve server hands
     /// every admitted query a config built this way.
     pub fn with_global_governor(mut self, global: &Arc<GlobalGovernor>) -> Self {
-        self.global = Some(global.clone());
+        self.spill.global = Some(global.clone());
         self
     }
 
@@ -283,16 +250,16 @@ impl EngineConfig {
     }
 
     /// Queries executing at once in the server's worker pool; admitted
-    /// queries beyond this wait in the bounded queue. Minimum 1. Default:
-    /// `WAKE_SERVE_MAX_CONCURRENT`, else 4.
+    /// queries beyond this wait in the bounded queue. Minimum 1,
+    /// default 4.
     pub fn with_serve_max_concurrent(mut self, n: usize) -> Self {
         self.serve_max_concurrent = Some(n.max(1));
         self
     }
 
     /// Queries allowed to wait beyond the executing ones before the
-    /// server answers with a typed overload response. Minimum 1. Default:
-    /// `WAKE_SERVE_MAX_QUEUED`, else 16.
+    /// server answers with a typed overload response. Minimum 1,
+    /// default 16.
     pub fn with_serve_max_queued(mut self, n: usize) -> Self {
         self.serve_max_queued = Some(n.max(1));
         self
@@ -318,30 +285,14 @@ impl EngineConfig {
         })
     }
 
-    /// Resolved worker-pool width (explicit, else
-    /// `WAKE_SERVE_MAX_CONCURRENT`, else 4; never 0).
+    /// Resolved worker-pool width (explicit, else 4; never 0).
     pub fn serve_max_concurrent(&self) -> usize {
-        self.serve_max_concurrent
-            .or_else(|| {
-                std::env::var("WAKE_SERVE_MAX_CONCURRENT")
-                    .ok()
-                    .and_then(|s| s.trim().parse().ok())
-            })
-            .filter(|&n| n >= 1)
-            .unwrap_or(4)
+        self.serve_max_concurrent.unwrap_or(4)
     }
 
-    /// Resolved admission-queue depth (explicit, else
-    /// `WAKE_SERVE_MAX_QUEUED`, else 16; never 0).
+    /// Resolved admission-queue depth (explicit, else 16; never 0).
     pub fn serve_max_queued(&self) -> usize {
-        self.serve_max_queued
-            .or_else(|| {
-                std::env::var("WAKE_SERVE_MAX_QUEUED")
-                    .ok()
-                    .and_then(|s| s.trim().parse().ok())
-            })
-            .filter(|&n| n >= 1)
-            .unwrap_or(16)
+        self.serve_max_queued.unwrap_or(16)
     }
 
     /// Resolved server-wide byte budget (explicit, else
@@ -397,62 +348,34 @@ impl EngineConfig {
     }
 
     /// Resolved rows-per-zone for table persistence (explicit, else
-    /// `WAKE_ZONE_ROWS`, else [`wake_store::DEFAULT_ZONE_ROWS`]; never 0).
+    /// [`wake_store::DEFAULT_ZONE_ROWS`]; never 0).
     pub fn zone_rows(&self) -> usize {
         self.zone_rows
-            .or_else(|| {
-                std::env::var("WAKE_ZONE_ROWS")
-                    .ok()
-                    .and_then(|s| s.trim().parse().ok())
-            })
             .filter(|&r| r >= 1)
             .unwrap_or(wake_store::DEFAULT_ZONE_ROWS)
     }
 
-    /// Resolved zone-pruning switch (explicit, else `WAKE_ZONE_PRUNING`
-    /// where `0`/`false`/`off` disables, else on).
+    /// Resolved zone-pruning switch (explicit, else on).
     pub fn zone_pruning(&self) -> bool {
-        self.zone_pruning
-            .unwrap_or_else(|| match std::env::var("WAKE_ZONE_PRUNING") {
-                Ok(v) => !matches!(
-                    v.trim().to_ascii_lowercase().as_str(),
-                    "0" | "false" | "off" | "no"
-                ),
-                Err(_) => true,
-            })
+        self.zone_pruning.unwrap_or(true)
     }
 
-    /// Resolved scan-order seed (explicit, else `WAKE_SCAN_SEED`; `None`
-    /// = stored zone order).
+    /// Resolved scan-order seed (`None` = stored zone order).
     pub fn scan_seed(&self) -> Option<u64> {
-        self.scan_seed.or_else(|| {
-            std::env::var("WAKE_SCAN_SEED")
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-        })
+        self.scan_seed
     }
 
     /// Resolve the memory-governance configuration. **This is the single
-    /// place the ambient environment is consulted**, and the fallback is
-    /// per knob: an unset budget falls back to `WAKE_MEM_BUDGET` even
-    /// when a spill directory was set explicitly (and vice versa).
+    /// place the ambient environment is consulted**, and the fallback
+    /// ([`SpillConfig::or_env`]) is per knob: an unset budget falls back
+    /// to `WAKE_MEM_BUDGET` even when a spill directory was set
+    /// explicitly (and vice versa).
     pub fn spill_config(&self) -> SpillConfig {
-        let ambient = SpillConfig::from_env();
-        SpillConfig {
-            budget_bytes: match self.budget {
-                BudgetSetting::Ambient => ambient.budget_bytes,
-                BudgetSetting::Unbounded => None,
-                BudgetSetting::Bytes(b) => Some(b),
-            },
-            spill_dir: self.spill_dir.clone().or(ambient.spill_dir),
-            fanout: self.spill_fanout.unwrap_or(0),
-            max_depth: self.spill_max_depth.unwrap_or(0),
-            delta_ratio: self.spill_delta_ratio.or(ambient.delta_ratio),
-            io: self.spill_io.clone().or(ambient.io),
-            retry_attempts: self.spill_retries.or(ambient.retry_attempts),
-            retry_base_delay: self.spill_retry_delay.or(ambient.retry_base_delay),
-            global: self.global.clone(),
+        let mut resolved = self.spill.clone().or_env();
+        if self.unbounded {
+            resolved.budget_bytes = None;
         }
+        resolved
     }
 
     /// Apply the graph-level knobs this config carries, then run the

@@ -121,10 +121,15 @@ impl QueryLedger {
                 .as_ref()
                 .map(|g| g.metrics())
                 .unwrap_or_default(),
-            degraded: self.governor.as_ref().is_some_and(|g| g.is_poisoned()),
+            degraded: self.degraded(),
             scan: self.scan(),
             nodes: self.node_profiles(),
         }
+    }
+
+    /// Has the spill device failed persistently ([`RunStats::degraded`])?
+    pub(crate) fn degraded(&self) -> bool {
+        self.governor.as_ref().is_some_and(|g| g.is_poisoned())
     }
 
     /// Scan work so far, summed over every source that tracks any.

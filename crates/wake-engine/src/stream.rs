@@ -134,17 +134,11 @@ impl EstimateStream {
     /// discarded here — poll the stream to exhaustion (or use
     /// [`StopStream`], which re-surfaces it) when failure reporting
     /// matters.
-    pub fn finish(self) -> RunStats {
-        self.finish_full().0
-    }
-
-    /// [`Self::finish`] + the final query profile and whether the
-    /// pipeline shut down clean ([`Driver::shutdown`]).
-    pub(crate) fn finish_full(mut self) -> (RunStats, Option<QueryProfile>, Result<()>) {
+    pub fn finish(mut self) -> RunStats {
         // Stop the driver before reading the ledger so the stats are
         // final, not a mid-flight snapshot.
-        let result = self.driver.shutdown();
-        (self.ledger.stats(), self.ledger.profile(), result)
+        let _ = self.driver.shutdown();
+        self.ledger.stats()
     }
 
     /// Drain the stream into a materialised [`EstimateSeries`].
@@ -327,27 +321,23 @@ impl StopCondition {
 /// yielded after the triggering estimate instead of being swallowed.
 pub struct StopStream {
     inner: Option<EstimateStream>,
+    /// The query's ledger, which outlives `inner`: statistics and profile
+    /// are read from it before and after the stop alike.
+    ledger: Arc<QueryLedger>,
     cond: StopCondition,
-    /// Stats captured when the underlying stream was stopped.
-    stats: RunStats,
-    /// Profile captured when the underlying stream was stopped.
-    profile: Option<QueryProfile>,
     /// A node failure observed while stopping, to surface on next poll.
     pending_err: Option<wake_data::DataError>,
     stopped_early: bool,
-    done: bool,
 }
 
 impl StopStream {
     fn new(stream: EstimateStream, cond: StopCondition) -> Self {
         StopStream {
+            ledger: stream.ledger.clone(),
             inner: Some(stream),
             cond,
-            stats: RunStats::default(),
-            profile: None,
             pending_err: None,
             stopped_early: false,
-            done: false,
         }
     }
 
@@ -358,20 +348,20 @@ impl StopStream {
 
     /// Run statistics (live while streaming; final after the stop).
     pub fn stats(&self) -> RunStats {
-        match &self.inner {
-            Some(s) => s.stats(),
-            None => self.stats.clone(),
-        }
+        self.ledger.stats()
+    }
+
+    /// [`RunStats::degraded`] alone — the spill device's poison flag,
+    /// without snapshotting the per-node profiles [`Self::stats`] builds.
+    pub fn degraded(&self) -> bool {
+        self.ledger.degraded()
     }
 
     /// The per-node query profile (live while streaming; the final
     /// post-shutdown snapshot after the stop). `None` at
     /// [`wake_obs::ObsLevel::Off`].
     pub fn profile(&self) -> Option<QueryProfile> {
-        match &self.inner {
-            Some(s) => s.profile(),
-            None => self.profile.clone(),
-        }
+        self.ledger.profile()
     }
 
     /// EXPLAIN ANALYZE over the stopped (or still-running) query; see
@@ -384,15 +374,13 @@ impl StopStream {
     /// and profile readable. The stream is fused afterwards, except that
     /// a genuine node failure observed during shutdown is yielded on the
     /// next poll rather than swallowed. Idempotent. The serving layer
-    /// calls this when a client disconnects mid-stream.
+    /// calls this when a client disconnects mid-stream. Threads are
+    /// joined and spill files removed here; the ledger — and with it a
+    /// [`wake_store::GlobalGovernor`] lease — goes when `self` is dropped.
     pub fn stop(&mut self) {
-        if let Some(stream) = self.inner.take() {
-            let (stats, profile, result) = stream.finish_full();
-            self.stats = stats;
-            self.profile = profile;
-            self.pending_err = result.err();
+        if let Some(mut stream) = self.inner.take() {
+            self.pending_err = stream.driver.shutdown().err();
         }
-        self.done = true;
     }
 
     /// Thread-safe cancellation handle for the underlying query; `None`
@@ -409,14 +397,8 @@ impl Iterator for StopStream {
         if let Some(e) = self.pending_err.take() {
             return Some(Err(e));
         }
-        if self.done {
-            return None;
-        }
-        let Some(stream) = self.inner.as_mut() else {
-            self.done = true;
-            return None;
-        };
-        match stream.next() {
+        // `inner` is gone once the stream has stopped: fused.
+        match self.inner.as_mut()?.next() {
             None => {
                 self.stop();
                 self.pending_err.take().map(Err)

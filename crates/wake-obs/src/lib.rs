@@ -18,6 +18,7 @@
 //!    snapshots of shared atomics, so they can be taken from live,
 //!    exhausted, cancelled, and error-terminated streams alike.
 
+pub mod json;
 mod metrics;
 mod profile;
 

@@ -3,6 +3,7 @@
 //! snapshot side ([`QueryProfile`] / [`NodeProfile`], plain values with
 //! an annotated-plan-tree rendering and a JSON export).
 
+use crate::json::Obj;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 use crate::ObsLevel;
 use std::sync::Arc;
@@ -318,24 +319,15 @@ impl QueryProfile {
         }
     }
 
-    /// Machine-readable export (hand-built JSON; the workspace has no
-    /// serde). Shape:
+    /// Machine-readable export (the workspace has no serde; see
+    /// [`crate::json`]). Shape:
     /// `{"level":…,"elapsed_ns":…,"nodes":[{…}, …]}`.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.nodes.len() * 256);
-        s.push_str(&format!(
-            "{{\"level\":\"{}\",\"elapsed_ns\":{},\"nodes\":[",
-            self.level.name(),
-            self.elapsed.as_nanos()
-        ));
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&n.to_json());
-        }
-        s.push_str("]}");
-        s
+        Obj::new()
+            .str("level", self.level.name())
+            .u64("elapsed_ns", self.elapsed.as_nanos() as u64)
+            .array("nodes", self.nodes.iter().map(NodeProfile::to_json))
+            .build()
     }
 }
 
@@ -375,104 +367,62 @@ impl NodeProfile {
     }
 
     fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"id\":{},\"label\":{},\"inputs\":[{}],\
-             \"rows_in\":{},\"rows_out\":{},\"frames_in\":{},\"frames_out\":{},\
-             \"busy_ns\":{},\"state_bytes\":{},\"peak_state_bytes\":{}",
-            self.id,
-            json_string(&self.label),
-            self.inputs
-                .iter()
-                .map(|i| i.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-            self.rows_in,
-            self.rows_out,
-            self.frames_in,
-            self.frames_out,
-            self.busy.as_nanos(),
-            self.state_bytes,
-            self.peak_state_bytes,
-        );
-        s.push_str(&format!(
-            ",\"spill\":{{\"spilled_bytes\":{},\"chunks_written\":{},\"evictions\":{},\
-             \"rehydrations\":{},\"delta_bytes\":{},\"delta_chunks\":{},\
-             \"compactions\":{},\"io_retries\":{}}}",
-            self.spill.spilled_bytes,
-            self.spill.chunks_written,
-            self.spill.evictions,
-            self.spill.rehydrations,
-            self.spill.delta_bytes,
-            self.spill.delta_chunks,
-            self.spill.compactions,
-            self.spill.io_retries,
-        ));
-        s.push_str(&format!(
-            ",\"scan\":{{\"zones_total\":{},\"zones_pruned\":{},\"zones_scanned\":{},\
-             \"compressed_bytes\":{},\"decompressed_bytes\":{},\"decode_nanos\":{}}}",
-            self.scan.zones_total,
-            self.scan.zones_pruned,
-            self.scan.zones_scanned,
-            self.scan.compressed_bytes,
-            self.scan.decompressed_bytes,
-            self.scan.decode_nanos,
-        ));
+        let (spill, scan) = (&self.spill, &self.scan);
+        let mut obj = Obj::new()
+            .u64("id", self.id as u64)
+            .str("label", &self.label)
+            .array("inputs", &self.inputs)
+            .u64("rows_in", self.rows_in)
+            .u64("rows_out", self.rows_out)
+            .u64("frames_in", self.frames_in)
+            .u64("frames_out", self.frames_out)
+            .u64("busy_ns", self.busy.as_nanos() as u64)
+            .u64("state_bytes", self.state_bytes as u64)
+            .u64("peak_state_bytes", self.peak_state_bytes as u64)
+            .raw(
+                "spill",
+                &Obj::new()
+                    .u64("spilled_bytes", spill.spilled_bytes as u64)
+                    .u64("chunks_written", spill.chunks_written as u64)
+                    .u64("evictions", spill.evictions as u64)
+                    .u64("rehydrations", spill.rehydrations as u64)
+                    .u64("delta_bytes", spill.delta_bytes as u64)
+                    .u64("delta_chunks", spill.delta_chunks as u64)
+                    .u64("compactions", spill.compactions as u64)
+                    .u64("io_retries", spill.io_retries as u64)
+                    .build(),
+            )
+            .raw(
+                "scan",
+                &Obj::new()
+                    .u64("zones_total", scan.zones_total)
+                    .u64("zones_pruned", scan.zones_pruned)
+                    .u64("zones_scanned", scan.zones_scanned)
+                    .u64("compressed_bytes", scan.compressed_bytes)
+                    .u64("decompressed_bytes", scan.decompressed_bytes)
+                    .u64("decode_nanos", scan.decode_nanos)
+                    .build(),
+            );
         if !self.shard_state_bytes.is_empty() {
-            s.push_str(&format!(
-                ",\"shard_state_bytes\":[{}]",
-                self.shard_state_bytes
-                    .iter()
-                    .map(|b| b.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ));
+            obj = obj.array("shard_state_bytes", &self.shard_state_bytes);
         }
         if let Some(h) = &self.batch_nanos {
-            s.push_str(&format!(",\"batch_nanos\":{}", histogram_json(h)));
+            obj = obj.raw("batch_nanos", &histogram_json(h));
         }
         if let Some(h) = &self.batch_rows {
-            s.push_str(&format!(",\"batch_rows\":{}", histogram_json(h)));
+            obj = obj.raw("batch_rows", &histogram_json(h));
         }
-        s.push('}');
-        s
+        obj.build()
     }
 }
 
 fn histogram_json(h: &HistogramSnapshot) -> String {
-    format!(
-        "{{\"bounds\":[{}],\"counts\":[{}],\"sum\":{},\"total\":{}}}",
-        h.bounds
-            .iter()
-            .map(|b| b.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        h.counts
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        h.sum,
-        h.total
-    )
-}
-
-/// JSON string literal with the mandatory escapes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    Obj::new()
+        .array("bounds", &h.bounds)
+        .array("counts", &h.counts)
+        .u64("sum", h.sum)
+        .u64("total", h.total)
+        .build()
 }
 
 fn fmt_duration(d: Duration) -> String {

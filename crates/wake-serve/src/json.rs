@@ -1,103 +1,22 @@
-//! Minimal JSON helpers for the wire protocol.
-//!
-//! The workspace has no registry access, hence no serde; the protocol's
-//! needs are tiny (flat request objects, composed response lines), so the
-//! crate hand-rolls exactly that: string escaping, an object builder, and
-//! field extractors for the **flat** objects the protocol exchanges. The
-//! extractors are not a general JSON parser — nested objects on the
-//! *request* side are out of protocol and read as whatever flat match
-//! they contain first.
+//! JSON for the wire protocol: the workspace's one writer
+//! ([`wake_obs::json`]: string escaping and the [`Obj`] builder),
+//! re-exported next to the field extractors for the **flat** objects the
+//! protocol exchanges. The extractors are not a general JSON parser —
+//! nested objects on the *request* side are out of protocol and read as
+//! whatever flat match they contain first.
 
-/// Escape `s` as the contents of a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use wake_obs::json::{escape, Obj};
 
-/// Incremental builder for one flat JSON object.
-#[derive(Default)]
-pub struct Obj {
-    buf: String,
-}
-
-impl Obj {
-    pub fn new() -> Obj {
-        Obj { buf: String::new() }
-    }
-
-    fn sep(&mut self) {
-        if !self.buf.is_empty() {
-            self.buf.push(',');
-        }
-    }
-
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.sep();
-        self.buf
-            .push_str(&format!("\"{}\":\"{}\"", escape(key), escape(value)));
-        self
-    }
-
-    pub fn u64(mut self, key: &str, value: u64) -> Self {
-        self.sep();
-        self.buf.push_str(&format!("\"{}\":{}", escape(key), value));
-        self
-    }
-
-    pub fn f64(mut self, key: &str, value: f64) -> Self {
-        self.sep();
-        // JSON has no NaN/Inf; null them rather than emit invalid output.
-        if value.is_finite() {
-            self.buf.push_str(&format!("\"{}\":{}", escape(key), value));
-        } else {
-            self.buf.push_str(&format!("\"{}\":null", escape(key)));
-        }
-        self
-    }
-
-    pub fn bool(mut self, key: &str, value: bool) -> Self {
-        self.sep();
-        self.buf.push_str(&format!("\"{}\":{}", escape(key), value));
-        self
-    }
-
-    /// Insert pre-rendered JSON (an object, array, or literal) verbatim.
-    pub fn raw(mut self, key: &str, json: &str) -> Self {
-        self.sep();
-        self.buf.push_str(&format!("\"{}\":{}", escape(key), json));
-        self
-    }
-
-    pub fn build(self) -> String {
-        format!("{{{}}}", self.buf)
-    }
-}
-
-/// Position just past `"key"` followed by `:` in `json`, or `None`.
-fn after_key(json: &str, key: &str) -> Option<usize> {
+/// The text just past `"key":` in `json`, leading whitespace trimmed.
+/// A `"key"` that no colon follows is a value, not a key; skip it.
+fn value_of<'a>(json: &'a str, key: &str) -> Option<&'a str> {
     let needle = format!("\"{}\"", escape(key));
-    let mut from = 0;
-    while let Some(rel) = json[from..].find(&needle) {
-        let mut i = from + rel + needle.len();
-        let bytes = json.as_bytes();
-        while i < bytes.len() && (bytes[i] as char).is_whitespace() {
-            i += 1;
+    let mut rest = json;
+    while let Some(at) = rest.find(&needle) {
+        rest = &rest[at + needle.len()..];
+        if let Some(value) = rest.trim_start().strip_prefix(':') {
+            return Some(value.trim_start());
         }
-        if i < bytes.len() && bytes[i] == b':' {
-            return Some(i + 1);
-        }
-        from += rel + needle.len();
     }
     None
 }
@@ -105,17 +24,8 @@ fn after_key(json: &str, key: &str) -> Option<usize> {
 /// Extract a string field from a flat JSON object, unescaping the basic
 /// escapes [`escape`] produces.
 pub fn field_str(json: &str, key: &str) -> Option<String> {
-    let mut i = after_key(json, key)?;
-    let bytes = json.as_bytes();
-    while i < bytes.len() && (bytes[i] as char).is_whitespace() {
-        i += 1;
-    }
-    if i >= bytes.len() || bytes[i] != b'"' {
-        return None;
-    }
-    i += 1;
+    let mut chars = value_of(json, key)?.strip_prefix('"')?.chars();
     let mut out = String::new();
-    let mut chars = json[i..].chars();
     while let Some(c) = chars.next() {
         match c {
             '"' => return Some(out),
@@ -138,31 +48,28 @@ pub fn field_str(json: &str, key: &str) -> Option<String> {
 
 /// Extract an unsigned integer field from a flat JSON object.
 pub fn field_u64(json: &str, key: &str) -> Option<u64> {
-    let i = after_key(json, key)?;
-    let rest = json[i..].trim_start();
-    let end = rest
+    let value = value_of(json, key)?;
+    let end = value
         .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+        .unwrap_or(value.len());
+    value[..end].parse().ok()
 }
 
 /// Extract a number field (integer or float) from a flat JSON object.
 pub fn field_f64(json: &str, key: &str) -> Option<f64> {
-    let i = after_key(json, key)?;
-    let rest = json[i..].trim_start();
-    let end = rest
+    let value = value_of(json, key)?;
+    let end = value
         .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+        .unwrap_or(value.len());
+    value[..end].parse().ok()
 }
 
 /// Extract a boolean field from a flat JSON object.
 pub fn field_bool(json: &str, key: &str) -> Option<bool> {
-    let i = after_key(json, key)?;
-    let rest = json[i..].trim_start();
-    if rest.starts_with("true") {
+    let value = value_of(json, key)?;
+    if value.starts_with("true") {
         Some(true)
-    } else if rest.starts_with("false") {
+    } else if value.starts_with("false") {
         Some(false)
     } else {
         None

@@ -202,15 +202,72 @@ mod tests {
         let (status, body) = http_get(server.addr(), &format!("/explain/{id}")).unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("\"profile\""));
+        // Both protocols answer from one place: the body is the TCP line.
+        assert_eq!(json::field_str(&body, "type").as_deref(), Some("profile"));
 
         let (status, body) = http_get(server.addr(), "/queries").unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("\"sum_v\""));
+        assert_eq!(json::field_str(&body, "type").as_deref(), Some("queries"));
 
         let (status, _) = http_get(server.addr(), "/query/nope").unwrap();
         assert_eq!(status, 404);
         let (status, _) = http_get(server.addr(), "/nonsense").unwrap();
         assert_eq!(status, 404);
+        server.shutdown();
+    }
+
+    /// Send `request` (the server may close before it is all written),
+    /// then read until the server closes the connection.
+    fn send_and_drain(addr: std::net::SocketAddr, request: &[u8]) -> String {
+        use std::io::{Read, Write};
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        // A server that never answers fails the test instead of hanging it.
+        let timeout = Some(std::time::Duration::from_secs(10));
+        stream.set_read_timeout(timeout).unwrap();
+        stream.set_write_timeout(timeout).unwrap();
+        let _ = stream.write_all(request);
+        let mut reply = Vec::new();
+        let closed = match stream.read_to_end(&mut reply) {
+            Ok(_) => true,
+            Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+        };
+        assert!(closed, "the server must close the connection");
+        String::from_utf8_lossy(&reply).into_owned()
+    }
+
+    #[test]
+    fn oversized_request_is_refused_typed_then_closed() {
+        let server = serve(EngineConfig::new(), test_catalog()).unwrap();
+        // TCP: 1 MiB that never reaches a newline.
+        let reply = send_and_drain(server.addr(), &vec![b'x'; 1 << 20]);
+        assert_eq!(reply.lines().count(), 1, "answered once: {reply}");
+        assert_eq!(json::field_str(&reply, "type").as_deref(), Some("error"));
+        assert_eq!(
+            json::field_str(&reply, "code").as_deref(),
+            Some("bad_request")
+        );
+        // HTTP: an endless request line, an endless header, too many headers.
+        let mut long_target = b"GET /".to_vec();
+        long_target.resize(1 << 20, b'a');
+        let mut long_header = b"GET /queries HTTP/1.1\r\nX-Pad: ".to_vec();
+        long_header.resize(1 << 20, b'a');
+        let many_headers = format!(
+            "GET /queries HTTP/1.1\r\n{}\r\n",
+            "X-Pad: a\r\n".repeat(500)
+        );
+        for request in [long_target, long_header, many_headers.into_bytes()] {
+            let reply = send_and_drain(server.addr(), &request);
+            assert!(reply.starts_with("HTTP/1.1 431 "), "{reply}");
+            assert!(reply.contains("\"code\":\"bad_request\""), "{reply}");
+        }
+        // The server is unharmed: a fresh connection still answers.
+        let mut client = ServeClient::connect(server.addr()).unwrap();
+        let outcome = client.query("sum_v").unwrap();
+        assert_eq!(
+            outcome.estimates.last().unwrap().value,
+            Some(expected_sum(4000))
+        );
         server.shutdown();
     }
 

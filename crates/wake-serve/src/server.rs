@@ -285,8 +285,7 @@ fn run_job(job: Job, shared: &Shared) {
         }
         match item {
             Ok(est) => {
-                let degraded = stop.stats().degraded;
-                let line = estimate_line(job.id, &est, job.watch.as_deref(), degraded);
+                let line = estimate_line(job.id, &est, job.watch.as_deref(), stop.degraded());
                 if job.events.send(line).is_err() {
                     // Client disconnected mid-stream: cancel through the
                     // drop-cancel contract (the flag unblocks a
@@ -303,10 +302,14 @@ fn run_job(job: Job, shared: &Shared) {
             }
         }
     }
-    stop.stop(); // idempotent; captures final stats + profile
+    stop.stop(); // idempotent; the statistics below are final
 
     let stats = stop.stats();
     let stopped_early = stop.stopped_early();
+    let profile_json = stop.profile().map(|p| p.to_json());
+    // The ledger holds the query's memory lease: return it before the
+    // client hears `done`.
+    drop(stop);
     let status = if let Some(msg) = &error {
         let msg = msg.clone();
         shared.registry.update(job.id, |r| r.error = Some(msg));
@@ -316,7 +319,6 @@ fn run_job(job: Job, shared: &Shared) {
     } else {
         QueryStatus::Completed
     };
-    let profile_json = stop.profile().map(|p| p.to_json());
     {
         let stats = stats.clone();
         shared.registry.update(job.id, |r| {
@@ -425,29 +427,124 @@ fn record_line(rec: &QueryRecord) -> String {
 // Connection side: protocol sniffing, request handling, event pumping.
 // ---------------------------------------------------------------------
 
-/// Outcome of submitting one query request for admission.
-enum Admission {
-    Admitted {
-        id: u64,
-        events: channel::Receiver<String>,
-        cancelled: Arc<AtomicBool>,
-    },
-    Overloaded,
+/// Longest request line (TCP) or header line (HTTP) the server buffers:
+/// ample for `{"op":"query",…}` and a GET line, small enough that a
+/// client which never sends `\n` cannot grow server memory.
+const MAX_LINE: usize = 64 << 10;
+
+/// Most header lines an HTTP request may carry.
+const MAX_HEADERS: usize = 100;
+
+/// What a reply means apart from its body. Both protocols answer from
+/// the same (code, body) pair: TCP writes the body as a line, HTTP maps
+/// the code to a status.
+#[derive(Clone, Copy, PartialEq)]
+enum Code {
+    Ok,
+    BadRequest,
+    TooLarge,
+    NotFound,
     UnknownQuery,
+    MethodNotAllowed,
+    NoProfile,
+    Overloaded,
     ShuttingDown,
 }
 
-fn admit(shared: &Shared, name: &str, deadline: Duration) -> Admission {
-    let Some(entry) = shared.catalog.get(name) else {
-        return Admission::UnknownQuery;
+impl Code {
+    /// (`code` field of the error line, HTTP status, reason phrase).
+    fn wire(self) -> (&'static str, u16, &'static str) {
+        match self {
+            Code::Ok => ("ok", 200, "OK"),
+            Code::BadRequest => ("bad_request", 400, "Bad Request"),
+            Code::TooLarge => ("bad_request", 431, "Request Header Fields Too Large"),
+            Code::NotFound => ("not_found", 404, "Not Found"),
+            Code::UnknownQuery => ("unknown_query", 404, "Not Found"),
+            Code::MethodNotAllowed => ("method_not_allowed", 405, "Method Not Allowed"),
+            Code::NoProfile => ("no_profile", 409, "Conflict"),
+            Code::Overloaded => ("overloaded", 429, "Too Many Requests"),
+            Code::ShuttingDown => ("shutting_down", 503, "Service Unavailable"),
+        }
+    }
+}
+
+/// One complete (non-streaming) answer.
+struct Reply(Code, String);
+
+impl Reply {
+    fn error(code: Code, id: Option<u64>, message: &str) -> Reply {
+        Reply(code, error_line(id, code.wire().0, message))
+    }
+
+    fn too_large() -> Reply {
+        Reply::error(Code::TooLarge, None, "request line or headers too long")
+    }
+}
+
+/// EXPLAIN ANALYZE of a finished query: its recorded profile.
+fn explain_reply(shared: &Shared, id: Option<u64>) -> Reply {
+    let Some(rec) = id.and_then(|id| shared.registry.get(id)) else {
+        return Reply::error(Code::NotFound, None, "no such query id");
     };
+    match &rec.profile_json {
+        Some(profile) => Reply(
+            Code::Ok,
+            Obj::new()
+                .str("type", "profile")
+                .u64("id", rec.id)
+                .str("status", rec.status.as_str())
+                .raw("profile", profile)
+                .build(),
+        ),
+        None => Reply::error(
+            Code::NoProfile,
+            Some(rec.id),
+            "query has not finished executing (or never ran)",
+        ),
+    }
+}
+
+/// The catalog's names and every retained query record.
+fn list_reply(shared: &Shared) -> Reply {
+    let names = shared.catalog.names();
+    let catalog = names.iter().map(|n| format!("\"{}\"", json::escape(n)));
+    Reply(
+        Code::Ok,
+        Obj::new()
+            .str("type", "queries")
+            .array("catalog", catalog)
+            .array("queries", shared.registry.list().iter().map(record_line))
+            .build(),
+    )
+}
+
+/// An admitted query, as its connection thread sees it. `events` opens
+/// with the `admitted` line; the worker's lines follow.
+struct Admitted {
+    events: channel::Receiver<String>,
+    cancelled: Arc<AtomicBool>,
+}
+
+/// Submit one query request for admission; a refusal is a typed reply.
+fn admit(shared: &Shared, name: &str, deadline: Duration) -> Result<Admitted, Reply> {
+    let Some(entry) = shared.catalog.get(name) else {
+        let message = format!("no query named {name:?}");
+        return Err(Reply::error(Code::UnknownQuery, None, &message));
+    };
+    let shutting_down = || Reply::error(Code::ShuttingDown, None, "server stopping");
     let tx = match lock_recover(&shared.jobs).as_ref() {
         Some(tx) => tx.clone(),
-        None => return Admission::ShuttingDown,
+        None => return Err(shutting_down()),
     };
     // relaxed: ID allocation needs only the RMW's atomicity, not ordering
     let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
     let (events_tx, events_rx) = channel::bounded::<String>(32);
+    let admitted = Obj::new()
+        .str("type", "admitted")
+        .u64("id", id)
+        .str("name", name);
+    // Cannot fail: the channel is new and this thread holds the receiver.
+    let _ = events_tx.try_send(admitted.build());
     let cancelled = Arc::new(AtomicBool::new(false));
     // Admit into the registry first so an immediately-scheduled job finds
     // its record; roll back if the queue refuses it.
@@ -460,70 +557,98 @@ fn admit(shared: &Shared, name: &str, deadline: Duration) -> Admission {
         events: events_tx,
         cancelled: cancelled.clone(),
     };
-    match tx.try_send(job) {
-        Ok(()) => Admission::Admitted {
-            id,
-            events: events_rx,
-            cancelled,
-        },
-        Err(TrySendError::Full(_)) => {
-            shared.registry.update(id, |r| {
-                r.status = QueryStatus::Failed;
-                r.error = Some("rejected: admission queue full".into());
-            });
-            Admission::Overloaded
+    let (error, reply) = match tx.try_send(job) {
+        Ok(()) => {
+            return Ok(Admitted {
+                events: events_rx,
+                cancelled,
+            })
         }
-        Err(TrySendError::Disconnected(_)) => {
-            shared.registry.update(id, |r| {
-                r.status = QueryStatus::Failed;
-                r.error = Some("rejected: server shutting down".into());
-            });
-            Admission::ShuttingDown
-        }
-    }
+        Err(TrySendError::Full(_)) => (
+            "rejected: admission queue full",
+            Reply::error(Code::Overloaded, None, "server at capacity; retry later"),
+        ),
+        Err(TrySendError::Disconnected(_)) => ("rejected: server shutting down", shutting_down()),
+    };
+    shared.registry.update(id, |r| {
+        r.status = QueryStatus::Failed;
+        r.error = Some(error.into());
+    });
+    Err(reply)
+}
+
+fn is_http(request_line: &str) -> bool {
+    ["GET ", "POST ", "HEAD "]
+        .iter()
+        .any(|method| request_line.starts_with(method))
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_read_timeout(Some(POLL))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let Some(first) = read_line_polled(&mut reader, shared)? else {
-        return Ok(());
-    };
-    if first.starts_with("GET ") || first.starts_with("POST ") || first.starts_with("HEAD ") {
-        handle_http(stream, reader, first, shared)
-    } else {
-        handle_tcp_line(stream, reader, first, shared)
+    match read_line_polled(&mut reader, shared)? {
+        Request::Closed => Ok(()),
+        Request::Line(first) if is_http(&first) => handle_http(stream, reader, first, shared),
+        Request::Line(first) => handle_tcp_line(stream, reader, first, shared),
+        Request::TooLong(start) if is_http(&start) => {
+            http_reply(&mut stream.try_clone()?, &Reply::too_large())
+        }
+        Request::TooLong(_) => send_line(&mut stream.try_clone()?, &Reply::too_large().1),
     }
 }
 
-/// Read one line, polling the shutdown flag across read timeouts.
-/// `Ok(None)` = clean EOF or shutdown.
-fn read_line_polled(
-    reader: &mut BufReader<TcpStream>,
-    shared: &Shared,
-) -> io::Result<Option<String>> {
-    let mut line = String::new();
+/// What [`read_line_polled`] found on the socket.
+enum Request {
+    /// One line, its terminator trimmed.
+    Line(String),
+    /// No newline within [`MAX_LINE`] bytes; carries how the line began.
+    /// The connection answers once, typed, and closes.
+    TooLong(String),
+    /// Clean EOF, or the server is shutting down.
+    Closed,
+}
+
+/// Read one line of at most [`MAX_LINE`] bytes, polling the shutdown
+/// flag across read timeouts.
+fn read_line_polled(reader: &mut BufReader<TcpStream>, shared: &Shared) -> io::Result<Request> {
+    let text = |line: &[u8]| {
+        let text = String::from_utf8_lossy(line);
+        text.trim_end_matches(['\r', '\n']).to_string()
+    };
+    let mut line = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
-            return Ok(None);
+            return Ok(Request::Closed);
         }
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(None),
-            Ok(_) => {
-                if line.ends_with('\n') || !line.is_empty() {
-                    return Ok(Some(line.trim_end_matches(['\r', '\n']).to_string()));
-                }
-            }
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            // A partial line stays in `line`; keep polling.
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
             {
-                // Partial line stays buffered in `line`; keep polling.
-                if !line.is_empty() {
-                    continue;
-                }
+                continue
             }
             Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            return Ok(match line.is_empty() {
+                true => Request::Closed,
+                false => Request::Line(text(&line)),
+            });
+        }
+        let newline = buf.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(buf.len(), |i| i + 1);
+        line.extend_from_slice(buf.get(..take).unwrap_or(buf));
+        reader.consume(take);
+        if line.len() > MAX_LINE {
+            return Ok(Request::TooLong(text(&line)));
+        }
+        if newline.is_some() {
+            return Ok(Request::Line(text(&line)));
         }
     }
 }
@@ -533,18 +658,18 @@ fn read_line_polled(
 /// client vanished or the server shut down (the job is cancelled either
 /// way).
 fn pump_events(
-    events: &channel::Receiver<String>,
-    cancelled: &AtomicBool,
+    admitted: &Admitted,
     peek: &TcpStream,
     shared: &Shared,
     mut write: impl FnMut(&str) -> io::Result<()>,
 ) -> io::Result<bool> {
+    let cancel = || admitted.cancelled.store(true, Ordering::Release);
     let mut buf = [0u8; 1];
     loop {
-        match events.recv_timeout(POLL) {
+        match admitted.events.recv_timeout(POLL) {
             Ok(line) => {
                 if write(&line).is_err() {
-                    cancelled.store(true, Ordering::Release);
+                    cancel();
                     return Ok(false);
                 }
                 if json::field_str(&line, "type").as_deref() == Some("done") {
@@ -554,7 +679,7 @@ fn pump_events(
             Err(RecvTimeoutError::Disconnected) => return Ok(true),
             Err(RecvTimeoutError::Timeout) => {
                 if shared.shutdown.load(Ordering::Acquire) {
-                    cancelled.store(true, Ordering::Release);
+                    cancel();
                     return Ok(false);
                 }
                 // Liveness probe: EOF from peek means the client hung up
@@ -562,7 +687,7 @@ fn pump_events(
                 // flow that would surface the broken pipe).
                 match peek.peek(&mut buf) {
                     Ok(0) => {
-                        cancelled.store(true, Ordering::Release);
+                        cancel();
                         return Ok(false);
                     }
                     _ => continue,
@@ -583,113 +708,48 @@ fn handle_tcp_line(
     shared: &Shared,
 ) -> io::Result<()> {
     let mut out = stream.try_clone()?;
-    let mut request = Some(first);
+    let mut request = Request::Line(first);
     loop {
-        let Some(line) = request.take() else {
-            match read_line_polled(&mut reader, shared)? {
-                Some(line) => request = Some(line),
-                None => return Ok(()),
-            }
-            continue;
+        let line = match request {
+            Request::Line(line) => line,
+            Request::TooLong(_) => return send_line(&mut out, &Reply::too_large().1),
+            Request::Closed => return Ok(()),
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match json::field_str(&line, "op").as_deref() {
-            Some("query") => {
-                let Some(name) = json::field_str(&line, "name") else {
-                    send_line(&mut out, &error_line(None, "bad_request", "missing name"))?;
-                    continue;
-                };
-                let deadline = json::field_u64(&line, "deadline_ms")
-                    .map(Duration::from_millis)
-                    .unwrap_or(DEFAULT_DEADLINE);
-                match admit(shared, &name, deadline) {
-                    Admission::Admitted {
-                        id,
-                        events,
-                        cancelled,
-                    } => {
-                        send_line(
-                            &mut out,
-                            &Obj::new()
-                                .str("type", "admitted")
-                                .u64("id", id)
-                                .str("name", &name)
-                                .build(),
-                        )?;
-                        let clean = pump_events(&events, &cancelled, &stream, shared, |l| {
-                            send_line(&mut out, l)
-                        })?;
-                        if !clean {
-                            return Ok(());
+        let reply = match json::field_str(&line, "op").as_deref() {
+            Some("query") => match json::field_str(&line, "name") {
+                None => Some(Reply::error(Code::BadRequest, None, "missing name")),
+                Some(name) => {
+                    let deadline = json::field_u64(&line, "deadline_ms")
+                        .map(Duration::from_millis)
+                        .unwrap_or(DEFAULT_DEADLINE);
+                    match admit(shared, &name, deadline) {
+                        Ok(admitted) => {
+                            let write = |l: &str| send_line(&mut out, l);
+                            if !pump_events(&admitted, &stream, shared, write)? {
+                                return Ok(());
+                            }
+                            None
                         }
-                    }
-                    Admission::Overloaded => {
-                        send_line(
-                            &mut out,
-                            &error_line(None, "overloaded", "server at capacity; retry later"),
-                        )?;
-                    }
-                    Admission::UnknownQuery => {
-                        send_line(
-                            &mut out,
-                            &error_line(None, "unknown_query", &format!("no query named {name:?}")),
-                        )?;
-                    }
-                    Admission::ShuttingDown => {
-                        send_line(
-                            &mut out,
-                            &error_line(None, "shutting_down", "server stopping"),
-                        )?;
-                        return Ok(());
+                        Err(refusal) => Some(refusal),
                     }
                 }
-            }
-            Some("explain") => {
-                let resp = match json::field_u64(&line, "id").and_then(|id| shared.registry.get(id))
-                {
-                    Some(rec) => match &rec.profile_json {
-                        Some(profile) => Obj::new()
-                            .str("type", "profile")
-                            .u64("id", rec.id)
-                            .str("status", rec.status.as_str())
-                            .raw("profile", profile)
-                            .build(),
-                        None => error_line(
-                            Some(rec.id),
-                            "no_profile",
-                            "query has not finished executing (or never ran)",
-                        ),
-                    },
-                    None => error_line(None, "not_found", "no such query id"),
-                };
-                send_line(&mut out, &resp)?;
-            }
-            Some("list") => {
-                let records: Vec<String> = shared.registry.list().iter().map(record_line).collect();
-                let catalog: Vec<String> = shared
-                    .catalog
-                    .names()
-                    .iter()
-                    .map(|n| format!("\"{}\"", json::escape(n)))
-                    .collect();
-                send_line(
-                    &mut out,
-                    &Obj::new()
-                        .str("type", "queries")
-                        .raw("catalog", &format!("[{}]", catalog.join(",")))
-                        .raw("queries", &format!("[{}]", records.join(",")))
-                        .build(),
-                )?;
-            }
-            _ => {
-                send_line(
-                    &mut out,
-                    &error_line(None, "bad_request", "unknown or missing op"),
-                )?;
+            },
+            Some("explain") => Some(explain_reply(shared, json::field_u64(&line, "id"))),
+            Some("list") => Some(list_reply(shared)),
+            None if line.trim().is_empty() => None,
+            _ => Some(Reply::error(
+                Code::BadRequest,
+                None,
+                "unknown or missing op",
+            )),
+        };
+        if let Some(Reply(code, body)) = reply {
+            send_line(&mut out, &body)?;
+            if code == Code::ShuttingDown {
+                return Ok(());
             }
         }
+        request = read_line_polled(&mut reader, shared)?;
     }
 }
 
@@ -709,30 +769,30 @@ fn handle_http(
     request_line: String,
     shared: &Shared,
 ) -> io::Result<()> {
+    let mut out = stream.try_clone()?;
     // Drain headers (ignored; the protocol needs only the request line).
-    while let Some(line) = read_line_polled(&mut reader, shared)? {
-        if line.is_empty() {
-            break;
+    let mut headers = 0;
+    loop {
+        match read_line_polled(&mut reader, shared)? {
+            Request::Line(line) if line.is_empty() => break,
+            Request::Line(_) if headers < MAX_HEADERS => headers += 1,
+            Request::Line(_) | Request::TooLong(_) => {
+                return http_reply(&mut out, &Reply::too_large())
+            }
+            Request::Closed => break,
         }
     }
-    let mut out = stream.try_clone()?;
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let target = parts.next().unwrap_or("/");
-    if method != "GET" {
-        return http_simple(
-            &mut out,
-            405,
-            "Method Not Allowed",
-            &error_line(None, "method_not_allowed", "only GET is supported"),
-        );
-    }
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
         None => (target, None),
     };
 
-    if let Some(name) = path.strip_prefix("/query/") {
+    let reply = if method != "GET" {
+        Reply::error(Code::MethodNotAllowed, None, "only GET is supported")
+    } else if let Some(name) = path.strip_prefix("/query/") {
         let deadline = query
             .and_then(|q| {
                 q.split('&')
@@ -742,108 +802,30 @@ fn handle_http(
             .map(Duration::from_millis)
             .unwrap_or(DEFAULT_DEADLINE);
         match admit(shared, name, deadline) {
-            Admission::Admitted {
-                id,
-                events,
-                cancelled,
-            } => {
+            Ok(admitted) => {
                 out.write_all(
                     b"HTTP/1.1 200 OK\r\n\
                       Content-Type: application/x-ndjson\r\n\
                       Transfer-Encoding: chunked\r\n\
                       Connection: close\r\n\r\n",
                 )?;
-                let admitted = Obj::new()
-                    .str("type", "admitted")
-                    .u64("id", id)
-                    .str("name", name)
-                    .build();
-                if write_chunk(&mut out, &admitted).is_err() {
-                    cancelled.store(true, Ordering::Release);
-                    return Ok(());
-                }
-                let clean = pump_events(&events, &cancelled, &stream, shared, |l| {
-                    write_chunk(&mut out, l)
-                })?;
-                if clean {
+                let write = |l: &str| write_chunk(&mut out, l);
+                if pump_events(&admitted, &stream, shared, write)? {
                     let _ = out.write_all(b"0\r\n\r\n");
                     let _ = out.flush();
                 }
-                Ok(())
+                return Ok(());
             }
-            Admission::Overloaded => http_simple(
-                &mut out,
-                429,
-                "Too Many Requests",
-                &error_line(None, "overloaded", "server at capacity; retry later"),
-            ),
-            Admission::UnknownQuery => http_simple(
-                &mut out,
-                404,
-                "Not Found",
-                &error_line(None, "unknown_query", &format!("no query named {name:?}")),
-            ),
-            Admission::ShuttingDown => http_simple(
-                &mut out,
-                503,
-                "Service Unavailable",
-                &error_line(None, "shutting_down", "server stopping"),
-            ),
+            Err(refusal) => refusal,
         }
     } else if let Some(id) = path.strip_prefix("/explain/") {
-        match id
-            .parse::<u64>()
-            .ok()
-            .and_then(|id| shared.registry.get(id))
-        {
-            Some(rec) => match &rec.profile_json {
-                Some(profile) => {
-                    let body = Obj::new()
-                        .u64("id", rec.id)
-                        .str("status", rec.status.as_str())
-                        .raw("profile", profile)
-                        .build();
-                    http_simple(&mut out, 200, "OK", &body)
-                }
-                None => http_simple(
-                    &mut out,
-                    409,
-                    "Conflict",
-                    &error_line(
-                        Some(rec.id),
-                        "no_profile",
-                        "query has not finished executing",
-                    ),
-                ),
-            },
-            None => http_simple(
-                &mut out,
-                404,
-                "Not Found",
-                &error_line(None, "not_found", "no such query id"),
-            ),
-        }
+        explain_reply(shared, id.parse().ok())
     } else if path == "/queries" {
-        let records: Vec<String> = shared.registry.list().iter().map(record_line).collect();
-        let catalog: Vec<String> = shared
-            .catalog
-            .names()
-            .iter()
-            .map(|n| format!("\"{}\"", json::escape(n)))
-            .collect();
-        let body = Obj::new()
-            .raw("catalog", &format!("[{}]", catalog.join(",")))
-            .raw("queries", &format!("[{}]", records.join(",")))
-            .build();
-        http_simple(&mut out, 200, "OK", &body)
+        list_reply(shared)
     } else {
-        http_simple(
-            &mut out,
-            404,
-            "Not Found",
-            &error_line(None, "not_found", "unknown path"),
-        )
-    }
+        Reply::error(Code::NotFound, None, "unknown path")
+    };
+    http_reply(&mut out, &reply)
 }
 
 /// One ndjson event line as an HTTP chunk (the newline travels inside
@@ -855,7 +837,8 @@ fn write_chunk(out: &mut TcpStream, line: &str) -> io::Result<()> {
     out.flush()
 }
 
-fn http_simple(out: &mut TcpStream, status: u16, reason: &str, body: &str) -> io::Result<()> {
+fn http_reply(out: &mut TcpStream, Reply(code, body): &Reply) -> io::Result<()> {
+    let (_, status, reason) = code.wire();
     write!(
         out,
         "HTTP/1.1 {status} {reason}\r\n\

@@ -347,44 +347,41 @@ impl SpillConfig {
         }
     }
 
-    /// Read the ambient configuration: `WAKE_MEM_BUDGET` (bytes, with
-    /// optional `k`/`m`/`g` suffix; unset, empty, or `0` = unbounded),
+    /// The ambient configuration alone: [`Self::or_env`] over the default.
+    pub fn from_env() -> Self {
+        Self::default().or_env()
+    }
+
+    /// Fill every knob still unset from its ambient variable — the
+    /// **per-knob** fallback: `WAKE_MEM_BUDGET` (bytes, with optional
+    /// `k`/`m`/`g` suffix; unset, empty, or `0` = unbounded),
     /// `WAKE_SPILL_DIR`, `WAKE_SPILL_DELTA_RATIO` (a non-negative
-    /// fraction; `0` = compact on every fold), `WAKE_SPILL_RETRIES`
-    /// (retries per I/O op beyond the first attempt), and
+    /// fraction; `0` = compact on every fold), and
     /// `WAKE_SPILL_ENOSPC_AFTER` (bytes; simulate a full spill device
     /// after that many bytes written — the CI fault lane). This is what
-    /// the executors use by default, so a whole test suite can be driven
+    /// the executors resolve through, so a whole test suite can be driven
     /// through the spill path by exporting one variable (the CI
-    /// low-memory lanes).
-    pub fn from_env() -> Self {
-        let budget_bytes = std::env::var("WAKE_MEM_BUDGET")
-            .ok()
-            .and_then(|s| parse_bytes(&s));
-        let spill_dir = std::env::var("WAKE_SPILL_DIR").ok().map(PathBuf::from);
-        let delta_ratio = std::env::var("WAKE_SPILL_DELTA_RATIO")
-            .ok()
-            .and_then(|s| parse_ratio(&s));
-        let retry_attempts = std::env::var("WAKE_SPILL_RETRIES")
-            .ok()
-            .and_then(|s| s.trim().parse().ok());
-        let io: Option<Arc<dyn SpillIo>> = std::env::var("WAKE_SPILL_ENOSPC_AFTER")
-            .ok()
-            .and_then(|s| parse_bytes(&s))
-            .map(|limit| {
-                Arc::new(FaultIo::new(FaultSchedule {
-                    enospc_after_bytes: Some(limit),
-                    ..FaultSchedule::default()
-                })) as Arc<dyn SpillIo>
-            });
-        SpillConfig {
-            budget_bytes,
-            spill_dir,
-            delta_ratio,
-            retry_attempts,
-            io,
-            ..Self::default()
-        }
+    /// low-memory lanes), and setting one knob explicitly never hides
+    /// another's ambient value.
+    pub fn or_env(mut self) -> Self {
+        let var = |name: &str| std::env::var(name).ok();
+        self.budget_bytes = self
+            .budget_bytes
+            .or_else(|| var("WAKE_MEM_BUDGET").and_then(|s| parse_bytes(&s)));
+        self.spill_dir = self
+            .spill_dir
+            .or_else(|| var("WAKE_SPILL_DIR").map(PathBuf::from));
+        self.delta_ratio = self
+            .delta_ratio
+            .or_else(|| var("WAKE_SPILL_DELTA_RATIO").and_then(|s| parse_ratio(&s)));
+        self.io = self.io.or_else(|| {
+            let limit = var("WAKE_SPILL_ENOSPC_AFTER").and_then(|s| parse_bytes(&s))?;
+            Some(Arc::new(FaultIo::new(FaultSchedule {
+                enospc_after_bytes: Some(limit),
+                ..FaultSchedule::default()
+            })) as Arc<dyn SpillIo>)
+        });
+        self
     }
 
     /// Build the per-operator plan: `spillable_ops` is the number of

@@ -4,7 +4,7 @@
 //! stale allows are findings too).
 
 mod atomics;
-mod env_registry;
+pub mod env_registry;
 mod hostile_len;
 mod panic_path;
 mod typed_error;

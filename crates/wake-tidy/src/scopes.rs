@@ -18,6 +18,7 @@ pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/wake-store/src/dir.rs",
     "crates/wake-serve/src/server.rs",
     "crates/wake-serve/src/json.rs",
+    "crates/wake-obs/src/json.rs",
     "crates/wake-serve/src/client.rs",
     "crates/wake-engine/src/query.rs",
     "crates/wake-engine/src/threaded.rs",

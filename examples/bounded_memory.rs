@@ -7,13 +7,15 @@
 //! WAKE_MEM_BUDGET=8m cargo run --release --example quickstart
 //! # tune the write-behind delta log (0 = compact on every fold):
 //! WAKE_MEM_BUDGET=8m WAKE_SPILL_DELTA_RATIO=0.25 cargo run --release --example quickstart
+//! # keep the spill files on a disk of your choosing:
+//! WAKE_MEM_BUDGET=8m WAKE_SPILL_DIR=/mnt/scratch cargo run --release --example quickstart
 //! ```
 //!
 //! Spilled group-by partitions keep a **write-behind delta log**: a fold
 //! into an evicted partition appends only the touched groups' updated
 //! states, and the partition is rewritten (compacted) only once its
 //! delta run exceeds `spill_delta_ratio` × its base
-//! (`Session::set_spill_delta_ratio`, default 0.5). The knob trades
+//! (`EngineConfig::with_spill_delta_ratio`, default 0.5). The knob trades
 //! fold-time spill writes against replay work — estimates are
 //! bit-identical at any setting; `RunStats.spill` reports how often each
 //! side fired (`delta_bytes`, `delta_chunks`, `compactions`).
@@ -56,12 +58,12 @@ fn main() {
     // resident and on-disk partitions back together. Same answer,
     // bounded footprint.
     let mut bounded = Session::new();
-    bounded.set_memory_budget(Some(256 << 10));
+    bounded.configure(|c| c.with_memory_budget(256 << 10));
     // Write-behind delta log: let a spilled partition's delta run grow to
     // a quarter of its base before compacting it back (0.0 would rewrite
     // the whole partition on every fold). Purely an I/O policy — every
     // estimate stays bit-identical.
-    bounded.set_spill_delta_ratio(0.25);
+    bounded.configure(|c| c.with_spill_delta_ratio(0.25));
     let q = bounded
         .read(source)
         .sum("amount", &["user_id"], "total")
@@ -82,7 +84,7 @@ fn main() {
         stats.spill.compactions
     );
     // Robustness telemetry: transient spill-device errors are retried
-    // with backoff (`Session::set_spill_retries` / WAKE_SPILL_RETRIES);
+    // with backoff (`EngineConfig::with_spill_retries`, default 2);
     // a persistently failing device degrades the query to
     // memory-resident execution instead of killing it — same exact
     // answer, budget suspended (`WAKE_SPILL_ENOSPC_AFTER` simulates a

@@ -12,6 +12,8 @@
 //!
 //! ```sh
 //! cargo run --release --example persistent_tables
+//! # keep the segment under the deployment's table root:
+//! WAKE_TABLE_DIR=/var/lib/wake cargo run --release --example persistent_tables
 //! ```
 
 use std::sync::Arc;
@@ -49,10 +51,13 @@ fn main() {
     )
     .unwrap();
 
-    let dir = std::env::temp_dir().join(format!("wake-example-tables-{}", std::process::id()));
+    // The table root is a deployment setting (`WAKE_TABLE_DIR`); without
+    // one the example makes do with a scratch directory.
     let mut session = Session::new();
-    session.set_table_dir(&dir);
-    session.set_zone_rows(8_192);
+    let dir = session.engine_config().table_dir().unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("wake-example-tables-{}", std::process::id()))
+    });
+    session.configure(|c| c.with_table_dir(&dir).with_zone_rows(8_192));
 
     // Persist once, reopen by name — the on-disk segment is the table now.
     session
@@ -126,5 +131,8 @@ fn main() {
         last.rows_processed
     );
 
-    std::fs::remove_dir_all(&dir).ok();
+    // Remove what this example wrote; the directory only if that leaves
+    // it empty (it may be a table root with other tenants).
+    std::fs::remove_file(dir.join("readings.wseg")).ok();
+    std::fs::remove_dir(&dir).ok();
 }

@@ -58,8 +58,10 @@
 //! (deterministic stepped vs pipelined threaded), partition parallelism,
 //! memory budget + spill directory (out-of-core execution), channel
 //! capacity and tracing; `WAKE_MEM_BUDGET` / `WAKE_SPILL_DIR` environment
-//! fallbacks resolve there, per knob. OLA stopping conditions make the
-//! "stop when good enough" loop declarative:
+//! fallbacks resolve there, per knob, and a session takes the same
+//! builders through [`Session::configure`](session::Session::configure).
+//! OLA stopping conditions make the "stop when good enough" loop
+//! declarative:
 //!
 //! ```no_run
 //! # use wake::prelude::*;
@@ -78,7 +80,7 @@
 //! ## Observability
 //!
 //! Turn on per-node profiling with
-//! [`Session::set_obs_level`](session::Session::set_obs_level) (or
+//! [`EngineConfig::with_obs`](prelude::EngineConfig::with_obs) (or
 //! `WAKE_OBS=stats|profile`) and read the live per-node profile — rows,
 //! busy time, state peaks, attributed spill and scan work — from the
 //! stream at any point, including mid-flight and after cancellation.
@@ -87,7 +89,7 @@
 //! ```no_run
 //! # use wake::prelude::*;
 //! # fn demo(mut s: Session, edf: &wake::session::Edf) -> Result<(), wake::data::DataError> {
-//! s.set_obs_level(ObsLevel::Stats);
+//! s.configure(|c| c.with_obs(ObsLevel::Stats));
 //! let mut stream = edf.stream()?;
 //! while let Some(estimate) = stream.next() {
 //!     let estimate = estimate?;
@@ -133,7 +135,7 @@
 //!     EngineConfig::threaded()
 //!         .with_serve_addr("127.0.0.1:7878")
 //!         .with_serve_global_budget(64 << 20) // WAKE_SERVE_GLOBAL_BUDGET=64M
-//!         .with_serve_max_concurrent(4),      // WAKE_SERVE_MAX_CONCURRENT=4
+//!         .with_serve_max_concurrent(4),
 //!     catalog,
 //! )?;
 //! # server.shutdown();

@@ -57,18 +57,18 @@
 //! assert_eq!(estimates.last().unwrap().frame.num_rows(), 2);
 //! ```
 //!
-//! Execution knobs live on the session's [`EngineConfig`]
-//! ([`Session::set_engine_config`] and the `set_*` shorthands): executor
-//! choice, parallelism, memory budget, spill directory, channel capacity.
-//! Environment fallbacks (`WAKE_MEM_BUDGET`, `WAKE_SPILL_DIR`) resolve
-//! through that single path, per knob — setting a spill directory no
-//! longer hides an ambient memory budget.
+//! Execution knobs live on the session's [`EngineConfig`] and are set one
+//! way — [`Session::configure`] with the config's own `with_*` builders,
+//! which is also where each knob is documented. Environment fallbacks
+//! (`WAKE_MEM_BUDGET`, `WAKE_SPILL_DIR`, …) resolve through that single
+//! path, per knob — setting a spill directory does not hide an ambient
+//! memory budget.
 
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::rc::Rc;
 use wake_core::agg::AggSpec;
-use wake_core::graph::{JoinKind, NodeId, Parallelism, QueryGraph};
+use wake_core::graph::{JoinKind, NodeId, QueryGraph};
 use wake_data::{DataFrame, TableSource};
 use wake_engine::{EngineConfig, EstimateSeries, EstimateStream, ExecutorKind, ObsLevel, RunStats};
 use wake_expr::{col, Expr};
@@ -89,124 +89,17 @@ impl Session {
         Self::default()
     }
 
-    /// A session whose queries default to the given executor.
-    pub fn with_executor(kind: ExecutorKind) -> Self {
-        let s = Self::new();
-        s.config.borrow_mut().set(|c| c.with_executor(kind));
-        s
-    }
-
-    /// Replace the session's execution configuration wholesale.
-    pub fn set_engine_config(&mut self, config: EngineConfig) {
-        *self.config.borrow_mut() = config;
+    /// Change the execution configuration of every query this session
+    /// runs from here on, with [`EngineConfig`]'s own builders:
+    /// `s.configure(|c| c.with_memory_budget(64 << 20).with_obs(ObsLevel::Stats))`.
+    pub fn configure(&mut self, f: impl FnOnce(EngineConfig) -> EngineConfig) {
+        let mut config = self.config.borrow_mut();
+        *config = f(std::mem::take(&mut *config));
     }
 
     /// Snapshot of the session's execution configuration.
     pub fn engine_config(&self) -> EngineConfig {
         self.config.borrow().clone()
-    }
-
-    /// Which engine [`Edf::stream`] / [`Edf::collect_stats`] use.
-    pub fn set_executor(&mut self, kind: ExecutorKind) {
-        self.config.borrow_mut().set(|c| c.with_executor(kind));
-    }
-
-    /// Default partition parallelism for hash-keyed operators.
-    pub fn set_parallelism(&mut self, p: Parallelism) {
-        self.config.borrow_mut().set(|c| c.with_parallelism(p));
-    }
-
-    /// Per-edge mailbox capacity of the threaded engine.
-    pub fn set_channel_capacity(&mut self, capacity: usize) {
-        self.config
-            .borrow_mut()
-            .set(|c| c.with_channel_capacity(capacity));
-    }
-
-    /// Bound the buffered operator state of queries in this session:
-    /// joins and group-bys spill their largest partitions to disk once
-    /// the budget is exceeded, instead of growing without limit.
-    /// `Some(bytes)` sets an explicit budget; `None` makes the session
-    /// explicitly unbounded (overriding an ambient `WAKE_MEM_BUDGET`).
-    /// A session that never touches this knob defers to the environment.
-    pub fn set_memory_budget(&mut self, bytes: Option<usize>) {
-        self.config.borrow_mut().set(|c| match bytes {
-            Some(b) => c.with_memory_budget(b),
-            None => c.unbounded_memory(),
-        });
-    }
-
-    /// Directory for spill files (default: `WAKE_SPILL_DIR`, else a fresh
-    /// temp dir per query).
-    pub fn set_spill_dir(&mut self, dir: impl Into<PathBuf>) {
-        let dir = dir.into();
-        self.config.borrow_mut().set(|c| c.with_spill_dir(dir));
-    }
-
-    /// Write-behind compaction policy for spilled group-by partitions: a
-    /// partition's delta run may grow to `ratio` × its base run before
-    /// being compacted back into it. `0.0` compacts on every fold (the
-    /// legacy rehydrate-fold-rewrite behavior); larger ratios cut
-    /// fold-time spill writes at the cost of replay work on reads.
-    /// Estimates are bit-identical at any ratio. Default:
-    /// `WAKE_SPILL_DELTA_RATIO`, else 0.5.
-    pub fn set_spill_delta_ratio(&mut self, ratio: f64) {
-        self.config
-            .borrow_mut()
-            .set(|c| c.with_spill_delta_ratio(ratio));
-    }
-
-    /// Retries per spill I/O operation beyond the first attempt (with
-    /// exponentially doubling backoff). A transient spill-device error
-    /// that recovers within the retry budget is invisible — estimates
-    /// stay bit-identical; once retries are exhausted the device is
-    /// considered dead and queries degrade to memory-resident execution
-    /// (`RunStats::degraded`). `0` fails fast. Default:
-    /// `WAKE_SPILL_RETRIES`, else 2.
-    pub fn set_spill_retries(&mut self, attempts: u32) {
-        self.config
-            .borrow_mut()
-            .set(|c| c.with_spill_retries(attempts));
-    }
-
-    /// Directory persisted segment tables are written to and opened from
-    /// by [`Self::persist_table`] / [`Self::open_table`] (default:
-    /// `WAKE_TABLE_DIR`).
-    pub fn set_table_dir(&mut self, dir: impl Into<PathBuf>) {
-        let dir = dir.into();
-        self.config.borrow_mut().set(|c| c.with_table_dir(dir));
-    }
-
-    /// Rows per zone when persisting tables — the pruning granularity.
-    /// Default: `WAKE_ZONE_ROWS`, else [`wake::store::DEFAULT_ZONE_ROWS`](wake_store::DEFAULT_ZONE_ROWS).
-    pub fn set_zone_rows(&mut self, rows: usize) {
-        self.config.borrow_mut().set(|c| c.with_zone_rows(rows));
-    }
-
-    /// Enable or disable zone pruning for this session's queries (answers
-    /// are unchanged either way — pruning only skips provably-empty I/O).
-    /// Default: `WAKE_ZONE_PRUNING`, else on.
-    pub fn set_zone_pruning(&mut self, enabled: bool) {
-        self.config
-            .borrow_mut()
-            .set(|c| c.with_zone_pruning(enabled));
-    }
-
-    /// Scan persisted tables' zones in a seeded random order — the
-    /// paper's shuffled-input regime for representative early estimates.
-    /// Default: `WAKE_SCAN_SEED`, else stored order.
-    pub fn set_scan_seed(&mut self, seed: u64) {
-        self.config.borrow_mut().set(|c| c.with_scan_seed(seed));
-    }
-
-    /// Observability level for this session's queries: `Off` (no
-    /// instrumentation, the default), `Stats` (per-node counters:
-    /// rows/frames/busy time/state peaks, plus spill and scan
-    /// attribution), or `Profile` (additionally per-update histograms
-    /// and per-shard state detail). Estimates are bit-identical at every
-    /// level. Default: `WAKE_OBS`, else off.
-    pub fn set_obs_level(&mut self, level: ObsLevel) {
-        self.config.borrow_mut().set(|c| c.with_obs(level));
     }
 
     /// Register a base table and get its edf handle (`read_csv` in §1).
@@ -220,12 +113,13 @@ impl Session {
     }
 
     /// Persist `frame` as a multi-zone compressed segment table named
-    /// `name` under the session's table directory ([`Self::set_table_dir`]
-    /// / `WAKE_TABLE_DIR`), then register the on-disk table and return its
-    /// edf handle. Each zone holds [`Session::set_zone_rows`] rows with
-    /// per-column min/max statistics, so filters over the returned edf can
-    /// skip zones entirely (zone pruning). Overwrites any previous segment
-    /// of the same name.
+    /// `name` under the session's table directory
+    /// ([`EngineConfig::with_table_dir`] / `WAKE_TABLE_DIR`), then register
+    /// the on-disk table and return its edf handle. Each zone holds
+    /// [`EngineConfig::with_zone_rows`] rows with per-column min/max
+    /// statistics, so filters over the returned edf can skip zones
+    /// entirely (zone pruning). Overwrites any previous segment of the
+    /// same name.
     pub fn persist_table(
         &mut self,
         name: &str,
@@ -261,22 +155,10 @@ impl Session {
     fn table_path(&self, name: &str) -> Result<PathBuf> {
         let dir = self.config.borrow().table_dir().ok_or_else(|| {
             wake_data::DataError::Invalid(
-                "no table directory: call Session::set_table_dir or set WAKE_TABLE_DIR".into(),
+                "no table directory: configure with_table_dir or set WAKE_TABLE_DIR".into(),
             )
         })?;
         Ok(dir.join(format!("{name}.wseg")))
-    }
-}
-
-/// In-place mutation helper over the builder-style [`EngineConfig`].
-trait ConfigCell {
-    fn set(&mut self, f: impl FnOnce(EngineConfig) -> EngineConfig);
-}
-
-impl ConfigCell for EngineConfig {
-    fn set(&mut self, f: impl FnOnce(EngineConfig) -> EngineConfig) {
-        let cur = std::mem::take(self);
-        *self = f(cur);
     }
 }
 
@@ -489,7 +371,7 @@ impl Edf {
     /// configured engine and return the plan tree annotated with the
     /// observed per-node rows, busy time, state peaks, and attributed
     /// spill/scan work. Runs at the session's observability level when
-    /// one is enabled ([`Session::set_obs_level`]), else at
+    /// one is enabled ([`EngineConfig::with_obs`]), else at
     /// `ObsLevel::Stats`. For a profile of a *partial* run, drive
     /// [`Self::stream`] yourself and call
     /// [`EstimateStream::explain_analyze`] at any point.
@@ -617,12 +499,13 @@ mod tests {
 
     #[test]
     fn session_executor_choice_drives_stream() {
-        let mut s = Session::with_executor(ExecutorKind::Threaded);
+        let mut s = Session::new();
+        s.configure(|c| c.with_executor(ExecutorKind::Threaded));
         let t = s.read(source());
         let q = t.count(&["k"], "n").sort(&["k"], &[false]);
         let (series, _) = q.collect_stats().unwrap();
         assert!(series.last().unwrap().is_final);
-        s.set_executor(ExecutorKind::Stepped);
+        s.configure(|c| c.with_executor(ExecutorKind::Stepped));
         let (series2, _) = q.collect_stats().unwrap();
         assert_eq!(
             series.last().unwrap().frame.as_ref(),
@@ -647,7 +530,7 @@ mod tests {
         .unwrap();
         let big = MemorySource::from_frame("big", &frame, 500, vec![], None).unwrap();
         let mut s = Session::new();
-        s.set_memory_budget(Some(512));
+        s.configure(|c| c.with_memory_budget(512));
         let t = s.read(big);
         let q = t.sum("v", &["k"], "sv").sort(&["k"], &[false]);
         let (series, stats) = q.collect_stats().unwrap();
@@ -681,9 +564,9 @@ mod tests {
         let source = || MemorySource::from_frame("big", &frame, 300, vec![], None).unwrap();
         let run = |ratio: Option<f64>| {
             let mut s = Session::new();
-            s.set_memory_budget(Some(2048));
+            s.configure(|c| c.with_memory_budget(2048));
             if let Some(r) = ratio {
-                s.set_spill_delta_ratio(r);
+                s.configure(|c| c.with_spill_delta_ratio(r));
             }
             let t = s.read(source());
             let q = t.sum("v", &["k"], "sv").sort(&["k"], &[false]);
@@ -716,7 +599,7 @@ mod tests {
         let want = reference.get_final().unwrap();
 
         let mut bounded = Session::new();
-        bounded.set_memory_budget(Some(512));
+        bounded.configure(|c| c.with_memory_budget(512));
         let t = bounded.read(source());
         let q = t.sum("v", &["k"], "sv").sort(&["k"], &[false]);
         let got = q.get_final().unwrap();
@@ -732,7 +615,7 @@ mod tests {
         // All knobs now resolve through EngineConfig, per knob.
         let ambient = wake_engine::SpillConfig::from_env();
         let mut s = Session::new();
-        s.set_spill_dir("/tmp/wake-session-env-test");
+        s.configure(|c| c.with_spill_dir("/tmp/wake-session-env-test"));
         let resolved = s.engine_config().spill_config();
         assert_eq!(resolved.budget_bytes, ambient.budget_bytes);
         assert_eq!(
@@ -740,7 +623,7 @@ mod tests {
             Some(PathBuf::from("/tmp/wake-session-env-test"))
         );
         // And an explicit unbounded override wins over the environment.
-        s.set_memory_budget(None);
+        s.configure(|c| c.unbounded_memory());
         assert_eq!(s.engine_config().spill_config().budget_bytes, None);
     }
 
@@ -760,8 +643,7 @@ mod tests {
         )
         .unwrap();
         let mut s = Session::new();
-        s.set_table_dir(&dir);
-        s.set_zone_rows(10);
+        s.configure(|c| c.with_table_dir(&dir).with_zone_rows(10));
         let t = s
             .persist_table("session_t", &frame, vec!["k".into()], None)
             .unwrap();
@@ -775,7 +657,7 @@ mod tests {
         assert_eq!(stats.scan.zones_pruned, 3);
         assert!(stats.scan.decompressed_bytes > 0);
         // Pruning off: same answer, every zone decoded.
-        s.set_zone_pruning(false);
+        s.configure(|c| c.with_zone_pruning(false));
         let (series2, stats2) = q.collect_stats().unwrap();
         assert_eq!(
             series2.last().unwrap().frame.value(0, "sv").unwrap(),
@@ -784,7 +666,7 @@ mod tests {
         assert_eq!(stats2.scan.zones_pruned, 0);
         // A fresh session reopens the persisted table by name.
         let mut s2 = Session::new();
-        s2.set_table_dir(&dir);
+        s2.configure(|c| c.with_table_dir(&dir));
         let t2 = s2.open_table("session_t").unwrap();
         assert_eq!(t2.get_final().unwrap().num_rows(), 40);
     }
@@ -801,7 +683,7 @@ mod tests {
         assert!(text.contains("read") || text.contains("Read"), "{text}");
         assert!(text.contains("rows"), "{text}");
         // A session-level Profile opt-in flows through the same surface.
-        s.set_obs_level(ObsLevel::Profile);
+        s.configure(|c| c.with_obs(ObsLevel::Profile));
         let profiled = q.explain_analyze().unwrap();
         assert!(profiled.contains("profile"), "{profiled}");
     }

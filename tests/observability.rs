@@ -176,10 +176,8 @@ fn estimates_carry_monotone_telemetry_deltas() {
     let data = TpchData::generate(0.002, 42);
     let dir = std::env::temp_dir().join("wake-obs-telemetry-test");
     let mut s = Session::new();
-    s.set_table_dir(&dir);
-    s.set_zone_rows(256);
-    s.set_memory_budget(Some(BUDGET));
-    s.set_obs_level(ObsLevel::Stats);
+    s.configure(|c| c.with_table_dir(&dir).with_zone_rows(256));
+    s.configure(|c| c.with_memory_budget(BUDGET).with_obs(ObsLevel::Stats));
     let li = s
         .persist_table(
             "obs_lineitem",
