@@ -3,7 +3,8 @@
 //! implementation of both protocols.
 
 use crate::json::{self, Obj};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use crate::wire::WireWriter;
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -73,22 +74,21 @@ fn parse_done(line: &str) -> Option<WireDone> {
 
 /// A line-JSON TCP protocol client over one connection.
 pub struct ServeClient {
-    stream: TcpStream,
+    out: WireWriter,
     reader: BufReader<TcpStream>,
 }
 
 impl ServeClient {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<ServeClient> {
         let stream = TcpStream::connect(addr)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(ServeClient { stream, reader })
+        let out = WireWriter::tcp(&stream)?;
+        let reader = BufReader::new(stream);
+        Ok(ServeClient { out, reader })
     }
 
     /// Send one raw request line.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()
+        self.out.line(line)
     }
 
     /// Read one response line (`None` on EOF).
@@ -177,11 +177,7 @@ impl ServeClient {
 /// and the decoded body (chunked transfer encoding is reassembled).
 pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> io::Result<(u16, String)> {
     let mut stream = TcpStream::connect(addr)?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: wake\r\nConnection: close\r\n\r\n"
-    )?;
-    stream.flush()?;
+    WireWriter::tcp(&stream)?.http_get(path)?;
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;
     let text = String::from_utf8_lossy(&raw).into_owned();
@@ -207,7 +203,7 @@ pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> io::Result<(u16, String
 }
 
 /// Reassemble a chunked HTTP body into its payload.
-fn decode_chunked(body: &str) -> String {
+pub(crate) fn decode_chunked(body: &str) -> String {
     let mut out = Vec::new();
     let mut rest = body.as_bytes();
     while let Some(eol) = rest.windows(2).position(|w| w == b"\r\n") {
@@ -230,4 +226,16 @@ fn decode_chunked(body: &str) -> String {
         }
     }
     String::from_utf8_lossy(&out).into_owned()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn connect_turns_nagle_off() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = ServeClient::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.reader.get_ref().nodelay().unwrap());
+    }
 }

@@ -37,6 +37,10 @@
 //!   query through the engine's drop-cancel contract — node threads
 //!   joined, spill temp directories removed, the governor lease returned.
 //!
+//! The wire contract: **one frame is one write, and `TCP_NODELAY` is set
+//! on both ends** — a frame split over two writes waits out the peer's
+//! ~40 ms delayed ACK behind Nagle. The `wire` module owns every socket write.
+//!
 //! Estimates carry `value` / `ci_rel_half_width` telemetry for the
 //! catalog entry's *watch column*, plus `rows_processed`, cumulative
 //! `spill_bytes` / `scan_bytes`, and a `degraded` flag (spill device
@@ -67,6 +71,7 @@ pub mod client;
 pub mod json;
 pub mod registry;
 pub mod server;
+mod wire;
 
 pub use catalog::{CatalogEntry, QueryCatalog};
 pub use client::{http_get, QueryOutcome, ServeClient, WireDone, WireEstimate};
@@ -268,6 +273,63 @@ mod tests {
             outcome.estimates.last().unwrap().value,
             Some(expected_sum(4000))
         );
+        server.shutdown();
+    }
+
+    /// A frame split over two writes, or a socket left on Nagle, stalls
+    /// for the peer's delayed ACK: ≥ 40 ms per round trip on Linux. The
+    /// unstalled loopback path is well under 1 ms, so 10 ms tells the two
+    /// apart on any host. CI's `serve` lane runs this with `--nocapture`.
+    #[test]
+    fn wire_round_trips_do_not_stall() {
+        use std::time::{Duration, Instant};
+        const ROUNDS: usize = 20;
+        fn median_of(mut timed: impl FnMut() -> Duration) -> Duration {
+            let mut samples: Vec<Duration> = (0..ROUNDS).map(|_| timed()).collect();
+            samples.sort();
+            samples[ROUNDS / 2]
+        }
+        let server = serve(EngineConfig::new(), test_catalog()).unwrap();
+        let mut client = ServeClient::connect(server.addr()).unwrap();
+
+        let list = median_of(|| {
+            let t0 = Instant::now();
+            let line = client.list().unwrap().unwrap();
+            let took = t0.elapsed();
+            assert_eq!(json::field_str(&line, "type").as_deref(), Some("queries"));
+            took
+        });
+        let admit = median_of(|| {
+            let t0 = Instant::now();
+            client
+                .send_line(r#"{"op":"query","name":"sum_v"}"#)
+                .unwrap();
+            let line = client.read_line().unwrap().unwrap();
+            let took = t0.elapsed();
+            assert_eq!(json::field_str(&line, "type").as_deref(), Some("admitted"));
+            // Drain the stream so the next request starts from idle.
+            while let Some(line) = client.read_line().unwrap() {
+                if json::field_str(&line, "type").as_deref() == Some("done") {
+                    break;
+                }
+            }
+            took
+        });
+        let http = median_of(|| {
+            let t0 = Instant::now();
+            let (status, _) = http_get(server.addr(), "/queries").unwrap();
+            let took = t0.elapsed();
+            assert_eq!(status, 200);
+            took
+        });
+        println!(
+            "wire round trips, median of {ROUNDS}: list {list:?}, \
+             query -> admitted {admit:?}, http GET /queries {http:?}"
+        );
+        let limit = Duration::from_millis(10);
+        assert!(list < limit, "list round trip stalled: {list:?}");
+        assert!(admit < limit, "admission stalled: {admit:?}");
+        assert!(http < limit, "http round trip stalled: {http:?}");
         server.shutdown();
     }
 

@@ -24,8 +24,9 @@
 use crate::catalog::QueryCatalog;
 use crate::json::{self, Obj};
 use crate::registry::{QueryRecord, QueryRegistry, QueryStatus};
+use crate::wire::WireWriter;
 use crossbeam::channel::{self, RecvTimeoutError, TrySendError};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -157,7 +158,12 @@ pub fn serve(config: EngineConfig, catalog: QueryCatalog) -> io::Result<ServerHa
                             let _ = handle_connection(stream, &shared);
                         });
                     if let Ok(handle) = spawned {
-                        lock_recover(&conns).push(handle);
+                        // Reap as we go: HTTP is one connection per
+                        // request, so the list would otherwise grow by
+                        // one handle per request ever served.
+                        let mut conns = lock_recover(&conns);
+                        conns.retain(|h| !h.is_finished());
+                        conns.push(handle);
                     }
                 }
             })?
@@ -187,6 +193,12 @@ impl ServerHandle {
     /// Tests assert [`GlobalGovernor::is_idle`] here between requests.
     pub fn global_governor(&self) -> Option<Arc<GlobalGovernor>> {
         self.shared.global.clone()
+    }
+
+    /// Connection threads the listener still holds a handle to: the live
+    /// connections plus any that ended since the last accept.
+    pub fn connection_handles(&self) -> usize {
+        lock_recover(&self.conns).len()
     }
 
     /// Stop accepting, cancel in-flight work, join every thread.
@@ -479,6 +491,12 @@ impl Reply {
     fn too_large() -> Reply {
         Reply::error(Code::TooLarge, None, "request line or headers too long")
     }
+
+    /// Answer over HTTP: the code picks the status, the body is the line.
+    fn http(&self, out: &mut WireWriter) -> io::Result<()> {
+        let (_, status, reason) = self.0.wire();
+        out.http_reply(status, reason, &self.1)
+    }
 }
 
 /// EXPLAIN ANALYZE of a finished query: its recorded profile.
@@ -586,15 +604,14 @@ fn is_http(request_line: &str) -> bool {
 fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_read_timeout(Some(POLL))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut out = WireWriter::tcp(&stream)?;
+    let mut reader = BufReader::new(stream);
     match read_line_polled(&mut reader, shared)? {
         Request::Closed => Ok(()),
-        Request::Line(first) if is_http(&first) => handle_http(stream, reader, first, shared),
-        Request::Line(first) => handle_tcp_line(stream, reader, first, shared),
-        Request::TooLong(start) if is_http(&start) => {
-            http_reply(&mut stream.try_clone()?, &Reply::too_large())
-        }
-        Request::TooLong(_) => send_line(&mut stream.try_clone()?, &Reply::too_large().1),
+        Request::Line(first) if is_http(&first) => handle_http(out, reader, first, shared),
+        Request::Line(first) => handle_tcp_line(out, reader, first, shared),
+        Request::TooLong(start) if is_http(&start) => Reply::too_large().http(&mut out),
+        Request::TooLong(_) => out.line(&Reply::too_large().1),
     }
 }
 
@@ -702,17 +719,16 @@ fn pump_events(
 // ---------------------------------------------------------------------
 
 fn handle_tcp_line(
-    stream: TcpStream,
+    mut out: WireWriter,
     mut reader: BufReader<TcpStream>,
     first: String,
     shared: &Shared,
 ) -> io::Result<()> {
-    let mut out = stream.try_clone()?;
     let mut request = Request::Line(first);
     loop {
         let line = match request {
             Request::Line(line) => line,
-            Request::TooLong(_) => return send_line(&mut out, &Reply::too_large().1),
+            Request::TooLong(_) => return out.line(&Reply::too_large().1),
             Request::Closed => return Ok(()),
         };
         let reply = match json::field_str(&line, "op").as_deref() {
@@ -724,8 +740,8 @@ fn handle_tcp_line(
                         .unwrap_or(DEFAULT_DEADLINE);
                     match admit(shared, &name, deadline) {
                         Ok(admitted) => {
-                            let write = |l: &str| send_line(&mut out, l);
-                            if !pump_events(&admitted, &stream, shared, write)? {
+                            let write = |l: &str| out.line(l);
+                            if !pump_events(&admitted, reader.get_ref(), shared, write)? {
                                 return Ok(());
                             }
                             None
@@ -744,7 +760,7 @@ fn handle_tcp_line(
             )),
         };
         if let Some(Reply(code, body)) = reply {
-            send_line(&mut out, &body)?;
+            out.line(&body)?;
             if code == Code::ShuttingDown {
                 return Ok(());
             }
@@ -753,32 +769,23 @@ fn handle_tcp_line(
     }
 }
 
-fn send_line(out: &mut TcpStream, line: &str) -> io::Result<()> {
-    out.write_all(line.as_bytes())?;
-    out.write_all(b"\n")?;
-    out.flush()
-}
-
 // ---------------------------------------------------------------------
 // Minimal HTTP/1.1 with chunked transfer encoding.
 // ---------------------------------------------------------------------
 
 fn handle_http(
-    stream: TcpStream,
+    mut out: WireWriter,
     mut reader: BufReader<TcpStream>,
     request_line: String,
     shared: &Shared,
 ) -> io::Result<()> {
-    let mut out = stream.try_clone()?;
     // Drain headers (ignored; the protocol needs only the request line).
     let mut headers = 0;
     loop {
         match read_line_polled(&mut reader, shared)? {
             Request::Line(line) if line.is_empty() => break,
             Request::Line(_) if headers < MAX_HEADERS => headers += 1,
-            Request::Line(_) | Request::TooLong(_) => {
-                return http_reply(&mut out, &Reply::too_large())
-            }
+            Request::Line(_) | Request::TooLong(_) => return Reply::too_large().http(&mut out),
             Request::Closed => break,
         }
     }
@@ -803,16 +810,10 @@ fn handle_http(
             .unwrap_or(DEFAULT_DEADLINE);
         match admit(shared, name, deadline) {
             Ok(admitted) => {
-                out.write_all(
-                    b"HTTP/1.1 200 OK\r\n\
-                      Content-Type: application/x-ndjson\r\n\
-                      Transfer-Encoding: chunked\r\n\
-                      Connection: close\r\n\r\n",
-                )?;
-                let write = |l: &str| write_chunk(&mut out, l);
-                if pump_events(&admitted, &stream, shared, write)? {
-                    let _ = out.write_all(b"0\r\n\r\n");
-                    let _ = out.flush();
+                out.http_stream_head()?;
+                let write = |l: &str| out.http_chunk(l);
+                if pump_events(&admitted, reader.get_ref(), shared, write)? {
+                    let _ = out.http_last_chunk();
                 }
                 return Ok(());
             }
@@ -825,29 +826,7 @@ fn handle_http(
     } else {
         Reply::error(Code::NotFound, None, "unknown path")
     };
-    http_reply(&mut out, &reply)
-}
-
-/// One ndjson event line as an HTTP chunk (the newline travels inside
-/// the chunk so consumers can split on it).
-fn write_chunk(out: &mut TcpStream, line: &str) -> io::Result<()> {
-    write!(out, "{:x}\r\n", line.len() + 1)?;
-    out.write_all(line.as_bytes())?;
-    out.write_all(b"\n\r\n")?;
-    out.flush()
-}
-
-fn http_reply(out: &mut TcpStream, Reply(code, body): &Reply) -> io::Result<()> {
-    let (_, status, reason) = code.wire();
-    write!(
-        out,
-        "HTTP/1.1 {status} {reason}\r\n\
-         Content-Type: application/json\r\n\
-         Content-Length: {}\r\n\
-         Connection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    out.flush()
+    reply.http(&mut out)
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@ pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/wake-serve/src/json.rs",
     "crates/wake-obs/src/json.rs",
     "crates/wake-serve/src/client.rs",
+    "crates/wake-serve/src/wire.rs",
     "crates/wake-engine/src/query.rs",
     "crates/wake-engine/src/threaded.rs",
     "crates/wake-engine/src/stepped.rs",

@@ -18,7 +18,7 @@ pub use q09_16::*;
 pub use q17_22::*;
 
 use crate::gen::TpchData;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use wake_core::graph::{NodeId, QueryGraph};
 use wake_expr::{col, lit_i64, Expr};
 
@@ -38,6 +38,9 @@ pub struct TpchDb {
     /// On-disk segment table per name, when built with
     /// [`TpchDb::persisted`]. `None` = in-memory mode.
     persisted: Option<std::collections::HashMap<String, Arc<wake_store::SegmentSource>>>,
+    /// In-memory mode: each table's partitioned source, in [`TABLES`]
+    /// order, built on first read and shared by every reader node after.
+    memory: [OnceLock<Arc<wake_data::MemorySource>>; TABLES.len()],
 }
 
 impl TpchDb {
@@ -48,6 +51,7 @@ impl TpchDb {
             data,
             rows_per_partition,
             persisted: None,
+            memory: Default::default(),
         }
     }
 
@@ -89,6 +93,7 @@ impl TpchDb {
             data,
             rows_per_partition,
             persisted: Some(tables),
+            memory: Default::default(),
         })
     }
 
@@ -132,15 +137,21 @@ impl TpchDb {
     }
 
     /// Add a reader node for `table` (the on-disk segment in persisted
-    /// mode, a partitioned in-memory view otherwise).
+    /// mode, a partitioned in-memory view otherwise). Either way the
+    /// source is shared: partitioning a table costs a copy of it, paid
+    /// once per `TpchDb`, not once per reader node of every query.
     pub fn read(&self, g: &mut QueryGraph, table: &str) -> NodeId {
         if let Some(tables) = &self.persisted {
             let source = tables.get(table).expect("persisted tpc-h table").clone();
             return g.read_arc(source);
         }
-        let frame = self.data.table(table);
-        let partitions = frame.num_rows().div_ceil(self.rows_per_partition).max(1);
-        g.read(self.data.source(table, partitions))
+        let rows = self.data.table(table).num_rows(); // panics on an unknown name
+        let slot = TABLES.iter().position(|t| *t == table).expect("in TABLES");
+        let source = self.memory[slot].get_or_init(|| {
+            let partitions = rows.div_ceil(self.rows_per_partition).max(1);
+            Arc::new(self.data.source(table, partitions))
+        });
+        g.read_arc(source.clone())
     }
 }
 
@@ -327,6 +338,8 @@ pub fn query_by_name(name: &str) -> Option<QuerySpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wake_core::graph::NodeKind;
+    use wake_data::TableSource;
 
     #[test]
     fn registry_is_complete_and_buildable() {
@@ -345,6 +358,36 @@ mod tests {
             }
             for v in spec.values {
                 assert!(sink_schema.contains(v), "{}: value {v} missing", spec.name);
+            }
+        }
+    }
+
+    fn source_of(g: &QueryGraph, id: NodeId) -> Arc<dyn TableSource> {
+        match &g.node(id).kind {
+            NodeKind::Read { source } => source.clone(),
+            other => panic!("not a reader: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn in_memory_reads_share_one_source_partitioned_as_before() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<TpchDb>();
+        let data = Arc::new(TpchData::generate(0.001, 1));
+        for partitions in [1, 24] {
+            let db = TpchDb::new(data.clone(), partitions);
+            let mut g = QueryGraph::new();
+            for table in TABLES {
+                let (a, b) = (db.read(&mut g, table), db.read(&mut g, table));
+                let (first, second) = (source_of(&g, a), source_of(&g, b));
+                assert!(Arc::ptr_eq(&first, &second), "{table}: one shared source");
+                let rows = data.table(table).num_rows();
+                let parts = rows.div_ceil(db.rows_per_partition()).max(1);
+                assert_eq!(
+                    first.meta().partition_rows,
+                    data.source(table, parts).meta().partition_rows,
+                    "{table} at {partitions} partitions"
+                );
             }
         }
     }

@@ -6,6 +6,8 @@
 //!   ledger returns to idle afterwards.
 //! - Disconnecting mid-stream cancels through the drop-cancel contract:
 //!   no leaked OS threads, no leaked spill temp directories.
+//! - Connection threads are reaped as the listener accepts: a long run
+//!   of one-connection HTTP requests leaves no threads or handles behind.
 //! - An over-admission burst gets *typed* overload refusals, never a
 //!   hang; a query cancelled while still queued stays readable in the
 //!   registry and reports zero work.
@@ -246,6 +248,29 @@ fn disconnect_mid_stream_leaks_no_threads_and_no_spill_dirs() {
         after <= baseline_threads,
         "leaked threads: {baseline_threads} before, {after} after shutdown"
     );
+}
+
+#[test]
+fn sequential_http_requests_leave_no_threads_and_no_handles_behind() {
+    let _guard = SERVER.lock().unwrap_or_else(|e| e.into_inner());
+    let db = tpch_db(0.001, 2);
+    let server = serve(EngineConfig::stepped(), catalog_for(&db)).unwrap();
+    let baseline_threads = thread_count();
+    for _ in 0..50 {
+        let (status, _) = http_get(server.addr(), "/queries").unwrap();
+        assert_eq!(status, 200);
+    }
+    // HTTP is one connection per request: each accept reaps the
+    // connection threads that finished before it.
+    let after = settled_thread_count(baseline_threads);
+    assert!(
+        after <= baseline_threads,
+        "connection threads outlive their requests: {baseline_threads} before, {after} after"
+    );
+    // The newest handle, plus any thread still exiting at the last accept.
+    let held = server.connection_handles();
+    assert!(held <= 4, "listener holds {held} handles after 50 requests");
+    server.shutdown();
 }
 
 #[test]
