@@ -291,6 +291,25 @@ impl Column {
         self.gather(indices.len(), |i| indices[i])
     }
 
+    /// Rows `start..end` as a new column: what [`take`](Self::take) of that
+    /// range returns (same canonical mask), by one slice copy per buffer.
+    /// Panics if the range is out of bounds.
+    pub fn slice(&self, start: usize, end: usize) -> Column {
+        let data = match &self.data {
+            ColumnData::Int64(v) => ColumnData::Int64(v[start..end].to_vec()),
+            ColumnData::Float64(v) => ColumnData::Float64(v[start..end].to_vec()),
+            ColumnData::Bool(v) => ColumnData::Bool(v[start..end].to_vec()),
+            ColumnData::Utf8(v) => ColumnData::Utf8(v[start..end].to_vec()),
+            ColumnData::Date(v) => ColumnData::Date(v[start..end].to_vec()),
+        };
+        let validity = self
+            .validity
+            .as_ref()
+            .map(|m| m[start..end].to_vec())
+            .filter(|m| !m.iter().all(|&v| v));
+        Column { data, validity }
+    }
+
     /// Gather rows at a `u32` selection vector — the shared representation
     /// produced by predicate evaluation ([`filter`](Self::filter)) and the
     /// hash-range partition scatter (`wake_data::partition`). One typed pass
@@ -463,6 +482,26 @@ mod tests {
         let mask: Vec<bool> = (0..19).map(|i| i % 3 == 0).collect();
         let sel = mask_to_selection(&mask);
         assert_eq!(sel, vec![0, 3, 6, 9, 12, 15, 18]);
+    }
+
+    #[test]
+    fn slice_matches_take_of_the_range() {
+        let col = Column::from_values(
+            DataType::Utf8,
+            &[
+                Value::str("a"),
+                Value::Null,
+                Value::str("c"),
+                Value::str("d"),
+            ],
+        )
+        .unwrap();
+        for (start, end) in [(0, 4), (0, 2), (2, 4), (1, 1), (4, 4)] {
+            let idx: Vec<usize> = (start..end).collect();
+            assert_eq!(col.slice(start, end), col.take(&idx), "{start}..{end}");
+        }
+        // A range without nulls drops the mask, as `take` does.
+        assert!(col.slice(2, 4).validity().is_none());
     }
 
     #[test]

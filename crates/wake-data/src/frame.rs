@@ -157,6 +157,17 @@ impl DataFrame {
         }
     }
 
+    /// Rows `start..end` as a new frame — [`Self::take`] of a contiguous
+    /// range without the index vector. Panics if the range is out of
+    /// bounds.
+    pub fn slice(&self, start: usize, end: usize) -> DataFrame {
+        DataFrame {
+            schema: self.schema.clone(),
+            columns: self.columns.iter().map(|c| c.slice(start, end)).collect(),
+            rows: end - start,
+        }
+    }
+
     /// Gather rows at a `u32` selection vector (the representation shared by
     /// predicate evaluation and the hash-range partition scatter). Cheap
     /// columnar gather: one typed pass per column, no `Value` cells.

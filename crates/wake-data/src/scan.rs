@@ -172,20 +172,15 @@ pub fn decide_zone(pred: &ColPredicate, stats: &ZoneStats) -> ZoneDecision {
     }
 }
 
-/// Evaluate a conjunction: prune if *any* predicate prunes, keep only if
-/// *all* predicates keep outright.
-pub fn decide_zone_all(
-    preds: &[ColPredicate],
-    stats_for: impl Fn(&str) -> Option<ZoneStats>,
+/// Evaluate a conjunction, given each predicate with its column's zone
+/// stats (`None` = no stats for that column, which cannot prune): prune if
+/// *any* predicate prunes, keep only if *all* predicates keep outright.
+pub fn decide_zone_all<'a>(
+    preds: impl IntoIterator<Item = (&'a ColPredicate, Option<&'a ZoneStats>)>,
 ) -> ZoneDecision {
     let mut decision = ZoneDecision::Keep;
-    for pred in preds {
-        let d = match stats_for(&pred.column) {
-            Some(stats) => decide_zone(pred, &stats),
-            // Unknown column (e.g. stats missing): cannot prune on it.
-            None => ZoneDecision::KeepFilter,
-        };
-        match d {
+    for (pred, stats) in preds {
+        match stats.map_or(ZoneDecision::KeepFilter, |s| decide_zone(pred, s)) {
             ZoneDecision::Prune => return ZoneDecision::Prune,
             ZoneDecision::KeepFilter => decision = ZoneDecision::KeepFilter,
             ZoneDecision::Keep => {}
@@ -220,6 +215,10 @@ pub struct ScanMetrics {
     pub decompressed_bytes: u64,
     /// Wall-clock nanoseconds spent decoding zones.
     pub decode_nanos: u64,
+    /// Columns the scan returns (after projection pushdown).
+    pub columns_read: u64,
+    /// Columns the table(s) store.
+    pub columns_total: u64,
 }
 
 impl ScanMetrics {
@@ -231,12 +230,15 @@ impl ScanMetrics {
         self.compressed_bytes += other.compressed_bytes;
         self.decompressed_bytes += other.decompressed_bytes;
         self.decode_nanos += other.decode_nanos;
+        self.columns_read += other.columns_read;
+        self.columns_total += other.columns_total;
     }
 }
 
-/// Shared, thread-safe scan counters: one per segment source, cloned into
-/// pruned/reordered views so every derived source reports into the same
-/// ledger.
+/// Thread-safe scan counters, one ledger per segment source *view*: the
+/// shape counters (zones total/pruned, columns read/total) describe the
+/// view and carry over to views derived from it ([`Self::derived`]); the
+/// work counters (zones scanned, bytes, decode time) start at zero there.
 #[derive(Debug, Default)]
 pub struct ScanTelemetry {
     zones_total: AtomicU64,
@@ -245,6 +247,8 @@ pub struct ScanTelemetry {
     compressed_bytes: AtomicU64,
     decompressed_bytes: AtomicU64,
     decode_nanos: AtomicU64,
+    columns_read: AtomicU64,
+    columns_total: AtomicU64,
 }
 
 // Every `ScanTelemetry` cell is an independent monotone counter read
@@ -272,8 +276,24 @@ impl ScanTelemetry {
         Arc::new(ScanTelemetry::default())
     }
 
+    /// The ledger of a view derived from this one's: same shape, no work
+    /// yet — so run stats never leak across queries sharing a base source.
+    pub fn derived(&self) -> Arc<Self> {
+        let view = ScanTelemetry::new();
+        tel_set(&view.zones_total, tel_get(&self.zones_total));
+        tel_set(&view.zones_pruned, tel_get(&self.zones_pruned));
+        tel_set(&view.columns_read, tel_get(&self.columns_read));
+        tel_set(&view.columns_total, tel_get(&self.columns_total));
+        view
+    }
+
     pub fn set_zones_total(&self, n: u64) {
         tel_set(&self.zones_total, n);
+    }
+
+    pub fn set_columns(&self, read: u64, total: u64) {
+        tel_set(&self.columns_read, read);
+        tel_set(&self.columns_total, total);
     }
 
     pub fn add_pruned(&self, n: u64) {
@@ -295,6 +315,8 @@ impl ScanTelemetry {
             compressed_bytes: tel_get(&self.compressed_bytes),
             decompressed_bytes: tel_get(&self.decompressed_bytes),
             decode_nanos: tel_get(&self.decode_nanos),
+            columns_read: tel_get(&self.columns_read),
+            columns_total: tel_get(&self.columns_total),
         }
     }
 }
@@ -392,26 +414,33 @@ mod tests {
 
     #[test]
     fn conjunction_prune_dominates() {
-        let lookup = |name: &str| match name {
-            "a" => Some(stats(Value::Int(0), Value::Int(9), 0, 10)),
-            "b" => Some(stats(Value::Int(100), Value::Int(200), 0, 10)),
-            _ => None,
+        let a = stats(Value::Int(0), Value::Int(9), 0, 10);
+        let b = stats(Value::Int(100), Value::Int(200), 0, 10);
+        let decide = |preds: &[ColPredicate]| {
+            decide_zone_all(preds.iter().map(|p| {
+                let stats = match p.column.as_str() {
+                    "a" => Some(&a),
+                    "b" => Some(&b),
+                    _ => None,
+                };
+                (p, stats)
+            }))
         };
         // `a >= 0` keeps all, `b < 50` prunes: conjunction prunes.
         let preds = vec![
             pred("a", PredOp::Ge, Value::Int(0)),
             pred("b", PredOp::Lt, Value::Int(50)),
         ];
-        assert_eq!(decide_zone_all(&preds, lookup), ZoneDecision::Prune);
+        assert_eq!(decide(&preds), ZoneDecision::Prune);
         // Both keep outright.
         let preds = vec![
             pred("a", PredOp::Ge, Value::Int(0)),
             pred("b", PredOp::Le, Value::Int(200)),
         ];
-        assert_eq!(decide_zone_all(&preds, lookup), ZoneDecision::Keep);
+        assert_eq!(decide(&preds), ZoneDecision::Keep);
         // Unknown column degrades to KeepFilter.
         let preds = vec![pred("zzz", PredOp::Eq, Value::Int(1))];
-        assert_eq!(decide_zone_all(&preds, lookup), ZoneDecision::KeepFilter);
+        assert_eq!(decide(&preds), ZoneDecision::KeepFilter);
     }
 
     #[test]
@@ -437,6 +466,7 @@ mod tests {
     fn telemetry_accumulates_and_snapshots() {
         let t = ScanTelemetry::new();
         t.set_zones_total(10);
+        t.set_columns(4, 16);
         t.add_pruned(4);
         t.record_zone_scan(100, 400, 50);
         t.record_zone_scan(200, 800, 70);
@@ -447,9 +477,23 @@ mod tests {
         assert_eq!(m.compressed_bytes, 300);
         assert_eq!(m.decompressed_bytes, 1200);
         assert_eq!(m.decode_nanos, 120);
+        assert_eq!((m.columns_read, m.columns_total), (4, 16));
         let mut sum = ScanMetrics::default();
         sum.merge(&m);
         sum.merge(&m);
         assert_eq!(sum.zones_scanned, 4);
+        assert_eq!((sum.columns_read, sum.columns_total), (8, 32));
+        // A derived view keeps the shape and starts its work at zero.
+        let d = t.derived().snapshot();
+        assert_eq!(
+            d,
+            ScanMetrics {
+                zones_total: 10,
+                zones_pruned: 4,
+                columns_read: 4,
+                columns_total: 16,
+                ..Default::default()
+            }
+        );
     }
 }

@@ -59,6 +59,15 @@ pub trait TableSource: Send + Sync {
         None
     }
 
+    /// A view of this source that returns only `columns` (names from
+    /// `meta().schema`, in schema order): its `meta().schema` is narrowed
+    /// to them, and a key survives only if every one of its columns does.
+    /// Sources that cannot skip the cost of an unread column return `None`
+    /// and the planner leaves them untouched.
+    fn projected(&self, _columns: &[&str]) -> Option<Arc<dyn TableSource>> {
+        None
+    }
+
     /// Scan-side I/O counters accumulated by this source, if it tracks any.
     fn scan_metrics(&self) -> Option<crate::scan::ScanMetrics> {
         None
@@ -122,8 +131,7 @@ impl MemorySource {
         let mut start = 0;
         while start < n {
             let end = (start + rows_per_partition).min(n);
-            let idx: Vec<usize> = (start..end).collect();
-            partitions.push(frame.take(&idx));
+            partitions.push(frame.slice(start, end));
             start = end;
         }
         if partitions.is_empty() {

@@ -382,7 +382,9 @@ impl EngineConfig {
     /// planner passes: seeded scan reordering first (when a seed is set),
     /// predicate pushdown second (unless pruning is disabled) — pruning a
     /// reordered view keeps the shuffled visit order for the surviving
-    /// zones. Both passes are no-ops on non-segment sources.
+    /// zones — and projection pushdown last, always: the narrowed view
+    /// keeps the order and the pruned count of the one it narrows. All
+    /// three are no-ops on non-segment sources.
     pub(crate) fn apply_to_graph(&self, graph: &mut QueryGraph) {
         if let Some(p) = self.parallelism {
             graph.set_parallelism(p);
@@ -393,6 +395,7 @@ impl EngineConfig {
         if self.zone_pruning() {
             wake_core::plan::push_down_predicates(graph);
         }
+        wake_core::plan::project_scans(graph);
     }
 
     /// Build the query and start streaming estimates on the configured

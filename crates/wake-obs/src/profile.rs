@@ -356,7 +356,9 @@ impl NodeProfile {
         }
         if self.scan != ScanMetrics::default() {
             line.push_str(&format!(
-                " scan {}/{} zones pruned, {} decoded in {}",
+                " scan {}/{} cols, {}/{} zones pruned, {} decoded in {}",
+                self.scan.columns_read,
+                self.scan.columns_total,
                 self.scan.zones_pruned,
                 self.scan.zones_total,
                 fmt_bytes(self.scan.decompressed_bytes as usize),
@@ -401,6 +403,8 @@ impl NodeProfile {
                     .u64("compressed_bytes", scan.compressed_bytes)
                     .u64("decompressed_bytes", scan.decompressed_bytes)
                     .u64("decode_nanos", scan.decode_nanos)
+                    .u64("columns_read", scan.columns_read)
+                    .u64("columns_total", scan.columns_total)
                     .build(),
             );
         if !self.shard_state_bytes.is_empty() {

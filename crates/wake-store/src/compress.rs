@@ -49,30 +49,48 @@ pub fn codec_name(tag: u8) -> &'static str {
     }
 }
 
+/// The low `width` bits set (`width` ≤ 64).
+fn low_mask(width: u32) -> u64 {
+    match width {
+        0 => 0,
+        w if w >= 64 => u64::MAX,
+        w => (1u64 << w) - 1,
+    }
+}
+
 /// Pack `width`-bit values LSB-first into a byte stream (bit `j` of value
 /// `i` lands at stream bit `i * width + j`). `width` may be 0 (nothing is
-/// written) up to 64.
+/// written) up to 64. Works a 64-bit window at a time: each value is one
+/// shift into its word and, when it straddles a word boundary, one more
+/// into the next.
 pub fn pack_values(vals: &[u64], width: u32) -> Vec<u8> {
     debug_assert!(width <= 64);
     if width == 0 {
         return Vec::new();
     }
     // tidy-allow: hostile-len: encoder path with trusted in-memory input; width ≤ 64 asserted above
-    let total_bits = vals.len() * width as usize;
-    let mut out = vec![0u8; total_bits.div_ceil(8)];
+    let (step, total_bits) = (width as usize, vals.len() * width as usize);
+    // One spare word, so the straddle store below never needs a bounds
+    // decision of its own.
+    let mut words = vec![0u64; total_bits.div_ceil(64) + 1];
+    let mask = low_mask(width);
     let mut bit = 0usize;
     for &v in vals {
-        for j in 0..width {
-            if v >> j & 1 != 0 {
-                out[bit / 8] |= 1 << (bit % 8);
-            }
-            bit += 1;
+        let (w, shift) = (bit / 64, bit % 64);
+        let v = v & mask;
+        words[w] |= v << shift;
+        if shift + step > 64 {
+            words[w + 1] |= v >> (64 - shift);
         }
+        bit += step;
     }
+    let mut out: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    out.truncate(total_bits.div_ceil(8));
     out
 }
 
-/// Inverse of [`pack_values`]: read `n` `width`-bit values.
+/// Inverse of [`pack_values`]: read `n` `width`-bit values, a 64-bit
+/// window at a time (one load, or two for a value straddling a word).
 pub fn unpack_values(bytes: &[u8], n: usize, width: u32) -> Result<Vec<u64>> {
     if width > 64 {
         return Err(DataError::Parse(format!("bit width {width} exceeds 64")));
@@ -80,24 +98,38 @@ pub fn unpack_values(bytes: &[u8], n: usize, width: u32) -> Result<Vec<u64>> {
     if width == 0 {
         return Ok(vec![0u64; n]);
     }
+    // tidy-allow: hostile-len: u32→usize is a lossless widening on every supported target, and width ≤ 64 was checked above
+    let step = width as usize;
     let total_bits = n
-        // tidy-allow: hostile-len: u32→usize is a lossless widening on every supported target, and width ≤ 64 was checked above
-        .checked_mul(width as usize)
+        .checked_mul(step)
         .ok_or_else(|| DataError::Parse("packed value count overflows".into()))?;
-    if total_bits.div_ceil(8) > bytes.len() {
-        return Err(DataError::Parse("packed values truncated".into()));
+    let packed = bytes
+        .get(..total_bits.div_ceil(8))
+        .ok_or_else(|| DataError::Parse("packed values truncated".into()))?;
+    // The stream as little-endian words, zero-padded, plus one spare so
+    // the straddle load of the last value stays in bounds.
+    let mut words: Vec<u64> = Vec::with_capacity(packed.len() / 8 + 2);
+    let mut chunks = packed.chunks_exact(8);
+    for chunk in chunks.by_ref() {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        words.push(u64::from_le_bytes(word));
     }
+    let mut tail = [0u8; 8];
+    let rest = chunks.remainder();
+    tail[..rest.len()].copy_from_slice(rest);
+    words.extend([u64::from_le_bytes(tail), 0]);
+    let mask = low_mask(width);
     let mut out = Vec::with_capacity(n);
     let mut bit = 0usize;
     for _ in 0..n {
-        let mut v = 0u64;
-        for j in 0..width {
-            if bytes[bit / 8] >> (bit % 8) & 1 != 0 {
-                v |= 1 << j;
-            }
-            bit += 1;
+        let (w, shift) = (bit / 64, bit % 64);
+        let mut v = words[w] >> shift;
+        if shift + step > 64 {
+            v |= words[w + 1] << (64 - shift);
         }
-        out.push(v);
+        out.push(v & mask);
+        bit += step;
     }
     Ok(out)
 }
@@ -297,18 +329,14 @@ fn encode_for(col: &Column) -> Option<Vec<u8>> {
     let mut out = Vec::new();
     write_validity(col, &mut out);
     let reference = vals.iter().copied().min().unwrap_or(0);
-    let max_delta = vals
-        .iter()
-        .map(|&v| (v as i128 - reference as i128) as u64)
-        .max()
-        .unwrap_or(0);
-    let width = width_for(max_delta);
-    out.extend_from_slice(&reference.to_le_bytes());
-    out.push(width as u8);
+    // `v ≥ reference`, so the wrapping difference is the exact delta.
     let deltas: Vec<u64> = vals
         .iter()
-        .map(|&v| (v as i128 - reference as i128) as u64)
+        .map(|&v| v.wrapping_sub(reference) as u64)
         .collect();
+    let width = width_for(deltas.iter().copied().max().unwrap_or(0));
+    out.extend_from_slice(&reference.to_le_bytes());
+    out.push(width as u8);
     out.extend_from_slice(&pack_values(&deltas, width));
     Some(out)
 }
@@ -318,13 +346,11 @@ fn decode_for(dtype: DataType, rows: usize, c: &mut ByteCursor<'_>) -> Result<Co
     let reference = c.i64()?;
     let width = c.u8()? as u32;
     let deltas = unpack_values(c.take(c.remaining())?, rows, width)?;
-    let mut v: Vec<i64> = Vec::with_capacity(rows);
-    for d in deltas {
-        let val = reference as i128 + d as i128;
-        let val = i64::try_from(val)
-            .map_err(|_| DataError::Parse("for-encoded value overflows i64".into()))?;
-        v.push(val);
-    }
+    let v = deltas
+        .into_iter()
+        .map(|d| reference.checked_add_unsigned(d))
+        .collect::<Option<Vec<i64>>>()
+        .ok_or_else(|| DataError::Parse("for-encoded value overflows i64".into()))?;
     let data = match dtype {
         DataType::Int64 => ColumnData::Int64(v),
         DataType::Date => ColumnData::Date(v),
@@ -412,6 +438,78 @@ mod tests {
             _ => assert_eq!(&back, col, "codec {} round trip", codec_name(codec)),
         }
         (codec, back)
+    }
+
+    /// The original bit-at-a-time packer: the layout's definition, kept
+    /// as the reference the word-at-a-time kernels are tested against.
+    fn pack_values_bitwise(vals: &[u64], width: u32) -> Vec<u8> {
+        let total_bits = vals.len() * width as usize;
+        let mut out = vec![0u8; total_bits.div_ceil(8)];
+        let mut bit = 0usize;
+        for &v in vals {
+            for j in 0..width {
+                if v >> j & 1 != 0 {
+                    out[bit / 8] |= 1 << (bit % 8);
+                }
+                bit += 1;
+            }
+        }
+        out
+    }
+
+    fn unpack_values_bitwise(bytes: &[u8], n: usize, width: u32) -> Vec<u64> {
+        let mut bit = 0usize;
+        (0..n)
+            .map(|_| {
+                let mut v = 0u64;
+                for j in 0..width {
+                    if bytes[bit / 8] >> (bit % 8) & 1 != 0 {
+                        v |= 1 << j;
+                    }
+                    bit += 1;
+                }
+                v
+            })
+            .collect()
+    }
+
+    #[test]
+    fn word_kernels_match_the_bit_loop_for_every_width() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for width in 0..=64u32 {
+            // Ragged lengths: empty, sub-word, word-straddling, multi-word.
+            for n in [0usize, 1, 2, 7, 8, 9, 63, 64, 65, 257] {
+                // Unmasked inputs: bits above `width` must be ignored,
+                // as the bit loop ignores them.
+                let vals: Vec<u64> = (0..n).map(|_| next()).collect();
+                let want = pack_values_bitwise(&vals, width);
+                let got = pack_values(&vals, width);
+                assert_eq!(got, want, "pack width {width} n {n}");
+                let masked: Vec<u64> = vals.iter().map(|v| v & low_mask(width)).collect();
+                assert_eq!(
+                    unpack_values(&want, n, width).unwrap(),
+                    masked,
+                    "unpack width {width} n {n}"
+                );
+                assert_eq!(unpack_values_bitwise(&want, n, width), masked);
+                // Trailing bytes past the packed run are ignored; one
+                // byte short fails typed.
+                let mut padded = want.clone();
+                padded.extend([0xff; 3]);
+                assert_eq!(unpack_values(&padded, n, width).unwrap(), masked);
+                if !want.is_empty() {
+                    assert!(unpack_values(&want[..want.len() - 1], n, width).is_err());
+                }
+            }
+        }
+        assert!(unpack_values(&[0u8; 16], 1, 65).is_err(), "width too wide");
+        assert!(unpack_values(&[], usize::MAX, 2).is_err(), "count overflow");
     }
 
     #[test]

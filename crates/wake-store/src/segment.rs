@@ -9,9 +9,10 @@
 //! the stats and disqualified zones are never read, let alone decoded.
 //!
 //! ```text
-//! magic "WAKESEG1"
+//! magic "WAKESEG2"
 //! zone blocks..              per zone: concatenated compressed columns
-//! footer                     schema, keys, zone directory + statistics
+//! footer                     schema, keys, zone directory: per zone and
+//!                            column its codec, length, checksum, statistics
 //! u64 footer_len
 //! u64 footer_checksum        FNV-1a 64 over the footer bytes
 //! tail magic "WAKESEGF"
@@ -21,8 +22,15 @@
 //! append-constructed (data first, directory last) like Parquet. Every
 //! length header — tail, footer, zone directory, codec blocks — passes the
 //! same checked-arithmetic/1 GiB-cap validation as the spill chunk format,
-//! and zone blocks carry their own checksum so torn writes and bit flips
-//! fail typed before a corrupt frame can reach an operator.
+//! and every column block of every zone carries its own checksum, so torn
+//! writes and bit flips fail typed before a corrupt frame can reach an
+//! operator.
+//!
+//! Zones are **column-addressable**: the directory gives each column
+//! block's byte range, so a read of a column subset
+//! ([`SegmentReader::read_columns`]) fetches, verifies and decodes only
+//! those blocks — adjacent ones in one ranged read.
+//! [`SegmentReader::read_zone`] is the all-columns case of the same path.
 //!
 //! All file I/O goes through [`SpillIo`] under the governor's retry
 //! ladder: transient faults are retried with backoff and stay invisible
@@ -31,11 +39,13 @@
 //!
 //! [`SegmentSource`] adapts a segment to the engine's `TableSource`: one
 //! partition per zone, visited in a configurable order. It implements the
-//! pruning hooks: `pruned()` drops disqualified zones *and their rows from
-//! `partition_rows`*, so the progress ratio `t` ranges over the retained
-//! population and the growth-model estimates over the filtered table stay
-//! unbiased; `reordered()` visits zones in a seeded random order (the
-//! paper's shuffled-input regime) without touching which zones survive.
+//! planner's three view hooks: `pruned()` drops disqualified zones *and
+//! their rows from `partition_rows`*, so the progress ratio `t` ranges over
+//! the retained population and the growth-model estimates over the filtered
+//! table stay unbiased; `reordered()` visits zones in a seeded random order
+//! (the paper's shuffled-input regime) without touching which zones
+//! survive; `projected()` narrows the schema to the columns the plan reads,
+//! so the others are never fetched.
 
 use crate::colfile::{checked_len, checksum64};
 use crate::compress::{codec_name, decode_column, encode_column};
@@ -52,7 +62,9 @@ use wake_data::schema::{Field, Schema};
 use wake_data::source::{TableMeta, TableSource};
 use wake_data::{Column, DataError, DataFrame, Value, ZoneStats};
 
-const SEG_MAGIC: &[u8; 8] = b"WAKESEG1";
+/// Bumped with the footer layout (`2`: per-column checksums), so a file
+/// of an older layout fails "bad magic" instead of mis-parsing.
+const SEG_MAGIC: &[u8; 8] = b"WAKESEG2";
 const TAIL_MAGIC: &[u8; 8] = b"WAKESEGF";
 /// Fixed tail: footer length + footer checksum + tail magic.
 const TAIL_LEN: u64 = 8 + 8 + 8;
@@ -65,7 +77,12 @@ pub const DEFAULT_ZONE_ROWS: usize = 4096;
 #[derive(Debug, Clone)]
 pub struct ZoneColumn {
     pub codec: u8,
+    /// Where the column's block starts in the file (derived from the zone
+    /// offset and the lengths before it; not stored).
+    pub offset: u64,
     pub comp_len: u64,
+    /// FNV-1a 64 over the column's block.
+    pub checksum: u64,
     pub stats: ZoneStats,
 }
 
@@ -74,7 +91,6 @@ pub struct ZoneColumn {
 pub struct ZoneInfo {
     pub offset: u64,
     pub len: u64,
-    pub checksum: u64,
     pub rows: usize,
     pub columns: Vec<ZoneColumn>,
 }
@@ -91,36 +107,63 @@ pub struct SegmentFooter {
     pub zones: Vec<ZoneInfo>,
 }
 
+/// The first-seen minimum and maximum of `cells` under the strict order
+/// `lt` (a later cell that ties keeps the earlier bound).
+fn min_max<'a, T: 'a>(
+    mut cells: impl Iterator<Item = &'a T>,
+    lt: impl Fn(&T, &T) -> bool,
+) -> Option<(&'a T, &'a T)> {
+    let first = cells.next()?;
+    Some(cells.fold((first, first), |(lo, hi), v| {
+        (
+            if lt(v, lo) { v } else { lo },
+            if lt(hi, v) { v } else { hi },
+        )
+    }))
+}
+
 /// Compute the footer statistics for one column of one zone: min/max over
 /// valid, non-NaN cells (NaN is recorded separately so bounds stay usable),
-/// plus null and row counts.
+/// plus null and row counts. Works on the typed slices; the order is
+/// `Value`'s — integers and dates compare as `f64`, as the pruner will
+/// compare the bounds.
 fn column_stats(col: &Column) -> ZoneStats {
-    let mut stats = ZoneStats {
-        min: Value::Null,
-        max: Value::Null,
+    fn valid<'a, T>(vals: &'a [T], mask: Option<&'a [bool]>) -> impl Iterator<Item = &'a T> {
+        vals.iter()
+            .enumerate()
+            .filter(move |(i, _)| mask.is_none_or(|m| m.get(*i).copied().unwrap_or(false)))
+            .map(|(_, v)| v)
+    }
+    fn bounds<T>(found: Option<(&T, &T)>, value: impl Fn(&T) -> Value) -> (Value, Value) {
+        found.map_or((Value::Null, Value::Null), |(lo, hi)| {
+            (value(lo), value(hi))
+        })
+    }
+    let mask = col.validity();
+    let mut has_nan = false;
+    let as_f64_lt = |a: &i64, b: &i64| (*a as f64) < (*b as f64);
+    let (min, max) = match col.data() {
+        ColumnData::Int64(v) => bounds(min_max(valid(v, mask), as_f64_lt), |x| Value::Int(*x)),
+        ColumnData::Date(v) => bounds(min_max(valid(v, mask), as_f64_lt), |x| Value::Date(*x)),
+        ColumnData::Float64(v) => {
+            let numbers = valid(v, mask).filter(|f| {
+                has_nan |= f.is_nan();
+                !f.is_nan()
+            });
+            bounds(min_max(numbers, |a, b| a < b), |x| Value::Float(*x))
+        }
+        ColumnData::Bool(v) => bounds(min_max(valid(v, mask), |a, b| a < b), |x| Value::Bool(*x)),
+        ColumnData::Utf8(v) => bounds(min_max(valid(v, mask), |a, b| a < b), |x| {
+            Value::Str(x.clone())
+        }),
+    };
+    ZoneStats {
+        min,
+        max,
         null_count: col.null_count(),
         row_count: col.len(),
-        has_nan: false,
-    };
-    for i in 0..col.len() {
-        if !col.is_valid(i) {
-            continue;
-        }
-        let v = col.value(i);
-        if let Value::Float(f) = v {
-            if f.is_nan() {
-                stats.has_nan = true;
-                continue;
-            }
-        }
-        if stats.min.is_null() || v < stats.min {
-            stats.min = v.clone();
-        }
-        if stats.max.is_null() || v > stats.max {
-            stats.max = v;
-        }
+        has_nan,
     }
-    stats
 }
 
 fn write_strings(items: &[String], out: &mut Vec<u8>) {
@@ -175,28 +218,29 @@ pub fn write_segment(
     while start < n {
         // tidy-allow: hostile-len: encoder path over an in-memory frame; start < n and zone_rows is trusted config
         let end = (start + zone_rows).min(n);
-        let idx: Vec<usize> = (start..end).collect();
-        let zone = frame.take(&idx);
+        let zone = frame.slice(start, end);
+        let zone_offset = offset;
         let mut block = Vec::new();
         let mut columns = Vec::with_capacity(zone.schema().len());
         for col in zone.columns() {
             let (codec, bytes) = encode_column(col)?;
             columns.push(ZoneColumn {
                 codec,
+                offset,
                 comp_len: bytes.len() as u64,
+                checksum: checksum64(&bytes),
                 stats: column_stats(col),
             });
+            offset += bytes.len() as u64;
             block.extend_from_slice(&bytes);
         }
         with_retries(&governor, "segment zone write", || io.append(path, &block))?;
         zones.push(ZoneInfo {
-            offset,
+            offset: zone_offset,
             len: block.len() as u64,
-            checksum: checksum64(&block),
             rows: zone.num_rows(),
             columns,
         });
-        offset += block.len() as u64;
         start = end;
     }
 
@@ -224,11 +268,11 @@ pub fn write_segment(
     for z in &zones {
         footer.extend_from_slice(&z.offset.to_le_bytes());
         footer.extend_from_slice(&z.len.to_le_bytes());
-        footer.extend_from_slice(&z.checksum.to_le_bytes());
         footer.extend_from_slice(&(z.rows as u64).to_le_bytes());
         for c in &z.columns {
             footer.push(c.codec);
             footer.extend_from_slice(&c.comp_len.to_le_bytes());
+            footer.extend_from_slice(&c.checksum.to_le_bytes());
             write_value(&c.stats.min, &mut footer);
             write_value(&c.stats.max, &mut footer);
             footer.extend_from_slice(&(c.stats.null_count as u64).to_le_bytes());
@@ -275,15 +319,14 @@ fn parse_footer(bytes: &[u8], data_end: u64) -> Result<SegmentFooter> {
     let zone_rows = checked_len(c.u64()?, "zone rows")?;
     let total_rows = checked_len(c.u64()?, "total rows")?;
     let zone_count = checked_len(c.u64()?, "zone count")?;
-    // Each zone costs ≥ 32 directory bytes: cap the prealloc by what the
+    // Each zone costs ≥ 24 directory bytes: cap the prealloc by what the
     // footer could actually hold.
-    let mut zones = Vec::with_capacity(zone_count.min(c.remaining() / 32 + 1));
+    let mut zones = Vec::with_capacity(zone_count.min(c.remaining() / 24 + 1));
     let mut expected_offset = SEG_MAGIC.len() as u64;
     let mut rows_seen = 0usize;
     for _ in 0..zone_count {
         let offset = c.u64()?;
         let len = checked_len(c.u64()?, "zone block length")? as u64;
-        let checksum = c.u64()?;
         let rows = checked_len(c.u64()?, "zone row count")?;
         let block_end = offset
             .checked_add(len)
@@ -299,6 +342,10 @@ fn parse_footer(bytes: &[u8], data_end: u64) -> Result<SegmentFooter> {
         for _ in 0..fields.len() {
             let codec = c.u8()?;
             let comp_len = checked_len(c.u64()?, "column block length")? as u64;
+            let checksum = c.u64()?;
+            let column_offset = offset
+                .checked_add(block_total)
+                .ok_or_else(|| DataError::Parse("column offset overflows".into()))?;
             block_total = block_total
                 .checked_add(comp_len)
                 .ok_or_else(|| DataError::Parse("column lengths overflow".into()))?;
@@ -308,7 +355,9 @@ fn parse_footer(bytes: &[u8], data_end: u64) -> Result<SegmentFooter> {
             let has_nan = c.u8()? != 0;
             columns.push(ZoneColumn {
                 codec,
+                offset: column_offset,
                 comp_len,
+                checksum,
                 stats: ZoneStats {
                     min,
                     max,
@@ -329,7 +378,6 @@ fn parse_footer(bytes: &[u8], data_end: u64) -> Result<SegmentFooter> {
         zones.push(ZoneInfo {
             offset,
             len,
-            checksum,
             rows,
             columns,
         });
@@ -355,6 +403,25 @@ fn parse_footer(bytes: &[u8], data_end: u64) -> Result<SegmentFooter> {
     })
 }
 
+/// The columns of a segment one scan returns: their footer indices,
+/// ascending, and the table schema narrowed to them. Built by
+/// [`SegmentReader::column_set`] for the reader it is then read through.
+#[derive(Debug, Clone)]
+pub struct ColumnSet {
+    indices: Vec<usize>,
+    schema: Arc<Schema>,
+}
+
+impl ColumnSet {
+    fn len(&self) -> usize {
+        self.indices.len()
+    }
+
+    fn contains_all(&self, names: &[String]) -> bool {
+        names.iter().all(|n| self.schema.contains(n))
+    }
+}
+
 /// A handle on one segment file: the parsed footer plus the I/O device and
 /// retry governor used for zone reads.
 pub struct SegmentReader {
@@ -362,6 +429,8 @@ pub struct SegmentReader {
     io: Arc<dyn SpillIo>,
     governor: MemoryGovernor,
     footer: SegmentFooter,
+    /// Every column: what [`Self::read_zone`] reads.
+    all_columns: ColumnSet,
 }
 
 impl std::fmt::Debug for SegmentReader {
@@ -432,11 +501,16 @@ impl SegmentReader {
             return Err(DataError::Parse("segment footer checksum mismatch".into()));
         }
         let footer = parse_footer(&footer_bytes, data_end)?;
+        let all_columns = ColumnSet {
+            indices: (0..footer.schema.len()).collect(),
+            schema: footer.schema.clone(),
+        };
         Ok(Arc::new(SegmentReader {
             path,
             io,
             governor,
             footer,
+            all_columns,
         }))
     }
 
@@ -450,49 +524,110 @@ impl SegmentReader {
 
     /// Zone stats for `column` in zone `zone`, if the column exists.
     pub fn zone_stats(&self, zone: usize, column: &str) -> Option<&ZoneStats> {
-        let col_idx = self
-            .footer
-            .schema
-            .fields()
-            .iter()
-            .position(|f| f.name == column)?;
-        Some(&self.footer.zones.get(zone)?.columns[col_idx].stats)
+        let col_idx = self.footer.schema.index_of(column).ok()?;
+        Some(&self.footer.zones.get(zone)?.columns.get(col_idx)?.stats)
     }
 
-    /// Read and decode zone `i`. Transient device faults are retried under
-    /// the governor's policy; persistent ones fail typed
-    /// (`SpillUnavailable`), and corruption fails the checksum before any
-    /// decode runs.
+    /// The column set naming `names` (any order, duplicates collapse); an
+    /// unknown name is a typed error.
+    pub fn column_set(&self, names: &[&str]) -> Result<ColumnSet> {
+        let mut indices = names
+            .iter()
+            .map(|n| self.footer.schema.index_of(n))
+            .collect::<Result<Vec<_>>>()?;
+        indices.sort_unstable();
+        indices.dedup();
+        if indices.len() == self.all_columns.len() {
+            return Ok(self.all_columns.clone());
+        }
+        let fields = self.footer.schema.fields();
+        let schema = Arc::new(Schema::new(
+            indices
+                .iter()
+                .filter_map(|&i| fields.get(i).cloned())
+                .collect(),
+        ));
+        Ok(ColumnSet { indices, schema })
+    }
+
+    /// Read and decode every column of zone `i`: [`Self::read_columns`]
+    /// over the whole schema, so the zone is one ranged read and every
+    /// column block is verified.
     pub fn read_zone(&self, i: usize) -> Result<DataFrame> {
+        self.read_columns(i, &self.all_columns)
+    }
+
+    /// Read and decode the columns in `set` of zone `i`, touching nothing
+    /// else: one ranged read per run of adjacent columns, each block
+    /// checked against its own checksum before it is decoded. Transient
+    /// device faults are retried under the governor's policy; persistent
+    /// ones fail typed (`SpillUnavailable`), and corruption of a block
+    /// that is read fails its checksum before any decode runs.
+    pub fn read_columns(&self, i: usize, set: &ColumnSet) -> Result<DataFrame> {
         let zone = self
             .footer
             .zones
             .get(i)
             .ok_or_else(|| DataError::ShapeMismatch(format!("zone {i} out of range")))?;
-        let block = with_retries(&self.governor, "segment zone read", || {
-            self.io.read_range(&self.path, zone.offset, zone.len)
-        })?;
-        if checksum64(&block) != zone.checksum {
-            return Err(DataError::Parse(format!(
-                "zone {i} checksum mismatch (torn write or bit flip)"
-            )));
-        }
-        let mut c = ByteCursor::new(&block);
-        let mut cols = Vec::with_capacity(zone.columns.len());
-        for (zc, field) in zone.columns.iter().zip(self.footer.schema.fields()) {
-            let comp_len = usize::try_from(zc.comp_len)
-                .map_err(|_| DataError::Parse("column length exceeds usize".into()))?;
-            let bytes = c.take(comp_len)?;
-            let col = decode_column(zc.codec, field.dtype, zone.rows, bytes).map_err(|e| {
-                DataError::Parse(format!(
-                    "zone {i} column {} ({}): {e}",
-                    field.name,
-                    codec_name(zc.codec)
-                ))
+        // The directory entry and schema field of each column in the set.
+        let entries = set
+            .indices
+            .iter()
+            .map(|&ci| {
+                zone.columns
+                    .get(ci)
+                    .zip(self.footer.schema.fields().get(ci))
+            })
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| DataError::ShapeMismatch("column set of another segment".into()))?;
+        let mut cols = Vec::with_capacity(entries.len());
+        // Runs of blocks that sit back to back in the file.
+        for run in
+            entries.chunk_by(|(a, _), (b, _)| a.offset.checked_add(a.comp_len) == Some(b.offset))
+        {
+            let Some((first, _)) = run.first() else {
+                continue;
+            };
+            // Cannot overflow: the footer parser summed every block of the
+            // zone with checked arithmetic.
+            let run_len: u64 = run.iter().map(|(zc, _)| zc.comp_len).sum();
+            let block = with_retries(&self.governor, "segment zone read", || {
+                self.io.read_range(&self.path, first.offset, run_len)
             })?;
-            cols.push(col);
+            let mut c = ByteCursor::new(&block);
+            for (zc, field) in run {
+                let comp_len = usize::try_from(zc.comp_len)
+                    .map_err(|_| DataError::Parse("column length exceeds usize".into()))?;
+                let bytes = c.take(comp_len)?;
+                if checksum64(bytes) != zc.checksum {
+                    return Err(DataError::Parse(format!(
+                        "zone {i} column {} checksum mismatch (torn write or bit flip)",
+                        field.name
+                    )));
+                }
+                let col = decode_column(zc.codec, field.dtype, zone.rows, bytes).map_err(|e| {
+                    DataError::Parse(format!(
+                        "zone {i} column {} ({}): {e}",
+                        field.name,
+                        codec_name(zc.codec)
+                    ))
+                })?;
+                cols.push(col);
+            }
         }
-        DataFrame::new(self.footer.schema.clone(), cols)
+        DataFrame::new(set.schema.clone(), cols)
+    }
+
+    /// Bytes [`Self::read_columns`] fetches for `set` of zone `i`.
+    fn fetched_bytes(&self, i: usize, set: &ColumnSet) -> u64 {
+        let Some(zone) = self.footer.zones.get(i) else {
+            return 0;
+        };
+        set.indices
+            .iter()
+            .filter_map(|&ci| zone.columns.get(ci))
+            .map(|zc| zc.comp_len)
+            .sum()
     }
 }
 
@@ -505,13 +640,16 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// A `TableSource` over a segment file: one partition per zone, visited in
-/// a configurable order, with shared scan telemetry.
+/// a configurable order and narrowed to a column set, with its own scan
+/// telemetry.
 #[derive(Debug)]
 pub struct SegmentSource {
     reader: Arc<SegmentReader>,
     /// Zone indices in visit order (pruning removes entries, reordering
     /// permutes them).
     order: Vec<usize>,
+    /// The columns a partition returns (projection narrows them).
+    columns: ColumnSet,
     meta: TableMeta,
     telemetry: Arc<ScanTelemetry>,
 }
@@ -527,12 +665,16 @@ impl SegmentSource {
     /// Wrap an already-open reader.
     pub fn from_reader(reader: Arc<SegmentReader>) -> Result<Self> {
         let order: Vec<usize> = (0..reader.zone_count()).collect();
+        let columns = reader.all_columns.clone();
         let telemetry = ScanTelemetry::new();
         telemetry.set_zones_total(order.len() as u64);
-        let meta = Self::meta_for(&reader, &order, reader.footer().clustering_key.clone());
+        telemetry.set_columns(columns.len() as u64, columns.len() as u64);
+        let clustering_key = reader.footer().clustering_key.clone();
+        let meta = Self::meta_for(&reader, &order, &columns, clustering_key);
         Ok(SegmentSource {
             reader,
             order,
+            columns,
             meta,
             telemetry,
         })
@@ -541,6 +683,7 @@ impl SegmentSource {
     fn meta_for(
         reader: &SegmentReader,
         order: &[usize],
+        columns: &ColumnSet,
         clustering_key: Option<Vec<String>>,
     ) -> TableMeta {
         let footer = reader.footer();
@@ -551,29 +694,43 @@ impl SegmentSource {
         let partition_rows = if order.is_empty() {
             vec![0]
         } else {
-            order.iter().map(|&z| footer.zones[z].rows).collect()
+            order
+                .iter()
+                .map(|&z| footer.zones.get(z).map_or(0, |zone| zone.rows))
+                .collect()
         };
+        // A key means something only with all of its columns in view (the
+        // rule `MapOp` applies to a projection).
+        let primary_key = Some(footer.primary_key.clone())
+            .filter(|pk| columns.contains_all(pk))
+            .unwrap_or_default();
         TableMeta {
             name: footer.name.clone(),
-            schema: footer.schema.clone(),
-            primary_key: footer.primary_key.clone(),
-            clustering_key,
+            schema: columns.schema.clone(),
+            primary_key,
+            clustering_key: clustering_key.filter(|ck| columns.contains_all(ck)),
             partition_rows,
         }
     }
 
-    fn with_order(&self, order: Vec<usize>, clustering_key: Option<Vec<String>>) -> SegmentSource {
-        let meta = Self::meta_for(&self.reader, &order, clustering_key);
-        // A derived view gets *fresh* telemetry spanning the parent's zone
-        // population: the planner installs the view per query run, so run
-        // stats never leak across queries sharing the base source handle.
-        let telemetry = ScanTelemetry::new();
-        telemetry.set_zones_total(self.order.len() as u64);
+    /// A view of the same segment with another zone order or column set.
+    /// It gets its *own* telemetry — the planner installs views per query
+    /// run, so run stats never leak across queries sharing the base
+    /// source handle — which starts from this view's shape (zone
+    /// population, pruned count, columns).
+    fn view(
+        &self,
+        order: Vec<usize>,
+        columns: ColumnSet,
+        clustering_key: Option<Vec<String>>,
+    ) -> SegmentSource {
+        let meta = Self::meta_for(&self.reader, &order, &columns, clustering_key);
         SegmentSource {
             reader: self.reader.clone(),
             order,
+            columns,
             meta,
-            telemetry,
+            telemetry: self.telemetry.derived(),
         }
     }
 
@@ -602,7 +759,7 @@ impl TableSource for SegmentSource {
         if self.order.is_empty() {
             // The synthesized empty partition of a zone-less view.
             if i == 0 {
-                return Ok(DataFrame::empty(self.reader.footer().schema.clone()));
+                return Ok(DataFrame::empty(self.columns.schema.clone()));
             }
             return Err(DataError::ShapeMismatch(format!(
                 "partition {i} out of range"
@@ -613,10 +770,9 @@ impl TableSource for SegmentSource {
             .get(i)
             .ok_or_else(|| DataError::ShapeMismatch(format!("partition {i} out of range")))?;
         let started = std::time::Instant::now();
-        let frame = self.reader.read_zone(zone)?;
-        let compressed = self.reader.footer().zones[zone].len;
+        let frame = self.reader.read_columns(zone, &self.columns)?;
         self.telemetry.record_zone_scan(
-            compressed,
+            self.reader.fetched_bytes(zone, &self.columns),
             frame.byte_size() as u64,
             started.elapsed().as_nanos() as u64,
         );
@@ -624,18 +780,32 @@ impl TableSource for SegmentSource {
     }
 
     fn pruned(&self, preds: &[ColPredicate]) -> Option<Arc<dyn TableSource>> {
-        let mut surviving = Vec::with_capacity(self.order.len());
-        for &z in &self.order {
-            let decision =
-                decide_zone_all(preds, |column| self.reader.zone_stats(z, column).cloned());
-            if decision != ZoneDecision::Prune {
-                surviving.push(z);
-            }
-        }
+        // Each predicate's column, resolved against the footer once.
+        let schema = &self.reader.footer().schema;
+        let pred_cols: Vec<(&ColPredicate, Option<usize>)> = preds
+            .iter()
+            .map(|p| (p, schema.index_of(&p.column).ok()))
+            .collect();
+        let zones = &self.reader.footer().zones;
+        let surviving: Vec<usize> = self
+            .order
+            .iter()
+            .copied()
+            .filter(|&z| {
+                let stats_of = |ci: usize| Some(&zones.get(z)?.columns.get(ci)?.stats);
+                let decision =
+                    decide_zone_all(pred_cols.iter().map(|&(p, ci)| (p, ci.and_then(stats_of))));
+                decision != ZoneDecision::Prune
+            })
+            .collect();
         let pruned_count = (self.order.len() - surviving.len()) as u64;
         // Pruning keeps relative zone order, so a clustering key stays
         // valid: equal key values still live in exactly one partition.
-        let view = self.with_order(surviving, self.meta.clustering_key.clone());
+        let view = self.view(
+            surviving,
+            self.columns.clone(),
+            self.meta.clustering_key.clone(),
+        );
         view.telemetry.add_pruned(pruned_count);
         Some(Arc::new(view))
     }
@@ -650,7 +820,23 @@ impl TableSource for SegmentSource {
             order.swap(i, j);
         }
         // Reading out of clustering order invalidates the clustering key.
-        Some(Arc::new(self.with_order(order, None)))
+        Some(Arc::new(self.view(order, self.columns.clone(), None)))
+    }
+
+    fn projected(&self, columns: &[&str]) -> Option<Arc<dyn TableSource>> {
+        // A frame carries its row count in its columns, so an empty set
+        // cannot be served; an unknown name is the planner's error to
+        // report when it resolves the plan against the unnarrowed schema.
+        if columns.is_empty() || !columns.iter().all(|c| self.columns.schema.contains(c)) {
+            return None;
+        }
+        let set = self.reader.column_set(columns).ok()?;
+        let view = self.view(self.order.clone(), set, self.meta.clustering_key.clone());
+        view.telemetry.set_columns(
+            view.columns.len() as u64,
+            self.reader.all_columns.len() as u64,
+        );
+        Some(Arc::new(view))
     }
 
     fn scan_metrics(&self) -> Option<ScanMetrics> {
@@ -782,6 +968,88 @@ mod tests {
     }
 
     #[test]
+    fn projected_view_narrows_schema_keys_and_reads() {
+        let path = temp_path("projected");
+        let frame = sample_frame(100);
+        let pk = ["id".to_string(), "ship".to_string()];
+        write_segment("t", &frame, 16, &pk, Some(&pk[..1]), &path, &StdIo).unwrap();
+        let src = SegmentSource::open(&path, Arc::new(StdIo)).unwrap();
+        let pruned = src
+            .pruned(&[ColPredicate {
+                column: "id".into(),
+                op: PredOp::Lt,
+                value: Value::Int(40),
+            }])
+            .unwrap();
+        // Any order, duplicates: the view is in schema order.
+        let view = pruned.projected(&["price", "id", "price"]).unwrap();
+        assert_eq!(view.meta().schema.names(), vec!["id", "price"]);
+        assert!(view.meta().primary_key.is_empty(), "`ship` is gone");
+        assert_eq!(view.meta().clustering_key, Some(vec!["id".to_string()]));
+        assert_eq!(view.meta().partition_rows, pruned.meta().partition_rows);
+        // Fresh work counters, the pruned view's shape, fewer bytes.
+        let m = view.scan_metrics().unwrap();
+        assert_eq!((m.zones_total, m.zones_pruned, m.zones_scanned), (7, 4, 0));
+        assert_eq!((m.columns_read, m.columns_total), (2, 4));
+        for i in 0..view.meta().num_partitions() {
+            let want = pruned
+                .partition(i)
+                .unwrap()
+                .project(&["id", "price"])
+                .unwrap();
+            assert!(frames_bit_identical(&view.partition(i).unwrap(), &want));
+        }
+        let (narrow, full) = (view.scan_metrics().unwrap(), pruned.scan_metrics().unwrap());
+        assert_eq!(narrow.zones_scanned, full.zones_scanned);
+        assert!(narrow.compressed_bytes < full.compressed_bytes);
+        assert!(narrow.decompressed_bytes < full.decompressed_bytes);
+        assert_eq!((full.columns_read, full.columns_total), (4, 4));
+        // Dropping the clustering column drops the clustering key; an
+        // empty or unknown set is not served.
+        let no_id = src.projected(&["price"]).unwrap();
+        assert!(no_id.meta().clustering_key.is_none());
+        assert!(src.projected(&[]).is_none());
+        assert!(src.projected(&["nope"]).is_none());
+        assert!(view.projected(&["ship"]).is_none(), "outside the view");
+        // A zone-less view presents its empty partition in the narrow schema.
+        let none = src
+            .pruned(&[ColPredicate {
+                column: "id".into(),
+                op: PredOp::Gt,
+                value: Value::Int(1_000_000),
+            }])
+            .unwrap()
+            .projected(&["flag"])
+            .unwrap();
+        assert_eq!(none.partition(0).unwrap().schema().names(), vec!["flag"]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn projected_read_verifies_only_what_it_reads() {
+        let path = temp_path("column-checksums");
+        write_segment("t", &sample_frame(32), 8, &[], None, &path, &StdIo).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let reader = SegmentReader::open(&path, Arc::new(StdIo)).unwrap();
+        // Flip one bit inside zone 1's `flag` block.
+        let flag = &reader.footer().zones[1].columns[2];
+        let mut bad = good.clone();
+        bad[flag.offset as usize] ^= 0x10;
+        std::fs::write(&path, &bad).unwrap();
+        let others = reader.column_set(&["id", "price", "ship"]).unwrap();
+        let with_flag = reader.column_set(&["flag", "ship"]).unwrap();
+        assert!(reader.read_columns(1, &others).is_ok(), "unread column");
+        let err = reader.read_columns(1, &with_flag).unwrap_err();
+        assert!(err.to_string().contains("column flag checksum"), "{err}");
+        assert!(
+            reader.read_zone(1).is_err(),
+            "read_zone verifies every column"
+        );
+        assert!(reader.read_zone(0).is_ok(), "other zones are intact");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn reorder_is_seeded_and_complete() {
         let path = temp_path("reorder");
         write_segment("t", &sample_frame(64), 8, &[], None, &path, &StdIo).unwrap();
@@ -845,6 +1113,13 @@ mod tests {
         // Not a segment at all.
         std::fs::write(&path, b"WAKECOL1 definitely not a segment").unwrap();
         assert!(SegmentReader::open(&path, Arc::new(StdIo)).is_err());
+
+        // A file of the previous layout fails on its magic, not mid-parse.
+        let mut stale = good.clone();
+        stale[..8].copy_from_slice(b"WAKESEG1");
+        std::fs::write(&path, &stale).unwrap();
+        let err = SegmentReader::open(&path, Arc::new(StdIo)).unwrap_err();
+        assert!(err.to_string().contains("bad magic"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -6,12 +6,16 @@
 //! allocation, or a silently wrong frame. The same file, read through the
 //! PR 6 fault injector, must ride the retry ladder: transient device
 //! faults stay invisible, persistent ones surface as
-//! `DataError::SpillUnavailable`.
+//! `DataError::SpillUnavailable`. Zones are column-addressable: a read of
+//! a column subset must equal the projection of the full read, and must
+//! neither return nor verify a column outside its set.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
-use wake_data::{Column, DataError, DataFrame, DataType, Field, Schema, TableSource, Value};
+use wake_data::{
+    Column, DataError, DataFrame, DataType, Field, Schema, TableSource, Value, ZoneStats,
+};
 use wake_store::colfile::checksum64;
 use wake_store::segment::frames_bit_identical;
 use wake_store::{
@@ -123,6 +127,55 @@ fn first_divergence(a: &DataFrame, b: &DataFrame) -> String {
     "no divergence found at the Value level (payload bytes differ)".to_string()
 }
 
+/// Zone statistics the way the format first computed them — cell by cell
+/// through `Value` and its total order. The footer's typed computation
+/// must agree with this exactly.
+fn reference_stats(col: &Column) -> ZoneStats {
+    let mut stats = ZoneStats {
+        min: Value::Null,
+        max: Value::Null,
+        null_count: col.null_count(),
+        row_count: col.len(),
+        has_nan: false,
+    };
+    for i in 0..col.len() {
+        if !col.is_valid(i) {
+            continue;
+        }
+        let v = col.value(i);
+        if matches!(v, Value::Float(f) if f.is_nan()) {
+            stats.has_nan = true;
+            continue;
+        }
+        if stats.min.is_null() || v < stats.min {
+            stats.min = v.clone();
+        }
+        if stats.max.is_null() || v > stats.max {
+            stats.max = v;
+        }
+    }
+    stats
+}
+
+/// `Value` equality is numeric; a bound must also keep its bits (−0 ≠ +0).
+fn same_bound(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b && a.data_type() == b.data_type(),
+    }
+}
+
+/// The columns of `build_frame`'s schema picked by the low five bits of
+/// `mask`, in schema order.
+fn pick_columns(mask: usize) -> Vec<&'static str> {
+    ["i", "f", "b", "s", "d"]
+        .into_iter()
+        .enumerate()
+        .filter(|(bit, _)| mask >> bit & 1 == 1)
+        .map(|(_, name)| name)
+        .collect()
+}
+
 fn write_to(
     dir: &std::path::Path,
     tag: &str,
@@ -171,6 +224,19 @@ proptest! {
                 "zone {z} not bit-identical: {}",
                 first_divergence(&want, &got)
             );
+            // The footer's statistics are the cell-by-cell ones.
+            for (field, col) in want.schema().fields().iter().zip(want.columns()) {
+                let stats = reader.zone_stats(z, &field.name).unwrap();
+                let reference = reference_stats(col);
+                prop_assert!(
+                    same_bound(&stats.min, &reference.min)
+                        && same_bound(&stats.max, &reference.max)
+                        && (stats.null_count, stats.row_count, stats.has_nan)
+                            == (reference.null_count, reference.row_count, reference.has_nan),
+                    "zone {z} column {}: {stats:?} vs reference {reference:?}",
+                    field.name
+                );
+            }
         }
         // The TableSource view agrees partition-for-partition, and an
         // empty table presents exactly one empty partition (the growth
@@ -186,6 +252,86 @@ proptest! {
             }
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn projected_reads_equal_the_projection_of_full_reads(
+        n in 1usize..120,
+        zone_rows in 1usize..40,
+        mask in 1usize..32,
+        seed in 0u64..1_000_000,
+    ) {
+        let frame = build_frame(n, seed);
+        let dir = scratch("projected");
+        let path = write_to(&dir, &format!("pj-{n}-{zone_rows}-{mask}-{seed}"), &frame, zone_rows);
+        let reader = SegmentReader::open(&path, Arc::new(StdIo)).unwrap();
+        let cols = pick_columns(mask);
+        let set = reader.column_set(&cols).unwrap();
+        let source = SegmentSource::from_reader(reader.clone()).unwrap();
+        let view = source.projected(&cols).unwrap();
+        prop_assert_eq!(view.meta().schema.names(), cols.clone());
+        for z in 0..reader.zone_count() {
+            let want = reader.read_zone(z).unwrap().project(&cols).unwrap();
+            let got = reader.read_columns(z, &set).unwrap();
+            prop_assert!(
+                frames_bit_identical(&want, &got),
+                "zone {z} columns {cols:?}: {}",
+                first_divergence(&want, &got)
+            );
+            prop_assert!(frames_bit_identical(&want, &view.partition(z).unwrap()));
+        }
+        // The view counted what it fetched: exactly its columns' blocks.
+        let fetched: u64 = reader
+            .footer()
+            .zones
+            .iter()
+            .flat_map(|zone| zone.columns.iter().zip(reader.footer().schema.fields()))
+            .filter(|(_, field)| cols.contains(&field.name.as_str()))
+            .map(|(zc, _)| zc.comp_len)
+            .sum();
+        let metrics = view.scan_metrics().unwrap();
+        prop_assert_eq!(metrics.compressed_bytes, fetched);
+        prop_assert_eq!((metrics.columns_read, metrics.columns_total), (cols.len() as u64, 5));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_bit_flip_fails_exactly_the_reads_that_touch_its_column(
+        n in 1usize..80,
+        zone_rows in 1usize..24,
+        seed in 0u64..1_000_000,
+    ) {
+        let frame = build_frame(n, seed);
+        let dir = scratch("colflip");
+        let path = write_to(&dir, &format!("cf-{n}-{zone_rows}-{seed}"), &frame, zone_rows);
+        let clean = SegmentReader::open(&path, Arc::new(StdIo)).unwrap();
+        // One bit, inside one column block of one zone.
+        let z = seed as usize % clean.zone_count();
+        let hit = (seed / 7) as usize % 5;
+        let block = &clean.footer().zones[z].columns[hit];
+        let at = block.offset + (seed / 35) % block.comp_len;
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[at as usize] ^= 1 << (seed % 8);
+        let bad = dir.join(format!("cf-bad-{n}-{zone_rows}-{seed}.wseg"));
+        std::fs::write(&bad, &bytes).unwrap();
+        let reader = SegmentReader::open(&bad, Arc::new(StdIo)).unwrap();
+        let names = pick_columns(31);
+        for mask in 1usize..32 {
+            let set = reader.column_set(&pick_columns(mask)).unwrap();
+            let read = reader.read_columns(z, &set);
+            if mask >> hit & 1 == 1 {
+                let err = read.expect_err("a read of the flipped column must fail");
+                prop_assert!(matches!(err, DataError::Parse(_)), "{err:?}");
+                prop_assert!(err.to_string().contains(names[hit]), "{err}");
+            } else {
+                // Untouched columns come back, and come back right.
+                let want = clean.read_columns(z, &set).unwrap();
+                prop_assert!(frames_bit_identical(&want, &read.unwrap()));
+            }
+        }
+        prop_assert!(reader.read_zone(z).is_err(), "read_zone verifies every column");
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&bad).ok();
     }
 
     #[test]

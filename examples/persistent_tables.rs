@@ -109,11 +109,15 @@ fn main() {
     let last = last.expect("at least one estimate");
     assert!(last.is_final);
 
-    // The scan telemetry: how much I/O the zone maps saved.
+    // The scan telemetry: how much I/O projection and the zone maps saved.
     let stats = stream.stats();
     println!(
-        "\nscan telemetry: {} of {} zones pruned, {} scanned;",
-        stats.scan.zones_pruned, stats.scan.zones_total, stats.scan.zones_scanned
+        "\nscan telemetry: {} of {} columns read, {} of {} zones pruned, {} scanned;",
+        stats.scan.columns_read,
+        stats.scan.columns_total,
+        stats.scan.zones_pruned,
+        stats.scan.zones_total,
+        stats.scan.zones_scanned
     );
     println!(
         "  {} compressed bytes read, {} decoded, decode time {:.2} ms.",
