@@ -9,7 +9,7 @@
 //! smoke mode too, so regressions fail loudly) that the best-of-N wall
 //! clock at `Stats` stays within 5 % of `Off`.
 //!
-//! It also checks that the `Profile`-level run's `QueryProfile::to_json()`
+//! It also checks that the `Profile`-level run's `RunStats::to_json()`
 //! export is well-formed. Nothing is written: the repo's benchmark record
 //! is `wake-e2e/records/` (its `obs.trace_overhead_pct`).
 
@@ -19,7 +19,7 @@ use std::time::Instant;
 use wake_core::agg::AggSpec;
 use wake_core::graph::QueryGraph;
 use wake_data::{Column, DataFrame, DataType, Field, MemorySource, Schema};
-use wake_engine::{EngineConfig, ObsLevel, QueryProfile};
+use wake_engine::{EngineConfig, ObsLevel, RunStats};
 use wake_expr::col;
 
 const GROUPS: u64 = 1024;
@@ -66,7 +66,7 @@ fn group_by_graph(frame: &DataFrame) -> QueryGraph {
 }
 
 /// One full stepped run at the given level: wall-clock ms + the profile.
-fn run(frame: &DataFrame, level: ObsLevel) -> (f64, Option<QueryProfile>) {
+fn run(frame: &DataFrame, level: ObsLevel) -> (f64, Option<RunStats>) {
     let started = Instant::now();
     let mut stream = EngineConfig::stepped()
         .with_obs(level)
@@ -117,11 +117,11 @@ fn bench_obs_overhead(c: &mut Criterion) {
 
     // Sanity checks on the profile JSON export keep it well-formed.
     let export = profile_export.expect("Profile-level run has a profile");
-    let profile_json = export.to_json();
-    assert!(profile_json.contains("\"nodes\""));
+    let json = export.to_json();
+    assert!(json.contains("\"nodes\""));
     assert!(
-        profile_json.matches('{').count() == profile_json.matches('}').count(),
-        "unbalanced profile JSON: {profile_json}"
+        json.matches('{').count() == json.matches('}').count(),
+        "unbalanced profile JSON: {json}"
     );
 
     let mut group = c.benchmark_group("obs_overhead");

@@ -395,21 +395,6 @@ impl QueryGraph {
         format!("{:?}", self.nodes[id.0].kind)
     }
 
-    /// All node labels plus input edges as plain indices — the plan
-    /// skeleton observability captures before an executor consumes the
-    /// graph.
-    pub fn plan_skeleton(&self) -> (Vec<String>, Vec<Vec<usize>>) {
-        let labels = (0..self.nodes.len())
-            .map(|i| self.node_label(NodeId(i)))
-            .collect();
-        let inputs = self
-            .nodes
-            .iter()
-            .map(|n| n.inputs.iter().map(|i| i.0).collect())
-            .collect();
-        (labels, inputs)
-    }
-
     pub fn len(&self) -> usize {
         self.nodes.len()
     }

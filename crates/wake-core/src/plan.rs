@@ -203,9 +203,12 @@ fn required_columns(graph: &QueryGraph) -> Option<Vec<BTreeSet<String>>> {
 
 /// Narrow every scan to the columns the plan can observe
 /// (`required_columns`), for sources that can skip the cost of the rest
-/// (`TableSource::projected`). A scan observed in full keeps its source; a
-/// scan nothing is read from keeps its first column, since a frame carries
-/// its row count in its columns. Returns the number of sources replaced.
+/// (`TableSource::projected`). A scan observed in full is asked for a
+/// full-width view all the same: this pass runs last and always, so every
+/// scan of a view-capable source ends up on a view of this query's own and
+/// its scan counters never include another query's work. A scan nothing is
+/// read from keeps its first column, since a frame carries its row count
+/// in its columns. Returns the number of sources replaced.
 pub fn project_scans(graph: &mut QueryGraph) -> usize {
     let Some(needs) = required_columns(graph) else {
         return 0;
@@ -224,40 +227,11 @@ pub fn project_scans(graph: &mut QueryGraph) -> usize {
         if columns.is_empty() {
             columns.extend(fields.first().map(|f| f.name.as_str()));
         }
-        if columns.len() == fields.len() {
-            continue;
-        }
         if let Some(projected) = source.projected(&columns) {
             replacements.push((id, projected));
         }
     }
     install(graph, replacements)
-}
-
-/// The sources of a graph as shared handles keyed by their read node's
-/// id, for reading scan metrics (query-wide and per node) after the graph
-/// itself is gone.
-pub fn source_handles_by_node(graph: &QueryGraph) -> Vec<(usize, Arc<dyn TableSource>)> {
-    graph
-        .sources()
-        .iter()
-        .filter_map(|&id| match &graph.node(id).kind {
-            NodeKind::Read { source } => Some((id.0, source.clone())),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Sum scan metrics over the handles captured by
-/// [`source_handles_by_node`] (zeros when no source tracks any).
-pub fn scan_metrics_of(sources: &[(usize, Arc<dyn TableSource>)]) -> wake_data::ScanMetrics {
-    let mut total = wake_data::ScanMetrics::default();
-    for (_, s) in sources {
-        if let Some(m) = s.scan_metrics() {
-            total.merge(&m);
-        }
-    }
-    total
 }
 
 #[cfg(test)]
@@ -327,6 +301,14 @@ mod tests {
         }
     }
 
+    /// The scan counters of the source read node `id` holds.
+    fn scan_metrics_at(g: &QueryGraph, id: NodeId) -> Option<ScanMetrics> {
+        match &g.node(id).kind {
+            NodeKind::Read { source } => source.scan_metrics(),
+            other => panic!("{other:?} is not a read"),
+        }
+    }
+
     #[test]
     fn pushdown_rewrites_filter_over_read_only() {
         let rec = Recording::over(mem_source());
@@ -372,10 +354,8 @@ mod tests {
         g.sink(f);
         assert_eq!(push_down_predicates(&mut g), 0);
         assert_eq!(reorder_scans(&mut g, 42), 0);
-        assert_eq!(
-            scan_metrics_of(&source_handles_by_node(&g)),
-            wake_data::ScanMetrics::default()
-        );
+        assert_eq!(project_scans(&mut g), 0);
+        assert_eq!(scan_metrics_at(&g, r), None);
     }
 
     #[test]
@@ -384,12 +364,11 @@ mod tests {
         let mut g = QueryGraph::new();
         let r = g.read_arc(rec.clone());
         g.sink(r);
-        assert_eq!(scan_metrics_of(&source_handles_by_node(&g)).zones_total, 2);
+        assert_eq!(scan_metrics_at(&g, r).unwrap().zones_total, 2);
         assert_eq!(reorder_scans(&mut g, 42), 1);
-        let handles = source_handles_by_node(&g);
-        assert_eq!(handles.len(), 1);
+        assert_eq!(g.sources(), vec![r]);
         // After reorder the source is a plain MemorySource: no metrics.
-        assert_eq!(scan_metrics_of(&handles), wake_data::ScanMetrics::default());
+        assert_eq!(scan_metrics_at(&g, r), None);
     }
 
     /// `t(k, a, b, c, x, x__var)`, clustered on `(k, a)`.
@@ -529,7 +508,7 @@ mod tests {
     }
 
     #[test]
-    fn a_sink_on_a_read_filter_join_chain_installs_no_view() {
+    fn a_sink_on_a_read_filter_join_chain_gets_full_width_views() {
         let rec_l = Recording::over(wide_source("l"));
         let rec_r = Recording::over(wide_source("r"));
         let mut g = QueryGraph::new();
@@ -541,9 +520,14 @@ mod tests {
         let all = wide_source("t").meta().schema.names().len();
         assert_eq!(required(&g, l).len(), all);
         assert_eq!(required(&g, r).len(), all);
-        assert_eq!(project_scans(&mut g), 0);
-        assert!(rec_l.projected_calls.lock().unwrap().is_empty());
-        assert!(rec_r.projected_calls.lock().unwrap().is_empty());
+        // Nothing to narrow, but each scan still moves to a view of this
+        // query's own, so its counters start at zero.
+        assert_eq!(project_scans(&mut g), 2);
+        for rec in [rec_l, rec_r] {
+            let calls = rec.projected_calls.lock().unwrap();
+            assert_eq!(calls.len(), 1);
+            assert_eq!(calls[0].len(), all);
+        }
     }
 
     #[test]

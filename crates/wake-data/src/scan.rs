@@ -200,38 +200,52 @@ fn comparable(bound: &Value, lit: &Value) -> bool {
     }
 }
 
-/// A snapshot of scan-side counters for one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScanMetrics {
-    /// Zones in the table(s) before pruning.
-    pub zones_total: u64,
-    /// Zones skipped by the zone pruner (never decoded).
-    pub zones_pruned: u64,
-    /// Zones actually read and decoded.
-    pub zones_scanned: u64,
-    /// Compressed bytes read from segment files.
-    pub compressed_bytes: u64,
-    /// Bytes after decompression (logical column payload size).
-    pub decompressed_bytes: u64,
-    /// Wall-clock nanoseconds spent decoding zones.
-    pub decode_nanos: u64,
-    /// Columns the scan returns (after projection pushdown).
-    pub columns_read: u64,
-    /// Columns the table(s) store.
-    pub columns_total: u64,
+/// Declare a snapshot struct of additive counters. The field list is
+/// written once, in the declaration; `merge` and `fields` are derived
+/// from it, so whatever sums, exports or renders a counter set picks up
+/// a new counter without being told.
+#[macro_export]
+macro_rules! counters {
+    ($(#[$meta:meta])* pub struct $name:ident: $ty:ty { $($(#[$doc:meta])* $field:ident,)* }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$doc])* pub $field: $ty,)*
+        }
+
+        impl $name {
+            /// Component-wise sum.
+            pub fn merge(&mut self, other: &$name) {
+                $(self.$field += other.$field;)*
+            }
+
+            /// Every counter as `(name, value)`, in declaration order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($field), self.$field as u64)),*].into_iter()
+            }
+        }
+    };
 }
 
-impl ScanMetrics {
-    /// Component-wise sum, for aggregating across sources.
-    pub fn merge(&mut self, other: &ScanMetrics) {
-        self.zones_total += other.zones_total;
-        self.zones_pruned += other.zones_pruned;
-        self.zones_scanned += other.zones_scanned;
-        self.compressed_bytes += other.compressed_bytes;
-        self.decompressed_bytes += other.decompressed_bytes;
-        self.decode_nanos += other.decode_nanos;
-        self.columns_read += other.columns_read;
-        self.columns_total += other.columns_total;
+counters! {
+    /// A snapshot of scan-side counters for one run.
+    pub struct ScanMetrics: u64 {
+        /// Zones in the table(s) before pruning.
+        zones_total,
+        /// Zones skipped by the zone pruner (never decoded).
+        zones_pruned,
+        /// Zones actually read and decoded.
+        zones_scanned,
+        /// Compressed bytes read from segment files.
+        compressed_bytes,
+        /// Bytes after decompression (logical column payload size).
+        decompressed_bytes,
+        /// Wall-clock nanoseconds spent decoding zones.
+        decode_nanos,
+        /// Columns the scan returns (after projection pushdown).
+        columns_read,
+        /// Columns the table(s) store.
+        columns_total,
     }
 }
 

@@ -10,9 +10,9 @@
 //! the paper's graph of nodes exchanging update and EOF messages (Fig 6):
 //! one constructor builds the operators, one *node actor* holds the only
 //! copy of the message protocol (what a node does with an update or an
-//! EOF, when it forwards EOF, what it records), one *ledger* holds what
-//! `stats()` / `profile()` read, and one sink decides which estimate is
-//! final. A driver only decides how emitted messages travel:
+//! EOF, when it forwards EOF, what it records), one *ledger* — an entry
+//! per node — is what `stats()` snapshots, and one sink decides which
+//! estimate is final. A driver only decides how emitted messages travel:
 //!
 //! - [`SteppedExecutor`] — the **inline** driver: a run queue drained on
 //!   the polling thread, one source partition per poll, sources
@@ -48,7 +48,6 @@ mod trace;
 
 pub use config::{EngineConfig, ExecutorKind};
 pub use estimate::{Estimate, EstimateSeries, SeriesExt};
-pub use query::RunStats;
 pub use stepped::SteppedExecutor;
 pub use stream::{CancelHandle, EstimateStream, Executor, StopStream, DEFAULT_CONFIDENCE};
 pub use threaded::{ThreadedExecutor, DEFAULT_CHANNEL_CAPACITY};
@@ -60,12 +59,9 @@ pub use trace::{TraceEvent, TraceLog, DEFAULT_TRACE_CAPACITY};
 pub use wake_store::{
     FaultIo, FaultSchedule, GlobalGovernor, SpillConfig, SpillIo, SpillMetrics, StdIo, TornWrite,
 };
-// Observability: the level knob on `EngineConfig`, the per-node profile
-// types surfaced by `RunStats.nodes` / `EstimateStream::profile()`, and
-// the registry primitives for custom instrumentation.
-pub use wake_obs::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, NodeProfile, ObsLevel,
-    QueryProfile,
-};
+// Observability: the level knob on `EngineConfig` and the one statistics
+// record (`EstimateStream::stats()`; `profile()` is the same record when
+// the level is on).
+pub use wake_obs::{HistogramSnapshot, NodeProfile, ObsLevel, RunStats};
 
 pub type Result<T> = std::result::Result<T, wake_data::DataError>;

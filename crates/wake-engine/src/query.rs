@@ -29,7 +29,7 @@ use wake_core::ops::Operator;
 use wake_core::progress::Progress;
 use wake_core::update::Update;
 use wake_data::{DataError, ScanMetrics, TableSource};
-use wake_obs::{NodeObs, NodeProfile, QueryObs, QueryProfile};
+use wake_obs::{NodeObs, NodeProfile, ObsLevel, RunStats};
 use wake_store::{MemoryGovernor, SpillMetrics};
 
 /// What travels along an edge of the query graph.
@@ -47,55 +47,75 @@ pub(crate) type Target = usize;
 /// How an actor hands a message to its driver; `false` = target gone.
 pub(crate) type Emit<'a> = &'a mut dyn FnMut(Target, Message) -> bool;
 
-/// Execution statistics for one query run, readable from a live,
-/// exhausted, or cancelled stream.
-#[derive(Debug, Clone, Default)]
-pub struct RunStats {
-    /// Maximum bytes buffered inside operators (join stores, sort
-    /// buffers, aggregate tables). Stepped: a true simultaneous sample
-    /// taken at every partition boundary. Threaded: the sum of per-node
-    /// peaks — an upper bound, since nodes peak at different moments.
-    pub peak_state_bytes: usize,
-    /// Spill telemetry (all zeroes when the query ran unbounded).
-    pub spill: SpillMetrics,
-    /// The spill device failed persistently mid-query and the engine fell
-    /// back to memory-resident execution: the answer is still exact, but
-    /// the memory budget was suspended from the point of failure on.
-    pub degraded: bool,
-    /// Scan telemetry summed over every segment-backed source: zones
-    /// pruned and decoded, compressed bytes read versus decompressed
-    /// bytes produced, decode time. All zeroes when no source tracks any
-    /// (in-memory/CSV/WCF).
-    pub scan: ScanMetrics,
-    /// Per-node profiles (rows/frames/busy/state plus attributed spill
-    /// and scan work) at [`wake_obs::ObsLevel::Stats`] or above; empty at
-    /// `Off`. On a settled stream the per-node spill/scan attributions
-    /// sum exactly to the rollups above (live reads race benignly); the
-    /// per-node state peaks sum to an upper bound of `peak_state_bytes`
-    /// (stepped) or to it exactly (threaded).
-    pub nodes: Vec<NodeProfile>,
+/// One node's entry in the [`QueryLedger`]: everything a statistic about
+/// the node is read from. The node's actor is the only writer.
+#[derive(Default)]
+struct NodeEntry {
+    /// Plan label and input edges (`Stats` and above).
+    label: String,
+    inputs: Vec<usize>,
+    /// High-water mark of the node's buffered state — the one peak cell,
+    /// folded by the actor after every message, at every level.
+    peak: AtomicUsize,
+    /// Work counters (`Stats` and above).
+    obs: Option<NodeObs>,
+    /// Child spill ledger of a spillable operator (`Stats` and above): it
+    /// forwards to the query-wide governor, so attribution costs nothing
+    /// in rollup accuracy.
+    governor: Option<Arc<MemoryGovernor>>,
+    /// The base table a read node scans, for its scan counters.
+    source: Option<Arc<dyn TableSource>>,
+    /// Latest per-shard state published by the actor (`Profile` only).
+    shards: Option<Mutex<Vec<usize>>>,
+}
+
+impl NodeEntry {
+    fn peak(&self) -> usize {
+        // relaxed: telemetry peak; exact after join, approximate mid-run by design
+        self.peak.load(Ordering::Relaxed)
+    }
+
+    fn scan(&self) -> ScanMetrics {
+        let source = self.source.as_ref();
+        source.and_then(|s| s.scan_metrics()).unwrap_or_default()
+    }
+
+    /// The node's profile (`None` at `Off`): counters from `obs`, spill
+    /// from the child ledger, scan from a read node's own source,
+    /// per-shard detail as the actor last published it.
+    fn profile(&self, id: usize) -> Option<NodeProfile> {
+        let shards = self.shards.as_ref().map(|s| s.lock().clone());
+        Some(NodeProfile {
+            id,
+            label: self.label.clone(),
+            inputs: self.inputs.clone(),
+            peak_state_bytes: self.peak(),
+            spill: spill_of(&self.governor),
+            scan: self.scan(),
+            shard_state_bytes: shards.unwrap_or_default(),
+            ..self.obs.as_ref()?.snapshot()
+        })
+    }
+}
+
+fn spill_of(governor: &Option<Arc<MemoryGovernor>>) -> SpillMetrics {
+    governor.as_ref().map(|g| g.metrics()).unwrap_or_default()
 }
 
 /// Everything a query's statistics are read from: the stream reads, the
-/// actors write. It outlives the actors, so `stats()` and `profile()`
-/// stay readable after exhaustion, cancellation, and a failed run.
+/// actors write. It outlives the actors, so [`Self::snapshot`] stays
+/// readable after exhaustion, cancellation, and a failed run.
 pub(crate) struct QueryLedger {
+    level: ObsLevel,
+    start: Instant,
     /// The query-wide spill ledger (`None` = unbounded memory).
     governor: Option<Arc<MemoryGovernor>>,
-    /// Per-node child spill ledgers (observability only): each forwards
-    /// to `governor`, so attribution costs nothing in rollup accuracy.
-    node_governors: Vec<Option<Arc<MemoryGovernor>>>,
-    obs: Option<Arc<QueryObs>>,
-    /// Base-table handles by read-node id, for scan telemetry.
-    sources: Vec<(usize, Arc<dyn TableSource>)>,
-    /// Per-node peak state, folded by each actor after every message.
-    node_peaks: Vec<AtomicUsize>,
+    /// One entry per plan node, by node id.
+    nodes: Vec<NodeEntry>,
     /// The query-wide peak when the driver can sample every node at one
     /// instant (inline: after each step). Thread-per-actor cannot; it
-    /// leaves this `None` and reports the sum of `node_peaks`.
+    /// leaves this `None` and reports the sum of the node peaks.
     step_peak: Option<AtomicUsize>,
-    /// Latest per-shard state published by each actor (`Profile` only).
-    shard_reports: Option<Vec<Mutex<Vec<usize>>>>,
     /// Checked by the stream on every poll and by every actor thread at
     /// every message.
     pub(crate) cancel: CancelHandle,
@@ -103,27 +123,22 @@ pub(crate) struct QueryLedger {
 }
 
 impl QueryLedger {
-    /// Execution statistics so far (complete once the query ended).
-    pub(crate) fn stats(&self) -> RunStats {
+    /// Execution statistics so far (complete once the query ended): the
+    /// one place live state becomes a [`RunStats`].
+    pub(crate) fn snapshot(&self) -> RunStats {
+        let nodes = self.nodes.iter().enumerate();
         RunStats {
+            level: self.level,
+            elapsed: self.start.elapsed(),
             peak_state_bytes: match &self.step_peak {
                 // relaxed: telemetry peak written by the one polling thread
                 Some(peak) => peak.load(Ordering::Relaxed),
-                None => self
-                    .node_peaks
-                    .iter()
-                    // relaxed: telemetry peaks; exact after join, approximate mid-run by design
-                    .map(|p| p.load(Ordering::Relaxed))
-                    .sum(),
+                None => self.nodes.iter().map(NodeEntry::peak).sum(),
             },
-            spill: self
-                .governor
-                .as_ref()
-                .map(|g| g.metrics())
-                .unwrap_or_default(),
+            spill: spill_of(&self.governor),
             degraded: self.degraded(),
             scan: self.scan(),
-            nodes: self.node_profiles(),
+            nodes: nodes.filter_map(|(id, n)| n.profile(id)).collect(),
         }
     }
 
@@ -134,42 +149,16 @@ impl QueryLedger {
 
     /// Scan work so far, summed over every source that tracks any.
     pub(crate) fn scan(&self) -> ScanMetrics {
-        wake_core::plan::scan_metrics_of(&self.sources)
+        let mut total = ScanMetrics::default();
+        for node in &self.nodes {
+            total.merge(&node.scan());
+        }
+        total
     }
 
     /// Bytes written to spill files so far.
     pub(crate) fn spilled_bytes(&self) -> u64 {
-        let governor = self.governor.as_ref();
-        governor.map_or(0, |g| g.metrics().spilled_bytes as u64)
-    }
-
-    /// Per-node snapshots (empty at `Off`): counters and state peaks from
-    /// the shared instruments, spill from the child ledgers, scan from
-    /// each read node's own source, per-shard detail from the actors.
-    fn node_profiles(&self) -> Vec<NodeProfile> {
-        let Some(obs) = &self.obs else {
-            return Vec::new();
-        };
-        let mut nodes = obs.snapshot_nodes();
-        for (idx, profile) in nodes.iter_mut().enumerate() {
-            if let Some(gov) = &self.node_governors[idx] {
-                profile.spill = gov.metrics();
-            }
-            if let Some(reports) = &self.shard_reports {
-                profile.shard_state_bytes = reports[idx].lock().clone();
-            }
-        }
-        for (idx, source) in &self.sources {
-            nodes[*idx].scan = source.scan_metrics().unwrap_or_default();
-        }
-        nodes
-    }
-
-    /// The per-node query profile; `None` at `ObsLevel::Off`.
-    pub(crate) fn profile(&self) -> Option<QueryProfile> {
-        self.obs
-            .as_ref()
-            .map(|obs| obs.profile_from(self.node_profiles()))
+        spill_of(&self.governor).spilled_bytes as u64
     }
 
     /// Where spill files go when a budget is set (a per-query temp
@@ -192,16 +181,17 @@ impl QueryLedger {
 /// With both off no clock is read at all.
 struct Recorder {
     node: usize,
-    obs: Option<Arc<NodeObs>>,
-    /// `ObsLevel::Profile`: also feed the per-update histograms.
-    histograms: bool,
+    ledger: Arc<QueryLedger>,
     trace: Option<(TraceLog, String)>,
-    query_start: Instant,
 }
 
 impl Recorder {
+    fn entry(&self) -> &NodeEntry {
+        &self.ledger.nodes[self.node]
+    }
+
     fn begin(&self) -> Option<Instant> {
-        (self.obs.is_some() || self.trace.is_some()).then(Instant::now)
+        (self.entry().obs.is_some() || self.trace.is_some()).then(Instant::now)
     }
 
     /// `consumed` = (rows, frames) taken in; `traced_rows` = what a trace
@@ -215,22 +205,21 @@ impl Recorder {
     ) {
         let Some(begun) = begun else { return };
         let end = Instant::now();
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.entry().obs {
             obs.record_work(
                 consumed.0,
                 consumed.1,
                 outs.iter().map(|u| u.frame.num_rows() as u64).sum(),
                 outs.len() as u64,
                 end.duration_since(begun).as_nanos() as u64,
-                self.histograms,
             );
         }
         if let (Some((log, label)), Some(rows)) = (&self.trace, traced_rows) {
             log.record(TraceEvent {
                 node: self.node,
                 label: label.clone(),
-                start: begun.duration_since(self.query_start),
-                end: end.duration_since(self.query_start),
+                start: begun.duration_since(self.ledger.start),
+                end: end.duration_since(self.ledger.start),
                 rows,
             });
         }
@@ -311,7 +300,6 @@ pub(crate) struct NodeActor {
     pub(crate) state_bytes: usize,
     pub(crate) routes: Vec<(Target, usize)>,
     recorder: Recorder,
-    ledger: Arc<QueryLedger>,
 }
 
 impl NodeActor {
@@ -342,18 +330,18 @@ impl NodeActor {
         Ok(true)
     }
 
-    /// Fold this node's buffered state into its peak cell, its profile
-    /// gauge, and (at `Profile`) its per-shard report.
+    /// Fold this node's buffered state into its ledger entry: the peak
+    /// cell, the profile gauge, and (at `Profile`) the per-shard report.
     fn sample_state(&mut self) {
-        let node = self.recorder.node;
         self.state_bytes = self.op.state_bytes();
+        let entry = self.recorder.entry();
         // relaxed: single-writer peak cell; readers tolerate a stale mid-run sample
-        self.ledger.node_peaks[node].fetch_max(self.state_bytes, Ordering::Relaxed);
-        if let Some(obs) = &self.recorder.obs {
+        entry.peak.fetch_max(self.state_bytes, Ordering::Relaxed);
+        if let Some(obs) = &entry.obs {
             obs.observe_state(self.state_bytes);
         }
-        if let Some(reports) = &self.ledger.shard_reports {
-            *reports[node].lock() = self.op.report().shard_state_bytes;
+        if let Some(shards) = &entry.shards {
+            *shards.lock() = self.op.report().shard_state_bytes;
         }
     }
 }
@@ -384,42 +372,52 @@ impl Query {
             .sink_id()
             .ok_or_else(|| DataError::Invalid("query graph has no sink".into()))?;
         let metas = graph.resolve_metas()?;
-        let sources = wake_core::plan::source_handles_by_node(&graph);
-        if sources.is_empty() {
+        if graph.sources().is_empty() {
             return Err(DataError::Invalid("query graph has no sources".into()));
         }
-        let query_start = Instant::now();
+        let start = Instant::now();
         let spill = config
             .spill_config()
             .build_plan(graph.shardable_node_count())?;
-        let obs_level = config.obs_level();
-        let obs = obs_level.enabled().then(|| {
-            let (labels, inputs) = graph.plan_skeleton();
-            QueryObs::new(obs_level, labels, inputs)
-        });
+        let level = config.obs_level();
+        let on = level.enabled();
         // With observability on, each spillable operator gets a child
         // spill plan whose ledger records locally *and* forwards to the
         // query-wide parent, so the rollup is unchanged. Off: operators
         // share the parent plan directly (no forwarding).
         let node_plans: Vec<_> = (0..graph.len())
-            .map(|idx| match (&obs, &spill) {
-                (Some(_), Some(p)) if graph.is_shardable(NodeId(idx)) => Some(p.for_node()),
+            .map(|idx| match &spill {
+                Some(p) if on && graph.is_shardable(NodeId(idx)) => Some(p.for_node()),
                 _ => None,
             })
             .collect();
+        let entry = |(idx, node): (usize, &wake_core::graph::Node)| {
+            // What the rollups need, at every level.
+            let entry = NodeEntry {
+                source: match &node.kind {
+                    NodeKind::Read { source } => Some(source.clone()),
+                    _ => None,
+                },
+                ..NodeEntry::default()
+            };
+            if !on {
+                return entry;
+            }
+            NodeEntry {
+                label: graph.node_label(NodeId(idx)),
+                inputs: node.inputs.iter().map(|i| i.0).collect(),
+                obs: Some(NodeObs::new(level)),
+                governor: node_plans[idx].as_ref().map(|p| p.governor.clone()),
+                shards: level.is_profile().then(Mutex::default),
+                ..entry
+            }
+        };
         let ledger = Arc::new(QueryLedger {
+            level,
+            start,
             governor: spill.as_ref().map(|p| p.governor.clone()),
-            node_governors: node_plans
-                .iter()
-                .map(|p| p.as_ref().map(|p| p.governor.clone()))
-                .collect(),
-            obs: obs.clone(),
-            sources,
-            node_peaks: (0..graph.len()).map(|_| AtomicUsize::new(0)).collect(),
+            nodes: graph.nodes().iter().enumerate().map(entry).collect(),
             step_peak: (kind == ExecutorKind::Stepped).then(|| AtomicUsize::new(0)),
-            shard_reports: obs_level
-                .is_profile()
-                .then(|| (0..graph.len()).map(|_| Mutex::new(Vec::new())).collect()),
             cancel: CancelHandle::default(),
             spill_root: spill.as_ref().map(|p| p.dir.root().to_path_buf()),
         });
@@ -453,10 +451,8 @@ impl Query {
         for (idx, (node, routes)) in graph.nodes().iter().zip(routes).enumerate() {
             let recorder = |label: String| Recorder {
                 node: idx,
-                obs: obs.as_ref().map(|o| o.node(idx)),
-                histograms: obs_level.is_profile(),
+                ledger: ledger.clone(),
                 trace: trace.clone().map(|log| (log, label)),
-                query_start,
             };
             match &node.kind {
                 NodeKind::Read { source } => {
@@ -489,13 +485,12 @@ impl Query {
                         state_bytes: 0,
                         routes,
                         recorder: recorder(format!("{op_kind:?}")),
-                        ledger: ledger.clone(),
                     }));
                 }
             }
         }
 
-        let telemetry = obs.is_some().then(|| ledger.clone());
+        let telemetry = level.enabled().then(|| ledger.clone());
         // `spill` drops here: the operators hold the only spill-dir
         // references now, so a per-query temp dir goes when they do.
         Ok(Query {
@@ -505,7 +500,7 @@ impl Query {
             sink: SinkState::new(
                 metas[sink.0].kind,
                 metas[sink.0].schema.clone(),
-                query_start,
+                start,
                 telemetry,
             ),
             ledger,

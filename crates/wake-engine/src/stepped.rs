@@ -41,8 +41,9 @@
 //! thread, byte-identical to the pre-sharding engine).
 
 use crate::estimate::{EstimateSeries, SinkState};
-use crate::query::{Message, NodeActor, Query, QueryLedger, ReaderActor, RunStats, Target};
+use crate::query::{Message, NodeActor, Query, QueryLedger, ReaderActor, Target};
 use crate::stream::{Driver, EstimateStream, Executor};
+use crate::RunStats;
 use crate::{EngineConfig, ExecutorKind, Result};
 use std::collections::VecDeque;
 use std::sync::Arc;

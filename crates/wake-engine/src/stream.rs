@@ -29,12 +29,12 @@
 //! fires.
 
 use crate::estimate::{Estimate, EstimateSeries, SinkState};
-use crate::query::{QueryLedger, RunStats};
+use crate::query::QueryLedger;
 use crate::Result;
 use std::path::PathBuf;
 use std::sync::Arc;
 use wake_data::{DataError, DataFrame};
-use wake_obs::QueryProfile;
+use wake_obs::RunStats;
 
 /// Default confidence level for [`EstimateStream::until_confidence`]
 /// (the paper's §6 examples use 95 %: Chebyshev `k ≈ 4.5`).
@@ -102,7 +102,7 @@ pub struct EstimateStream {
 impl EstimateStream {
     /// Execution statistics so far (complete once the stream ended).
     pub fn stats(&self) -> RunStats {
-        self.ledger.stats()
+        self.ledger.snapshot()
     }
 
     /// The directory spill files are written to, when a memory budget is
@@ -112,18 +112,19 @@ impl EstimateStream {
         self.ledger.spill_dir()
     }
 
-    /// The per-node query profile so far: rows/frames in and out, busy
-    /// time, state peaks, attributed spill and scan work. Readable at
-    /// any point in the stream's life — mid-flight, exhausted, after
-    /// cancellation, or after an error. `None` when the query runs at
-    /// [`wake_obs::ObsLevel::Off`].
-    pub fn profile(&self) -> Option<QueryProfile> {
-        self.ledger.profile()
+    /// [`Self::stats`] when it carries per-node profiles (rows/frames in
+    /// and out, busy time, state peaks, attributed spill and scan work) —
+    /// readable at any point in the stream's life: mid-flight, exhausted,
+    /// after cancellation, or after an error. `None` when the query runs
+    /// at [`wake_obs::ObsLevel::Off`].
+    pub fn profile(&self) -> Option<RunStats> {
+        profiled(self.stats())
     }
 
-    /// EXPLAIN ANALYZE: the plan tree annotated with observed per-node
-    /// rows, time, state, spill, and scan work ([`QueryProfile::render`]).
-    /// With observability off, returns a note explaining how to enable it.
+    /// EXPLAIN ANALYZE: what the whole query cost, then the plan tree
+    /// annotated with observed per-node rows, time, state, spill, and
+    /// scan work ([`RunStats::render`]). With observability off, returns
+    /// a note explaining how to enable it.
     pub fn explain_analyze(&self) -> String {
         render_profile(self.profile())
     }
@@ -138,7 +139,7 @@ impl EstimateStream {
         // Stop the driver before reading the ledger so the stats are
         // final, not a mid-flight snapshot.
         let _ = self.driver.shutdown();
-        self.ledger.stats()
+        self.ledger.snapshot()
     }
 
     /// Drain the stream into a materialised [`EstimateSeries`].
@@ -230,7 +231,12 @@ impl EstimateStream {
     }
 }
 
-fn render_profile(profile: Option<QueryProfile>) -> String {
+/// The view behind both streams' `profile()`: the record, if observability is on.
+fn profiled(stats: RunStats) -> Option<RunStats> {
+    stats.level.enabled().then_some(stats)
+}
+
+fn render_profile(profile: Option<RunStats>) -> String {
     match profile {
         Some(p) => p.render(),
         None => String::from(
@@ -348,7 +354,7 @@ impl StopStream {
 
     /// Run statistics (live while streaming; final after the stop).
     pub fn stats(&self) -> RunStats {
-        self.ledger.stats()
+        self.ledger.snapshot()
     }
 
     /// [`RunStats::degraded`] alone — the spill device's poison flag,
@@ -357,11 +363,10 @@ impl StopStream {
         self.ledger.degraded()
     }
 
-    /// The per-node query profile (live while streaming; the final
-    /// post-shutdown snapshot after the stop). `None` at
+    /// [`Self::stats`] when it carries per-node profiles; `None` at
     /// [`wake_obs::ObsLevel::Off`].
-    pub fn profile(&self) -> Option<QueryProfile> {
-        self.ledger.profile()
+    pub fn profile(&self) -> Option<RunStats> {
+        profiled(self.stats())
     }
 
     /// EXPLAIN ANALYZE over the stopped (or still-running) query; see

@@ -36,8 +36,9 @@
 //! [`wake_core::ops::sharded`]; it is the same under either driver.
 
 use crate::estimate::{EstimateSeries, SinkState};
-use crate::query::{Message, NodeActor, Query, QueryLedger, ReaderActor, RunStats, Target};
+use crate::query::{Message, NodeActor, Query, QueryLedger, ReaderActor, Target};
 use crate::stream::{Driver, EstimateStream, Executor};
+use crate::RunStats;
 use crate::{EngineConfig, ExecutorKind, Result};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::sync::Arc;

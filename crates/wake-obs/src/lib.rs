@@ -1,32 +1,35 @@
 //! # wake-obs
 //!
-//! Observability for Wake query execution: a lock-cheap metrics registry
-//! (atomic counters, gauges, fixed-bucket histograms), per-node query
-//! profiles recorded by both executors, and an `EXPLAIN ANALYZE`
-//! rendering (annotated plan tree + machine-readable JSON).
+//! Observability for Wake query execution: the instruments (atomic
+//! counters, gauges, fixed-bucket histograms), the one statistics record
+//! both executors produce ([`RunStats`], one [`NodeProfile`] per plan
+//! node), and its `EXPLAIN ANALYZE` rendering (annotated plan tree +
+//! machine-readable JSON).
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Zero cost when off.** Instrumentation is gated by [`ObsLevel`];
-//!    at `Off` the executors never construct a [`QueryObs`], so the hot
-//!    path is the exact pre-observability code (one `Option` check).
-//! 2. **Lock-free when on.** Every per-node instrument is pre-registered
-//!    at plan-build time (per node, with per-shard state detail sampled
-//!    from the operators); the hot path is plain relaxed atomic adds —
-//!    no allocation, no locks, no branches beyond the level check.
-//! 3. **Readable at any point in the query's life.** Profiles are
-//!    snapshots of shared atomics, so they can be taken from live,
-//!    exhausted, cancelled, and error-terminated streams alike.
+//!    at `Off` the engine builds no [`NodeObs`], so an actor reads no
+//!    clock and touches no counter (one `Option` check per message).
+//! 2. **Lock-free when on.** A node's counters are a plain struct built
+//!    with the plan — five counters and a gauge at `Stats`, two
+//!    histograms more at `Profile`, nothing looked up by name; the hot
+//!    path is relaxed atomic adds — no allocation, no locks, no branches
+//!    beyond the level check.
+//! 3. **One record, readable at any point in the query's life.** The
+//!    engine's ledger keeps one entry per node and snapshots it into one
+//!    [`RunStats`]; snapshots read shared atomics, so they can be taken
+//!    from live, exhausted, cancelled, and error-terminated streams
+//!    alike. A counter set ([`wake_store::SpillMetrics`],
+//!    [`wake_data::ScanMetrics`]) lists its fields once, in its own
+//!    crate; sums, JSON and rendering here loop over that list.
 
 pub mod json;
 mod metrics;
 mod profile;
 
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry, LATENCY_BOUNDS_NS,
-    ROWS_BOUNDS,
-};
-pub use profile::{NodeObs, NodeProfile, QueryObs, QueryProfile};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, LATENCY_BOUNDS_NS, ROWS_BOUNDS};
+pub use profile::{NodeObs, NodeProfile, RunStats};
 
 /// How much the engines record while a query runs.
 ///

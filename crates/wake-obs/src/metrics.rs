@@ -1,13 +1,9 @@
-//! The lock-cheap metrics registry: atomic counters, gauges, and
-//! fixed-bucket histograms.
-//!
-//! Instruments are registered once (under a lock) at plan-build time and
-//! handed out as `Arc` handles; recording through a handle is a plain
-//! relaxed atomic add — no allocation, no locking, no bucket search
-//! beyond a linear scan over a small fixed bound table.
+//! The instruments: atomic counters, gauges, and fixed-bucket
+//! histograms. Recording is a plain relaxed atomic add — no allocation,
+//! no locking, no bucket search beyond a linear scan over a small fixed
+//! bound table.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// A monotonically increasing `u64` counter.
 #[derive(Debug, Default)]
@@ -33,32 +29,22 @@ impl Counter {
     }
 }
 
-/// A last-value gauge with a high-water mark.
+/// A last-value gauge.
 #[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicUsize,
-    peak: AtomicUsize,
-}
+pub struct Gauge(AtomicUsize);
 
 impl Gauge {
     pub fn new() -> Self {
         Gauge::default()
     }
 
-    /// Set the current value and fold it into the peak.
     #[inline]
     pub fn set(&self, v: usize) {
-        self.value.store(v, Ordering::Relaxed);
-        self.peak.fetch_max(v, Ordering::Relaxed);
+        self.0.store(v, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> usize {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// The largest value ever `set`.
-    pub fn peak(&self) -> usize {
-        self.peak.load(Ordering::Relaxed)
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -203,104 +189,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// A snapshot value from the registry.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
-    Counter(u64),
-    /// `(current, peak)`.
-    Gauge(usize, usize),
-    Histogram(HistogramSnapshot),
-}
-
-enum Instrument {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-/// A named collection of instruments. Registration (plan-build time)
-/// takes the lock; recording goes through the returned `Arc` handles
-/// and never touches the registry again. `get_or_*` returns the
-/// existing handle for a repeated name, so per-shard workers can share
-/// one instrument.
-#[derive(Default)]
-pub struct MetricsRegistry {
-    entries: Mutex<Vec<(String, Instrument)>>,
-}
-
-impl MetricsRegistry {
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut entries = self.entries.lock().unwrap();
-        for (n, inst) in entries.iter() {
-            if n == name {
-                if let Instrument::Counter(c) = inst {
-                    return c.clone();
-                }
-            }
-        }
-        let c = Arc::new(Counter::new());
-        entries.push((name.to_string(), Instrument::Counter(c.clone())));
-        c
-    }
-
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut entries = self.entries.lock().unwrap();
-        for (n, inst) in entries.iter() {
-            if n == name {
-                if let Instrument::Gauge(g) = inst {
-                    return g.clone();
-                }
-            }
-        }
-        let g = Arc::new(Gauge::new());
-        entries.push((name.to_string(), Instrument::Gauge(g.clone())));
-        g
-    }
-
-    pub fn histogram(&self, name: &str, bounds: &'static [u64]) -> Arc<Histogram> {
-        let mut entries = self.entries.lock().unwrap();
-        for (n, inst) in entries.iter() {
-            if n == name {
-                if let Instrument::Histogram(h) = inst {
-                    return h.clone();
-                }
-            }
-        }
-        let h = Arc::new(Histogram::new(bounds));
-        entries.push((name.to_string(), Instrument::Histogram(h.clone())));
-        h
-    }
-
-    /// Snapshot every instrument, in registration order.
-    pub fn snapshot(&self) -> Vec<(String, MetricValue)> {
-        let entries = self.entries.lock().unwrap();
-        entries
-            .iter()
-            .map(|(n, inst)| {
-                let v = match inst {
-                    Instrument::Counter(c) => MetricValue::Counter(c.get()),
-                    Instrument::Gauge(g) => MetricValue::Gauge(g.get(), g.peak()),
-                    Instrument::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                };
-                (n.clone(), v)
-            })
-            .collect()
-    }
-}
-
-impl std::fmt::Debug for MetricsRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let entries = self.entries.lock().unwrap();
-        f.debug_struct("MetricsRegistry")
-            .field("entries", &entries.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,7 +204,6 @@ mod tests {
         g.set(40);
         g.set(7);
         assert_eq!(g.get(), 7);
-        assert_eq!(g.peak(), 40);
     }
 
     #[test]
@@ -341,26 +228,5 @@ mod tests {
         assert!(HistogramSnapshot::default().is_empty());
         assert_eq!(HistogramSnapshot::default().mean(), 0.0);
         assert_eq!(HistogramSnapshot::default().quantile_bound(0.5), 0);
-    }
-
-    #[test]
-    fn registry_dedups_by_name_and_snapshots_in_order() {
-        let r = MetricsRegistry::new();
-        let a = r.counter("node0.rows_in");
-        let b = r.counter("node0.rows_in");
-        assert!(Arc::ptr_eq(&a, &b));
-        a.add(3);
-        let g = r.gauge("node0.state");
-        g.set(9);
-        r.histogram("node0.lat", LATENCY_BOUNDS_NS).record(100);
-        let snap = r.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert_eq!(snap[0].0, "node0.rows_in");
-        assert_eq!(snap[0].1, MetricValue::Counter(3));
-        assert_eq!(snap[1].1, MetricValue::Gauge(9, 9));
-        match &snap[2].1 {
-            MetricValue::Histogram(h) => assert_eq!(h.total, 1),
-            other => panic!("expected histogram, got {other:?}"),
-        }
     }
 }

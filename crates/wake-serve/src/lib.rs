@@ -16,8 +16,9 @@
 //!   `{"op":"query","name":"q1","deadline_ms":500}` answered with a
 //!   stream of `{"type":"estimate",...}` lines and a terminal
 //!   `{"type":"done",...}`; plus `{"op":"explain","id":N}` (EXPLAIN
-//!   ANALYZE: the finished query's [`wake_obs::QueryProfile`] as JSON)
-//!   and `{"op":"list"}`.
+//!   ANALYZE: the finished query's recorded [`wake_engine::RunStats`] —
+//!   rollups and per-node profiles — rendered as JSON when asked) and
+//!   `{"op":"list"}`.
 //! - **Minimal HTTP/1.1 with chunked transfer encoding** — `GET
 //!   /query/<name>[?deadline_ms=N]` streams the same ndjson lines one
 //!   chunk each (curl-able), `GET /explain/<id>`, `GET /queries`.

@@ -1,20 +1,30 @@
 //! The served-query registry: per-query lifecycle records.
 //!
-//! Every admitted query gets a record tracking its status, final
-//! [`RunStats`], and (once finished) its rendered
-//! [`wake_obs::QueryProfile`] JSON — the backing store for the protocols'
-//! `EXPLAIN ANALYZE` and `list` requests. Records survive the query (the
-//! whole point: profiles are for *completed/cancelled* queries), bounded
-//! by a ring of [`MAX_RECORDS`] so a long-lived server doesn't grow
-//! without limit.
+//! Every admitted query gets a record tracking its status and (once
+//! finished) its final [`RunStats`] — the backing store for the
+//! protocols' `EXPLAIN ANALYZE` (which renders `stats.to_json()` when
+//! asked) and `list` requests. Records survive the query (the whole
+//! point: profiles are for *completed/cancelled* queries), bounded by a
+//! ring of [`MAX_RECORDS`] so a long-lived server doesn't grow without
+//! limit.
 //!
 //! A query cancelled while still queued never executes, but its record
-//! stays readable and reports **zero work** (`RunStats::default()`): no
-//! stream was built, so no governor lease ever existed for it.
+//! stays readable and reports **zero work** (`RunStats::default()`, no
+//! nodes): no stream was built, so no governor lease ever existed for it.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use wake_engine::RunStats;
+
+/// Lock a mutex, recovering the data if a previous holder panicked.
+/// Every critical section in this crate leaves the shared state
+/// consistent before any fallible operation — a registry update either
+/// ran its closure to the end or left the record as the closure left it,
+/// every field on its own valid — so a poisoned lock means a dead thread,
+/// not corrupt data, and the server stays available.
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Retained records; the oldest finished record is evicted past this.
 pub const MAX_RECORDS: usize = 256;
@@ -53,11 +63,10 @@ pub struct QueryRecord {
     pub id: u64,
     pub name: String,
     pub status: QueryStatus,
-    /// Final run statistics (zero for a queued-then-cancelled query).
+    /// Final run statistics, per-node profiles included; the default —
+    /// zero work, no nodes — while queued/running and when the query
+    /// never built a stream.
     pub stats: RunStats,
-    /// Rendered `QueryProfile::to_json()` captured at finish; `None`
-    /// while queued/running or when the query never built a stream.
-    pub profile_json: Option<String>,
     /// The query stopped at its deadline rather than completing.
     pub stopped_early: bool,
     pub error: Option<String>,
@@ -82,7 +91,7 @@ impl QueryRegistry {
 
     /// Record an admitted query (status [`QueryStatus::Queued`]).
     pub fn admit(&self, id: u64, name: &str) {
-        let mut inner = self.inner.lock().expect("registry lock");
+        let mut inner = lock_recover(&self.inner);
         inner.records.insert(
             id,
             QueryRecord {
@@ -90,7 +99,6 @@ impl QueryRegistry {
                 name: name.to_string(),
                 status: QueryStatus::Queued,
                 stats: RunStats::default(),
-                profile_json: None,
                 stopped_early: false,
                 error: None,
             },
@@ -106,31 +114,27 @@ impl QueryRegistry {
             }) else {
                 break;
             };
-            let evicted = inner.order.remove(pos).expect("position in range");
-            inner.records.remove(&evicted);
+            if let Some(evicted) = inner.order.remove(pos) {
+                inner.records.remove(&evicted);
+            }
         }
     }
 
     /// Mutate the record for `id`, if present.
     pub fn update(&self, id: u64, f: impl FnOnce(&mut QueryRecord)) {
-        let mut inner = self.inner.lock().expect("registry lock");
+        let mut inner = lock_recover(&self.inner);
         if let Some(rec) = inner.records.get_mut(&id) {
             f(rec);
         }
     }
 
     pub fn get(&self, id: u64) -> Option<QueryRecord> {
-        self.inner
-            .lock()
-            .expect("registry lock")
-            .records
-            .get(&id)
-            .cloned()
+        lock_recover(&self.inner).records.get(&id).cloned()
     }
 
     /// All retained records in admission order.
     pub fn list(&self) -> Vec<QueryRecord> {
-        let inner = self.inner.lock().expect("registry lock");
+        let inner = lock_recover(&self.inner);
         inner
             .order
             .iter()
@@ -151,11 +155,11 @@ mod tests {
         reg.update(1, |r| r.status = QueryStatus::Running);
         reg.update(1, |r| {
             r.status = QueryStatus::Completed;
-            r.profile_json = Some("{}".into());
+            r.stats.peak_state_bytes = 9;
         });
         let rec = reg.get(1).unwrap();
         assert_eq!(rec.status, QueryStatus::Completed);
-        assert_eq!(rec.profile_json.as_deref(), Some("{}"));
+        assert_eq!(rec.stats.peak_state_bytes, 9);
 
         // Ring eviction removes finished records oldest-first, never live
         // ones.
@@ -176,6 +180,26 @@ mod tests {
         assert_eq!(rec.status, QueryStatus::Cancelled);
         assert_eq!(rec.stats.peak_state_bytes, 0);
         assert_eq!(rec.stats.spill.spilled_bytes, 0);
-        assert!(rec.profile_json.is_none());
+        assert!(rec.stats.nodes.is_empty());
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_leaves_the_registry_serving() {
+        let reg = QueryRegistry::new();
+        reg.admit(1, "q");
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reg.update(1, |r| {
+                r.status = QueryStatus::Running;
+                panic!("caller's closure dies holding the registry lock");
+            })
+        }));
+        assert!(panicked.is_err());
+        assert!(reg.inner.is_poisoned());
+        // Every entry point still answers, from what the closure left.
+        assert_eq!(reg.get(1).unwrap().status, QueryStatus::Running);
+        reg.update(1, |r| r.status = QueryStatus::Failed);
+        reg.admit(2, "q");
+        let statuses: Vec<_> = reg.list().iter().map(|r| r.status).collect();
+        assert_eq!(statuses, [QueryStatus::Failed, QueryStatus::Queued]);
     }
 }

@@ -23,7 +23,7 @@
 
 use crate::catalog::QueryCatalog;
 use crate::json::{self, Obj};
-use crate::registry::{QueryRecord, QueryRegistry, QueryStatus};
+use crate::registry::{lock_recover, QueryRecord, QueryRegistry, QueryStatus};
 use crate::wire::WireWriter;
 use crossbeam::channel::{self, RecvTimeoutError, TrySendError};
 use std::io::{self, BufRead, BufReader};
@@ -80,14 +80,6 @@ pub struct ServerHandle {
     listener: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     workers: Vec<JoinHandle<()>>,
-}
-
-/// Lock a mutex, recovering the data if a previous holder panicked.
-/// Every critical section in this module leaves the shared state
-/// consistent before any fallible operation, so a poisoned lock means a
-/// dead thread, not corrupt data — the server stays available.
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Start a server on the config's [`EngineConfig::serve_addr`]. The
@@ -314,32 +306,27 @@ fn run_job(job: Job, shared: &Shared) {
             }
         }
     }
-    stop.stop(); // idempotent; the statistics below are final
+    stop.stop(); // idempotent; the one snapshot below is final
 
     let stats = stop.stats();
     let stopped_early = stop.stopped_early();
-    let profile_json = stop.profile().map(|p| p.to_json());
     // The ledger holds the query's memory lease: return it before the
     // client hears `done`.
     drop(stop);
-    let status = if let Some(msg) = &error {
-        let msg = msg.clone();
-        shared.registry.update(job.id, |r| r.error = Some(msg));
+    let status = if error.is_some() {
         QueryStatus::Failed
     } else if client_gone {
         QueryStatus::Cancelled
     } else {
         QueryStatus::Completed
     };
-    {
-        let stats = stats.clone();
-        shared.registry.update(job.id, |r| {
-            r.status = status;
-            r.stats = stats;
-            r.profile_json = profile_json;
-            r.stopped_early = stopped_early;
-        });
-    }
+    let done = done_line(job.id, status, &stats, stopped_early);
+    shared.registry.update(job.id, |r| {
+        r.status = status;
+        r.stats = stats;
+        r.stopped_early = stopped_early;
+        r.error.clone_from(&error);
+    });
     // Terminal lines take the same blocking send as estimates: the event
     // channel is bounded, and a line dropped because the connection thread
     // is a channel's worth behind would leave the client waiting for
@@ -350,9 +337,7 @@ fn run_job(job: Job, shared: &Shared) {
             .events
             .send(error_line(Some(job.id), "query_failed", &msg));
     }
-    let _ = job
-        .events
-        .send(done_line(job.id, status, &stats, stopped_early));
+    let _ = job.events.send(done);
 }
 
 fn estimate_line(
@@ -398,15 +383,19 @@ fn watch_sum(est: &wake_engine::Estimate, watch: &str) -> Option<f64> {
     Some(sum)
 }
 
-fn done_line(id: u64, status: QueryStatus, stats: &RunStats, stopped_early: bool) -> String {
-    Obj::new()
-        .str("type", "done")
-        .u64("id", id)
-        .str("status", status.as_str())
+/// How a query ended and what it cost: the fields a `done` event and a
+/// `list` entry share, written once.
+fn outcome(obj: Obj, status: QueryStatus, stats: &RunStats, stopped_early: bool) -> Obj {
+    obj.str("status", status.as_str())
         .bool("stopped_early", stopped_early)
         .bool("degraded", stats.degraded)
         .u64("peak_state_bytes", stats.peak_state_bytes as u64)
         .u64("spill_bytes", stats.spill.spilled_bytes as u64)
+}
+
+fn done_line(id: u64, status: QueryStatus, stats: &RunStats, stopped_early: bool) -> String {
+    let head = Obj::new().str("type", "done").u64("id", id);
+    outcome(head, status, stats, stopped_early)
         .u64("evictions", stats.spill.evictions as u64)
         .u64("scan_bytes", stats.scan.decompressed_bytes)
         .build()
@@ -421,14 +410,8 @@ fn error_line(id: Option<u64>, code: &str, message: &str) -> String {
 }
 
 fn record_line(rec: &QueryRecord) -> String {
-    let mut obj = Obj::new()
-        .u64("id", rec.id)
-        .str("name", &rec.name)
-        .str("status", rec.status.as_str())
-        .bool("stopped_early", rec.stopped_early)
-        .bool("degraded", rec.stats.degraded)
-        .u64("peak_state_bytes", rec.stats.peak_state_bytes as u64)
-        .u64("spill_bytes", rec.stats.spill.spilled_bytes as u64);
+    let head = Obj::new().u64("id", rec.id).str("name", &rec.name);
+    let mut obj = outcome(head, rec.status, &rec.stats, rec.stopped_early);
     if let Some(err) = &rec.error {
         obj = obj.str("error", err);
     }
@@ -499,27 +482,22 @@ impl Reply {
     }
 }
 
-/// EXPLAIN ANALYZE of a finished query: its recorded profile.
+/// EXPLAIN ANALYZE of a finished query: its recorded statistics, rendered
+/// on request. A record without nodes has not finished, or never ran.
 fn explain_reply(shared: &Shared, id: Option<u64>) -> Reply {
     let Some(rec) = id.and_then(|id| shared.registry.get(id)) else {
         return Reply::error(Code::NotFound, None, "no such query id");
     };
-    match &rec.profile_json {
-        Some(profile) => Reply(
-            Code::Ok,
-            Obj::new()
-                .str("type", "profile")
-                .u64("id", rec.id)
-                .str("status", rec.status.as_str())
-                .raw("profile", profile)
-                .build(),
-        ),
-        None => Reply::error(
-            Code::NoProfile,
-            Some(rec.id),
-            "query has not finished executing (or never ran)",
-        ),
+    if rec.stats.nodes.is_empty() {
+        let message = "query has not finished executing (or never ran)";
+        return Reply::error(Code::NoProfile, Some(rec.id), message);
     }
+    let reply = Obj::new()
+        .str("type", "profile")
+        .u64("id", rec.id)
+        .str("status", rec.status.as_str())
+        .raw("profile", &rec.stats.to_json());
+    Reply(Code::Ok, reply.build())
 }
 
 /// The catalog's names and every retained query record.
@@ -847,29 +825,73 @@ mod tests {
         g
     }
 
-    #[test]
-    fn done_line_reaches_a_client_a_full_event_channel_behind() {
-        const CAPACITY: usize = 32;
-        const ESTIMATES: usize = 40;
-        let shared = Shared {
+    /// A server's shared state with no listener, workers or catalog.
+    fn shared() -> Shared {
+        Shared {
             engine: EngineConfig::stepped().with_obs(ObsLevel::Stats),
             catalog: QueryCatalog::new(),
             registry: Arc::new(QueryRegistry::new()),
             jobs: Mutex::new(None),
             shutdown: AtomicBool::new(false),
-            next_id: AtomicU64::new(2),
+            next_id: AtomicU64::new(1),
             global: None,
-        };
-        let (events, client) = channel::bounded::<String>(CAPACITY);
-        shared.registry.admit(1, "count");
-        let job = Job {
-            id: 1,
-            graph: counting_graph(ESTIMATES as i64),
+        }
+    }
+
+    /// Admit `graph` under `id`, as the connection thread would.
+    fn job(shared: &Shared, id: u64, graph: QueryGraph, events: channel::Sender<String>) -> Job {
+        shared.registry.admit(id, "count");
+        Job {
+            id,
+            graph,
             watch: None,
             deadline: DEFAULT_DEADLINE,
             events,
             cancelled: Arc::new(AtomicBool::new(false)),
-        };
+        }
+    }
+
+    #[test]
+    fn explain_renders_the_stored_record_and_a_never_run_query_has_none() {
+        let shared = shared();
+        let (events, client) = channel::bounded::<String>(64);
+        run_job(job(&shared, 1, counting_graph(4), events), &shared);
+        let done = client.iter().last().unwrap();
+        assert_eq!(json::field_str(&done, "type").as_deref(), Some("done"));
+        let rec = shared.registry.get(1).unwrap();
+        assert_eq!(rec.stats.nodes.len(), 2, "read, agg");
+        let Reply(code, body) = explain_reply(&shared, Some(1));
+        assert!(code == Code::Ok);
+        let expected = Obj::new()
+            .str("type", "profile")
+            .u64("id", 1)
+            .str("status", "completed")
+            .raw("profile", &rec.stats.to_json());
+        assert_eq!(body, expected.build());
+
+        // Cancelled while queued: zero work on record, nothing to explain.
+        let (events, _client) = channel::bounded::<String>(1);
+        let queued = job(&shared, 2, counting_graph(4), events);
+        queued.cancelled.store(true, Ordering::Release);
+        run_job(queued, &shared);
+        let rec = shared.registry.get(2).unwrap();
+        assert_eq!(rec.status, QueryStatus::Cancelled);
+        assert_eq!(rec.stats, RunStats::default());
+        let Reply(code, body) = explain_reply(&shared, Some(2));
+        assert!(code == Code::NoProfile);
+        assert_eq!(
+            json::field_str(&body, "code").as_deref(),
+            Some("no_profile")
+        );
+    }
+
+    #[test]
+    fn done_line_reaches_a_client_a_full_event_channel_behind() {
+        const CAPACITY: usize = 32;
+        const ESTIMATES: usize = 40;
+        let shared = shared();
+        let (events, client) = channel::bounded::<String>(CAPACITY);
+        let job = job(&shared, 1, counting_graph(ESTIMATES as i64), events);
         let lines = std::thread::scope(|scope| {
             scope.spawn(|| run_job(job, &shared));
             // The client reads just enough for the worker to queue every

@@ -261,26 +261,27 @@ impl Drop for MemoryGovernor {
     }
 }
 
-/// Point-in-time spill counters (surfaced in executor run statistics).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpillMetrics {
-    /// Bytes written to spill files.
-    pub spilled_bytes: usize,
-    /// Chunks (frame envelopes) written.
-    pub chunks_written: usize,
-    /// Partition evictions performed.
-    pub evictions: usize,
-    /// Spilled-partition loads back into memory.
-    pub rehydrations: usize,
-    /// Bytes appended to write-behind delta runs (subset of
-    /// `spilled_bytes`).
-    pub delta_bytes: usize,
-    /// Delta chunks appended.
-    pub delta_chunks: usize,
-    /// Delta-run compactions (replay onto base + truncate).
-    pub compactions: usize,
-    /// Spill I/O operations that failed transiently and were retried.
-    pub io_retries: usize,
+wake_data::counters! {
+    /// Point-in-time spill counters (surfaced in executor run statistics).
+    pub struct SpillMetrics: usize {
+        /// Bytes written to spill files.
+        spilled_bytes,
+        /// Chunks (frame envelopes) written.
+        chunks_written,
+        /// Partition evictions performed.
+        evictions,
+        /// Spilled-partition loads back into memory.
+        rehydrations,
+        /// Bytes appended to write-behind delta runs (subset of
+        /// `spilled_bytes`).
+        delta_bytes,
+        /// Delta chunks appended.
+        delta_chunks,
+        /// Delta-run compactions (replay onto base + truncate).
+        compactions,
+        /// Spill I/O operations that failed transiently and were retried.
+        io_retries,
+    }
 }
 
 /// User-facing spill configuration: the budget knob on the executors.

@@ -4,7 +4,8 @@
 /// `panic-path`: modules where a panic is an availability bug — spill
 /// and segment I/O (PR 6's recovery ladder turns device failure into
 /// typed errors; an `unwrap` under it reintroduces the crash), the
-/// serve front-end (a panicked connection thread kills the worker),
+/// serve front-end (a panicked connection thread kills the worker; the
+/// registry and the record it renders are reached from every one),
 /// both executors' drive/shutdown paths (a panic mid-shutdown leaks
 /// node threads and spill dirs), and the keyed operators with the
 /// partition layer under them (they run under spill I/O, at one shard
@@ -17,8 +18,10 @@ pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/wake-store/src/io.rs",
     "crates/wake-store/src/dir.rs",
     "crates/wake-serve/src/server.rs",
+    "crates/wake-serve/src/registry.rs",
     "crates/wake-serve/src/json.rs",
     "crates/wake-obs/src/json.rs",
+    "crates/wake-obs/src/profile.rs",
     "crates/wake-serve/src/client.rs",
     "crates/wake-serve/src/wire.rs",
     "crates/wake-engine/src/query.rs",

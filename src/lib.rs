@@ -179,8 +179,7 @@ pub mod prelude {
     };
     pub use wake_engine::{
         EngineConfig, Estimate, EstimateSeries, EstimateStream, Executor, ExecutorKind,
-        NodeProfile, ObsLevel, QueryProfile, RunStats, SeriesExt, SteppedExecutor,
-        ThreadedExecutor,
+        NodeProfile, ObsLevel, RunStats, SeriesExt, SteppedExecutor, ThreadedExecutor,
     };
     pub use wake_expr::{col, lit, Expr};
 }

@@ -86,83 +86,86 @@ fn obs_off_reports_no_profile() {
     assert!(stream.explain_analyze().contains("observability is off"));
 }
 
+/// The TPC-H queries the repo's benchmark runs under a spilling budget
+/// (`wake-e2e`'s `tpch.spill`).
+const SPILL_QUERIES: [&str; 8] = ["q3", "q5", "q7", "q8", "q9", "q10", "q18", "q20"];
+
 #[test]
 fn per_node_profiles_sum_to_rollups_on_both_engines() {
     // The per-node attribution must reconcile with the query-wide
-    // ledgers: scan bytes exactly (every source is somebody's read
-    // node), spill within the documented slack (operators without a
-    // child ledger — non-shardable ones — account against the parent
-    // only), and the peak upper bound must hold.
+    // ledgers on a settled stream: scan exactly (every source is
+    // somebody's read node), spill exactly (every operator that spills
+    // has a child ledger, and children forward to the parent), and the
+    // node peaks must bound the rollup — and be it, thread-per-actor.
     let db = db();
-    for kind in [ExecutorKind::Stepped, ExecutorKind::Threaded] {
-        let mut stream = EngineConfig::new()
-            .with_executor(kind)
-            .with_memory_budget(BUDGET)
-            .with_obs(ObsLevel::Profile)
-            .start(high_card_graph(&db))
-            .unwrap();
-        for est in &mut stream {
-            est.unwrap();
-        }
-        let stats = stream.stats();
-        let profile = stream.profile().expect("profile at Profile level");
-        assert_eq!(profile.nodes.len(), 2, "{kind:?}: read, agg");
+    let mut inputs = vec![("high_card", high_card_graph(&db))];
+    let spilling = all_queries()
+        .into_iter()
+        .filter(|q| SPILL_QUERIES.contains(&q.name));
+    inputs.extend(spilling.map(|q| (q.name, (q.build)(&db))));
+    assert_eq!(inputs.len(), 1 + SPILL_QUERIES.len());
+    for (name, graph) in &inputs {
+        for kind in [ExecutorKind::Stepped, ExecutorKind::Threaded] {
+            let mut stream = EngineConfig::new()
+                .with_executor(kind)
+                .with_memory_budget(BUDGET)
+                .with_obs(ObsLevel::Profile)
+                .start(graph.clone())
+                .unwrap();
+            for est in &mut stream {
+                est.unwrap();
+            }
+            let stats = stream.stats();
+            // `profile()` is the same record, seen through "is obs on".
+            assert_eq!(stream.profile().map(|p| p.nodes), Some(stats.nodes.clone()));
 
-        // Scan attribution: per read node, exact.
-        assert_eq!(
-            profile.total_scan().decompressed_bytes,
-            stats.scan.decompressed_bytes,
-            "{kind:?}"
-        );
-        // Spill attribution: children forward to the parent, so their
-        // sum can never exceed the rollup — and the spilling node here
-        // (the group-by) has a child ledger, so it must show traffic.
-        let spill_sum = profile.total_spill();
-        assert!(
-            spill_sum.spilled_bytes <= stats.spill.spilled_bytes,
-            "{kind:?}: child ledgers exceed parent"
-        );
-        assert!(
-            stats.spill.evictions > 0,
-            "{kind:?}: the budget never bit — suite is not testing attribution"
-        );
-        assert!(
-            spill_sum.evictions > 0,
-            "{kind:?}: evictions not attributed to any node"
-        );
-        // Peak: the sum of per-node peaks bounds the reported rollup.
-        assert!(
-            profile.peak_state_upper_bound() >= stats.peak_state_bytes,
-            "{kind:?}: {} < {}",
-            profile.peak_state_upper_bound(),
-            stats.peak_state_bytes
-        );
-        // Work actually got recorded on every node.
-        for node in &profile.nodes {
+            assert_eq!(stats.total_scan(), stats.scan, "{name} {kind:?}");
+            assert_eq!(stats.total_spill(), stats.spill, "{name} {kind:?}");
+            let peaks = stats.peak_state_upper_bound();
+            match kind {
+                ExecutorKind::Stepped => assert!(
+                    peaks >= stats.peak_state_bytes,
+                    "{name}: {peaks} < {}",
+                    stats.peak_state_bytes
+                ),
+                ExecutorKind::Threaded => assert_eq!(peaks, stats.peak_state_bytes, "{name}"),
+            }
             assert!(
-                node.rows_out > 0,
-                "{kind:?}: node {} [{}] recorded no output",
-                node.id,
-                node.label
+                stats.spill.evictions > 0,
+                "{name} {kind:?}: the budget never bit — suite is not testing attribution"
             );
-            assert!(node.frames_out > 0, "{kind:?}: node {}", node.id);
+            if *name != "high_card" {
+                continue;
+            }
+
+            assert_eq!(stats.nodes.len(), 2, "{kind:?}: read, agg");
+            // Work actually got recorded on every node.
+            for node in &stats.nodes {
+                assert!(
+                    node.rows_out > 0,
+                    "{kind:?}: node {} [{}] recorded no output",
+                    node.id,
+                    node.label
+                );
+                assert!(node.frames_out > 0, "{kind:?}: node {}", node.id);
+            }
+            // Profile level extras: per-update histograms on worked nodes,
+            // per-shard state detail on the sharded aggregate.
+            let agg = stats
+                .nodes
+                .iter()
+                .find(|n| n.label.starts_with("Agg"))
+                .expect("agg node");
+            assert!(agg.rows_in > 0 && agg.busy.as_nanos() > 0, "{kind:?}");
+            assert!(
+                agg.batch_nanos.as_ref().is_some_and(|h| !h.is_empty()),
+                "{kind:?}: Profile level must fill histograms"
+            );
+            assert!(
+                !agg.shard_state_bytes.is_empty(),
+                "{kind:?}: sharded agg must report per-shard state"
+            );
         }
-        // Profile level extras: per-update histograms on worked nodes,
-        // per-shard state detail on the sharded aggregate.
-        let agg = profile
-            .nodes
-            .iter()
-            .find(|n| n.label.starts_with("Agg"))
-            .expect("agg node");
-        assert!(agg.rows_in > 0 && agg.busy.as_nanos() > 0, "{kind:?}");
-        assert!(
-            agg.batch_nanos.as_ref().is_some_and(|h| !h.is_empty()),
-            "{kind:?}: Profile level must fill histograms"
-        );
-        assert!(
-            !agg.shard_state_bytes.is_empty(),
-            "{kind:?}: sharded agg must report per-shard state"
-        );
     }
 }
 

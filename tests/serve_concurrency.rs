@@ -352,7 +352,7 @@ fn query_cancelled_while_queued_is_readable_and_reports_zero_work() {
     assert_eq!(rec.stats.peak_state_bytes, 0);
     assert_eq!(rec.stats.spill.spilled_bytes, 0);
     assert_eq!(rec.stats.spill.evictions, 0);
-    assert!(rec.profile_json.is_none());
+    assert!(rec.stats.nodes.is_empty());
     assert!(
         global.is_idle(),
         "global budget must be back to idle after every query"

@@ -157,6 +157,33 @@ fn projection_cuts_decoded_bytes_and_nothing_else() {
 }
 
 #[test]
+fn scan_counters_are_the_querys_own_on_a_scan_no_pass_narrows() {
+    let data = Arc::new(TpchData::generate(0.002, 42));
+    let dir = scratch_dir("own-counters");
+    let disk = TpchDb::persisted(data, 8, &dir).unwrap();
+    // A sink on the read: observed in full, no predicate, no scan seed —
+    // nothing to prune, reorder or narrow, and both runs start from the
+    // one `Arc<SegmentSource>` the db shares. The second run must not
+    // report the first run's zones and bytes on top of its own.
+    let run = || {
+        let mut g = wake::core::graph::QueryGraph::new();
+        let orders = disk.read(&mut g, "orders");
+        g.sink(orders);
+        let stream = EngineConfig::stepped().start(g).unwrap();
+        stream.collect_with_stats().unwrap().1.scan
+    };
+    let (first, second) = (run(), run());
+    assert!(first.zones_total > 1 && first.decompressed_bytes > 0);
+    for scan in [first, second] {
+        assert_eq!(scan.zones_scanned, scan.zones_total);
+        assert_eq!(scan.columns_read, scan.columns_total);
+        assert_eq!(scan.decompressed_bytes, first.decompressed_bytes);
+        assert_eq!(scan.compressed_bytes, first.compressed_bytes);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn projection_leaves_every_plan_resolving_to_the_same_sink() {
     let data = Arc::new(TpchData::generate(0.002, 42));
     let dir = scratch_dir("resolve");
