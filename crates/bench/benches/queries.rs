@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
-use wake_engine::SteppedExecutor;
+use wake_engine::EngineConfig;
 use wake_tpch::{query_by_name, synthetic, TpchData, TpchDb};
 
 fn bench_tpch(c: &mut Criterion) {
@@ -18,7 +18,13 @@ fn bench_tpch(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let g = (spec.build)(&db);
-                black_box(SteppedExecutor::new(g).unwrap().run_collect().unwrap())
+                black_box(
+                    EngineConfig::stepped()
+                        .start(g)
+                        .unwrap()
+                        .collect_series()
+                        .unwrap(),
+                )
             })
         });
     }
@@ -33,7 +39,13 @@ fn bench_deep(c: &mut Criterion) {
         group.bench_function(format!("depth_{depth}"), |b| {
             b.iter(|| {
                 let g = synthetic::deep_query(synthetic::source(&frame, 20), depth);
-                black_box(SteppedExecutor::new(g).unwrap().run_collect().unwrap())
+                black_box(
+                    EngineConfig::stepped()
+                        .start(g)
+                        .unwrap()
+                        .collect_series()
+                        .unwrap(),
+                )
             })
         });
     }

@@ -11,16 +11,16 @@
 //!
 //! The fitted model should track the better of the two on both.
 
-use wake_bench::{dataset, partitions};
+use wake_bench::{dataset, partitions, run_wake};
 use wake_core::agg::AggSpec;
 use wake_core::graph::QueryGraph;
 use wake_core::metrics;
-use wake_engine::{SeriesExt, SteppedExecutor};
+use wake_engine::SeriesExt;
 use wake_expr::col;
 use wake_tpch::TpchDb;
 
 fn error_curve(g: QueryGraph, keys: &[&str], values: &[&str]) -> Vec<(f64, f64)> {
-    let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+    let series = run_wake(g).series;
     let truth = series.final_frame().clone();
     series
         .iter()

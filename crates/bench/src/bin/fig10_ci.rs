@@ -5,9 +5,9 @@
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use wake_bench::{dataset, partitions};
+use wake_bench::{dataset, partitions, run_wake};
 use wake_core::ci;
-use wake_engine::{SeriesExt, SteppedExecutor};
+use wake_engine::SeriesExt;
 use wake_stats::summary;
 use wake_tpch::TpchDb;
 
@@ -77,7 +77,7 @@ fn main() {
     );
     g.sink(a);
 
-    let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+    let series = run_wake(g).series;
     let truth = series
         .final_frame()
         .value(0, "promo_revenue")

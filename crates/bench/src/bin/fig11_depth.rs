@@ -7,8 +7,8 @@
 //! pace stays regular and the cost scales with the deepest group
 //! cardinality O(4^d), i.e. O(4^d · n/B + n) total.
 
-use wake_bench::fmt_dur;
-use wake_engine::{SeriesExt, SteppedExecutor};
+use wake_bench::{fmt_dur, run_wake};
+use wake_engine::SeriesExt;
 use wake_tpch::synthetic;
 
 fn main() {
@@ -27,11 +27,11 @@ fn main() {
         // Exact: single partition, one-shot.
         let exact = {
             let g = synthetic::deep_query(synthetic::source(&frame, 1), depth);
-            let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+            let series = run_wake(g).series;
             series.final_latency().unwrap()
         };
         let g = synthetic::deep_query(synthetic::source(&frame, partitions), depth);
-        let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+        let series = run_wake(g).series;
         let tenth = series
             .get(9)
             .map(|e| e.elapsed)

@@ -28,7 +28,7 @@ fn main() {
         let mut firsts = Vec::new();
         for &parts in &partition_counts {
             let db = TpchDb::new(data.clone(), parts);
-            let run = run_wake(&db, &spec);
+            let run = run_wake((spec.build)(&db));
             finals.push(run.final_latency().as_secs_f64());
             firsts.push(run.first_latency().as_secs_f64());
         }

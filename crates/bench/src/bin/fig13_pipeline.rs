@@ -16,7 +16,9 @@ fn main() {
     let log = TraceLog::new();
     let series = EngineConfig::threaded()
         .with_trace(log.clone())
-        .run_collect((spec.build)(&db))
+        .start((spec.build)(&db))
+        .unwrap()
+        .collect_series()
         .unwrap();
     println!(
         "Fig 13 — pipelined execution of Q6 ({} estimates, {} trace events)\n",

@@ -25,7 +25,7 @@ fn main() {
     let mut mems = Vec::new();
     for spec in all_queries() {
         let exact = run_exact(&data, &spec);
-        let wake = run_wake(&db, &spec);
+        let wake = run_wake((spec.build)(&db));
         let exact_s = exact.final_latency().as_secs_f64();
         let first_s = wake.first_latency().as_secs_f64().max(1e-9);
         let final_s = wake.final_latency().as_secs_f64().max(1e-9);

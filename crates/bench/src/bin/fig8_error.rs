@@ -19,7 +19,7 @@ fn main() {
 
     for name in ["q8", "q18", "q21"] {
         let spec = query_by_name(name).unwrap();
-        let run = run_wake(&db, &spec);
+        let run = run_wake((spec.build)(&db));
         let errors = error_series(&run, &spec);
         println!("--- {} (time-series of estimates) ---", spec.name);
         println!(
@@ -42,7 +42,7 @@ fn main() {
     let mut first_errors = Vec::new();
     let mut under1_speedups = Vec::new();
     for spec in all_queries() {
-        let run = run_wake(&db, &spec);
+        let run = run_wake((spec.build)(&db));
         let errors = error_series(&run, &spec);
         // First estimate that actually contains data.
         if let Some((_, _, r)) = errors.iter().find(|(_, _, r)| r.recall > 0.0) {

@@ -15,10 +15,10 @@ use std::sync::Arc;
 use wake_baseline::naive::NaiveAgg;
 use wake_baseline::progressive::{exact_answer, relative_error, ProgressiveAgg};
 use wake_baseline::wanderjoin::{WalkStep, WanderJoin};
-use wake_bench::{dataset, fmt_dur, partitions};
+use wake_bench::{dataset, fmt_dur, partitions, run_wake};
 use wake_core::agg::AggSpec;
 use wake_core::graph::QueryGraph;
-use wake_engine::{SeriesExt, SteppedExecutor};
+use wake_engine::SeriesExt;
 use wake_expr::{col, lit_date, lit_f64, lit_str, Expr};
 use wake_tpch::TpchDb;
 
@@ -28,7 +28,7 @@ fn rev() -> Expr {
 
 /// Wake error trajectory for a single-sum query graph.
 fn wake_curve(g: QueryGraph, value_col: &str) -> Vec<(std::time::Duration, f64)> {
-    let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+    let series = run_wake(g).series;
     let truth = series
         .final_frame()
         .value(0, value_col)

@@ -14,10 +14,9 @@ use std::sync::Arc;
 use wake_baseline::naive::NaiveAgg;
 use wake_baseline::progressive::ProgressiveAgg;
 use wake_baseline::wanderjoin::{WalkStep, WanderJoin};
-use wake_bench::dataset;
+use wake_bench::{dataset, run_wake};
 use wake_core::agg::AggSpec;
 use wake_core::graph::QueryGraph;
-use wake_engine::SteppedExecutor;
 use wake_expr::{col, lit_f64};
 use wake_tpch::TpchDb;
 
@@ -36,7 +35,7 @@ fn main() {
     let filt = g.filter(inner, col("sq").gt(lit_f64(100.0)));
     let outer = g.agg(filt, vec![], vec![AggSpec::avg(col("sq"), "avg_big_order")]);
     g.sink(outer);
-    let wake_series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+    let wake_series = run_wake(g).series;
     let wake_estimates = wake_series.len();
     let wake_exact = wake_series.last().unwrap().is_final;
 

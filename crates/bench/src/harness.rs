@@ -2,9 +2,10 @@
 
 use std::sync::Arc;
 use std::time::Duration;
+use wake_core::graph::QueryGraph;
 use wake_core::metrics::{self, ErrorReport};
 use wake_data::DataFrame;
-use wake_engine::{EstimateSeries, RunStats, SeriesExt, SteppedExecutor};
+use wake_engine::{EngineConfig, EstimateSeries, RunStats, SeriesExt};
 use wake_tpch::{QuerySpec, TpchData, TpchDb};
 
 /// Scale factor for the harnesses (`WAKE_SF`, default 0.01 ≈ 60 k lineitem
@@ -51,12 +52,12 @@ impl WakeRun {
     }
 }
 
-/// Run a query under Wake (OLA, many partitions).
-pub fn run_wake(db: &TpchDb, spec: &QuerySpec) -> WakeRun {
-    let g = (spec.build)(db);
-    let (series, stats) = SteppedExecutor::new(g)
+/// Run a query graph under Wake's stepped driver (OLA, many partitions).
+pub fn run_wake(g: QueryGraph) -> WakeRun {
+    let (series, stats) = EngineConfig::stepped()
+        .start(g)
         .expect("graph builds")
-        .run_collect_stats()
+        .collect_with_stats()
         .expect("query runs");
     WakeRun { series, stats }
 }
@@ -65,8 +66,7 @@ pub fn run_wake(db: &TpchDb, spec: &QuerySpec) -> WakeRun {
 /// table, a single all-at-once pass, no online estimates (the Fig 7
 /// baseline; see DESIGN.md substitutions).
 pub fn run_exact(data: &Arc<TpchData>, spec: &QuerySpec) -> WakeRun {
-    let db = TpchDb::new(data.clone(), 1);
-    run_wake(&db, spec)
+    run_wake((spec.build)(&TpchDb::new(data.clone(), 1)))
 }
 
 /// Per-estimate error trajectory against the exact final frame.
@@ -173,7 +173,7 @@ mod tests {
         let data = Arc::new(TpchData::generate(0.001, 1));
         let db = TpchDb::new(data.clone(), 4);
         let spec = wake_tpch::query_by_name("q6").unwrap();
-        let run = run_wake(&db, &spec);
+        let run = run_wake((spec.build)(&db));
         assert!(run.series.len() >= 2);
         let errors = error_series(&run, &spec);
         assert_eq!(errors.last().unwrap().2.mape, 0.0);

@@ -15,6 +15,9 @@
 //! | `fig12_partition` | Fig 12 partition-size sweep |
 //! | `fig13_pipeline` | Fig 13 pipelined execution timeline (Q6) |
 //!
+//! Every binary runs its queries through `EngineConfig::start` (stepped:
+//! [`harness::run_wake`]).
+//!
 //! Run with `cargo run --release -p wake-bench --bin <name>`. Scale factor
 //! and partition counts default to laptop-friendly values and can be
 //! overridden via env vars `WAKE_SF` / `WAKE_PARTS` (`fig11_depth`, which

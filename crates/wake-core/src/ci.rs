@@ -29,13 +29,19 @@ pub fn variance_target(name: &str) -> Option<&str> {
     name.strip_suffix("__var")
 }
 
-/// Extract the Chebyshev CI for `alias` at `row` of a CI-enabled frame.
+/// Extract the Chebyshev CI for `alias` at `row` of a CI-enabled frame;
+/// a `confidence` outside `[0, 1)` (or NaN) is a typed error.
 pub fn interval_at(
     frame: &DataFrame,
     row: usize,
     alias: &str,
     confidence: f64,
 ) -> crate::Result<ConfidenceInterval> {
+    if !(0.0..1.0).contains(&confidence) {
+        return Err(DataError::Invalid(format!(
+            "confidence must be in [0, 1), got {confidence}"
+        )));
+    }
     let est = frame
         .value(row, alias)?
         .as_f64()

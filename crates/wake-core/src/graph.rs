@@ -3,8 +3,9 @@
 //! Users express a query as a DAG of nodes (reader, map, filter, join,
 //! aggregate, sort/limit) connected by edges carrying edf streams; Fig 6
 //! shows the graph for the running TPC-H Q18 example. Graphs are built
-//! incrementally (`read`/`map`/.../`sink`) and handed to an executor from
-//! `wake-engine`, which instantiates one [`crate::ops::Operator`] per node.
+//! incrementally (`read`/`map`/.../`sink`) and say only *what* to compute:
+//! `wake-engine`'s `EngineConfig::start` decides how (driver, shards,
+//! memory) and instantiates one [`crate::ops::Operator`] per node.
 
 use crate::agg::AggSpec;
 use crate::meta::EdfMeta;
@@ -12,17 +13,18 @@ pub use crate::ops::join::JoinKind;
 use crate::ops::{AggOp, FilterOp, JoinOp, MapOp, Operator, SortOp};
 use crate::update::UpdateKind;
 use crate::Result;
-use std::collections::HashMap;
 use std::sync::Arc;
 use wake_data::{DataError, Schema, TableSource};
 use wake_expr::Expr;
 
 /// Intra-operator partition parallelism: how many hash-range shards a
-/// hash-keyed node (join, group-by) splits its state into. See
+/// hash-keyed node (join, group-by) splits its state into. A query sets
+/// it through wake-engine's `EngineConfig::with_parallelism`; see
 /// [`crate::ops::sharded`] for the execution model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// One shard per available core (`std::thread::available_parallelism`).
+    /// Use the machine: [`Self::shards`] is the available core count,
+    /// which the thread-per-actor driver divides among hash-keyed nodes.
     #[default]
     Auto,
     /// Exactly `n` shards; `Fixed(1)` reproduces the unsharded
@@ -110,51 +112,11 @@ pub struct Node {
 pub struct QueryGraph {
     nodes: Vec<Node>,
     sink: Option<NodeId>,
-    /// Default intra-operator parallelism for hash-keyed nodes.
-    parallelism: Parallelism,
-    /// Per-node overrides of `parallelism`.
-    node_parallelism: HashMap<usize, Parallelism>,
 }
 
 impl QueryGraph {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Set the default partition parallelism for every hash-keyed node
-    /// (join, group-by). Default: [`Parallelism::Auto`] (available cores).
-    pub fn set_parallelism(&mut self, p: Parallelism) {
-        self.parallelism = p;
-    }
-
-    /// Builder form of [`Self::set_parallelism`].
-    pub fn with_parallelism(mut self, p: Parallelism) -> Self {
-        self.set_parallelism(p);
-        self
-    }
-
-    /// Override parallelism for one node (wins over the graph default).
-    pub fn set_node_parallelism(&mut self, node: NodeId, p: Parallelism) {
-        assert!(node.0 < self.nodes.len(), "node {} does not exist", node.0);
-        self.node_parallelism.insert(node.0, p);
-    }
-
-    /// Resolved shard count for `node`: the per-node override or the graph
-    /// default for shardable kinds (join, group-by); 1 for everything else.
-    pub fn shards_for(&self, node: NodeId) -> usize {
-        if !self.is_shardable(node) {
-            return 1;
-        }
-        self.parallelism_of(node).shards()
-    }
-
-    /// The (unresolved) parallelism request for `node`: its override if
-    /// set, else the graph default.
-    pub fn parallelism_of(&self, node: NodeId) -> Parallelism {
-        self.node_parallelism
-            .get(&node.0)
-            .copied()
-            .unwrap_or(self.parallelism)
     }
 
     /// Whether `node`'s operator honours partition parallelism.
@@ -367,11 +329,6 @@ impl QueryGraph {
                 n
             })
             .collect();
-        self.node_parallelism = std::mem::take(&mut self.node_parallelism)
-            .into_iter()
-            .filter(|(i, _)| keep[*i])
-            .map(|(i, p)| (remap[i], p))
-            .collect();
         self.sink = Some(NodeId(remap[sink.0]));
     }
 
@@ -574,14 +531,11 @@ mod tests {
         let r = g.read(source());
         let f = g.filter(r, col("v").gt(lit_f64(1.0)));
         let a = g.agg(f, vec![], vec![AggSpec::sum(col("v"), "s")]);
-        g.set_node_parallelism(orphan, Parallelism::Fixed(7));
-        g.set_node_parallelism(a, Parallelism::Fixed(2));
         g.sink(a);
         g.retain_reachable();
         assert_eq!(g.len(), 3, "only the sink's ancestors survive");
         assert_eq!(g.sources().len(), 1, "the orphan reader is gone");
-        let sink = g.sink_id().unwrap();
-        assert_eq!(g.parallelism_of(sink), Parallelism::Fixed(2));
+        assert_eq!(g.node(g.sink_id().unwrap()).inputs, vec![NodeId(1)]);
         // Remapped input edges still resolve end to end.
         g.resolve_metas().unwrap();
         // Idempotent on an already-minimal graph.

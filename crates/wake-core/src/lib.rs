@@ -25,7 +25,7 @@
 //!   aggregate estimators and derive Chebyshev intervals (§6).
 //!
 //! Queries are assembled as operator DAGs with [`graph::QueryGraph`] and run
-//! by an executor from `wake-engine`.
+//! by `wake-engine`'s `EngineConfig::start`.
 
 pub mod agg;
 pub mod ci;

@@ -1,7 +1,8 @@
 //! Unified execution configuration — every knob in one place.
 //!
-//! [`EngineConfig`] is the one builder both executors consume — graph-level
-//! knobs, memory governance, observability, serving. A knob is set one
+//! [`EngineConfig`] says how a query runs — driver, partition parallelism,
+//! memory governance, scan passes, observability, serving — and
+//! [`EngineConfig::start`] is the one way to run one. A knob is set one
 //! way, through its `with_*` builder; the deployment settings and CI-lane
 //! switches among them fall back to the ambient `WAKE_*` environment,
 //! resolved in exactly one place ([`EngineConfig::spill_config`] for
@@ -47,12 +48,12 @@ pub enum ExecutorKind {
     Threaded,
 }
 
-/// Builder-style configuration consumed by both executors.
+/// Builder-style configuration consumed by both drivers.
 ///
-/// Defaults: stepped executor, `Parallelism` left to the graph (`Auto`),
-/// memory budget and spill directory from the ambient environment
-/// (`WAKE_MEM_BUDGET` / `WAKE_SPILL_DIR`; unset = unbounded), channel
-/// capacity [`crate::DEFAULT_CHANNEL_CAPACITY`], no trace.
+/// Defaults: stepped driver, [`Parallelism::Auto`], memory budget and
+/// spill directory from the ambient environment (`WAKE_MEM_BUDGET` /
+/// `WAKE_SPILL_DIR`; unset = unbounded), channel capacity
+/// [`crate::DEFAULT_CHANNEL_CAPACITY`], no trace.
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
     executor: ExecutorKind,
@@ -96,8 +97,10 @@ impl EngineConfig {
         self
     }
 
-    /// Default partition parallelism applied to the graph at start (a
-    /// per-node `QueryGraph::set_node_parallelism` override still wins).
+    /// Hash-range shards per hash-keyed node (join, group-by). `Fixed(n)`
+    /// is used as given; `Auto` (the default) resolves at start to every
+    /// core on the inline driver and to cores ÷ hash-keyed nodes (at
+    /// least 1) on thread-per-actor, where all nodes work at once.
     pub fn with_parallelism(mut self, p: Parallelism) -> Self {
         self.parallelism = Some(p);
         self
@@ -322,7 +325,7 @@ impl EngineConfig {
         self.executor
     }
 
-    /// The configured default parallelism, if any.
+    /// The configured parallelism (`None` = `Auto`).
     pub fn parallelism(&self) -> Option<Parallelism> {
         self.parallelism
     }
@@ -378,39 +381,26 @@ impl EngineConfig {
         resolved
     }
 
-    /// Apply the graph-level knobs this config carries, then run the
-    /// planner passes: seeded scan reordering first (when a seed is set),
-    /// predicate pushdown second (unless pruning is disabled) — pruning a
-    /// reordered view keeps the shuffled visit order for the surviving
-    /// zones — and projection pushdown last, always: the narrowed view
-    /// keeps the order and the pruned count of the one it narrows. All
-    /// three are no-ops on non-segment sources.
-    pub(crate) fn apply_to_graph(&self, graph: &mut QueryGraph) {
-        if let Some(p) = self.parallelism {
-            graph.set_parallelism(p);
-        }
+    /// Run the planner passes, build the query and start streaming
+    /// estimates on the configured driver. The passes: seeded scan
+    /// reordering first (when a seed is set), predicate pushdown second
+    /// (unless pruning is disabled) — pruning a reordered view keeps the
+    /// shuffled visit order for the surviving zones — and projection
+    /// pushdown last, always: the narrowed view keeps the order and the
+    /// pruned count of the one it narrows. All three are no-ops on
+    /// non-segment sources. The stepped engine is fully lazy (one driver
+    /// step per poll); the threaded engine spawns its node threads here
+    /// and yields from the sink channel. Dropping the returned stream
+    /// cancels the query.
+    pub fn start(&self, mut graph: QueryGraph) -> Result<EstimateStream> {
         if let Some(seed) = self.scan_seed() {
-            wake_core::plan::reorder_scans(graph, seed);
+            wake_core::plan::reorder_scans(&mut graph, seed);
         }
         if self.zone_pruning() {
-            wake_core::plan::push_down_predicates(graph);
+            wake_core::plan::push_down_predicates(&mut graph);
         }
-        wake_core::plan::project_scans(graph);
-    }
-
-    /// Build the query and start streaming estimates on the configured
-    /// engine. The stepped engine is fully lazy (one driver step per
-    /// poll); the threaded engine spawns its node threads here and yields
-    /// from the sink channel. Dropping the returned stream cancels the
-    /// query.
-    pub fn start(&self, mut graph: QueryGraph) -> Result<EstimateStream> {
-        self.apply_to_graph(&mut graph);
-        Ok(Query::build(graph, self, self.executor)?.start())
-    }
-
-    /// [`Self::start`] + drain: the materialised estimate series.
-    pub fn run_collect(&self, graph: QueryGraph) -> Result<crate::EstimateSeries> {
-        self.start(graph)?.collect_series()
+        wake_core::plan::project_scans(&mut graph);
+        Ok(Query::build(graph, self)?.start())
     }
 }
 

@@ -63,7 +63,15 @@ impl Estimate {
     /// snapshot an aggregation emits before its inputs arrive — so it
     /// must not read as converged; a genuinely zero/null final answer
     /// still terminates the stream via [`Estimate::is_final`].
+    ///
+    /// A `confidence` outside `[0, 1)` (or NaN) is a typed error, whatever
+    /// the estimate holds.
     pub fn max_rel_half_width(&self, column: &str, confidence: f64) -> crate::Result<f64> {
+        if !(0.0..1.0).contains(&confidence) {
+            return Err(DataError::Invalid(format!(
+                "confidence must be in [0, 1), got {confidence}"
+            )));
+        }
         let vals = self.frame.column(column)?;
         let vars = self.frame.column(&variance_column(column)).map_err(|_| {
             DataError::Invalid(format!(

@@ -1,10 +1,12 @@
 //! # wake-engine
 //!
 //! The execution engine for Wake query graphs (§7.2 "Execution Engine"),
-//! behind a **streaming-first** surface: every query runs as a lazy,
-//! cancellable [`EstimateStream`] of converging estimates (§3.1) — the
-//! batch entry points (`run_collect`, `run_final`) are thin adapters that
-//! drain it.
+//! behind a **streaming-first** surface with one door: the graph says
+//! what to compute, an [`EngineConfig`] says how, and
+//! [`EngineConfig::start`] runs it as a lazy, cancellable
+//! [`EstimateStream`] of converging estimates (§3.1). The batch forms
+//! ([`EstimateStream::collect_series`], [`EstimateStream::final_frame`])
+//! drain that stream.
 //!
 //! There is **one query core and two drivers**. The core (`query.rs`) is
 //! the paper's graph of nodes exchanging update and EOF messages (Fig 6):
@@ -14,27 +16,29 @@
 //! per node — is what `stats()` snapshots, and one sink decides which
 //! estimate is final. A driver only decides how emitted messages travel:
 //!
-//! - [`SteppedExecutor`] — the **inline** driver: a run queue drained on
-//!   the polling thread, one source partition per poll, sources
-//!   interleaved by progress. Deterministic, first estimate soonest; the
-//!   reference semantics.
-//! - [`ThreadedExecutor`] — the **thread-per-actor** driver, the paper's
-//!   pipelined design: every node on its own thread, edges are bounded
-//!   channels carrying shared frame pointers, so reading, joining and
-//!   aggregating overlap and the exact answer arrives sooner. Dropping
+//! - `EngineConfig::stepped()` — the **inline** driver: a run queue
+//!   drained on the polling thread, one source partition per poll,
+//!   sources interleaved by progress. Deterministic, first estimate
+//!   soonest; the reference semantics.
+//! - `EngineConfig::threaded()` — the **thread-per-actor** driver, the
+//!   paper's pipelined design: every node on its own thread, edges are
+//!   bounded channels carrying shared frame pointers, so reading, joining
+//!   and aggregating overlap and the exact answer arrives sooner. Dropping
 //!   the stream cancels the query (threads joined, spill dirs removed).
 //!
 //! Both stay because each wins a workload of the repo's benchmark
 //! (`wake-e2e`: `tpch.resident` first estimate and determinism,
 //! `tpch.threaded` final latency); [`ExecutorKind`] selects. Sharded
-//! operators (`wake_core::ops::sharded`) and span tracing ([`TraceLog`],
+//! operators (`wake_core::ops::sharded`, sized by
+//! [`EngineConfig::with_parallelism`]) and span tracing ([`TraceLog`],
 //! Fig 13) work the same under either. Both produce the same final
 //! state; intermediate estimates may differ in granularity/interleaving
 //! (inherent to pipelined execution).
 //!
-//! One builder configures everything, [`EngineConfig`], resolving the
-//! ambient `WAKE_*` environment in exactly one place. OLA stopping
-//! conditions ([`EstimateStream::until_confidence`],
+//! [`EngineConfig`] resolves the ambient `WAKE_*` environment in exactly
+//! one place and runs the planner passes (scan reordering, zone pruning,
+//! projection) on every start. OLA stopping conditions
+//! ([`EstimateStream::until_confidence`],
 //! [`EstimateStream::until_rows_processed`]) end a stream — and cancel
 //! its query — the moment the estimate is good enough.
 
@@ -48,12 +52,11 @@ mod trace;
 
 pub use config::{EngineConfig, ExecutorKind};
 pub use estimate::{Estimate, EstimateSeries, SeriesExt};
-pub use stepped::SteppedExecutor;
-pub use stream::{CancelHandle, EstimateStream, Executor, StopStream, DEFAULT_CONFIDENCE};
-pub use threaded::{ThreadedExecutor, DEFAULT_CHANNEL_CAPACITY};
+pub use stream::{CancelHandle, EstimateStream, StopStream, DEFAULT_CONFIDENCE};
+pub use threaded::DEFAULT_CHANNEL_CAPACITY;
 pub use trace::{TraceEvent, TraceLog, DEFAULT_TRACE_CAPACITY};
 // Memory-governance configuration (the per-query budget knob on both
-// executors and the process-wide ledger wake-serve leases from) plus the
+// drivers and the process-wide ledger wake-serve leases from) plus the
 // spill-device boundary: the `SpillIo` trait, the real filesystem device,
 // and the deterministic fault injector for tests.
 pub use wake_store::{

@@ -359,15 +359,11 @@ pub(crate) struct Query {
 
 impl Query {
     /// The single constructor: validate `graph`, resolve `config`'s
-    /// memory governance and observability, build one actor per node.
-    /// `kind` names the driver [`Self::start`] hands the actors to (the
-    /// config's own executor kind is ignored, so `SteppedExecutor` stays
-    /// stepped). `EngineConfig::apply_to_graph` is the caller's to run.
-    pub(crate) fn build(
-        graph: QueryGraph,
-        config: &EngineConfig,
-        kind: ExecutorKind,
-    ) -> Result<Query> {
+    /// driver, parallelism, memory governance and observability, build
+    /// one actor per node. [`EngineConfig::start`] runs the planner
+    /// passes first.
+    pub(crate) fn build(graph: QueryGraph, config: &EngineConfig) -> Result<Query> {
+        let kind = config.executor();
         let sink = graph
             .sink_id()
             .ok_or_else(|| DataError::Invalid("query graph has no sink".into()))?;
@@ -435,15 +431,14 @@ impl Query {
         // works at a time and gets every core; thread-per-actor, all work
         // at once and share them (five hash-keyed nodes on 16 cores must
         // not mean 5 × 16 barrier-synchronized shard workers). `Fixed`
-        // requests are honoured verbatim.
-        let auto_share = match kind {
-            ExecutorKind::Stepped => 1,
-            ExecutorKind::Threaded => graph.shardable_node_count().max(1),
+        // requests are honoured verbatim. Only hash-keyed operators read
+        // the count.
+        let parallelism = config.parallelism().unwrap_or_default();
+        let share = match (parallelism, kind) {
+            (Parallelism::Auto, ExecutorKind::Threaded) => graph.shardable_node_count().max(1),
+            _ => 1,
         };
-        let shards_for = |node: NodeId| match graph.parallelism_of(node) {
-            Parallelism::Auto => (graph.shards_for(node) / auto_share).max(1),
-            Parallelism::Fixed(_) => graph.shards_for(node),
-        };
+        let shards = (parallelism.shards() / share).max(1);
 
         let trace = config.trace();
         let mut readers = Vec::new();
@@ -475,7 +470,7 @@ impl Query {
                     let op = build_operator_spilling(
                         op_kind,
                         &inputs,
-                        shards_for(NodeId(idx)),
+                        shards,
                         node_plans[idx].as_ref().or(spill.as_ref()),
                     )?;
                     nodes.push(Some(NodeActor {

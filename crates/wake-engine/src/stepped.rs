@@ -1,5 +1,5 @@
-//! The deterministic single-stepped executor: the query core
-//! ([`crate::query`]) under the **inline driver**.
+//! The deterministic inline driver of the query core ([`crate::query`]),
+//! chosen by `EngineConfig::stepped()`.
 //!
 //! Sources are read one partition at a time, always advancing the source
 //! with the lowest progress fraction (balanced interleaving, mimicking the
@@ -8,13 +8,12 @@
 //! so the estimate stream is exactly reproducible — the property the
 //! integration and property tests rely on.
 //!
-//! The engine is **pull-based**: streaming a [`SteppedExecutor`] (via
-//! [`crate::Executor::stream`]) yields a lazy stream that performs one
+//! The driver is **pull-based**: its [`crate::EstimateStream`] performs one
 //! driver step per poll. Nothing runs between polls, so an analyst loop
 //! can stop after any estimate and pay for exactly the input consumed so
-//! far; `run_collect` and friends are thin adapters that drain the
-//! stream. Dropping the stream abandons the query: operator state (and
-//! any spill files) is released immediately.
+//! far; `collect_series` and friends drain the stream. Dropping the
+//! stream abandons the query: operator state (and any spill files) is
+//! released immediately.
 //!
 //! ## The run queue
 //!
@@ -37,64 +36,16 @@
 //! aggregate downstream may reassociate its sums — and
 //! `Parallelism::Auto` resolves to the host's core count, so golden-value
 //! tests and cross-machine reproductions should pin
-//! `Parallelism::Fixed(n)` (`Fixed(1)` runs everything on the polling
-//! thread, byte-identical to the pre-sharding engine).
+//! `EngineConfig::with_parallelism(Parallelism::Fixed(n))` (`Fixed(1)`
+//! runs everything on the polling thread, byte-identical to the
+//! pre-sharding engine).
 
-use crate::estimate::{EstimateSeries, SinkState};
-use crate::query::{Message, NodeActor, Query, QueryLedger, ReaderActor, Target};
-use crate::stream::{Driver, EstimateStream, Executor};
-use crate::RunStats;
-use crate::{EngineConfig, ExecutorKind, Result};
+use crate::estimate::SinkState;
+use crate::query::{Message, NodeActor, QueryLedger, ReaderActor, Target};
+use crate::stream::Driver;
+use crate::Result;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use wake_core::graph::QueryGraph;
-use wake_data::DataFrame;
-
-/// Single-threaded, deterministic query driver.
-pub struct SteppedExecutor {
-    query: Query,
-}
-
-impl SteppedExecutor {
-    /// Build operators for every node and validate the graph, with the
-    /// default [`EngineConfig`] (memory governance falls back to the
-    /// ambient `WAKE_MEM_BUDGET` / `WAKE_SPILL_DIR`; unset = unbounded).
-    pub fn new(graph: QueryGraph) -> Result<Self> {
-        let query = Query::build(graph, &EngineConfig::new(), ExecutorKind::Stepped)?;
-        Ok(SteppedExecutor { query })
-    }
-
-    /// Build from the unified [`EngineConfig`] (parallelism, memory
-    /// budget, spill directory, tracing — the executor kind and the
-    /// channel capacity are ignored here).
-    pub fn with_engine_config(mut graph: QueryGraph, config: &EngineConfig) -> Result<Self> {
-        config.apply_to_graph(&mut graph);
-        let query = Query::build(graph, config, ExecutorKind::Stepped)?;
-        Ok(SteppedExecutor { query })
-    }
-
-    /// Run to completion, collecting the materialised estimate stream.
-    pub fn run_collect(self) -> Result<EstimateSeries> {
-        Executor::run_collect(self)
-    }
-
-    /// Like [`Self::run_collect`], also reporting run statistics (peak
-    /// buffered operator state — the peak-memory metric of §8.2).
-    pub fn run_collect_stats(self) -> Result<(EstimateSeries, RunStats)> {
-        Executor::run_collect_stats(self)
-    }
-
-    /// Run and return only the exact final frame.
-    pub fn run_final(self) -> Result<Arc<DataFrame>> {
-        Executor::run_final(self)
-    }
-}
-
-impl Executor for SteppedExecutor {
-    fn stream(self) -> Result<EstimateStream> {
-        Ok(self.query.start())
-    }
-}
 
 /// Messages emitted but not yet delivered, in the two classes the module
 /// docs describe.
@@ -166,9 +117,11 @@ impl Driver for InlineDriver {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{EngineConfig, EstimateSeries};
+    use std::sync::Arc;
     use wake_core::agg::AggSpec;
-    use wake_data::{Column, DataType, Field, MemorySource, Schema, Value};
+    use wake_core::graph::QueryGraph;
+    use wake_data::{Column, DataFrame, DataType, Field, MemorySource, Schema, Value};
     use wake_expr::{col, lit_f64};
 
     fn source(n: i64, per_part: usize) -> MemorySource {
@@ -187,13 +140,21 @@ mod tests {
         MemorySource::from_frame("t", &df, per_part, vec![], None).unwrap()
     }
 
+    fn run(g: QueryGraph) -> EstimateSeries {
+        EngineConfig::stepped()
+            .start(g)
+            .unwrap()
+            .collect_series()
+            .unwrap()
+    }
+
     #[test]
     fn simple_aggregation_converges_to_exact() {
         let mut g = QueryGraph::new();
         let r = g.read(source(100, 10));
         let a = g.agg(r, vec!["k"], vec![AggSpec::sum(col("v"), "s")]);
         g.sink(a);
-        let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+        let series = run(g);
         assert_eq!(series.len(), 10); // one estimate per partition
         assert!(series.last().unwrap().is_final);
         assert_eq!(series.last().unwrap().t, 1.0);
@@ -212,7 +173,7 @@ mod tests {
         let r = g.read(source(30, 10));
         let f = g.filter(r, col("v").lt(lit_f64(15.0)));
         g.sink(f);
-        let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+        let series = run(g);
         // Estimates are cumulative: last contains all 15 matching rows.
         assert_eq!(series.last().unwrap().frame.num_rows(), 15);
         assert!(series
@@ -229,7 +190,7 @@ mod tests {
         let fl = g.filter(a1, col("sv").gt(lit_f64(0.0)));
         let a2 = g.agg(fl, vec![], vec![AggSpec::avg(col("sv"), "m")]);
         g.sink(a2);
-        let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+        let series = run(g);
         let last = series.last().unwrap();
         // Exact: average of the four group sums = 4950/4.
         assert_eq!(
@@ -241,7 +202,7 @@ mod tests {
     #[test]
     fn missing_sink_or_sources_error() {
         let g = QueryGraph::new();
-        assert!(SteppedExecutor::new(g).is_err());
+        assert!(EngineConfig::stepped().start(g).is_err());
     }
 
     #[test]
@@ -250,7 +211,7 @@ mod tests {
         let r = g.read(source(50, 5));
         let a = g.agg(r, vec![], vec![AggSpec::count_star("n")]);
         g.sink(a);
-        let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+        let series = run(g);
         assert!(series.windows(2).all(|w| w[0].t <= w[1].t));
         assert!(series.windows(2).all(|w| w[0].elapsed <= w[1].elapsed));
         assert!(series.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
@@ -271,11 +232,8 @@ mod tests {
             g.sink(a);
             g
         };
-        let collected = SteppedExecutor::new(build())
-            .unwrap()
-            .run_collect()
-            .unwrap();
-        let mut stream = SteppedExecutor::new(build()).unwrap().stream().unwrap();
+        let collected = run(build());
+        let mut stream = EngineConfig::stepped().start(build()).unwrap();
         let mut streamed = Vec::new();
         for est in &mut stream {
             streamed.push(est.unwrap());
@@ -299,7 +257,9 @@ mod tests {
         let log = crate::TraceLog::new();
         let series = EngineConfig::stepped()
             .with_trace(log.clone())
-            .run_collect(g)
+            .start(g)
+            .unwrap()
+            .collect_series()
             .unwrap();
         assert!(!series.is_empty());
         let events = log.events();
@@ -313,7 +273,7 @@ mod tests {
         let r = g.read(source(100, 5));
         let a = g.agg(r, vec!["k"], vec![AggSpec::sum(col("v"), "s")]);
         g.sink(a);
-        let mut stream = SteppedExecutor::new(g).unwrap().stream().unwrap();
+        let mut stream = EngineConfig::stepped().start(g).unwrap();
         let first = stream.next().unwrap().unwrap();
         assert!(!first.is_final);
         assert!(stream.stats().peak_state_bytes > 0);

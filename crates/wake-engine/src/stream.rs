@@ -1,14 +1,15 @@
-//! The streaming-first execution surface: [`Executor`], [`EstimateStream`]
-//! and OLA stopping conditions.
+//! The streaming-first execution surface: [`EstimateStream`] and OLA
+//! stopping conditions.
 //!
 //! Wake's value proposition (§3.1) is that a query yields a *stream* of
 //! converging estimates the analyst can watch and stop early. This module
-//! is that surface: both engines stream through one lazy type,
+//! is that surface: both drivers stream through one lazy type, and
+//! [`crate::EngineConfig::start`] is the one way to get one,
 //!
 //! ```no_run
-//! use wake_engine::{Executor, SteppedExecutor};
+//! use wake_engine::EngineConfig;
 //! # fn demo(graph: wake_core::graph::QueryGraph) -> wake_engine::Result<()> {
-//! let mut stream = SteppedExecutor::new(graph)?.stream()?;
+//! let mut stream = EngineConfig::stepped().start(graph)?;
 //! for estimate in &mut stream {
 //!     let estimate = estimate?;
 //!     println!("t = {:.0}%  rows = {}", estimate.t * 100.0, estimate.frame.num_rows());
@@ -21,6 +22,8 @@
 //! # }
 //! ```
 //!
+//! the batch forms are drains of it ([`EstimateStream::collect_series`],
+//! [`EstimateStream::collect_with_stats`], [`EstimateStream::final_frame`]),
 //! and the paper's "stop when the estimate is good enough" loop is a
 //! combinator away: [`EstimateStream::until_confidence`] ends the stream
 //! once every row's Chebyshev interval is tighter than a target relative
@@ -39,33 +42,6 @@ use wake_obs::RunStats;
 /// Default confidence level for [`EstimateStream::until_confidence`]
 /// (the paper's §6 examples use 95 %: Chebyshev `k ≈ 4.5`).
 pub const DEFAULT_CONFIDENCE: f64 = 0.95;
-
-/// Anything that can execute a query graph as a lazy estimate stream.
-///
-/// Both engines implement this; `run_collect` / `run_final` are adapters
-/// over [`Executor::stream`], so the streaming path is *the* execution
-/// path, not a second one.
-pub trait Executor: Sized {
-    /// Start executing and stream estimates lazily. Dropping the stream
-    /// cancels the query and releases operator state (including spill
-    /// files).
-    fn stream(self) -> Result<EstimateStream>;
-
-    /// Run to completion, materialising the whole estimate series.
-    fn run_collect(self) -> Result<EstimateSeries> {
-        self.stream()?.collect_series()
-    }
-
-    /// [`Executor::run_collect`] + run statistics.
-    fn run_collect_stats(self) -> Result<(EstimateSeries, RunStats)> {
-        self.stream()?.collect_with_stats()
-    }
-
-    /// Run to completion and return only the exact final frame.
-    fn run_final(self) -> Result<Arc<DataFrame>> {
-        self.stream()?.final_frame()
-    }
-}
 
 /// What differs between the two engines: how the actors of
 /// [`crate::query`] get to run.
@@ -468,18 +444,16 @@ mod tests {
     }
 
     #[test]
-    fn trait_adapters_match_inherent_methods() {
-        let via_trait =
-            Executor::run_collect(crate::SteppedExecutor::new(graph(60, 6, false)).unwrap())
-                .unwrap();
-        let inherent = crate::SteppedExecutor::new(graph(60, 6, false))
-            .unwrap()
-            .run_collect()
-            .unwrap();
-        assert_eq!(via_trait.len(), inherent.len());
-        for (a, b) in via_trait.iter().zip(&inherent) {
+    fn drains_agree_with_each_other() {
+        let start = || EngineConfig::stepped().start(graph(60, 6, false)).unwrap();
+        let series = start().collect_series().unwrap();
+        let (with_stats, _) = start().collect_with_stats().unwrap();
+        assert_eq!(series.len(), with_stats.len());
+        for (a, b) in series.iter().zip(&with_stats) {
             assert_eq!(a.frame.as_ref(), b.frame.as_ref());
         }
+        let last = &series.last().unwrap().frame;
+        assert_eq!(start().final_frame().unwrap().as_ref(), last.as_ref());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The pipelined multi-threaded executor (§7.2, Fig 6): the query core
-//! ([`crate::query`]) under the **thread-per-actor driver**.
+//! The pipelined thread-per-actor driver of the query core
+//! ([`crate::query`], §7.2, Fig 6), chosen by `EngineConfig::threaded()`.
 //!
 //! ## Pipeline parallelism (across nodes)
 //!
@@ -35,74 +35,19 @@
 //! emission and EOF protocol are those of the unsharded operators. See
 //! [`wake_core::ops::sharded`]; it is the same under either driver.
 
-use crate::estimate::{EstimateSeries, SinkState};
-use crate::query::{Message, NodeActor, Query, QueryLedger, ReaderActor, Target};
-use crate::stream::{Driver, EstimateStream, Executor};
-use crate::RunStats;
-use crate::{EngineConfig, ExecutorKind, Result};
+use crate::estimate::SinkState;
+use crate::query::{Message, NodeActor, QueryLedger, ReaderActor, Target};
+use crate::stream::Driver;
+use crate::Result;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use wake_core::graph::QueryGraph;
 use wake_data::DataError;
 
 /// Default per-edge mailbox capacity (in-flight updates, not rows): small
 /// enough that a stalled consumer stops its producers quickly, large enough
 /// to keep the pipeline busy across scheduling jitter.
 pub const DEFAULT_CHANNEL_CAPACITY: usize = 8;
-
-/// Multi-threaded pipelined executor.
-pub struct ThreadedExecutor {
-    graph: QueryGraph,
-    /// The ambient environment is resolved once, at stream time, through
-    /// `EngineConfig::spill_config`.
-    config: EngineConfig,
-}
-
-impl ThreadedExecutor {
-    /// Build with the default [`EngineConfig`] (memory governance falls
-    /// back to the ambient `WAKE_MEM_BUDGET` / `WAKE_SPILL_DIR`).
-    pub fn new(graph: QueryGraph) -> Self {
-        ThreadedExecutor {
-            graph,
-            config: EngineConfig::new(),
-        }
-    }
-
-    /// Build from the unified [`EngineConfig`] (parallelism, memory
-    /// budget, spill directory, channel capacity, tracing).
-    pub fn with_engine_config(mut graph: QueryGraph, config: &EngineConfig) -> Self {
-        config.apply_to_graph(&mut graph);
-        ThreadedExecutor {
-            graph,
-            config: config.clone(),
-        }
-    }
-
-    /// Run to completion; estimates are materialised at the sink exactly
-    /// like the stepped executor.
-    pub fn run_collect(self) -> Result<EstimateSeries> {
-        Executor::run_collect(self)
-    }
-
-    /// Like [`Self::run_collect`], also reporting run statistics. The
-    /// threaded peak-state metric is the **sum of per-node peaks** (each
-    /// sampled after every message that node processed): an upper bound
-    /// on any simultaneous total, exact per node, rather than the stepped
-    /// engine's exact partition-boundary maximum.
-    pub fn run_collect_stats(self) -> Result<(EstimateSeries, RunStats)> {
-        Executor::run_collect_stats(self)
-    }
-}
-
-impl Executor for ThreadedExecutor {
-    /// Spawn the pipeline and return the lazy estimate stream. Estimates
-    /// arrive as the sink produces them; dropping the stream cancels the
-    /// query (see the module docs for the shutdown protocol).
-    fn stream(self) -> Result<EstimateStream> {
-        Ok(Query::build(self.graph, &self.config, ExecutorKind::Threaded)?.start())
-    }
-}
 
 /// The thread-per-actor driver: one OS thread per actor, one bounded
 /// mailbox per operator node plus one for the sink collector, which
@@ -213,11 +158,11 @@ impl Drop for ThreadDriver {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::stepped::SteppedExecutor;
+    use crate::{EngineConfig, EstimateSeries};
+    use std::sync::Arc;
     use wake_core::agg::AggSpec;
-    use wake_data::DataFrame;
-    use wake_data::{Column, DataType, Field, MemorySource, Schema, Value};
+    use wake_core::graph::QueryGraph;
+    use wake_data::{Column, DataFrame, DataType, Field, MemorySource, Schema, Value};
     use wake_expr::col;
 
     fn source(n: i64, per_part: usize) -> MemorySource {
@@ -245,15 +190,14 @@ mod tests {
         g
     }
 
+    fn run(config: EngineConfig, g: QueryGraph) -> EstimateSeries {
+        config.start(g).unwrap().collect_series().unwrap()
+    }
+
     #[test]
     fn threaded_final_state_matches_stepped() {
-        let threaded = ThreadedExecutor::new(agg_graph(200, 16))
-            .run_collect()
-            .unwrap();
-        let stepped = SteppedExecutor::new(agg_graph(200, 16))
-            .unwrap()
-            .run_collect()
-            .unwrap();
+        let threaded = run(EngineConfig::threaded(), agg_graph(200, 16));
+        let stepped = run(EngineConfig::stepped(), agg_graph(200, 16));
         let tf = &threaded.last().unwrap().frame;
         let sf = &stepped.last().unwrap().frame;
         assert_eq!(tf.as_ref(), sf.as_ref());
@@ -262,9 +206,7 @@ mod tests {
 
     #[test]
     fn produces_multiple_estimates() {
-        let series = ThreadedExecutor::new(agg_graph(100, 10))
-            .run_collect()
-            .unwrap();
+        let series = run(EngineConfig::threaded(), agg_graph(100, 10));
         assert!(
             series.len() >= 2,
             "expected pipelined intermediate estimates"
@@ -275,10 +217,10 @@ mod tests {
     #[test]
     fn trace_captures_pipeline_activity() {
         let log = crate::TraceLog::new();
-        let series = EngineConfig::threaded()
-            .with_trace(log.clone())
-            .run_collect(agg_graph(100, 10))
-            .unwrap();
+        let series = run(
+            EngineConfig::threaded().with_trace(log.clone()),
+            agg_graph(100, 10),
+        );
         assert!(!series.is_empty());
         let events = log.events();
         assert!(events.iter().any(|e| e.label.starts_with("read")));
@@ -297,11 +239,8 @@ mod tests {
             g.sink(a);
             g
         };
-        let threaded = ThreadedExecutor::new(build()).run_collect().unwrap();
-        let stepped = SteppedExecutor::new(build())
-            .unwrap()
-            .run_collect()
-            .unwrap();
+        let threaded = run(EngineConfig::threaded(), build());
+        let stepped = run(EngineConfig::stepped(), build());
         let t_last = threaded.last().unwrap().frame.value(0, "n").unwrap();
         let s_last = stepped.last().unwrap().frame.value(0, "n").unwrap();
         assert_eq!(t_last, s_last);
@@ -311,21 +250,18 @@ mod tests {
     #[test]
     fn empty_graph_errors() {
         let g = QueryGraph::new();
-        assert!(ThreadedExecutor::new(g).run_collect().is_err());
+        assert!(EngineConfig::threaded().start(g).is_err());
     }
 
     #[test]
     fn tiny_channel_capacity_applies_backpressure_without_deadlock() {
         // Capacity 1 forces producers to block on every in-flight update;
         // the run must still complete with the reference answer.
-        let constrained = EngineConfig::threaded()
-            .with_channel_capacity(1)
-            .run_collect(agg_graph(200, 4))
-            .unwrap();
-        let stepped = SteppedExecutor::new(agg_graph(200, 4))
-            .unwrap()
-            .run_collect()
-            .unwrap();
+        let constrained = run(
+            EngineConfig::threaded().with_channel_capacity(1),
+            agg_graph(200, 4),
+        );
+        let stepped = run(EngineConfig::stepped(), agg_graph(200, 4));
         assert_eq!(
             constrained.last().unwrap().frame.as_ref(),
             stepped.last().unwrap().frame.as_ref()
@@ -340,14 +276,8 @@ mod tests {
             g.sink(a);
             g
         };
-        let tight = EngineConfig::threaded()
-            .with_channel_capacity(1)
-            .run_collect(build())
-            .unwrap();
-        let reference = SteppedExecutor::new(build())
-            .unwrap()
-            .run_collect()
-            .unwrap();
+        let tight = run(EngineConfig::threaded().with_channel_capacity(1), build());
+        let reference = run(EngineConfig::stepped(), build());
         assert_eq!(
             tight.last().unwrap().frame.value(0, "n").unwrap(),
             reference.last().unwrap().frame.value(0, "n").unwrap()
@@ -359,7 +289,7 @@ mod tests {
         // Take one estimate, then drop: the shutdown cascade must reach
         // every node (drop joins the handles, so a hang here is a test
         // timeout, not a silent leak).
-        let mut stream = ThreadedExecutor::new(agg_graph(5_000, 8)).stream().unwrap();
+        let mut stream = EngineConfig::threaded().start(agg_graph(5_000, 8)).unwrap();
         let first = stream.next().unwrap().unwrap();
         assert!(!first.is_final);
         drop(stream);
@@ -367,7 +297,7 @@ mod tests {
 
     #[test]
     fn exhausted_stream_reports_stats_and_fuses() {
-        let mut stream = ThreadedExecutor::new(agg_graph(200, 16)).stream().unwrap();
+        let mut stream = EngineConfig::threaded().start(agg_graph(200, 16)).unwrap();
         let mut count = 0;
         let mut last_final = false;
         for est in &mut stream {

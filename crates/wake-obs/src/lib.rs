@@ -2,7 +2,7 @@
 //!
 //! Observability for Wake query execution: the instruments (atomic
 //! counters, gauges, fixed-bucket histograms), the one statistics record
-//! both executors produce ([`RunStats`], one [`NodeProfile`] per plan
+//! both drivers produce ([`RunStats`], one [`NodeProfile`] per plan
 //! node), and its `EXPLAIN ANALYZE` rendering (annotated plan tree +
 //! machine-readable JSON).
 //!

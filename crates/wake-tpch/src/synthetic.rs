@@ -139,9 +139,10 @@ mod tests {
     fn depth_zero_is_global_sum() {
         let f = generate(100, 3);
         let g = deep_query(source(&f, 2), 0);
-        let series = wake_engine::SteppedExecutor::new(g)
+        let series = wake_engine::EngineConfig::stepped()
+            .start(g)
             .unwrap()
-            .run_collect()
+            .collect_series()
             .unwrap();
         let expect: f64 = f
             .column("x")
@@ -166,9 +167,10 @@ mod tests {
     fn depth_two_matches_manual_computation() {
         let f = generate(500, 9);
         let g = deep_query(source(&f, 5), 2);
-        let series = wake_engine::SteppedExecutor::new(g)
+        let series = wake_engine::EngineConfig::stepped()
+            .start(g)
             .unwrap()
-            .run_collect()
+            .collect_series()
             .unwrap();
         let got = series
             .last()

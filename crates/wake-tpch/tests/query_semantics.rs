@@ -6,14 +6,15 @@
 
 use std::sync::Arc;
 use wake_data::{DataFrame, Value};
-use wake_engine::{SeriesExt, SteppedExecutor};
+use wake_engine::{EngineConfig, SeriesExt};
 use wake_tpch::{query_by_name, TpchData, TpchDb};
 
 fn run(db: &TpchDb, name: &str) -> Arc<DataFrame> {
     let spec = query_by_name(name).unwrap();
-    SteppedExecutor::new((spec.build)(db))
+    EngineConfig::stepped()
+        .start((spec.build)(db))
         .unwrap()
-        .run_collect()
+        .collect_series()
         .unwrap()
         .final_frame()
         .clone()

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 use wake::core::ci;
-use wake::engine::SteppedExecutor;
+use wake::engine::EngineConfig;
 use wake::tpch::{queries, TpchData, TpchDb};
 use wake_engine::SeriesExt;
 
@@ -17,7 +17,11 @@ fn main() {
     let data = Arc::new(TpchData::generate(0.01, 42));
     let db = TpchDb::new(data, 24);
     let g = queries::q14_with_ci(&db);
-    let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+    let series = EngineConfig::stepped()
+        .start(g)
+        .unwrap()
+        .collect_series()
+        .unwrap();
     let truth = series
         .final_frame()
         .value(0, "promo_revenue")

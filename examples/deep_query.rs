@@ -8,7 +8,7 @@
 //! cargo run --release --example deep_query
 //! ```
 
-use wake::engine::SteppedExecutor;
+use wake::engine::EngineConfig;
 use wake::tpch::synthetic;
 use wake_engine::SeriesExt;
 
@@ -20,7 +20,11 @@ fn main() {
     println!("depth   estimates   first-estimate   final-result   answer(v0)");
     for depth in 0..=10usize {
         let g = synthetic::deep_query(synthetic::source(&frame, partitions), depth);
-        let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+        let series = EngineConfig::stepped()
+            .start(g)
+            .unwrap()
+            .collect_series()
+            .unwrap();
         let answer = series
             .final_frame()
             .value(0, "v0")

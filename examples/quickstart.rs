@@ -58,7 +58,11 @@ fn main() {
     q.sink(stats);
 
     println!("progress   avg_order_qty   max_order_qty   orders_estimated");
-    let estimates = SteppedExecutor::new(q).unwrap().run_collect().unwrap();
+    let estimates = EngineConfig::stepped()
+        .start(q)
+        .unwrap()
+        .collect_series()
+        .unwrap();
     for est in &estimates {
         let avg = est.frame.value(0, "avg_order_qty").unwrap();
         let max = est.frame.value(0, "max_order_qty").unwrap();

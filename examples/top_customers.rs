@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use wake::core::agg::AggSpec;
 use wake::core::graph::QueryGraph;
-use wake::engine::ThreadedExecutor;
+use wake::engine::EngineConfig;
 use wake::expr::{col, lit_f64};
 use wake::tpch::{TpchData, TpchDb};
 
@@ -55,7 +55,11 @@ fn main() {
     g.sink(top);
 
     // Run pipelined (one thread per operator, as in the paper's Fig 6).
-    let estimates = ThreadedExecutor::new(g).run_collect().unwrap();
+    let estimates = EngineConfig::threaded()
+        .start(g)
+        .unwrap()
+        .collect_series()
+        .unwrap();
     println!(
         "\n{} online estimates produced; a few snapshots:\n",
         estimates.len()

@@ -53,9 +53,9 @@
 //! assert!((v - 9.0).abs() < 1e-9); // (15 + 8 + 4) / 3
 //! ```
 //!
-//! Execution is configured through one builder —
-//! [`EngineConfig`](prelude::EngineConfig) — covering executor choice
-//! (deterministic stepped vs pipelined threaded), partition parallelism,
+//! Execution is configured through one builder — [`EngineConfig`](prelude::EngineConfig),
+//! whose `start(graph)` is the one way to run a graph — covering driver
+//! choice (deterministic stepped vs pipelined threaded), partition parallelism,
 //! memory budget + spill directory (out-of-core execution), channel
 //! capacity and tracing; `WAKE_MEM_BUDGET` / `WAKE_SPILL_DIR` environment
 //! fallbacks resolve there, per knob, and a session takes the same
@@ -178,8 +178,8 @@ pub mod prelude {
         Column, DataFrame, DataType, Field, MemorySource, Row, Schema, TableSource, Value,
     };
     pub use wake_engine::{
-        EngineConfig, Estimate, EstimateSeries, EstimateStream, Executor, ExecutorKind,
-        NodeProfile, ObsLevel, RunStats, SeriesExt, SteppedExecutor, ThreadedExecutor,
+        EngineConfig, Estimate, EstimateSeries, EstimateStream, ExecutorKind, NodeProfile,
+        ObsLevel, RunStats, SeriesExt,
     };
     pub use wake_expr::{col, lit, Expr};
 }

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 use wake::core::ci;
-use wake::engine::SteppedExecutor;
+use wake::engine::EngineConfig;
 use wake::tpch::{queries, TpchData, TpchDb};
 use wake_engine::SeriesExt;
 
@@ -14,7 +14,11 @@ fn q14_cis_bound_truth_and_shrink() {
     let data = Arc::new(TpchData::generate(0.004, 42));
     let db = TpchDb::new(data, 16);
     let g = queries::q14_with_ci(&db);
-    let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+    let series = EngineConfig::stepped()
+        .start(g)
+        .unwrap()
+        .collect_series()
+        .unwrap();
     assert!(series.len() >= 10);
     let truth = series
         .final_frame()
@@ -85,7 +89,11 @@ fn shuffled_partitions_still_bound_truth() {
         )],
     );
     g.sink(a);
-    let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+    let series = EngineConfig::stepped()
+        .start(g)
+        .unwrap()
+        .collect_series()
+        .unwrap();
     let truth = series
         .final_frame()
         .value(0, "q")
@@ -127,7 +135,11 @@ fn variance_survives_projections() {
     g.sink(m);
     let metas = g.resolve_metas().unwrap();
     assert!(metas.last().unwrap().schema.contains("kq__var"));
-    let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+    let series = EngineConfig::stepped()
+        .start(g)
+        .unwrap()
+        .collect_series()
+        .unwrap();
     let truth = series
         .final_frame()
         .value(0, "kq")

@@ -9,7 +9,7 @@ use wake::core::graph::QueryGraph;
 use wake::data::csv::write_csv_file;
 use wake::data::source::CsvDirSource;
 use wake::data::TableSource;
-use wake::engine::SteppedExecutor;
+use wake::engine::EngineConfig;
 use wake::expr::{col, lit_date};
 use wake::tpch::TpchData;
 use wake_engine::SeriesExt;
@@ -61,13 +61,21 @@ fn csv_backed_query_matches_memory_backed() {
     let mut g_csv = QueryGraph::new();
     let r = g_csv.read(csv_src);
     build(&mut g_csv, r);
-    let csv_series = SteppedExecutor::new(g_csv).unwrap().run_collect().unwrap();
+    let csv_series = EngineConfig::stepped()
+        .start(g_csv)
+        .unwrap()
+        .collect_series()
+        .unwrap();
 
     let mem_src = data.source("lineitem", 4);
     let mut g_mem = QueryGraph::new();
     let r = g_mem.read(mem_src);
     build(&mut g_mem, r);
-    let mem_series = SteppedExecutor::new(g_mem).unwrap().run_collect().unwrap();
+    let mem_series = EngineConfig::stepped()
+        .start(g_mem)
+        .unwrap()
+        .collect_series()
+        .unwrap();
 
     // Same number of estimates and identical final state.
     assert_eq!(csv_series.len(), mem_series.len());

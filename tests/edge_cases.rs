@@ -7,7 +7,7 @@ use std::sync::Arc;
 use wake::core::agg::AggSpec;
 use wake::core::graph::{JoinKind, QueryGraph};
 use wake::data::{Column, DataFrame, DataType, Field, MemorySource, Schema, Value};
-use wake::engine::{SteppedExecutor, ThreadedExecutor};
+use wake::engine::EngineConfig;
 use wake::expr::{col, lit_f64};
 use wake_engine::SeriesExt;
 
@@ -31,7 +31,11 @@ fn empty_table_through_full_pipeline() {
     let a = g.agg(f, vec!["k"], vec![AggSpec::sum(col("v"), "s")]);
     let s = g.sort(a, vec!["s"], vec![true], Some(5));
     g.sink(s);
-    let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+    let series = EngineConfig::stepped()
+        .start(g)
+        .unwrap()
+        .collect_series()
+        .unwrap();
     assert!(series.last().unwrap().is_final);
     assert_eq!(series.final_frame().num_rows(), 0);
 }
@@ -51,7 +55,11 @@ fn single_row_table() {
         ],
     );
     g.sink(a);
-    let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+    let series = EngineConfig::stepped()
+        .start(g)
+        .unwrap()
+        .collect_series()
+        .unwrap();
     let f = series.final_frame();
     assert_eq!(f.value(0, "a").unwrap(), Value::Float(3.5));
     // Variance of a single observation is undefined -> NULL, not a panic.
@@ -88,9 +96,10 @@ fn all_null_aggregation_input() {
         ],
     );
     g.sink(a);
-    let f = SteppedExecutor::new(g)
+    let f = EngineConfig::stepped()
+        .start(g)
         .unwrap()
-        .run_collect()
+        .collect_series()
         .unwrap()
         .final_frame()
         .clone();
@@ -115,7 +124,11 @@ fn empty_partitions_mid_stream() {
     let r = g.read(src);
     let a = g.agg(r, vec![], vec![AggSpec::sum(col("v"), "s")]);
     g.sink(a);
-    let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+    let series = EngineConfig::stepped()
+        .start(g)
+        .unwrap()
+        .collect_series()
+        .unwrap();
     assert_eq!(
         series.final_frame().value(0, "s").unwrap(),
         Value::Float(6.0)
@@ -139,7 +152,11 @@ fn zero_match_joins_of_all_kinds() {
         let r = g.read(right.clone());
         let j = g.join_kind(l, r, vec!["k"], vec!["k"], kind);
         g.sink(j);
-        let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+        let series = EngineConfig::stepped()
+            .start(g)
+            .unwrap()
+            .collect_series()
+            .unwrap();
         assert_eq!(
             series.final_frame().num_rows(),
             expected_rows,
@@ -171,13 +188,15 @@ fn deep_snapshot_chain_converges() {
         g.sink(a2);
         g
     };
-    let multi = SteppedExecutor::new(build(15))
+    let multi = EngineConfig::stepped()
+        .start(build(15))
         .unwrap()
-        .run_collect()
+        .collect_series()
         .unwrap();
-    let single = SteppedExecutor::new(build(1))
+    let single = EngineConfig::stepped()
+        .start(build(1))
         .unwrap()
-        .run_collect()
+        .collect_series()
         .unwrap();
     assert_eq!(multi.final_frame().as_ref(), single.final_frame().as_ref());
 }
@@ -189,7 +208,11 @@ fn threaded_engine_handles_empty_everything() {
     let r = g.read(src);
     let a = g.agg(r, vec!["k"], vec![AggSpec::count_star("n")]);
     g.sink(a);
-    let series = ThreadedExecutor::new(g).run_collect().unwrap();
+    let series = EngineConfig::threaded()
+        .start(g)
+        .unwrap()
+        .collect_series()
+        .unwrap();
     assert!(series.last().unwrap().is_final);
     assert_eq!(series.final_frame().num_rows(), 0);
 }
@@ -209,7 +232,11 @@ fn filter_dropping_everything_then_aggregating() {
     let f = g.filter(r, col("v").gt(lit_f64(1e9)));
     let a = g.agg(f, vec![], vec![AggSpec::count_star("n")]);
     g.sink(a);
-    let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+    let series = EngineConfig::stepped()
+        .start(g)
+        .unwrap()
+        .collect_series()
+        .unwrap();
     // Global aggregate of an empty stream: zero rows (SQL would give one
     // row; edf reports the empty group set, which downstream ops accept).
     assert_eq!(series.final_frame().num_rows(), 0);

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use wake::core::graph::Parallelism;
 use wake::core::metrics;
-use wake::engine::{SteppedExecutor, ThreadedExecutor};
+use wake::engine::EngineConfig;
 use wake::tpch::{all_queries, TpchData, TpchDb};
 use wake_engine::SeriesExt;
 
@@ -14,12 +14,15 @@ fn threaded_and_stepped_agree_on_all_queries() {
     let data = Arc::new(TpchData::generate(0.002, 42));
     let db = TpchDb::new(data, 6);
     for spec in all_queries() {
-        let stepped = SteppedExecutor::new((spec.build)(&db))
+        let stepped = EngineConfig::stepped()
+            .start((spec.build)(&db))
             .unwrap()
-            .run_collect()
+            .collect_series()
             .unwrap();
-        let threaded = ThreadedExecutor::new((spec.build)(&db))
-            .run_collect()
+        let threaded = EngineConfig::threaded()
+            .start((spec.build)(&db))
+            .unwrap()
+            .collect_series()
             .unwrap();
         let sf = stepped.final_frame();
         let tf = threaded.final_frame();
@@ -49,8 +52,10 @@ fn threaded_estimate_streams_are_well_formed() {
     let db = TpchDb::new(data, 8);
     for name in ["q1", "q3", "q6", "q13", "q18"] {
         let spec = wake::tpch::query_by_name(name).unwrap();
-        let series = ThreadedExecutor::new((spec.build)(&db))
-            .run_collect()
+        let series = EngineConfig::threaded()
+            .start((spec.build)(&db))
+            .unwrap()
+            .collect_series()
             .unwrap();
         assert!(!series.is_empty(), "{name}");
         assert!(series.last().unwrap().is_final, "{name}");
@@ -76,16 +81,18 @@ fn sharded_stepped_agrees_with_serial_on_all_queries() {
     let data = Arc::new(TpchData::generate(0.002, 11));
     let db = TpchDb::new(data, 6);
     for spec in all_queries() {
-        let serial =
-            SteppedExecutor::new((spec.build)(&db).with_parallelism(Parallelism::Fixed(1)))
-                .unwrap()
-                .run_collect()
-                .unwrap();
-        let sharded =
-            SteppedExecutor::new((spec.build)(&db).with_parallelism(Parallelism::Fixed(4)))
-                .unwrap()
-                .run_collect()
-                .unwrap();
+        let serial = EngineConfig::stepped()
+            .with_parallelism(Parallelism::Fixed(1))
+            .start((spec.build)(&db))
+            .unwrap()
+            .collect_series()
+            .unwrap();
+        let sharded = EngineConfig::stepped()
+            .with_parallelism(Parallelism::Fixed(4))
+            .start((spec.build)(&db))
+            .unwrap()
+            .collect_series()
+            .unwrap();
         assert_eq!(
             serial.len(),
             sharded.len(),
@@ -116,15 +123,18 @@ fn threaded_sharded_pool_matches_serial_reference() {
     let db = TpchDb::new(data, 8);
     for name in ["q3", "q13", "q18"] {
         let spec = wake::tpch::query_by_name(name).unwrap();
-        let reference =
-            SteppedExecutor::new((spec.build)(&db).with_parallelism(Parallelism::Fixed(1)))
-                .unwrap()
-                .run_collect()
-                .unwrap();
-        let pooled =
-            ThreadedExecutor::new((spec.build)(&db).with_parallelism(Parallelism::Fixed(3)))
-                .run_collect()
-                .unwrap();
+        let reference = EngineConfig::stepped()
+            .with_parallelism(Parallelism::Fixed(1))
+            .start((spec.build)(&db))
+            .unwrap()
+            .collect_series()
+            .unwrap();
+        let pooled = EngineConfig::threaded()
+            .with_parallelism(Parallelism::Fixed(3))
+            .start((spec.build)(&db))
+            .unwrap()
+            .collect_series()
+            .unwrap();
         let sf = reference.final_frame();
         let tf = pooled.final_frame();
         assert_eq!(sf.num_rows(), tf.num_rows(), "{name}");
@@ -148,8 +158,12 @@ fn threaded_runs_are_reproducible_in_value() {
     let db = TpchDb::new(data, 8);
     let spec = wake::tpch::query_by_name("q5").unwrap();
     let run = |shards: usize| {
-        let graph = (spec.build)(&db).with_parallelism(Parallelism::Fixed(shards));
-        let series = ThreadedExecutor::new(graph).run_collect().unwrap();
+        let series = EngineConfig::threaded()
+            .with_parallelism(Parallelism::Fixed(shards))
+            .start((spec.build)(&db))
+            .unwrap()
+            .collect_series()
+            .unwrap();
         series.final_frame().clone()
     };
     // One shard per node: every fold sees its rows in source order, and
@@ -165,4 +179,62 @@ fn threaded_runs_are_reproducible_in_value() {
         r.recall == 1.0 && r.precision == 1.0 && r.mape < 1e-9 * 100.0,
         "{r:?}"
     );
+}
+
+#[test]
+fn parallelism_resolves_to_the_same_shard_counts_on_both_drivers() {
+    // `Fixed(n)` is used as given; `Auto` is every core on the inline
+    // driver and cores ÷ hash-keyed nodes (at least 1) on thread-per-actor.
+    use wake::core::agg::AggSpec;
+    use wake::data::{Column, DataFrame, DataType, Field, MemorySource, Schema};
+    use wake::engine::{EngineConfig, ExecutorKind, ObsLevel};
+    use wake::expr::col;
+    let source = |n: i64| {
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("k", DataType::Int64),
+            Field::new("v", DataType::Float64),
+        ]));
+        let columns = vec![
+            Column::from_i64((0..n).map(|i| i % 7).collect()),
+            Column::from_f64((0..n).map(|i| i as f64).collect()),
+        ];
+        let df = DataFrame::new(schema, columns).unwrap();
+        MemorySource::from_frame("t", &df, 10, vec![], None).unwrap()
+    };
+    let plan = || {
+        let mut g = wake::core::graph::QueryGraph::new();
+        let (l, r) = (g.read(source(60)), g.read(source(30)));
+        let j = g.join(l, r, vec!["k"], vec!["k"]);
+        let by_k = g.agg(j, vec!["k"], vec![AggSpec::sum(col("v"), "s")]);
+        let by_s = g.agg(by_k, vec!["s"], vec![AggSpec::count_star("n")]);
+        g.sink(by_s);
+        g
+    };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for kind in [ExecutorKind::Stepped, ExecutorKind::Threaded] {
+        let auto = match kind {
+            ExecutorKind::Stepped => cores,
+            ExecutorKind::Threaded => (cores / 3).max(1),
+        };
+        for (parallelism, shards) in [
+            (Parallelism::Fixed(1), 1),
+            (Parallelism::Fixed(3), 3),
+            (Parallelism::Auto, auto),
+        ] {
+            let stats = EngineConfig::new()
+                .with_executor(kind)
+                .with_parallelism(parallelism)
+                .with_obs(ObsLevel::Profile)
+                .start(plan())
+                .unwrap()
+                .collect_with_stats()
+                .unwrap()
+                .1;
+            let keyed: Vec<usize> = (stats.nodes.iter())
+                .filter(|n| n.label.starts_with("Join") || n.label.starts_with("Agg"))
+                .map(|n| n.shard_state_bytes.len())
+                .collect();
+            assert_eq!(keyed, vec![shards; 3], "{kind:?} {parallelism:?}");
+        }
+    }
 }

@@ -94,7 +94,9 @@ fn transient_faults_retry_to_bit_identical_estimates() {
     for spec in all_queries() {
         let reference = one_shard()
             .with_memory_budget(BUDGET)
-            .run_collect((spec.build)(&db))
+            .start((spec.build)(&db))
+            .unwrap()
+            .collect_series()
             .unwrap();
         let io = Arc::new(FaultIo::new(FaultSchedule {
             transient_write_every: Some(3),
@@ -143,7 +145,9 @@ fn enospc_degrades_to_resident_execution_with_exact_answers() {
     for spec in all_queries() {
         let reference = one_shard()
             .unbounded_memory()
-            .run_collect((spec.build)(&db))
+            .start((spec.build)(&db))
+            .unwrap()
+            .collect_series()
             .unwrap();
         let io = Arc::new(FaultIo::new(FaultSchedule {
             enospc_after_bytes: Some(16 << 10),
@@ -284,7 +288,9 @@ fn seeded_fault_sweep_never_panics_hangs_or_leaks() {
         for spec in &specs {
             let reference = one_shard()
                 .with_memory_budget(16 << 10)
-                .run_collect((spec.build)(&db))
+                .start((spec.build)(&db))
+                .unwrap()
+                .collect_series()
                 .unwrap();
             let io = Arc::new(FaultIo::new(schedule.clone()));
             let mut stream = faulted_config(&io, 16 << 10, 2)

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use wake::baseline::naive::{NaiveJoin, Table};
 use wake::core::graph::{JoinKind, Parallelism, QueryGraph};
 use wake::data::{Column, DataFrame, DataType, Field, MemorySource, Schema, Value};
-use wake::engine::SteppedExecutor;
+use wake::engine::EngineConfig;
 use wake_engine::SeriesExt;
 
 /// Keys drawn from a hash-hostile palette: clustered small values, extreme
@@ -95,9 +95,10 @@ fn wake_join(
     let r = g.read(rsrc);
     let j = g.join_kind(l, r, vec!["k"], vec!["rk"], kind);
     g.sink(j);
-    SteppedExecutor::new(g)
+    EngineConfig::stepped()
+        .start(g)
         .unwrap()
-        .run_collect()
+        .collect_series()
         .unwrap()
         .final_frame()
         .as_ref()
@@ -169,7 +170,7 @@ proptest! {
         let r = g.read(src());
         let j = g.join(l, r, vec!["a", "b"], vec!["a", "b"]);
         g.sink(j);
-        let wake = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+        let wake = EngineConfig::stepped().start(g).unwrap().collect_series().unwrap();
         let naive = Table::new(frame.clone())
             .join(&Table::new(frame.clone()), &["a", "b"], &["a", "b"], NaiveJoin::Inner)
             .unwrap();
@@ -272,9 +273,10 @@ proptest! {
             ],
         );
         g.sink(a);
-        let out = SteppedExecutor::new(g)
+        let out = EngineConfig::stepped()
+            .start(g)
             .unwrap()
-            .run_collect()
+            .collect_series()
             .unwrap()
             .final_frame()
             .as_ref()
@@ -329,12 +331,17 @@ fn join_series(
         None,
     )
     .unwrap();
-    let mut g = QueryGraph::new().with_parallelism(Parallelism::Fixed(shards));
+    let mut g = QueryGraph::new();
     let l = g.read(lsrc);
     let r = g.read(rsrc);
     let j = g.join_kind(l, r, vec!["k"], vec!["rk"], kind);
     g.sink(j);
-    SteppedExecutor::new(g).unwrap().run_collect().unwrap()
+    EngineConfig::stepped()
+        .with_parallelism(Parallelism::Fixed(shards))
+        .start(g)
+        .unwrap()
+        .collect_series()
+        .unwrap()
 }
 
 proptest! {
@@ -397,7 +404,7 @@ proptest! {
                     None,
                 )
                 .unwrap();
-                let mut g = QueryGraph::new().with_parallelism(Parallelism::Fixed(shards));
+                let mut g = QueryGraph::new();
                 let r = g.read(src);
                 let a = g.agg(
                     r,
@@ -409,7 +416,12 @@ proptest! {
                     ],
                 );
                 g.sink(a);
-                SteppedExecutor::new(g).unwrap().run_collect().unwrap()
+                EngineConfig::stepped()
+                    .with_parallelism(Parallelism::Fixed(shards))
+                    .start(g)
+                    .unwrap()
+                    .collect_series()
+                    .unwrap()
             };
             let serial = agg_series(1);
             let sharded = agg_series(shards);

@@ -48,7 +48,9 @@ fn obs_off_is_bit_identical_per_estimate_on_all_queries() {
             EngineConfig::stepped()
                 .with_memory_budget(BUDGET)
                 .with_obs(level)
-                .run_collect((spec.build)(&db))
+                .start((spec.build)(&db))
+                .unwrap()
+                .collect_series()
                 .unwrap()
         };
         let off = run(ObsLevel::Off);

@@ -14,7 +14,7 @@ use wake::core::graph::QueryGraph;
 use wake::core::growth::GrowthModel;
 use wake::core::update::UpdateKind;
 use wake::data::{Column, DataFrame, DataType, Field, MemorySource, Schema, Value};
-use wake::engine::SteppedExecutor;
+use wake::engine::EngineConfig;
 use wake::expr::col;
 use wake_engine::SeriesExt;
 
@@ -50,9 +50,10 @@ fn run_sum_by_key(rows: &[(i64, f64)], per_part: usize) -> DataFrame {
         ],
     );
     g.sink(a);
-    SteppedExecutor::new(g)
+    EngineConfig::stepped()
+        .start(g)
         .unwrap()
-        .run_collect()
+        .collect_series()
         .unwrap()
         .final_frame()
         .as_ref()
@@ -104,7 +105,8 @@ proptest! {
             let r = g.read(src);
             let a = g.agg(r, vec!["k"], vec![AggSpec::sum(col("v"), "s")]);
             g.sink(a);
-            SteppedExecutor::new(g).unwrap().run_collect().unwrap().final_frame().as_ref().clone()
+            let series = EngineConfig::stepped().start(g).unwrap().collect_series().unwrap();
+            series.final_frame().as_ref().clone()
         };
         let a = run(src);
         let b = run(shuffled);
@@ -215,7 +217,11 @@ fn estimates_are_unbiased_for_uniform_streams() {
     let r = g.read(src);
     let a = g.agg(r, vec!["k"], vec![AggSpec::sum(col("v"), "s")]);
     g.sink(a);
-    let series = SteppedExecutor::new(g).unwrap().run_collect().unwrap();
+    let series = EngineConfig::stepped()
+        .start(g)
+        .unwrap()
+        .collect_series()
+        .unwrap();
     for est in &series {
         for row in 0..est.frame.num_rows() {
             let v = est.frame.value(row, "s").unwrap().as_f64().unwrap();

@@ -127,6 +127,22 @@ fn wait_terminal(server: &wake::serve::ServerHandle, id: u64) -> wake::serve::Qu
     panic!("query {id} never reached a terminal status");
 }
 
+/// Wait until a worker has taken query `id` off the admission queue, so
+/// the next admission sees the queue slot free.
+fn wait_dequeued(server: &wake::serve::ServerHandle, id: u64) {
+    for _ in 0..2000 {
+        if server
+            .registry()
+            .get(id)
+            .is_some_and(|r| r.status != QueryStatus::Queued)
+        {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("query {id} never left the queue");
+}
+
 #[test]
 fn three_concurrent_clients_under_one_tight_global_budget_answer_exactly() {
     let _guard = SERVER.lock().unwrap_or_else(|e| e.into_inner());
@@ -290,6 +306,7 @@ fn over_admission_burst_gets_typed_overload_not_hangs() {
     // clients that hold their streams open...
     let mut running = ServeClient::connect(server.addr()).unwrap();
     let running_id = running.query_no_wait("rev_by_order").unwrap().unwrap();
+    wait_dequeued(&server, running_id);
     let mut queued = ServeClient::connect(server.addr()).unwrap();
     let queued_id = queued.query_no_wait("rev_by_order").unwrap().unwrap();
 
@@ -335,7 +352,8 @@ fn query_cancelled_while_queued_is_readable_and_reports_zero_work() {
     let global = server.global_governor().unwrap();
 
     let mut running = ServeClient::connect(server.addr()).unwrap();
-    running.query_no_wait("rev_by_order").unwrap().unwrap();
+    let running_id = running.query_no_wait("rev_by_order").unwrap().unwrap();
+    wait_dequeued(&server, running_id);
     let mut queued = ServeClient::connect(server.addr()).unwrap();
     let queued_id = queued.query_no_wait("rev_by_order").unwrap().unwrap();
 
@@ -374,7 +392,9 @@ fn fault_injected_server_still_answers_exactly_and_reports_degraded() {
 
     let reference = {
         let series = EngineConfig::stepped()
-            .run_collect(high_card_graph(&db))
+            .start(high_card_graph(&db))
+            .unwrap()
+            .collect_series()
             .unwrap();
         frame_sum(&series.last().unwrap().frame, "rev")
     };

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 use wake::core::metrics;
-use wake::engine::{EngineConfig, SpillConfig, SteppedExecutor};
+use wake::engine::{EngineConfig, SpillConfig};
 use wake::tpch::{all_queries, TpchData, TpchDb};
 use wake_engine::SeriesExt;
 
@@ -29,20 +29,18 @@ fn all_queries_spill_to_the_same_final_answer() {
     let mut total_evictions = 0usize;
     let mut total_spilled = 0usize;
     for spec in all_queries() {
-        let reference = SteppedExecutor::with_engine_config(
-            (spec.build)(&db),
-            &EngineConfig::new().unbounded_memory(),
-        )
-        .unwrap()
-        .run_collect()
-        .unwrap();
-        let (bounded, stats) = SteppedExecutor::with_engine_config(
-            (spec.build)(&db),
-            &EngineConfig::new().with_memory_budget(BUDGET),
-        )
-        .unwrap()
-        .run_collect_stats()
-        .unwrap();
+        let reference = EngineConfig::new()
+            .unbounded_memory()
+            .start((spec.build)(&db))
+            .unwrap()
+            .collect_series()
+            .unwrap();
+        let (bounded, stats) = EngineConfig::new()
+            .with_memory_budget(BUDGET)
+            .start((spec.build)(&db))
+            .unwrap()
+            .collect_with_stats()
+            .unwrap();
         total_evictions += stats.spill.evictions;
         total_spilled += stats.spill.spilled_bytes;
         let sf = reference.final_frame();
@@ -113,20 +111,18 @@ fn aggregation_pipelines_spill_bit_identically() {
                 (wake::tpch::query_by_name(name).unwrap().build)(db)
             }
         };
-        let reference = SteppedExecutor::with_engine_config(
-            build(&db),
-            &EngineConfig::new().unbounded_memory(),
-        )
-        .unwrap()
-        .run_collect()
-        .unwrap();
-        let (bounded, stats) = SteppedExecutor::with_engine_config(
-            build(&db),
-            &EngineConfig::new().with_memory_budget(16 << 10),
-        )
-        .unwrap()
-        .run_collect_stats()
-        .unwrap();
+        let reference = EngineConfig::new()
+            .unbounded_memory()
+            .start(build(&db))
+            .unwrap()
+            .collect_series()
+            .unwrap();
+        let (bounded, stats) = EngineConfig::new()
+            .with_memory_budget(16 << 10)
+            .start(build(&db))
+            .unwrap()
+            .collect_with_stats()
+            .unwrap();
         assert_eq!(reference.len(), bounded.len(), "{name}: estimate cadence");
         for (a, b) in reference.iter().zip(bounded.iter()) {
             assert_eq!(a.frame.as_ref(), b.frame.as_ref(), "{name} @ t={}", a.t);
@@ -167,31 +163,26 @@ fn delta_log_is_estimate_invariant_across_the_tpch_suite() {
     let mut total_delta_bytes = 0usize;
     let mut total_delta_chunks = 0usize;
     for spec in all_queries() {
-        let reference = SteppedExecutor::with_engine_config(
-            (spec.build)(&db),
-            &EngineConfig::new().unbounded_memory(),
-        )
-        .unwrap()
-        .run_collect()
-        .unwrap();
-        let (legacy, legacy_stats) = SteppedExecutor::with_engine_config(
-            (spec.build)(&db),
-            &EngineConfig::new()
-                .with_memory_budget(BUDGET)
-                .with_spill_delta_ratio(0.0),
-        )
-        .unwrap()
-        .run_collect_stats()
-        .unwrap();
-        let (delta, stats) = SteppedExecutor::with_engine_config(
-            (spec.build)(&db),
-            &EngineConfig::new()
-                .with_memory_budget(BUDGET)
-                .with_spill_delta_ratio(0.25),
-        )
-        .unwrap()
-        .run_collect_stats()
-        .unwrap();
+        let reference = EngineConfig::new()
+            .unbounded_memory()
+            .start((spec.build)(&db))
+            .unwrap()
+            .collect_series()
+            .unwrap();
+        let (legacy, legacy_stats) = EngineConfig::new()
+            .with_memory_budget(BUDGET)
+            .with_spill_delta_ratio(0.0)
+            .start((spec.build)(&db))
+            .unwrap()
+            .collect_with_stats()
+            .unwrap();
+        let (delta, stats) = EngineConfig::new()
+            .with_memory_budget(BUDGET)
+            .with_spill_delta_ratio(0.25)
+            .start((spec.build)(&db))
+            .unwrap()
+            .collect_with_stats()
+            .unwrap();
         assert_eq!(legacy_stats.spill.delta_bytes, 0, "{}", spec.name);
         total_compactions += stats.spill.compactions;
         total_delta_bytes += stats.spill.delta_bytes;
@@ -249,16 +240,17 @@ fn threaded_executor_honours_the_budget_knob() {
     let db = TpchDb::new(data, 6);
     for name in ["q3", "q13", "q18"] {
         let spec = wake::tpch::query_by_name(name).unwrap();
-        let reference = SteppedExecutor::with_engine_config(
-            (spec.build)(&db),
-            &EngineConfig::new().unbounded_memory(),
-        )
-        .unwrap()
-        .run_collect()
-        .unwrap();
+        let reference = EngineConfig::new()
+            .unbounded_memory()
+            .start((spec.build)(&db))
+            .unwrap()
+            .collect_series()
+            .unwrap();
         let bounded = EngineConfig::threaded()
             .with_memory_budget(BUDGET)
-            .run_collect((spec.build)(&db))
+            .start((spec.build)(&db))
+            .unwrap()
+            .collect_series()
             .unwrap();
         let sf = reference.final_frame();
         let tf = bounded.final_frame();
@@ -276,27 +268,32 @@ fn threaded_executor_honours_the_budget_knob() {
 
 #[test]
 fn unbounded_default_is_byte_identical_to_explicit_unbounded() {
-    // `SteppedExecutor::new` (the default every other suite uses) and an
-    // explicit `EngineConfig` must be the same machine for the same
+    // The default `EngineConfig` (what every other suite uses) and an
+    // explicit budget must be the same machine for the same
     // budget. Guards the "budget = ∞ is pre-PR behavior" acceptance
     // criterion.
     // Mutating the process environment from a test would race with
     // concurrent `getenv`s in sibling tests (UB on glibc), so instead
-    // read the ambient value once and compare `new` against an explicit
+    // read the ambient value once and compare the default against an explicit
     // config reproducing it — ambient unset means both are unbounded.
     let ambient = SpillConfig::from_env();
     let data = Arc::new(TpchData::generate(0.002, 3));
     let db = TpchDb::new(data, 4);
     let spec = wake::tpch::query_by_name("q18").unwrap();
-    let a = SteppedExecutor::new((spec.build)(&db))
+    let a = EngineConfig::stepped()
+        .start((spec.build)(&db))
         .unwrap()
-        .run_collect()
+        .collect_series()
         .unwrap();
     let explicit = match ambient.budget_bytes {
         Some(bytes) => EngineConfig::stepped().with_memory_budget(bytes),
         None => EngineConfig::stepped().unbounded_memory(),
     };
-    let b = explicit.run_collect((spec.build)(&db)).unwrap();
+    let b = explicit
+        .start((spec.build)(&db))
+        .unwrap()
+        .collect_series()
+        .unwrap();
     assert_eq!(a.len(), b.len());
     if ambient.budget_bytes.is_none() {
         // Truly unbounded: the resident path must be reproduced bit for

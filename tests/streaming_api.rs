@@ -5,6 +5,7 @@
 
 use std::sync::{Arc, Mutex};
 use wake::core::graph::QueryGraph;
+use wake::data::DataError;
 use wake::prelude::*;
 use wake::tpch::{all_queries, queries, TpchData, TpchDb};
 
@@ -59,14 +60,12 @@ fn stepped_stream_is_bit_identical_to_run_collect_on_all_tpch_queries() {
     let data = Arc::new(TpchData::generate(0.002, 7));
     let db = TpchDb::new(data, 6);
     for spec in all_queries() {
-        let collected = SteppedExecutor::new((spec.build)(&db))
+        let collected = EngineConfig::stepped()
+            .start((spec.build)(&db))
             .unwrap()
-            .run_collect()
+            .collect_series()
             .unwrap();
-        let mut stream = SteppedExecutor::new((spec.build)(&db))
-            .unwrap()
-            .stream()
-            .unwrap();
+        let mut stream = EngineConfig::stepped().start((spec.build)(&db)).unwrap();
         let mut streamed = Vec::new();
         for est in &mut stream {
             streamed.push(est.unwrap());
@@ -254,11 +253,44 @@ fn until_confidence_stops_a_tpch_query_before_eof() {
         .unwrap()
         .final_frame()
         .unwrap();
-    let via_collect = SteppedExecutor::new(ci_avg_graph(&db))
+    let via_collect = EngineConfig::stepped()
+        .start(ci_avg_graph(&db))
         .unwrap()
-        .run_collect()
+        .collect_series()
         .unwrap();
     assert_eq!(via_stream.as_ref(), via_collect.final_frame().as_ref());
+}
+
+#[test]
+fn until_confidence_rejects_a_level_outside_zero_one_on_both_engines() {
+    // A level the Chebyshev bound cannot take is the caller's mistake: a
+    // typed error on the first poll, then the end of the stream — not a
+    // panic on the polling thread with node threads left running.
+    let _guard = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    let data = Arc::new(TpchData::generate(0.002, 31));
+    let db = TpchDb::new(data, 8);
+    for kind in [ExecutorKind::Stepped, ExecutorKind::Threaded] {
+        for level in [1.0, 95.0, f64::NAN] {
+            let baseline = thread_count();
+            let config = EngineConfig::new().with_executor(kind);
+            let mut stop = config
+                .start(ci_avg_graph(&db))
+                .unwrap()
+                .until_confidence_at("avg_price", 0.5, level);
+            let first = stop.next().expect("the error is yielded");
+            assert!(
+                matches!(first, Err(DataError::Invalid(_))),
+                "{kind:?} @ {level}: {first:?}"
+            );
+            assert!(stop.next().is_none(), "{kind:?} @ {level}: fused");
+            let after = settled_thread_count(baseline);
+            assert!(after <= baseline, "{kind:?} @ {level}: {after} threads");
+            // The same level through the per-row interval.
+            let est = config.start(ci_avg_graph(&db)).unwrap().next().unwrap();
+            let err = est.unwrap().interval_at(0, "avg_price", level);
+            assert!(matches!(err, Err(DataError::Invalid(_))), "{level}");
+        }
+    }
 }
 
 #[test]

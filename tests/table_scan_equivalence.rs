@@ -11,8 +11,10 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use wake::core::graph::{NodeKind, QueryGraph};
 use wake::core::metrics;
-use wake::engine::{EngineConfig, SteppedExecutor};
+use wake::data::{DataFrame, ScanMetrics, TableMeta, TableSource};
+use wake::engine::EngineConfig;
 use wake::store::segment::frames_bit_identical;
 use wake::tpch::{all_queries, TpchData, TpchDb};
 use wake_engine::{EstimateSeries, SeriesExt};
@@ -21,6 +23,37 @@ fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wake-scan-equiv-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// A scan no planner pass can rewrite: it reads and counts through
+/// `inner` but offers no pruned, reordered or projected view, so every
+/// pass is an identity on it — the full-width, stored-order reference.
+struct FullScan(Arc<dyn TableSource>);
+
+impl TableSource for FullScan {
+    fn meta(&self) -> &TableMeta {
+        self.0.meta()
+    }
+
+    fn partition(&self, i: usize) -> Result<DataFrame, wake::data::DataError> {
+        self.0.partition(i)
+    }
+
+    fn scan_metrics(&self) -> Option<ScanMetrics> {
+        self.0.scan_metrics()
+    }
+}
+
+/// `graph` with every `Read` behind a [`FullScan`].
+fn full_scan(mut graph: QueryGraph) -> QueryGraph {
+    for id in graph.sources() {
+        let NodeKind::Read { source } = &graph.node(id).kind else {
+            unreachable!("sources() lists reads")
+        };
+        let inner = source.clone();
+        graph.replace_source(id, Arc::new(FullScan(inner)));
+    }
+    graph
 }
 
 /// The whole estimate stream — frames (to the float bit), progress,
@@ -49,16 +82,18 @@ fn all_queries_persisted_unpruned_bit_identical() {
     let dir = scratch_dir("unpruned");
     let disk = TpchDb::persisted(data, 8, &dir).unwrap();
     for spec in all_queries() {
-        // `SteppedExecutor::new` runs no planner passes: the on-disk scan
+        // Behind `FullScan` no planner pass applies: the on-disk scan
         // visits every zone in file order, so the entire estimate stream
         // must match the in-memory run exactly.
-        let a = SteppedExecutor::new((spec.build)(&mem))
+        let a = EngineConfig::stepped()
+            .start(full_scan((spec.build)(&mem)))
             .unwrap()
-            .run_collect()
+            .collect_series()
             .unwrap();
-        let b = SteppedExecutor::new((spec.build)(&disk))
+        let b = EngineConfig::stepped()
+            .start(full_scan((spec.build)(&disk)))
             .unwrap()
-            .run_collect()
+            .collect_series()
             .unwrap();
         assert_streams_bit_identical(spec.name, &a, &b);
     }
@@ -76,9 +111,10 @@ fn all_queries_persisted_projected_bit_identical() {
         // config with pruning off, so projection is the one pass that
         // rewrites a source. Each scan then decodes only the columns the
         // plan reads — and the estimate stream must not notice.
-        let a = SteppedExecutor::new((spec.build)(&mem))
+        let a = EngineConfig::stepped()
+            .start(full_scan((spec.build)(&mem)))
             .unwrap()
-            .run_collect()
+            .collect_series()
             .unwrap();
         let (b, stats) = EngineConfig::stepped()
             .with_zone_pruning(false)
@@ -110,7 +146,8 @@ fn projection_cuts_decoded_bytes_and_nothing_else() {
     for spec in all_queries() {
         // Seeded reordering gives every scan of both runs a view of its
         // own, so the run's counters are its own; the second run applies
-        // the reorder pass by hand and skips the projection pass.
+        // the reorder pass by hand, then `FullScan` makes the projection
+        // pass an identity.
         let (narrow, narrow_stats) = EngineConfig::stepped()
             .with_zone_pruning(false)
             .with_scan_seed(7)
@@ -120,9 +157,10 @@ fn projection_cuts_decoded_bytes_and_nothing_else() {
             .unwrap();
         let mut g = (spec.build)(&disk);
         wake::core::plan::reorder_scans(&mut g, 7);
-        let (full, full_stats) = SteppedExecutor::new(g)
+        let (full, full_stats) = EngineConfig::stepped()
+            .start(full_scan(g))
             .unwrap()
-            .run_collect_stats()
+            .collect_with_stats()
             .unwrap();
         assert_streams_bit_identical(spec.name, &full, &narrow);
         let (n, f) = (narrow_stats.scan, full_stats.scan);
@@ -166,7 +204,7 @@ fn scan_counters_are_the_querys_own_on_a_scan_no_pass_narrows() {
     // one `Arc<SegmentSource>` the db shares. The second run must not
     // report the first run's zones and bytes on top of its own.
     let run = || {
-        let mut g = wake::core::graph::QueryGraph::new();
+        let mut g = QueryGraph::new();
         let orders = disk.read(&mut g, "orders");
         g.sink(orders);
         let stream = EngineConfig::stepped().start(g).unwrap();
@@ -218,9 +256,10 @@ fn all_queries_pruned_finals_match_in_memory() {
     let dir = scratch_dir("pruned");
     let disk = TpchDb::persisted(data, 8, &dir).unwrap();
     for spec in all_queries() {
-        let want = SteppedExecutor::new((spec.build)(&mem))
+        let want = EngineConfig::stepped()
+            .start((spec.build)(&mem))
             .unwrap()
-            .run_collect()
+            .collect_series()
             .unwrap();
         let want = want.final_frame();
         // Pruning enabled (the default): predicates are pushed into every
@@ -228,7 +267,9 @@ fn all_queries_pruned_finals_match_in_memory() {
         // final answer must be unchanged.
         let got = EngineConfig::stepped()
             .with_zone_pruning(true)
-            .run_collect((spec.build)(&disk))
+            .start((spec.build)(&disk))
+            .unwrap()
+            .collect_series()
             .unwrap();
         let got = got.final_frame();
         assert_eq!(
@@ -271,7 +312,7 @@ fn zero_survivor_query_yields_exact_empty_not_false_convergence() {
     // No lineitem row has l_quantity > 1e9: every zone's max rules it out,
     // so the pushed-down scan prunes the whole table and presents a single
     // empty partition.
-    let mut g = wake::core::graph::QueryGraph::new();
+    let mut g = QueryGraph::new();
     let li = disk.read(&mut g, "lineitem");
     let f = g.filter(
         li,
@@ -349,7 +390,7 @@ fn pruned_reordered_scan_keeps_estimates_unbiased() {
     // z >= 8 prunes the lower half of the zones exactly (each zone's z is
     // constant); the survivors are visited in seeded random order.
     let build = || {
-        let mut g = wake::core::graph::QueryGraph::new();
+        let mut g = QueryGraph::new();
         let src = wake::store::SegmentSource::from_reader(source.reader().clone()).unwrap();
         let r = g.read(src);
         let f = g.filter(r, wake::expr::col("z").ge(wake::expr::lit_i64(8)));

@@ -9,16 +9,17 @@
 
 use std::sync::Arc;
 use wake::core::metrics;
-use wake::engine::SteppedExecutor;
+use wake::engine::EngineConfig;
 use wake::tpch::{all_queries, TpchData, TpchDb};
 use wake_engine::SeriesExt;
 
 fn run_final(db: &TpchDb, name: &str) -> Arc<wake::data::DataFrame> {
     let spec = wake::tpch::query_by_name(name).unwrap();
     let g = (spec.build)(db);
-    let series = SteppedExecutor::new(g)
+    let series = EngineConfig::stepped()
+        .start(g)
         .unwrap_or_else(|e| panic!("{name}: build failed: {e}"))
-        .run_collect()
+        .collect_series()
         .unwrap_or_else(|e| panic!("{name}: run failed: {e}"));
     assert!(!series.is_empty(), "{name}: no estimates produced");
     assert!(series.last().unwrap().is_final);
@@ -73,9 +74,10 @@ fn estimates_converge_monotonically_in_progress() {
     let db = TpchDb::ambient(data, 10).unwrap();
     // Q1 is the canonical OLA query: check error decreases broadly.
     let spec = wake::tpch::query_by_name("q1").unwrap();
-    let series = SteppedExecutor::new((spec.build)(&db))
+    let series = EngineConfig::stepped()
+        .start((spec.build)(&db))
         .unwrap()
-        .run_collect()
+        .collect_series()
         .unwrap();
     let truth = series.final_frame().clone();
     let mut errors = Vec::new();
@@ -100,9 +102,12 @@ fn first_estimates_arrive_before_final() {
     let db = TpchDb::ambient(data, 10).unwrap();
     for name in ["q1", "q6", "q18"] {
         let spec = wake::tpch::query_by_name(name).unwrap();
-        let series = SteppedExecutor::new((spec.build)(&db))
+        // Every zone read: on persisted tables pruning would cut q6's scan.
+        let series = EngineConfig::stepped()
+            .with_zone_pruning(false)
+            .start((spec.build)(&db))
             .unwrap()
-            .run_collect()
+            .collect_series()
             .unwrap();
         assert!(
             series.len() >= 5,

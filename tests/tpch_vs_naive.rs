@@ -9,16 +9,17 @@ use std::sync::Arc;
 use wake::baseline::naive::{NaiveAgg, NaiveJoin, Table};
 use wake::core::metrics;
 use wake::data::DataFrame;
-use wake::engine::SteppedExecutor;
+use wake::engine::EngineConfig;
 use wake::expr::{case_when, col, lit_date, lit_f64, lit_str};
 use wake::tpch::{query_by_name, TpchData, TpchDb};
 use wake_engine::SeriesExt;
 
 fn wake_final(db: &TpchDb, name: &str) -> Arc<DataFrame> {
     let spec = query_by_name(name).unwrap();
-    SteppedExecutor::new((spec.build)(db))
+    EngineConfig::stepped()
+        .start((spec.build)(db))
         .unwrap()
-        .run_collect()
+        .collect_series()
         .unwrap()
         .final_frame()
         .clone()
