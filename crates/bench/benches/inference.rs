@@ -47,7 +47,7 @@ fn bench_estimators(c: &mut Criterion) {
         w_variance: 0.003,
     };
     c.bench_function("estimators/finalize_sum_with_variance", |b| {
-        b.iter(|| black_box(st.finalize(1000.0, &ctx)))
+        b.iter(|| black_box(st.finalize(&ctx)))
     });
 }
 

@@ -65,8 +65,8 @@ fn group_by_graph(frame: &DataFrame) -> QueryGraph {
     g
 }
 
-/// One full stepped run at the given level: wall-clock ms + the profile.
-fn run(frame: &DataFrame, level: ObsLevel) -> (f64, Option<RunStats>) {
+/// One full stepped run at the given level: wall-clock ms + the stats.
+fn run(frame: &DataFrame, level: ObsLevel) -> (f64, RunStats) {
     let started = Instant::now();
     let mut stream = EngineConfig::stepped()
         .with_obs(level)
@@ -76,7 +76,7 @@ fn run(frame: &DataFrame, level: ObsLevel) -> (f64, Option<RunStats>) {
         black_box(est.unwrap());
     }
     let elapsed = started.elapsed().as_secs_f64() * 1e3;
-    (elapsed, stream.profile())
+    (elapsed, stream.stats())
 }
 
 fn best(xs: &[f64]) -> f64 {
@@ -92,7 +92,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     // best-of-N is the stable statistic for an overhead bound.
     let iters = if smoke { 7 } else { 11 };
     let (mut off, mut stats, mut profile) = (Vec::new(), Vec::new(), Vec::new());
-    let mut profile_export = None;
+    let mut profile_export = RunStats::default();
     for _ in 0..iters {
         off.push(run(&frame, ObsLevel::Off).0);
         stats.push(run(&frame, ObsLevel::Stats).0);
@@ -116,8 +116,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     );
 
     // Sanity checks on the profile JSON export keep it well-formed.
-    let export = profile_export.expect("Profile-level run has a profile");
-    let json = export.to_json();
+    let json = profile_export.to_json();
     assert!(json.contains("\"nodes\""));
     assert!(
         json.matches('{').count() == json.matches('}').count(),

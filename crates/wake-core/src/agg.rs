@@ -47,7 +47,9 @@ pub struct AggSpec {
     pub expr: Expr,
     /// Weight expression for `WeightedAvg`.
     pub weight: Option<Expr>,
-    /// Quantile rank in [0, 1] for `Quantile` (0.5 = median).
+    /// Quantile rank in [0, 1] for `Quantile` (0.5 = median). An
+    /// aggregation rejects a `Quantile` spec without one; a bare
+    /// [`AggSpec::new_state`] reads a missing rank as the median.
     pub quantile: Option<f64>,
     pub alias: String,
 }
@@ -217,7 +219,7 @@ impl AggSpec {
             },
             AggFunc::Quantile => AggState::Sample {
                 values: Vec::new(),
-                q: self.quantile.expect("quantile spec carries q"),
+                q: self.quantile.unwrap_or(0.5),
             },
         }
     }
@@ -616,15 +618,6 @@ impl AggState {
     /// (non-numeric inputs, count-distinct's exact value set) — the caller
     /// must then fall back to the per-row path.
     pub fn observe_column(&mut self, col: &Column, weight: Option<&Column>) -> bool {
-        // Count-distinct observes through the typed set, which covers
-        // every column type (including Bool/Utf8, where NumView bails).
-        if let AggState::Distinct { set, n } = self {
-            observe_distinct_column(set, n, col);
-            return true;
-        }
-        let Some((view, dtype)) = NumView::of(col) else {
-            return false;
-        };
         let valid = col.validity();
         let n = col.len();
         macro_rules! each {
@@ -645,31 +638,42 @@ impl AggState {
                 }
             };
         }
-        match self {
-            AggState::Count { n: count } => {
+        match (self, NumView::of(col)) {
+            // Count-distinct observes through the typed set, which covers
+            // every column type (including Bool/Utf8, where NumView bails).
+            (AggState::Distinct { set, n }, _) => observe_distinct_column(set, n, col),
+            (_, None) => return false,
+            (AggState::Count { n: count }, Some(_)) => {
                 // Adding 1.0 per valid row is exact; bulk-add the count.
                 *count += match valid {
                     None => n as f64,
                     Some(mask) => mask.iter().filter(|&&b| b).count() as f64,
                 };
             }
-            AggState::Sum { m } | AggState::Avg { m } | AggState::Dispersion { m, .. } => {
-                each!(|i| m.observe(view.get(i)))
+            (
+                AggState::Sum { m } | AggState::Avg { m } | AggState::Dispersion { m, .. },
+                Some((view, _)),
+            ) => each!(|i| m.observe(view.get(i))),
+            (AggState::Sample { values, .. }, Some((view, _))) => {
+                each!(|i| values.push(view.get(i)))
             }
-            AggState::Sample { values, .. } => each!(|i| values.push(view.get(i))),
-            AggState::Extreme {
-                best,
-                second,
-                is_min,
-            } => {
+            (
+                AggState::Extreme {
+                    best,
+                    second,
+                    is_min,
+                },
+                Some((view, dtype)),
+            ) => {
                 let is_min = *is_min;
                 each!(|i| observe_extreme(best, second, is_min, &view.value(i, dtype)))
             }
-            AggState::WeightedAvg { m_wv, m_w } => {
-                let Some((wview, _)) = weight.and_then(NumView::of) else {
+            (AggState::WeightedAvg { m_wv, m_w }, Some((view, _))) => {
+                let Some(weight) = weight else { return false };
+                let Some((wview, _)) = NumView::of(weight) else {
                     return false;
                 };
-                let wvalid = weight.expect("checked above").validity();
+                let wvalid = weight.validity();
                 for i in 0..n {
                     let ok = valid.is_none_or(|m| m[i]) && wvalid.is_none_or(|m| m[i]);
                     if ok {
@@ -679,7 +683,6 @@ impl AggState {
                     }
                 }
             }
-            AggState::Distinct { .. } => unreachable!("handled above"),
         }
         true
     }
@@ -743,21 +746,21 @@ impl AggState {
         Ok(())
     }
 
-    /// Produce the extrinsic estimate (§5.3). `group_rows` is the group
-    /// cardinality `xᵢ,ₜ`; `ctx` carries the shared growth scale.
+    /// Produce the extrinsic estimate (§5.3); `ctx` carries the shared
+    /// growth scale.
     ///
     /// Once the input is complete (`t = 1`) the estimate is the exact
     /// finite-population answer, so the reported variance collapses to 0 —
     /// the convergence property extends to the uncertainty itself.
-    pub fn finalize(&self, group_rows: f64, ctx: &ScaleContext) -> AggOutput {
-        let mut out = self.finalize_inner(group_rows, ctx);
+    pub fn finalize(&self, ctx: &ScaleContext) -> AggOutput {
+        let mut out = self.finalize_inner(ctx);
         if ctx.t >= 1.0 {
             out.variance = out.variance.map(|_| 0.0);
         }
         out
     }
 
-    fn finalize_inner(&self, group_rows: f64, ctx: &ScaleContext) -> AggOutput {
+    fn finalize_inner(&self, ctx: &ScaleContext) -> AggOutput {
         match self {
             AggState::Count { n } => {
                 // f_count: scale the raw count by t^{-w} (x̂ = x / t^w).
@@ -806,7 +809,6 @@ impl AggState {
                 }
                 let est = m_wv.sum / m_w.sum;
                 // Eq. 14: relative variances of numerator and denominator.
-                let n = m_wv.count.max(1.0);
                 let rel_num = if m_wv.sum != 0.0 {
                     m_wv.variance_of_sum() / (m_wv.sum * m_wv.sum)
                 } else {
@@ -817,7 +819,6 @@ impl AggState {
                 } else {
                     0.0
                 };
-                let _ = n;
                 AggOutput {
                     value: Value::Float(est),
                     variance: Some(est * est * (rel_num + rel_den)),
@@ -863,7 +864,7 @@ impl AggState {
                     };
                 }
                 let mut sorted = values.clone();
-                sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN quantile input"));
+                sorted.sort_by(nan_last);
                 let n = sorted.len();
                 let rank = (q * (n - 1) as f64).round() as usize;
                 let est = sorted[rank.min(n - 1)];
@@ -907,16 +908,16 @@ impl AggState {
                 }
             }
         }
-        .with_group(group_rows)
     }
 }
 
-impl AggOutput {
-    // `group_rows` is currently only used for debug assertions; keep the
-    // hook so future estimators (e.g. quantiles) can use it.
-    fn with_group(self, _group_rows: f64) -> AggOutput {
-        self
-    }
+/// Ascending order with every NaN last, whatever its sign bit (as
+/// PostgreSQL orders NaN above all numbers). Non-NaN values compare as
+/// `partial_cmp` does, so `-0.0` and `0.0` tie and the stable sort keeps
+/// their input order.
+fn nan_last(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
 /// Columnar count-distinct observation: one typed pass over the column,
@@ -983,10 +984,10 @@ mod tests {
             t: 0.5,
             w_variance: 0.0,
         };
-        let out = st.finalize(3.0, &ctx);
+        let out = st.finalize(&ctx);
         assert_eq!(out.value, Value::Float(12.0));
         // At completion the raw value is exact.
-        let out = st.finalize(3.0, &ScaleContext::exact());
+        let out = st.finalize(&ScaleContext::exact());
         assert_eq!(out.value, Value::Float(6.0));
     }
 
@@ -1014,8 +1015,8 @@ mod tests {
             left.merge(&right).unwrap();
             let ctx = ScaleContext::exact();
             assert_eq!(
-                left.finalize(7.0, &ctx).value,
-                whole.finalize(7.0, &ctx).value,
+                left.finalize(&ctx).value,
+                whole.finalize(&ctx).value,
                 "func {:?}",
                 spec.func
             );
@@ -1027,14 +1028,11 @@ mod tests {
         let spec = AggSpec::avg(col("x"), "a");
         let mut st = spec.new_state();
         obs(&mut st, &[2.0, 4.0]);
-        let scaled = st.finalize(
-            2.0,
-            &ScaleContext {
-                scale: 4.0,
-                t: 0.25,
-                w_variance: 0.1,
-            },
-        );
+        let scaled = st.finalize(&ScaleContext {
+            scale: 4.0,
+            t: 0.25,
+            w_variance: 0.1,
+        });
         assert_eq!(scaled.value, Value::Float(3.0));
     }
 
@@ -1044,7 +1042,7 @@ mod tests {
         let mut st = spec.new_state();
         st.observe(&Value::Float(10.0), Some(&Value::Float(1.0)));
         st.observe(&Value::Float(20.0), Some(&Value::Float(3.0)));
-        let out = st.finalize(2.0, &ScaleContext::exact());
+        let out = st.finalize(&ScaleContext::exact());
         // (10·1 + 20·3) / (1 + 3) = 17.5
         assert_eq!(out.value, Value::Float(17.5));
     }
@@ -1063,11 +1061,11 @@ mod tests {
             t: 0.5,
             w_variance: 0.0,
         };
-        let est = st.finalize(50.0, &ctx);
+        let est = st.finalize(&ctx);
         let v = est.value.as_f64().unwrap();
         assert!((10.0..=100.0).contains(&v));
         // Complete: exact distinct count.
-        let exact = st.finalize(50.0, &ScaleContext::exact());
+        let exact = st.finalize(&ScaleContext::exact());
         assert_eq!(exact.value, Value::Float(10.0));
     }
 
@@ -1076,14 +1074,11 @@ mod tests {
         let spec = AggSpec::max(col("x"), "mx");
         let mut st = spec.new_state();
         obs(&mut st, &[3.0, 9.0, 7.0]);
-        let out = st.finalize(
-            3.0,
-            &ScaleContext {
-                scale: 2.0,
-                t: 0.5,
-                w_variance: 0.0,
-            },
-        );
+        let out = st.finalize(&ScaleContext {
+            scale: 2.0,
+            t: 0.5,
+            w_variance: 0.0,
+        });
         assert_eq!(out.value, Value::Float(9.0));
         // Spacing heuristic: (9 − 7)².
         assert_eq!(out.variance, Some(4.0));
@@ -1091,7 +1086,7 @@ mod tests {
         let mut st = AggSpec::min(col("s"), "mn").new_state();
         st.observe(&Value::str("pear"), None);
         st.observe(&Value::str("apple"), None);
-        let out = st.finalize(2.0, &ScaleContext::exact());
+        let out = st.finalize(&ScaleContext::exact());
         assert_eq!(out.value, Value::str("apple"));
     }
 
@@ -1100,35 +1095,27 @@ mod tests {
         let mut st = AggSpec::count(col("x"), "c").new_state();
         st.observe(&Value::Null, None);
         st.observe(&Value::Int(1), None);
-        let out = st.finalize(2.0, &ScaleContext::exact());
+        let out = st.finalize(&ScaleContext::exact());
         assert_eq!(out.value, Value::Float(1.0));
         let mut st = AggSpec::avg(col("x"), "a").new_state();
         st.observe(&Value::Null, None);
-        assert_eq!(st.finalize(1.0, &ScaleContext::exact()).value, Value::Null);
+        assert_eq!(st.finalize(&ScaleContext::exact()).value, Value::Null);
     }
 
     #[test]
     fn dispersion_values() {
         let mut st = AggSpec::var(col("x"), "v").new_state();
         obs(&mut st, &[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        let v = st
-            .finalize(8.0, &ScaleContext::exact())
-            .value
-            .as_f64()
-            .unwrap();
+        let v = st.finalize(&ScaleContext::exact()).value.as_f64().unwrap();
         assert!((v - 32.0 / 7.0).abs() < 1e-9);
         let mut st = AggSpec::stddev(col("x"), "sd").new_state();
         obs(&mut st, &[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        let sd = st
-            .finalize(8.0, &ScaleContext::exact())
-            .value
-            .as_f64()
-            .unwrap();
+        let sd = st.finalize(&ScaleContext::exact()).value.as_f64().unwrap();
         assert!((sd - (32.0f64 / 7.0).sqrt()).abs() < 1e-9);
         // Single observation: undefined.
         let mut st = AggSpec::var(col("x"), "v").new_state();
         obs(&mut st, &[1.0]);
-        assert_eq!(st.finalize(1.0, &ScaleContext::exact()).value, Value::Null);
+        assert_eq!(st.finalize(&ScaleContext::exact()).value, Value::Null);
     }
 
     #[test]
@@ -1188,8 +1175,8 @@ mod tests {
                 }
                 let ctx = ScaleContext::exact();
                 assert_eq!(
-                    fast.finalize(5.0, &ctx),
-                    slow.finalize(5.0, &ctx),
+                    fast.finalize(&ctx),
+                    slow.finalize(&ctx),
                     "func {:?} dtype {:?}",
                     spec.func,
                     data.data_type()
@@ -1201,7 +1188,7 @@ mod tests {
         let mut st = AggSpec::max(col("x"), "mx").new_state();
         assert!(st.observe_column(&big, None));
         assert_eq!(
-            st.finalize(2.0, &ScaleContext::exact()).value,
+            st.finalize(&ScaleContext::exact()).value,
             Value::Int(i64::MAX)
         );
         // Still no kernel for min/max over strings (Value path remains).
@@ -1256,8 +1243,8 @@ mod tests {
             }
             let ctx = ScaleContext::exact();
             assert_eq!(
-                fast.finalize(5.0, &ctx),
-                slow.finalize(5.0, &ctx),
+                fast.finalize(&ctx),
+                slow.finalize(&ctx),
                 "dtype {:?}",
                 data.data_type()
             );
@@ -1314,20 +1301,17 @@ mod tests {
         let spec = AggSpec::median(col("x"), "med");
         let mut st = spec.new_state();
         obs(&mut st, &[5.0, 1.0, 9.0, 3.0, 7.0]);
-        let out = st.finalize(5.0, &ScaleContext::exact());
+        let out = st.finalize(&ScaleContext::exact());
         assert_eq!(out.value, Value::Float(5.0));
         // p90 of 1..=10.
         let spec = AggSpec::quantile(col("x"), 0.9, "p90");
         let mut st = spec.new_state();
         obs(&mut st, &(1..=10).map(f64::from).collect::<Vec<_>>());
-        let out = st.finalize(
-            10.0,
-            &ScaleContext {
-                scale: 2.0,
-                t: 0.5,
-                w_variance: 0.0,
-            },
-        );
+        let out = st.finalize(&ScaleContext {
+            scale: 2.0,
+            t: 0.5,
+            w_variance: 0.0,
+        });
         let v = out.value.as_f64().unwrap();
         assert!((9.0..=10.0).contains(&v), "p90 {v}");
         assert!(out.variance.unwrap() >= 0.0);
@@ -1341,13 +1325,10 @@ mod tests {
         obs(&mut b, &xs[8..]);
         a.merge(&b).unwrap();
         let ctx = ScaleContext::exact();
-        assert_eq!(
-            a.finalize(21.0, &ctx).value,
-            whole.finalize(21.0, &ctx).value
-        );
+        assert_eq!(a.finalize(&ctx).value, whole.finalize(&ctx).value);
         // Empty sample -> NULL.
         let st = AggSpec::median(col("x"), "m").new_state();
-        assert_eq!(st.finalize(0.0, &ctx).value, Value::Null);
+        assert_eq!(st.finalize(&ctx).value, Value::Null);
     }
 
     #[test]
@@ -1363,30 +1344,24 @@ mod tests {
             st.observe(&Value::Int(1), None);
         }
         let lo = st
-            .finalize(
-                10.0,
-                &ScaleContext {
-                    scale: 2.0,
-                    t: 0.5,
-                    w_variance: 0.01,
-                },
-            )
+            .finalize(&ScaleContext {
+                scale: 2.0,
+                t: 0.5,
+                w_variance: 0.01,
+            })
             .variance
             .unwrap();
         let hi = st
-            .finalize(
-                10.0,
-                &ScaleContext {
-                    scale: 2.0,
-                    t: 0.5,
-                    w_variance: 0.09,
-                },
-            )
+            .finalize(&ScaleContext {
+                scale: 2.0,
+                t: 0.5,
+                w_variance: 0.09,
+            })
             .variance
             .unwrap();
         assert!(hi > lo && lo > 0.0);
         // Complete input: zero variance.
-        let done = st.finalize(10.0, &ScaleContext::exact()).variance.unwrap();
+        let done = st.finalize(&ScaleContext::exact()).variance.unwrap();
         assert_eq!(done, 0.0);
     }
 }

@@ -262,7 +262,7 @@ impl AggCore {
         for &slot in &order {
             let g = &self.groups[slot as usize];
             for (si, state) in g.states.iter().enumerate() {
-                let out = state.finalize(g.rows, ctx);
+                let out = state.finalize(ctx);
                 agg_cols[si].push(out.value);
                 if cfg.with_variance {
                     let var = out.variance.unwrap_or(0.0) + g.carried_var[si];
@@ -440,12 +440,9 @@ impl AggPart {
                 let (mut core, torn) = AggShard::rehydrate(cfg, base, delta)?;
                 let slots = core.fold_frame_slots(frame, hashes)?;
                 *groups = core.groups.len();
-                // Ratio 0 compacts unconditionally: skip building the
-                // delta chunk it would immediately discard (this is
-                // the legacy rehydrate-fold-rewrite I/O pattern). A
-                // torn delta tail also forces a compact — the rewrite
+                // A torn delta tail forces a compact — the rewrite
                 // durably truncates the run to its recovered state.
-                if torn || env.delta_ratio <= 0.0 {
+                if torn {
                     return compact(env, &core, base, delta);
                 }
                 let mut touched = slots;
@@ -828,6 +825,13 @@ impl AggOp {
             }
         }
         for s in &specs {
+            let ranked = s.quantile.is_some_and(|q| (0.0..=1.0).contains(&q));
+            if s.func == crate::agg::AggFunc::Quantile && !ranked {
+                return Err(DataError::Invalid(format!(
+                    "quantile {} needs a rank in [0, 1], got {:?}",
+                    s.alias, s.quantile
+                )));
+            }
             let in_type = infer_type(&s.expr, &input.schema)?;
             if let Some(w) = &s.weight {
                 infer_type(w, &input.schema)?;
@@ -1333,6 +1337,16 @@ mod tests {
             let m = governor.metrics();
             assert!(m.evictions > 0, "S={shards}: budget never triggered");
             assert!(m.spilled_bytes > 0 && m.rehydrations > 0);
+        }
+    }
+
+    #[test]
+    fn quantile_without_a_rank_is_a_typed_error() {
+        let mut spec = AggSpec::median(col("v"), "m");
+        for q in [None, Some(1.5), Some(f64::NAN)] {
+            spec.quantile = q;
+            let op = AggOp::new(&delta_meta(), vec!["k".into()], vec![spec.clone()], false);
+            assert!(matches!(op, Err(DataError::Invalid(_))), "{q:?}");
         }
     }
 

@@ -1,7 +1,11 @@
-//! A simple binary columnar file format ("WCF") — the stand-in for the
-//! Parquet partitions the paper stores its 512 MB chunks in (§8.1). One
-//! file holds one partition: schema, row count, then each column as a
-//! contiguous typed buffer with an optional validity bitmap.
+//! WCF ("Wake columnar frame"): the in-memory byte codec for one
+//! [`DataFrame`] — schema, row count, then each column as a contiguous
+//! typed buffer with an optional validity bitmap. It is not a table
+//! format (persisted tables are `.wseg` segments in `wake-store`): spill
+//! chunks embed a WCF frame in their checksummed envelope, and the
+//! segment and spill codecs share its column payloads ([`write_column`] /
+//! [`read_column`]), cell codec ([`write_value`] / [`read_value`]) and
+//! bounds-checked [`ByteCursor`].
 //!
 //! Layout (all integers little-endian):
 //!
@@ -24,8 +28,7 @@ use crate::frame::DataFrame;
 use crate::schema::{Field, Schema};
 use crate::value::{DataType, Value};
 use crate::Result;
-use std::io::{Read, Write};
-use std::path::Path;
+use std::io::Write;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"WAKECOL1";
@@ -378,19 +381,6 @@ pub fn read_colfile(bytes: &[u8]) -> Result<DataFrame> {
     DataFrame::new(Arc::new(Schema::new(fields)), columns)
 }
 
-/// Write a frame to a WCF file.
-pub fn write_colfile_path(df: &DataFrame, path: &Path) -> Result<()> {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write_colfile(df, &mut f)
-}
-
-/// Read a WCF file.
-pub fn read_colfile_path(path: &Path) -> Result<DataFrame> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    read_colfile(&bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,17 +491,6 @@ mod tests {
         let mut ok = three.to_vec();
         ok.extend_from_slice(&[0; 24]);
         assert_eq!(ByteCursor::new(&ok).count_u64(8).unwrap(), 3);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("wake_colfile_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("p.wcf");
-        let df = sample();
-        write_colfile_path(&df, &path).unwrap();
-        assert_eq!(read_colfile_path(&path).unwrap(), df);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -216,61 +216,6 @@ impl TableSource for CsvDirSource {
     }
 }
 
-/// A source reading one binary columnar (WCF) file per partition — the
-/// Parquet-partition stand-in (§8.1).
-#[derive(Debug, Clone)]
-pub struct ColFileDirSource {
-    meta: TableMeta,
-    files: Vec<PathBuf>,
-}
-
-impl ColFileDirSource {
-    pub fn new(
-        name: impl Into<String>,
-        schema: Arc<Schema>,
-        files: Vec<PathBuf>,
-        partition_rows: Vec<usize>,
-        primary_key: Vec<String>,
-        clustering_key: Option<Vec<String>>,
-    ) -> Result<Self> {
-        if files.len() != partition_rows.len() {
-            return Err(DataError::Invalid("files and row counts must align".into()));
-        }
-        Ok(ColFileDirSource {
-            meta: TableMeta {
-                name: name.into(),
-                schema,
-                primary_key,
-                clustering_key,
-                partition_rows,
-            },
-            files,
-        })
-    }
-}
-
-impl TableSource for ColFileDirSource {
-    fn meta(&self) -> &TableMeta {
-        &self.meta
-    }
-
-    fn partition(&self, i: usize) -> Result<DataFrame> {
-        let path = self
-            .files
-            .get(i)
-            .ok_or_else(|| DataError::ShapeMismatch(format!("partition {i} out of range")))?;
-        let frame = crate::colfile::read_colfile_path(path)?;
-        if frame.schema().fields() != self.meta.schema.fields() {
-            return Err(DataError::Invalid(format!(
-                "partition {i} schema {} does not match table schema {}",
-                frame.schema(),
-                self.meta.schema
-            )));
-        }
-        Ok(frame)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,31 +262,6 @@ mod tests {
             crate::value::Value::Int(4)
         );
         assert!(src.shuffled_partitions(&[0]).is_err());
-    }
-
-    #[test]
-    fn colfile_dir_source_reads_and_validates() {
-        let dir = std::env::temp_dir().join("wake_wcf_src_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let f = frame(4);
-        let path = dir.join("p0.wcf");
-        crate::colfile::write_colfile_path(&f, &path).unwrap();
-        let src = ColFileDirSource::new(
-            "t",
-            f.schema().clone(),
-            vec![path.clone()],
-            vec![4],
-            vec!["id".into()],
-            None,
-        )
-        .unwrap();
-        assert_eq!(src.partition(0).unwrap(), f);
-        // Schema mismatch is caught.
-        let other = Arc::new(Schema::new(vec![Field::new("zzz", DataType::Int64)]));
-        let bad =
-            ColFileDirSource::new("t", other, vec![path.clone()], vec![4], vec![], None).unwrap();
-        assert!(bad.partition(0).is_err());
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -130,19 +130,6 @@ impl EngineConfig {
         self
     }
 
-    /// Write-behind compaction policy for spilled group-by partitions: a
-    /// partition's delta run may grow to `ratio` × its base run before
-    /// it is compacted (replayed onto the base and truncated). `0.0`
-    /// compacts on every fold — the pre-delta-log rehydrate-fold-rewrite
-    /// behavior. Default: `WAKE_SPILL_DELTA_RATIO`, else
-    /// [`wake_store::governor::DEFAULT_DELTA_RATIO`]. Whatever the
-    /// ratio, estimates stay bit-identical — this knob trades fold-time
-    /// write volume against replay/read amplification only.
-    pub fn with_spill_delta_ratio(mut self, ratio: f64) -> Self {
-        self.spill.delta_ratio = Some(ratio);
-        self
-    }
-
     /// The spill device behind all spill file I/O (default: the real
     /// filesystem, [`wake_store::StdIo`]; the ambient
     /// `WAKE_SPILL_ENOSPC_AFTER` injects an ENOSPC-after-N-bytes
@@ -427,20 +414,6 @@ mod tests {
         let resolved = cfg.spill_config();
         assert_eq!(resolved.budget_bytes, Some(1 << 20));
         assert_eq!(resolved.spill_dir, ambient.spill_dir);
-    }
-
-    #[test]
-    fn delta_ratio_resolves_per_knob() {
-        let ambient = SpillConfig::from_env();
-        // Unset: defer to the ambient WAKE_SPILL_DELTA_RATIO.
-        let resolved = EngineConfig::new().spill_config();
-        assert_eq!(resolved.delta_ratio, ambient.delta_ratio);
-        // Explicit: wins over the environment; other knobs untouched.
-        let resolved = EngineConfig::new()
-            .with_spill_delta_ratio(0.25)
-            .spill_config();
-        assert_eq!(resolved.delta_ratio, Some(0.25));
-        assert_eq!(resolved.budget_bytes, ambient.budget_bytes);
     }
 
     #[test]

@@ -37,10 +37,13 @@
 //!
 //! [`EngineConfig`] resolves the ambient `WAKE_*` environment in exactly
 //! one place and runs the planner passes (scan reordering, zone pruning,
-//! projection) on every start. OLA stopping conditions
-//! ([`EstimateStream::until_confidence`],
-//! [`EstimateStream::until_rows_processed`]) end a stream — and cancel
-//! its query — the moment the estimate is good enough.
+//! projection) on every start. A query has **one handle**, the stream:
+//! OLA stopping conditions ([`EstimateStream::until_confidence`],
+//! [`EstimateStream::until_rows_processed`],
+//! [`EstimateStream::until_deadline`]) are state on it that ends the
+//! stream — and stops its query — the moment the estimate is good enough;
+//! [`EstimateStream::stop`] does the same on demand, and
+//! [`EstimateStream::stats`] reads the one statistics record throughout.
 
 mod config;
 mod estimate;
@@ -52,7 +55,7 @@ mod trace;
 
 pub use config::{EngineConfig, ExecutorKind};
 pub use estimate::{Estimate, EstimateSeries, SeriesExt};
-pub use stream::{CancelHandle, EstimateStream, StopStream, DEFAULT_CONFIDENCE};
+pub use stream::{CancelHandle, EstimateStream, DEFAULT_CONFIDENCE};
 pub use threaded::DEFAULT_CHANNEL_CAPACITY;
 pub use trace::{TraceEvent, TraceLog, DEFAULT_TRACE_CAPACITY};
 // Memory-governance configuration (the per-query budget knob on both
@@ -63,8 +66,8 @@ pub use wake_store::{
     FaultIo, FaultSchedule, GlobalGovernor, SpillConfig, SpillIo, SpillMetrics, StdIo, TornWrite,
 };
 // Observability: the level knob on `EngineConfig` and the one statistics
-// record (`EstimateStream::stats()`; `profile()` is the same record when
-// the level is on).
+// record (`EstimateStream::stats()`, per-node profiles included when the
+// level is on).
 pub use wake_obs::{HistogramSnapshot, NodeProfile, ObsLevel, RunStats};
 
 pub type Result<T> = std::result::Result<T, wake_data::DataError>;

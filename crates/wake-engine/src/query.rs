@@ -83,7 +83,7 @@ impl NodeEntry {
     /// The node's profile (`None` at `Off`): counters from `obs`, spill
     /// from the child ledger, scan from a read node's own source,
     /// per-shard detail as the actor last published it.
-    fn profile(&self, id: usize) -> Option<NodeProfile> {
+    fn snapshot(&self, id: usize) -> Option<NodeProfile> {
         let shards = self.shards.as_ref().map(|s| s.lock().clone());
         Some(NodeProfile {
             id,
@@ -138,7 +138,7 @@ impl QueryLedger {
             spill: spill_of(&self.governor),
             degraded: self.degraded(),
             scan: self.scan(),
-            nodes: nodes.filter_map(|(id, n)| n.profile(id)).collect(),
+            nodes: nodes.filter_map(|(id, n)| n.snapshot(id)).collect(),
         }
     }
 
@@ -521,10 +521,6 @@ impl Query {
                 self.ledger.clone(),
             )),
         };
-        EstimateStream {
-            ledger: self.ledger,
-            sink: self.sink,
-            driver,
-        }
+        EstimateStream::new(self.ledger, self.sink, driver)
     }
 }

@@ -24,18 +24,20 @@
 //!
 //! the batch forms are drains of it ([`EstimateStream::collect_series`],
 //! [`EstimateStream::collect_with_stats`], [`EstimateStream::final_frame`]),
-//! and the paper's "stop when the estimate is good enough" loop is a
-//! combinator away: [`EstimateStream::until_confidence`] ends the stream
-//! once every row's Chebyshev interval is tighter than a target relative
-//! half-width, [`EstimateStream::until_rows_processed`] after a base-table
-//! row budget. Both cancel the underlying query the moment the condition
-//! fires.
+//! and the paper's "stop when the estimate is good enough" loop is stream
+//! state: [`EstimateStream::until_confidence`] ends the stream once every
+//! row's Chebyshev interval is tighter than a target relative half-width,
+//! [`EstimateStream::until_rows_processed`] after a base-table row budget,
+//! [`EstimateStream::until_deadline`] at a wall-clock deadline. Each
+//! returns the same stream, which stops the query the moment the
+//! condition fires.
 
 use crate::estimate::{Estimate, EstimateSeries, SinkState};
 use crate::query::QueryLedger;
 use crate::Result;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use wake_data::{DataError, DataFrame};
 use wake_obs::RunStats;
 
@@ -57,44 +59,65 @@ pub(crate) trait Driver: Send {
     }
 }
 
-/// A lazy, cancellable stream of converging estimates — the unified
-/// execution surface over both engines.
+/// A lazy, cancellable stream of converging estimates — the one handle on
+/// a running query, whichever engine drives it.
 ///
 /// - **Lazy**: the stepped engine performs one driver step per poll; the
 ///   threaded engine yields sink updates as the pipeline produces them.
-/// - **Cancellable**: dropping the stream stops the query. For the
-///   threaded engine that signals every node thread, wakes blocked
-///   channel operations, joins all threads and removes per-query spill
-///   temp directories before `drop` returns.
-/// - **Accountable**: [`EstimateStream::stats`] reads the run statistics
-///   (peak operator state, spill telemetry) at any point — mid-flight,
-///   exhausted, or after [`EstimateStream::finish`].
+/// - **Cancellable**: [`Self::stop`], or dropping the stream, stops the
+///   query. For the threaded engine that signals every node thread, wakes
+///   blocked channel operations, joins all threads and removes per-query
+///   spill temp directories before the call returns.
+/// - **Stoppable by condition**: `until_*` attach an OLA stopping
+///   condition; the triggering estimate is yielded, then the query stops.
+/// - **Accountable**: [`Self::stats`] reads the run statistics (peak
+///   operator state, spill telemetry, per-node profiles when observability
+///   is on) at any point — mid-flight, exhausted, stopped, or after an
+///   error.
 pub struct EstimateStream {
-    pub(crate) ledger: Arc<QueryLedger>,
-    pub(crate) sink: SinkState,
-    pub(crate) driver: Box<dyn Driver>,
+    ledger: Arc<QueryLedger>,
+    sink: SinkState,
+    /// `None` once [`Self::stop`] has shut the driver down and released
+    /// the actors.
+    driver: Option<Box<dyn Driver>>,
+    /// What ends the stream besides query completion.
+    cond: Option<StopCondition>,
+    stopped_early: bool,
+    /// A node failure observed while stopping, yielded on the next poll.
+    pending_err: Option<DataError>,
 }
 
 impl EstimateStream {
-    /// Execution statistics so far (complete once the stream ended).
+    pub(crate) fn new(ledger: Arc<QueryLedger>, sink: SinkState, driver: Box<dyn Driver>) -> Self {
+        EstimateStream {
+            ledger,
+            sink,
+            driver: Some(driver),
+            cond: None,
+            stopped_early: false,
+            pending_err: None,
+        }
+    }
+
+    /// Execution statistics so far (complete once the stream ended). The
+    /// per-node profiles in [`RunStats::nodes`] are empty when the query
+    /// runs at [`wake_obs::ObsLevel::Off`].
     pub fn stats(&self) -> RunStats {
         self.ledger.snapshot()
     }
 
-    /// The directory spill files are written to, when a memory budget is
-    /// in force (`None` when the query runs unbounded). Per-query temp
-    /// directories are removed when the stream ends or is dropped.
-    pub fn spill_dir(&self) -> Option<PathBuf> {
-        self.ledger.spill_dir()
+    /// [`RunStats::degraded`] alone — the spill device's poison flag,
+    /// without snapshotting the per-node profiles [`Self::stats`] builds.
+    pub fn degraded(&self) -> bool {
+        self.ledger.degraded()
     }
 
-    /// [`Self::stats`] when it carries per-node profiles (rows/frames in
-    /// and out, busy time, state peaks, attributed spill and scan work) —
-    /// readable at any point in the stream's life: mid-flight, exhausted,
-    /// after cancellation, or after an error. `None` when the query runs
-    /// at [`wake_obs::ObsLevel::Off`].
-    pub fn profile(&self) -> Option<RunStats> {
-        profiled(self.stats())
+    /// The directory spill files are written to, when a memory budget is
+    /// in force (`None` when the query runs unbounded). Per-query temp
+    /// directories are removed when the query stops or the stream is
+    /// dropped.
+    pub fn spill_dir(&self) -> Option<PathBuf> {
+        self.ledger.spill_dir()
     }
 
     /// EXPLAIN ANALYZE: what the whole query cost, then the plan tree
@@ -102,20 +125,52 @@ impl EstimateStream {
     /// scan work ([`RunStats::render`]). With observability off, returns
     /// a note explaining how to enable it.
     pub fn explain_analyze(&self) -> String {
-        render_profile(self.profile())
+        let stats = self.stats();
+        if stats.level.enabled() {
+            stats.render()
+        } else {
+            String::from(
+                "observability is off: enable with EngineConfig::with_obs(ObsLevel::Stats) \
+                 or WAKE_OBS=stats\n",
+            )
+        }
     }
 
-    /// Stop the query now (if still running) and return the final run
-    /// statistics. Equivalent to dropping the stream, but keeps the
-    /// telemetry. Any error a node thread hit before the stop is
-    /// discarded here — poll the stream to exhaustion (or use
-    /// [`StopStream`], which re-surfaces it) when failure reporting
-    /// matters.
+    /// A clonable, thread-safe handle that cancels this query from
+    /// another thread. Setting it makes the next poll return `None` (on
+    /// the threaded engine the node threads observe the same flag and
+    /// the pipeline winds down). The serving layer uses this to cancel a
+    /// running query when its client disconnects.
+    pub fn cancel_handle(&self) -> CancelHandle {
+        self.ledger.cancel.clone()
+    }
+
+    /// True once a stopping condition ended the stream before query
+    /// completion.
+    pub fn stopped_early(&self) -> bool {
+        self.stopped_early
+    }
+
+    /// Stop the query now (if still running), keeping the statistics
+    /// readable. Threads are joined, shard workers and operator state
+    /// released, and a per-query spill directory removed here; the
+    /// ledger — and with it a [`wake_store::GlobalGovernor`] lease — goes
+    /// when the stream is dropped. The stream is fused afterwards, except
+    /// that a genuine node failure observed during shutdown is yielded on
+    /// the next poll rather than swallowed. Idempotent.
+    pub fn stop(&mut self) {
+        self.sink.fuse();
+        if let Some(mut driver) = self.driver.take() {
+            self.pending_err = driver.shutdown().err();
+        }
+    }
+
+    /// [`Self::stop`], then the final run statistics. Any error a node
+    /// hit before the stop is discarded here — poll the stream to
+    /// exhaustion when failure reporting matters.
     pub fn finish(mut self) -> RunStats {
-        // Stop the driver before reading the ledger so the stats are
-        // final, not a mid-flight snapshot.
-        let _ = self.driver.shutdown();
-        self.ledger.snapshot()
+        self.stop();
+        self.stats()
     }
 
     /// Drain the stream into a materialised [`EstimateSeries`].
@@ -141,16 +196,16 @@ impl EstimateStream {
             .ok_or_else(|| DataError::Invalid("query produced no output".into()))
     }
 
-    /// OLA stopping condition (§3.1): end the stream — cancelling the
+    /// OLA stopping condition (§3.1): end the stream — stopping the
     /// query — once every row's 95 % Chebyshev interval for aggregate
     /// `column` is tighter than `rel_half_width` relative to its point
     /// estimate (e.g. `0.01` = ±1 %). The triggering estimate is still
-    /// yielded, flagged via [`StopStream::stopped_early`]; if the query
+    /// yielded, flagged via [`Self::stopped_early`]; if the query
     /// completes first, the exact final estimate ends the stream as
     /// usual. Requires a CI-enabled aggregation (`agg_with_ci`) so the
     /// frame carries `{column}__var`; polling a stream without it yields
-    /// a typed error.
-    pub fn until_confidence(self, column: impl Into<String>, rel_half_width: f64) -> StopStream {
+    /// a typed error. Replaces any condition set before.
+    pub fn until_confidence(self, column: impl Into<String>, rel_half_width: f64) -> Self {
         self.until_confidence_at(column, rel_half_width, DEFAULT_CONFIDENCE)
     }
 
@@ -160,65 +215,65 @@ impl EstimateStream {
         column: impl Into<String>,
         rel_half_width: f64,
         confidence: f64,
-    ) -> StopStream {
-        StopStream::new(
-            self,
-            StopCondition::Confidence {
-                column: column.into(),
-                rel_half_width,
-                confidence,
-            },
-        )
+    ) -> Self {
+        self.until(StopCondition::Confidence {
+            column: column.into(),
+            rel_half_width,
+            confidence,
+        })
     }
 
-    /// OLA stopping condition: end the stream — cancelling the query —
+    /// OLA stopping condition: end the stream — stopping the query —
     /// once at least `rows` base-table rows have been processed (summed
     /// across all sources; [`Estimate::rows_processed`]).
-    pub fn until_rows_processed(self, rows: u64) -> StopStream {
-        StopStream::new(self, StopCondition::Rows(rows))
+    pub fn until_rows_processed(self, rows: u64) -> Self {
+        self.until(StopCondition::Rows(rows))
     }
 
-    /// OLA stopping condition: end the stream — cancelling the query —
-    /// at the first estimate observed on or after `deadline` from now.
-    /// The triggering estimate is still yielded (it is the best answer
-    /// available at the deadline), then the query is cancelled; if the
-    /// query completes sooner, the exact final estimate ends the stream
-    /// as usual. The wake-serve server wraps every request in this as
-    /// its default per-request timeout.
+    /// OLA stopping condition: end the stream — stopping the query — at
+    /// the first estimate observed on or after `deadline` from now. The
+    /// triggering estimate is still yielded (it is the best answer
+    /// available at the deadline); if the query completes sooner, the
+    /// exact final estimate ends the stream as usual. The wake-serve
+    /// server sets this on every request as its default per-request
+    /// timeout.
     ///
     /// The check runs when an estimate arrives, so on the threaded
     /// engine a deadline that expires *between* estimates fires at the
     /// next one — estimates flow continuously, making the overshoot one
     /// inter-estimate gap at most.
-    pub fn until_deadline(self, deadline: std::time::Duration) -> StopStream {
-        StopStream::new(
-            self,
-            StopCondition::Deadline(std::time::Instant::now() + deadline),
-        )
+    pub fn until_deadline(self, deadline: Duration) -> Self {
+        self.until(StopCondition::Deadline(Instant::now() + deadline))
     }
 
-    /// A clonable, thread-safe handle that cancels this query from
-    /// another thread. Setting it makes the next poll return `None` (on
-    /// the threaded engine the node threads observe the same flag and
-    /// the pipeline winds down). The serving layer uses this to cancel a
-    /// running query when its client disconnects.
-    pub fn cancel_handle(&self) -> CancelHandle {
-        self.ledger.cancel.clone()
+    fn until(mut self, cond: StopCondition) -> Self {
+        self.cond = Some(cond);
+        self
     }
-}
 
-/// The view behind both streams' `profile()`: the record, if observability is on.
-fn profiled(stats: RunStats) -> Option<RunStats> {
-    stats.level.enabled().then_some(stats)
-}
-
-fn render_profile(profile: Option<RunStats>) -> String {
-    match profile {
-        Some(p) => p.render(),
-        None => String::from(
-            "observability is off: enable with EngineConfig::with_obs(ObsLevel::Stats) \
-             or WAKE_OBS=stats\n",
-        ),
+    /// The next estimate as the driver and the sink produce it, before
+    /// any stopping condition is consulted.
+    fn poll(&mut self) -> Option<Result<Estimate>> {
+        if !self.sink.ended() && self.ledger.cancel.is_cancelled() {
+            self.sink.fuse();
+        }
+        loop {
+            // Everything but the newest estimate may go out; the newest
+            // is held back until the driver reports the end of input.
+            if let Some(est) = self.sink.pop() {
+                return Some(Ok(est));
+            }
+            if self.sink.ended() {
+                return None;
+            }
+            // A stopped stream has a fused sink, so the driver is here.
+            let driver = self.driver.as_mut()?;
+            if let Err(e) = driver.advance(&mut self.sink) {
+                self.sink.fuse();
+                let _ = driver.shutdown();
+                return Some(Err(e));
+            }
+        }
     }
 }
 
@@ -244,32 +299,47 @@ impl CancelHandle {
     }
 }
 
+/// Without a condition the stream is the sink's sequence as is: the query
+/// is not stopped at the final estimate (the driver winds down at
+/// exhaustion or drop). With one, the stream stops the query as soon as
+/// it has nothing more to yield — after the triggering estimate, the
+/// final one, an error, or exhaustion — and surfaces a shutdown failure.
 impl Iterator for EstimateStream {
     type Item = Result<Estimate>;
 
     fn next(&mut self) -> Option<Result<Estimate>> {
-        if !self.sink.ended() && self.ledger.cancel.is_cancelled() {
-            self.sink.fuse();
+        if let Some(e) = self.pending_err.take() {
+            return Some(Err(e));
         }
-        loop {
-            // Everything but the newest estimate may go out; the newest
-            // is held back until the driver reports the end of input.
-            if let Some(est) = self.sink.pop() {
-                return Some(Ok(est));
-            }
-            if self.sink.ended() {
-                return None;
-            }
-            if let Err(e) = self.driver.advance(&mut self.sink) {
-                self.sink.fuse();
-                let _ = self.driver.shutdown();
-                return Some(Err(e));
-            }
+        let item = self.poll();
+        let Some(cond) = &self.cond else {
+            return item;
+        };
+        let stop_here = match &item {
+            Some(Ok(est)) => match cond.satisfied(est) {
+                Ok(hit) => {
+                    self.stopped_early = hit && !est.is_final;
+                    hit || est.is_final
+                }
+                Err(e) => {
+                    self.stop();
+                    return Some(Err(e));
+                }
+            },
+            // An error, or the end of the stream.
+            _ => true,
+        };
+        if stop_here {
+            self.stop();
+        }
+        match item {
+            None => self.pending_err.take().map(Err),
+            item => item,
         }
     }
 }
 
-/// What ends a [`StopStream`] besides query completion.
+/// What ends an [`EstimateStream`] besides query completion.
 enum StopCondition {
     Confidence {
         column: String,
@@ -277,7 +347,7 @@ enum StopCondition {
         confidence: f64,
     },
     Rows(u64),
-    Deadline(std::time::Instant),
+    Deadline(Instant),
 }
 
 impl StopCondition {
@@ -289,121 +359,7 @@ impl StopCondition {
                 confidence,
             } => Ok(est.max_rel_half_width(column, *confidence)? <= *rel_half_width),
             StopCondition::Rows(rows) => Ok(est.rows_processed >= *rows),
-            StopCondition::Deadline(deadline) => Ok(std::time::Instant::now() >= *deadline),
-        }
-    }
-}
-
-/// An [`EstimateStream`] with an early-stopping condition attached. Yields
-/// estimates until the condition fires (that estimate is still yielded,
-/// then the underlying query is cancelled immediately) or the query
-/// completes. Statistics remain readable after the stop. If the pipeline
-/// shutdown surfaces a genuine node failure (an operator error or panic
-/// that raced the stop — never mere cancellation noise), the error is
-/// yielded after the triggering estimate instead of being swallowed.
-pub struct StopStream {
-    inner: Option<EstimateStream>,
-    /// The query's ledger, which outlives `inner`: statistics and profile
-    /// are read from it before and after the stop alike.
-    ledger: Arc<QueryLedger>,
-    cond: StopCondition,
-    /// A node failure observed while stopping, to surface on next poll.
-    pending_err: Option<wake_data::DataError>,
-    stopped_early: bool,
-}
-
-impl StopStream {
-    fn new(stream: EstimateStream, cond: StopCondition) -> Self {
-        StopStream {
-            ledger: stream.ledger.clone(),
-            inner: Some(stream),
-            cond,
-            pending_err: None,
-            stopped_early: false,
-        }
-    }
-
-    /// True once the condition ended the stream before query completion.
-    pub fn stopped_early(&self) -> bool {
-        self.stopped_early
-    }
-
-    /// Run statistics (live while streaming; final after the stop).
-    pub fn stats(&self) -> RunStats {
-        self.ledger.snapshot()
-    }
-
-    /// [`RunStats::degraded`] alone — the spill device's poison flag,
-    /// without snapshotting the per-node profiles [`Self::stats`] builds.
-    pub fn degraded(&self) -> bool {
-        self.ledger.degraded()
-    }
-
-    /// [`Self::stats`] when it carries per-node profiles; `None` at
-    /// [`wake_obs::ObsLevel::Off`].
-    pub fn profile(&self) -> Option<RunStats> {
-        profiled(self.stats())
-    }
-
-    /// EXPLAIN ANALYZE over the stopped (or still-running) query; see
-    /// [`EstimateStream::explain_analyze`].
-    pub fn explain_analyze(&self) -> String {
-        render_profile(self.profile())
-    }
-
-    /// Stop the query now (if still running), keeping final statistics
-    /// and profile readable. The stream is fused afterwards, except that
-    /// a genuine node failure observed during shutdown is yielded on the
-    /// next poll rather than swallowed. Idempotent. The serving layer
-    /// calls this when a client disconnects mid-stream. Threads are
-    /// joined and spill files removed here; the ledger — and with it a
-    /// [`wake_store::GlobalGovernor`] lease — goes when `self` is dropped.
-    pub fn stop(&mut self) {
-        if let Some(mut stream) = self.inner.take() {
-            self.pending_err = stream.driver.shutdown().err();
-        }
-    }
-
-    /// Thread-safe cancellation handle for the underlying query; `None`
-    /// once the stream has stopped. See [`EstimateStream::cancel_handle`].
-    pub fn cancel_handle(&self) -> Option<CancelHandle> {
-        self.inner.as_ref().map(|s| s.cancel_handle())
-    }
-}
-
-impl Iterator for StopStream {
-    type Item = Result<Estimate>;
-
-    fn next(&mut self) -> Option<Result<Estimate>> {
-        if let Some(e) = self.pending_err.take() {
-            return Some(Err(e));
-        }
-        // `inner` is gone once the stream has stopped: fused.
-        match self.inner.as_mut()?.next() {
-            None => {
-                self.stop();
-                self.pending_err.take().map(Err)
-            }
-            Some(Err(e)) => {
-                self.stop();
-                Some(Err(e))
-            }
-            Some(Ok(est)) => {
-                let hit = match self.cond.satisfied(&est) {
-                    Ok(hit) => hit,
-                    Err(e) => {
-                        self.stop();
-                        return Some(Err(e));
-                    }
-                };
-                if est.is_final {
-                    self.stop();
-                } else if hit {
-                    self.stopped_early = true;
-                    self.stop();
-                }
-                Some(Ok(est))
-            }
+            StopCondition::Deadline(deadline) => Ok(Instant::now() >= *deadline),
         }
     }
 }
@@ -544,18 +500,36 @@ mod tests {
     }
 
     #[test]
-    fn stop_stream_public_stop_keeps_stats_readable() {
-        let mut stop = EngineConfig::new()
-            .start(graph(1000, 10, false))
-            .unwrap()
-            .until_rows_processed(u64::MAX);
-        let _ = stop.next().unwrap().unwrap();
-        assert!(stop.cancel_handle().is_some());
-        stop.stop();
-        stop.stop(); // idempotent
-        assert!(stop.cancel_handle().is_none());
-        let _ = stop.stats();
-        assert!(stop.next().is_none());
+    fn public_stop_keeps_stats_readable() {
+        for kind in [ExecutorKind::Stepped, ExecutorKind::Threaded] {
+            let mut stop = EngineConfig::new()
+                .with_executor(kind)
+                .start(graph(1000, 10, false))
+                .unwrap()
+                .until_rows_processed(u64::MAX);
+            let _ = stop.next().unwrap().unwrap();
+            assert!(!stop.cancel_handle().is_cancelled());
+            stop.stop();
+            stop.stop(); // idempotent
+            assert!(stop.stats().peak_state_bytes > 0, "{kind:?}");
+            assert!(stop.next().is_none(), "{kind:?}");
+            assert!(!stop.stopped_early(), "{kind:?}: stopped by hand");
+        }
+    }
+
+    #[test]
+    fn unconditioned_stream_keeps_its_driver_through_the_final_estimate() {
+        // Without a condition the final estimate is yielded by a running
+        // driver, and the stream ends the ordinary way; `finish` stops it.
+        let mut stream = EngineConfig::stepped()
+            .start(graph(100, 10, false))
+            .unwrap();
+        let series: Result<Vec<_>> = (&mut stream).collect();
+        assert!(series.unwrap().last().unwrap().is_final);
+        assert!(stream.driver.is_some());
+        assert!(stream.next().is_none());
+        assert!(!stream.stopped_early());
+        assert!(stream.finish().peak_state_bytes > 0);
     }
 
     #[test]

@@ -425,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn profile_level_captures_histograms() {
+    fn histograms_exist_at_profile_level() {
         let obs = sample_obs(ObsLevel::Profile);
         obs[1].record_work(100, 1, 40, 1, 5_000);
         let nodes = sample_stats(ObsLevel::Profile, &obs).nodes;

@@ -261,8 +261,8 @@ fn run_job(job: Job, shared: &Shared) {
         .registry
         .update(job.id, |r| r.status = QueryStatus::Running);
 
-    let stream = match shared.engine.start(job.graph) {
-        Ok(stream) => stream,
+    let mut stream = match shared.engine.start(job.graph) {
+        Ok(stream) => stream.until_deadline(job.deadline),
         Err(e) => {
             let msg = e.to_string();
             shared.registry.update(job.id, |r| {
@@ -276,27 +276,26 @@ fn run_job(job: Job, shared: &Shared) {
         }
     };
     let cancel = stream.cancel_handle();
-    let mut stop = stream.until_deadline(job.deadline);
 
     let mut error: Option<String> = None;
     let mut client_gone = false;
-    while let Some(item) = stop.next() {
+    while let Some(item) = stream.next() {
         if job.cancelled.load(Ordering::Acquire) {
             client_gone = true;
             cancel.cancel();
-            stop.stop();
+            stream.stop();
             break;
         }
         match item {
             Ok(est) => {
-                let line = estimate_line(job.id, &est, job.watch.as_deref(), stop.degraded());
+                let line = estimate_line(job.id, &est, job.watch.as_deref(), stream.degraded());
                 if job.events.send(line).is_err() {
                     // Client disconnected mid-stream: cancel through the
                     // drop-cancel contract (the flag unblocks a
                     // backpressured pipeline before the join).
                     client_gone = true;
                     cancel.cancel();
-                    stop.stop();
+                    stream.stop();
                     break;
                 }
             }
@@ -306,13 +305,13 @@ fn run_job(job: Job, shared: &Shared) {
             }
         }
     }
-    stop.stop(); // idempotent; the one snapshot below is final
+    stream.stop(); // idempotent; the one snapshot below is final
 
-    let stats = stop.stats();
-    let stopped_early = stop.stopped_early();
+    let stats = stream.stats();
+    let stopped_early = stream.stopped_early();
     // The ledger holds the query's memory lease: return it before the
     // client hears `done`.
-    drop(stop);
+    drop(stream);
     let status = if error.is_some() {
         QueryStatus::Failed
     } else if client_gone {

@@ -302,7 +302,8 @@ pub struct SpillConfig {
     /// partition's delta run may grow to this fraction of its base run
     /// before it is compacted (replayed onto the base and truncated).
     /// `None` = [`DEFAULT_DELTA_RATIO`]; `Some(0.0)` compacts on every
-    /// fold (the pre-delta-log rehydrate-fold-rewrite behavior).
+    /// fold (the pre-delta-log rehydrate-fold-rewrite behavior). Only
+    /// tests set it, directly on this struct.
     pub delta_ratio: Option<f64>,
     /// The spill device (None = the real filesystem, [`StdIo`]). Tests
     /// and benches inject [`FaultIo`] here.
@@ -356,8 +357,7 @@ impl SpillConfig {
     /// Fill every knob still unset from its ambient variable — the
     /// **per-knob** fallback: `WAKE_MEM_BUDGET` (bytes, with optional
     /// `k`/`m`/`g` suffix; unset, empty, or `0` = unbounded),
-    /// `WAKE_SPILL_DIR`, `WAKE_SPILL_DELTA_RATIO` (a non-negative
-    /// fraction; `0` = compact on every fold), and
+    /// `WAKE_SPILL_DIR`, and
     /// `WAKE_SPILL_ENOSPC_AFTER` (bytes; simulate a full spill device
     /// after that many bytes written — the CI fault lane). This is what
     /// the executors resolve through, so a whole test suite can be driven
@@ -372,9 +372,6 @@ impl SpillConfig {
         self.spill_dir = self
             .spill_dir
             .or_else(|| var("WAKE_SPILL_DIR").map(PathBuf::from));
-        self.delta_ratio = self
-            .delta_ratio
-            .or_else(|| var("WAKE_SPILL_DELTA_RATIO").and_then(|s| parse_ratio(&s)));
         self.io = self.io.or_else(|| {
             let limit = var("WAKE_SPILL_ENOSPC_AFTER").and_then(|s| parse_bytes(&s))?;
             Some(Arc::new(FaultIo::new(FaultSchedule {
@@ -453,13 +450,6 @@ pub fn parse_bytes(s: &str) -> Option<usize> {
     };
     let n: usize = digits.trim().parse().ok()?;
     (n > 0).then(|| n.saturating_mul(mult))
-}
-
-/// Parse a delta-ratio setting: any finite non-negative fraction (`0`
-/// means compact on every fold). Garbage or negatives = None (default).
-fn parse_ratio(s: &str) -> Option<f64> {
-    let r: f64 = s.trim().parse().ok()?;
-    (r.is_finite() && r >= 0.0).then_some(r)
 }
 
 /// The resolved per-operator spill plan the executor hands to each
@@ -607,13 +597,7 @@ mod tests {
     }
 
     #[test]
-    fn ratio_parsing_and_resolution() {
-        assert_eq!(parse_ratio("0.25"), Some(0.25));
-        assert_eq!(parse_ratio("0"), Some(0.0));
-        assert_eq!(parse_ratio("2"), Some(2.0));
-        assert_eq!(parse_ratio("-1"), None);
-        assert_eq!(parse_ratio("NaN"), None);
-        assert_eq!(parse_ratio("zap"), None);
+    fn ratio_resolution() {
         // Unset and invalid ratios resolve to the default; 0 is honoured
         // (compact-on-every-fold).
         let mut cfg = SpillConfig::with_budget(1 << 20);

@@ -30,12 +30,12 @@
 //!   byte budget apportioned to operators and then shards, fed by the
 //!   operators' `state_bytes()` accounting, plus shared spill telemetry
 //!   (bytes written, chunks, evictions, rehydrations, delta appends,
-//!   compactions) and the write-behind compaction policy
-//!   (`SpillConfig::delta_ratio`): spilled group-by partitions append
-//!   only the groups a fold touched to a per-partition **delta run** and
-//!   are compacted back into their base run once the delta outgrows
-//!   `delta_ratio` × base — O(delta) fold-time writes, bit-identical
-//!   estimates at any ratio.
+//!   compactions) and the write-behind compaction policy: spilled
+//!   group-by partitions append only the groups a fold touched to a
+//!   per-partition **delta run** and are compacted back into their base
+//!   run once the delta outgrows [`governor::DEFAULT_DELTA_RATIO`] × base
+//!   — O(delta) fold-time writes, bit-identical estimates at any ratio
+//!   (tests vary it through `SpillConfig::delta_ratio`).
 //! - [`SpillDir`]: lifecycle of the temp directory the spill files live
 //!   in (unique names, eager deletion, recursive cleanup on drop).
 //! - [`colfile`]: the on-disk format — runs of checksummed **chunks**,

@@ -8,8 +8,9 @@
 /// registry and the record it renders are reached from every one),
 /// both executors' drive/shutdown paths (a panic mid-shutdown leaks
 /// node threads and spill dirs), and the keyed operators with the
-/// partition layer under them (they run under spill I/O, at one shard
-/// on the polling thread with no `catch_unwind` above).
+/// partition layer and the aggregate states under them (they run under
+/// spill I/O, at one shard on the polling thread with no `catch_unwind`
+/// above).
 pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/wake-data/src/colfile.rs",
     "crates/wake-store/src/colfile.rs",
@@ -31,6 +32,7 @@ pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/wake-core/src/ops/partitions.rs",
     "crates/wake-core/src/ops/join.rs",
     "crates/wake-core/src/ops/agg_op.rs",
+    "crates/wake-core/src/agg.rs",
 ];
 
 /// `hostile-len`: decode modules — every byte here may come from a

@@ -5,8 +5,6 @@
 //! cargo run --release --example bounded_memory
 //! # or drive any program through the spill path ambiently:
 //! WAKE_MEM_BUDGET=8m cargo run --release --example quickstart
-//! # tune the write-behind delta log (0 = compact on every fold):
-//! WAKE_MEM_BUDGET=8m WAKE_SPILL_DELTA_RATIO=0.25 cargo run --release --example quickstart
 //! # keep the spill files on a disk of your choosing:
 //! WAKE_MEM_BUDGET=8m WAKE_SPILL_DIR=/mnt/scratch cargo run --release --example quickstart
 //! ```
@@ -14,11 +12,11 @@
 //! Spilled group-by partitions keep a **write-behind delta log**: a fold
 //! into an evicted partition appends only the touched groups' updated
 //! states, and the partition is rewritten (compacted) only once its
-//! delta run exceeds `spill_delta_ratio` × its base
-//! (`EngineConfig::with_spill_delta_ratio`, default 0.5). The knob trades
-//! fold-time spill writes against replay work — estimates are
-//! bit-identical at any setting; `RunStats.spill` reports how often each
-//! side fired (`delta_bytes`, `delta_chunks`, `compactions`).
+//! delta run exceeds half its base
+//! (`wake_store::governor::DEFAULT_DELTA_RATIO`). That trades fold-time
+//! spill writes against replay work — estimates are bit-identical either
+//! way; `RunStats.spill` reports how often each side fired
+//! (`delta_bytes`, `delta_chunks`, `compactions`).
 
 use std::sync::Arc;
 use wake::prelude::*;
@@ -59,11 +57,6 @@ fn main() {
     // bounded footprint.
     let mut bounded = Session::new();
     bounded.configure(|c| c.with_memory_budget(256 << 10));
-    // Write-behind delta log: let a spilled partition's delta run grow to
-    // a quarter of its base before compacting it back (0.0 would rewrite
-    // the whole partition on every fold). Purely an I/O policy — every
-    // estimate stays bit-identical.
-    bounded.configure(|c| c.with_spill_delta_ratio(0.25));
     let q = bounded
         .read(source)
         .sum("amount", &["user_id"], "total")

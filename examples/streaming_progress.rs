@@ -34,13 +34,13 @@ fn main() {
     println!("avg(l_extendedprice) over lineitem, streaming until the 95% CI is within ±2%\n");
     println!("progress      rows     estimate     ± half-width   (rel)");
 
-    let stream = EngineConfig::stepped()
+    let mut stream = EngineConfig::stepped()
         .with_obs(ObsLevel::Stats)
         .start(g)
-        .expect("valid query graph");
-    let mut stop = stream.until_confidence("avg_price", 0.02);
+        .expect("valid query graph")
+        .until_confidence("avg_price", 0.02);
     let mut last = None;
-    for estimate in &mut stop {
+    for estimate in &mut stream {
         let estimate = estimate.expect("query step");
         if estimate.frame.num_rows() == 0 {
             continue;
@@ -60,8 +60,8 @@ fn main() {
     }
 
     let last = last.expect("at least one estimate");
-    let stats = stop.stats();
-    if stop.stopped_early() {
+    let stats = stream.stats();
+    if stream.stopped_early() {
         println!(
             "\nstopped early at t = {:.1}% — the remaining {:.1}% of the scan was cancelled.",
             last.t * 100.0,
@@ -81,6 +81,6 @@ fn main() {
     // shows exactly how much work each operator did before the stop.
     println!(
         "\nexplain analyze (after cancellation):\n{}",
-        stop.explain_analyze()
+        stream.explain_analyze()
     );
 }

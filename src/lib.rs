@@ -81,10 +81,11 @@
 //!
 //! Turn on per-node profiling with
 //! [`EngineConfig::with_obs`](prelude::EngineConfig::with_obs) (or
-//! `WAKE_OBS=stats|profile`) and read the live per-node profile — rows,
+//! `WAKE_OBS=stats|profile`) and read the live per-node profiles — rows,
 //! busy time, state peaks, attributed spill and scan work — from the
-//! stream at any point, including mid-flight and after cancellation.
-//! Estimates are bit-identical at every level:
+//! stream's one statistics record, [`stats()`](prelude::EstimateStream::stats),
+//! at any point, including mid-flight and after a stop. Estimates are
+//! bit-identical at every level:
 //!
 //! ```no_run
 //! # use wake::prelude::*;
@@ -93,16 +94,15 @@
 //! let mut stream = edf.stream()?;
 //! while let Some(estimate) = stream.next() {
 //!     let estimate = estimate?;
-//!     if let Some(profile) = stream.profile() {
-//!         for node in &profile.nodes {
-//!             println!(
-//!                 "node {} [{}]: {} rows out, busy {:?}",
-//!                 node.id, node.label, node.rows_out, node.busy
-//!             );
-//!         }
+//!     for node in &stream.stats().nodes {
+//!         println!(
+//!             "node {} [{}]: {} rows out, busy {:?}",
+//!             node.id, node.label, node.rows_out, node.busy
+//!         );
 //!     }
 //!     if estimate.rows_processed > 1_000 {
-//!         break; // cancels the query; the profile stays readable
+//!         stream.stop(); // stops the query; the statistics stay readable
+//!         break;
 //!     }
 //! }
 //! println!("{}", stream.explain_analyze()); // annotated plan tree
@@ -169,7 +169,9 @@ pub use wake_store as store;
 pub use wake_tpch as tpch;
 
 /// Everything the §1 session listing (and the examples) need: the fluent
-/// session API, the streaming execution surface, and the data substrate.
+/// session API, the streaming execution surface — one
+/// [`EstimateStream`](wake_engine::EstimateStream) per query, stopping
+/// conditions and statistics included — and the data substrate.
 pub mod prelude {
     pub use crate::session::{Edf, Session};
     pub use wake_core::agg::AggSpec;

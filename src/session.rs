@@ -4,10 +4,12 @@
 //! [`Session`] owns a growing query graph plus one [`EngineConfig`]; each
 //! [`Edf`] handle is a node in the graph. [`Edf::stream`] is the execution
 //! primitive: it starts the session's configured engine and returns a
-//! lazy, cancellable [`EstimateStream`] of converging estimates (§3.1).
-//! Everything batch-shaped — [`Edf::collect`], [`Edf::collect_threaded`],
-//! [`Edf::get_final`], [`Edf::collect_stats`] — is an adapter that drains
-//! that stream.
+//! lazy, cancellable [`EstimateStream`] of converging estimates (§3.1),
+//! on which stopping conditions are set. Everything batch-shaped —
+//! [`Edf::collect`], [`Edf::get_final`], [`Edf::collect_stats`] — is an
+//! adapter that drains that stream, on the same configuration: a session
+//! runs stepped unless it is configured with
+//! `c.with_executor(ExecutorKind::Threaded)`.
 //!
 //! The paper's "watch the estimate, stop when it is good enough" loop:
 //!
@@ -70,7 +72,7 @@ use std::rc::Rc;
 use wake_core::agg::AggSpec;
 use wake_core::graph::{JoinKind, NodeId, QueryGraph};
 use wake_data::{DataFrame, TableSource};
-use wake_engine::{EngineConfig, EstimateSeries, EstimateStream, ExecutorKind, ObsLevel, RunStats};
+use wake_engine::{EngineConfig, EstimateSeries, EstimateStream, ObsLevel, RunStats};
 use wake_expr::{col, Expr};
 
 type Result<T> = std::result::Result<T, wake_data::DataError>;
@@ -326,45 +328,30 @@ impl Edf {
 
     /// **The execution primitive** (§3.1): start the session's configured
     /// engine and stream this edf's converging estimates lazily. Stop any
-    /// time by dropping the stream (the query is cancelled, node threads
-    /// joined, spill files removed); attach an OLA stopping condition
-    /// with [`EstimateStream::until_confidence`] /
-    /// [`EstimateStream::until_rows_processed`]; read spill and memory
+    /// time with [`EstimateStream::stop`] or by dropping the stream (the
+    /// query is cancelled, node threads joined, spill files removed); set
+    /// an OLA stopping condition with [`EstimateStream::until_confidence`]
+    /// / [`EstimateStream::until_rows_processed`]; read spill and memory
     /// telemetry from [`EstimateStream::stats`].
     pub fn stream(&self) -> Result<EstimateStream> {
         self.config.borrow().start(self.to_graph())
     }
 
-    /// [`Self::stream`] on an explicit engine, keeping every other
-    /// session knob.
-    pub fn stream_on(&self, kind: ExecutorKind) -> Result<EstimateStream> {
-        self.config
-            .borrow()
-            .clone()
-            .with_executor(kind)
-            .start(self.to_graph())
-    }
-
-    /// Run on the deterministic stepper, returning the materialised
-    /// estimate series (an adapter over [`Self::stream`]).
+    /// Run to completion, returning the materialised estimate series (an
+    /// adapter over [`Self::stream`]).
     pub fn collect(&self) -> Result<EstimateSeries> {
-        self.stream_on(ExecutorKind::Stepped)?.collect_series()
+        self.stream()?.collect_series()
     }
 
-    /// Run on the pipelined multi-threaded engine (§7.2).
-    pub fn collect_threaded(&self) -> Result<EstimateSeries> {
-        self.stream_on(ExecutorKind::Threaded)?.collect_series()
-    }
-
-    /// Run on the session's configured engine, returning the estimate
-    /// series plus run statistics (peak operator state, spill telemetry).
+    /// [`Self::collect`] plus the run statistics (peak operator state,
+    /// spill telemetry).
     pub fn collect_stats(&self) -> Result<(EstimateSeries, RunStats)> {
         self.stream()?.collect_with_stats()
     }
 
     /// `edf.get_final()` (§3.1): block until the exact answer.
     pub fn get_final(&self) -> Result<std::sync::Arc<DataFrame>> {
-        self.stream_on(ExecutorKind::Stepped)?.final_frame()
+        self.stream()?.final_frame()
     }
 
     /// EXPLAIN ANALYZE: run this query to completion on the session's
@@ -393,6 +380,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use wake_data::{Column, DataType, Field, MemorySource, Schema, Value};
+    use wake_engine::ExecutorKind;
     use wake_expr::lit_f64;
 
     fn source() -> MemorySource {
@@ -469,7 +457,8 @@ mod tests {
         let t = s.read(source());
         let q = t.count(&["k"], "n").sort(&["k"], &[false]);
         let a = q.collect().unwrap();
-        let b = q.collect_threaded().unwrap();
+        s.configure(|c| c.with_executor(ExecutorKind::Threaded));
+        let b = q.collect().unwrap();
         assert_eq!(
             a.last().unwrap().frame.as_ref(),
             b.last().unwrap().frame.as_ref()
@@ -545,10 +534,10 @@ mod tests {
 
     #[test]
     fn delta_ratio_knob_spills_identically() {
-        // The session-level delta-log knob must not change answers, and
-        // its two extremes must show up in the spill telemetry: ratio 0
-        // compacts every fold (no delta appends), a huge ratio only
-        // appends deltas (no compactions after eviction).
+        // At the fixed delta-log compaction ratio a spilling session must
+        // answer every estimate bit for bit like an unbounded one, and its
+        // telemetry must show both sides of the write-behind policy at
+        // work — delta appends and compactions.
         let schema = Arc::new(Schema::new(vec![
             Field::new("k", DataType::Int64),
             Field::new("v", DataType::Float64),
@@ -562,31 +551,25 @@ mod tests {
         )
         .unwrap();
         let source = || MemorySource::from_frame("big", &frame, 300, vec![], None).unwrap();
-        let run = |ratio: Option<f64>| {
+        let run = |budget: Option<usize>| {
             let mut s = Session::new();
-            s.configure(|c| c.with_memory_budget(2048));
-            if let Some(r) = ratio {
-                s.configure(|c| c.with_spill_delta_ratio(r));
-            }
+            s.configure(|c| match budget {
+                Some(bytes) => c.with_memory_budget(bytes),
+                None => c.unbounded_memory(),
+            });
             let t = s.read(source());
             let q = t.sum("v", &["k"], "sv").sort(&["k"], &[false]);
             q.collect_stats().unwrap()
         };
-        let (legacy, legacy_stats) = run(Some(0.0));
-        let (delta, delta_stats) = run(Some(1e12));
-        let (default, _) = run(None);
-        assert_eq!(legacy.len(), delta.len());
-        for (a, b) in legacy.iter().zip(delta.iter()) {
+        let (resident, _) = run(None);
+        let (spilled, stats) = run(Some(2048));
+        assert_eq!(resident.len(), spilled.len());
+        for (a, b) in resident.iter().zip(spilled.iter()) {
             assert_eq!(a.frame.as_ref(), b.frame.as_ref());
         }
-        assert_eq!(
-            legacy.last().unwrap().frame.as_ref(),
-            default.last().unwrap().frame.as_ref()
-        );
-        assert_eq!(legacy_stats.spill.delta_bytes, 0);
-        assert!(legacy_stats.spill.compactions > 0);
-        assert!(delta_stats.spill.delta_bytes > 0);
-        assert_eq!(delta_stats.spill.compactions, 0);
+        assert!(stats.spill.evictions > 0, "{:?}", stats.spill);
+        assert!(stats.spill.delta_bytes > 0, "{:?}", stats.spill);
+        assert!(stats.spill.compactions > 0, "{:?}", stats.spill);
     }
 
     #[test]
@@ -604,7 +587,8 @@ mod tests {
         let q = t.sum("v", &["k"], "sv").sort(&["k"], &[false]);
         let got = q.get_final().unwrap();
         assert_eq!(want.as_ref(), got.as_ref());
-        let threaded = q.collect_threaded().unwrap();
+        bounded.configure(|c| c.with_executor(ExecutorKind::Threaded));
+        let threaded = q.collect().unwrap();
         assert_eq!(threaded.last().unwrap().frame.as_ref(), want.as_ref());
     }
 

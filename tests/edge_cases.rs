@@ -241,3 +241,37 @@ fn filter_dropping_everything_then_aggregating() {
     // row; edf reports the empty group set, which downstream ops accept).
     assert_eq!(series.final_frame().num_rows(), 0);
 }
+
+#[test]
+fn median_over_a_nan_orders_it_last_on_both_drivers() {
+    // A NaN in a quantile's input sorts after every number (PostgreSQL's
+    // order) instead of panicking the node mid-stream: the median of
+    // {1, NaN, 3} is 3, and every estimate before it is an answer too.
+    use wake::engine::ExecutorKind;
+    let src = MemorySource::from_frame(
+        "t",
+        &frame(vec![0, 0, 0], vec![1.0, f64::NAN, 3.0]),
+        1,
+        vec![],
+        None,
+    )
+    .unwrap();
+    for kind in [ExecutorKind::Stepped, ExecutorKind::Threaded] {
+        let mut g = QueryGraph::new();
+        let r = g.read(src.clone());
+        let a = g.agg(r, vec![], vec![AggSpec::median(col("v"), "m")]);
+        g.sink(a);
+        let series = EngineConfig::new()
+            .with_executor(kind)
+            .start(g)
+            .unwrap()
+            .collect_series()
+            .unwrap();
+        assert!(series.last().unwrap().is_final, "{kind:?}");
+        assert_eq!(
+            series.final_frame().value(0, "m").unwrap(),
+            Value::Float(3.0),
+            "{kind:?}"
+        );
+    }
+}

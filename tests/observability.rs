@@ -83,8 +83,9 @@ fn obs_off_reports_no_profile() {
         .start(high_card_graph(&db))
         .unwrap();
     stream.next().unwrap().unwrap();
-    assert!(stream.profile().is_none());
-    assert!(stream.stats().nodes.is_empty());
+    let stats = stream.stats();
+    assert!(!stats.level.enabled());
+    assert!(stats.nodes.is_empty());
     assert!(stream.explain_analyze().contains("observability is off"));
 }
 
@@ -118,9 +119,6 @@ fn per_node_profiles_sum_to_rollups_on_both_engines() {
                 est.unwrap();
             }
             let stats = stream.stats();
-            // `profile()` is the same record, seen through "is obs on".
-            assert_eq!(stream.profile().map(|p| p.nodes), Some(stats.nodes.clone()));
-
             assert_eq!(stats.total_scan(), stats.scan, "{name} {kind:?}");
             assert_eq!(stats.total_spill(), stats.spill, "{name} {kind:?}");
             let peaks = stats.peak_state_upper_bound();
@@ -210,8 +208,7 @@ fn estimates_carry_monotone_telemetry_deltas() {
     assert_eq!(last.spill_bytes, stats.spill.spilled_bytes as u64);
     // Per-node attribution over a real segment scan: the read node owns
     // every decompressed byte of the rollup.
-    let profile = stream.profile().expect("profile at Stats level");
-    let read = profile
+    let read = stats
         .nodes
         .iter()
         .find(|n| n.label.starts_with("Read"))
@@ -222,7 +219,7 @@ fn estimates_carry_monotone_telemetry_deltas() {
 }
 
 #[test]
-fn profiles_survive_cancellation_on_both_engines() {
+fn stats_survive_cancellation_on_both_engines() {
     // Cancel mid-query (the paper's stop-early loop) and read the full
     // profile afterwards: the work done before the stop must be there.
     let db = db();
@@ -232,12 +229,12 @@ fn profiles_survive_cancellation_on_both_engines() {
             .with_obs(ObsLevel::Profile)
             .start(high_card_graph(&db))
             .unwrap();
-        let mut stop = stream.until_rows_processed(1_000);
-        for est in &mut stop {
+        let mut stream = stream.until_rows_processed(1_000);
+        for est in &mut stream {
             est.unwrap();
         }
-        assert!(stop.stopped_early(), "{kind:?}");
-        let profile = stop.profile().expect("profile after cancellation");
+        assert!(stream.stopped_early(), "{kind:?}");
+        let profile = stream.stats();
         let read = profile
             .nodes
             .iter()
@@ -247,14 +244,14 @@ fn profiles_survive_cancellation_on_both_engines() {
             read.rows_out >= 1_000,
             "{kind:?}: pre-cancel work missing from the profile"
         );
-        let rendered = stop.explain_analyze();
+        let rendered = stream.explain_analyze();
         assert!(rendered.contains("Agg"), "{kind:?}: {rendered}");
         assert!(rendered.contains("rows"), "{kind:?}: {rendered}");
     }
 }
 
 #[test]
-fn profiles_survive_error_termination_on_both_engines() {
+fn stats_survive_error_termination_on_both_engines() {
     // An unreadable spill device kills the query with a typed error; the
     // profile must stay readable (and populated) afterwards, with no
     // leaked threads — the drop path already enforced by the fault
@@ -286,9 +283,7 @@ fn profiles_survive_error_termination_on_both_engines() {
             }
         }
         assert!(saw_error, "{kind:?}: the fault must surface");
-        let profile = stream
-            .profile()
-            .expect("profile readable after error termination");
+        let profile = stream.stats();
         assert!(
             profile.nodes.iter().any(|n| n.rows_out > 0),
             "{kind:?}: pre-error work missing"
@@ -314,7 +309,7 @@ fn explain_analyze_annotates_the_plan_tree() {
     for label in ["Read", "Agg", "rows"] {
         assert!(rendered.contains(label), "missing {label} in:\n{rendered}");
     }
-    let json = stream.profile().unwrap().to_json();
+    let json = stream.stats().to_json();
     assert!(json.contains("\"nodes\""), "{json}");
     assert!(json.contains("\"rows_out\""), "{json}");
     assert_eq!(

@@ -153,9 +153,9 @@ proptest! {
             let mut ba = observe(r);
             ba.merge(&observe(l)).unwrap();
             let ctx = ScaleContext::exact();
-            let w = whole.finalize(xs.len() as f64, &ctx).value;
-            let vab = ab.finalize(xs.len() as f64, &ctx).value;
-            let vba = ba.finalize(xs.len() as f64, &ctx).value;
+            let w = whole.finalize(&ctx).value;
+            let vab = ab.finalize(&ctx).value;
+            let vba = ba.finalize(&ctx).value;
             let close = |a: &Value, b: &Value| match (a.as_f64(), b.as_f64()) {
                 (Some(a), Some(b)) => (a - b).abs() < 1e-9 * (1.0 + a.abs()),
                 _ => a == b,

@@ -162,6 +162,38 @@ fn dropping_threaded_stream_with_spill_budget_cleans_spill_dir() {
 }
 
 #[test]
+fn stop_releases_threads_and_spill_dir_while_the_stream_lives() {
+    // `stop()` is the drop path without the drop: every thread joined and
+    // the per-query spill dir gone when it returns, the statistics still
+    // readable from the live handle, the stream fused.
+    let _guard = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    let data = Arc::new(TpchData::generate(0.01, 24));
+    let db = TpchDb::new(data, 32);
+    for config in thread_owning_configs() {
+        let baseline = thread_count();
+        let mut stream = config
+            .with_memory_budget(16 << 10)
+            .start(high_card_graph(&db))
+            .unwrap();
+        let spill_dir = stream.spill_dir().expect("budgeted query has a spill dir");
+        while stream.stats().spill.evictions == 0 {
+            stream.next().expect("spills before the end").unwrap();
+        }
+        stream.stop();
+        stream.stop(); // idempotent
+        let after = settled_thread_count(baseline);
+        assert!(
+            after <= baseline,
+            "stop() left threads: {baseline} before, {after} after"
+        );
+        assert!(!spill_dir.exists(), "stop() removes the spill dir");
+        assert!(stream.stats().spill.evictions > 0, "stats outlive the stop");
+        assert!(stream.next().is_none(), "a stopped stream is fused");
+        assert!(!stream.stopped_early(), "no condition was set");
+    }
+}
+
+#[test]
 fn threaded_stream_exhaustion_also_cleans_spill_dir() {
     let _guard = THREADS.lock().unwrap_or_else(|e| e.into_inner());
     let data = Arc::new(TpchData::generate(0.002, 23));
