@@ -281,6 +281,31 @@ fn bench_sharded_operators(c: &mut Criterion) {
         );
     }
 
+    // Global (zero-key) aggregate: every row folds into the one group, as
+    // in TPC-H Q6/Q14/Q17/Q19.
+    group.bench_with_input(
+        BenchmarkId::new("global_agg_1m", "S1"),
+        &gb_update,
+        |b, upd| {
+            b.iter(|| {
+                let mut op = AggOp::new(
+                    &gb_meta,
+                    vec![],
+                    vec![
+                        AggSpec::sum(col("v"), "s"),
+                        AggSpec::count_star("n"),
+                        AggSpec::min(col("v"), "mn"),
+                        AggSpec::avg(col("v"), "a"),
+                        AggSpec::count_distinct(col("v"), "cd"),
+                    ],
+                    false,
+                )
+                .unwrap();
+                black_box(op.on_update(0, upd).unwrap())
+            })
+        },
+    );
+
     // Symmetric hash join: 1M unique build keys, 1M probes with ~50% hit
     // rate (FK-style), matched pairs gathered into output frames.
     let j_schema = Arc::new(Schema::new(vec![

@@ -6,6 +6,12 @@
 //! the exact value set, per the paper's footnote 3; avg/var: `(count, sum,
 //! sum-of-squares)`), and a **finalizer** that turns raw partials into
 //! unbiased extrinsic estimates via growth-based scaling.
+//!
+//! Each kind's fold rule lives here once. [`AggState::fold_column`] is the
+//! one kernel that observes input: it folds a typed column into a slice of
+//! states, row `i` into `states[slots[i]]`, for every kind and column type.
+//! [`AggState::observe`] folds one `Value` and is the reference the tests
+//! hold the kernel to, bit for bit.
 
 use crate::Result;
 use std::collections::HashSet;
@@ -354,8 +360,8 @@ impl DistinctSet {
         }
     }
 
-    /// Dynamic-value insert (the non-columnar path). Nulls are skipped by
-    /// the caller.
+    /// Dynamic-value insert (the per-value reference path). Nulls are
+    /// skipped by the caller.
     pub fn insert_value(&mut self, v: &Value) {
         match v {
             Value::Null => {}
@@ -498,11 +504,11 @@ pub enum AggState {
     Sample { values: Vec<f64>, q: f64 },
 }
 
-/// Min/max update shared by the per-`Value` and columnar observation paths:
-/// track the extremum plus the runner-up (the runner-up feeds the spacing
-/// variance heuristic).
+/// Min/max update shared by the kernel, the per-`Value` reference and the
+/// merge: track the extremum plus the runner-up (the runner-up feeds the
+/// spacing variance heuristic).
 #[inline]
-pub(crate) fn observe_extreme(
+fn observe_extreme(
     best: &mut Option<Value>,
     second: &mut Option<Value>,
     is_min: bool,
@@ -526,48 +532,73 @@ pub(crate) fn observe_extreme(
     }
 }
 
-/// Borrowed numeric payload of a column: the typed view the columnar
-/// observation kernels iterate, with `Int64`/`Date` sharing storage.
+/// A numeric column's cells widened to `f64`, as [`Value::as_f64`] widens
+/// them; `Int64` and `Date` share storage. Bool and Utf8 cells have no
+/// `f64`, so they have no view.
 #[derive(Clone, Copy)]
-pub(crate) enum NumView<'a> {
+enum NumView<'a> {
     Int(&'a [i64]),
     Float(&'a [f64]),
 }
 
 impl<'a> NumView<'a> {
-    /// Numeric view plus the column's declared type (needed to rebuild
-    /// exact typed `Value`s for min/max). `None` for Bool/Utf8 columns.
-    pub(crate) fn of(col: &'a Column) -> Option<(NumView<'a>, DataType)> {
+    fn of(col: &'a Column) -> Option<NumView<'a>> {
         match col.data() {
-            ColumnData::Int64(v) => Some((NumView::Int(v), DataType::Int64)),
-            ColumnData::Date(v) => Some((NumView::Int(v), DataType::Date)),
-            ColumnData::Float64(v) => Some((NumView::Float(v), DataType::Float64)),
-            _ => None,
+            ColumnData::Int64(v) | ColumnData::Date(v) => Some(NumView::Int(v)),
+            ColumnData::Float64(v) => Some(NumView::Float(v)),
+            ColumnData::Bool(_) | ColumnData::Utf8(_) => None,
         }
     }
 
     #[inline]
-    pub(crate) fn get(self, i: usize) -> f64 {
+    fn get(self, i: usize) -> f64 {
         match self {
             NumView::Int(v) => v[i] as f64,
             NumView::Float(v) => v[i],
         }
     }
+}
 
-    /// Exact typed cell (no i64 → f64 round-trip for integers).
-    #[inline]
-    pub(crate) fn value(self, i: usize, dtype: DataType) -> Value {
-        match (self, dtype) {
-            (NumView::Int(v), DataType::Date) => Value::Date(v[i]),
-            (NumView::Int(v), _) => Value::Int(v[i]),
-            (NumView::Float(v), _) => Value::Float(v[i]),
+/// Call `f(&mut states[slots[row]], row)` for every row `mask` marks valid
+/// (every row when there is no mask), in row order.
+#[inline]
+fn scatter(
+    states: &mut [AggState],
+    slots: &[u32],
+    mask: Option<&[bool]>,
+    mut f: impl FnMut(&mut AggState, usize),
+) {
+    for (row, &slot) in slots.iter().enumerate() {
+        if mask.is_none_or(|m| m[row]) {
+            f(&mut states[slot as usize], row);
         }
     }
+}
+
+/// [`scatter`] for count-distinct: `insert` puts a row's cell into its
+/// group's set, which also counts the observation.
+#[inline]
+fn scatter_distinct(
+    states: &mut [AggState],
+    slots: &[u32],
+    mask: Option<&[bool]>,
+    insert: impl Fn(&mut DistinctSet, usize),
+) {
+    scatter(states, slots, mask, |st, row| {
+        if let AggState::Distinct { set, n } = st {
+            insert(set, row);
+            *n += 1.0;
+        }
+    })
 }
 
 impl AggState {
     /// Fold one input cell into the state. `value` is the evaluated
     /// aggregate expression; `weight` only applies to `WeightedAvg`.
+    ///
+    /// The per-value reference: the engine folds through
+    /// [`fold_column`](Self::fold_column), and the tests hold that kernel
+    /// to this, bit for bit.
     pub fn observe(&mut self, value: &Value, weight: Option<&Value>) {
         match self {
             AggState::Count { n } => {
@@ -606,85 +637,103 @@ impl AggState {
         }
     }
 
-    /// Columnar observation (vectorized `observe`): fold *every* row of
-    /// `col` into this one state with a per-type kernel over the raw
-    /// `ColumnData` slice and validity mask — no `Value` is materialised
-    /// for count/sum/mean/var/quantile kernels, and min/max build one only
-    /// per candidate row. Semantically identical to calling
-    /// [`observe`](Self::observe) per row in row order (same float
-    /// accumulation order).
-    ///
-    /// Returns `false` when no kernel covers this state/column pairing
-    /// (non-numeric inputs, count-distinct's exact value set) — the caller
-    /// must then fall back to the per-row path.
-    pub fn observe_column(&mut self, col: &Column, weight: Option<&Column>) -> bool {
+    /// The fold kernel: observe row `i` of `col` — and of `weight`, which
+    /// only `WeightedAvg` reads — into `states[slots[i]]`, for every row in
+    /// row order. All of `states` come from one spec. Each kind reads the
+    /// typed column buffer and its validity mask; only min/max build a
+    /// `Value` per cell. For every state this is [`observe`](Self::observe)
+    /// over the same cells in the same order, bit for bit: nulls are
+    /// skipped, Bool/Utf8 cells feed no moment or sample, and a count
+    /// adds 1.0 per row, which stays exact.
+    pub fn fold_column(
+        states: &mut [AggState],
+        slots: &[u32],
+        col: &Column,
+        weight: Option<&Column>,
+    ) {
+        let Some(first) = slots.first().and_then(|&s| states.get(s as usize)) else {
+            return;
+        };
         let valid = col.validity();
-        let n = col.len();
-        macro_rules! each {
-            (|$i:ident| $body:expr) => {
-                match valid {
-                    None => {
-                        for $i in 0..n {
-                            $body
-                        }
-                    }
-                    Some(mask) => {
-                        for $i in 0..n {
-                            if mask[$i] {
-                                $body
-                            }
-                        }
-                    }
+        let num = NumView::of(col);
+        match first {
+            AggState::Count { .. } => scatter(states, slots, valid, |st, _| {
+                if let AggState::Count { n } = st {
+                    *n += 1.0;
                 }
-            };
-        }
-        match (self, NumView::of(col)) {
-            // Count-distinct observes through the typed set, which covers
-            // every column type (including Bool/Utf8, where NumView bails).
-            (AggState::Distinct { set, n }, _) => observe_distinct_column(set, n, col),
-            (_, None) => return false,
-            (AggState::Count { n: count }, Some(_)) => {
-                // Adding 1.0 per valid row is exact; bulk-add the count.
-                *count += match valid {
-                    None => n as f64,
-                    Some(mask) => mask.iter().filter(|&&b| b).count() as f64,
+            }),
+            AggState::Sum { .. } | AggState::Avg { .. } | AggState::Dispersion { .. } => {
+                let Some(num) = num else { return };
+                scatter(states, slots, valid, |st, row| {
+                    if let AggState::Sum { m }
+                    | AggState::Avg { m }
+                    | AggState::Dispersion { m, .. } = st
+                    {
+                        m.observe(num.get(row));
+                    }
+                })
+            }
+            AggState::Sample { .. } => {
+                let Some(num) = num else { return };
+                scatter(states, slots, valid, |st, row| {
+                    if let AggState::Sample { values, .. } = st {
+                        values.push(num.get(row));
+                    }
+                })
+            }
+            AggState::WeightedAvg { .. } => {
+                let Some((num, weight)) = num.zip(weight) else {
+                    return;
                 };
+                let Some(wnum) = NumView::of(weight) else {
+                    return;
+                };
+                let wvalid = weight.validity();
+                scatter(states, slots, valid, |st, row| {
+                    if let (true, AggState::WeightedAvg { m_wv, m_w }) =
+                        (wvalid.is_none_or(|m| m[row]), st)
+                    {
+                        let w = wnum.get(row);
+                        m_wv.observe(w * num.get(row));
+                        m_w.observe(w);
+                    }
+                })
             }
-            (
-                AggState::Sum { m } | AggState::Avg { m } | AggState::Dispersion { m, .. },
-                Some((view, _)),
-            ) => each!(|i| m.observe(view.get(i))),
-            (AggState::Sample { values, .. }, Some((view, _))) => {
-                each!(|i| values.push(view.get(i)))
-            }
-            (
-                AggState::Extreme {
+            AggState::Extreme { .. } => scatter(states, slots, valid, |st, row| {
+                if let AggState::Extreme {
                     best,
                     second,
                     is_min,
-                },
-                Some((view, dtype)),
-            ) => {
-                let is_min = *is_min;
-                each!(|i| observe_extreme(best, second, is_min, &view.value(i, dtype)))
-            }
-            (AggState::WeightedAvg { m_wv, m_w }, Some((view, _))) => {
-                let Some(weight) = weight else { return false };
-                let Some((wview, _)) = NumView::of(weight) else {
-                    return false;
-                };
-                let wvalid = weight.validity();
-                for i in 0..n {
-                    let ok = valid.is_none_or(|m| m[i]) && wvalid.is_none_or(|m| m[i]);
-                    if ok {
-                        let w = wview.get(i);
-                        m_wv.observe(w * view.get(i));
-                        m_w.observe(w);
-                    }
+                } = st
+                {
+                    observe_extreme(best, second, *is_min, &col.value(row));
                 }
-            }
+            }),
+            AggState::Distinct { .. } => match col.data() {
+                ColumnData::Int64(v) | ColumnData::Date(v) => {
+                    scatter_distinct(states, slots, valid, |s, row| s.insert_num(v[row] as f64))
+                }
+                ColumnData::Float64(v) => {
+                    scatter_distinct(states, slots, valid, |s, row| s.insert_num(v[row]))
+                }
+                ColumnData::Bool(v) => {
+                    scatter_distinct(states, slots, valid, |s, row| s.insert_bool(v[row]))
+                }
+                ColumnData::Utf8(v) => {
+                    scatter_distinct(states, slots, valid, |s, row| s.insert_str(&v[row]))
+                }
+            },
         }
-        true
+    }
+
+    /// Approximate bytes (peak-memory accounting): a per-state constant
+    /// plus the variable-size contents of a set or sample.
+    pub fn byte_size(&self) -> usize {
+        32 + match self {
+            AggState::Distinct { set, .. } => set.byte_size(),
+            AggState::Sample { values, .. } => values.len() * 8,
+            _ => 0,
+        }
     }
 
     /// Key-based merge `⊕` (§2.2): combine another partial for the same key.
@@ -710,24 +759,9 @@ impl AggState {
                     ..
                 },
             ) => {
-                let is_min = *is_min;
+                // Re-observe the other side's extremes.
                 for v in [ob, os].into_iter().flatten() {
-                    // Re-observe the other side's extremes.
-                    let mut tmp = AggState::Extreme {
-                        best: best.take(),
-                        second: second.take(),
-                        is_min,
-                    };
-                    tmp.observe(v, None);
-                    if let AggState::Extreme {
-                        best: nb,
-                        second: ns,
-                        ..
-                    } = tmp
-                    {
-                        *best = nb;
-                        *second = ns;
-                    }
+                    observe_extreme(best, second, *is_min, v);
                 }
             }
             (AggState::Distinct { set, n }, AggState::Distinct { set: os, n: on }) => {
@@ -920,48 +954,6 @@ fn nan_last(a: &f64, b: &f64) -> std::cmp::Ordering {
         .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
-/// Columnar count-distinct observation: one typed pass over the column,
-/// inserting into the group's [`DistinctSet`]. Covers every column type
-/// (the one aggregate `NumView` could not serve).
-pub(crate) fn observe_distinct_column(set: &mut DistinctSet, n: &mut f64, col: &Column) {
-    macro_rules! kernel {
-        ($values:expr, $insert:expr) => {
-            match col.validity() {
-                None => {
-                    for v in $values {
-                        $insert(set, v);
-                    }
-                    *n += col.len() as f64;
-                }
-                Some(mask) => {
-                    for (i, v) in $values.enumerate() {
-                        if mask[i] {
-                            $insert(set, v);
-                            *n += 1.0;
-                        }
-                    }
-                }
-            }
-        };
-    }
-    match col.data() {
-        ColumnData::Int64(v) | ColumnData::Date(v) => {
-            kernel!(v.iter(), |s: &mut DistinctSet, x: &i64| s
-                .insert_num(*x as f64))
-        }
-        ColumnData::Float64(v) => {
-            kernel!(v.iter(), |s: &mut DistinctSet, x: &f64| s.insert_num(*x))
-        }
-        ColumnData::Bool(v) => {
-            kernel!(v.iter(), |s: &mut DistinctSet, x: &bool| s.insert_bool(*x))
-        }
-        ColumnData::Utf8(v) => {
-            kernel!(v.iter(), |s: &mut DistinctSet, x: &Arc<str>| s
-                .insert_str(x))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1118,136 +1110,112 @@ mod tests {
         assert_eq!(st.finalize(&ScaleContext::exact()).value, Value::Null);
     }
 
+    /// Same state, bit for bit: equal `put_agg_state` bytes. A count-distinct
+    /// set compares by content instead, since its hash order differs from
+    /// one set to the next.
+    fn same_state(a: &AggState, b: &AggState) -> bool {
+        match (a, b) {
+            (AggState::Distinct { set, n }, AggState::Distinct { set: os, n: on }) => {
+                set == os && n.to_bits() == on.to_bits()
+            }
+            _ => {
+                let (mut x, mut y) = (Vec::new(), Vec::new());
+                crate::ops::spill::put_agg_state(&mut x, a);
+                crate::ops::spill::put_agg_state(&mut y, b);
+                x == y
+            }
+        }
+    }
+
     #[test]
-    fn observe_column_matches_per_row_observe() {
-        // Per-type columnar kernels must agree exactly with the Value path
-        // (same accumulation order), across dtypes, nulls, and weights.
-        let int_col = Column::from_values(
-            DataType::Int64,
-            &[
-                Value::Int(5),
-                Value::Null,
-                Value::Int(-3),
-                Value::Int(i64::MAX),
-                Value::Int(8),
-            ],
-        )
-        .unwrap();
-        let float_col = Column::from_f64(vec![1.5, -2.0, 0.0, 7.25, 3.0]);
-        let date_col = Column::from_dates(vec![10, 20, 5, 40, 30]);
-        let weight = Column::from_values(
-            DataType::Float64,
-            &[
-                Value::Float(1.0),
-                Value::Float(2.0),
-                Value::Null,
-                Value::Float(0.5),
-                Value::Float(4.0),
-            ],
-        )
-        .unwrap();
+    fn fold_column_matches_per_value_observe() {
+        // The one kernel against the per-value reference, for every kind,
+        // every column type with nulls, every kind of weight, and one group
+        // or three groups under pseudo-random slots: each group's state
+        // must be what `observe` makes of that group's rows.
+        let rows = 40;
+        let column = |dtype, cell: &dyn Fn(usize) -> Value| {
+            Column::from_values(dtype, &(0..rows).map(cell).collect::<Vec<_>>()).unwrap()
+        };
+        let data = [
+            column(DataType::Int64, &|i| match (i % 7, i % 5) {
+                (3, _) => Value::Null,
+                // Exact i64 extremes: an f64 round trip would tie these.
+                (_, 0) => Value::Int(i64::MAX),
+                (_, 1) => Value::Int(i64::MAX - 1),
+                _ => Value::Int((i * 37 % 11) as i64 - 5),
+            }),
+            column(DataType::Float64, &|i| match (i % 6, i % 9) {
+                (1, _) => Value::Null,
+                (_, 0) => Value::Float(-0.0),
+                (_, 4) => Value::Float(f64::NAN),
+                _ => Value::Float((i * 13 % 17) as f64 * 0.375 - 2.0),
+            }),
+            column(DataType::Date, &|i| match i % 8 {
+                5 => Value::Null,
+                _ => Value::Date((i * 29 % 13) as i64),
+            }),
+            column(DataType::Bool, &|i| match i % 5 {
+                2 => Value::Null,
+                _ => Value::Bool(i % 3 == 0),
+            }),
+            column(DataType::Utf8, &|i| match i % 4 {
+                1 => Value::Null,
+                _ => Value::str(format!("s{}", i * 7 % 5)),
+            }),
+        ];
+        let float_w = column(DataType::Float64, &|i| match i % 5 {
+            4 => Value::Null,
+            _ => Value::Float((i % 4) as f64 * 0.5 + 0.25),
+        });
+        let int_w = column(DataType::Int64, &|i| Value::Int(i as i64 % 3));
+        let str_w = column(DataType::Utf8, &|_| Value::str("w"));
+        let weights = [None, Some(&float_w), Some(&int_w), Some(&str_w)];
         let specs = [
             AggSpec::count_star("c"),
             AggSpec::count(col("x"), "c2"),
             AggSpec::sum(col("x"), "s"),
             AggSpec::avg(col("x"), "a"),
+            AggSpec::weighted_avg(col("x"), col("w"), "wa"),
             AggSpec::min(col("x"), "mn"),
             AggSpec::max(col("x"), "mx"),
+            AggSpec::count_distinct(col("x"), "cd"),
             AggSpec::var(col("x"), "v"),
             AggSpec::stddev(col("x"), "sd"),
-            AggSpec::median(col("x"), "med"),
-            AggSpec::weighted_avg(col("x"), col("w"), "wa"),
+            AggSpec::quantile(col("x"), 0.9, "p90"),
         ];
-        for data in [&int_col, &float_col, &date_col] {
-            for spec in &specs {
-                let w = matches!(spec.func, AggFunc::WeightedAvg).then_some(&weight);
-                let mut fast = spec.new_state();
-                assert!(
-                    fast.observe_column(data, w),
-                    "{:?} over {:?} must have a kernel",
-                    spec.func,
-                    data.data_type()
-                );
-                let mut slow = spec.new_state();
-                for i in 0..data.len() {
-                    let wv = w.map(|c| c.value(i));
-                    slow.observe(&data.value(i), wv.as_ref());
+        let mut lcg = 0x2545_f491_4f6c_dd1du64;
+        let random: Vec<u32> = (0..rows)
+            .map(|_| {
+                lcg = lcg
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (lcg >> 33) as u32 % 3
+            })
+            .collect();
+        for (groups, slots) in [(1, vec![0; rows]), (3, random)] {
+            for input in &data {
+                for w in weights {
+                    for spec in &specs {
+                        let fresh = || (0..groups).map(|_| spec.new_state()).collect::<Vec<_>>();
+                        let (mut fast, mut slow) = (fresh(), fresh());
+                        AggState::fold_column(&mut fast, &slots, input, w);
+                        for (row, &slot) in slots.iter().enumerate() {
+                            let wv = w.map(|c| c.value(row));
+                            slow[slot as usize].observe(&input.value(row), wv.as_ref());
+                        }
+                        for (a, b) in fast.iter().zip(&slow) {
+                            assert!(
+                                same_state(a, b),
+                                "{:?} over {:?}, weight {:?}, {groups} groups: {a:?} vs {b:?}",
+                                spec.func,
+                                input.data_type(),
+                                w.map(Column::data_type),
+                            );
+                        }
+                    }
                 }
-                let ctx = ScaleContext::exact();
-                assert_eq!(
-                    fast.finalize(&ctx),
-                    slow.finalize(&ctx),
-                    "func {:?} dtype {:?}",
-                    spec.func,
-                    data.data_type()
-                );
             }
-        }
-        // Exact i64 min/max: no f64 round-trip may distinguish MAX/MAX-1.
-        let big = Column::from_i64(vec![i64::MAX, i64::MAX - 1]);
-        let mut st = AggSpec::max(col("x"), "mx").new_state();
-        assert!(st.observe_column(&big, None));
-        assert_eq!(
-            st.finalize(&ScaleContext::exact()).value,
-            Value::Int(i64::MAX)
-        );
-        // Still no kernel for min/max over strings (Value path remains).
-        let s = Column::from_str_iter(["a", "b"]);
-        assert!(!AggSpec::min(col("x"), "m")
-            .new_state()
-            .observe_column(&s, None));
-    }
-
-    #[test]
-    fn distinct_kernel_covers_every_column_type() {
-        // The typed set gives count-distinct the columnar observation the
-        // other aggregates already had; the kernel must agree with the
-        // per-row Value path for every dtype, nulls included.
-        let cols = [
-            Column::from_values(
-                DataType::Int64,
-                &[
-                    Value::Int(3),
-                    Value::Null,
-                    Value::Int(3),
-                    Value::Int(-1),
-                    Value::Int(3),
-                ],
-            )
-            .unwrap(),
-            Column::from_f64(vec![1.5, -0.0, 0.0, f64::NAN, 1.5]),
-            Column::from_dates(vec![7, 7, 8, 9, 7]),
-            Column::from_bool(vec![true, true, false, true, false]),
-            Column::from_values(
-                DataType::Utf8,
-                &[
-                    Value::str("a"),
-                    Value::str(""),
-                    Value::Null,
-                    Value::str("a"),
-                    Value::str("b"),
-                ],
-            )
-            .unwrap(),
-        ];
-        for data in &cols {
-            let mut fast = AggSpec::count_distinct(col("x"), "cd").new_state();
-            assert!(
-                fast.observe_column(data, None),
-                "count-distinct must have a kernel for {:?}",
-                data.data_type()
-            );
-            let mut slow = AggSpec::count_distinct(col("x"), "cd").new_state();
-            for i in 0..data.len() {
-                slow.observe(&data.value(i), None);
-            }
-            let ctx = ScaleContext::exact();
-            assert_eq!(
-                fast.finalize(&ctx),
-                slow.finalize(&ctx),
-                "dtype {:?}",
-                data.data_type()
-            );
         }
     }
 

@@ -14,7 +14,7 @@ use crate::ops::{AggOp, FilterOp, JoinOp, MapOp, Operator, SortOp};
 use crate::update::UpdateKind;
 use crate::Result;
 use std::sync::Arc;
-use wake_data::{DataError, Schema, TableSource};
+use wake_data::{DataError, TableSource};
 use wake_expr::Expr;
 
 /// Intra-operator partition parallelism: how many hash-range shards a
@@ -495,16 +495,11 @@ pub fn build_operator_spilling(
     })
 }
 
-/// An empty schema placeholder (used by tests).
-pub fn empty_schema() -> Arc<Schema> {
-    Schema::empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc as StdArc;
-    use wake_data::{Column, DataFrame, DataType, Field, MemorySource, Value};
+    use wake_data::{Column, DataFrame, DataType, Field, MemorySource, Schema, Value};
     use wake_expr::{col, lit_f64};
 
     fn source() -> MemorySource {

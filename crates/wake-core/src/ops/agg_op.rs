@@ -21,11 +21,12 @@
 //! gets one vectorized [`hash_keys`] pass over the key columns, a
 //! [`GroupIndex`] maps hash → candidate group slots, and candidates are
 //! confirmed against the typed [`KeyStore`] holding each group's key tuple.
-//! Once a frame's rows are resolved to slots, the aggregate inputs are
-//! folded **column-at-a-time** (`AggState::observe_column` and the typed
-//! scatter kernels below) instead of `Value`-per-row.
+//! Once a frame's rows are resolved to slots, each aggregate input is
+//! folded **column-at-a-time** through the one kernel,
+//! [`AggState::fold_column`], into that spec's slot-indexed states; how
+//! each aggregate kind folds lives in [`crate::agg`] alone.
 //!
-//! The keyed state (`KeyStore` + `GroupIndex` + per-group `AggState`s)
+//! The keyed state (`KeyStore` + `GroupIndex` + per-spec `AggState`s)
 //! lives in a [`KeyedState`] of `S` hash-range shards, each `F` spill
 //! partitions of [`AggPart`] (see [`crate::ops::partitions`], which owns
 //! the routing, the eviction policy and the degrade ladder); frames are
@@ -38,7 +39,7 @@
 //! are identical at every shard count. `S = 1` (the `Parallelism(1)` plan)
 //! skips the scatter and is byte-identical to the unsharded operator.
 
-use crate::agg::{AggSpec, AggState, NumView, ScaleContext};
+use crate::agg::{AggSpec, AggState, ScaleContext};
 use crate::ci::variance_column;
 use crate::growth::GrowthModel;
 use crate::meta::EdfMeta;
@@ -56,14 +57,6 @@ use wake_expr::{eval_cow, infer_type, Expr};
 use wake_store::colfile::{Chunk, RunWriter};
 use wake_store::governor::{SpillEnv, SpillPlan};
 use wake_store::merge::kway_merge_refs;
-
-struct GroupData {
-    states: Vec<AggState>,
-    rows: f64,
-    /// Extra variance carried in from CI-enabled upstream aggregates
-    /// (summed per spec; see `ci` module docs).
-    carried_var: Vec<f64>,
-}
 
 /// Immutable aggregation configuration shared by the operator shell and
 /// every shard (so shard workers can run on their own threads).
@@ -84,12 +77,18 @@ struct AggConfig {
 }
 
 /// The in-memory group-by state of one spill partition (the whole shard
-/// when spilling is off).
+/// when spilling is off). Every per-group vector is indexed by group slot.
 struct AggCore {
     cfg: Arc<AggConfig>,
     index: GroupIndex,
     key_store: KeyStore,
-    groups: Vec<GroupData>,
+    /// Rows folded into each group.
+    rows: Vec<f64>,
+    /// Per spec, every group's state: the slice the fold kernel takes.
+    states: Vec<Vec<AggState>>,
+    /// Per spec, each group's extra variance carried in from CI-enabled
+    /// upstream aggregates (summed; see `ci` module docs).
+    carried_var: Vec<Vec<f64>>,
 }
 
 /// One spill partition of a shard — the payload the shared
@@ -154,20 +153,34 @@ impl AggCore {
             .iter()
             .map(|&c| cfg.input_schema.fields()[c].dtype)
             .collect();
+        let nspecs = cfg.specs.len();
         AggCore {
             key_store: KeyStore::for_types(&key_types),
             cfg,
             index: GroupIndex::new(),
-            groups: Vec::new(),
+            rows: Vec::new(),
+            states: vec![Vec::new(); nspecs],
+            carried_var: vec![Vec::new(); nspecs],
         }
     }
 
-    fn fold_frame(&mut self, frame: &DataFrame, hashes: &[u64]) -> Result<()> {
-        self.fold_frame_slots(frame, hashes).map(|_| ())
+    /// Number of groups.
+    fn len(&self) -> usize {
+        self.rows.len()
     }
 
-    /// [`Self::fold_frame`], also returning each row's resolved group
-    /// slot (the spill delta log derives the touched-group set from it).
+    /// Append an empty group (its key already pushed to the key store).
+    fn push_group(&mut self) {
+        self.rows.push(0.0);
+        for (si, spec) in self.cfg.specs.iter().enumerate() {
+            self.states[si].push(spec.new_state());
+            self.carried_var[si].push(0.0);
+        }
+    }
+
+    /// Fold a frame into the group states (`⊕` with each key's state),
+    /// returning each row's resolved group slot (the spill delta log
+    /// derives the touched-group set from it).
     fn fold_frame_slots(&mut self, frame: &DataFrame, hashes: &[u64]) -> Result<Vec<u32>> {
         let n = frame.num_rows();
         if n == 0 {
@@ -207,40 +220,21 @@ impl AggCore {
                 None => {
                     let g = self.key_store.push_row(frame, &cfg.key_idx, row);
                     self.index.insert(h, g);
-                    self.groups.push(GroupData {
-                        states: cfg.specs.iter().map(|s| s.new_state()).collect(),
-                        rows: 0.0,
-                        carried_var: vec![0.0; cfg.specs.len()],
-                    });
+                    self.push_group();
                     g
                 }
             };
-            self.groups[slot as usize].rows += 1.0;
+            self.rows[slot as usize] += 1.0;
             slots.push(slot);
         }
-        for (si, _spec) in cfg.specs.iter().enumerate() {
-            let col: &Column = &value_cols[si];
+        for si in 0..cfg.specs.len() {
             let weight = weight_cols[si].as_deref();
-            let vectorized = if let [only] = self.groups.as_mut_slice() {
-                // Single group in this shard (global aggregates, or one
-                // key per hash range): whole-column kernel.
-                only.states[si].observe_column(col, weight)
-            } else {
-                observe_column_grouped(&mut self.groups, si, &slots, col, weight)
-            };
-            if !vectorized {
-                // Per-row Value path: non-numeric inputs without a kernel
-                // (e.g. min/max over strings).
-                for (row, &slot) in slots.iter().enumerate() {
-                    let v = col.value(row);
-                    let w = weight.map(|c| c.value(row));
-                    self.groups[slot as usize].states[si].observe(&v, w.as_ref());
-                }
-            }
+            AggState::fold_column(&mut self.states[si], &slots, &value_cols[si], weight);
             if let Some(vc) = carried_cols[si] {
+                let carried = &mut self.carried_var[si];
                 for (row, &slot) in slots.iter().enumerate() {
                     if let Some(var) = vc.f64_at(row) {
-                        self.groups[slot as usize].carried_var[si] += var;
+                        carried[slot as usize] += var;
                     }
                 }
             }
@@ -260,12 +254,12 @@ impl AggCore {
         let nagg = cfg.out_schema.len() - nkeys;
         let mut agg_cols: Vec<Vec<Value>> = vec![Vec::with_capacity(order.len()); nagg];
         for &slot in &order {
-            let g = &self.groups[slot as usize];
-            for (si, state) in g.states.iter().enumerate() {
-                let out = state.finalize(ctx);
+            let g = slot as usize;
+            for si in 0..nspecs {
+                let out = self.states[si][g].finalize(ctx);
                 agg_cols[si].push(out.value);
                 if cfg.with_variance {
-                    let var = out.variance.unwrap_or(0.0) + g.carried_var[si];
+                    let var = out.variance.unwrap_or(0.0) + self.carried_var[si][g];
                     agg_cols[nspecs + si].push(Value::Float(var));
                 }
             }
@@ -280,18 +274,14 @@ impl AggCore {
     fn state_bytes(&self) -> usize {
         // Coarse: per-group constant plus variable-size state contents,
         // plus the hash-index and key-store footprints.
-        self.groups.len() * 64
+        self.len() * 64
             + self.index.byte_size()
             + self.key_store.byte_size()
             + self
-                .groups
+                .states
                 .iter()
-                .flat_map(|g| g.states.iter())
-                .map(|s| match s {
-                    AggState::Distinct { set, .. } => 32 + set.byte_size(),
-                    AggState::Sample { values, .. } => 32 + values.len() * 8,
-                    _ => 32,
-                })
+                .flatten()
+                .map(AggState::byte_size)
                 .sum::<usize>()
     }
 
@@ -314,13 +304,13 @@ impl AggCore {
         let mut extra = Vec::with_capacity(slots.len() * (16 + nspecs * 32));
         spill_codec::put_u64(&mut extra, slots.len() as u64);
         for &slot in slots {
-            let g = &self.groups[slot as usize];
-            spill_codec::put_f64(&mut extra, g.rows);
-            for &v in &g.carried_var {
-                spill_codec::put_f64(&mut extra, v);
+            let g = slot as usize;
+            spill_codec::put_f64(&mut extra, self.rows[g]);
+            for carried in &self.carried_var {
+                spill_codec::put_f64(&mut extra, carried[g]);
             }
-            for st in &g.states {
-                spill_codec::put_agg_state(&mut extra, st);
+            for states in &self.states {
+                spill_codec::put_agg_state(&mut extra, &states[g]);
             }
         }
         Ok(Chunk {
@@ -341,9 +331,7 @@ impl AggCore {
     /// hashes are content-deterministic, so its candidates match the
     /// original insertion order slot for slot.
     fn apply_chunk(&mut self, chunk: &Chunk) -> Result<()> {
-        let cfg = self.cfg.clone();
-        let nkeys = cfg.key_idx.len();
-        let key_cols: Vec<usize> = (0..nkeys).collect();
+        let key_cols: Vec<usize> = (0..self.cfg.key_idx.len()).collect();
         let mut c = wake_data::colfile::ByteCursor::new(&chunk.extra);
         // Every group costs at least its 8-byte row count. Zero-key
         // (global) aggregates never spill, so every group has a key row.
@@ -357,40 +345,29 @@ impl AggCore {
         }
         let hashes = hash_keys(&chunk.frame, &key_cols).hashes;
         for (row, &h) in hashes.iter().enumerate() {
-            let rows = c.f64()?;
-            let mut carried_var = Vec::with_capacity(cfg.specs.len());
-            for _ in 0..cfg.specs.len() {
-                carried_var.push(c.f64()?);
-            }
-            let mut states = Vec::with_capacity(cfg.specs.len());
-            for spec in &cfg.specs {
-                let mut st = spec.new_state();
-                spill_codec::get_agg_state(&mut st, &mut c)?;
-                states.push(st);
-            }
             let existing = self
                 .index
                 .candidates(h)
                 .iter()
                 .copied()
                 .find(|&g| self.key_store.eq_row(g, &chunk.frame, &key_cols, row));
-            match existing {
-                Some(g) => {
-                    self.groups[g as usize] = GroupData {
-                        states,
-                        rows,
-                        carried_var,
-                    };
-                }
+            let g = match existing {
+                Some(g) => g as usize,
                 None => {
                     let g = self.key_store.push_row(&chunk.frame, &key_cols, row);
                     self.index.insert(h, g);
-                    self.groups.push(GroupData {
-                        states,
-                        rows,
-                        carried_var,
-                    });
+                    self.push_group();
+                    g as usize
                 }
+            };
+            // Decoding overwrites every accumulated field; the spec-side
+            // ones (`is_min`, `stddev`, `q`) are the same for every group.
+            self.rows[g] = c.f64()?;
+            for carried in &mut self.carried_var {
+                carried[g] = c.f64()?;
+            }
+            for states in &mut self.states {
+                spill_codec::get_agg_state(&mut states[g], &mut c)?;
             }
         }
         Ok(())
@@ -416,14 +393,14 @@ fn compact(
 impl AggPart {
     fn groups(&self) -> usize {
         match self {
-            AggPart::Mem(core) => core.groups.len(),
+            AggPart::Mem(core) => core.len(),
             AggPart::Spilled { groups, .. } => *groups,
         }
     }
 
     fn fold(&mut self, cfg: &Arc<AggConfig>, frame: &DataFrame, hashes: &[u64]) -> Result<()> {
         match self {
-            AggPart::Mem(core) => core.fold_frame(frame, hashes),
+            AggPart::Mem(core) => core.fold_frame_slots(frame, hashes).map(drop),
             AggPart::Spilled {
                 env,
                 base,
@@ -439,7 +416,7 @@ impl AggPart {
                 // compaction, once the delta outgrows its ratio.
                 let (mut core, torn) = AggShard::rehydrate(cfg, base, delta)?;
                 let slots = core.fold_frame_slots(frame, hashes)?;
-                *groups = core.groups.len();
+                *groups = core.len();
                 // A torn delta tail forces a compact — the rewrite
                 // durably truncates the run to its recovered state.
                 if torn {
@@ -534,7 +511,7 @@ impl Partition for AggPart {
 
     fn resident_bytes(&self) -> Option<usize> {
         match self {
-            AggPart::Mem(core) if !core.groups.is_empty() => Some(core.state_bytes()),
+            AggPart::Mem(core) if core.len() > 0 => Some(core.state_bytes()),
             _ => None,
         }
     }
@@ -550,7 +527,7 @@ impl Partition for AggPart {
         base.flush()?;
         *self = AggPart::Spilled {
             delta: env.new_run("aggd"),
-            groups: core.groups.len(),
+            groups: core.len(),
             env: env.clone(),
             base,
         };
@@ -631,157 +608,6 @@ fn merge_key_sorted(cfg: &AggConfig, partials: Vec<DataFrame>) -> Result<DataFra
         store.push(Arc::new(p));
     }
     store.gather(&order)
-}
-
-/// Typed scatter kernel: fold `col` into the per-row group states for spec
-/// `si` without materialising a `Value` per cell. All states for one spec
-/// share a variant, so the inner `if let` is perfectly predicted. Returns
-/// `false` (fall back to the row path) for non-numeric inputs and
-/// count-distinct.
-fn observe_column_grouped(
-    groups: &mut [GroupData],
-    si: usize,
-    slots: &[u32],
-    col: &Column,
-    weight: Option<&Column>,
-) -> bool {
-    let Some(&first) = slots.first() else {
-        return true; // no rows, nothing to fold
-    };
-    // Count-distinct scatters through the typed set — the one kernel that
-    // must dispatch on the column type itself (Bool/Utf8 included).
-    if matches!(groups[first as usize].states[si], AggState::Distinct { .. }) {
-        observe_distinct_grouped(groups, si, slots, col);
-        return true;
-    }
-    let Some((view, dtype)) = NumView::of(col) else {
-        return false;
-    };
-    let valid = col.validity();
-    macro_rules! scatter {
-        (|$row:ident, $st:ident| $body:expr) => {
-            match valid {
-                None => {
-                    for ($row, &slot) in slots.iter().enumerate() {
-                        let $st = &mut groups[slot as usize].states[si];
-                        $body
-                    }
-                }
-                Some(mask) => {
-                    for ($row, &slot) in slots.iter().enumerate() {
-                        if mask[$row] {
-                            let $st = &mut groups[slot as usize].states[si];
-                            $body
-                        }
-                    }
-                }
-            }
-        };
-    }
-    match &groups[first as usize].states[si] {
-        AggState::Count { .. } => scatter!(|_row, st| {
-            if let AggState::Count { n } = st {
-                *n += 1.0;
-            }
-        }),
-        AggState::Sum { .. } | AggState::Avg { .. } | AggState::Dispersion { .. } => {
-            scatter!(|row, st| {
-                if let AggState::Sum { m } | AggState::Avg { m } | AggState::Dispersion { m, .. } =
-                    st
-                {
-                    m.observe(view.get(row));
-                }
-            })
-        }
-        AggState::Sample { .. } => scatter!(|row, st| {
-            if let AggState::Sample { values, .. } = st {
-                values.push(view.get(row));
-            }
-        }),
-        AggState::Extreme { .. } => scatter!(|row, st| {
-            if let AggState::Extreme {
-                best,
-                second,
-                is_min,
-            } = st
-            {
-                crate::agg::observe_extreme(best, second, *is_min, &view.value(row, dtype));
-            }
-        }),
-        AggState::WeightedAvg { .. } => {
-            let Some((weight, (wview, _))) = weight.and_then(|w| Some((w, NumView::of(w)?))) else {
-                return false;
-            };
-            let wvalid = weight.validity();
-            for (row, &slot) in slots.iter().enumerate() {
-                let ok = valid.is_none_or(|m| m[row]) && wvalid.is_none_or(|m| m[row]);
-                if ok {
-                    if let AggState::WeightedAvg { m_wv, m_w } =
-                        &mut groups[slot as usize].states[si]
-                    {
-                        let w = wview.get(row);
-                        m_wv.observe(w * view.get(row));
-                        m_w.observe(w);
-                    }
-                }
-            }
-        }
-        AggState::Distinct { .. } => {} // scattered above
-    }
-    true
-}
-
-/// Typed scatter for count-distinct: insert each row's cell into its
-/// group's [`DistinctSet`](crate::agg::DistinctSet) with one pass over
-/// the raw column buffer — no `Value` per cell.
-fn observe_distinct_grouped(groups: &mut [GroupData], si: usize, slots: &[u32], col: &Column) {
-    use wake_data::column::ColumnData;
-    macro_rules! scatter {
-        ($values:expr, $insert:expr) => {
-            match col.validity() {
-                None => {
-                    for (row, &slot) in slots.iter().enumerate() {
-                        if let AggState::Distinct { set, n } = &mut groups[slot as usize].states[si]
-                        {
-                            $insert(set, &$values[row]);
-                            *n += 1.0;
-                        }
-                    }
-                }
-                Some(mask) => {
-                    for (row, &slot) in slots.iter().enumerate() {
-                        if mask[row] {
-                            if let AggState::Distinct { set, n } =
-                                &mut groups[slot as usize].states[si]
-                            {
-                                $insert(set, &$values[row]);
-                                *n += 1.0;
-                            }
-                        }
-                    }
-                }
-            }
-        };
-    }
-    match col.data() {
-        ColumnData::Int64(v) | ColumnData::Date(v) => {
-            scatter!(v, |s: &mut crate::agg::DistinctSet, x: &i64| s
-                .insert_num(*x as f64))
-        }
-        ColumnData::Float64(v) => {
-            scatter!(v, |s: &mut crate::agg::DistinctSet, x: &f64| s
-                .insert_num(*x))
-        }
-        ColumnData::Bool(v) => {
-            scatter!(v, |s: &mut crate::agg::DistinctSet, x: &bool| s
-                .insert_bool(*x))
-        }
-        ColumnData::Utf8(v) => {
-            scatter!(v, |s: &mut crate::agg::DistinctSet,
-                         x: &std::sync::Arc<str>| s
-                .insert_str(x))
-        }
-    }
 }
 
 /// Group-by aggregation with growth-based inference over hash-range
@@ -919,6 +745,15 @@ impl AggOp {
         self
     }
 
+    /// Pin the growth power instead of fitting it (ablation mode; no-op
+    /// when `fixed` is `None`).
+    pub fn with_fixed_growth(mut self, fixed: Option<f64>) -> Self {
+        if let Some(w) = fixed {
+            self.growth = GrowthModel::fixed(w);
+        }
+        self
+    }
+
     fn emit(&mut self, force_exact: bool) -> Result<Update> {
         let t = self.progress.t();
         let complete = self.progress.is_complete() || force_exact;
@@ -1018,22 +853,6 @@ impl Operator for AggOp {
 
     fn report(&self) -> crate::ops::OpReport {
         self.keyed.report()
-    }
-}
-
-// Expose input schema for debugging/tests.
-impl AggOp {
-    pub fn input_schema(&self) -> &Arc<Schema> {
-        &self.cfg.input_schema
-    }
-
-    /// Pin the growth power instead of fitting it (ablation mode; no-op
-    /// when `fixed` is `None`).
-    pub fn with_fixed_growth(mut self, fixed: Option<f64>) -> Self {
-        if let Some(w) = fixed {
-            self.growth = GrowthModel::fixed(w);
-        }
-        self
     }
 }
 
@@ -1512,7 +1331,7 @@ mod tests {
             let hashes = hash_keys(&f, &cfg.key_idx).hashes;
             let mut touched = core.fold_frame_slots(&f, &hashes).unwrap();
             if step <= 3 {
-                reference.fold_frame(&f, &hashes).unwrap();
+                reference.fold_frame_slots(&f, &hashes).unwrap();
             }
             if step == 1 {
                 base.push(&core.to_chunk().unwrap()).unwrap();

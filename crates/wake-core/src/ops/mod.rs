@@ -105,14 +105,6 @@ impl RowStore {
         &self.frames[idx as usize]
     }
 
-    /// Iterate all row refs in insertion order.
-    pub fn iter_refs(&self) -> impl Iterator<Item = RowRef> + '_ {
-        self.frames
-            .iter()
-            .enumerate()
-            .flat_map(|(fi, f)| (0..f.num_rows() as u32).map(move |ri| (fi as u32, ri)))
-    }
-
     /// Materialise the whole store as one frame with the given schema.
     pub fn concat(&self, schema: &Arc<Schema>) -> Result<DataFrame> {
         if self.frames.is_empty() {
@@ -259,7 +251,6 @@ mod tests {
         let schema = store.frame(0).schema().clone();
         let all = store.concat(&schema).unwrap();
         assert_eq!(all.num_rows(), 3);
-        assert_eq!(store.iter_refs().count(), 3);
         assert!(store.byte_size() > 0);
     }
 

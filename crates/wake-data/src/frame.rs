@@ -122,9 +122,17 @@ impl DataFrame {
         &self.columns[i]
     }
 
-    /// Cell access by row index and column name.
+    /// Cell access by row index and column name; a row past the end is
+    /// an error.
     pub fn value(&self, row: usize, name: &str) -> Result<Value> {
-        Ok(self.column(name)?.value(row))
+        let col = self.column(name)?;
+        if row >= self.num_rows() {
+            return Err(DataError::Invalid(format!(
+                "row {row} out of range ({} rows)",
+                self.num_rows()
+            )));
+        }
+        Ok(col.value(row))
     }
 
     /// Extract the row at `i` as dynamic values (schema order).
@@ -353,6 +361,7 @@ mod tests {
         assert!(DataFrame::new(schema.clone(), vec![]).is_err());
         let ok = DataFrame::new(schema, vec![Column::from_i64(vec![1, 2])]).unwrap();
         assert_eq!(ok.num_rows(), 2);
+        assert!(matches!(ok.value(2, "k"), Err(DataError::Invalid(_))));
     }
 
     #[test]

@@ -297,6 +297,16 @@ mod tests {
     }
 
     #[test]
+    fn interval_at_on_an_empty_estimate_is_an_error() {
+        // A group-by before its first group: no row 0 to read.
+        let est = ci_estimate(vec![], vec![]);
+        assert!(matches!(
+            est.interval_at(0, "s", 0.95),
+            Err(wake_data::DataError::Invalid(_))
+        ));
+    }
+
+    #[test]
     fn rel_half_width_takes_worst_row() {
         // k = 2 at 75% confidence: half-widths 2·1=2 over |10| and
         // 2·2=4 over |8| -> worst 0.5.
