@@ -40,8 +40,8 @@ impl FilterOp {
 impl Operator for FilterOp {
     fn on_update(&mut self, port: usize, update: &Update) -> Result<Vec<Update>> {
         debug_assert_eq!(port, 0);
-        // Fused predicate → selection-vector kernel; the gather consumes
-        // the same `u32` representation as the partition scatter.
+        // Predicate → selection vector; the gather consumes the same
+        // `u32` representation as the partition scatter.
         let sel = eval_selection(&self.predicate, &update.frame)?;
         let filtered = update.frame.select(&sel);
         Ok(vec![Update {
@@ -119,5 +119,11 @@ mod tests {
     #[test]
     fn non_boolean_predicate_rejected() {
         assert!(FilterOp::new(&meta(UpdateKind::Delta), col("v").add(lit_f64(1.0))).is_err());
+    }
+
+    #[test]
+    fn cross_class_comparison_rejected_when_built() {
+        let p = col("k").gt(wake_expr::lit_str("1"));
+        assert!(FilterOp::new(&meta(UpdateKind::Delta), p).is_err());
     }
 }

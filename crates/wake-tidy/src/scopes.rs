@@ -10,7 +10,8 @@
 /// node threads and spill dirs), and the keyed operators with the
 /// partition layer and the aggregate states under them (they run under
 /// spill I/O, at one shard on the polling thread with no `catch_unwind`
-/// above).
+/// above), and the expression evaluator every Filter and Map runs on
+/// that same thread (`Expr` is public, so a malformed node is an error).
 pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/wake-data/src/colfile.rs",
     "crates/wake-store/src/colfile.rs",
@@ -33,6 +34,7 @@ pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/wake-core/src/ops/join.rs",
     "crates/wake-core/src/ops/agg_op.rs",
     "crates/wake-core/src/agg.rs",
+    "crates/wake-expr/src/eval.rs",
 ];
 
 /// `hostile-len`: decode modules — every byte here may come from a
