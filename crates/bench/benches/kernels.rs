@@ -192,7 +192,7 @@ fn bench_group_by(c: &mut Criterion) {
                         .copied()
                         .find(|&g| store.eq_row(g, df, &keys, row))
                         .unwrap_or_else(|| {
-                            let g = store.push_row(df, &keys, row);
+                            let g = store.push_row(df, &keys, row).unwrap();
                             index.insert(h, g);
                             sums.push(0.0);
                             g

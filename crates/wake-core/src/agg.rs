@@ -17,7 +17,7 @@ use crate::Result;
 use std::collections::HashSet;
 use std::sync::Arc;
 use wake_data::column::ColumnData;
-use wake_data::hash::canonical_f64_bits;
+use wake_data::hash::{canonical_f64_bits, cmp_f64};
 use wake_data::{Column, DataError, DataType, Value};
 use wake_expr::{lit_i64, Expr};
 use wake_stats::distinct::{distinct_variance, estimate_distinct};
@@ -897,8 +897,10 @@ impl AggState {
                         variance: None,
                     };
                 }
+                // `Value`'s order: every NaN last; a stable sort keeps
+                // `-0.0` and `0.0` (which tie) in input order.
                 let mut sorted = values.clone();
-                sorted.sort_by(nan_last);
+                sorted.sort_by(|a, b| cmp_f64(*a, *b));
                 let n = sorted.len();
                 let rank = (q * (n - 1) as f64).round() as usize;
                 let est = sorted[rank.min(n - 1)];
@@ -943,15 +945,6 @@ impl AggState {
             }
         }
     }
-}
-
-/// Ascending order with every NaN last, whatever its sign bit (as
-/// PostgreSQL orders NaN above all numbers). Non-NaN values compare as
-/// `partial_cmp` does, so `-0.0` and `0.0` tie and the stable sort keeps
-/// their input order.
-fn nan_last(a: &f64, b: &f64) -> std::cmp::Ordering {
-    a.partial_cmp(b)
-        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
 #[cfg(test)]

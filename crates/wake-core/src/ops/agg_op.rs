@@ -19,10 +19,12 @@
 //!
 //! Grouping is hash-keyed without per-row `Row` materialisation: each frame
 //! gets one vectorized [`hash_keys`] pass over the key columns, a
-//! [`GroupIndex`] maps hash → candidate group slots, and candidates are
-//! confirmed against the typed [`KeyStore`] holding each group's key tuple.
-//! Once a frame's rows are resolved to slots, each aggregate input is
-//! folded **column-at-a-time** through the one kernel,
+//! [`GroupIndex`] maps hash → candidate group slots, and one find-or-insert
+//! (`AggCore::slot_of`, shared by the fold and spill replay) confirms
+//! candidates against the [`KeyStore`] — one typed `Column` per key —
+//! under `wake_data::hash`'s one cell equality; the snapshot orders groups
+//! by its one cell order. Once a frame's rows are resolved to slots, each
+//! aggregate input is folded **column-at-a-time** through the one kernel,
 //! [`AggState::fold_column`], into that spec's slot-indexed states; how
 //! each aggregate kind folds lives in [`crate::agg`] alone.
 //!
@@ -178,6 +180,33 @@ impl AggCore {
         }
     }
 
+    /// Find-or-insert the group of the key tuple at `row` of `frame`
+    /// (`hash` is its row hash): the first candidate slot whose stored key
+    /// equals it, else a new empty group. A key cell of the wrong storage
+    /// class is a `TypeMismatch`.
+    #[inline]
+    fn slot_of(
+        &mut self,
+        frame: &DataFrame,
+        key_idx: &[usize],
+        row: usize,
+        hash: u64,
+    ) -> Result<u32> {
+        let found = self
+            .index
+            .candidates(hash)
+            .iter()
+            .copied()
+            .find(|&g| self.key_store.eq_row(g, frame, key_idx, row));
+        if let Some(g) = found {
+            return Ok(g);
+        }
+        let g = self.key_store.push_row(frame, key_idx, row)?;
+        self.index.insert(hash, g);
+        self.push_group();
+        Ok(g)
+    }
+
     /// Fold a frame into the group states (`⊕` with each key's state),
     /// returning each row's resolved group slot (the spill delta log
     /// derives the touched-group set from it).
@@ -209,21 +238,7 @@ impl AggCore {
         // then be folded column-at-a-time.
         let mut slots: Vec<u32> = Vec::with_capacity(n);
         for (row, &h) in hashes.iter().enumerate().take(n) {
-            let slot = self
-                .index
-                .candidates(h)
-                .iter()
-                .copied()
-                .find(|&g| self.key_store.eq_row(g, frame, &cfg.key_idx, row));
-            let slot = match slot {
-                Some(g) => g,
-                None => {
-                    let g = self.key_store.push_row(frame, &cfg.key_idx, row);
-                    self.index.insert(h, g);
-                    self.push_group();
-                    g
-                }
-            };
+            let slot = self.slot_of(frame, &cfg.key_idx, row, h)?;
             self.rows[slot as usize] += 1.0;
             slots.push(slot);
         }
@@ -345,21 +360,7 @@ impl AggCore {
         }
         let hashes = hash_keys(&chunk.frame, &key_cols).hashes;
         for (row, &h) in hashes.iter().enumerate() {
-            let existing = self
-                .index
-                .candidates(h)
-                .iter()
-                .copied()
-                .find(|&g| self.key_store.eq_row(g, &chunk.frame, &key_cols, row));
-            let g = match existing {
-                Some(g) => g as usize,
-                None => {
-                    let g = self.key_store.push_row(&chunk.frame, &key_cols, row);
-                    self.index.insert(h, g);
-                    self.push_group();
-                    g as usize
-                }
-            };
+            let g = self.slot_of(&chunk.frame, &key_cols, row, h)? as usize;
             // Decoding overwrites every accumulated field; the spec-side
             // ones (`is_min`, `stddev`, `q`) are the same for every group.
             self.rows[g] = c.f64()?;
@@ -1354,6 +1355,33 @@ mod tests {
         assert_eq!(a, b, "recovered state != last acked state");
         // The strict read path must keep rejecting the torn run.
         assert!(delta.read_all_untracked().is_err());
+    }
+
+    #[test]
+    fn spilled_key_frame_of_the_wrong_type_is_an_error() {
+        // A decoded key frame whose key column is Utf8 under an
+        // Int64-keyed aggregate must fail the replay, not panic the
+        // polling thread.
+        let op = AggOp::new(
+            &delta_meta(),
+            vec!["k".into()],
+            vec![AggSpec::sum(col("v"), "s")],
+            false,
+        )
+        .unwrap();
+        let mut core = AggCore::new(op.cfg.clone());
+        let f = kv_frame(vec![1], vec![2.0]);
+        core.fold_frame_slots(&f, &hash_keys(&f, &op.cfg.key_idx).hashes)
+            .unwrap();
+        let good = core.to_chunk().unwrap();
+        let schema = Arc::new(Schema::new(vec![Field::new("k", DataType::Utf8)]));
+        let keys = vec![Column::from_str_iter(["1"])];
+        let bad = Chunk {
+            frame: Arc::new(DataFrame::new(schema, keys).unwrap()),
+            ..good
+        };
+        let err = AggCore::new(op.cfg.clone()).apply_chunk(&bad).unwrap_err();
+        assert!(matches!(err, DataError::TypeMismatch { .. }), "{err:?}");
     }
 
     #[test]

@@ -14,7 +14,8 @@
 use crate::ci::variance_column;
 use crate::Result;
 use std::sync::Arc;
-use wake_data::{Column, DataFrame, DataType, Schema, Value};
+use wake_data::column::ColumnData;
+use wake_data::{Column, DataFrame, DataType, Schema};
 use wake_expr::{eval, Expr};
 
 /// For one projected expression: the input columns that carry variance.
@@ -59,14 +60,6 @@ pub fn detect_var_inputs(
         .collect()
 }
 
-/// Replace column `name` with `values` (same type) in a frame.
-fn with_replaced_column(frame: &DataFrame, name: &str, values: Column) -> Result<DataFrame> {
-    let idx = frame.schema().index_of(name)?;
-    let mut columns = frame.columns().to_vec();
-    columns[idx] = values;
-    DataFrame::new(frame.schema().clone(), columns)
-}
-
 /// Propagate variance for one expression over one frame: returns the
 /// per-row output variance column (Float64).
 pub fn propagate_variance(
@@ -80,25 +73,21 @@ pub fn propagate_variance(
     for (col_name, var_name) in &var_inputs.inputs {
         let u = frame.column(col_name)?;
         let var_u = frame.column(var_name)?;
-        // Forward difference with per-row relative step.
+        // Forward difference with per-row relative step, in the float
+        // domain even for an Int64 column (a +h bump needs it). A null row
+        // stays null, with step 0.
         let mut perturbed = Vec::with_capacity(n);
         let mut steps = Vec::with_capacity(n);
         for i in 0..n {
-            match u.f64_at(i) {
-                Some(x) => {
-                    let h = (x.abs() * 1e-6).max(1e-9);
-                    perturbed.push(Value::Float(x + h));
-                    steps.push(h);
-                }
-                None => {
-                    perturbed.push(u.value(i));
-                    steps.push(0.0);
-                }
-            }
+            let (x, h) = match u.f64_at(i) {
+                Some(x) => (x, (x.abs() * 1e-6).max(1e-9)),
+                None => (0.0, 0.0),
+            };
+            perturbed.push(x + h);
+            steps.push(h);
         }
-        // Keep the column's physical type when it was Int64 (a +h bump on
-        // an integer column needs the float domain, so widen).
-        let pert_col = Column::from_values(DataType::Float64, &perturbed)?;
+        let validity = u.validity().map(<[bool]>::to_vec);
+        let pert_col = Column::with_validity_opt(ColumnData::Float64(perturbed), validity)?;
         let pert_frame = with_replaced_frame_for(frame, col_name, pert_col)?;
         let f_pert = eval(expr, &pert_frame)?;
         for i in 0..n {
@@ -116,24 +105,26 @@ pub fn propagate_variance(
     Ok(Column::from_f64(out))
 }
 
-/// Replace a column, widening the schema field to Float64 when needed so
-/// the perturbed values type-check.
+/// Replace column `name` with the Float64 column `values`, widening its
+/// schema field to Float64 when needed so the perturbed values type-check.
 fn with_replaced_frame_for(frame: &DataFrame, name: &str, values: Column) -> Result<DataFrame> {
     let idx = frame.schema().index_of(name)?;
-    if frame.schema().fields()[idx].dtype == DataType::Float64 {
-        return with_replaced_column(frame, name, values);
-    }
-    let mut fields = frame.schema().fields().to_vec();
-    fields[idx].dtype = DataType::Float64;
     let mut columns = frame.columns().to_vec();
     columns[idx] = values;
-    DataFrame::new(Arc::new(Schema::new(fields)), columns)
+    let schema = if frame.schema().fields()[idx].dtype == DataType::Float64 {
+        frame.schema().clone()
+    } else {
+        let mut fields = frame.schema().fields().to_vec();
+        fields[idx].dtype = DataType::Float64;
+        Arc::new(Schema::new(fields))
+    };
+    DataFrame::new(schema, columns)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wake_data::Field;
+    use wake_data::{Field, Value};
     use wake_expr::{col, lit_f64};
 
     fn frame_with_var(xs: Vec<f64>, vars: Vec<f64>) -> DataFrame {

@@ -11,16 +11,17 @@
 //! back to a full sort of the refresh, which is the whole state anyway.
 //! The merge is stable with ties preferring the existing run, so every
 //! emitted frame is bit-identical to `concat(all updates)` + stable sort
-//! — asserted by the equivalence tests below.
+//! — asserted by the equivalence tests below. Both the delta sort
+//! (`DataFrame::sort_by`) and the merge compare rows with the one directed
+//! row order, [`wake_data::hash::cmp_rows_by`].
 
 use crate::meta::EdfMeta;
 use crate::ops::{Operator, RowStore};
 use crate::progress::Progress;
 use crate::update::{Update, UpdateKind};
 use crate::Result;
-use std::cmp::Ordering;
 use std::sync::Arc;
-use wake_data::hash::cmp_rows;
+use wake_data::hash::cmp_rows_by;
 use wake_data::DataFrame;
 
 /// Order-by (optionally descending per key) with an optional limit.
@@ -79,20 +80,6 @@ impl SortOp {
         })
     }
 
-    /// `Value`-order comparison of two rows under this op's per-key sort
-    /// directions (the comparator `DataFrame::sort_by` applies).
-    fn cmp_keyed(&self, a: &DataFrame, ra: usize, b: &DataFrame, rb: usize) -> Ordering {
-        for (k, &desc) in self.key_idx.iter().zip(&self.descending) {
-            let key = std::slice::from_ref(k);
-            let ord = cmp_rows(a, ra, key, b, rb, key);
-            let ord = if desc { ord.reverse() } else { ord };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        Ordering::Equal
-    }
-
     /// Sort one frame on its own (stable, like the full re-sort did).
     fn sort_frame(&self, frame: &Arc<DataFrame>) -> Result<Arc<DataFrame>> {
         if self.by.is_empty() {
@@ -117,7 +104,7 @@ impl SortOp {
         let mut refs: Vec<(u32, u32)> = Vec::with_capacity(n + d);
         let (mut i, mut j) = (0usize, 0usize);
         while i < n && j < d {
-            if self.cmp_keyed(run, i, delta, j).is_le() {
+            if cmp_rows_by(run, i, delta, j, &self.key_idx, &self.descending).is_le() {
                 refs.push((0, i as u32));
                 i += 1;
             } else {
@@ -282,8 +269,8 @@ mod tests {
         // including desc keys, null keys, heavy ties, and a limit cut.
         // (No NaN cells here: frame equality is derived from `f64` ==,
         // under which a NaN never equals itself; NaN ordering agreement
-        // between the merge comparator and `Value::cmp` is pinned by
-        // `cmp_rows_matches_value_ordering` in wake-data.)
+        // between `cmp_rows_by` and `Value::cmp` is pinned by
+        // `typed_comparators_match_value` in wake-data.)
         use crate::ops::testutil::delta;
         use wake_data::{DataType, Field, Schema};
         let schema = Arc::new(Schema::new(vec![

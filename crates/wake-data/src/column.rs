@@ -345,6 +345,43 @@ impl Column {
         Column { data, validity }
     }
 
+    /// Append row `row` of `src` (a null appends the type's placeholder).
+    /// Int64 and Date share storage, so either feeds the other; any other
+    /// storage-class difference is a [`DataError::TypeMismatch`]. The mask
+    /// stays canonical: it appears with the first null.
+    pub(crate) fn push_from(&mut self, src: &Column, row: usize) -> Result<()> {
+        let valid = src.is_valid(row);
+        match (&mut self.data, &src.data) {
+            (
+                ColumnData::Int64(v) | ColumnData::Date(v),
+                ColumnData::Int64(s) | ColumnData::Date(s),
+            ) => v.push(if valid { s[row] } else { 0 }),
+            (ColumnData::Float64(v), ColumnData::Float64(s)) => {
+                v.push(if valid { s[row] } else { 0.0 })
+            }
+            (ColumnData::Bool(v), ColumnData::Bool(s)) => v.push(valid && s[row]),
+            (ColumnData::Utf8(v), ColumnData::Utf8(s)) => {
+                v.push(if valid { s[row].clone() } else { Arc::from("") })
+            }
+            (data, s) => {
+                return Err(DataError::TypeMismatch {
+                    expected: data.data_type().to_string(),
+                    found: s.data_type().to_string(),
+                })
+            }
+        }
+        match &mut self.validity {
+            Some(mask) => mask.push(valid),
+            None if !valid => {
+                let mut mask = vec![true; self.data.len() - 1];
+                mask.push(false);
+                self.validity = Some(mask);
+            }
+            None => {}
+        }
+        Ok(())
+    }
+
     /// Keep rows where `mask[i]` is true. `mask.len()` must equal `len()`.
     /// Internally converts the mask to a `u32` selection vector and gathers,
     /// so filtering and partition scatter share one representation.

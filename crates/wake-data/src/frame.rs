@@ -7,11 +7,11 @@
 
 use crate::column::Column;
 use crate::error::DataError;
+use crate::hash::cmp_rows_by;
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
-use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -259,7 +259,8 @@ impl DataFrame {
     }
 
     /// Stable sort by the named columns; `descending[i]` flips key `i`.
-    /// Nulls sort first ascending (last descending).
+    /// Cells order as `Value::cmp` does (nulls first ascending, last
+    /// descending), compared typed by [`cmp_rows_by`] — no `Value` is built.
     pub fn sort_by(&self, keys: &[&str], descending: &[bool]) -> Result<DataFrame> {
         if keys.len() != descending.len() {
             return Err(DataError::Invalid(
@@ -268,18 +269,7 @@ impl DataFrame {
         }
         let key_idx = self.key_indices(keys)?;
         let mut order: Vec<usize> = (0..self.rows).collect();
-        order.sort_by(|&a, &b| {
-            for (k, &desc) in key_idx.iter().zip(descending) {
-                let va = self.columns[*k].value(a);
-                let vb = self.columns[*k].value(b);
-                let ord = va.cmp(&vb);
-                let ord = if desc { ord.reverse() } else { ord };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
-        });
+        order.sort_by(|&a, &b| cmp_rows_by(self, a, self, b, &key_idx, descending));
         Ok(self.take(&order))
     }
 

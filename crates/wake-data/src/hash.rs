@@ -1,24 +1,36 @@
-//! Vectorized hash-key kernels for join and group-by.
+//! Key hashing, and the one typed equality and order of `Value` cells.
 //!
 //! The hot loops of hash join and group-by need, per input row, (a) a
 //! well-mixed 64-bit hash of the key columns and (b) a way to confirm a
-//! candidate match exactly. Materialising a `Row` (a `Vec<Value>`) per row
-//! just to key a `HashMap` costs an allocation plus dynamic dispatch per
-//! cell; the kernels here instead produce one `Vec<u64>` of row hashes per
-//! frame with a single typed pass per key column, and equality is resolved
-//! by typed column comparison — no `Value` is ever created.
+//! candidate match exactly. [`hash_keys`] produces one `Vec<u64>` of row
+//! hashes per frame with a single typed pass per key column; no `Value` is
+//! ever created.
 //!
-//! ## Semantics (bit-compatible with [`Value`](crate::value::Value) keys)
+//! ## One equality, one order
+//!
+//! Every key comparison in the engine goes through two private cell
+//! functions here, which follow [`Value`](crate::value::Value)'s `Eq` and
+//! `Ord` exactly:
+//!
+//! - `cells_equal` (= `Value::eq`) behind [`keys_equal`] (join probes,
+//!   group-by fold) and [`KeyStore::eq_row`] (group lookup);
+//! - `cells_cmp` (= `Value::cmp`) behind [`cmp_rows`] (the k-way merge of
+//!   key-sorted partials), [`cmp_rows_by`] (`DataFrame::sort_by` and
+//!   `SortOp`'s run merge) and [`KeyStore::cmp_slots`] (the group-by
+//!   snapshot order). Its numeric order is [`cmp_f64`], which
+//!   `Value::cmp` and the quantile sort call too.
+//!
+//! ## Semantics (bit-compatible with `Value` keys)
 //!
 //! - **Numerics unify**: `Int64`, `Float64`, and `Date` cells hash and
-//!   compare through their canonical `f64` bit pattern (`-0.0` → `0.0`, all
-//!   NaNs → one pattern), so an `Int64(3)` key matches a `Float64(3.0)` key
-//!   across the two sides of a join, exactly as `Value::eq` defines.
+//!   compare through their `f64` image (canonical bits: `-0.0` → `0.0`,
+//!   all NaNs → one pattern, ordered last), so an `Int64(3)` key matches a
+//!   `Float64(3.0)` key across the two sides of a join.
 //! - **Null-aware**: invalid cells hash to a fixed sentinel and
 //!   [`KeyHashes::any_null`] records which rows contain at least one null
 //!   key. Joins use that mask to enforce "null keys never match"; group-by
-//!   instead treats null as an ordinary key value (nulls group together),
-//!   which [`keys_equal`] implements by `null == null`.
+//!   instead treats null as an ordinary key value (nulls group together
+//!   and sort first).
 //! - **Deterministic**: hashes depend only on cell contents, never on frame
 //!   identity or insertion order, so hashes computed for different frames
 //!   (or the two sides of a join) are directly comparable.
@@ -29,6 +41,7 @@
 use crate::column::{Column, ColumnData};
 use crate::frame::DataFrame;
 use crate::value::DataType;
+use crate::Result;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -199,13 +212,11 @@ pub fn hash_keys(frame: &DataFrame, key_indices: &[usize]) -> KeyHashes {
     KeyHashes { hashes, any_null }
 }
 
-/// Typed equality of two key tuples living in (possibly different) frames.
-///
-/// Follows `Value` semantics: `null == null`, numerics compare through
-/// canonical `f64` bits (cross-type included), other type mismatches are
-/// unequal. Join callers that need "null keys never match" must filter null
-/// rows via [`KeyHashes::any_null`] *before* probing; group-by callers rely
-/// on the `null == null` behaviour here to keep one group per null key.
+/// Typed equality of two key tuples living in (possibly different) frames:
+/// `cells_equal` per key column. Join callers that need "null keys never
+/// match" must filter null rows via [`KeyHashes::any_null`] *before*
+/// probing; group-by callers rely on `null == null` to keep one group per
+/// null key.
 pub fn keys_equal(
     left: &DataFrame,
     lrow: usize,
@@ -221,7 +232,9 @@ pub fn keys_equal(
         .all(|(&lc, &rc)| cells_equal(left.column_at(lc), lrow, right.column_at(rc), rrow))
 }
 
-/// Typed `Value`-compatible equality of two cells.
+/// `Value::eq` over two typed cells: `null == null`, numerics through
+/// their canonical `f64` bits (cross-type included), other type mismatches
+/// unequal. The same-class arms come first — they are the hot ones.
 #[inline]
 fn cells_equal(a: &Column, ia: usize, b: &Column, ib: usize) -> bool {
     match (a.is_valid(ia), b.is_valid(ib)) {
@@ -230,6 +243,15 @@ fn cells_equal(a: &Column, ia: usize, b: &Column, ib: usize) -> bool {
         _ => return false,
     }
     match (a.data(), b.data()) {
+        // An `i64` never converts to -0.0 or NaN, so plain `f64` equality
+        // is canonical-bits equality here.
+        (
+            ColumnData::Int64(x) | ColumnData::Date(x),
+            ColumnData::Int64(y) | ColumnData::Date(y),
+        ) => x[ia] as f64 == y[ib] as f64,
+        (ColumnData::Float64(x), ColumnData::Float64(y)) => {
+            canonical_f64_bits(x[ia]) == canonical_f64_bits(y[ib])
+        }
         (ColumnData::Bool(x), ColumnData::Bool(y)) => x[ia] == y[ib],
         (ColumnData::Utf8(x), ColumnData::Utf8(y)) => x[ia] == y[ib],
         (x, y) => match (numeric_at(x, ia), numeric_at(y, ib)) {
@@ -248,13 +270,11 @@ fn numeric_at(data: &ColumnData, i: usize) -> Option<f64> {
     }
 }
 
-/// `Value`-compatible total order of two key tuples living in (possibly
-/// different) frames, without materialising a `Value` per cell: nulls
-/// first, then by `Value`'s type rank (bool < numeric < string), numerics
-/// through their `f64` image with NaNs last and equal to each other. This
-/// is the comparator behind the typed k-way merge of key-sorted aggregate
-/// partials — it must order exactly like `Vec<Value>` comparison so a
-/// merge of sorted runs is bit-identical to concat + stable `Value` sort.
+/// `Value`-order comparison of two key tuples living in (possibly
+/// different) frames: `cells_cmp` per key column, lexicographic. This is
+/// the comparator behind the typed k-way merge of key-sorted aggregate
+/// partials — it orders exactly like `Vec<Value>` comparison, so a merge
+/// of sorted runs is bit-identical to concat + stable `Value` sort.
 pub fn cmp_rows(
     left: &DataFrame,
     lrow: usize,
@@ -273,70 +293,83 @@ pub fn cmp_rows(
     Ordering::Equal
 }
 
-/// `Value::cmp`-compatible ordering of two typed cells.
+/// [`cmp_rows`] over the same key columns of two like-schema frames, with
+/// key `i` reversed where `descending[i]` (so its nulls sort last): the
+/// order-by comparator of `DataFrame::sort_by` and `SortOp`'s run merge.
+pub fn cmp_rows_by(
+    left: &DataFrame,
+    lrow: usize,
+    right: &DataFrame,
+    rrow: usize,
+    keys: &[usize],
+    descending: &[bool],
+) -> Ordering {
+    debug_assert_eq!(keys.len(), descending.len());
+    for (&c, &desc) in keys.iter().zip(descending) {
+        let ord = cells_cmp(left.column_at(c), lrow, right.column_at(c), rrow);
+        if ord != Ordering::Equal {
+            return if desc { ord.reverse() } else { ord };
+        }
+    }
+    Ordering::Equal
+}
+
+/// `Value::cmp` over two typed cells: nulls first, numerics through their
+/// `f64` image by [`cmp_f64`], bools `false < true`, strings by bytes, and
+/// mixed classes by `Value`'s type rank (bool < numeric < string).
 #[inline]
 fn cells_cmp(a: &Column, ia: usize, b: &Column, ib: usize) -> Ordering {
     match (a.is_valid(ia), b.is_valid(ib)) {
         (false, false) => return Ordering::Equal,
-        (false, true) => return Ordering::Less, // nulls first
+        (false, true) => return Ordering::Less,
         (true, false) => return Ordering::Greater,
         (true, true) => {}
     }
-    // Value::cmp ranks mixed types: bool (1) < numeric (2) < string (3).
-    let rank = |d: &ColumnData| match d {
-        ColumnData::Bool(_) => 1u8,
-        ColumnData::Int64(_) | ColumnData::Float64(_) | ColumnData::Date(_) => 2,
-        ColumnData::Utf8(_) => 3,
-    };
-    let (ra, rb) = (rank(a.data()), rank(b.data()));
-    if ra != rb {
-        return ra.cmp(&rb);
-    }
     match (a.data(), b.data()) {
+        (
+            ColumnData::Int64(x) | ColumnData::Date(x),
+            ColumnData::Int64(y) | ColumnData::Date(y),
+        ) => cmp_f64(x[ia] as f64, y[ib] as f64),
+        (ColumnData::Float64(x), ColumnData::Float64(y)) => cmp_f64(x[ia], y[ib]),
         (ColumnData::Bool(x), ColumnData::Bool(y)) => x[ia].cmp(&y[ib]),
         (ColumnData::Utf8(x), ColumnData::Utf8(y)) => x[ia].cmp(&y[ib]),
-        (x, y) => {
-            let fx = numeric_at(x, ia).expect("rank 2 is numeric");
-            let fy = numeric_at(y, ib).expect("rank 2 is numeric");
-            cmp_f64(fx, fy)
-        }
+        (x, y) => match (numeric_at(x, ia), numeric_at(y, ib)) {
+            (Some(fx), Some(fy)) => cmp_f64(fx, fy),
+            _ => type_rank(x).cmp(&type_rank(y)),
+        },
     }
+}
+
+/// `Value`'s rank of a non-null cell's type: bool < numeric < string.
+fn type_rank(data: &ColumnData) -> u8 {
+    match data {
+        ColumnData::Bool(_) => 1,
+        ColumnData::Int64(_) | ColumnData::Float64(_) | ColumnData::Date(_) => 2,
+        ColumnData::Utf8(_) => 3,
+    }
+}
+
+/// The one total order on `f64` (`Value::cmp`'s numeric order): numeric
+/// order with `-0.0 == 0.0`, every NaN last whatever its sign bit, and
+/// NaNs equal to each other.
+#[inline]
+pub fn cmp_f64(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
 // ---------------------------------------------------------------------------
 // KeyStore: typed, growable storage of distinct key tuples.
 // ---------------------------------------------------------------------------
 
-/// One stored key column: typed payload plus validity.
-#[derive(Debug, Clone)]
-enum KeyCol {
-    I64(Vec<i64>, Vec<bool>),
-    F64(Vec<f64>, Vec<bool>),
-    Bool(Vec<bool>, Vec<bool>),
-    Str(Vec<Arc<str>>, Vec<bool>),
-    Date(Vec<i64>, Vec<bool>),
-}
-
-impl KeyCol {
-    fn new(dtype: DataType) -> KeyCol {
-        match dtype {
-            DataType::Int64 => KeyCol::I64(Vec::new(), Vec::new()),
-            DataType::Float64 => KeyCol::F64(Vec::new(), Vec::new()),
-            DataType::Bool => KeyCol::Bool(Vec::new(), Vec::new()),
-            DataType::Utf8 => KeyCol::Str(Vec::new(), Vec::new()),
-            DataType::Date => KeyCol::Date(Vec::new(), Vec::new()),
-        }
-    }
-}
-
-/// Columnar storage of the distinct key tuples seen by a hash aggregate (or
-/// any other hash-keyed operator state). Group `g`'s key lives at slot `g`
-/// of every column; appending, comparing against a frame row, ordering two
-/// stored tuples, and exporting to output [`Column`]s are all typed — the
-/// per-row `Row` allocation the old group-by paid is gone.
+/// Columnar storage of the distinct key tuples seen by a hash aggregate:
+/// one [`Column`] per key, group `g`'s key at row `g`. A stored tuple is
+/// matched against a frame row by `cells_equal` and ordered against
+/// another by `cells_cmp` — the same rules as every other key
+/// comparison, with no `Value` materialised.
 #[derive(Debug, Clone, Default)]
 pub struct KeyStore {
-    cols: Vec<KeyCol>,
+    cols: Vec<Column>,
     len: u32,
 }
 
@@ -344,7 +377,7 @@ impl KeyStore {
     /// Empty store for keys of the given types (frame-column order).
     pub fn for_types(dtypes: &[DataType]) -> KeyStore {
         KeyStore {
-            cols: dtypes.iter().map(|&t| KeyCol::new(t)).collect(),
+            cols: dtypes.iter().map(|&t| Column::empty(t)).collect(),
             len: 0,
         }
     }
@@ -360,126 +393,40 @@ impl KeyStore {
 
     pub fn clear(&mut self) {
         for c in &mut self.cols {
-            match c {
-                KeyCol::I64(v, m) | KeyCol::Date(v, m) => {
-                    v.clear();
-                    m.clear();
-                }
-                KeyCol::F64(v, m) => {
-                    v.clear();
-                    m.clear();
-                }
-                KeyCol::Bool(v, m) => {
-                    v.clear();
-                    m.clear();
-                }
-                KeyCol::Str(v, m) => {
-                    v.clear();
-                    m.clear();
-                }
-            }
+            *c = Column::empty(c.data_type());
         }
         self.len = 0;
     }
 
     /// Append the key tuple at `row` of `frame`; returns the new slot id.
-    pub fn push_row(&mut self, frame: &DataFrame, key_indices: &[usize], row: usize) -> u32 {
+    /// A key cell whose storage class differs from the store's (Int64 and
+    /// Date interchange) is a [`DataError::TypeMismatch`](crate::DataError).
+    pub fn push_row(
+        &mut self,
+        frame: &DataFrame,
+        key_indices: &[usize],
+        row: usize,
+    ) -> Result<u32> {
         debug_assert_eq!(key_indices.len(), self.cols.len());
         for (store, &c) in self.cols.iter_mut().zip(key_indices) {
-            let col = frame.column_at(c);
-            let valid = col.is_valid(row);
-            match (store, col.data()) {
-                (KeyCol::I64(v, m), ColumnData::Int64(src))
-                | (KeyCol::I64(v, m), ColumnData::Date(src))
-                | (KeyCol::Date(v, m), ColumnData::Date(src))
-                | (KeyCol::Date(v, m), ColumnData::Int64(src)) => {
-                    v.push(if valid { src[row] } else { 0 });
-                    m.push(valid);
-                }
-                (KeyCol::F64(v, m), ColumnData::Float64(src)) => {
-                    v.push(if valid { src[row] } else { 0.0 });
-                    m.push(valid);
-                }
-                (KeyCol::Bool(v, m), ColumnData::Bool(src)) => {
-                    v.push(valid && src[row]);
-                    m.push(valid);
-                }
-                (KeyCol::Str(v, m), ColumnData::Utf8(src)) => {
-                    v.push(if valid {
-                        src[row].clone()
-                    } else {
-                        Arc::from("")
-                    });
-                    m.push(valid);
-                }
-                (store, data) => unreachable!(
-                    "key store type {:?} cannot accept column {:?}",
-                    std::mem::discriminant(&*store),
-                    data.data_type()
-                ),
-            }
+            store.push_from(frame.column_at(c), row)?;
         }
         self.len += 1;
-        self.len - 1
+        Ok(self.len - 1)
     }
 
     /// Does stored tuple `slot` equal the key tuple at `row` of `frame`?
     pub fn eq_row(&self, slot: u32, frame: &DataFrame, key_indices: &[usize], row: usize) -> bool {
-        let s = slot as usize;
-        self.cols.iter().zip(key_indices).all(|(store, &c)| {
-            let col = frame.column_at(c);
-            let valid = col.is_valid(row);
-            match store {
-                KeyCol::I64(v, m) | KeyCol::Date(v, m) => match (m[s], valid) {
-                    (false, false) => true,
-                    (true, true) => match numeric_at(col.data(), row) {
-                        Some(f) => canonical_f64_bits(v[s] as f64) == canonical_f64_bits(f),
-                        None => false,
-                    },
-                    _ => false,
-                },
-                KeyCol::F64(v, m) => match (m[s], valid) {
-                    (false, false) => true,
-                    (true, true) => match numeric_at(col.data(), row) {
-                        Some(f) => canonical_f64_bits(v[s]) == canonical_f64_bits(f),
-                        None => false,
-                    },
-                    _ => false,
-                },
-                KeyCol::Bool(v, m) => match (m[s], valid) {
-                    (false, false) => true,
-                    (true, true) => match col.data() {
-                        ColumnData::Bool(src) => v[s] == src[row],
-                        _ => false,
-                    },
-                    _ => false,
-                },
-                KeyCol::Str(v, m) => match (m[s], valid) {
-                    (false, false) => true,
-                    (true, true) => match col.data() {
-                        ColumnData::Utf8(src) => v[s] == src[row],
-                        _ => false,
-                    },
-                    _ => false,
-                },
-            }
-        })
+        self.cols
+            .iter()
+            .zip(key_indices)
+            .all(|(store, &c)| cells_equal(store, slot as usize, frame.column_at(c), row))
     }
 
-    /// `Value`-compatible ordering of two stored tuples (lexicographic over
-    /// columns; per column: nulls first, numerics by value with NaN last,
-    /// bools `false < true`, strings lexicographic).
+    /// `Value`-order comparison of two stored tuples (lexicographic).
     pub fn cmp_slots(&self, a: u32, b: u32) -> Ordering {
-        let (ia, ib) = (a as usize, b as usize);
         for store in &self.cols {
-            let ord = match store {
-                KeyCol::I64(v, m) | KeyCol::Date(v, m) => {
-                    cmp_cell(m[ia], m[ib], || cmp_f64(v[ia] as f64, v[ib] as f64))
-                }
-                KeyCol::F64(v, m) => cmp_cell(m[ia], m[ib], || cmp_f64(v[ia], v[ib])),
-                KeyCol::Bool(v, m) => cmp_cell(m[ia], m[ib], || v[ia].cmp(&v[ib])),
-                KeyCol::Str(v, m) => cmp_cell(m[ia], m[ib], || v[ia].cmp(&v[ib])),
-            };
+            let ord = cells_cmp(store, a as usize, store, b as usize);
             if ord != Ordering::Equal {
                 return ord;
             }
@@ -489,69 +436,12 @@ impl KeyStore {
 
     /// Export the stored tuples, reordered by `order`, as output columns.
     pub fn to_columns(&self, order: &[u32]) -> Vec<Column> {
-        self.cols
-            .iter()
-            .map(|store| {
-                macro_rules! gather {
-                    ($v:expr, $m:expr, $make:expr) => {{
-                        let data: Vec<_> = order.iter().map(|&g| $v[g as usize].clone()).collect();
-                        let all_valid = order.iter().all(|&g| $m[g as usize]);
-                        if all_valid {
-                            Column::new($make(data))
-                        } else {
-                            let mask: Vec<bool> = order.iter().map(|&g| $m[g as usize]).collect();
-                            Column::with_validity($make(data), mask)
-                                .expect("mask length matches by construction")
-                        }
-                    }};
-                }
-                match store {
-                    KeyCol::I64(v, m) => gather!(v, m, ColumnData::Int64),
-                    KeyCol::Date(v, m) => gather!(v, m, ColumnData::Date),
-                    KeyCol::F64(v, m) => gather!(v, m, ColumnData::Float64),
-                    KeyCol::Bool(v, m) => gather!(v, m, ColumnData::Bool),
-                    KeyCol::Str(v, m) => gather!(v, m, ColumnData::Utf8),
-                }
-            })
-            .collect()
+        self.cols.iter().map(|c| c.take_u32(order)).collect()
     }
 
     /// Approximate heap bytes (peak-memory metric).
     pub fn byte_size(&self) -> usize {
-        self.cols
-            .iter()
-            .map(|c| match c {
-                KeyCol::I64(v, m) | KeyCol::Date(v, m) => v.len() * 8 + m.len(),
-                KeyCol::F64(v, m) => v.len() * 8 + m.len(),
-                KeyCol::Bool(v, m) => v.len() + m.len(),
-                KeyCol::Str(v, m) => v.iter().map(|s| s.len() + 16).sum::<usize>() + m.len(),
-            })
-            .sum()
-    }
-}
-
-#[inline]
-fn cmp_cell(va: bool, vb: bool, payload: impl FnOnce() -> Ordering) -> Ordering {
-    match (va, vb) {
-        (false, false) => Ordering::Equal,
-        (false, true) => Ordering::Less, // nulls first
-        (true, false) => Ordering::Greater,
-        (true, true) => payload(),
-    }
-}
-
-/// Total order on f64 matching `Value::cmp`: numeric order, NaNs last and
-/// equal to each other, `-0.0 == 0.0`.
-#[inline]
-fn cmp_f64(a: f64, b: f64) -> Ordering {
-    match a.partial_cmp(&b) {
-        Some(ord) => ord,
-        None => match (a.is_nan(), b.is_nan()) {
-            (true, true) => Ordering::Equal,
-            (true, false) => Ordering::Greater,
-            (false, true) => Ordering::Less,
-            (false, false) => unreachable!(),
-        },
+        self.cols.iter().map(Column::byte_size).sum()
     }
 }
 
@@ -652,89 +542,153 @@ mod tests {
     }
 
     #[test]
-    fn key_store_roundtrip_and_ordering() {
-        let f = frame(vec![
-            (
-                "k",
-                Column::from_values(
-                    DataType::Int64,
-                    &[Value::Int(5), Value::Null, Value::Int(1)],
-                )
-                .unwrap(),
-            ),
-            ("s", Column::from_str_iter(["b", "a", "c"])),
-        ]);
-        let mut store = KeyStore::for_types(&[DataType::Int64, DataType::Utf8]);
-        for row in 0..3 {
-            let slot = store.push_row(&f, &[0, 1], row);
-            assert_eq!(slot as usize, row);
-            assert!(store.eq_row(slot, &f, &[0, 1], row));
-        }
-        assert!(!store.eq_row(0, &f, &[0, 1], 2));
-        // null tuple equals only itself.
-        assert!(store.eq_row(1, &f, &[0, 1], 1));
-        assert!(!store.eq_row(1, &f, &[0, 1], 0));
-        // Ordering: null key first, then 1, then 5 — matching Value order.
-        let mut order: Vec<u32> = vec![0, 1, 2];
-        order.sort_by(|&a, &b| store.cmp_slots(a, b));
-        assert_eq!(order, vec![1, 2, 0]);
-        let cols = store.to_columns(&order);
-        assert_eq!(cols[0].value(0), Value::Null);
-        assert_eq!(cols[0].value(1), Value::Int(1));
-        assert_eq!(cols[0].value(2), Value::Int(5));
-        assert_eq!(cols[1].value(0), Value::str("a"));
-        assert!(store.byte_size() > 0);
-        store.clear();
-        assert!(store.is_empty());
-    }
-
-    #[test]
     fn key_store_accepts_date_int_interchange() {
         // Join-compatible numeric columns may feed the same store.
         let d = frame(vec![("k", Column::from_dates(vec![7]))]);
         let mut store = KeyStore::for_types(&[DataType::Int64]);
-        let slot = store.push_row(&d, &[0], 0);
+        let slot = store.push_row(&d, &[0], 0).unwrap();
         let i = frame(vec![("k", Column::from_i64(vec![7]))]);
         assert!(store.eq_row(slot, &i, &[0], 0));
+        // Any other storage class is a typed error, not a panic.
+        let s = frame(vec![("k", Column::from_str_iter(["7"]))]);
+        assert!(matches!(
+            store.push_row(&s, &[0], 0),
+            Err(crate::DataError::TypeMismatch { .. })
+        ));
+    }
+
+    /// One column per storage class: null plus that class's edge cells.
+    fn matrix() -> Vec<(DataType, Vec<Value>)> {
+        let p53 = 1i64 << 53;
+        vec![
+            (
+                DataType::Int64,
+                [0, -1, p53, p53 + 1, i64::MAX].map(Value::Int).to_vec(),
+            ),
+            (
+                DataType::Float64,
+                [-0.0, 0.0, 0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+                    .map(Value::Float)
+                    .to_vec(),
+            ),
+            (DataType::Date, [0, -1, 19_000].map(Value::Date).to_vec()),
+            (DataType::Bool, [false, true].map(Value::Bool).to_vec()),
+            (DataType::Utf8, ["", "a", "é"].map(Value::str).to_vec()),
+        ]
+        .into_iter()
+        .map(|(t, mut cells)| {
+            cells.insert(0, Value::Null);
+            (t, cells)
+        })
+        .collect()
     }
 
     #[test]
-    fn cmp_rows_matches_value_ordering() {
-        // Every pair of rows must order exactly as their Vec<Value> images.
-        let f = frame(vec![
-            (
-                "k",
-                Column::from_values(
-                    DataType::Int64,
-                    &[
-                        Value::Int(5),
-                        Value::Null,
-                        Value::Int(-2),
-                        Value::Int(5),
-                        Value::Int(i64::MAX),
-                    ],
-                )
-                .unwrap(),
-            ),
-            ("f", Column::from_f64(vec![1.5, f64::NAN, -0.0, 0.0, 2.0])),
-            ("s", Column::from_str_iter(["b", "a", "", "b", "z"])),
-        ]);
-        let keys = [0usize, 1, 2];
-        for a in 0..5 {
-            for b in 0..5 {
-                let va: Vec<Value> = keys.iter().map(|&c| f.column_at(c).value(a)).collect();
-                let vb: Vec<Value> = keys.iter().map(|&c| f.column_at(c).value(b)).collect();
+    fn typed_comparators_match_value() {
+        let cols = matrix();
+        let single = |(t, cells): &(DataType, Vec<Value>)| {
+            frame(vec![("k", Column::from_values(*t, cells).unwrap())])
+        };
+        // Across every pair of columns: keys_equal ≡ Value::eq, cmp_rows ≡
+        // Value::cmp, and cmp_rows_by ascending/descending ≡ it/its reverse.
+        for a in &cols {
+            for b in &cols {
+                let (fa, fb) = (single(a), single(b));
+                for (i, va) in a.1.iter().enumerate() {
+                    for (j, vb) in b.1.iter().enumerate() {
+                        let at = format!("{va:?} vs {vb:?}");
+                        assert_eq!(keys_equal(&fa, i, &[0], &fb, j, &[0]), va == vb, "{at}");
+                        let ord = va.cmp(vb);
+                        assert_eq!(cmp_rows(&fa, i, &[0], &fb, j, &[0]), ord, "{at}");
+                        assert_eq!(cmp_rows_by(&fa, i, &fb, j, &[0], &[false]), ord, "{at}");
+                        let desc = cmp_rows_by(&fa, i, &fb, j, &[0], &[true]);
+                        assert_eq!(desc, ord.reverse(), "{at}");
+                    }
+                }
+            }
+        }
+
+        // A wide frame: every class side by side (each column holds all
+        // its cells, in staggered order so ties fall differently per
+        // column), plus a row id.
+        let n = 14;
+        let mut named: Vec<(String, Column)> = cols
+            .iter()
+            .enumerate()
+            .map(|(k, (t, cells))| {
+                let vals: Vec<Value> = (0..n)
+                    .map(|i| cells[(i * 5 + k) % cells.len()].clone())
+                    .collect();
+                (format!("c{k}"), Column::from_values(*t, &vals).unwrap())
+            })
+            .collect();
+        named.push(("id".into(), Column::from_i64((0..n as i64).collect())));
+        let f = frame(named.iter().map(|(s, c)| (s.as_str(), c.clone())).collect());
+        let keys: Vec<usize> = (0..cols.len()).collect();
+        let row =
+            |r: usize| -> Vec<Value> { keys.iter().map(|&c| f.column_at(c).value(r)).collect() };
+
+        // Within the columns: KeyStore::eq_row ≡ Value::eq, cmp_slots ≡
+        // Value::cmp, and to_columns exports in the requested order.
+        let types: Vec<DataType> = cols.iter().map(|(t, _)| *t).collect();
+        let mut store = KeyStore::for_types(&types);
+        for r in 0..n {
+            assert_eq!(store.push_row(&f, &keys, r).unwrap() as usize, r);
+        }
+        for a in 0..n {
+            for b in 0..n {
                 assert_eq!(
-                    cmp_rows(&f, a, &keys, &f, b, &keys),
-                    va.cmp(&vb),
-                    "rows {a} vs {b}"
+                    store.eq_row(a as u32, &f, &keys, b),
+                    row(a) == row(b),
+                    "{a} {b}"
+                );
+                assert_eq!(
+                    store.cmp_slots(a as u32, b as u32),
+                    row(a).cmp(&row(b)),
+                    "{a} {b}"
                 );
             }
         }
-        // Cross-type numeric columns (Int64 vs Float64) order numerically.
-        let i = frame(vec![("k", Column::from_i64(vec![3]))]);
-        let fl = frame(vec![("k", Column::from_f64(vec![3.5]))]);
-        assert_eq!(cmp_rows(&i, 0, &[0], &fl, 0, &[0]), Ordering::Less);
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by(|&a, &b| store.cmp_slots(a, b));
+        let exported = store.to_columns(&order);
+        for (pos, &slot) in order.iter().enumerate() {
+            let got: Vec<Value> = exported.iter().map(|c| c.value(pos)).collect();
+            assert_eq!(got, row(slot as usize));
+        }
+        let frame_bytes: usize = keys.iter().map(|&c| f.column_at(c).byte_size()).sum();
+        assert_eq!(store.byte_size(), frame_bytes);
+        store.clear();
+        assert!(store.is_empty());
+        assert_eq!(store.push_row(&f, &keys, 3).unwrap(), 0);
+
+        // DataFrame::sort_by ≡ a stable Value sort with per-key direction.
+        for by in [vec![3, 4], vec![1, 0], vec![2, 1, 4], vec![4, 3, 2, 1, 0]] {
+            let names: Vec<&str> = by.iter().map(|&c| named[c].0.as_str()).collect();
+            for mask in 0..1u32 << by.len() {
+                let desc: Vec<bool> = (0..by.len()).map(|k| mask >> k & 1 == 1).collect();
+                let mut expect: Vec<usize> = (0..n).collect();
+                expect.sort_by(|&a, &b| {
+                    by.iter()
+                        .zip(&desc)
+                        .map(|(&c, &d)| {
+                            let ord = f.column_at(c).value(a).cmp(&f.column_at(c).value(b));
+                            if d {
+                                ord.reverse()
+                            } else {
+                                ord
+                            }
+                        })
+                        .find(|o| o.is_ne())
+                        .unwrap_or(Ordering::Equal)
+                });
+                let sorted = f.sort_by(&names, &desc).unwrap();
+                let ids: Vec<usize> = (0..n)
+                    .map(|r| sorted.value(r, "id").unwrap().as_i64().unwrap() as usize)
+                    .collect();
+                assert_eq!(ids, expect, "by {names:?} desc {desc:?}");
+            }
+        }
     }
 
     #[test]

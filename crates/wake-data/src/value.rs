@@ -204,19 +204,10 @@ impl Ord for Value {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            _ => {
-                let a = self.as_f64().unwrap_or(f64::NAN);
-                let b = other.as_f64().unwrap_or(f64::NAN);
-                a.partial_cmp(&b).unwrap_or_else(|| {
-                    // NaNs order after everything else, equal to each other.
-                    match (a.is_nan(), b.is_nan()) {
-                        (true, true) => Ordering::Equal,
-                        (true, false) => Ordering::Greater,
-                        (false, true) => Ordering::Less,
-                        _ => unreachable!(),
-                    }
-                })
-            }
+            _ => crate::hash::cmp_f64(
+                self.as_f64().unwrap_or(f64::NAN),
+                other.as_f64().unwrap_or(f64::NAN),
+            ),
         }
     }
 }

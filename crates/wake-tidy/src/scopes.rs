@@ -10,10 +10,15 @@
 /// node threads and spill dirs), and the keyed operators with the
 /// partition layer and the aggregate states under them (they run under
 /// spill I/O, at one shard on the polling thread with no `catch_unwind`
-/// above), and the expression evaluator every Filter and Map runs on
-/// that same thread (`Expr` is public, so a malformed node is an error).
+/// above), the expression evaluator every Filter and Map runs on
+/// that same thread (`Expr` is public, so a malformed node is an error),
+/// and the key layer under all of them — key hashing, comparison and the
+/// key store, and the column it grows (a spilled key frame of the wrong
+/// type is a typed error).
 pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/wake-data/src/colfile.rs",
+    "crates/wake-data/src/hash.rs",
+    "crates/wake-data/src/column.rs",
     "crates/wake-store/src/colfile.rs",
     "crates/wake-store/src/segment.rs",
     "crates/wake-store/src/compress.rs",
