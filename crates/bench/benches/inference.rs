@@ -4,10 +4,10 @@
 //! claims O(1)-per-observation fitting and small inference overhead.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use wake_core::agg::{AggSpec, ScaleContext};
+use wake_core::agg::{AggSpec, AggState, ScaleContext};
 use wake_core::growth::GrowthModel;
 use wake_core::update::UpdateKind;
-use wake_data::Value;
+use wake_data::{Column, DataType};
 use wake_expr::col;
 use wake_stats::distinct::estimate_distinct;
 
@@ -35,19 +35,22 @@ fn bench_estimators(c: &mut Criterion) {
     c.bench_function("estimators/count_distinct_newton", |b| {
         b.iter(|| black_box(estimate_distinct(black_box(730.0), 1000.0, 10_000.0)))
     });
-    // Finalize a sum state with CI variance.
+    // Finalize 1000 sum states with CI variance, as one snapshot does.
     let spec = AggSpec::sum(col("x"), "s");
-    let mut st = spec.new_state();
-    for i in 0..1000 {
-        st.observe(&Value::Float((i % 37) as f64), None);
-    }
+    let mut states = vec![spec.new_state(); 1000];
+    let slots: Vec<u32> = (0..100_000).map(|i| i % 1000).collect();
+    let x = Column::from_f64((0..100_000).map(|i| (i % 37) as f64).collect());
+    AggState::fold_column(&mut states, &slots, &x, None).unwrap();
+    let order: Vec<u32> = (0..1000).collect();
     let ctx = ScaleContext {
         scale: 2.5,
         t: 0.4,
         w_variance: 0.003,
     };
     c.bench_function("estimators/finalize_sum_with_variance", |b| {
-        b.iter(|| black_box(st.finalize(&ctx)))
+        b.iter(|| {
+            black_box(AggState::finalize_column(&states, &order, &ctx, DataType::Float64).unwrap())
+        })
     });
 }
 
@@ -59,11 +62,10 @@ fn bench_state_merge(c: &mut Criterion) {
         AggSpec::count_distinct(col("x"), "a"),
     ] {
         let build = |n: usize| {
-            let mut st = spec.new_state();
-            for i in 0..n {
-                st.observe(&Value::Int((i % 251) as i64), None);
-            }
-            st
+            let mut st = [spec.new_state()];
+            let x = Column::from_i64((0..n).map(|i| (i % 251) as i64).collect());
+            AggState::fold_column(&mut st, &vec![0; n], &x, None).unwrap();
+            st[0].clone()
         };
         let a = build(10_000);
         let bs = build(10_000);

@@ -7,11 +7,12 @@
 //! sum-of-squares)`), and a **finalizer** that turns raw partials into
 //! unbiased extrinsic estimates via growth-based scaling.
 //!
-//! Each kind's fold rule lives here once. [`AggState::fold_column`] is the
-//! one kernel that observes input: it folds a typed column into a slice of
-//! states, row `i` into `states[slots[i]]`, for every kind and column type.
-//! [`AggState::observe`] folds one `Value` and is the reference the tests
-//! hold the kernel to, bit for bit.
+//! Each kind's fold rule and finalize rule live here once, in two kernels.
+//! [`AggState::fold_column`] is the one that observes input: it folds a
+//! typed column into a slice of states, row `i` into `states[slots[i]]`,
+//! for every kind and column type. [`AggState::finalize_column`] is the one
+//! that reads states out: it turns the states in a given order into one
+//! typed estimate column plus each estimate's variance, for every kind.
 
 use crate::Result;
 use std::collections::HashSet;
@@ -161,12 +162,9 @@ impl AggSpec {
         }
     }
 
-    /// `q`-th sample quantile, `q` in [0, 1].
+    /// `q`-th sample quantile, `q` in [0, 1]; an aggregation rejects a
+    /// rank outside that range as `DataError::Invalid`.
     pub fn quantile(expr: Expr, q: f64, alias: &str) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&q),
-            "quantile must be in [0,1], got {q}"
-        );
         AggSpec {
             func: AggFunc::Quantile,
             expr,
@@ -266,16 +264,13 @@ impl ScaleContext {
 
 /// Typed storage for count-distinct's exact value set.
 ///
-/// The old representation was a `HashSet<Value>` — one boxed `Value`
-/// (with its enum tag and potential `Arc` bump) per distinct cell, and
-/// the one aggregate state without a columnar observation kernel. The
-/// typed variants store the *equivalence class* each `Value` hashes to:
+/// The set stores the *equivalence class* each `Value` hashes to:
 /// numerics by their canonical `f64` bit pattern (so `Int(3)`,
 /// `Float(3.0)`, and `Date(3)` coalesce exactly as `Value` equality
-/// does), strings by their `Arc<str>`, booleans as two bits. `Mixed` is
-/// the semantic backstop for heterogeneous inputs (unreachable through
-/// typed columns, which fix one dtype per expression) and keeps the set
-/// `Value`-faithful even then.
+/// does), strings by their `Arc<str>`, booleans as two bits. One set holds
+/// one class of cell, fixed by its first insert: a spec's input type is
+/// fixed when the plan is built, so a cell of another class can only come
+/// from a mistyped spilled state, and is a `DataError::TypeMismatch`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum DistinctSet {
     #[default]
@@ -287,8 +282,6 @@ pub enum DistinctSet {
         seen_true: bool,
         seen_false: bool,
     },
-    /// Mixed-type fallback with exact `Value` semantics.
-    Mixed(HashSet<Value>),
 }
 
 impl DistinctSet {
@@ -301,7 +294,6 @@ impl DistinctSet {
                 seen_true,
                 seen_false,
             } => *seen_true as usize + *seen_false as usize,
-            DistinctSet::Mixed(s) => s.len(),
         }
     }
 
@@ -311,37 +303,31 @@ impl DistinctSet {
 
     /// Insert a numeric observation (already widened to f64).
     #[inline]
-    pub fn insert_num(&mut self, x: f64) {
+    pub fn insert_num(&mut self, x: f64) -> Result<()> {
         match self {
-            DistinctSet::Empty => {
-                let mut s = HashSet::new();
-                s.insert(canonical_f64_bits(x));
-                *self = DistinctSet::Num(s);
-            }
+            DistinctSet::Empty => *self = DistinctSet::Num(HashSet::from([canonical_f64_bits(x)])),
             DistinctSet::Num(s) => {
                 s.insert(canonical_f64_bits(x));
             }
-            _ => self.insert_mixed(Value::Float(x)),
+            _ => return Err(self.mismatch("a numeric cell")),
         }
+        Ok(())
     }
 
     #[inline]
-    pub fn insert_str(&mut self, s: &Arc<str>) {
+    pub fn insert_str(&mut self, s: &Arc<str>) -> Result<()> {
         match self {
-            DistinctSet::Empty => {
-                let mut set = HashSet::new();
-                set.insert(s.clone());
-                *self = DistinctSet::Str(set);
-            }
+            DistinctSet::Empty => *self = DistinctSet::Str(HashSet::from([s.clone()])),
             DistinctSet::Str(set) => {
                 set.insert(s.clone());
             }
-            _ => self.insert_mixed(Value::Str(s.clone())),
+            _ => return Err(self.mismatch("a Utf8 cell")),
         }
+        Ok(())
     }
 
     #[inline]
-    pub fn insert_bool(&mut self, b: bool) {
+    pub fn insert_bool(&mut self, b: bool) -> Result<()> {
         match self {
             DistinctSet::Empty => {
                 *self = DistinctSet::Bool {
@@ -356,55 +342,27 @@ impl DistinctSet {
                 *seen_true |= b;
                 *seen_false |= !b;
             }
-            _ => self.insert_mixed(Value::Bool(b)),
+            _ => return Err(self.mismatch("a Bool cell")),
         }
+        Ok(())
     }
 
-    /// Dynamic-value insert (the per-value reference path). Nulls are
-    /// skipped by the caller.
-    pub fn insert_value(&mut self, v: &Value) {
-        match v {
-            Value::Null => {}
-            Value::Int(x) => self.insert_num(*x as f64),
-            Value::Float(x) => self.insert_num(*x),
-            Value::Date(x) => self.insert_num(*x as f64),
-            Value::Bool(b) => self.insert_bool(*b),
-            Value::Str(s) => self.insert_str(s),
-        }
-    }
-
-    /// Demote to the `Mixed` representation and insert `v`. Re-materialises
-    /// numerics as `Float` values — the same `Value` equivalence class, so
-    /// the set's cardinality is unchanged.
-    fn insert_mixed(&mut self, v: Value) {
-        let mut set: HashSet<Value> = match std::mem::take(self) {
-            DistinctSet::Empty => HashSet::new(),
-            DistinctSet::Num(s) => s
-                .into_iter()
-                .map(|b| Value::Float(f64::from_bits(b)))
-                .collect(),
-            DistinctSet::Str(s) => s.into_iter().map(Value::Str).collect(),
-            DistinctSet::Bool {
-                seen_true,
-                seen_false,
-            } => {
-                let mut m = HashSet::new();
-                if seen_true {
-                    m.insert(Value::Bool(true));
-                }
-                if seen_false {
-                    m.insert(Value::Bool(false));
-                }
-                m
-            }
-            DistinctSet::Mixed(s) => s,
+    /// The error for inserting a cell of another class than the set's.
+    fn mismatch(&self, found: &str) -> DataError {
+        let expected = match self {
+            DistinctSet::Num(_) => "numeric",
+            DistinctSet::Str(_) => "Utf8",
+            _ => "Bool",
         };
-        set.insert(v);
-        *self = DistinctSet::Mixed(set);
+        DataError::TypeMismatch {
+            expected: format!("a cell of a {expected} count-distinct set"),
+            found: found.into(),
+        }
     }
 
-    /// Set union (the `⊕` merge of count-distinct partials).
-    pub fn merge(&mut self, other: &DistinctSet) {
+    /// Set union (the `⊕` merge of count-distinct partials). Sets of two
+    /// classes do not merge.
+    pub fn merge(&mut self, other: &DistinctSet) -> Result<()> {
         match (&mut *self, other) {
             (_, DistinctSet::Empty) => {}
             (DistinctSet::Empty, o) => *self = o.clone(),
@@ -423,32 +381,9 @@ impl DistinctSet {
                 *seen_true |= ot;
                 *seen_false |= of;
             }
-            (_, o) => {
-                for v in o.values() {
-                    self.insert_mixed(v);
-                }
-            }
+            (a, b) => return Err(mismatched("merge", a, b)),
         }
-    }
-
-    /// The set's contents as `Value`s (serde and the mixed fallback).
-    pub fn values(&self) -> Vec<Value> {
-        match self {
-            DistinctSet::Empty => Vec::new(),
-            DistinctSet::Num(s) => s.iter().map(|&b| Value::Float(f64::from_bits(b))).collect(),
-            DistinctSet::Str(s) => s.iter().cloned().map(Value::Str).collect(),
-            DistinctSet::Bool {
-                seen_true,
-                seen_false,
-            } => [
-                seen_true.then_some(Value::Bool(true)),
-                seen_false.then_some(Value::Bool(false)),
-            ]
-            .into_iter()
-            .flatten()
-            .collect(),
-            DistinctSet::Mixed(s) => s.iter().cloned().collect(),
-        }
+        Ok(())
     }
 
     /// Approximate heap bytes (peak-memory accounting).
@@ -458,17 +393,16 @@ impl DistinctSet {
             DistinctSet::Num(s) => s.len() * 16,
             DistinctSet::Str(s) => s.iter().map(|v| v.len() + 32).sum(),
             DistinctSet::Bool { .. } => 2,
-            DistinctSet::Mixed(s) => s.len() * 48,
         }
     }
 }
 
-/// A finalized aggregate cell: point estimate plus (optional) variance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggOutput {
-    pub value: Value,
-    /// Variance of the estimator (None when not meaningful, e.g. strings).
-    pub variance: Option<f64>,
+/// The error for merging, or finalizing together, two states that do not
+/// belong to one spec.
+fn mismatched(op: &str, a: &impl std::fmt::Debug, b: &impl std::fmt::Debug) -> DataError {
+    DataError::Invalid(format!(
+        "cannot {op} mismatched aggregate states {a:?} vs {b:?}"
+    ))
 }
 
 /// Mergeable per-group intrinsic state (Table 2 "intrinsic repr.").
@@ -576,20 +510,24 @@ fn scatter(
 }
 
 /// [`scatter`] for count-distinct: `insert` puts a row's cell into its
-/// group's set, which also counts the observation.
+/// group's set, which also counts the observation. A cell of another class
+/// than its set's stops the fold with the insert's error.
 #[inline]
 fn scatter_distinct(
     states: &mut [AggState],
     slots: &[u32],
     mask: Option<&[bool]>,
-    insert: impl Fn(&mut DistinctSet, usize),
-) {
-    scatter(states, slots, mask, |st, row| {
-        if let AggState::Distinct { set, n } = st {
-            insert(set, row);
+    insert: impl Fn(&mut DistinctSet, usize) -> Result<()>,
+) -> Result<()> {
+    let mut res = Ok(());
+    scatter(states, slots, mask, |st, row| match st {
+        AggState::Distinct { set, n } if res.is_ok() => {
+            res = insert(set, row);
             *n += 1.0;
         }
-    })
+        _ => {}
+    });
+    res
 }
 
 impl AggState {
@@ -599,7 +537,8 @@ impl AggState {
     /// The per-value reference: the engine folds through
     /// [`fold_column`](Self::fold_column), and the tests hold that kernel
     /// to this, bit for bit.
-    pub fn observe(&mut self, value: &Value, weight: Option<&Value>) {
+    #[cfg(test)]
+    pub(crate) fn observe(&mut self, value: &Value, weight: Option<&Value>) {
         match self {
             AggState::Count { n } => {
                 if !value.is_null() {
@@ -624,10 +563,15 @@ impl AggState {
                 is_min,
             } => observe_extreme(best, second, *is_min, value),
             AggState::Distinct { set, n } => {
-                if !value.is_null() {
-                    set.insert_value(value);
-                    *n += 1.0;
-                }
+                let inserted = match value {
+                    Value::Null => return,
+                    Value::Int(x) | Value::Date(x) => set.insert_num(*x as f64),
+                    Value::Float(x) => set.insert_num(*x),
+                    Value::Bool(b) => set.insert_bool(*b),
+                    Value::Str(s) => set.insert_str(s),
+                };
+                inserted.expect("a test observes one class of cell per set");
+                *n += 1.0;
             }
             AggState::Sample { values, .. } => {
                 if let Some(x) = value.as_f64() {
@@ -641,18 +585,20 @@ impl AggState {
     /// only `WeightedAvg` reads — into `states[slots[i]]`, for every row in
     /// row order. All of `states` come from one spec. Each kind reads the
     /// typed column buffer and its validity mask; only min/max build a
-    /// `Value` per cell. For every state this is [`observe`](Self::observe)
-    /// over the same cells in the same order, bit for bit: nulls are
-    /// skipped, Bool/Utf8 cells feed no moment or sample, and a count
-    /// adds 1.0 per row, which stays exact.
+    /// `Value` per cell. For every state this is the test-only per-cell
+    /// `observe` over the same cells in the same order, bit for bit: nulls
+    /// are skipped, Bool/Utf8 cells feed no moment or sample, and a count
+    /// adds 1.0 per row, which stays exact. A count-distinct cell of
+    /// another class than its group's set (a mistyped spilled state) is a
+    /// `TypeMismatch`.
     pub fn fold_column(
         states: &mut [AggState],
         slots: &[u32],
         col: &Column,
         weight: Option<&Column>,
-    ) {
+    ) -> Result<()> {
         let Some(first) = slots.first().and_then(|&s| states.get(s as usize)) else {
-            return;
+            return Ok(());
         };
         let valid = col.validity();
         let num = NumView::of(col);
@@ -663,7 +609,7 @@ impl AggState {
                 }
             }),
             AggState::Sum { .. } | AggState::Avg { .. } | AggState::Dispersion { .. } => {
-                let Some(num) = num else { return };
+                let Some(num) = num else { return Ok(()) };
                 scatter(states, slots, valid, |st, row| {
                     if let AggState::Sum { m }
                     | AggState::Avg { m }
@@ -674,7 +620,7 @@ impl AggState {
                 })
             }
             AggState::Sample { .. } => {
-                let Some(num) = num else { return };
+                let Some(num) = num else { return Ok(()) };
                 scatter(states, slots, valid, |st, row| {
                     if let AggState::Sample { values, .. } = st {
                         values.push(num.get(row));
@@ -683,10 +629,10 @@ impl AggState {
             }
             AggState::WeightedAvg { .. } => {
                 let Some((num, weight)) = num.zip(weight) else {
-                    return;
+                    return Ok(());
                 };
                 let Some(wnum) = NumView::of(weight) else {
-                    return;
+                    return Ok(());
                 };
                 let wvalid = weight.validity();
                 scatter(states, slots, valid, |st, row| {
@@ -711,19 +657,20 @@ impl AggState {
             }),
             AggState::Distinct { .. } => match col.data() {
                 ColumnData::Int64(v) | ColumnData::Date(v) => {
-                    scatter_distinct(states, slots, valid, |s, row| s.insert_num(v[row] as f64))
+                    scatter_distinct(states, slots, valid, |s, row| s.insert_num(v[row] as f64))?
                 }
                 ColumnData::Float64(v) => {
-                    scatter_distinct(states, slots, valid, |s, row| s.insert_num(v[row]))
+                    scatter_distinct(states, slots, valid, |s, row| s.insert_num(v[row]))?
                 }
                 ColumnData::Bool(v) => {
-                    scatter_distinct(states, slots, valid, |s, row| s.insert_bool(v[row]))
+                    scatter_distinct(states, slots, valid, |s, row| s.insert_bool(v[row]))?
                 }
                 ColumnData::Utf8(v) => {
-                    scatter_distinct(states, slots, valid, |s, row| s.insert_str(&v[row]))
+                    scatter_distinct(states, slots, valid, |s, row| s.insert_str(&v[row]))?
                 }
             },
         }
+        Ok(())
     }
 
     /// Approximate bytes (peak-memory accounting): a per-state constant
@@ -765,185 +712,145 @@ impl AggState {
                 }
             }
             (AggState::Distinct { set, n }, AggState::Distinct { set: os, n: on }) => {
-                set.merge(os);
+                set.merge(os)?;
                 *n += on;
             }
             (AggState::Sample { values, .. }, AggState::Sample { values: ov, .. }) => {
                 values.extend_from_slice(ov);
             }
-            (a, b) => {
-                return Err(DataError::Invalid(format!(
-                    "cannot merge mismatched aggregate states {a:?} vs {b:?}"
-                )))
-            }
+            (a, b) => return Err(mismatched("merge", a, b)),
         }
         Ok(())
     }
 
-    /// Produce the extrinsic estimate (§5.3); `ctx` carries the shared
-    /// growth scale.
+    /// The finalize kernel (§5.3): the extrinsic estimates of
+    /// `states[order[0]]`, `states[order[1]]`, … as one column of `dtype`
+    /// (the spec's [`AggSpec::output_type`]), plus each estimate's
+    /// variance. All of `states` come from one spec, and `ctx` carries the
+    /// shared growth scale. Min/max gather their extremum in the input
+    /// type; every other kind writes `Float64`, with a null estimate (an
+    /// empty avg, a var over fewer than two rows) as an invalid 0.0.
     ///
-    /// Once the input is complete (`t = 1`) the estimate is the exact
-    /// finite-population answer, so the reported variance collapses to 0 —
-    /// the convergence property extends to the uncertainty itself.
-    pub fn finalize(&self, ctx: &ScaleContext) -> AggOutput {
-        let mut out = self.finalize_inner(ctx);
-        if ctx.t >= 1.0 {
-            out.variance = out.variance.map(|_| 0.0);
-        }
-        out
-    }
-
-    fn finalize_inner(&self, ctx: &ScaleContext) -> AggOutput {
-        match self {
-            AggState::Count { n } => {
-                // f_count: scale the raw count by t^{-w} (x̂ = x / t^w).
-                let est = n * ctx.scale;
-                AggOutput {
-                    value: Value::Float(est),
-                    variance: Some(ctx.cardinality_variance(est)),
-                }
-            }
-            AggState::Sum { m } => {
-                // f_sum = (y / x) · x̂ = y · t^{-w}  (Eq. against §5.3).
-                let est = m.sum * ctx.scale;
-                // Eq. 11: Var = (Var(y)·x̂² + Var(x̂)·y²) / x².
-                let variance = if m.count > 0.0 {
-                    let xhat = m.count * ctx.scale;
-                    let var_y = m.variance_of_sum();
-                    let var_xhat = ctx.cardinality_variance(xhat);
-                    Some((var_y * xhat * xhat + var_xhat * m.sum * m.sum) / (m.count * m.count))
-                } else {
-                    Some(0.0)
+    /// A null estimate, or a min/max over non-numeric cells, has variance
+    /// 0. Once the input is complete (`t = 1`) every estimate is the exact
+    /// finite-population answer, so every variance is 0 — the convergence
+    /// property extends to the uncertainty itself.
+    pub fn finalize_column(
+        states: &[AggState],
+        order: &[u32],
+        ctx: &ScaleContext,
+        dtype: DataType,
+    ) -> Result<(Column, Vec<f64>)> {
+        let picked = order.iter().map(|&g| &states[g as usize]);
+        let mut variance = Vec::with_capacity(order.len());
+        let first = states.first();
+        let column = if let Some(AggState::Extreme { .. }) = first {
+            let mut cells = Vec::with_capacity(order.len());
+            let num = |v: &Option<Value>| v.as_ref().and_then(Value::as_f64);
+            for st in picked {
+                let AggState::Extreme { best, second, .. } = st else {
+                    return Err(mismatched("finalize", &first, st));
                 };
-                AggOutput {
-                    value: Value::Float(est),
-                    variance,
-                }
-            }
-            AggState::Avg { m } => {
-                // Eq. 5: scaling cancels; the estimator is the identity.
-                if m.count == 0.0 {
-                    return AggOutput {
-                        value: Value::Null,
-                        variance: None,
-                    };
-                }
-                AggOutput {
-                    value: Value::Float(m.mean()),
-                    variance: Some(m.variance_of_mean()),
-                }
-            }
-            AggState::WeightedAvg { m_wv, m_w } => {
-                if m_w.sum == 0.0 {
-                    return AggOutput {
-                        value: Value::Null,
-                        variance: None,
-                    };
-                }
-                let est = m_wv.sum / m_w.sum;
-                // Eq. 14: relative variances of numerator and denominator.
-                let rel_num = if m_wv.sum != 0.0 {
-                    m_wv.variance_of_sum() / (m_wv.sum * m_wv.sum)
-                } else {
-                    0.0
-                };
-                let rel_den = if m_w.sum != 0.0 {
-                    m_w.variance_of_sum() / (m_w.sum * m_w.sum)
-                } else {
-                    0.0
-                };
-                AggOutput {
-                    value: Value::Float(est),
-                    variance: Some(est * est * (rel_num + rel_den)),
-                }
-            }
-            AggState::Extreme { best, second, .. } => {
                 // f_order: latest extremum (§5.3 "Order Statistics").
-                let value = best.clone().unwrap_or(Value::Null);
+                cells.push(best.clone().unwrap_or(Value::Null));
                 // Spacing heuristic: squared gap between the two most
                 // extreme observations, shrinking as the group fills in.
-                let variance = match (ctx.t < 1.0, best, second) {
-                    (true, Some(b), Some(s)) => match (b.as_f64(), s.as_f64()) {
-                        (Some(b), Some(s)) => Some((b - s) * (b - s)),
-                        _ => None,
-                    },
-                    _ => Some(0.0),
-                };
-                AggOutput { value, variance }
+                let gap = num(best).zip(num(second)).map(|(b, s)| b - s);
+                variance.push(gap.map_or(0.0, |d| d * d));
             }
-            AggState::Distinct { set, n } => {
-                let y = set.len() as f64;
-                let x = *n;
-                let xhat = x * ctx.scale;
-                let est = estimate_distinct(y, x, xhat);
-                let var_xhat = ctx.cardinality_variance(xhat);
-                // Var(y) of the seen-distinct count: crude binomial bound.
-                let var_y = if ctx.t < 1.0 {
-                    y.max(1.0) * (1.0 - ctx.t)
-                } else {
-                    0.0
-                };
-                let variance = Some(distinct_variance(var_y, var_xhat, x, xhat, est));
-                AggOutput {
-                    value: Value::Float(est),
-                    variance,
-                }
-            }
-            AggState::Sample { values, q } => {
-                if values.is_empty() {
-                    return AggOutput {
-                        value: Value::Null,
-                        variance: None,
-                    };
-                }
-                // `Value`'s order: every NaN last; a stable sort keeps
-                // `-0.0` and `0.0` (which tie) in input order.
-                let mut sorted = values.clone();
-                sorted.sort_by(|a, b| cmp_f64(*a, *b));
-                let n = sorted.len();
-                let rank = (q * (n - 1) as f64).round() as usize;
-                let est = sorted[rank.min(n - 1)];
-                // Rank-based CI half-width: the q-th sample quantile lies
-                // within ±sqrt(q(1-q)n) ranks of the population quantile
-                // w.h.p. (van der Vaart §21.2); map that rank band to value
-                // space and report its squared half-width as the variance.
-                let h = ((q * (1.0 - q) * n as f64).sqrt().ceil() as usize).max(1);
-                let lo = sorted[rank.saturating_sub(h)];
-                let hi = sorted[(rank + h).min(n - 1)];
-                let half = (hi - lo) / 2.0;
-                AggOutput {
-                    value: Value::Float(est),
-                    variance: Some(half * half),
-                }
-            }
-            AggState::Dispersion { m, stddev } => {
-                if m.count < 2.0 {
-                    return AggOutput {
-                        value: Value::Null,
-                        variance: None,
-                    };
-                }
-                let s2 = m.sample_variance();
-                let value = if *stddev { s2.sqrt() } else { s2 };
-                // Asymptotic Var(s²) ≈ 2σ⁴ / (n − 1) (normal approximation).
-                let var_s2 = 2.0 * s2 * s2 / (m.count - 1.0);
-                let variance = if *stddev {
-                    // Delta method: Var(s) ≈ Var(s²) / (4 s²).
-                    if s2 > 0.0 {
-                        Some(var_s2 / (4.0 * s2))
-                    } else {
-                        Some(0.0)
+            Column::from_values(dtype, &cells)?
+        } else {
+            let mut est = Vec::with_capacity(order.len());
+            let mut valid = Vec::with_capacity(order.len());
+            for st in picked {
+                let (value, var) = match st {
+                    AggState::Count { n } => {
+                        // f_count: scale the raw count by t^{-w} (x̂ = x / t^w).
+                        let est = n * ctx.scale;
+                        (Some(est), ctx.cardinality_variance(est))
                     }
-                } else {
-                    Some(var_s2)
+                    AggState::Sum { m } => {
+                        // f_sum = (y / x) · x̂ = y · t^{-w}  (Eq. against §5.3).
+                        let est = m.sum * ctx.scale;
+                        // Eq. 11: Var = (Var(y)·x̂² + Var(x̂)·y²) / x².
+                        let var = if m.count > 0.0 {
+                            let xhat = m.count * ctx.scale;
+                            let var_y = m.variance_of_sum();
+                            let var_xhat = ctx.cardinality_variance(xhat);
+                            (var_y * xhat * xhat + var_xhat * m.sum * m.sum) / (m.count * m.count)
+                        } else {
+                            0.0
+                        };
+                        (Some(est), var)
+                    }
+                    // Eq. 5: scaling cancels; the estimator is the identity.
+                    AggState::Avg { m } if m.count == 0.0 => (None, 0.0),
+                    AggState::Avg { m } => (Some(m.mean()), m.variance_of_mean()),
+                    AggState::WeightedAvg { m_w, .. } if m_w.sum == 0.0 => (None, 0.0),
+                    AggState::WeightedAvg { m_wv, m_w } => {
+                        let est = m_wv.sum / m_w.sum;
+                        // Eq. 14: relative variances of numerator and denominator.
+                        let rel_num = if m_wv.sum != 0.0 {
+                            m_wv.variance_of_sum() / (m_wv.sum * m_wv.sum)
+                        } else {
+                            0.0
+                        };
+                        let rel_den = m_w.variance_of_sum() / (m_w.sum * m_w.sum);
+                        (Some(est), est * est * (rel_num + rel_den))
+                    }
+                    AggState::Distinct { set, n } => {
+                        let y = set.len() as f64;
+                        let x = *n;
+                        let xhat = x * ctx.scale;
+                        let est = estimate_distinct(y, x, xhat);
+                        let var_xhat = ctx.cardinality_variance(xhat);
+                        // Var(y) of the seen-distinct count: crude binomial bound.
+                        let var_y = y.max(1.0) * (1.0 - ctx.t);
+                        (Some(est), distinct_variance(var_y, var_xhat, x, xhat, est))
+                    }
+                    AggState::Sample { values, .. } if values.is_empty() => (None, 0.0),
+                    AggState::Sample { values, q } => {
+                        // `Value`'s order: every NaN last; a stable sort keeps
+                        // `-0.0` and `0.0` (which tie) in input order.
+                        let mut sorted = values.clone();
+                        sorted.sort_by(|a, b| cmp_f64(*a, *b));
+                        let n = sorted.len();
+                        let rank = (q * (n - 1) as f64).round() as usize;
+                        let est = sorted[rank.min(n - 1)];
+                        // Rank-based CI half-width: the q-th sample quantile lies
+                        // within ±sqrt(q(1-q)n) ranks of the population quantile
+                        // w.h.p. (van der Vaart §21.2); map that rank band to value
+                        // space and report its squared half-width as the variance.
+                        let h = ((q * (1.0 - q) * n as f64).sqrt().ceil() as usize).max(1);
+                        let lo = sorted[rank.saturating_sub(h)];
+                        let hi = sorted[(rank + h).min(n - 1)];
+                        let half = (hi - lo) / 2.0;
+                        (Some(est), half * half)
+                    }
+                    AggState::Dispersion { m, .. } if m.count < 2.0 => (None, 0.0),
+                    AggState::Dispersion { m, stddev } => {
+                        let s2 = m.sample_variance();
+                        // Asymptotic Var(s²) ≈ 2σ⁴ / (n − 1) (normal approximation).
+                        let var_s2 = 2.0 * s2 * s2 / (m.count - 1.0);
+                        match (*stddev, s2 > 0.0) {
+                            // Delta method: Var(s) ≈ Var(s²) / (4 s²).
+                            (true, true) => (Some(s2.sqrt()), var_s2 / (4.0 * s2)),
+                            (true, false) => (Some(s2.sqrt()), 0.0),
+                            (false, _) => (Some(s2), var_s2),
+                        }
+                    }
+                    AggState::Extreme { .. } => return Err(mismatched("finalize", &first, st)),
                 };
-                AggOutput {
-                    value: Value::Float(value),
-                    variance,
-                }
+                est.push(value.unwrap_or(0.0));
+                valid.push(value.is_some());
+                variance.push(var);
             }
+            Column::with_validity(ColumnData::Float64(est), valid)?
+        };
+        if ctx.t >= 1.0 {
+            variance.fill(0.0);
         }
+        Ok((column, variance))
     }
 }
 
@@ -958,6 +865,17 @@ mod tests {
         }
     }
 
+    /// One state through the finalize kernel: its estimate and variance.
+    fn finalize_one(st: &AggState, ctx: &ScaleContext) -> (Value, f64) {
+        let dtype = match st {
+            AggState::Extreme { best: Some(v), .. } => v.data_type().unwrap(),
+            _ => DataType::Float64,
+        };
+        let (col, var) =
+            AggState::finalize_column(std::slice::from_ref(st), &[0], ctx, dtype).unwrap();
+        (col.value(0), var[0])
+    }
+
     #[test]
     fn sum_scaling_and_convergence() {
         let spec = AggSpec::sum(col("x"), "s");
@@ -969,11 +887,11 @@ mod tests {
             t: 0.5,
             w_variance: 0.0,
         };
-        let out = st.finalize(&ctx);
-        assert_eq!(out.value, Value::Float(12.0));
+        let out = finalize_one(&st, &ctx);
+        assert_eq!(out.0, Value::Float(12.0));
         // At completion the raw value is exact.
-        let out = st.finalize(&ScaleContext::exact());
-        assert_eq!(out.value, Value::Float(6.0));
+        let out = finalize_one(&st, &ScaleContext::exact());
+        assert_eq!(out.0, Value::Float(6.0));
     }
 
     #[test]
@@ -1000,8 +918,8 @@ mod tests {
             left.merge(&right).unwrap();
             let ctx = ScaleContext::exact();
             assert_eq!(
-                left.finalize(&ctx).value,
-                whole.finalize(&ctx).value,
+                finalize_one(&left, &ctx).0,
+                finalize_one(&whole, &ctx).0,
                 "func {:?}",
                 spec.func
             );
@@ -1013,12 +931,15 @@ mod tests {
         let spec = AggSpec::avg(col("x"), "a");
         let mut st = spec.new_state();
         obs(&mut st, &[2.0, 4.0]);
-        let scaled = st.finalize(&ScaleContext {
-            scale: 4.0,
-            t: 0.25,
-            w_variance: 0.1,
-        });
-        assert_eq!(scaled.value, Value::Float(3.0));
+        let scaled = finalize_one(
+            &st,
+            &ScaleContext {
+                scale: 4.0,
+                t: 0.25,
+                w_variance: 0.1,
+            },
+        );
+        assert_eq!(scaled.0, Value::Float(3.0));
     }
 
     #[test]
@@ -1027,9 +948,9 @@ mod tests {
         let mut st = spec.new_state();
         st.observe(&Value::Float(10.0), Some(&Value::Float(1.0)));
         st.observe(&Value::Float(20.0), Some(&Value::Float(3.0)));
-        let out = st.finalize(&ScaleContext::exact());
+        let out = finalize_one(&st, &ScaleContext::exact());
         // (10·1 + 20·3) / (1 + 3) = 17.5
-        assert_eq!(out.value, Value::Float(17.5));
+        assert_eq!(out.0, Value::Float(17.5));
     }
 
     #[test]
@@ -1046,12 +967,12 @@ mod tests {
             t: 0.5,
             w_variance: 0.0,
         };
-        let est = st.finalize(&ctx);
-        let v = est.value.as_f64().unwrap();
+        let est = finalize_one(&st, &ctx);
+        let v = est.0.as_f64().unwrap();
         assert!((10.0..=100.0).contains(&v));
         // Complete: exact distinct count.
-        let exact = st.finalize(&ScaleContext::exact());
-        assert_eq!(exact.value, Value::Float(10.0));
+        let exact = finalize_one(&st, &ScaleContext::exact());
+        assert_eq!(exact.0, Value::Float(10.0));
     }
 
     #[test]
@@ -1059,20 +980,58 @@ mod tests {
         let spec = AggSpec::max(col("x"), "mx");
         let mut st = spec.new_state();
         obs(&mut st, &[3.0, 9.0, 7.0]);
-        let out = st.finalize(&ScaleContext {
-            scale: 2.0,
-            t: 0.5,
-            w_variance: 0.0,
-        });
-        assert_eq!(out.value, Value::Float(9.0));
+        let out = finalize_one(
+            &st,
+            &ScaleContext {
+                scale: 2.0,
+                t: 0.5,
+                w_variance: 0.0,
+            },
+        );
+        assert_eq!(out.0, Value::Float(9.0));
         // Spacing heuristic: (9 − 7)².
-        assert_eq!(out.variance, Some(4.0));
+        assert_eq!(out.1, 4.0);
         // Min over strings works and reports no numeric variance.
         let mut st = AggSpec::min(col("s"), "mn").new_state();
         st.observe(&Value::str("pear"), None);
         st.observe(&Value::str("apple"), None);
-        let out = st.finalize(&ScaleContext::exact());
-        assert_eq!(out.value, Value::str("apple"));
+        let out = finalize_one(
+            &st,
+            &ScaleContext {
+                scale: 2.0,
+                t: 0.5,
+                w_variance: 0.0,
+            },
+        );
+        assert_eq!(out, (Value::str("apple"), 0.0));
+    }
+
+    #[test]
+    fn finalize_column_follows_order_and_writes_nulls_typed() {
+        // Rows come out in `order`; a null estimate is an invalid 0.0 with
+        // variance 0; min/max keep the input type.
+        let ctx = ScaleContext {
+            scale: 2.0,
+            t: 0.5,
+            w_variance: 0.0,
+        };
+        let spec = AggSpec::avg(col("x"), "a");
+        let mut avgs = vec![spec.new_state(); 3];
+        obs(&mut avgs[0], &[2.0, 4.0]);
+        obs(&mut avgs[2], &[10.0]);
+        let (c, var) =
+            AggState::finalize_column(&avgs, &[2, 1, 0], &ctx, DataType::Float64).unwrap();
+        assert_eq!(c.as_f64_slice().unwrap(), &[10.0, 0.0, 3.0]);
+        assert_eq!(c.validity(), Some(&[true, false, true][..]));
+        assert_eq!(var[1], 0.0);
+        let spec = AggSpec::min(col("x"), "mn");
+        let mut mins = vec![spec.new_state(); 2];
+        mins[1].observe(&Value::Int(i64::MAX), None);
+        let (c, _) = AggState::finalize_column(&mins, &[1, 0], &ctx, DataType::Int64).unwrap();
+        assert_eq!(
+            c.iter().collect::<Vec<_>>(),
+            [Value::Int(i64::MAX), Value::Null]
+        );
     }
 
     #[test]
@@ -1080,27 +1039,33 @@ mod tests {
         let mut st = AggSpec::count(col("x"), "c").new_state();
         st.observe(&Value::Null, None);
         st.observe(&Value::Int(1), None);
-        let out = st.finalize(&ScaleContext::exact());
-        assert_eq!(out.value, Value::Float(1.0));
+        let out = finalize_one(&st, &ScaleContext::exact());
+        assert_eq!(out.0, Value::Float(1.0));
         let mut st = AggSpec::avg(col("x"), "a").new_state();
         st.observe(&Value::Null, None);
-        assert_eq!(st.finalize(&ScaleContext::exact()).value, Value::Null);
+        assert_eq!(finalize_one(&st, &ScaleContext::exact()).0, Value::Null);
     }
 
     #[test]
     fn dispersion_values() {
         let mut st = AggSpec::var(col("x"), "v").new_state();
         obs(&mut st, &[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        let v = st.finalize(&ScaleContext::exact()).value.as_f64().unwrap();
+        let v = finalize_one(&st, &ScaleContext::exact())
+            .0
+            .as_f64()
+            .unwrap();
         assert!((v - 32.0 / 7.0).abs() < 1e-9);
         let mut st = AggSpec::stddev(col("x"), "sd").new_state();
         obs(&mut st, &[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        let sd = st.finalize(&ScaleContext::exact()).value.as_f64().unwrap();
+        let sd = finalize_one(&st, &ScaleContext::exact())
+            .0
+            .as_f64()
+            .unwrap();
         assert!((sd - (32.0f64 / 7.0).sqrt()).abs() < 1e-9);
         // Single observation: undefined.
         let mut st = AggSpec::var(col("x"), "v").new_state();
         obs(&mut st, &[1.0]);
-        assert_eq!(st.finalize(&ScaleContext::exact()).value, Value::Null);
+        assert_eq!(finalize_one(&st, &ScaleContext::exact()).0, Value::Null);
     }
 
     /// Same state, bit for bit: equal `put_agg_state` bytes. A count-distinct
@@ -1192,7 +1157,7 @@ mod tests {
                     for spec in &specs {
                         let fresh = || (0..groups).map(|_| spec.new_state()).collect::<Vec<_>>();
                         let (mut fast, mut slow) = (fresh(), fresh());
-                        AggState::fold_column(&mut fast, &slots, input, w);
+                        AggState::fold_column(&mut fast, &slots, input, w).unwrap();
                         for (row, &slot) in slots.iter().enumerate() {
                             let wv = w.map(|c| c.value(row));
                             slow[slot as usize].observe(&input.value(row), wv.as_ref());
@@ -1214,38 +1179,45 @@ mod tests {
 
     #[test]
     fn distinct_set_semantics_match_value_equality() {
-        let mut s = DistinctSet::default();
-        assert!(s.is_empty());
         // Int(3), Float(3.0), Date(3) are one Value-equivalence class.
-        s.insert_value(&Value::Int(3));
-        s.insert_value(&Value::Float(3.0));
-        s.insert_value(&Value::Date(3));
-        assert_eq!(s.len(), 1);
+        let mut st = [AggSpec::count_distinct(col("x"), "cd").new_state()];
+        for c in [
+            Column::from_i64(vec![3]),
+            Column::from_f64(vec![3.0, -0.0, 0.0, f64::NAN, -f64::NAN]),
+            Column::from_dates(vec![3]),
+        ] {
+            AggState::fold_column(&mut st, &vec![0; c.len()], &c, None).unwrap();
+        }
+        let AggState::Distinct { set, n } = &st[0] else {
+            unreachable!()
+        };
         // -0.0 == 0.0, NaN unifies.
-        s.insert_num(-0.0);
-        s.insert_num(0.0);
-        s.insert_num(f64::NAN);
-        s.insert_num(-f64::NAN);
-        assert_eq!(s.len(), 3);
-        // Mixed-type fallback preserves cardinality exactly.
-        s.insert_value(&Value::str("x"));
-        assert!(matches!(s, DistinctSet::Mixed(_)));
-        assert_eq!(s.len(), 4);
-        s.insert_value(&Value::Int(3)); // already present pre-demotion
-        assert_eq!(s.len(), 4);
-        // Merge = set union across representations.
-        let mut a = DistinctSet::default();
-        a.insert_str(&std::sync::Arc::from("p"));
+        assert_eq!((set.len(), *n), (3, 7.0));
+        // A cell of another class is a typed error that leaves the set as
+        // it was; so is merging sets of two classes.
+        let mut s = set.clone();
+        let err = s.insert_str(&Arc::from("x")).unwrap_err();
+        assert!(matches!(err, DataError::TypeMismatch { .. }), "{err}");
+        assert_eq!(&s, set);
+        assert!(s.insert_bool(true).is_err() && s.len() == 3);
         let mut b = DistinctSet::default();
-        b.insert_str(&std::sync::Arc::from("p"));
-        b.insert_str(&std::sync::Arc::from("q"));
-        a.merge(&b);
+        b.insert_str(&Arc::from("p")).unwrap();
+        assert!(matches!(s.merge(&b), Err(DataError::Invalid(_))));
+        assert!(matches!(
+            b.insert_num(1.0),
+            Err(DataError::TypeMismatch { .. })
+        ));
+        // Merge = set union.
+        let mut a = DistinctSet::default();
+        a.insert_str(&Arc::from("p")).unwrap();
+        b.insert_str(&Arc::from("q")).unwrap();
+        a.merge(&b).unwrap();
         assert_eq!(a.len(), 2);
         let mut bools = DistinctSet::default();
-        bools.insert_bool(true);
-        bools.insert_bool(true);
+        bools.insert_bool(true).unwrap();
+        bools.insert_bool(true).unwrap();
         assert_eq!(bools.len(), 1);
-        bools.insert_bool(false);
+        bools.insert_bool(false).unwrap();
         assert_eq!(bools.len(), 2);
         assert!(bools.byte_size() > 0 && a.byte_size() > 0);
     }
@@ -1262,20 +1234,23 @@ mod tests {
         let spec = AggSpec::median(col("x"), "med");
         let mut st = spec.new_state();
         obs(&mut st, &[5.0, 1.0, 9.0, 3.0, 7.0]);
-        let out = st.finalize(&ScaleContext::exact());
-        assert_eq!(out.value, Value::Float(5.0));
+        let out = finalize_one(&st, &ScaleContext::exact());
+        assert_eq!(out.0, Value::Float(5.0));
         // p90 of 1..=10.
         let spec = AggSpec::quantile(col("x"), 0.9, "p90");
         let mut st = spec.new_state();
         obs(&mut st, &(1..=10).map(f64::from).collect::<Vec<_>>());
-        let out = st.finalize(&ScaleContext {
-            scale: 2.0,
-            t: 0.5,
-            w_variance: 0.0,
-        });
-        let v = out.value.as_f64().unwrap();
+        let out = finalize_one(
+            &st,
+            &ScaleContext {
+                scale: 2.0,
+                t: 0.5,
+                w_variance: 0.0,
+            },
+        );
+        let v = out.0.as_f64().unwrap();
         assert!((9.0..=10.0).contains(&v), "p90 {v}");
-        assert!(out.variance.unwrap() >= 0.0);
+        assert!(out.1 >= 0.0);
         // Merge = concatenation: split/merge equals single stream.
         let xs: Vec<f64> = (0..21).map(|i| (i * 7 % 13) as f64).collect();
         let mut whole = AggSpec::median(col("x"), "m").new_state();
@@ -1286,16 +1261,26 @@ mod tests {
         obs(&mut b, &xs[8..]);
         a.merge(&b).unwrap();
         let ctx = ScaleContext::exact();
-        assert_eq!(a.finalize(&ctx).value, whole.finalize(&ctx).value);
+        assert_eq!(finalize_one(&a, &ctx).0, finalize_one(&whole, &ctx).0);
         // Empty sample -> NULL.
         let st = AggSpec::median(col("x"), "m").new_state();
-        assert_eq!(st.finalize(&ctx).value, Value::Null);
+        assert_eq!(finalize_one(&st, &ctx).0, Value::Null);
     }
 
     #[test]
-    #[should_panic(expected = "quantile must be in")]
     fn quantile_rank_validated() {
-        AggSpec::quantile(col("x"), 1.5, "bad");
+        // The rank is checked once, where an aggregation is built.
+        use crate::meta::EdfMeta;
+        use crate::ops::agg_op::AggOp;
+        use crate::update::UpdateKind;
+        use wake_data::{Field, Schema};
+        let schema = Arc::new(Schema::new(vec![Field::new("x", DataType::Float64)]));
+        let meta = EdfMeta::new(schema, vec![], UpdateKind::Delta);
+        for q in [-0.1, 1.5, f64::NAN] {
+            let spec = AggSpec::quantile(col("x"), q, "bad");
+            let op = AggOp::new(&meta, vec![], vec![spec], false);
+            assert!(matches!(op, Err(DataError::Invalid(_))), "{q}");
+        }
     }
 
     #[test]
@@ -1304,25 +1289,27 @@ mod tests {
         for _ in 0..10 {
             st.observe(&Value::Int(1), None);
         }
-        let lo = st
-            .finalize(&ScaleContext {
+        let lo = finalize_one(
+            &st,
+            &ScaleContext {
                 scale: 2.0,
                 t: 0.5,
                 w_variance: 0.01,
-            })
-            .variance
-            .unwrap();
-        let hi = st
-            .finalize(&ScaleContext {
+            },
+        )
+        .1;
+        let hi = finalize_one(
+            &st,
+            &ScaleContext {
                 scale: 2.0,
                 t: 0.5,
                 w_variance: 0.09,
-            })
-            .variance
-            .unwrap();
+            },
+        )
+        .1;
         assert!(hi > lo && lo > 0.0);
         // Complete input: zero variance.
-        let done = st.finalize(&ScaleContext::exact()).variance.unwrap();
+        let done = finalize_one(&st, &ScaleContext::exact()).1;
         assert_eq!(done, 0.0);
     }
 }

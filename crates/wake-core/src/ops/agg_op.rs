@@ -24,9 +24,13 @@
 //! candidates against the [`KeyStore`] — one typed `Column` per key —
 //! under `wake_data::hash`'s one cell equality; the snapshot orders groups
 //! by its one cell order. Once a frame's rows are resolved to slots, each
-//! aggregate input is folded **column-at-a-time** through the one kernel,
-//! [`AggState::fold_column`], into that spec's slot-indexed states; how
-//! each aggregate kind folds lives in [`crate::agg`] alone.
+//! aggregate input is folded **column-at-a-time** through the one fold
+//! kernel, [`AggState::fold_column`], into that spec's slot-indexed states.
+//! A snapshot sorts the slots by key once and reads each spec's states out
+//! in that order through the one finalize kernel,
+//! [`AggState::finalize_column`], as a typed estimate column plus the
+//! variances the `__var` columns carry. How each aggregate kind folds and
+//! finalizes lives in [`crate::agg`] alone.
 //!
 //! The keyed state (`KeyStore` + `GroupIndex` + per-spec `AggState`s)
 //! lives in a [`KeyedState`] of `S` hash-range shards, each `F` spill
@@ -54,7 +58,7 @@ use crate::update::{Update, UpdateKind};
 use crate::Result;
 use std::sync::Arc;
 use wake_data::hash::{hash_keys, KeyHashes, KeyStore};
-use wake_data::{Column, DataError, DataFrame, DataType, Field, Schema, Value};
+use wake_data::{Column, DataError, DataFrame, DataType, Field, Schema};
 use wake_expr::{eval_cow, infer_type, Expr};
 use wake_store::colfile::{Chunk, RunWriter};
 use wake_store::governor::{SpillEnv, SpillPlan};
@@ -244,7 +248,7 @@ impl AggCore {
         }
         for si in 0..cfg.specs.len() {
             let weight = weight_cols[si].as_deref();
-            AggState::fold_column(&mut self.states[si], &slots, &value_cols[si], weight);
+            AggState::fold_column(&mut self.states[si], &slots, &value_cols[si], weight)?;
             if let Some(vc) = carried_cols[si] {
                 let carried = &mut self.carried_var[si];
                 for (row, &slot) in slots.iter().enumerate() {
@@ -257,32 +261,31 @@ impl AggCore {
         Ok(slots)
     }
 
-    /// Finalize this core's groups into a key-sorted partial snapshot.
+    /// Finalize this core's groups into a key-sorted partial snapshot:
+    /// the key columns, then one estimate column per spec through the
+    /// finalize kernel, then (with variance) each spec's variance plus the
+    /// variance carried in from upstream.
     fn snapshot(&self, ctx: &ScaleContext) -> Result<DataFrame> {
         let cfg = &self.cfg;
         // Deterministic output order: sort group slots by key (typed
-        // comparison against the key store; no Value materialisation).
+        // comparison against the key store).
         let mut order: Vec<u32> = (0..self.key_store.len()).collect();
         order.sort_by(|&a, &b| self.key_store.cmp_slots(a, b));
-        let nkeys = cfg.keys.len();
-        let nspecs = cfg.specs.len();
-        let nagg = cfg.out_schema.len() - nkeys;
-        let mut agg_cols: Vec<Vec<Value>> = vec![Vec::with_capacity(order.len()); nagg];
-        for &slot in &order {
-            let g = slot as usize;
-            for si in 0..nspecs {
-                let out = self.states[si][g].finalize(ctx);
-                agg_cols[si].push(out.value);
-                if cfg.with_variance {
-                    let var = out.variance.unwrap_or(0.0) + self.carried_var[si][g];
-                    agg_cols[nspecs + si].push(Value::Float(var));
+        let mut columns = self.key_store.to_columns(&order);
+        let fields = &cfg.out_schema.fields()[cfg.keys.len()..];
+        let mut var_columns = Vec::new();
+        for (si, states) in self.states.iter().enumerate() {
+            let (column, mut var) =
+                AggState::finalize_column(states, &order, ctx, fields[si].dtype)?;
+            columns.push(column);
+            if cfg.with_variance {
+                for (v, &slot) in var.iter_mut().zip(&order) {
+                    *v += self.carried_var[si][slot as usize];
                 }
+                var_columns.push(Column::from_f64(var));
             }
         }
-        let mut columns = self.key_store.to_columns(&order);
-        for (f, vals) in cfg.out_schema.fields()[nkeys..].iter().zip(agg_cols) {
-            columns.push(Column::from_values(f.dtype, &vals)?);
-        }
+        columns.extend(var_columns);
         DataFrame::new(cfg.out_schema.clone(), columns)
     }
 
@@ -593,7 +596,7 @@ impl Partition for AggPart {
 }
 
 /// Merge key-sorted, key-disjoint partials into one key-sorted frame —
-/// the typed replacement for "concat + global `Value` re-sort". Shared by
+/// the typed replacement for a concat and a global re-sort. Shared by
 /// the in-shard spill-partition merge and the operator-level shard merge.
 fn merge_key_sorted(cfg: &AggConfig, partials: Vec<DataFrame>) -> Result<DataFrame> {
     if partials.len() < 2 || cfg.keys.is_empty() {
@@ -783,7 +786,7 @@ impl AggOp {
         }
         // ⊕-merge across shards: keys are disjoint and every partial is
         // key-sorted, so restoring global key order is a typed k-way
-        // merge — no `Value` comparisons, no global re-sort.
+        // merge, not a global re-sort.
         let frame = merge_key_sorted(&self.cfg, partials)?;
         if complete {
             self.emitted_complete = true;
@@ -861,6 +864,7 @@ impl Operator for AggOp {
 mod tests {
     use super::*;
     use crate::ops::testutil::kv_frame;
+    use wake_data::Value;
     use wake_expr::col;
 
     fn delta_meta() -> EdfMeta {
@@ -1382,6 +1386,35 @@ mod tests {
         };
         let err = AggCore::new(op.cfg.clone()).apply_chunk(&bad).unwrap_err();
         assert!(matches!(err, DataError::TypeMismatch { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn spilled_distinct_set_of_the_wrong_class_is_an_error() {
+        // A replayed count-distinct state whose set holds Utf8 cells under
+        // a Float64 input must fail the next fold and any merge with a
+        // Float64 set as typed errors: no panic, no set of two classes.
+        let op = AggOp::new(
+            &delta_meta(),
+            vec!["k".into()],
+            vec![AggSpec::count_distinct(col("v"), "cd")],
+            false,
+        )
+        .unwrap();
+        let f = kv_frame(vec![1], vec![2.0]);
+        let hashes = hash_keys(&f, &op.cfg.key_idx).hashes;
+        let mut core = AggCore::new(op.cfg.clone());
+        core.fold_frame_slots(&f, &hashes).unwrap();
+        let resident = core.states[0][0].clone();
+        let strs = Column::from_str_iter(["a"]);
+        let mut mistyped = [AggSpec::count_distinct(col("s"), "cd").new_state()];
+        AggState::fold_column(&mut mistyped, &[0], &strs, None).unwrap();
+        core.states[0][0] = mistyped[0].clone();
+        let mut replayed = AggCore::new(op.cfg.clone());
+        replayed.apply_chunk(&core.to_chunk().unwrap()).unwrap();
+        let err = replayed.fold_frame_slots(&f, &hashes).unwrap_err();
+        assert!(matches!(err, DataError::TypeMismatch { .. }), "{err:?}");
+        let err = replayed.states[0][0].merge(&resident).unwrap_err();
+        assert!(matches!(err, DataError::Invalid(_)), "{err:?}");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::agg::{AggState, DistinctSet};
 use crate::Result;
 use std::collections::HashSet;
 use std::sync::Arc;
-use wake_data::colfile::{read_value, read_value_tagged, write_value, ByteCursor};
+use wake_data::colfile::{read_value_tagged, write_value, ByteCursor};
 use wake_data::{DataError, Value};
 use wake_stats::Moments;
 
@@ -70,7 +70,6 @@ const SET_EMPTY: u8 = 0;
 const SET_NUM: u8 = 1;
 const SET_STR: u8 = 2;
 const SET_BOOL: u8 = 3;
-const SET_MIXED: u8 = 4;
 
 fn put_distinct(out: &mut Vec<u8>, set: &DistinctSet) {
     match set {
@@ -96,13 +95,6 @@ fn put_distinct(out: &mut Vec<u8>, set: &DistinctSet) {
         } => {
             out.push(SET_BOOL);
             out.push((*seen_true as u8) | ((*seen_false as u8) << 1));
-        }
-        DistinctSet::Mixed(s) => {
-            out.push(SET_MIXED);
-            put_u64(out, s.len() as u64);
-            for v in s {
-                write_value(v, out);
-            }
         }
     }
 }
@@ -136,15 +128,6 @@ fn get_distinct(c: &mut ByteCursor<'_>) -> Result<DistinctSet> {
                 seen_true: bits & 1 != 0,
                 seen_false: bits & 2 != 0,
             }
-        }
-        SET_MIXED => {
-            // Every value costs at least its tag byte.
-            let n = c.count_u64(1)?;
-            let mut s = HashSet::with_capacity(n);
-            for _ in 0..n {
-                s.insert(read_value(c)?);
-            }
-            DistinctSet::Mixed(s)
         }
         t => return Err(DataError::Parse(format!("bad distinct-set tag {t}"))),
     })
@@ -251,7 +234,31 @@ pub fn get_agg_state(template: &mut AggState, c: &mut ByteCursor<'_>) -> Result<
 mod tests {
     use super::*;
     use crate::agg::{AggSpec, ScaleContext};
+    use wake_data::DataType;
     use wake_expr::col;
+
+    /// `a` and `b` finalize side by side, mid-query, to the same estimate
+    /// and variance, bit for bit (so NaN matches NaN).
+    fn assert_same_estimate(a: &AggState, b: &AggState) {
+        let dtype = match a {
+            AggState::Extreme { best: Some(v), .. } => v.data_type().unwrap(),
+            _ => DataType::Float64,
+        };
+        let ctx = ScaleContext {
+            scale: 2.0,
+            t: 0.5,
+            w_variance: 0.01,
+        };
+        let pair = [a.clone(), b.clone()];
+        let (col, var) = AggState::finalize_column(&pair, &[0, 1], &ctx, dtype).unwrap();
+        let cell = |i| {
+            let mut bytes = Vec::new();
+            write_value(&col.value(i), &mut bytes);
+            bytes
+        };
+        assert_eq!(cell(0), cell(1), "{a:?} vs {b:?}");
+        assert_eq!(var[0].to_bits(), var[1].to_bits(), "{a:?} vs {b:?}");
+    }
 
     #[test]
     fn every_state_roundtrips_bit_exactly() {
@@ -290,13 +297,7 @@ mod tests {
             // (bit-exact accumulators).
             st.observe(&Value::Float(0.1), Some(&Value::Float(1.0)));
             back.observe(&Value::Float(0.1), Some(&Value::Float(1.0)));
-            let ctx = ScaleContext::exact();
-            assert_eq!(
-                st.finalize(&ctx),
-                back.finalize(&ctx),
-                "spec {:?}",
-                spec.func
-            );
+            assert_same_estimate(&st, &back);
         }
     }
 
@@ -316,15 +317,7 @@ mod tests {
             put_agg_state(&mut bytes, &st);
             let mut back = spec.new_state();
             get_agg_state(&mut back, &mut ByteCursor::new(&bytes)).unwrap();
-            let ctx = ScaleContext::exact();
-            let (a, b) = (st.finalize(&ctx), back.finalize(&ctx));
-            // Compare through bits so NaN == NaN.
-            match (&a.value, &b.value) {
-                (Value::Float(x), Value::Float(y)) => {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{:?}", spec.func)
-                }
-                (x, y) => assert_eq!(x, y),
-            }
+            assert_same_estimate(&st, &back);
         }
     }
 
@@ -338,14 +331,15 @@ mod tests {
         put_agg_state(&mut bytes, &st);
         let mut back = spec.new_state();
         get_agg_state(&mut back, &mut ByteCursor::new(&bytes)).unwrap();
-        let ctx = ScaleContext::exact();
-        assert_eq!(back.finalize(&ctx).value, Value::str("apple"));
+        let (min, _) =
+            AggState::finalize_column(&[back], &[0], &ScaleContext::exact(), DataType::Utf8)
+                .unwrap();
+        assert_eq!(min.value(0), Value::str("apple"));
 
         let spec = AggSpec::count_distinct(col("x"), "cd");
         for vals in [
             vec![Value::Bool(true), Value::Bool(false)],
             vec![Value::str("a"), Value::str("b"), Value::str("a")],
-            vec![Value::Int(1), Value::str("mix")], // mixed fallback
         ] {
             let mut st = spec.new_state();
             for v in &vals {
@@ -355,10 +349,7 @@ mod tests {
             put_agg_state(&mut bytes, &st);
             let mut back = spec.new_state();
             get_agg_state(&mut back, &mut ByteCursor::new(&bytes)).unwrap();
-            assert_eq!(
-                back.finalize(&ScaleContext::exact()),
-                st.finalize(&ScaleContext::exact())
-            );
+            assert_same_estimate(&st, &back);
         }
     }
 
@@ -381,7 +372,9 @@ mod tests {
         let mut st = AggSpec::median(col("x"), "m").new_state();
         let err = get_agg_state(&mut st, &mut ByteCursor::new(&sample)).unwrap_err();
         assert!(matches!(err, DataError::Parse(_)), "{err}");
-        for set_tag in [SET_NUM, SET_STR, SET_MIXED] {
+        // Tag 4 was a set of mixed `Value`s, which no state holds any
+        // more: it must fail as an unknown tag.
+        for set_tag in [SET_NUM, SET_STR, 4] {
             let mut bytes = vec![ST_DISTINCT, set_tag];
             bytes.extend_from_slice(&hostile);
             let mut st = AggSpec::count_distinct(col("x"), "cd").new_state();

@@ -12,9 +12,11 @@
 /// spill I/O, at one shard on the polling thread with no `catch_unwind`
 /// above), the expression evaluator every Filter and Map runs on
 /// that same thread (`Expr` is public, so a malformed node is an error),
-/// and the key layer under all of them — key hashing, comparison and the
+/// the key layer under all of them — key hashing, comparison and the
 /// key store, and the column it grows (a spilled key frame of the wrong
-/// type is a typed error).
+/// type is a typed error) — and the aggregate-state codec that decodes a
+/// spilled partition's states (hostile or mistyped state bytes are typed
+/// errors).
 pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/wake-data/src/colfile.rs",
     "crates/wake-data/src/hash.rs",
@@ -39,6 +41,7 @@ pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/wake-core/src/ops/join.rs",
     "crates/wake-core/src/ops/agg_op.rs",
     "crates/wake-core/src/agg.rs",
+    "crates/wake-core/src/ops/spill.rs",
     "crates/wake-expr/src/eval.rs",
 ];
 

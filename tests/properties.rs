@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use wake::core::agg::{AggSpec, ScaleContext};
+use wake::core::agg::{AggSpec, AggState, ScaleContext};
 use wake::core::graph::QueryGraph;
 use wake::core::growth::GrowthModel;
 use wake::core::update::UpdateKind;
@@ -127,37 +127,49 @@ proptest! {
         xs in prop::collection::vec(-50.0f64..50.0, 1..40),
         split in 1usize..39,
     ) {
+        // The engine's own kernels: fold through `fold_column`, read
+        // through `finalize_column`, for every aggregate kind.
         let split = split.min(xs.len() - 1).max(1);
-        for spec in [
-            AggSpec::sum(col("x"), "a"),
-            AggSpec::count_star("a"),
-            AggSpec::avg(col("x"), "a"),
-            AggSpec::min(col("x"), "a"),
-            AggSpec::max(col("x"), "a"),
-            AggSpec::count_distinct(col("x"), "a"),
-            AggSpec::var(col("x"), "a"),
+        let ws: Vec<f64> = xs.iter().map(|x| x.abs() % 3.0 + 0.5).collect();
+        let (x, w) = (Column::from_f64(xs.clone()), Column::from_f64(ws));
+        for (spec, exact) in [
+            (AggSpec::count_star("a"), true),
+            (AggSpec::count(col("x"), "a"), true),
+            (AggSpec::min(col("x"), "a"), true),
+            (AggSpec::max(col("x"), "a"), true),
+            (AggSpec::count_distinct(col("x"), "a"), true),
+            (AggSpec::median(col("x"), "a"), true),
+            // Float sums: merging reassociates them.
+            (AggSpec::sum(col("x"), "a"), false),
+            (AggSpec::avg(col("x"), "a"), false),
+            (AggSpec::weighted_avg(col("x"), col("w"), "a"), false),
+            (AggSpec::var(col("x"), "a"), false),
+            (AggSpec::stddev(col("x"), "a"), false),
         ] {
-            let observe = |vals: &[f64]| {
-                let mut st = spec.new_state();
-                for v in vals {
-                    st.observe(&Value::Float(*v), None);
-                }
-                st
+            let fold = |start: usize, end: usize| {
+                let mut st = [spec.new_state()];
+                let rows = vec![0; end - start];
+                let (xc, wc) = (x.slice(start, end), w.slice(start, end));
+                AggState::fold_column(&mut st, &rows, &xc, Some(&wc)).unwrap();
+                st[0].clone()
             };
-            let whole = observe(&xs);
-            let (l, r) = xs.split_at(split);
+            let whole = fold(0, xs.len());
             // left ⊕ right
-            let mut ab = observe(l);
-            ab.merge(&observe(r)).unwrap();
+            let mut ab = fold(0, split);
+            ab.merge(&fold(split, xs.len())).unwrap();
             // right ⊕ left
-            let mut ba = observe(r);
-            ba.merge(&observe(l)).unwrap();
-            let ctx = ScaleContext::exact();
-            let w = whole.finalize(&ctx).value;
-            let vab = ab.finalize(&ctx).value;
-            let vba = ba.finalize(&ctx).value;
-            let close = |a: &Value, b: &Value| match (a.as_f64(), b.as_f64()) {
-                (Some(a), Some(b)) => (a - b).abs() < 1e-9 * (1.0 + a.abs()),
+            let mut ba = fold(split, xs.len());
+            ba.merge(&fold(0, split)).unwrap();
+            let (col, _) = AggState::finalize_column(
+                &[whole, ab, ba],
+                &[0, 1, 2],
+                &ScaleContext::exact(),
+                DataType::Float64,
+            )
+            .unwrap();
+            let (w, vab, vba) = (col.value(0), col.value(1), col.value(2));
+            let close = |a: &Value, b: &Value| match (exact, a.as_f64(), b.as_f64()) {
+                (false, Some(a), Some(b)) => (a - b).abs() < 1e-9 * (1.0 + a.abs()),
                 _ => a == b,
             };
             prop_assert!(close(&vab, &w), "{:?}: {:?} vs {:?}", spec.func, vab, w);
