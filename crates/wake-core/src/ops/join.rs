@@ -121,7 +121,7 @@ enum JoinTask {
     /// Right input exhausted: flush left-join nulls / resolve anti rows.
     RightEof,
     /// Both inputs exhausted (spill mode only): resolve the deferred
-    /// matches of drained partitions that buffered post-EOF left rows.
+    /// matches of spilled partitions that buffered post-EOF left rows.
     FinalFlush,
     /// Recompute mode: re-join the buffered state in full.
     Recompute,
@@ -559,28 +559,23 @@ enum JoinPart {
     /// Resident: the live symmetric-hash (or recompute) core (boxed —
     /// the core is much larger than the spilled variants' run handles).
     Mem(Box<JoinCore>),
-    /// Streaming-mode eviction before right EOF. The epoch split is the
-    /// heart of spilled symmetric-hash correctness: `l0`/`r0` hold the
-    /// rows that were resident together — every `L0×R0` match was
-    /// already emitted (and `l0` carries the matched flags saying which
-    /// rows those were) — while `l1`/`r1` collect post-eviction arrivals
-    /// whose matches were never emitted. The resolution replay emits
-    /// exactly `L0×R1 ∪ L1×R0 ∪ L1×R1`: all pairs minus the pre-spill
-    /// emissions.
+    /// Streaming-mode eviction. The epoch split is the heart of spilled
+    /// symmetric-hash correctness: `l0`/`r0` hold the rows that were
+    /// resident together — every `L0×R0` match was already emitted (and
+    /// `l0` carries the matched flags saying which rows those were) —
+    /// while `l1`/`r1` collect post-eviction arrivals whose matches were
+    /// never emitted. The resolution replay at right EOF emits exactly
+    /// `L0×R1 ∪ L1×R0 ∪ L1×R1`: all pairs minus the pre-spill emissions.
+    /// After it every left row is resolved, so `l0`/`l1` are emptied and
+    /// `r0 ++ r1` is the complete right side; later left rows collect in
+    /// `l1` again and probe it at the final flush. A core evicted after
+    /// right EOF holds its rights in `r0` and nothing else.
     StreamSpill {
         env: SpillEnv,
         l0: RunWriter,
         r0: RunWriter,
         l1: RunWriter,
         r1: RunWriter,
-    },
-    /// Streaming after right EOF: the right side is complete on disk and
-    /// every buffered left row has been resolved. Later-arriving left
-    /// rows buffer into `pending_left` and resolve at the final flush.
-    Drained {
-        env: SpillEnv,
-        rights: Vec<RunWriter>,
-        pending_left: RunWriter,
     },
     /// Recompute-mode eviction: both buffered sides on disk; every
     /// refresh rehydrates and re-joins this hash subrange.
@@ -718,31 +713,14 @@ impl JoinPart {
                 let run = if is_left { l1 } else { r1 };
                 run.push(&Chunk::with_hashes(frame.clone(), hashes))?;
             }
-            JoinPart::Drained {
-                rights,
-                pending_left,
-                ..
-            } => {
-                let run = if is_left {
-                    pending_left
-                } else {
-                    // Right rows cannot follow right EOF; keep them
-                    // anyway so a misbehaving source loses no data.
-                    debug_assert!(false, "right row after right EOF");
-                    rights.last_mut().ok_or_else(|| {
-                        DataError::Invalid("drained join partition has no right run".into())
-                    })?
-                };
-                run.push(&Chunk::with_hashes(frame.clone(), hashes))?;
-            }
             JoinPart::BufSpill { .. } => return Err(wrong_mode()),
         }
         Ok(())
     }
 
     /// Right EOF: a resident core flushes; a spilled partition resolves
-    /// its deferred matches (recursively if oversized) and becomes
-    /// drained.
+    /// its deferred matches (recursively if oversized) and keeps only its
+    /// right side.
     fn right_eof(&mut self, cfg: &Arc<JoinConfig>, outs: &mut Vec<DataFrame>) -> Result<()> {
         match self {
             JoinPart::Mem(core) => outs.push(core.stream_right_eof()?),
@@ -760,45 +738,34 @@ impl JoinPart {
                     r1.read_all()?,
                 ];
                 resolve_stream(cfg, env, 1, runs, outs)?;
-                // Keep the complete right side on disk for left rows
-                // that may still arrive (a run handle can only leave this
-                // variant by trading places with an empty one); l0/l1 are
-                // fully resolved and their files delete on drop.
-                let rights = [r0, r1].map(|r| std::mem::replace(r, env.new_run("join-r")));
-                *self = JoinPart::Drained {
-                    pending_left: env.new_run("join-pl"),
-                    env: env.clone(),
-                    rights: rights.into(),
-                };
+                // Every left row is resolved; the complete right side
+                // stays on disk for left rows that may still arrive.
+                l0.clear();
+                l1.clear();
             }
-            JoinPart::Drained { .. } => {}
             JoinPart::BufSpill { .. } => return Err(wrong_mode()),
         }
         Ok(())
     }
 
-    /// Both EOFs: a drained partition's pending left rows probe the full
-    /// on-disk right side, then take the right-EOF flush.
+    /// Both EOFs: the left rows a spilled partition took after right EOF
+    /// probe its complete on-disk right side, then take the right-EOF
+    /// flush.
     fn final_flush(&mut self, cfg: &Arc<JoinConfig>, outs: &mut Vec<DataFrame>) -> Result<()> {
-        let JoinPart::Drained {
-            env,
-            rights,
-            pending_left,
+        let JoinPart::StreamSpill {
+            env, r0, l1, r1, ..
         } = self
         else {
             return Ok(());
         };
-        if pending_left.is_empty() {
+        if l1.is_empty() {
             return Ok(());
         }
-        let mut right_chunks = Vec::new();
-        for r in rights.iter() {
-            right_chunks.extend(r.read_all()?);
-        }
-        let pending = pending_left.read_all()?;
-        pending_left.clear();
-        let runs = [Vec::new(), right_chunks, pending, Vec::new()];
-        resolve_stream(cfg, env, 1, runs, outs)
+        let mut rights = r0.read_all()?;
+        rights.extend(r1.read_all()?);
+        let lefts = l1.read_all()?;
+        l1.clear();
+        resolve_stream(cfg, env, 1, [Vec::new(), rights, lefts, Vec::new()], outs)
     }
 
     /// Recompute-mode buffering. A snapshot-kind side replaces what this
@@ -863,22 +830,15 @@ impl Partition for JoinPart {
             }
         } else {
             let (lefts, rights) = core.eviction_chunks_streaming();
-            if core.right_eof {
-                // Right side complete and all lefts resolved:
-                // only the rights matter for future left rows.
-                JoinPart::Drained {
-                    env: env.clone(),
-                    rights: vec![run_from_chunks(env, "join-r", &rights)?],
-                    pending_left: env.new_run("join-pl"),
-                }
-            } else {
-                JoinPart::StreamSpill {
-                    env: env.clone(),
-                    l0: run_from_chunks(env, "join-l0", &lefts)?,
-                    r0: run_from_chunks(env, "join-r0", &rights)?,
-                    l1: env.new_run("join-l1"),
-                    r1: env.new_run("join-r1"),
-                }
+            // After right EOF every left row is resolved: only the
+            // rights matter for future left rows.
+            let lefts: &[Chunk] = if core.right_eof { &[] } else { &lefts };
+            JoinPart::StreamSpill {
+                env: env.clone(),
+                l0: run_from_chunks(env, "join-l0", lefts)?,
+                r0: run_from_chunks(env, "join-r0", &rights)?,
+                l1: env.new_run("join-l1"),
+                r1: env.new_run("join-r1"),
             }
         };
         *self = spilled;
@@ -906,15 +866,6 @@ impl Partition for JoinPart {
         match self {
             JoinPart::Mem(core) => core.state_bytes(),
             JoinPart::StreamSpill { l0, r0, l1, r1, .. } => pending(&[l0, r0, l1, r1]) + 64,
-            JoinPart::Drained {
-                rights,
-                pending_left,
-                ..
-            } => {
-                rights.iter().map(|r| r.pending_bytes()).sum::<usize>()
-                    + pending_left.pending_bytes()
-                    + 64
-            }
             JoinPart::BufSpill { left, right } => pending(&[left, right]) + 64,
         }
     }
@@ -1133,7 +1084,7 @@ impl Operator for JoinOp {
         if self.left_eof && self.right_eof {
             // Spilled streaming joins may hold deferred matches for left
             // rows that arrived after right EOF (their partition was
-            // drained to disk): resolve them once both inputs are
+            // spilled to disk): resolve them once both inputs are
             // exhausted.
             if streaming && self.keyed.spills() {
                 let flush = self.broadcast(|| JoinTask::FinalFlush)?;
@@ -1600,8 +1551,8 @@ mod tests {
                 ref_outs.push(reference.on_eof(1).unwrap());
                 sp_outs.push(spilled.on_eof(1).unwrap());
                 // Left rows arriving after right EOF: the resident path
-                // resolves them instantly; a drained spilled partition
-                // defers them to the final flush.
+                // resolves them instantly; a spilled partition defers
+                // them to the final flush.
                 ref_outs.push(feed(&mut reference, 0, &post_eof_left));
                 sp_outs.push(feed(&mut spilled, 0, &post_eof_left));
                 ref_outs.push(reference.on_eof(0).unwrap());

@@ -21,8 +21,10 @@ pub struct TableMeta {
     pub schema: Arc<Schema>,
     /// Constant attributes uniquely identifying a tuple (§3.1).
     pub primary_key: Vec<String>,
-    /// Attributes determining physical row placement among partitions; rows
-    /// with equal clustering-key values live in exactly one partition.
+    /// Attributes the table is sorted on: reading the partitions in order
+    /// yields rows in non-decreasing order of the key. A key value may
+    /// span a partition boundary. A view that reads out of this order
+    /// reports no key.
     pub clustering_key: Option<Vec<String>>,
     /// Rows per partition, in read order.
     pub partition_rows: Vec<usize>,

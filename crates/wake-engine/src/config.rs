@@ -27,7 +27,6 @@
 
 use crate::query::Query;
 use crate::stream::EstimateStream;
-use crate::trace::TraceLog;
 use crate::Result;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -53,7 +52,8 @@ pub enum ExecutorKind {
 /// Defaults: stepped driver, [`Parallelism::Auto`], memory budget and
 /// spill directory from the ambient environment (`WAKE_MEM_BUDGET` /
 /// `WAKE_SPILL_DIR`; unset = unbounded), channel capacity
-/// [`crate::DEFAULT_CHANNEL_CAPACITY`], no trace.
+/// [`crate::DEFAULT_CHANNEL_CAPACITY`], observability from `WAKE_OBS`
+/// (unset = off).
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
     executor: ExecutorKind,
@@ -64,7 +64,6 @@ pub struct EngineConfig {
     /// Explicitly unbounded: an ambient `WAKE_MEM_BUDGET` does not apply.
     unbounded: bool,
     channel_capacity: Option<usize>,
-    trace: Option<TraceLog>,
     table_dir: Option<PathBuf>,
     zone_rows: Option<usize>,
     zone_pruning: Option<bool>,
@@ -161,12 +160,6 @@ impl EngineConfig {
     /// Per-edge mailbox capacity of the threaded engine (minimum 1).
     pub fn with_channel_capacity(mut self, capacity: usize) -> Self {
         self.channel_capacity = Some(capacity.max(1));
-        self
-    }
-
-    /// Record per-node processing spans into `log` (either engine).
-    pub fn with_trace(mut self, log: TraceLog) -> Self {
-        self.trace = Some(log);
         self
     }
 
@@ -321,10 +314,6 @@ impl EngineConfig {
     pub fn channel_capacity(&self) -> usize {
         self.channel_capacity
             .unwrap_or(crate::DEFAULT_CHANNEL_CAPACITY)
-    }
-
-    pub(crate) fn trace(&self) -> Option<TraceLog> {
-        self.trace.clone()
     }
 
     /// Resolved persistent-table root (explicit, else `WAKE_TABLE_DIR`).

@@ -30,8 +30,9 @@
 //! (`wake-e2e`: `tpch.resident` first estimate and determinism,
 //! `tpch.threaded` final latency); [`ExecutorKind`] selects. Sharded
 //! operators (`wake_core::ops::sharded`, sized by
-//! [`EngineConfig::with_parallelism`]) and span tracing ([`TraceLog`],
-//! Fig 13) work the same under either. Both produce the same final
+//! [`EngineConfig::with_parallelism`]) and the Fig 13 timeline
+//! ([`EstimateStream::timeline`], drawn from the same per-node record at
+//! `ObsLevel::Profile`) work the same under either. Both produce the same final
 //! state; intermediate estimates may differ in granularity/interleaving
 //! (inherent to pipelined execution).
 //!
@@ -51,13 +52,11 @@ mod query;
 mod stepped;
 mod stream;
 mod threaded;
-mod trace;
 
 pub use config::{EngineConfig, ExecutorKind};
 pub use estimate::{Estimate, EstimateSeries, SeriesExt};
 pub use stream::{CancelHandle, EstimateStream, DEFAULT_CONFIDENCE};
 pub use threaded::DEFAULT_CHANNEL_CAPACITY;
-pub use trace::{TraceEvent, TraceLog, DEFAULT_TRACE_CAPACITY};
 // Memory-governance configuration (the per-query budget knob on both
 // drivers and the process-wide ledger wake-serve leases from) plus the
 // spill-device boundary: the `SpillIo` trait, the real filesystem device,

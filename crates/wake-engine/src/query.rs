@@ -17,7 +17,6 @@
 
 use crate::estimate::SinkState;
 use crate::stream::{CancelHandle, Driver, EstimateStream};
-use crate::trace::{TraceEvent, TraceLog};
 use crate::{EngineConfig, ExecutorKind, Result};
 use parking_lot::Mutex;
 use std::path::PathBuf;
@@ -167,6 +166,19 @@ impl QueryLedger {
         self.spill_root.clone()
     }
 
+    /// Fig 13's timeline from the nodes' busy spans, a lane per plan
+    /// node (`None` below `Profile`, where no spans are kept).
+    pub(crate) fn timeline(&self, width: usize) -> Option<String> {
+        if !self.level.is_profile() {
+            return None;
+        }
+        let nodes = self.nodes.iter();
+        let lanes: Vec<_> = nodes
+            .filter_map(|n| Some((n.label.as_str(), n.obs.as_ref()?)))
+            .collect();
+        Some(wake_obs::render_timeline(&lanes, width))
+    }
+
     /// Fold one simultaneous sample of the total buffered state.
     pub(crate) fn observe_step(&self, total: usize) {
         if let Some(peak) = &self.step_peak {
@@ -177,12 +189,11 @@ impl QueryLedger {
 }
 
 /// What an actor records around one unit of work: the node's profile
-/// counters (`Stats` and above) and a [`TraceEvent`] (when tracing).
-/// With both off no clock is read at all.
+/// counters (`Stats` and above) and its busy span (`Profile`). At `Off`
+/// no clock is read at all.
 struct Recorder {
     node: usize,
     ledger: Arc<QueryLedger>,
-    trace: Option<(TraceLog, String)>,
 }
 
 impl Recorder {
@@ -191,38 +202,22 @@ impl Recorder {
     }
 
     fn begin(&self) -> Option<Instant> {
-        (self.entry().obs.is_some() || self.trace.is_some()).then(Instant::now)
+        self.entry().obs.is_some().then(Instant::now)
     }
 
-    /// `consumed` = (rows, frames) taken in; `traced_rows` = what a trace
-    /// event reports (`None` = no event).
-    fn finish(
-        &self,
-        begun: Option<Instant>,
-        consumed: (u64, u64),
-        outs: &[Update],
-        traced_rows: Option<usize>,
-    ) {
-        let Some(begun) = begun else { return };
-        let end = Instant::now();
-        if let Some(obs) = &self.entry().obs {
-            obs.record_work(
-                consumed.0,
-                consumed.1,
-                outs.iter().map(|u| u.frame.num_rows() as u64).sum(),
-                outs.len() as u64,
-                end.duration_since(begun).as_nanos() as u64,
-            );
-        }
-        if let (Some((log, label)), Some(rows)) = (&self.trace, traced_rows) {
-            log.record(TraceEvent {
-                node: self.node,
-                label: label.clone(),
-                start: begun.duration_since(self.ledger.start),
-                end: end.duration_since(self.ledger.start),
-                rows,
-            });
-        }
+    /// `consumed` = (rows, frames) taken in.
+    fn finish(&self, begun: Option<Instant>, consumed: (u64, u64), outs: &[Update]) {
+        let (Some(begun), Some(obs)) = (begun, &self.entry().obs) else {
+            return;
+        };
+        let since_start = |at: Instant| at.duration_since(self.ledger.start);
+        obs.record_work(
+            consumed.0,
+            consumed.1,
+            outs.iter().map(|u| u.frame.num_rows() as u64).sum(),
+            outs.len() as u64,
+            since_start(begun)..since_start(Instant::now()),
+        );
     }
 }
 
@@ -276,7 +271,7 @@ impl ReaderActor {
             let source_id = self.recorder.node as u32;
             let progress = Progress::single(source_id, self.rows_emitted, self.total_rows);
             let outs = vec![Update::delta(frame, progress)];
-            self.recorder.finish(begun, (0, 0), &outs, Some(rows));
+            self.recorder.finish(begun, (0, 0), &outs);
             if !publish(&self.routes, outs, emit) {
                 self.done = true;
                 return Ok(false);
@@ -307,18 +302,17 @@ impl NodeActor {
     /// once it has forwarded EOF (all ports closed) or a consumer is gone.
     pub(crate) fn handle(&mut self, msg: Message, emit: Emit) -> Result<bool> {
         let begun = self.recorder.begin();
-        let (outs, rows_in) = match &msg {
+        let (outs, consumed) = match &msg {
             Message::Update(port, update) => {
-                let rows = update.frame.num_rows();
-                (self.op.on_update(*port, update)?, Some(rows))
+                let rows = update.frame.num_rows() as u64;
+                (self.op.on_update(*port, update)?, (rows, 1))
             }
             Message::Eof(port) => {
                 self.closed += 1;
-                (self.op.on_eof(*port)?, None)
+                (self.op.on_eof(*port)?, (0, 0))
             }
         };
-        let consumed = rows_in.map_or((0, 0), |rows| (rows as u64, 1));
-        self.recorder.finish(begun, consumed, &outs, rows_in);
+        self.recorder.finish(begun, consumed, &outs);
         self.sample_state();
         if !publish(&self.routes, outs, emit) {
             return Ok(false);
@@ -440,14 +434,12 @@ impl Query {
         };
         let shards = (parallelism.shards() / share).max(1);
 
-        let trace = config.trace();
         let mut readers = Vec::new();
         let mut nodes = Vec::with_capacity(graph.len());
         for (idx, (node, routes)) in graph.nodes().iter().zip(routes).enumerate() {
-            let recorder = |label: String| Recorder {
+            let recorder = Recorder {
                 node: idx,
                 ledger: ledger.clone(),
-                trace: trace.clone().map(|log| (log, label)),
             };
             match &node.kind {
                 NodeKind::Read { source } => {
@@ -460,7 +452,7 @@ impl Query {
                         total_rows: meta.total_rows() as u64,
                         done: false,
                         routes,
-                        recorder: recorder(format!("read({})", meta.name)),
+                        recorder,
                     });
                     nodes.push(None);
                 }
@@ -479,7 +471,7 @@ impl Query {
                         closed: 0,
                         state_bytes: 0,
                         routes,
-                        recorder: recorder(format!("{op_kind:?}")),
+                        recorder,
                     }));
                 }
             }

@@ -123,6 +123,7 @@ mod tests {
     use wake_core::graph::QueryGraph;
     use wake_data::{Column, DataFrame, DataType, Field, MemorySource, Schema, Value};
     use wake_expr::{col, lit_f64};
+    use wake_obs::ObsLevel;
 
     fn source(n: i64, per_part: usize) -> MemorySource {
         let schema = Arc::new(Schema::new(vec![
@@ -248,23 +249,32 @@ mod tests {
         }
     }
 
+    /// Drain a run of `g` and draw its timeline.
+    fn timeline_of(config: EngineConfig, g: QueryGraph) -> String {
+        let mut stream = config.start(g).unwrap();
+        for est in &mut stream {
+            est.unwrap();
+        }
+        stream.timeline(60)
+    }
+
     #[test]
-    fn trace_records_reads_and_operators_on_the_inline_driver() {
-        let mut g = QueryGraph::new();
-        let r = g.read(source(100, 10));
-        let a = g.agg(r, vec!["k"], vec![AggSpec::sum(col("v"), "s")]);
-        g.sink(a);
-        let log = crate::TraceLog::new();
-        let series = EngineConfig::stepped()
-            .with_trace(log.clone())
-            .start(g)
-            .unwrap()
-            .collect_series()
-            .unwrap();
-        assert!(!series.is_empty());
-        let events = log.events();
-        assert!(events.iter().any(|e| e.label.starts_with("read")));
-        assert!(events.iter().any(|e| e.label.starts_with("Agg")));
+    fn profile_timeline_draws_reads_and_operators_on_the_inline_driver() {
+        let build = || {
+            let mut g = QueryGraph::new();
+            let r = g.read(source(100, 10));
+            let a = g.agg(r, vec!["k"], vec![AggSpec::sum(col("v"), "s")]);
+            g.sink(a);
+            g
+        };
+        let profiled = EngineConfig::stepped().with_obs(ObsLevel::Profile);
+        let timeline = timeline_of(profiled, build());
+        let lanes: Vec<&str> = timeline.lines().filter(|l| l.contains('|')).collect();
+        let drawn: Vec<&str> = lanes.iter().map(|l| &l.trim_start()[..4]).collect();
+        assert_eq!(drawn, ["Read", "Agg("], "{timeline}");
+        assert!(lanes.iter().all(|l| l.contains('#')), "{timeline}");
+        let stats = EngineConfig::stepped().with_obs(ObsLevel::Stats);
+        assert!(timeline_of(stats, build()).starts_with("no timeline"));
     }
 
     #[test]

@@ -136,6 +136,20 @@ impl EstimateStream {
         }
     }
 
+    /// Fig 13 (the paper's appendix C): the pipelined-execution timeline,
+    /// `width` columns wide — a lane per plan node, a `#` wherever the
+    /// node was busy ([`wake_obs::render_timeline`]). Busy spans are kept
+    /// at [`wake_obs::ObsLevel::Profile`] only; below it, returns a note
+    /// explaining how to enable them.
+    pub fn timeline(&self, width: usize) -> String {
+        self.ledger.timeline(width).unwrap_or_else(|| {
+            String::from(
+                "no timeline: busy spans are kept at ObsLevel::Profile; enable with \
+                 EngineConfig::with_obs(ObsLevel::Profile) or WAKE_OBS=profile\n",
+            )
+        })
+    }
+
     /// A clonable, thread-safe handle that cancels this query from
     /// another thread. Setting it makes the next poll return `None` (on
     /// the threaded engine the node threads observe the same flag and

@@ -164,6 +164,7 @@ mod tests {
     use wake_core::graph::QueryGraph;
     use wake_data::{Column, DataFrame, DataType, Field, MemorySource, Schema, Value};
     use wake_expr::col;
+    use wake_obs::ObsLevel;
 
     fn source(n: i64, per_part: usize) -> MemorySource {
         let schema = Arc::new(Schema::new(vec![
@@ -214,17 +215,25 @@ mod tests {
         assert!(series.windows(2).all(|w| w[0].elapsed <= w[1].elapsed));
     }
 
+    /// Drain a run of `g` and draw its timeline.
+    fn timeline_of(config: EngineConfig, g: QueryGraph) -> String {
+        let mut stream = config.start(g).unwrap();
+        for est in &mut stream {
+            est.unwrap();
+        }
+        stream.timeline(60)
+    }
+
     #[test]
-    fn trace_captures_pipeline_activity() {
-        let log = crate::TraceLog::new();
-        let series = run(
-            EngineConfig::threaded().with_trace(log.clone()),
-            agg_graph(100, 10),
-        );
-        assert!(!series.is_empty());
-        let events = log.events();
-        assert!(events.iter().any(|e| e.label.starts_with("read")));
-        assert!(events.iter().any(|e| e.label.starts_with("Agg")));
+    fn profile_timeline_captures_pipeline_activity() {
+        let profiled = EngineConfig::threaded().with_obs(ObsLevel::Profile);
+        let timeline = timeline_of(profiled, agg_graph(100, 10));
+        let lanes: Vec<&str> = timeline.lines().filter(|l| l.contains('|')).collect();
+        let drawn: Vec<&str> = lanes.iter().map(|l| &l.trim_start()[..4]).collect();
+        assert_eq!(drawn, ["Read", "Agg(", "Sort"], "{timeline}");
+        assert!(lanes.iter().all(|l| l.contains('#')), "{timeline}");
+        let stats = EngineConfig::threaded().with_obs(ObsLevel::Stats);
+        assert!(timeline_of(stats, agg_graph(100, 10)).starts_with("no timeline"));
     }
 
     #[test]

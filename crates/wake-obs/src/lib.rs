@@ -3,19 +3,22 @@
 //! Observability for Wake query execution: the instruments (atomic
 //! counters, gauges, fixed-bucket histograms), the one statistics record
 //! both drivers produce ([`RunStats`], one [`NodeProfile`] per plan
-//! node), and its `EXPLAIN ANALYZE` rendering (annotated plan tree +
-//! machine-readable JSON).
+//! node), its `EXPLAIN ANALYZE` rendering (annotated plan tree +
+//! machine-readable JSON), and at `Profile` the pipelined-execution
+//! timeline ([`render_timeline`]).
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Zero cost when off.** Instrumentation is gated by [`ObsLevel`];
 //!    at `Off` the engine builds no [`NodeObs`], so an actor reads no
 //!    clock and touches no counter (one `Option` check per message).
-//! 2. **Lock-free when on.** A node's counters are a plain struct built
-//!    with the plan — five counters and a gauge at `Stats`, two
-//!    histograms more at `Profile`, nothing looked up by name; the hot
-//!    path is relaxed atomic adds — no allocation, no locks, no branches
-//!    beyond the level check.
+//! 2. **Lock-free at `Stats`.** A node's counters are a plain struct
+//!    built with the plan — five counters and a gauge at `Stats`, two
+//!    histograms and a ring of busy spans more at `Profile`, nothing
+//!    looked up by name; the `Stats` hot path is relaxed atomic adds — no
+//!    allocation, no locks, no branches beyond the level check. `Profile`
+//!    adds one lock per unit of work, on the node's own span ring, which
+//!    only that node's actor writes.
 //! 3. **One record, readable at any point in the query's life.** The
 //!    engine's ledger keeps one entry per node and snapshots it into one
 //!    [`RunStats`]; snapshots read shared atomics, so they can be taken
@@ -29,7 +32,7 @@ mod metrics;
 mod profile;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, LATENCY_BOUNDS_NS, ROWS_BOUNDS};
-pub use profile::{NodeObs, NodeProfile, RunStats};
+pub use profile::{render_timeline, NodeObs, NodeProfile, RunStats};
 
 /// How much the engines record while a query runs.
 ///
@@ -45,8 +48,9 @@ pub enum ObsLevel {
     /// bytes, attributed spill and scan work. A handful of relaxed
     /// atomic adds per frame.
     Stats,
-    /// Everything in `Stats` plus per-update latency/row histograms and
-    /// per-shard state detail.
+    /// Everything in `Stats` plus per-update latency/row histograms,
+    /// per-shard state detail, and each node's newest busy spans (the
+    /// pipelined-execution timeline of the paper's Fig 13).
     Profile,
 }
 

@@ -1,11 +1,16 @@
 //! A query's statistics: the live recording side ([`NodeObs`], atomics
 //! written by the node's actor) and the snapshot side ([`RunStats`] with
 //! one [`NodeProfile`] per plan node — plain values, an annotated
-//! plan-tree rendering and a JSON export).
+//! plan-tree rendering and a JSON export). At `Profile` a node also keeps
+//! its newest busy spans, which [`render_timeline`] draws as the paper's
+//! Fig 13; they stay out of the snapshot.
 
 use crate::json::Obj;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::ObsLevel;
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 use wake_data::ScanMetrics;
 use wake_store::SpillMetrics;
@@ -26,6 +31,23 @@ pub struct NodeObs {
     /// Per-update latency and output-row histograms: allocated, and
     /// recorded into, at `Profile` only.
     batches: Option<(Histogram, Histogram)>,
+    /// The newest busy spans (`Profile` only): the one lock a node takes,
+    /// and only its own actor writes it.
+    spans: Option<Mutex<Spans>>,
+}
+
+/// Busy spans a node keeps at `Profile`: the newest this many, the
+/// older ones overwritten and counted. At the threaded engine's update
+/// granularity this holds a whole Fig-13 run, while a pathological query
+/// costs at most 128 KB per node.
+const SPAN_CAPACITY: usize = 4096;
+
+/// One node's ring of busy spans (offsets from query start).
+#[derive(Debug, Clone, Default)]
+struct Spans {
+    ring: VecDeque<Range<Duration>>,
+    /// Spans overwritten because the ring was full.
+    dropped: u64,
 }
 
 impl NodeObs {
@@ -33,12 +55,14 @@ impl NodeObs {
         let batches = || (Histogram::latency(), Histogram::rows());
         NodeObs {
             batches: level.is_profile().then(batches),
+            spans: level.is_profile().then(Mutex::default),
             ..NodeObs::default()
         }
     }
 
     /// Record one processed unit of work (an update, an EOF flush, or a
-    /// source partition read).
+    /// source partition read) that kept the node busy over `busy`
+    /// (offsets from query start).
     #[inline]
     pub fn record_work(
         &self,
@@ -46,8 +70,9 @@ impl NodeObs {
         frames_in: u64,
         rows_out: u64,
         frames_out: u64,
-        nanos: u64,
+        busy: Range<Duration>,
     ) {
+        let nanos = busy.end.saturating_sub(busy.start).as_nanos() as u64;
         self.rows_in.add(rows_in);
         self.frames_in.add(frames_in);
         self.rows_out.add(rows_out);
@@ -57,6 +82,24 @@ impl NodeObs {
             batch_nanos.record(nanos);
             batch_rows.record(rows_out);
         }
+        if let Some(spans) = &self.spans {
+            // A panic elsewhere while the lock was held leaves a ring
+            // that is still whole: keep recording into it.
+            let mut spans = spans.lock().unwrap_or_else(PoisonError::into_inner);
+            if spans.ring.len() == SPAN_CAPACITY {
+                spans.ring.pop_front();
+                spans.dropped += 1;
+            }
+            spans.ring.push_back(busy);
+        }
+    }
+
+    /// A copy of the busy-span ring (empty below `Profile`).
+    fn spans(&self) -> Spans {
+        let Some(spans) = &self.spans else {
+            return Spans::default();
+        };
+        spans.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Sample this node's current buffered state.
@@ -314,6 +357,54 @@ impl NodeProfile {
     }
 }
 
+/// Fig 13 (the paper's appendix C): the pipelined-execution timeline of a
+/// `Profile` run, one lane per `(label, node)`, a `#` wherever the node
+/// was busy, scaled so the last span ends at column `width`. Drops from
+/// full span rings are noted under the axis.
+pub fn render_timeline(lanes: &[(&str, &NodeObs)], width: usize) -> String {
+    let lanes: Vec<(&str, Spans)> = lanes.iter().map(|&(l, obs)| (l, obs.spans())).collect();
+    let ends = lanes
+        .iter()
+        .flat_map(|(_, s)| s.ring.iter().map(|span| span.end));
+    let Some(total) = ends.max() else {
+        return String::from("(no busy spans recorded)\n");
+    };
+    let total_s = total.as_secs_f64().max(1e-9);
+    let column = |at: Duration| at.as_secs_f64() / total_s * width as f64;
+    let name_w = lanes
+        .iter()
+        .map(|(l, _)| l.chars().count())
+        .max()
+        .unwrap_or(0);
+    let mut out = String::new();
+    for (label, spans) in &lanes {
+        let mut lane = vec![' '; width];
+        for span in &spans.ring {
+            let from = column(span.start) as usize;
+            if from < width {
+                let to = column(span.end).ceil() as usize;
+                lane[from..to.clamp(from + 1, width)].fill('#');
+            }
+        }
+        out.push_str(&format!("{label:>name_w$} |"));
+        out.extend(lane);
+        out.push_str("|\n");
+    }
+    out.push_str(&format!(
+        "{:>name_w$} 0s{}{:.3}s\n",
+        "",
+        " ".repeat(width.saturating_sub(6)),
+        total_s
+    ));
+    let dropped: u64 = lanes.iter().map(|(_, s)| s.dropped).sum();
+    if dropped > 0 {
+        out.push_str(&format!(
+            "({dropped} spans dropped: each node keeps its newest {SPAN_CAPACITY})\n"
+        ));
+    }
+    out
+}
+
 /// One JSON object of a counter set, a key per counter.
 fn counters_json(fields: impl Iterator<Item = (&'static str, u64)>) -> String {
     fields
@@ -401,11 +492,20 @@ mod tests {
         [(); 3].map(|()| NodeObs::new(level))
     }
 
+    /// A unit of work busy for `nanos` from query start.
+    fn busy(nanos: u64) -> Range<Duration> {
+        Duration::ZERO..Duration::from_nanos(nanos)
+    }
+
+    fn ms(from: u64, to: u64) -> Range<Duration> {
+        Duration::from_millis(from)..Duration::from_millis(to)
+    }
+
     #[test]
     fn records_and_snapshots_per_node() {
         let obs = sample_obs(ObsLevel::Stats);
-        obs[1].record_work(100, 1, 40, 1, 5_000);
-        obs[1].record_work(50, 1, 10, 1, 3_000);
+        obs[1].record_work(100, 1, 40, 1, busy(5_000));
+        obs[1].record_work(50, 1, 10, 1, busy(3_000));
         obs[2].observe_state(4096);
         obs[2].observe_state(1024);
         let stats = sample_stats(ObsLevel::Stats, &obs);
@@ -427,12 +527,78 @@ mod tests {
     #[test]
     fn histograms_exist_at_profile_level() {
         let obs = sample_obs(ObsLevel::Profile);
-        obs[1].record_work(100, 1, 40, 1, 5_000);
+        obs[1].record_work(100, 1, 40, 1, busy(5_000));
         let nodes = sample_stats(ObsLevel::Profile, &obs).nodes;
         let h = nodes[1].batch_nanos.as_ref().unwrap();
         assert_eq!(h.total, 1);
         assert_eq!(h.sum, 5_000);
         assert_eq!(nodes[1].batch_rows.as_ref().unwrap().sum, 40);
+    }
+
+    #[test]
+    fn timeline_draws_a_lane_per_node() {
+        let obs = sample_obs(ObsLevel::Profile);
+        obs[0].record_work(0, 0, 100, 1, ms(0, 10));
+        obs[2].record_work(100, 1, 1, 1, ms(5, 15));
+        let lanes = [
+            ("Read(t)", &obs[0]),
+            ("Filter(x)", &obs[1]),
+            ("Agg(k)", &obs[2]),
+        ];
+        let text = render_timeline(&lanes, 40);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "three lanes and the axis: {text}");
+        assert!(lines[0].trim_start().starts_with("Read(t) |#"), "{text}");
+        assert!(
+            !lines[1].contains('#'),
+            "an idle node draws an empty lane: {text}"
+        );
+        assert!(
+            lines[2].ends_with("#|"),
+            "the last span ends at the edge: {text}"
+        );
+        assert!(lines[3].ends_with("0.015s"), "{text}");
+        assert!(!text.contains("dropped"), "{text}");
+        // Below `Profile` a node keeps no spans.
+        let stats = NodeObs::new(ObsLevel::Stats);
+        stats.record_work(1, 1, 1, 1, ms(0, 1));
+        assert!(stats.spans.is_none() && stats.spans().ring.is_empty());
+    }
+
+    #[test]
+    fn empty_timeline_renders_placeholder() {
+        let idle = NodeObs::new(ObsLevel::Profile);
+        assert_eq!(
+            render_timeline(&[("Read(t)", &idle)], 10),
+            "(no busy spans recorded)\n"
+        );
+        assert_eq!(render_timeline(&[], 10), "(no busy spans recorded)\n");
+    }
+
+    #[test]
+    fn span_ring_keeps_the_newest_and_counts_drops() {
+        let obs = sample_obs(ObsLevel::Profile);
+        for i in 0..=SPAN_CAPACITY as u64 {
+            obs[2].record_work(1, 1, 1, 1, ms(i, i + 1));
+        }
+        obs[0].record_work(0, 0, 1, 1, ms(0, 1));
+        let spans = obs[2].spans();
+        assert_eq!(spans.ring.len(), SPAN_CAPACITY);
+        assert_eq!(spans.dropped, 1);
+        // The oldest span (0 ms) went; the newest is last.
+        assert_eq!(spans.ring.front(), Some(&ms(1, 2)));
+        assert_eq!(spans.ring.back(), Some(&ms(4096, 4097)));
+        // Other nodes are unaffected by node 2's overflow.
+        assert_eq!(obs[0].spans().ring.len(), 1);
+        assert_eq!(obs[0].spans().dropped, 0);
+        let lanes = [("Read(t)", &obs[0]), ("Agg(k)", &obs[2])];
+        let text = render_timeline(&lanes, 20);
+        assert!(
+            text.ends_with("(1 spans dropped: each node keeps its newest 4096)\n"),
+            "{text}"
+        );
+        // Busy time still counts every unit of work.
+        assert_eq!(obs[2].snapshot().busy, Duration::from_millis(4097));
     }
 
     #[test]
@@ -484,7 +650,7 @@ mod tests {
             NodeObs::new(ObsLevel::Profile),
             NodeObs::new(ObsLevel::Profile),
         ];
-        obs[1].record_work(10, 1, 5, 1, 100);
+        obs[1].record_work(10, 1, 5, 1, busy(100));
         let mut stats = sample_stats(ObsLevel::Profile, &obs);
         stats.nodes[0].label = "Read(\"quoted\\path\")".into();
         let json = stats.to_json();

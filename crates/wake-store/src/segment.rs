@@ -800,7 +800,7 @@ impl TableSource for SegmentSource {
             .collect();
         let pruned_count = (self.order.len() - surviving.len()) as u64;
         // Pruning keeps relative zone order, so a clustering key stays
-        // valid: equal key values still live in exactly one partition.
+        // valid: the surviving rows are still read sorted on it.
         let view = self.view(
             surviving,
             self.columns.clone(),

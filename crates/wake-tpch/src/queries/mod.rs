@@ -392,6 +392,58 @@ mod tests {
         }
     }
 
+    /// `source`'s clustering-key tuples, row by row in read order.
+    fn clustering_keys(source: &dyn TableSource) -> Vec<Vec<wake_data::Value>> {
+        let key = source.meta().clustering_key.clone().expect("clustered");
+        let mut rows = Vec::new();
+        for i in 0..source.meta().num_partitions() {
+            let part = source.partition(i).unwrap();
+            for row in 0..part.num_rows() {
+                rows.push(key.iter().map(|k| part.value(row, k).unwrap()).collect());
+            }
+        }
+        rows
+    }
+
+    /// The clustering contract (`TableMeta::clustering_key`): a source
+    /// reporting a key reads its rows sorted on it — across partition
+    /// boundaries too, which may split a key value — in memory and
+    /// persisted alike; a reordered view reports no key.
+    #[test]
+    fn clustered_tables_read_sorted_on_their_key() {
+        let data = Arc::new(TpchData::generate(0.002, 42));
+        let dir = std::env::temp_dir().join(format!("wake-tpch-clustering-{}", std::process::id()));
+        let persisted = TpchDb::persisted(data.clone(), 23, &dir).unwrap();
+        let memory = TpchDb::new(data, 23);
+        for table in TABLES {
+            let mut g = QueryGraph::new();
+            let id = memory.read(&mut g, table);
+            let in_memory = source_of(&g, id);
+            let on_disk: Arc<dyn TableSource> = persisted.persisted_source(table).unwrap().clone();
+            let [memory_keys, disk_keys] = [&in_memory, &on_disk].map(|source| {
+                let keys = clustering_keys(source.as_ref());
+                assert_eq!(keys.len(), source.meta().total_rows(), "{table}");
+                assert!(keys.windows(2).all(|w| w[0] <= w[1]), "{table}: unsorted");
+                keys
+            });
+            assert_eq!(memory_keys, disk_keys, "{table}");
+            let shuffled = on_disk.reordered(7).expect("segments reorder");
+            assert!(shuffled.meta().clustering_key.is_none(), "{table}");
+        }
+        // Equal-size partitions do split a key: the contract is order,
+        // not one partition per key value.
+        let lineitem = persisted.persisted_source("lineitem").unwrap();
+        let boundary = |i: usize| {
+            let (a, b) = (
+                lineitem.partition(i).unwrap(),
+                lineitem.partition(i + 1).unwrap(),
+            );
+            a.value(a.num_rows() - 1, "l_orderkey").unwrap() == b.value(0, "l_orderkey").unwrap()
+        };
+        assert!((0..lineitem.meta().num_partitions() - 1).any(boundary));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn lookup_by_name() {
         assert!(query_by_name("q18").is_some());
