@@ -6,8 +6,9 @@
 //! disappear into noise. This bench measures the same group-by query —
 //! the shape of the kernels suite's `group_by_1m` case — at
 //! `ObsLevel::Off`, `Stats`, and `Profile`, and ASSERTS (in `--test`
-//! smoke mode too, so regressions fail loudly) that the best-of-N wall
-//! clock at `Stats` stays within 5 % of `Off`.
+//! smoke mode too, so regressions fail loudly) that `Stats` wall clock
+//! stays within 5 % of `Off`: the median, over interleaved rounds, of
+//! each round's `Stats`/`Off` ratio.
 //!
 //! It also checks that the `Profile`-level run's `RunStats::to_json()`
 //! export is well-formed. Nothing is written: the repo's benchmark record
@@ -79,8 +80,9 @@ fn run(frame: &DataFrame, level: ObsLevel) -> (f64, RunStats) {
     (elapsed, stream.stats())
 }
 
-fn best(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::INFINITY, f64::min)
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 fn bench_obs_overhead(c: &mut Criterion) {
@@ -88,35 +90,41 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let n: usize = if smoke { 200_000 } else { 1_000_000 };
     let frame = build_frame(n);
 
-    // Interleave the levels so cache/thermal drift hits them evenly;
-    // best-of-N is the stable statistic for an overhead bound.
-    let iters = if smoke { 7 } else { 11 };
-    let (mut off, mut stats, mut profile) = (Vec::new(), Vec::new(), Vec::new());
-    let mut profile_export = RunStats::default();
-    for _ in 0..iters {
-        off.push(run(&frame, ObsLevel::Off).0);
-        stats.push(run(&frame, ObsLevel::Stats).0);
-        let (ms, p) = run(&frame, ObsLevel::Profile);
-        profile.push(ms);
-        profile_export = p;
+    // Each round runs Off and Stats back to back, in an order that
+    // alternates per round, and contributes its own Stats/Off ratio.
+    // Load on a shared host moves single runs by far more than 5 %; the
+    // ratio within a round cancels slow drift, and the median over many
+    // rounds discards the rounds a burst of load split.
+    let rounds = if smoke { 201 } else { 101 };
+    let (mut off, mut ratios) = (Vec::new(), Vec::new());
+    for round in 0..rounds {
+        let (off_ms, stats_ms) = if round % 2 == 0 {
+            let off_ms = run(&frame, ObsLevel::Off).0;
+            (off_ms, run(&frame, ObsLevel::Stats).0)
+        } else {
+            let stats_ms = run(&frame, ObsLevel::Stats).0;
+            (run(&frame, ObsLevel::Off).0, stats_ms)
+        };
+        off.push(off_ms);
+        ratios.push(stats_ms / off_ms);
     }
-    let (off_ms, stats_ms, profile_ms) = (best(&off), best(&stats), best(&profile));
+    let ratio = median(ratios);
     println!(
-        "obs_overhead n={n}: off {off_ms:.2} ms, stats {stats_ms:.2} ms ({:+.2}%), \
-         profile {profile_ms:.2} ms ({:+.2}%)",
-        100.0 * (stats_ms / off_ms - 1.0),
-        100.0 * (profile_ms / off_ms - 1.0),
+        "obs_overhead n={n}: off median {:.2} ms, stats {:+.2}% \
+         (median over {rounds} rounds of the per-round Stats/Off ratio)",
+        median(off),
+        100.0 * (ratio - 1.0),
     );
 
     // The acceptance bar this bench exists for: Stats-level observability
     // costs < 5 % wall clock on the group-by kernel case.
     assert!(
-        stats_ms < off_ms * 1.05,
-        "Stats observability overhead exceeds 5%: off {off_ms:.3} ms vs stats {stats_ms:.3} ms"
+        ratio < 1.05,
+        "Stats observability overhead exceeds 5%: median Stats/Off ratio {ratio:.4}"
     );
 
     // Sanity checks on the profile JSON export keep it well-formed.
-    let json = profile_export.to_json();
+    let json = run(&frame, ObsLevel::Profile).1.to_json();
     assert!(json.contains("\"nodes\""));
     assert!(
         json.matches('{').count() == json.matches('}').count(),

@@ -29,15 +29,10 @@ fn kv_schema() -> Arc<Schema> {
 
 /// Budget -> spill plan (None = unbounded).
 fn plan_for(budget: Option<usize>) -> Option<wake_store::SpillPlan> {
-    plan_with_ratio(budget, None)
-}
-
-/// Budget + delta-log compaction ratio -> spill plan.
-fn plan_with_ratio(budget: Option<usize>, ratio: Option<f64>) -> Option<wake_store::SpillPlan> {
     budget.and_then(|b| {
-        let mut cfg = SpillConfig::with_budget(b);
-        cfg.delta_ratio = ratio;
-        cfg.build_plan(1).expect("spill dir")
+        SpillConfig::with_budget(b)
+            .build_plan(1)
+            .expect("spill dir")
     })
 }
 
@@ -93,12 +88,9 @@ fn bench_spill_operators(c: &mut Criterion) {
         );
     }
 
-    // Streamed group-by at a 5% budget: the shape where the write-behind
-    // delta log matters. The input arrives as a sequence of updates, so
-    // spilled partitions are folded into again and again — the
-    // compact-on-every-fold baseline (ratio 0) rewrites each touched
-    // partition per update, the delta log (default ratio) appends only
-    // the touched groups and compacts periodically.
+    // Streamed group-by at a 5% budget: the input arrives as a sequence
+    // of updates, so spilled partitions are folded into again and again,
+    // each fold rehydrating and rewriting the partition's run.
     let steps = 20;
     let per = n / steps;
     let stream_updates: Vec<Update> = (0..steps)
@@ -124,9 +116,7 @@ fn bench_spill_operators(c: &mut Criterion) {
             }
         })
         .collect();
-    let run_stream = |ratio: Option<f64>| -> wake_store::SpillMetrics {
-        let plan = plan_with_ratio(Some(n / 2), ratio).unwrap();
-        let governor = plan.governor.clone();
+    let run_stream = || {
         let mut op = AggOp::new(
             &gb_meta,
             vec!["k".into()],
@@ -134,43 +124,12 @@ fn bench_spill_operators(c: &mut Criterion) {
             false,
         )
         .unwrap()
-        .with_spill(Some(plan));
+        .with_spill(plan_for(Some(n / 2)));
         for upd in &stream_updates {
             black_box(op.on_update(0, upd).unwrap());
         }
-        governor.metrics()
     };
-    // The acceptance check this bench exists for: at a 5% budget the
-    // delta log must rewrite fewer bytes per fold than compacting on
-    // every fold (runs in `--test` smoke mode too, so it cannot rot).
-    let legacy = run_stream(Some(0.0));
-    let delta = run_stream(None);
-    println!(
-        "group_by_stream_5pct bytes written: compact-every-fold {} ({} chunks), \
-         delta-log {} ({} chunks, {} delta appends / {} bytes, {} compactions)",
-        legacy.spilled_bytes,
-        legacy.chunks_written,
-        delta.spilled_bytes,
-        delta.chunks_written,
-        delta.delta_chunks,
-        delta.delta_bytes,
-        delta.compactions
-    );
-    assert!(
-        delta.spilled_bytes < legacy.spilled_bytes,
-        "delta log must rewrite fewer bytes than compact-on-every-fold \
-         ({} vs {})",
-        delta.spilled_bytes,
-        legacy.spilled_bytes
-    );
-    assert!(delta.compactions > 0 && delta.delta_bytes > 0);
-    for (label, ratio) in [("compact-every-fold", Some(0.0)), ("delta-log", None)] {
-        group.bench_with_input(
-            BenchmarkId::new("group_by_stream_5pct", label),
-            &ratio,
-            |b, ratio| b.iter(|| black_box(run_stream(*ratio))),
-        );
-    }
+    group.bench_function("group_by_stream_5pct/budget-5pct", |b| b.iter(run_stream));
 
     // FK-style join: n unique build keys, ~50% probe hit rate.
     let mk_side = |offset: i64| {

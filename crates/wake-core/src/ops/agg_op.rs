@@ -20,11 +20,11 @@
 //! Grouping is hash-keyed without per-row `Row` materialisation: each frame
 //! gets one vectorized [`hash_keys`] pass over the key columns, a
 //! [`GroupIndex`] maps hash → candidate group slots, and one find-or-insert
-//! (`AggCore::slot_of`, shared by the fold and spill replay) confirms
-//! candidates against the [`KeyStore`] — one typed `Column` per key —
-//! under `wake_data::hash`'s one cell equality; the snapshot orders groups
-//! by its one cell order. Once a frame's rows are resolved to slots, each
-//! aggregate input is folded **column-at-a-time** through the one fold
+//! (`AggCore::slot_of`) confirms candidates against the [`KeyStore`] — one
+//! typed `Column` per key — under `wake_data::hash`'s one cell equality;
+//! the snapshot orders groups by its one cell order. Once a frame's rows
+//! are resolved to slots, each aggregate input is folded
+//! **column-at-a-time** through the one fold
 //! kernel, [`AggState::fold_column`], into that spec's slot-indexed states.
 //! A snapshot sorts the slots by key once and reads each spec's states out
 //! in that order through the one finalize kernel,
@@ -44,6 +44,11 @@
 //! [`GrowthModel`] is fit on the *global* group statistics, so estimates
 //! are identical at every shard count. `S = 1` (the `Parallelism(1)` plan)
 //! skips the scatter and is byte-identical to the unsharded operator.
+//!
+//! An evicted partition is one spill run holding one chunk: its full
+//! state. A fold into it rehydrates the run, folds exactly as the resident
+//! path does, and rewrites the run; a snapshot rehydrates and finalizes.
+//! Spilled execution is therefore bit-identical to resident execution.
 
 use crate::agg::{AggSpec, AggState, ScaleContext};
 use crate::ci::variance_column;
@@ -101,25 +106,17 @@ struct AggCore {
 /// [`Partitions`] layer routes to, evicts and rehydrates: resident, or
 /// evicted to a state file.
 // A shard holds at most `fanout` (≤ 8 by default) of these: boxing the
-// run handles would buy a few hundred bytes per shard for an allocation
+// run handle would buy a few hundred bytes per shard for an allocation
 // per eviction.
 #[allow(clippy::large_enum_variant)]
 enum AggPart {
     Mem(AggCore),
-    /// Evicted: the partition's state lives in a **base** run (one chunk
-    /// holding the full partition at its last compaction) plus a
-    /// write-behind **delta** run (chunks holding only the groups each
-    /// subsequent fold touched, in fold order). The authoritative state
-    /// is base ⊕ deltas replayed in append order; folding appends O(delta)
-    /// bytes instead of rewriting the whole partition, and the runs are
-    /// compacted (replay → rewrite base → truncate delta) once the delta
-    /// outgrows `SpillEnv::delta_ratio` × base. Every fold still resolves
-    /// the exact post-fold group count, so the growth model — which feeds
-    /// mid-query estimates — stays bit-identical to resident execution.
+    /// Evicted: the partition's full state is one chunk in one run. A
+    /// fold rehydrates it, folds, and rewrites the run, so the exact
+    /// post-fold group count — which the growth model reads for every
+    /// mid-query estimate — stays bit-identical to resident execution.
     Spilled {
-        env: SpillEnv,
-        base: RunWriter,
-        delta: RunWriter,
+        run: RunWriter,
         groups: usize,
     },
 }
@@ -202,22 +199,31 @@ impl AggCore {
             .iter()
             .copied()
             .find(|&g| self.key_store.eq_row(g, frame, key_idx, row));
-        if let Some(g) = found {
-            return Ok(g);
+        match found {
+            Some(g) => Ok(g),
+            None => self.insert_group(frame, key_idx, row, hash),
         }
+    }
+
+    /// Append a new empty group keyed by the tuple at `row` of `frame`.
+    fn insert_group(
+        &mut self,
+        frame: &DataFrame,
+        key_idx: &[usize],
+        row: usize,
+        hash: u64,
+    ) -> Result<u32> {
         let g = self.key_store.push_row(frame, key_idx, row)?;
         self.index.insert(hash, g);
         self.push_group();
         Ok(g)
     }
 
-    /// Fold a frame into the group states (`⊕` with each key's state),
-    /// returning each row's resolved group slot (the spill delta log
-    /// derives the touched-group set from it).
-    fn fold_frame_slots(&mut self, frame: &DataFrame, hashes: &[u64]) -> Result<Vec<u32>> {
+    /// Fold a frame into the group states (`⊕` with each key's state).
+    fn fold_frame(&mut self, frame: &DataFrame, hashes: &[u64]) -> Result<()> {
         let n = frame.num_rows();
         if n == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let cfg = self.cfg.clone();
         // Evaluate aggregate input expressions once per frame; bare column
@@ -258,7 +264,7 @@ impl AggCore {
                 }
             }
         }
-        Ok(slots)
+        Ok(())
     }
 
     /// Finalize this core's groups into a key-sorted partial snapshot:
@@ -309,20 +315,13 @@ impl AggCore {
     /// accumulation sequence.
     fn to_chunk(&self) -> Result<Chunk> {
         let order: Vec<u32> = (0..self.key_store.len()).collect();
-        self.to_chunk_for(&order)
-    }
-
-    /// Serialize a subset of this core's groups (the write-behind delta:
-    /// the slots one fold touched, each carried as its full updated
-    /// state so replay is assignment, not a float merge).
-    fn to_chunk_for(&self, slots: &[u32]) -> Result<Chunk> {
-        let columns = self.key_store.to_columns(slots);
+        let n = order.len();
+        let columns = self.key_store.to_columns(&order);
         let frame = Arc::new(DataFrame::new(self.cfg.key_schema.clone(), columns)?);
         let nspecs = self.cfg.specs.len();
-        let mut extra = Vec::with_capacity(slots.len() * (16 + nspecs * 32));
-        spill_codec::put_u64(&mut extra, slots.len() as u64);
-        for &slot in slots {
-            let g = slot as usize;
+        let mut extra = Vec::with_capacity(n * (16 + nspecs * 32));
+        spill_codec::put_u64(&mut extra, n as u64);
+        for g in 0..n {
             spill_codec::put_f64(&mut extra, self.rows[g]);
             for carried in &self.carried_var {
                 spill_codec::put_f64(&mut extra, carried[g]);
@@ -339,15 +338,12 @@ impl AggCore {
         })
     }
 
-    /// Replay one base or delta chunk onto this core (onto an empty one,
-    /// the inverse of [`to_chunk`](Self::to_chunk)): a group already
-    /// present (matched by key) is **overwritten** with the chunk's state
-    /// — delta entries carry full updated states, so replay in append
-    /// order reconstructs the partition bit for bit — and an unseen key
-    /// is appended in chunk order, preserving the resident insertion
-    /// order. The group index is rebuilt by re-hashing the key frame —
-    /// hashes are content-deterministic, so its candidates match the
-    /// original insertion order slot for slot.
+    /// Load a spilled partition chunk into this fresh core, the inverse
+    /// of [`to_chunk`](Self::to_chunk): groups are appended in chunk
+    /// order, which is the resident insertion order. The group index is
+    /// rebuilt by re-hashing the key frame — hashes are
+    /// content-deterministic, so its candidates match the original
+    /// insertion order slot for slot.
     fn apply_chunk(&mut self, chunk: &Chunk) -> Result<()> {
         let key_cols: Vec<usize> = (0..self.cfg.key_idx.len()).collect();
         let mut c = wake_data::colfile::ByteCursor::new(&chunk.extra);
@@ -363,7 +359,7 @@ impl AggCore {
         }
         let hashes = hash_keys(&chunk.frame, &key_cols).hashes;
         for (row, &h) in hashes.iter().enumerate() {
-            let g = self.slot_of(&chunk.frame, &key_cols, row, h)? as usize;
+            let g = self.insert_group(&chunk.frame, &key_cols, row, h)? as usize;
             // Decoding overwrites every accumulated field; the spec-side
             // ones (`is_min`, `stddev`, `q`) are the same for every group.
             self.rows[g] = c.f64()?;
@@ -378,22 +374,6 @@ impl AggCore {
     }
 }
 
-/// Rewrite `base` as one chunk holding `core`'s full state and truncate
-/// the delta run.
-fn compact(
-    env: &SpillEnv,
-    core: &AggCore,
-    base: &mut RunWriter,
-    delta: &mut RunWriter,
-) -> Result<()> {
-    base.clear();
-    base.push(&core.to_chunk()?)?;
-    base.flush()?;
-    delta.clear();
-    env.governor.record_compaction();
-    Ok(())
-}
-
 impl AggPart {
     fn groups(&self) -> usize {
         match self {
@@ -404,104 +384,41 @@ impl AggPart {
 
     fn fold(&mut self, cfg: &Arc<AggConfig>, frame: &DataFrame, hashes: &[u64]) -> Result<()> {
         match self {
-            AggPart::Mem(core) => core.fold_frame_slots(frame, hashes).map(drop),
-            AggPart::Spilled {
-                env,
-                base,
-                delta,
-                groups,
-            } => {
-                // Write-behind fold: rehydrate (base + replayed
-                // deltas), fold — the per-group accumulation order is
-                // identical to the resident path and the group count
-                // exact (the growth model reads it every update) —
-                // then append ONLY the touched groups' updated states
-                // to the delta run. The full rewrite happens at
-                // compaction, once the delta outgrows its ratio.
-                let (mut core, torn) = AggShard::rehydrate(cfg, base, delta)?;
-                let slots = core.fold_frame_slots(frame, hashes)?;
+            AggPart::Mem(core) => core.fold_frame(frame, hashes),
+            AggPart::Spilled { run, groups } => {
+                // Rehydrate, fold — the per-group accumulation order is
+                // the resident path's — and rewrite the one run.
+                let mut core = load(cfg, run)?;
+                core.fold_frame(frame, hashes)?;
                 *groups = core.len();
-                // A torn delta tail forces a compact — the rewrite
-                // durably truncates the run to its recovered state.
-                if torn {
-                    return compact(env, &core, base, delta);
-                }
-                let mut touched = slots;
-                touched.sort_unstable();
-                touched.dedup();
-                let chunk = core.to_chunk_for(&touched)?;
-                let projected = (delta.total_bytes() + chunk.byte_size()) as f64;
-                if projected > env.delta_ratio * base.total_bytes() as f64 {
-                    compact(env, &core, base, delta)
-                } else {
-                    let before = delta.total_bytes();
-                    delta.push(&chunk)?;
-                    delta.flush()?;
-                    env.governor.record_delta(delta.total_bytes() - before);
-                    Ok(())
-                }
+                run.clear();
+                run.push(&core.to_chunk()?)?;
+                run.flush()
             }
         }
     }
 
     /// This partition's key-sorted partial snapshot, `None` when it holds
-    /// no group. A spilled partition rehydrates (base + replayed deltas).
-    /// Snapshot boundaries are also compaction opportunities: the full
-    /// state is in hand, so an over-ratio delta run (the fold-time check
-    /// estimates chunk sizes and can undershoot) is folded back into its
-    /// base here.
-    fn snapshot(&mut self, cfg: &Arc<AggConfig>, ctx: &ScaleContext) -> Result<Option<DataFrame>> {
+    /// no group. A spilled partition rehydrates its run.
+    fn snapshot(&self, cfg: &Arc<AggConfig>, ctx: &ScaleContext) -> Result<Option<DataFrame>> {
         if self.groups() == 0 {
             return Ok(None);
         }
         match self {
             AggPart::Mem(core) => core.snapshot(ctx).map(Some),
-            AggPart::Spilled {
-                env, base, delta, ..
-            } => {
-                let (core, torn) = AggShard::rehydrate(cfg, base, delta)?;
-                if torn || delta.total_bytes() as f64 > env.delta_ratio * base.total_bytes() as f64
-                {
-                    compact(env, &core, base, delta)?;
-                }
-                core.snapshot(ctx).map(Some)
-            }
+            AggPart::Spilled { run, .. } => load(cfg, run)?.snapshot(ctx).map(Some),
         }
     }
 }
 
-impl AggShard {
-    /// Reconstruct a spilled partition's current state: the base chunk,
-    /// then every delta chunk replayed in append order.
-    ///
-    /// The delta read recovers from a torn tail (a crash mid-append
-    /// leaves every acked chunk intact, then garbage): replay stops at
-    /// the last intact chunk and the returned flag is `true`, telling the
-    /// caller to compact — durably truncating the loss to the un-acked
-    /// delta. The base run is read strictly: it is rewritten whole at
-    /// every compaction, so a torn base means the partition itself is
-    /// gone (typed error, no silent data loss).
-    fn rehydrate(
-        cfg: &Arc<AggConfig>,
-        base: &RunWriter,
-        delta: &RunWriter,
-    ) -> Result<(AggCore, bool)> {
-        let mut core = AggCore::new(cfg.clone());
-        if let Some(chunk) = base.read_all()?.first() {
-            core.apply_chunk(chunk)?;
-        }
-        let mut torn = false;
-        if !delta.is_empty() {
-            // Untracked: the base read above already counted this
-            // logical partition load.
-            let (chunks, dropped) = delta.read_all_recovering()?;
-            torn = dropped > 0;
-            for chunk in chunks {
-                core.apply_chunk(&chunk)?;
-            }
-        }
-        Ok((core, torn))
+/// Reconstruct a spilled partition's state from its run. A torn or
+/// corrupt run is a typed error: there is no older copy to fall back to.
+fn load(cfg: &Arc<AggConfig>, run: &RunWriter) -> Result<AggCore> {
+    let mut core = AggCore::new(cfg.clone());
+    if let Some(chunk) = run.read_all()?.first() {
+        core.apply_chunk(chunk)?;
     }
+    Ok(core)
 }
 
 impl Partition for AggPart {
@@ -526,24 +443,19 @@ impl Partition for AggPart {
                 "only a resident group-by partition can be evicted".into(),
             ));
         };
-        let mut base = env.new_run("agg");
-        base.push(&core.to_chunk()?)?;
-        base.flush()?;
+        let mut run = env.new_run("agg");
+        run.push(&core.to_chunk()?)?;
+        run.flush()?;
         *self = AggPart::Spilled {
-            delta: env.new_run("aggd"),
+            run,
             groups: core.len(),
-            env: env.clone(),
-            base,
         };
         Ok(())
     }
 
     fn rehydrate(&mut self, cfg: &Arc<AggConfig>) -> Result<()> {
-        if let AggPart::Spilled { base, delta, .. } = self {
-            // Torn tails just truncate here — there is no device left
-            // to compact to, and the recovered state is authoritative.
-            let (core, _torn) = AggShard::rehydrate(cfg, base, delta)?;
-            *self = AggPart::Mem(core);
+        if let AggPart::Spilled { run, .. } = self {
+            *self = AggPart::Mem(load(cfg, run)?);
         }
         Ok(())
     }
@@ -551,11 +463,9 @@ impl Partition for AggPart {
     fn state_bytes(&self) -> usize {
         match self {
             AggPart::Mem(core) => core.state_bytes(),
-            // Spilled partitions cost their pending write-behind
-            // buffers plus bookkeeping.
-            AggPart::Spilled { base, delta, .. } => {
-                base.pending_bytes() + delta.pending_bytes() + 64
-            }
+            // A spilled partition costs its pending (unflushed) buffer
+            // plus bookkeeping.
+            AggPart::Spilled { run, .. } => run.pending_bytes() + 64,
         }
     }
 
@@ -1175,12 +1085,11 @@ mod tests {
     }
 
     #[test]
-    fn delta_log_is_bit_identical_at_every_compaction_ratio() {
-        // The write-behind delta log is an I/O policy, never a semantics
-        // change: whatever the compaction ratio — 0 (compact every fold,
-        // the legacy path), tiny (compact almost every fold), default,
-        // or effectively-never — every estimate must be bit-equal to the
-        // resident operator, and the policy must show up in the ledger.
+    fn refolded_spilled_partitions_are_bit_identical_to_resident() {
+        // Every update folds into partitions that are already on disk:
+        // each such fold rehydrates the partition's one run, folds, and
+        // rewrites it, and every estimate must stay bit-equal to the
+        // resident operator.
         use wake_store::governor::SpillConfig;
         let schema = kv_frame(vec![], vec![]).schema().clone();
         let frame = |step: i64| {
@@ -1199,40 +1108,26 @@ mod tests {
                 AggSpec::count_distinct(col("v"), "cd"),
             ]
         };
-        for ratio in [0.0, 0.05, 0.5, 1e12] {
-            let mut cfg = SpillConfig::with_budget(1024);
-            cfg.delta_ratio = Some(ratio);
-            let plan = cfg.build_plan(1).unwrap().unwrap();
-            let governor = plan.governor.clone();
-            let mut reference = AggOp::new(&delta_meta(), vec!["k".into()], specs(), true).unwrap();
-            let mut spilled = AggOp::new(&delta_meta(), vec!["k".into()], specs(), true)
-                .unwrap()
-                .with_spill(Some(plan));
-            for step in 1..=6i64 {
-                let u = Update::delta(frame(step), Progress::single(0, step as u64 * 60, 360));
-                let a = reference.on_update(0, &u).unwrap();
-                let b = spilled.on_update(0, &u).unwrap();
-                assert_eq!(
-                    a[0].frame.as_ref(),
-                    b[0].frame.as_ref(),
-                    "ratio {ratio} step {step}"
-                );
-            }
-            let m = governor.metrics();
-            assert!(m.evictions > 0, "ratio {ratio}: budget never triggered");
-            if ratio == 0.0 {
-                // Legacy compact-on-every-fold: no delta appends at all.
-                assert_eq!(m.delta_bytes, 0, "ratio 0 must never append deltas");
-                assert!(m.compactions > 0);
-            } else if ratio == 0.05 {
-                // Tiny ratio: both sides of the policy fire.
-                assert!(m.compactions > 0, "tiny ratio must compact: {m:?}");
-            } else if ratio == 1e12 {
-                // Effectively-never compaction: pure delta appends.
-                assert!(m.delta_bytes > 0, "huge ratio must append deltas: {m:?}");
-                assert_eq!(m.compactions, 0, "huge ratio must not compact: {m:?}");
-            }
+        let plan = SpillConfig::with_budget(1024)
+            .build_plan(1)
+            .unwrap()
+            .unwrap();
+        let governor = plan.governor.clone();
+        let mut reference = AggOp::new(&delta_meta(), vec!["k".into()], specs(), true).unwrap();
+        let mut spilled = AggOp::new(&delta_meta(), vec!["k".into()], specs(), true)
+            .unwrap()
+            .with_spill(Some(plan));
+        for step in 1..=6i64 {
+            let u = Update::delta(frame(step), Progress::single(0, step as u64 * 60, 360));
+            let a = reference.on_update(0, &u).unwrap();
+            let b = spilled.on_update(0, &u).unwrap();
+            assert_eq!(a[0].frame.as_ref(), b[0].frame.as_ref(), "step {step}");
         }
+        let m = governor.metrics();
+        assert!(m.evictions > 0, "budget never triggered: {m:?}");
+        // More runs written than evictions: spilled partitions were
+        // folded into and rewritten.
+        assert!(m.chunks_written > m.evictions, "{m:?}");
     }
 
     #[test]
@@ -1290,75 +1185,56 @@ mod tests {
     }
 
     #[test]
-    fn torn_final_delta_chunk_recovers_to_last_acked_state() {
-        // Crash consistency of the write-behind log: the final delta
-        // append is torn mid-chunk (the crash case — every acked chunk
-        // intact, then garbage). Rehydration must recover base + all
-        // intact deltas bit for bit and report the tear so the caller
-        // compacts the truncation durably.
-        use wake_store::colfile::encode_chunk;
-        use wake_store::{FaultIo, FaultSchedule, MemoryGovernor, SpillDir, TornWrite};
-        let op = AggOp::new(
-            &delta_meta(),
-            vec!["k".into()],
-            vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("n")],
-            false,
-        )
-        .unwrap();
-        let cfg = op.cfg.clone();
+    fn torn_spilled_partition_run_is_a_typed_error() {
+        // A crash tears one group-by partition's run mid-write. The run
+        // holds the partition's only copy, so the next fold or snapshot
+        // that reads it must fail typed — never panic, never publish an
+        // estimate from a partial state — and keep failing after.
+        use wake_store::governor::SpillConfig;
+        use wake_store::{FaultIo, FaultSchedule, TornWrite};
         let schema = kv_frame(vec![], vec![]).schema().clone();
         let frame = |step: i64| {
-            let rows: Vec<Vec<Value>> = (0..20)
+            let rows: Vec<Vec<Value>> = (0..60)
                 .map(|i| {
-                    let k = (i * 7 + step) % 13;
-                    vec![Value::Int(k), Value::Float((i * step) as f64 * 0.5)]
+                    let k = (i * 13 + step) % 23;
+                    vec![Value::Int(k), Value::Float((i * step) as f64 * 0.125)]
                 })
                 .collect();
             DataFrame::from_rows(schema.clone(), &rows).unwrap()
         };
         let io = Arc::new(FaultIo::new(FaultSchedule {
             torn_write: Some(TornWrite {
-                tag: "aggd".to_string(),
-                nth: 2, // the third delta append (after steps 2 and 3 land)
+                tag: "agg".to_string(),
+                nth: 3,
                 keep_bytes: 9,
             }),
             ..FaultSchedule::default()
         }));
-        let dir = Arc::new(SpillDir::new_temp_with(io).unwrap());
-        let gov = Arc::new(MemoryGovernor::new(Some(1 << 20)));
-        let mut base = RunWriter::new(dir.clone(), gov.clone(), "agg").with_flush_threshold(1);
-        let mut delta = RunWriter::new(dir, gov, "aggd").with_flush_threshold(1);
-        // Base: full state after step 1; deltas: touched groups per step.
-        let mut core = AggCore::new(cfg.clone());
-        let mut reference = AggCore::new(cfg.clone());
-        for step in 1..=4i64 {
-            let f = frame(step);
-            let hashes = hash_keys(&f, &cfg.key_idx).hashes;
-            let mut touched = core.fold_frame_slots(&f, &hashes).unwrap();
-            if step <= 3 {
-                reference.fold_frame_slots(&f, &hashes).unwrap();
-            }
-            if step == 1 {
-                base.push(&core.to_chunk().unwrap()).unwrap();
-                base.flush().unwrap();
-            } else {
-                touched.sort_unstable();
-                touched.dedup();
-                delta.push(&core.to_chunk_for(&touched).unwrap()).unwrap();
-                delta.flush().unwrap(); // step 4's append is the torn one
+        let mut cfg = SpillConfig::with_budget(1024);
+        cfg.io = Some(io.clone());
+        let mut op = AggOp::new(
+            &delta_meta(),
+            vec!["k".into()],
+            vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("n")],
+            false,
+        )
+        .unwrap()
+        .with_spill(cfg.build_plan(1).unwrap());
+        let mut failed = 0;
+        for step in 1..=6i64 {
+            let u = Update::delta(frame(step), Progress::single(0, step as u64 * 60, 360));
+            match op.on_update(0, &u) {
+                Ok(out) => assert_eq!(failed, 0, "estimate {out:?} after a failed read"),
+                Err(e) => {
+                    assert!(matches!(e, DataError::Parse(_)), "{e:?}");
+                    failed += 1;
+                }
             }
         }
-        let (recovered, torn) = AggShard::rehydrate(&cfg, &base, &delta).unwrap();
-        assert!(torn, "the torn tail must be reported");
-        // Recovered = state after step 3 (base ⊕ intact deltas), bit for
-        // bit — compare full encoded states.
-        let mut a = Vec::new();
-        encode_chunk(&recovered.to_chunk().unwrap(), &mut a).unwrap();
-        let mut b = Vec::new();
-        encode_chunk(&reference.to_chunk().unwrap(), &mut b).unwrap();
-        assert_eq!(a, b, "recovered state != last acked state");
-        // The strict read path must keep rejecting the torn run.
-        assert!(delta.read_all_untracked().is_err());
+        assert_eq!(io.faults_injected(), 1, "the run was never torn");
+        assert!(failed > 0, "no read of the torn run failed");
+        let err = op.on_eof(0).unwrap_err();
+        assert!(matches!(err, DataError::Parse(_)), "{err:?}");
     }
 
     #[test]
@@ -1375,7 +1251,7 @@ mod tests {
         .unwrap();
         let mut core = AggCore::new(op.cfg.clone());
         let f = kv_frame(vec![1], vec![2.0]);
-        core.fold_frame_slots(&f, &hash_keys(&f, &op.cfg.key_idx).hashes)
+        core.fold_frame(&f, &hash_keys(&f, &op.cfg.key_idx).hashes)
             .unwrap();
         let good = core.to_chunk().unwrap();
         let schema = Arc::new(Schema::new(vec![Field::new("k", DataType::Utf8)]));
@@ -1403,7 +1279,7 @@ mod tests {
         let f = kv_frame(vec![1], vec![2.0]);
         let hashes = hash_keys(&f, &op.cfg.key_idx).hashes;
         let mut core = AggCore::new(op.cfg.clone());
-        core.fold_frame_slots(&f, &hashes).unwrap();
+        core.fold_frame(&f, &hashes).unwrap();
         let resident = core.states[0][0].clone();
         let strs = Column::from_str_iter(["a"]);
         let mut mistyped = [AggSpec::count_distinct(col("s"), "cd").new_state()];
@@ -1411,7 +1287,7 @@ mod tests {
         core.states[0][0] = mistyped[0].clone();
         let mut replayed = AggCore::new(op.cfg.clone());
         replayed.apply_chunk(&core.to_chunk().unwrap()).unwrap();
-        let err = replayed.fold_frame_slots(&f, &hashes).unwrap_err();
+        let err = replayed.fold_frame(&f, &hashes).unwrap_err();
         assert!(matches!(err, DataError::TypeMismatch { .. }), "{err:?}");
         let err = replayed.states[0][0].merge(&resident).unwrap_err();
         assert!(matches!(err, DataError::Invalid(_)), "{err:?}");

@@ -697,9 +697,6 @@ mod tests {
                 chunks_written: 12,
                 evictions: 13,
                 rehydrations: 14,
-                delta_bytes: 15,
-                delta_chunks: 16,
-                compactions: 17,
                 io_retries: 18,
             },
             scan: ScanMetrics {
@@ -722,7 +719,7 @@ mod tests {
         };
         const SPILL: &str = concat!(
             r#""spill":{"spilled_bytes":11,"chunks_written":12,"evictions":13,"rehydrations":14,"#,
-            r#""delta_bytes":15,"delta_chunks":16,"compactions":17,"io_retries":18}"#,
+            r#""io_retries":18}"#,
         );
         const SCAN: &str = concat!(
             r#""scan":{"zones_total":21,"zones_pruned":22,"zones_scanned":23,"#,
@@ -745,7 +742,7 @@ mod tests {
             r#"{"id":0,"label":"Read(t)","inputs":[],"rows_in":0,"rows_out":0,"frames_in":0,"#,
             r#""frames_out":0,"busy_ns":0,"state_bytes":0,"peak_state_bytes":0,"#,
             r#""spill":{"spilled_bytes":0,"chunks_written":0,"evictions":0,"rehydrations":0,"#,
-            r#""delta_bytes":0,"delta_chunks":0,"compactions":0,"io_retries":0},"#,
+            r#""io_retries":0},"#,
             r#""scan":{"zones_total":0,"zones_pruned":0,"zones_scanned":0,"compressed_bytes":0,"#,
             r#""decompressed_bytes":0,"decode_nanos":0,"columns_read":0,"columns_total":0}}"#,
         );

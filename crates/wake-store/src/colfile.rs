@@ -266,27 +266,6 @@ pub fn decode_all(bytes: &[u8]) -> Result<Vec<Chunk>> {
     Ok(out)
 }
 
-/// Decode the longest intact prefix of a run buffer: chunks up to (not
-/// including) the first torn or corrupt one, plus the number of tail
-/// bytes dropped. A crash mid-append leaves exactly this shape — every
-/// fully acked chunk intact, then a truncated or garbage tail — so
-/// recovery keeps all committed chunks and reports the loss.
-pub fn decode_all_recover(bytes: &[u8]) -> (Vec<Chunk>, usize) {
-    let mut out = Vec::new();
-    let mut off = 0usize;
-    while off < bytes.len() {
-        let mut c = ByteCursor::new(&bytes[off..]);
-        match decode_chunk(&mut c) {
-            Ok(ch) => {
-                off += bytes.len() - off - c.remaining();
-                out.push(ch);
-            }
-            Err(_) => return (out, bytes.len() - off),
-        }
-    }
-    (out, 0)
-}
-
 /// An appendable spill run: encoded chunks buffered in memory until the
 /// flush threshold, then appended to a uniquely named file in the query's
 /// [`SpillDir`]. The file is deleted when the run is dropped or cleared.
@@ -395,30 +374,14 @@ impl RunWriter {
     }
 
     /// Rehydrate the full run in append order (disk chunks first, then
-    /// pending). The run remains readable and appendable afterwards.
+    /// pending). The run remains readable and appendable afterwards. A
+    /// run that holds no chunk has no file: it reads as empty without
+    /// touching the device or counting a rehydration.
     pub fn read_all(&self) -> Result<Vec<Chunk>> {
+        if self.is_empty() {
+            return Ok(Vec::new());
+        }
         self.governor.record_rehydration();
-        self.read_all_untracked()
-    }
-
-    /// [`Self::read_all`] without counting a rehydration — for when one
-    /// *logical* partition load spans several runs (e.g. a base run plus
-    /// its delta log) and should read as one in the telemetry.
-    pub fn read_all_untracked(&self) -> Result<Vec<Chunk>> {
-        decode_all(&self.raw_bytes()?)
-    }
-
-    /// Rehydrate with torn-tail recovery: decodes the longest intact
-    /// prefix of the run and returns the chunks plus the number of tail
-    /// bytes dropped (0 = the run was fully intact). Untracked, like
-    /// [`read_all_untracked`](Self::read_all_untracked) — the torn-tail
-    /// case is delta-run replay, which is part of a larger logical load.
-    pub fn read_all_recovering(&self) -> Result<(Vec<Chunk>, usize)> {
-        Ok(decode_all_recover(&self.raw_bytes()?))
-    }
-
-    /// Disk bytes (through the device, with retries) + pending bytes.
-    fn raw_bytes(&self) -> Result<Vec<u8>> {
         let mut bytes = match &self.path {
             Some(p) => {
                 let io = self.dir.io().clone();
@@ -427,7 +390,7 @@ impl RunWriter {
             None => Vec::with_capacity(self.buf.len()),
         };
         bytes.extend_from_slice(&self.buf);
-        Ok(bytes)
+        decode_all(&bytes)
     }
 
     /// Drop all content (disk file included) and reset to empty.
@@ -563,28 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn recover_keeps_the_intact_prefix() {
-        let mut buf = Vec::new();
-        encode_chunk(&sample_chunk(), &mut buf).unwrap();
-        encode_chunk(&sample_chunk(), &mut buf).unwrap();
-        let intact = buf.len();
-        encode_chunk(&sample_chunk(), &mut buf).unwrap();
-        // Tear the final chunk mid-payload.
-        let torn = &buf[..intact + 20];
-        let (chunks, dropped) = decode_all_recover(torn);
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(dropped, 20);
-        assert_eq!(chunks[1].frame, sample_frame());
-        // A fully intact buffer recovers losslessly.
-        let (chunks, dropped) = decode_all_recover(&buf);
-        assert_eq!((chunks.len(), dropped), (3, 0));
-        // Pure garbage: nothing recovered, everything reported dropped.
-        let (chunks, dropped) = decode_all_recover(&[7u8; 33]);
-        assert!(chunks.is_empty());
-        assert_eq!(dropped, 33);
-    }
-
-    #[test]
     fn flush_soft_fails_when_the_device_dies() {
         use crate::fault::{FaultIo, FaultSchedule};
         let io = StdArc::new(FaultIo::new(FaultSchedule {
@@ -638,7 +579,7 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_recovered_and_reported() {
+    fn torn_tail_fails_the_read_typed() {
         use crate::fault::{FaultIo, FaultSchedule, TornWrite};
         let io = StdArc::new(FaultIo::new(FaultSchedule {
             torn_write: Some(TornWrite {
@@ -651,15 +592,24 @@ mod tests {
         let dir = StdArc::new(SpillDir::new_temp_with(io).unwrap());
         let gov = StdArc::new(MemoryGovernor::new(Some(1 << 20)));
         let mut run = RunWriter::new(dir, gov, "torn").with_flush_threshold(1);
-        run.push(&sample_chunk()).unwrap(); // append 0: intact
-        run.push(&sample_chunk()).unwrap(); // append 1: torn at byte 11
-                                            // Strict read fails typed on the torn tail...
-        assert!(run.read_all().is_err());
-        // ...recovery keeps the intact chunk and reports the dropped tail.
-        let (chunks, dropped) = run.read_all_recovering().unwrap();
-        assert_eq!(chunks.len(), 1);
-        assert_eq!(dropped, 11);
-        assert_eq!(chunks[0].frame, sample_frame());
+        // Append 0 lands intact, append 1 is torn at byte 11. There is
+        // no partial read: the intact first chunk is not handed back.
+        run.push(&sample_chunk()).unwrap();
+        run.push(&sample_chunk()).unwrap();
+        let err = run.read_all().unwrap_err();
+        assert!(matches!(err, DataError::Parse(_)), "{err:?}");
+    }
+
+    #[test]
+    fn only_a_run_with_chunks_counts_a_rehydration() {
+        let dir = StdArc::new(SpillDir::new_temp().unwrap());
+        let gov = StdArc::new(MemoryGovernor::new(Some(1 << 20)));
+        let mut run = RunWriter::new(dir, gov.clone(), "r").with_flush_threshold(1);
+        assert!(run.read_all().unwrap().is_empty());
+        assert_eq!(gov.metrics().rehydrations, 0, "an empty run read nothing");
+        run.push(&sample_chunk()).unwrap();
+        assert_eq!(run.read_all().unwrap().len(), 1);
+        assert_eq!(gov.metrics().rehydrations, 1);
     }
 
     #[test]

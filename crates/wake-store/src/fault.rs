@@ -10,7 +10,8 @@
 //! - persistent errors from an operation index onward (the poisoning /
 //!   degraded-execution path),
 //! - a torn write that truncates one append at byte `k` and then wedges
-//!   the file (the crash-mid-append / delta-truncation path).
+//!   the file (the crash-mid-append path: the next read of that run is
+//!   a typed error).
 //!
 //! Operation indices count **successful** operations, so a transiently
 //! failed op keeps its index and the scheduled fault fires exactly once

@@ -47,9 +47,6 @@ pub struct MemoryGovernor {
     chunks_written: AtomicUsize,
     evictions: AtomicUsize,
     rehydrations: AtomicUsize,
-    delta_bytes: AtomicUsize,
-    delta_chunks: AtomicUsize,
-    compactions: AtomicUsize,
     io_retries: AtomicUsize,
     /// Set when spill I/O failed persistently (retries exhausted). Shards
     /// that see a poisoned governor rehydrate what they can, stop
@@ -83,9 +80,6 @@ impl MemoryGovernor {
             chunks_written: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
             rehydrations: AtomicUsize::new(0),
-            delta_bytes: AtomicUsize::new(0),
-            delta_chunks: AtomicUsize::new(0),
-            compactions: AtomicUsize::new(0),
             io_retries: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
             retry_attempts: DEFAULT_RETRY_ATTEMPTS,
@@ -199,25 +193,6 @@ impl MemoryGovernor {
         }
     }
 
-    /// Bytes appended to a write-behind delta run (a subset of
-    /// `spilled_bytes`; folding into a spilled partition appends these
-    /// instead of rewriting the whole partition).
-    pub fn record_delta(&self, bytes: usize) {
-        stat_add(&self.delta_bytes, bytes);
-        stat_add(&self.delta_chunks, 1);
-        if let Some(p) = &self.parent {
-            p.record_delta(bytes);
-        }
-    }
-
-    /// A delta run was replayed onto its base run and truncated.
-    pub fn record_compaction(&self) {
-        stat_add(&self.compactions, 1);
-        if let Some(p) = &self.parent {
-            p.record_compaction();
-        }
-    }
-
     /// Snapshot of the ledger.
     pub fn metrics(&self) -> SpillMetrics {
         SpillMetrics {
@@ -225,9 +200,6 @@ impl MemoryGovernor {
             chunks_written: stat_get(&self.chunks_written),
             evictions: stat_get(&self.evictions),
             rehydrations: stat_get(&self.rehydrations),
-            delta_bytes: stat_get(&self.delta_bytes),
-            delta_chunks: stat_get(&self.delta_chunks),
-            compactions: stat_get(&self.compactions),
             io_retries: stat_get(&self.io_retries),
         }
     }
@@ -272,13 +244,6 @@ wake_data::counters! {
         evictions,
         /// Spilled-partition loads back into memory.
         rehydrations,
-        /// Bytes appended to write-behind delta runs (subset of
-        /// `spilled_bytes`).
-        delta_bytes,
-        /// Delta chunks appended.
-        delta_chunks,
-        /// Delta-run compactions (replay onto base + truncate).
-        compactions,
         /// Spill I/O operations that failed transiently and were retried.
         io_retries,
     }
@@ -298,13 +263,6 @@ pub struct SpillConfig {
     pub fanout: usize,
     /// Maximum recursive re-partitioning depth for oversized partitions.
     pub max_depth: usize,
-    /// Write-behind compaction policy for spilled group-by partitions: a
-    /// partition's delta run may grow to this fraction of its base run
-    /// before it is compacted (replayed onto the base and truncated).
-    /// `None` = [`DEFAULT_DELTA_RATIO`]; `Some(0.0)` compacts on every
-    /// fold (the pre-delta-log rehydrate-fold-rewrite behavior). Only
-    /// tests set it, directly on this struct.
-    pub delta_ratio: Option<f64>,
     /// The spill device (None = the real filesystem, [`StdIo`]). Tests
     /// and benches inject [`FaultIo`] here.
     pub io: Option<Arc<dyn SpillIo>>,
@@ -329,11 +287,6 @@ pub const DEFAULT_FANOUT: usize = 8;
 /// limit only matters for pathological key skew, where the leaf is
 /// processed in memory regardless of budget).
 pub const DEFAULT_MAX_DEPTH: usize = 4;
-/// Default delta-run compaction threshold: compact once the delta run
-/// exceeds half the base run's size. Keeps fold-time writes O(delta)
-/// while bounding replay work (and read amplification) at ~1.5× the
-/// partition state.
-pub const DEFAULT_DELTA_RATIO: f64 = 0.5;
 
 impl SpillConfig {
     /// Unbounded memory: spilling off.
@@ -405,10 +358,6 @@ impl SpillConfig {
         } else {
             DEFAULT_MAX_DEPTH
         };
-        let delta_ratio = self
-            .delta_ratio
-            .filter(|r| r.is_finite() && *r >= 0.0)
-            .unwrap_or(DEFAULT_DELTA_RATIO);
         let mut governor = MemoryGovernor::new(self.budget_bytes).with_retry_policy(
             self.retry_attempts.unwrap_or(DEFAULT_RETRY_ATTEMPTS),
             self.retry_base_delay.unwrap_or(DEFAULT_RETRY_BASE_DELAY),
@@ -429,7 +378,6 @@ impl SpillConfig {
             ops: spillable_ops.max(1),
             fanout,
             max_depth,
-            delta_ratio,
         }))
     }
 }
@@ -464,9 +412,6 @@ pub struct SpillPlan {
     ops: usize,
     pub fanout: usize,
     pub max_depth: usize,
-    /// Resolved delta-run compaction threshold (fraction of the base run;
-    /// `0.0` = compact on every fold).
-    pub delta_ratio: f64,
 }
 
 impl SpillPlan {
@@ -501,7 +446,6 @@ impl SpillPlan {
             shards: shards.max(1),
             fanout: self.fanout,
             max_depth: self.max_depth,
-            delta_ratio: self.delta_ratio,
         }
     }
 }
@@ -517,9 +461,6 @@ pub struct SpillEnv {
     shards: usize,
     pub fanout: usize,
     pub max_depth: usize,
-    /// Delta-run compaction threshold (fraction of the base run; `0.0` =
-    /// compact on every fold).
-    pub delta_ratio: f64,
 }
 
 impl SpillEnv {
@@ -562,17 +503,11 @@ mod tests {
         g.record_spill(50, 1);
         g.record_eviction();
         g.record_rehydration();
-        g.record_delta(40);
-        g.record_delta(2);
-        g.record_compaction();
         let m = g.metrics();
         assert_eq!(m.spilled_bytes, 150);
         assert_eq!(m.chunks_written, 3);
         assert_eq!(m.evictions, 1);
         assert_eq!(m.rehydrations, 1);
-        assert_eq!(m.delta_bytes, 42);
-        assert_eq!(m.delta_chunks, 2);
-        assert_eq!(m.compactions, 1);
         assert_eq!(g.budget(), Some(1024));
     }
 
@@ -597,24 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn ratio_resolution() {
-        // Unset and invalid ratios resolve to the default; 0 is honoured
-        // (compact-on-every-fold).
-        let mut cfg = SpillConfig::with_budget(1 << 20);
-        assert_eq!(
-            cfg.build_plan(1).unwrap().unwrap().delta_ratio,
-            DEFAULT_DELTA_RATIO
-        );
-        cfg.delta_ratio = Some(0.0);
-        assert_eq!(cfg.build_plan(1).unwrap().unwrap().delta_ratio, 0.0);
-        cfg.delta_ratio = Some(f64::NAN);
-        assert_eq!(
-            cfg.build_plan(1).unwrap().unwrap().delta_ratio,
-            DEFAULT_DELTA_RATIO
-        );
-    }
-
-    #[test]
     fn parse_bytes_suffixes() {
         assert_eq!(parse_bytes("512"), Some(512));
         assert_eq!(parse_bytes("64k"), Some(64 << 10));
@@ -633,8 +550,6 @@ mod tests {
         a.record_spill(100, 1);
         b.record_spill(50, 2);
         b.record_eviction();
-        a.record_delta(10);
-        b.record_compaction();
         a.record_io_retry();
         assert_eq!(a.metrics().spilled_bytes, 100);
         assert_eq!(b.metrics().spilled_bytes, 50);
@@ -642,9 +557,6 @@ mod tests {
         assert_eq!(p.spilled_bytes, 150);
         assert_eq!(p.chunks_written, 3);
         assert_eq!(p.evictions, 1);
-        assert_eq!(p.delta_bytes, 10);
-        assert_eq!(p.delta_chunks, 1);
-        assert_eq!(p.compactions, 1);
         assert_eq!(p.io_retries, 1);
         // Budget and retry policy are inherited; poisoning a child
         // reaches the parent and is visible to its siblings.
@@ -675,7 +587,6 @@ mod tests {
         let env = plan.shard_env(2);
         assert_eq!(env.shard_budget(), (1 << 20) / 8);
         assert_eq!(env.fanout, DEFAULT_FANOUT);
-        assert_eq!(env.delta_ratio, DEFAULT_DELTA_RATIO);
         // Unbounded config yields no plan.
         assert!(SpillConfig::unbounded().build_plan(4).unwrap().is_none());
     }

@@ -15,15 +15,13 @@
 //!    the budget, and continue resident ("degraded" execution);
 //!    `RunWriter::flush` keeps unwritable bytes in its pending buffer so
 //!    in-flight runs stay readable without the device.
-//! 3. **recover** — a delta run whose tail was torn mid-append is
-//!    truncated to its last intact chunk on rehydration
-//!    (`colfile::decode_all_recover`) and compacted, so a crash loses at
-//!    most the un-acked delta, never the partition.
 //!
 //! Append failures are assumed not to partially write (the retry would
-//! otherwise duplicate a prefix); torn tails — the crash case — are
-//! handled by the recovery path above, on delta runs, where replay
-//! semantics make truncation safe.
+//! otherwise duplicate a prefix). A torn or corrupt run — the crash
+//! case — fails its chunk length or checksum check on read and surfaces
+//! as a typed error, for group-by and join runs alike. Keeping an
+//! intact prefix would silently drop rows (a join run) or a whole
+//! partition state (a group-by run is rewritten whole at every fold).
 
 use crate::governor::MemoryGovernor;
 use crate::Result;

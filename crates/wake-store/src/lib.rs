@@ -29,13 +29,7 @@
 //! - [`MemoryGovernor`] / [`SpillConfig`] / [`SpillPlan`]: a per-query
 //!   byte budget apportioned to operators and then shards, fed by the
 //!   operators' `state_bytes()` accounting, plus shared spill telemetry
-//!   (bytes written, chunks, evictions, rehydrations, delta appends,
-//!   compactions) and the write-behind compaction policy: spilled
-//!   group-by partitions append only the groups a fold touched to a
-//!   per-partition **delta run** and are compacted back into their base
-//!   run once the delta outgrows [`governor::DEFAULT_DELTA_RATIO`] × base
-//!   — O(delta) fold-time writes, bit-identical estimates at any ratio
-//!   (tests vary it through `SpillConfig::delta_ratio`).
+//!   (bytes written, chunks, evictions, rehydrations, I/O retries).
 //! - [`SpillDir`]: lifecycle of the temp directory the spill files live
 //!   in (unique names, eager deletion, recursive cleanup on drop).
 //! - [`colfile`]: the on-disk format — runs of checksummed **chunks**,
@@ -52,8 +46,8 @@
 //!   filesystem by default, deterministic fault injection in tests) and
 //!   the recovery ladder on top of it — bounded-backoff retries for
 //!   transient errors, governor **poisoning** + degradation to resident
-//!   execution for persistent device failure, and torn-tail truncation
-//!   on delta-run rehydration for crash consistency.
+//!   execution for persistent device failure; a torn or corrupt run is
+//!   a typed error.
 
 pub mod colfile;
 pub mod compress;

@@ -9,14 +9,11 @@
 //! WAKE_MEM_BUDGET=8m WAKE_SPILL_DIR=/mnt/scratch cargo run --release --example quickstart
 //! ```
 //!
-//! Spilled group-by partitions keep a **write-behind delta log**: a fold
-//! into an evicted partition appends only the touched groups' updated
-//! states, and the partition is rewritten (compacted) only once its
-//! delta run exceeds half its base
-//! (`wake_store::governor::DEFAULT_DELTA_RATIO`). That trades fold-time
-//! spill writes against replay work — estimates are bit-identical either
-//! way; `RunStats.spill` reports how often each side fired
-//! (`delta_bytes`, `delta_chunks`, `compactions`).
+//! An evicted group-by partition is one spill run holding its full
+//! state: a later fold into it reads the run back, folds, and rewrites
+//! it, so estimates are bit-identical to unbounded execution.
+//! `RunStats.spill` reports the bytes written, evictions and
+//! rehydrations.
 
 use std::sync::Arc;
 use wake::prelude::*;
@@ -67,14 +64,8 @@ fn main() {
 
     println!("top spenders (bounded memory):\n{top}");
     println!(
-        "spill telemetry: {} bytes written ({} evictions, {} rehydrations), \
-         {} delta bytes in {} appends, {} compactions",
-        stats.spill.spilled_bytes,
-        stats.spill.evictions,
-        stats.spill.rehydrations,
-        stats.spill.delta_bytes,
-        stats.spill.delta_chunks,
-        stats.spill.compactions
+        "spill telemetry: {} bytes written ({} evictions, {} rehydrations)",
+        stats.spill.spilled_bytes, stats.spill.evictions, stats.spill.rehydrations
     );
     // Robustness telemetry: transient spill-device errors are retried
     // with backoff (`EngineConfig::with_spill_retries`, default 2);

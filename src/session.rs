@@ -533,46 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_ratio_knob_spills_identically() {
-        // At the fixed delta-log compaction ratio a spilling session must
-        // answer every estimate bit for bit like an unbounded one, and its
-        // telemetry must show both sides of the write-behind policy at
-        // work — delta appends and compactions.
-        let schema = Arc::new(Schema::new(vec![
-            Field::new("k", DataType::Int64),
-            Field::new("v", DataType::Float64),
-        ]));
-        let frame = DataFrame::new(
-            schema,
-            vec![
-                Column::from_i64((0..3000).collect()),
-                Column::from_f64((0..3000).map(|i| i as f64).collect()),
-            ],
-        )
-        .unwrap();
-        let source = || MemorySource::from_frame("big", &frame, 300, vec![], None).unwrap();
-        let run = |budget: Option<usize>| {
-            let mut s = Session::new();
-            s.configure(|c| match budget {
-                Some(bytes) => c.with_memory_budget(bytes),
-                None => c.unbounded_memory(),
-            });
-            let t = s.read(source());
-            let q = t.sum("v", &["k"], "sv").sort(&["k"], &[false]);
-            q.collect_stats().unwrap()
-        };
-        let (resident, _) = run(None);
-        let (spilled, stats) = run(Some(2048));
-        assert_eq!(resident.len(), spilled.len());
-        for (a, b) in resident.iter().zip(spilled.iter()) {
-            assert_eq!(a.frame.as_ref(), b.frame.as_ref());
-        }
-        assert!(stats.spill.evictions > 0, "{:?}", stats.spill);
-        assert!(stats.spill.delta_bytes > 0, "{:?}", stats.spill);
-        assert!(stats.spill.compactions > 0, "{:?}", stats.spill);
-    }
-
-    #[test]
     fn bounded_memory_session_matches_unbounded() {
         // A session-wide budget small enough to spill must not change
         // answers, on either executor.

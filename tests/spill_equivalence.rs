@@ -140,28 +140,18 @@ fn aggregation_pipelines_spill_bit_identically() {
 }
 
 #[test]
-fn delta_log_is_estimate_invariant_across_the_tpch_suite() {
-    // The write-behind delta log under stress: a 64 KiB budget at the
-    // fixed compaction ratio exercises both sides of the policy — delta
-    // appends whenever a fold touches a small slice of a spilled
-    // partition, compactions whenever the delta run outgrows its share
-    // of the base. The log must be invisible in the estimates:
+fn spilled_tpch_suite_keeps_aggregation_estimates_bit_identical() {
+    // Spilled group-by partitions rewritten at every fold, under the
+    // suite's 64 KiB budget, must be invisible in the estimates:
     //
     // - per-estimate bit-equality with UNBOUNDED execution for the
     //   aggregation-only pipelines (join spilling defers match emission,
     //   so mid-query join estimates legitimately differ from resident
     //   execution — the same caveat as the rest of this suite);
     // - final-state agreement with unbounded for every query.
-    //
-    // Bit-equality at other ratios (0 = compact every fold, effectively
-    // never) is pinned at the operator, where the ratio is set directly
-    // on the spill config (`wake-core` `agg_op` tests).
     let data = Arc::new(TpchData::generate(0.002, 42));
     let db = TpchDb::new(data, 6);
     let agg_only = ["q1", "q6"];
-    let mut total_compactions = 0usize;
-    let mut total_delta_bytes = 0usize;
-    let mut total_delta_chunks = 0usize;
     for spec in all_queries() {
         let reference = EngineConfig::new()
             .unbounded_memory()
@@ -169,18 +159,15 @@ fn delta_log_is_estimate_invariant_across_the_tpch_suite() {
             .unwrap()
             .collect_series()
             .unwrap();
-        let (delta, stats) = EngineConfig::new()
+        let bounded = EngineConfig::new()
             .with_memory_budget(BUDGET)
             .start((spec.build)(&db))
             .unwrap()
-            .collect_with_stats()
+            .collect_series()
             .unwrap();
-        total_compactions += stats.spill.compactions;
-        total_delta_bytes += stats.spill.delta_bytes;
-        total_delta_chunks += stats.spill.delta_chunks;
         if agg_only.contains(&spec.name) {
-            assert_eq!(reference.len(), delta.len(), "{}", spec.name);
-            for (a, b) in reference.iter().zip(delta.iter()) {
+            assert_eq!(reference.len(), bounded.len(), "{}", spec.name);
+            for (a, b) in reference.iter().zip(bounded.iter()) {
                 assert_eq!(
                     a.frame.as_ref(),
                     b.frame.as_ref(),
@@ -191,7 +178,7 @@ fn delta_log_is_estimate_invariant_across_the_tpch_suite() {
             }
         }
         let sf = reference.final_frame();
-        let tf = delta.final_frame();
+        let tf = bounded.final_frame();
         assert_eq!(sf.num_rows(), tf.num_rows(), "{}", spec.name);
         if sf.num_rows() == 0 {
             continue;
@@ -203,16 +190,6 @@ fn delta_log_is_estimate_invariant_across_the_tpch_suite() {
             spec.name
         );
     }
-    // The policy must actually have exercised both paths across the
-    // suite: folds that appended deltas and folds that compacted.
-    assert!(
-        total_compactions >= 1,
-        "no compactions across 22 queries at the default ratio"
-    );
-    assert!(
-        total_delta_bytes > 0 && total_delta_chunks > 0,
-        "no delta appends across 22 queries at the default ratio"
-    );
 }
 
 #[test]
