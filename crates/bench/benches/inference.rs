@@ -4,7 +4,7 @@
 //! claims O(1)-per-observation fitting and small inference overhead.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use wake_core::agg::{AggSpec, AggState, ScaleContext};
+use wake_core::agg::{AggSpec, ScaleContext};
 use wake_core::growth::GrowthModel;
 use wake_core::update::UpdateKind;
 use wake_data::{Column, DataType};
@@ -36,11 +36,11 @@ fn bench_estimators(c: &mut Criterion) {
         b.iter(|| black_box(estimate_distinct(black_box(730.0), 1000.0, 10_000.0)))
     });
     // Finalize 1000 sum states with CI variance, as one snapshot does.
-    let spec = AggSpec::sum(col("x"), "s");
-    let mut states = vec![spec.new_state(); 1000];
+    let mut store = AggSpec::sum(col("x"), "s").new_store(DataType::Float64);
+    (0..1000).for_each(|_| store.push_group());
     let slots: Vec<u32> = (0..100_000).map(|i| i % 1000).collect();
     let x = Column::from_f64((0..100_000).map(|i| (i % 37) as f64).collect());
-    AggState::fold_column(&mut states, &slots, &x, None).unwrap();
+    store.fold_column(&slots, &x, None).unwrap();
     let order: Vec<u32> = (0..1000).collect();
     let ctx = ScaleContext {
         scale: 2.5,
@@ -48,9 +48,7 @@ fn bench_estimators(c: &mut Criterion) {
         w_variance: 0.003,
     };
     c.bench_function("estimators/finalize_sum_with_variance", |b| {
-        b.iter(|| {
-            black_box(AggState::finalize_column(&states, &order, &ctx, DataType::Float64).unwrap())
-        })
+        b.iter(|| black_box(store.finalize_column(&order, &ctx).unwrap()))
     });
 }
 
@@ -62,17 +60,18 @@ fn bench_state_merge(c: &mut Criterion) {
         AggSpec::count_distinct(col("x"), "a"),
     ] {
         let build = |n: usize| {
-            let mut st = [spec.new_state()];
+            let mut st = spec.new_store(DataType::Int64);
+            st.push_group();
             let x = Column::from_i64((0..n).map(|i| (i % 251) as i64).collect());
-            AggState::fold_column(&mut st, &vec![0; n], &x, None).unwrap();
-            st[0].clone()
+            st.fold_column(&vec![0; n], &x, None).unwrap();
+            st
         };
         let a = build(10_000);
         let bs = build(10_000);
         group.bench_function(format!("{:?}_10k", spec.func), |bch| {
             bch.iter(|| {
                 let mut x = a.clone();
-                x.merge(black_box(&bs)).unwrap();
+                x.merge_group(0, black_box(&bs), 0).unwrap();
                 black_box(x)
             })
         });

@@ -24,15 +24,15 @@
 //! typed `Column` per key — under `wake_data::hash`'s one cell equality;
 //! the snapshot orders groups by its one cell order. Once a frame's rows
 //! are resolved to slots, each aggregate input is folded
-//! **column-at-a-time** through the one fold
-//! kernel, [`AggState::fold_column`], into that spec's slot-indexed states.
-//! A snapshot sorts the slots by key once and reads each spec's states out
-//! in that order through the one finalize kernel,
-//! [`AggState::finalize_column`], as a typed estimate column plus the
-//! variances the `__var` columns carry. How each aggregate kind folds and
-//! finalizes lives in [`crate::agg`] alone.
+//! **column-at-a-time** into that spec's one [`AggStore`] through its fold
+//! kernel, [`AggStore::fold_column`]. A snapshot sorts the slots by key
+//! once and reads each store out in that order through its finalize
+//! kernel, [`AggStore::finalize_column`], as a typed estimate column plus
+//! the variances the `__var` columns carry. This module only holds the
+//! stores: how each aggregate kind lays out, folds, finalizes and spills
+//! its state lives in [`crate::agg`] alone.
 //!
-//! The keyed state (`KeyStore` + `GroupIndex` + per-spec `AggState`s)
+//! The keyed state (`KeyStore` + `GroupIndex` + one `AggStore` per spec)
 //! lives in a [`KeyedState`] of `S` hash-range shards, each `F` spill
 //! partitions of [`AggPart`] (see [`crate::ops::partitions`], which owns
 //! the routing, the eviction policy and the degrade ladder); frames are
@@ -46,11 +46,14 @@
 //! skips the scatter and is byte-identical to the unsharded operator.
 //!
 //! An evicted partition is one spill run holding one chunk: its full
-//! state. A fold into it rehydrates the run, folds exactly as the resident
-//! path does, and rewrites the run; a snapshot rehydrates and finalizes.
-//! Spilled execution is therefore bit-identical to resident execution.
+//! state, the key tuples as a frame and, in the chunk's `extra` bytes, the
+//! group count, row counts and carried variances followed by each store's
+//! own encoding. A fold into it rehydrates the run, folds exactly as the
+//! resident path does, and rewrites the run; a snapshot rehydrates and
+//! finalizes. Spilled execution is therefore bit-identical to resident
+//! execution.
 
-use crate::agg::{AggSpec, AggState, ScaleContext};
+use crate::agg::{AggSpec, AggStore, ScaleContext};
 use crate::ci::variance_column;
 use crate::growth::GrowthModel;
 use crate::meta::EdfMeta;
@@ -76,6 +79,8 @@ struct AggConfig {
     /// Key column positions in the input schema (fixed per edf).
     key_idx: Vec<usize>,
     specs: Vec<AggSpec>,
+    /// Each spec's empty state store, typed by its inferred input.
+    stores: Vec<AggStore>,
     /// Emit `{alias}__var` columns when set (confidence handled by caller).
     with_variance: bool,
     input_schema: Arc<Schema>,
@@ -95,8 +100,8 @@ struct AggCore {
     key_store: KeyStore,
     /// Rows folded into each group.
     rows: Vec<f64>,
-    /// Per spec, every group's state: the slice the fold kernel takes.
-    states: Vec<Vec<AggState>>,
+    /// Per spec, every group's state.
+    stores: Vec<AggStore>,
     /// Per spec, each group's extra variance carried in from CI-enabled
     /// upstream aggregates (summed; see `ci` module docs).
     carried_var: Vec<Vec<f64>>,
@@ -156,14 +161,13 @@ impl AggCore {
             .iter()
             .map(|&c| cfg.input_schema.fields()[c].dtype)
             .collect();
-        let nspecs = cfg.specs.len();
         AggCore {
             key_store: KeyStore::for_types(&key_types),
-            cfg,
             index: GroupIndex::new(),
             rows: Vec::new(),
-            states: vec![Vec::new(); nspecs],
-            carried_var: vec![Vec::new(); nspecs],
+            stores: cfg.stores.clone(),
+            carried_var: vec![Vec::new(); cfg.specs.len()],
+            cfg,
         }
     }
 
@@ -175,9 +179,9 @@ impl AggCore {
     /// Append an empty group (its key already pushed to the key store).
     fn push_group(&mut self) {
         self.rows.push(0.0);
-        for (si, spec) in self.cfg.specs.iter().enumerate() {
-            self.states[si].push(spec.new_state());
-            self.carried_var[si].push(0.0);
+        for (store, carried) in self.stores.iter_mut().zip(&mut self.carried_var) {
+            store.push_group();
+            carried.push(0.0);
         }
     }
 
@@ -199,20 +203,9 @@ impl AggCore {
             .iter()
             .copied()
             .find(|&g| self.key_store.eq_row(g, frame, key_idx, row));
-        match found {
-            Some(g) => Ok(g),
-            None => self.insert_group(frame, key_idx, row, hash),
+        if let Some(g) = found {
+            return Ok(g);
         }
-    }
-
-    /// Append a new empty group keyed by the tuple at `row` of `frame`.
-    fn insert_group(
-        &mut self,
-        frame: &DataFrame,
-        key_idx: &[usize],
-        row: usize,
-        hash: u64,
-    ) -> Result<u32> {
         let g = self.key_store.push_row(frame, key_idx, row)?;
         self.index.insert(hash, g);
         self.push_group();
@@ -254,7 +247,7 @@ impl AggCore {
         }
         for si in 0..cfg.specs.len() {
             let weight = weight_cols[si].as_deref();
-            AggState::fold_column(&mut self.states[si], &slots, &value_cols[si], weight)?;
+            self.stores[si].fold_column(&slots, &value_cols[si], weight)?;
             if let Some(vc) = carried_cols[si] {
                 let carried = &mut self.carried_var[si];
                 for (row, &slot) in slots.iter().enumerate() {
@@ -278,11 +271,9 @@ impl AggCore {
         let mut order: Vec<u32> = (0..self.key_store.len()).collect();
         order.sort_by(|&a, &b| self.key_store.cmp_slots(a, b));
         let mut columns = self.key_store.to_columns(&order);
-        let fields = &cfg.out_schema.fields()[cfg.keys.len()..];
         let mut var_columns = Vec::new();
-        for (si, states) in self.states.iter().enumerate() {
-            let (column, mut var) =
-                AggState::finalize_column(states, &order, ctx, fields[si].dtype)?;
+        for (si, store) in self.stores.iter().enumerate() {
+            let (column, mut var) = store.finalize_column(&order, ctx)?;
             columns.push(column);
             if cfg.with_variance {
                 for (v, &slot) in var.iter_mut().zip(&order) {
@@ -301,34 +292,26 @@ impl AggCore {
         self.len() * 64
             + self.index.byte_size()
             + self.key_store.byte_size()
-            + self
-                .states
-                .iter()
-                .flatten()
-                .map(AggState::byte_size)
-                .sum::<usize>()
+            + self.stores.iter().map(AggStore::byte_size).sum::<usize>()
     }
 
     /// Serialize the whole core as one spill chunk: the key tuples as a
-    /// typed frame, the per-group states in the extra section. Bit-exact:
+    /// typed frame; in the extra section the group count, the row counts,
+    /// the carried variances, then each store's encoding. Bit-exact:
     /// rehydrating and continuing to fold reproduces the un-spilled float
     /// accumulation sequence.
     fn to_chunk(&self) -> Result<Chunk> {
         let order: Vec<u32> = (0..self.key_store.len()).collect();
-        let n = order.len();
         let columns = self.key_store.to_columns(&order);
         let frame = Arc::new(DataFrame::new(self.cfg.key_schema.clone(), columns)?);
-        let nspecs = self.cfg.specs.len();
-        let mut extra = Vec::with_capacity(n * (16 + nspecs * 32));
-        spill_codec::put_u64(&mut extra, n as u64);
-        for g in 0..n {
-            spill_codec::put_f64(&mut extra, self.rows[g]);
-            for carried in &self.carried_var {
-                spill_codec::put_f64(&mut extra, carried[g]);
-            }
-            for states in &self.states {
-                spill_codec::put_agg_state(&mut extra, &states[g]);
-            }
+        let mut extra = Vec::new();
+        spill_codec::put_u64(&mut extra, order.len() as u64);
+        spill_codec::put_f64s(&mut extra, &self.rows);
+        for carried in &self.carried_var {
+            spill_codec::put_f64s(&mut extra, carried);
+        }
+        for store in &self.stores {
+            store.encode(&mut extra)?;
         }
         Ok(Chunk {
             frame,
@@ -343,7 +326,9 @@ impl AggCore {
     /// order, which is the resident insertion order. The group index is
     /// rebuilt by re-hashing the key frame — hashes are
     /// content-deterministic, so its candidates match the original
-    /// insertion order slot for slot.
+    /// insertion order slot for slot. Bytes left over after the last
+    /// store are a `Parse` error: the chunk was not written for this
+    /// aggregation's specs.
     fn apply_chunk(&mut self, chunk: &Chunk) -> Result<()> {
         let key_cols: Vec<usize> = (0..self.cfg.key_idx.len()).collect();
         let mut c = wake_data::colfile::ByteCursor::new(&chunk.extra);
@@ -359,18 +344,22 @@ impl AggCore {
         }
         let hashes = hash_keys(&chunk.frame, &key_cols).hashes;
         for (row, &h) in hashes.iter().enumerate() {
-            let g = self.insert_group(&chunk.frame, &key_cols, row, h)? as usize;
-            // Decoding overwrites every accumulated field; the spec-side
-            // ones (`is_min`, `stddev`, `q`) are the same for every group.
-            self.rows[g] = c.f64()?;
-            for carried in &mut self.carried_var {
-                carried[g] = c.f64()?;
-            }
-            for states in &mut self.states {
-                spill_codec::get_agg_state(&mut states[g], &mut c)?;
-            }
+            let g = self.key_store.push_row(&chunk.frame, &key_cols, row)?;
+            self.index.insert(h, g);
         }
-        Ok(())
+        self.rows = spill_codec::get_f64s(&mut c, n_groups)?;
+        for carried in &mut self.carried_var {
+            *carried = spill_codec::get_f64s(&mut c, n_groups)?;
+        }
+        for store in &mut self.stores {
+            store.decode(n_groups, &mut c)?;
+        }
+        match c.remaining() {
+            0 => Ok(()),
+            left => Err(DataError::Parse(format!(
+                "spilled agg partition: {left} bytes after the last state"
+            ))),
+        }
     }
 }
 
@@ -558,12 +547,7 @@ impl AggOp {
             let f = input.schema.field(k)?;
             fields.push(Field::new(f.name.clone(), f.dtype));
         }
-        let mut seen = std::collections::HashSet::new();
-        for k in &keys {
-            if !seen.insert(k.clone()) {
-                return Err(DataError::Invalid(format!("duplicate group key {k}")));
-            }
-        }
+        let mut stores = Vec::with_capacity(specs.len());
         for s in &specs {
             let ranked = s.quantile.is_some_and(|q| (0.0..=1.0).contains(&q));
             if s.func == crate::agg::AggFunc::Quantile && !ranked {
@@ -577,11 +561,21 @@ impl AggOp {
                 infer_type(w, &input.schema)?;
             }
             fields.push(Field::mutable(s.alias.clone(), s.output_type(in_type)));
+            stores.push(s.new_store(in_type));
         }
         if with_variance {
             for s in &specs {
                 fields.push(Field::mutable(variance_column(&s.alias), DataType::Float64));
             }
+        }
+        // Every output column must be reachable by name: a key, an alias
+        // and a `{alias}__var` column may not share one.
+        let mut seen = std::collections::HashSet::new();
+        if let Some(f) = fields.iter().find(|f| !seen.insert(f.name.as_str())) {
+            return Err(DataError::Invalid(format!(
+                "duplicate aggregation output column {}",
+                f.name
+            )));
         }
         // CI chaining: a Sum over a plain column that has an accompanying
         // `{col}__var` column folds the upstream variance in.
@@ -618,6 +612,7 @@ impl AggOp {
             keys,
             key_idx,
             specs,
+            stores,
             with_variance,
             input_schema: input.schema.clone(),
             carried_var_cols,
@@ -1039,6 +1034,10 @@ mod tests {
                 AggSpec::avg(col("v"), "a"),
                 AggSpec::count_distinct(col("v"), "cd"),
                 AggSpec::median(col("v"), "med"),
+                AggSpec::max(col("v"), "mx"),
+                AggSpec::weighted_avg(col("v"), col("v"), "wa"),
+                AggSpec::var(col("v"), "var"),
+                AggSpec::stddev(col("v"), "sd"),
             ]
         };
         for shards in [1usize, 3] {
@@ -1265,32 +1264,55 @@ mod tests {
     }
 
     #[test]
-    fn spilled_distinct_set_of_the_wrong_class_is_an_error() {
-        // A replayed count-distinct state whose set holds Utf8 cells under
-        // a Float64 input must fail the next fold and any merge with a
-        // Float64 set as typed errors: no panic, no set of two classes.
-        let op = AggOp::new(
-            &delta_meta(),
-            vec!["k".into()],
-            vec![AggSpec::count_distinct(col("v"), "cd")],
-            false,
-        )
-        .unwrap();
-        let f = kv_frame(vec![1], vec![2.0]);
-        let hashes = hash_keys(&f, &op.cfg.key_idx).hashes;
-        let mut core = AggCore::new(op.cfg.clone());
-        core.fold_frame(&f, &hashes).unwrap();
-        let resident = core.states[0][0].clone();
-        let strs = Column::from_str_iter(["a"]);
-        let mut mistyped = [AggSpec::count_distinct(col("s"), "cd").new_state()];
-        AggState::fold_column(&mut mistyped, &[0], &strs, None).unwrap();
-        core.states[0][0] = mistyped[0].clone();
-        let mut replayed = AggCore::new(op.cfg.clone());
-        replayed.apply_chunk(&core.to_chunk().unwrap()).unwrap();
-        let err = replayed.fold_frame(&f, &hashes).unwrap_err();
-        assert!(matches!(err, DataError::TypeMismatch { .. }), "{err:?}");
-        let err = replayed.states[0][0].merge(&resident).unwrap_err();
-        assert!(matches!(err, DataError::Invalid(_)), "{err:?}");
+    fn spilled_state_of_other_specs_is_an_error() {
+        // A chunk replayed under an aggregation whose specs lay their
+        // state out differently must fail typed: no panic, no estimate
+        // from misread bytes.
+        let core_of = |spec: AggSpec| {
+            let op = AggOp::new(&delta_meta(), vec!["k".into()], vec![spec], false).unwrap();
+            AggCore::new(op.cfg.clone())
+        };
+        let f = kv_frame(vec![1, 2], vec![2.0, 3.0]);
+        let hashes = hash_keys(&f, &[0]).hashes;
+        let mut sum = core_of(AggSpec::sum(col("v"), "x"));
+        sum.fold_frame(&f, &hashes).unwrap();
+        let chunk = sum.to_chunk().unwrap();
+        core_of(AggSpec::sum(col("v"), "x"))
+            .apply_chunk(&chunk)
+            .unwrap();
+        for other in [
+            AggSpec::count_distinct(col("v"), "x"),
+            AggSpec::count_star("x"),
+            AggSpec::max(col("v"), "x"),
+        ] {
+            let err = core_of(other).apply_chunk(&chunk).unwrap_err();
+            assert!(matches!(err, DataError::Parse(_)), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn duplicate_output_names_rejected() {
+        // A key, an alias and a `__var` column name one output each.
+        let cases = [
+            (
+                vec![AggSpec::sum(col("v"), "k"), AggSpec::count_star("k")],
+                false,
+            ),
+            (
+                vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("s")],
+                false,
+            ),
+            (
+                vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("s__var")],
+                true,
+            ),
+        ];
+        for (specs, with_variance) in cases {
+            let err = AggOp::new(&delta_meta(), vec!["k".into()], specs, with_variance);
+            assert!(matches!(err, Err(DataError::Invalid(_))));
+        }
+        let ok = vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("s__var")];
+        assert!(AggOp::new(&delta_meta(), vec!["k".into()], ok, false).is_ok());
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! format (persisted tables are `.wseg` segments in `wake-store`): spill
 //! chunks embed a WCF frame in their checksummed envelope, and the
 //! segment and spill codecs share its column payloads ([`write_column`] /
-//! [`read_column`]), cell codec ([`write_value`] / [`read_value`]) and
-//! bounds-checked [`ByteCursor`].
+//! [`read_column`]; spilled aggregate states travel as these too) and
+//! bounds-checked [`ByteCursor`]. The one cell codec ([`write_value`] /
+//! [`read_value`]) serves segment zone stats.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -211,9 +212,7 @@ impl<'a> ByteCursor<'a> {
     }
 }
 
-/// Tags of the [`Value`] byte codec. `0` is never written by
-/// [`write_value`]: a caller that stores an `Option<Value>` uses it for
-/// `None` (see `wake_core::ops::spill`).
+/// Tags of the [`Value`] byte codec. `0` is never written.
 const VAL_NULL: u8 = 1;
 const VAL_INT: u8 = 2;
 const VAL_FLOAT: u8 = 3;
@@ -223,8 +222,7 @@ const VAL_DATE: u8 = 6;
 
 /// Encode one [`Value`] with its exact variant and payload bits (floats
 /// as raw IEEE bits: `-0.0` and NaN payloads survive). The one byte form
-/// of a cell outside a column: zone-map extremes in segment footers,
-/// spilled min/max states and mixed distinct sets.
+/// of a cell outside a column: the zone-map extremes in segment footers.
 pub fn write_value(v: &Value, out: &mut Vec<u8>) {
     let mut put = |tag: u8, payload: &[u8]| {
         out.push(tag);
@@ -245,13 +243,7 @@ pub fn write_value(v: &Value, out: &mut Vec<u8>) {
 
 /// Inverse of [`write_value`].
 pub fn read_value(c: &mut ByteCursor<'_>) -> Result<Value> {
-    let tag = c.u8()?;
-    read_value_tagged(tag, c)
-}
-
-/// [`read_value`] for a caller that has already consumed the tag byte.
-pub fn read_value_tagged(tag: u8, c: &mut ByteCursor<'_>) -> Result<Value> {
-    Ok(match tag {
+    Ok(match c.u8()? {
         VAL_NULL => Value::Null,
         VAL_INT => Value::Int(c.i64()?),
         VAL_FLOAT => Value::Float(c.f64()?),
@@ -477,9 +469,9 @@ mod tests {
             }
         }
         assert_eq!(c.remaining(), 0);
-        // Tag 0 is reserved for the caller's `None`; unknown tags, a
-        // string length past the buffer, and a count the remaining bytes
-        // cannot hold all fail typed.
+        // Tag 0 is never written; unknown tags, a string length past the
+        // buffer, and a count the remaining bytes cannot hold all fail
+        // typed.
         assert!(read_value(&mut ByteCursor::new(&[0])).is_err());
         assert!(read_value(&mut ByteCursor::new(&[99])).is_err());
         let mut hostile = vec![VAL_STR];

@@ -382,6 +382,62 @@ impl Column {
         Ok(())
     }
 
+    /// Overwrite row `row` with row `src_row` of `src`, by
+    /// [`push_from`](Self::push_from)'s storage rule: Int64 and Date share
+    /// storage, any other class difference is a
+    /// [`DataError::TypeMismatch`]. A null writes the type's placeholder
+    /// and clears the row's validity. Panics if `row` is out of bounds.
+    pub fn set_from(&mut self, row: usize, src: &Column, src_row: usize) -> Result<()> {
+        let valid = src.is_valid(src_row);
+        match (&mut self.data, &src.data) {
+            (
+                ColumnData::Int64(v) | ColumnData::Date(v),
+                ColumnData::Int64(s) | ColumnData::Date(s),
+            ) => v[row] = if valid { s[src_row] } else { 0 },
+            (ColumnData::Float64(v), ColumnData::Float64(s)) => {
+                v[row] = if valid { s[src_row] } else { 0.0 }
+            }
+            (ColumnData::Bool(v), ColumnData::Bool(s)) => v[row] = valid && s[src_row],
+            (ColumnData::Utf8(v), ColumnData::Utf8(s)) => {
+                v[row] = if valid {
+                    s[src_row].clone()
+                } else {
+                    Arc::from("")
+                }
+            }
+            (data, s) => {
+                return Err(DataError::TypeMismatch {
+                    expected: data.data_type().to_string(),
+                    found: s.data_type().to_string(),
+                })
+            }
+        }
+        match &mut self.validity {
+            Some(mask) => mask[row] = valid,
+            None if !valid => {
+                let mut mask = vec![true; self.data.len()];
+                mask[row] = false;
+                self.validity = Some(mask);
+            }
+            None => {}
+        }
+        Ok(())
+    }
+
+    /// Append a null: the type's placeholder, marked invalid.
+    pub fn push_null(&mut self) {
+        let n = self.data.len();
+        match &mut self.data {
+            ColumnData::Int64(v) | ColumnData::Date(v) => v.push(0),
+            ColumnData::Float64(v) => v.push(0.0),
+            ColumnData::Bool(v) => v.push(false),
+            ColumnData::Utf8(v) => v.push(Arc::from("")),
+        }
+        self.validity
+            .get_or_insert_with(|| vec![true; n])
+            .push(false);
+    }
+
     /// Keep rows where `mask[i]` is true. `mask.len()` must equal `len()`.
     /// Internally converts the mask to a `u32` selection vector and gathers,
     /// so filtering and partition scatter share one representation.
@@ -584,5 +640,31 @@ mod tests {
         let c = Column::from_i64(vec![0; 100]);
         assert_eq!(c.byte_size(), 800);
         assert!(Column::from_str_iter(["hello"]).byte_size() >= 5);
+    }
+
+    #[test]
+    fn set_from_overwrites_in_place_like_push_from() {
+        // Grow by nulls, then overwrite: cells, validity and the storage
+        // rule match a column built by `push_from`.
+        let src = Column::from_values(DataType::Date, &[Value::Date(7), Value::Null]).unwrap();
+        let mut c = Column::empty(DataType::Int64);
+        c.push_null();
+        c.push_null();
+        c.set_from(1, &src, 0).unwrap();
+        assert_eq!(c.iter().collect::<Vec<_>>(), [Value::Null, Value::Int(7)]);
+        c.set_from(0, &src, 0).unwrap();
+        c.set_from(1, &src, 1).unwrap();
+        assert_eq!(c.iter().collect::<Vec<_>>(), [Value::Int(7), Value::Null]);
+        let mut pushed = Column::empty(DataType::Int64);
+        pushed.push_from(&src, 0).unwrap();
+        pushed.push_from(&src, 1).unwrap();
+        assert_eq!(c, pushed);
+        // A null into a mask-free column creates the mask.
+        let mut s = Column::from_str_iter(["a", "b"]);
+        s.set_from(0, &Column::nulls(DataType::Utf8, 1), 0).unwrap();
+        assert_eq!(s.validity(), Some(&[false, true][..]));
+        let err = s.set_from(1, &Column::from_f64(vec![1.0]), 0).unwrap_err();
+        assert!(matches!(err, DataError::TypeMismatch { .. }), "{err}");
+        assert_eq!(s.value(1), Value::str("b"));
     }
 }

@@ -8,17 +8,17 @@
 //!
 //! ## One equality, one order
 //!
-//! Every key comparison in the engine goes through two private cell
-//! functions here, which follow [`Value`](crate::value::Value)'s `Eq` and
-//! `Ord` exactly:
+//! Every key comparison in the engine goes through two cell functions
+//! here, which follow [`Value`](crate::value::Value)'s `Eq` and `Ord`
+//! exactly:
 //!
-//! - `cells_equal` (= `Value::eq`) behind [`keys_equal`] (join probes,
-//!   group-by fold) and [`KeyStore::eq_row`] (group lookup);
-//! - `cells_cmp` (= `Value::cmp`) behind [`cmp_rows`] (the k-way merge of
-//!   key-sorted partials), [`cmp_rows_by`] (`DataFrame::sort_by` and
-//!   `SortOp`'s run merge) and [`KeyStore::cmp_slots`] (the group-by
-//!   snapshot order). Its numeric order is [`cmp_f64`], which
-//!   `Value::cmp` and the quantile sort call too.
+//! - the private `cells_equal` (= `Value::eq`) behind [`keys_equal`]
+//!   (join probes, group-by fold) and [`KeyStore::eq_row`] (group lookup);
+//! - [`cells_cmp`] (= `Value::cmp`) behind [`cmp_rows`] (the k-way merge
+//!   of key-sorted partials), [`cmp_rows_by`] (`DataFrame::sort_by` and
+//!   `SortOp`'s run merge), [`KeyStore::cmp_slots`] (the group-by
+//!   snapshot order) and the min/max aggregate state. Its numeric order
+//!   is [`cmp_f64`], which `Value::cmp` and the quantile sort call too.
 //!
 //! ## Semantics (bit-compatible with `Value` keys)
 //!
@@ -318,7 +318,7 @@ pub fn cmp_rows_by(
 /// `f64` image by [`cmp_f64`], bools `false < true`, strings by bytes, and
 /// mixed classes by `Value`'s type rank (bool < numeric < string).
 #[inline]
-fn cells_cmp(a: &Column, ia: usize, b: &Column, ib: usize) -> Ordering {
+pub fn cells_cmp(a: &Column, ia: usize, b: &Column, ib: usize) -> Ordering {
     match (a.is_valid(ia), b.is_valid(ib)) {
         (false, false) => return Ordering::Equal,
         (false, true) => return Ordering::Less,

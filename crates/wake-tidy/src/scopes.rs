@@ -14,9 +14,9 @@
 /// that same thread (`Expr` is public, so a malformed node is an error),
 /// the key layer under all of them — key hashing, comparison and the
 /// key store, and the column it grows (a spilled key frame of the wrong
-/// type is a typed error) — and the aggregate-state codec that decodes a
-/// spilled partition's states (hostile or mistyped state bytes are typed
-/// errors).
+/// type is a typed error) — and the aggregate state stores with the byte
+/// primitives under them, which decode a spilled partition's states
+/// (hostile or mistyped state bytes are typed errors).
 pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/wake-data/src/colfile.rs",
     "crates/wake-data/src/hash.rs",
@@ -54,6 +54,7 @@ pub const DECODE_FILES: &[&str] = &[
     "crates/wake-store/src/segment.rs",
     "crates/wake-store/src/compress.rs",
     "crates/wake-core/src/ops/spill.rs",
+    "crates/wake-core/src/agg.rs",
 ];
 
 /// `atomics-order`: the one module allowed bare `Relaxed` — wake-obs

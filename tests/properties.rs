@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use wake::core::agg::{AggSpec, AggState, ScaleContext};
+use wake::core::agg::{AggSpec, AggStore, ScaleContext};
 use wake::core::graph::QueryGraph;
 use wake::core::growth::GrowthModel;
 use wake::core::update::UpdateKind;
@@ -147,33 +147,31 @@ proptest! {
             (AggSpec::stddev(col("x"), "a"), false),
         ] {
             let fold = |start: usize, end: usize| {
-                let mut st = [spec.new_state()];
+                let mut st = spec.new_store(DataType::Float64);
+                st.push_group();
                 let rows = vec![0; end - start];
                 let (xc, wc) = (x.slice(start, end), w.slice(start, end));
-                AggState::fold_column(&mut st, &rows, &xc, Some(&wc)).unwrap();
-                st[0].clone()
+                st.fold_column(&rows, &xc, Some(&wc)).unwrap();
+                st
             };
-            let whole = fold(0, xs.len());
+            let estimate = |st: &AggStore| {
+                let (col, _) = st.finalize_column(&[0], &ScaleContext::exact()).unwrap();
+                col.value(0)
+            };
+            let whole = estimate(&fold(0, xs.len()));
             // left ⊕ right
             let mut ab = fold(0, split);
-            ab.merge(&fold(split, xs.len())).unwrap();
+            ab.merge_group(0, &fold(split, xs.len()), 0).unwrap();
             // right ⊕ left
             let mut ba = fold(split, xs.len());
-            ba.merge(&fold(0, split)).unwrap();
-            let (col, _) = AggState::finalize_column(
-                &[whole, ab, ba],
-                &[0, 1, 2],
-                &ScaleContext::exact(),
-                DataType::Float64,
-            )
-            .unwrap();
-            let (w, vab, vba) = (col.value(0), col.value(1), col.value(2));
+            ba.merge_group(0, &fold(0, split), 0).unwrap();
+            let (vab, vba) = (estimate(&ab), estimate(&ba));
             let close = |a: &Value, b: &Value| match (exact, a.as_f64(), b.as_f64()) {
                 (false, Some(a), Some(b)) => (a - b).abs() < 1e-9 * (1.0 + a.abs()),
                 _ => a == b,
             };
-            prop_assert!(close(&vab, &w), "{:?}: {:?} vs {:?}", spec.func, vab, w);
-            prop_assert!(close(&vba, &w), "{:?}: {:?} vs {:?}", spec.func, vba, w);
+            prop_assert!(close(&vab, &whole), "{:?}: {:?} vs {:?}", spec.func, vab, whole);
+            prop_assert!(close(&vba, &whole), "{:?}: {:?} vs {:?}", spec.func, vba, whole);
         }
     }
 
