@@ -272,9 +272,10 @@ fn bench_sharded_operators(c: &mut Criterion) {
                             AggSpec::min(col("v"), "mn"),
                         ],
                         false,
+                        shards,
+                        None,
                     )
-                    .unwrap()
-                    .with_shards(shards);
+                    .unwrap();
                     black_box(op.on_update(0, upd).unwrap())
                 })
             },
@@ -299,6 +300,8 @@ fn bench_sharded_operators(c: &mut Criterion) {
                         AggSpec::count_distinct(col("v"), "cd"),
                     ],
                     false,
+                    1,
+                    None,
                 )
                 .unwrap();
                 black_box(op.on_update(0, upd).unwrap())
@@ -349,9 +352,10 @@ fn bench_sharded_operators(c: &mut Criterion) {
                         vec!["k".into()],
                         vec!["k".into()],
                         JoinKind::Inner,
+                        shards,
+                        None,
                     )
-                    .unwrap()
-                    .with_shards(shards);
+                    .unwrap();
                     op.on_update(0, l).unwrap(); // build
                     black_box(op.on_update(1, r).unwrap()) // probe + gather
                 })

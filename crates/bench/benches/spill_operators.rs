@@ -27,13 +27,9 @@ fn kv_schema() -> Arc<Schema> {
     ]))
 }
 
-/// Budget -> spill plan (None = unbounded).
-fn plan_for(budget: Option<usize>) -> Option<wake_store::SpillPlan> {
-    budget.and_then(|b| {
-        SpillConfig::with_budget(b)
-            .build_plan(1)
-            .expect("spill dir")
-    })
+/// Budget -> operator-level spill env (None = unbounded).
+fn env_for(budget: Option<usize>) -> Option<wake_store::SpillEnv> {
+    budget.and_then(|b| SpillConfig::with_budget(b).build_env(1).expect("spill dir"))
 }
 
 fn bench_spill_operators(c: &mut Criterion) {
@@ -79,9 +75,10 @@ fn bench_spill_operators(c: &mut Criterion) {
                         vec!["k".into()],
                         vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("n")],
                         false,
+                        1,
+                        env_for(budget).as_ref(),
                     )
-                    .unwrap()
-                    .with_spill(plan_for(budget));
+                    .unwrap();
                     black_box(op.on_update(0, upd).unwrap())
                 })
             },
@@ -122,9 +119,10 @@ fn bench_spill_operators(c: &mut Criterion) {
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("n")],
             false,
+            1,
+            env_for(Some(n / 2)).as_ref(),
         )
-        .unwrap()
-        .with_spill(plan_for(Some(n / 2)));
+        .unwrap();
         for upd in &stream_updates {
             black_box(op.on_update(0, upd).unwrap());
         }
@@ -173,9 +171,10 @@ fn bench_spill_operators(c: &mut Criterion) {
                         vec!["k".into()],
                         vec!["k".into()],
                         JoinKind::Inner,
+                        1,
+                        env_for(budget).as_ref(),
                     )
-                    .unwrap()
-                    .with_spill(plan_for(budget));
+                    .unwrap();
                     op.on_update(0, l).unwrap(); // build
                     let probed = op.on_update(1, r).unwrap(); // probe
                     let flush = op.on_eof(1).unwrap(); // resolve spilled parts

@@ -389,7 +389,7 @@ impl QueryGraph {
                 NodeKind::Read { source } => read_meta(source.as_ref()),
                 _ => {
                     let inputs: Vec<&EdfMeta> = node.inputs.iter().map(|i| &metas[i.0]).collect();
-                    build_operator(&node.kind, &inputs)?.meta().clone()
+                    build_operator(&node.kind, &inputs, 1, None)?.meta().clone()
                 }
             };
             metas.push(meta);
@@ -406,23 +406,15 @@ pub fn read_meta(source: &dyn TableSource) -> EdfMeta {
         .with_clustering(m.clustering_key.clone())
 }
 
-/// Instantiate the operator for a non-source node on a single shard,
-/// without memory governance. See [`build_operator_spilling`] for partition
-/// parallelism and spilling.
-pub fn build_operator(kind: &NodeKind, inputs: &[&EdfMeta]) -> Result<Box<dyn Operator>> {
-    build_operator_spilling(kind, inputs, 1, None)
-}
-
-/// Instantiate the operator for a non-source node with an explicit shard
-/// count and (optionally) a memory-governance plan. Only hash-keyed
-/// operators (join, group-by) honour `shards > 1` and the spill plan;
-/// one shard + `None` reproduces the unsharded, unbounded code path
-/// exactly.
-pub fn build_operator_spilling(
+/// Instantiate the operator for a non-source node with a shard count and
+/// (optionally) its operator-level spill env. Only hash-keyed operators
+/// (join, group-by) honour `shards > 1` and the spill env; one shard +
+/// `None` is the unsharded, unbounded code path exactly.
+pub fn build_operator(
     kind: &NodeKind,
     inputs: &[&EdfMeta],
     shards: usize,
-    spill: Option<&wake_store::SpillPlan>,
+    spill: Option<&wake_store::SpillEnv>,
 ) -> Result<Box<dyn Operator>> {
     let need = |n: usize| -> Result<()> {
         if inputs.len() != n {
@@ -453,17 +445,15 @@ pub fn build_operator_spilling(
             kind,
         } => {
             need(2)?;
-            Box::new(
-                JoinOp::new(
-                    inputs[0],
-                    inputs[1],
-                    left_on.clone(),
-                    right_on.clone(),
-                    *kind,
-                )?
-                .with_spill(spill.cloned())
-                .with_shards(shards),
-            )
+            Box::new(JoinOp::new(
+                inputs[0],
+                inputs[1],
+                left_on.clone(),
+                right_on.clone(),
+                *kind,
+                shards,
+                spill,
+            )?)
         }
         NodeKind::Agg {
             keys,
@@ -473,10 +463,15 @@ pub fn build_operator_spilling(
         } => {
             need(1)?;
             Box::new(
-                AggOp::new(inputs[0], keys.clone(), specs.clone(), *with_variance)?
-                    .with_fixed_growth(*fixed_growth)
-                    .with_spill(spill.cloned())
-                    .with_shards(shards),
+                AggOp::new(
+                    inputs[0],
+                    keys.clone(),
+                    specs.clone(),
+                    *with_variance,
+                    shards,
+                    spill,
+                )?
+                .with_fixed_growth(*fixed_growth),
             )
         }
         NodeKind::Sort {

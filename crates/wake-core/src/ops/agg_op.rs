@@ -69,7 +69,7 @@ use wake_data::hash::{hash_keys, KeyHashes, KeyStore};
 use wake_data::{Column, DataError, DataFrame, DataType, Field, Schema};
 use wake_expr::{eval_cow, infer_type, Expr};
 use wake_store::colfile::{Chunk, RunWriter};
-use wake_store::governor::{SpillEnv, SpillPlan};
+use wake_store::governor::SpillEnv;
 use wake_store::merge::kway_merge_refs;
 
 /// Immutable aggregation configuration shared by the operator shell and
@@ -110,7 +110,7 @@ struct AggCore {
 /// One spill partition of a shard — the payload the shared
 /// [`Partitions`] layer routes to, evicts and rehydrates: resident, or
 /// evicted to a state file.
-// A shard holds at most `fanout` (≤ 8 by default) of these: boxing the
+// A shard holds at most `FANOUT` (8) of these: boxing the
 // run handle would buy a few hundred bytes per shard for an allocation
 // per eviction.
 #[allow(clippy::large_enum_variant)]
@@ -129,7 +129,7 @@ enum AggPart {
 /// One hash range's worth of group-by state: the shared partition layer
 /// over [`AggPart`] (a single resident core without a budget — then every
 /// code path is byte-identical to the pre-spill operator; under one,
-/// `fanout` hash-subrange partitions of which the largest are evicted).
+/// `FANOUT` hash-subrange partitions of which the largest are evicted).
 type AggShard = Partitions<AggPart>;
 
 /// Work dispatched to one shard. Frames are the shard-local sub-frames
@@ -531,11 +531,20 @@ pub struct AggOp {
 }
 
 impl AggOp {
+    /// The group-by on `shards` hash-range shards (one runs on the
+    /// caller's thread, more on persistent workers — see
+    /// [`crate::ops::sharded`]). Under a `spill` env, when a shard
+    /// exceeds its slice of the operator's budget the largest spill
+    /// partition is evicted to disk. `None` keeps the unbounded resident
+    /// path — as does a zero-key (global) aggregate, whose O(specs) state
+    /// would only pay for partitioning.
     pub fn new(
         input: &EdfMeta,
         keys: Vec<String>,
         specs: Vec<AggSpec>,
         with_variance: bool,
+        shards: usize,
+        spill: Option<&SpillEnv>,
     ) -> Result<Self> {
         if specs.is_empty() {
             return Err(DataError::Invalid(
@@ -619,9 +628,11 @@ impl AggOp {
             out_schema: schema,
             key_schema,
         });
+        let spill = spill.filter(|_| !cfg.key_idx.is_empty());
+        let keyed = KeyedState::new(cfg.clone(), shards, spill);
         Ok(AggOp {
-            keyed: KeyedState::new(cfg.clone()),
-            shard_groups: vec![0],
+            shard_groups: vec![0; keyed.num_shards()],
+            keyed,
             rows_total: 0.0,
             cfg,
             input_kind: input.kind,
@@ -630,28 +641,6 @@ impl AggOp {
             emitted_complete: false,
             meta,
         })
-    }
-
-    /// Govern this operator's memory: when the per-shard slice of
-    /// `plan.op_budget()` is exceeded, the largest spill partition is
-    /// evicted to disk. Composes with [`Self::with_shards`] in either
-    /// order; must precede execution. `None` keeps the unbounded
-    /// resident path — as does a zero-key (global) aggregate, whose
-    /// O(specs) state would only pay for partitioning.
-    pub fn with_spill(mut self, spill: Option<SpillPlan>) -> Self {
-        let spill = spill.filter(|_| !self.cfg.key_idx.is_empty());
-        self.keyed = self.keyed.with_spill(spill);
-        self
-    }
-
-    /// Re-plan the operator onto `shards` hash-range shards (one runs on
-    /// the caller's thread, more on persistent workers — see
-    /// [`crate::ops::sharded`]). Must be called before any update is
-    /// consumed.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.keyed = self.keyed.with_shards(shards);
-        self.shard_groups = vec![0; self.keyed.num_shards()];
-        self
     }
 
     /// Pin the growth power instead of fitting it (ablation mode; no-op
@@ -768,7 +757,7 @@ impl Operator for AggOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::testutil::kv_frame;
+    use crate::ops::testutil::{kv_frame, op_env};
     use wake_data::Value;
     use wake_expr::col;
 
@@ -795,6 +784,8 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s")],
             false,
+            1,
+            None,
         )
         .unwrap();
         // Half the data: raw per-group sums are 10 and 20; at t=0.5 with
@@ -823,6 +814,8 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s")],
             false,
+            1,
+            None,
         )
         .unwrap();
         // Prior w=0: raw values are already the right estimates.
@@ -839,8 +832,15 @@ mod tests {
             vec!["k".into()],
             UpdateKind::Snapshot,
         );
-        let mut op =
-            AggOp::new(&meta, vec![], vec![AggSpec::sum(col("v"), "total")], false).unwrap();
+        let mut op = AggOp::new(
+            &meta,
+            vec![],
+            vec![AggSpec::sum(col("v"), "total")],
+            false,
+            1,
+            None,
+        )
+        .unwrap();
         let s1 = Update::snapshot(
             kv_frame(vec![1, 2], vec![10.0, 10.0]),
             Progress::single(0, 1, 2),
@@ -866,6 +866,8 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s")],
             false,
+            1,
+            None,
         )
         .unwrap();
         let mut last = None;
@@ -882,8 +884,15 @@ mod tests {
 
     #[test]
     fn estimates_improve_monotonically_for_uniform_data() {
-        let mut op =
-            AggOp::new(&delta_meta(), vec![], vec![AggSpec::count_star("n")], false).unwrap();
+        let mut op = AggOp::new(
+            &delta_meta(),
+            vec![],
+            vec![AggSpec::count_star("n")],
+            false,
+            1,
+            None,
+        )
+        .unwrap();
         let mut errs = Vec::new();
         for p in 1..=5u64 {
             let out = op
@@ -905,6 +914,8 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s")],
             true,
+            1,
+            None,
         )
         .unwrap();
         assert!(op.meta().schema.contains("s__var"));
@@ -922,6 +933,8 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s")],
             false,
+            1,
+            None,
         )
         .unwrap();
         // Updates stop at t < 1 (source lied about totals / trailing empty
@@ -942,6 +955,8 @@ mod tests {
             vec![],
             vec![AggSpec::sum(col("v"), "s")],
             false,
+            1,
+            None,
         )
         .unwrap();
         let out = op.on_update(0, &upd(vec![], vec![], 0, 0)).unwrap();
@@ -955,6 +970,8 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::count_star("n")],
             false,
+            1,
+            None,
         )
         .unwrap();
         let schema = kv_frame(vec![], vec![]).schema().clone();
@@ -985,6 +1002,8 @@ mod tests {
             vec!["k".into(), "k".into()],
             vec![AggSpec::count_star("n")],
             false,
+            1,
+            None,
         );
         assert!(err.is_err());
     }
@@ -996,6 +1015,8 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::count_star("n")],
             false,
+            1,
+            None,
         )
         .unwrap();
         let out = op
@@ -1012,7 +1033,6 @@ mod tests {
         // of them, not just the final one) must be bit-equal to the
         // unbounded operator — fold order, growth stats, and key order
         // are all preserved across evict/rehydrate cycles.
-        use wake_store::governor::SpillConfig;
         let schema = kv_frame(vec![], vec![]).schema().clone();
         let frame = |step: i64| {
             let rows: Vec<Vec<Value>> = (0..40)
@@ -1041,18 +1061,21 @@ mod tests {
             ]
         };
         for shards in [1usize, 3] {
-            let plan = SpillConfig::with_budget(2048)
-                .build_plan(1)
+            let env = op_env(2048);
+            let governor = env.governor.clone();
+            let build = |spill| {
+                AggOp::new(
+                    &delta_meta(),
+                    vec!["k".into()],
+                    specs(),
+                    true,
+                    shards,
+                    spill,
+                )
                 .unwrap()
-                .unwrap();
-            let governor = plan.governor.clone();
-            let mut reference = AggOp::new(&delta_meta(), vec!["k".into()], specs(), true)
-                .unwrap()
-                .with_shards(shards);
-            let mut spilled = AggOp::new(&delta_meta(), vec!["k".into()], specs(), true)
-                .unwrap()
-                .with_spill(Some(plan))
-                .with_shards(shards);
+            };
+            let mut reference = build(None);
+            let mut spilled = build(Some(&env));
             for step in 1..=4i64 {
                 let u = Update::delta(frame(step), Progress::single(0, step as u64 * 40, 160));
                 let a = reference.on_update(0, &u).unwrap();
@@ -1078,7 +1101,14 @@ mod tests {
         let mut spec = AggSpec::median(col("v"), "m");
         for q in [None, Some(1.5), Some(f64::NAN)] {
             spec.quantile = q;
-            let op = AggOp::new(&delta_meta(), vec!["k".into()], vec![spec.clone()], false);
+            let op = AggOp::new(
+                &delta_meta(),
+                vec!["k".into()],
+                vec![spec.clone()],
+                false,
+                1,
+                None,
+            );
             assert!(matches!(op, Err(DataError::Invalid(_))), "{q:?}");
         }
     }
@@ -1089,7 +1119,6 @@ mod tests {
         // each such fold rehydrates the partition's one run, folds, and
         // rewrites it, and every estimate must stay bit-equal to the
         // resident operator.
-        use wake_store::governor::SpillConfig;
         let schema = kv_frame(vec![], vec![]).schema().clone();
         let frame = |step: i64| {
             let rows: Vec<Vec<Value>> = (0..60)
@@ -1107,15 +1136,12 @@ mod tests {
                 AggSpec::count_distinct(col("v"), "cd"),
             ]
         };
-        let plan = SpillConfig::with_budget(1024)
-            .build_plan(1)
-            .unwrap()
-            .unwrap();
-        let governor = plan.governor.clone();
-        let mut reference = AggOp::new(&delta_meta(), vec!["k".into()], specs(), true).unwrap();
-        let mut spilled = AggOp::new(&delta_meta(), vec!["k".into()], specs(), true)
-            .unwrap()
-            .with_spill(Some(plan));
+        let env = op_env(1024);
+        let governor = env.governor.clone();
+        let build =
+            |spill| AggOp::new(&delta_meta(), vec!["k".into()], specs(), true, 1, spill).unwrap();
+        let mut reference = build(None);
+        let mut spilled = build(Some(&env));
         for step in 1..=6i64 {
             let u = Update::delta(frame(step), Progress::single(0, step as u64 * 60, 360));
             let a = reference.on_update(0, &u).unwrap();
@@ -1162,12 +1188,12 @@ mod tests {
         })));
         cfg.retry_attempts = Some(1);
         cfg.retry_base_delay = Some(std::time::Duration::from_micros(10));
-        let plan = cfg.build_plan(1).unwrap().unwrap();
-        let governor = plan.governor.clone();
-        let mut reference = AggOp::new(&delta_meta(), vec!["k".into()], specs(), true).unwrap();
-        let mut spilled = AggOp::new(&delta_meta(), vec!["k".into()], specs(), true)
-            .unwrap()
-            .with_spill(Some(plan));
+        let env = cfg.build_env(1).unwrap().unwrap();
+        let governor = env.governor.clone();
+        let build =
+            |spill| AggOp::new(&delta_meta(), vec!["k".into()], specs(), true, 1, spill).unwrap();
+        let mut reference = build(None);
+        let mut spilled = build(Some(&env));
         for step in 1..=8i64 {
             let u = Update::delta(frame(step), Progress::single(0, step as u64 * 60, 480));
             let a = reference.on_update(0, &u).unwrap();
@@ -1216,9 +1242,10 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("n")],
             false,
+            1,
+            cfg.build_env(1).unwrap().as_ref(),
         )
-        .unwrap()
-        .with_spill(cfg.build_plan(1).unwrap());
+        .unwrap();
         let mut failed = 0;
         for step in 1..=6i64 {
             let u = Update::delta(frame(step), Progress::single(0, step as u64 * 60, 360));
@@ -1246,6 +1273,8 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s")],
             false,
+            1,
+            None,
         )
         .unwrap();
         let mut core = AggCore::new(op.cfg.clone());
@@ -1269,7 +1298,8 @@ mod tests {
         // state out differently must fail typed: no panic, no estimate
         // from misread bytes.
         let core_of = |spec: AggSpec| {
-            let op = AggOp::new(&delta_meta(), vec!["k".into()], vec![spec], false).unwrap();
+            let op =
+                AggOp::new(&delta_meta(), vec!["k".into()], vec![spec], false, 1, None).unwrap();
             AggCore::new(op.cfg.clone())
         };
         let f = kv_frame(vec![1, 2], vec![2.0, 3.0]);
@@ -1308,35 +1338,39 @@ mod tests {
             ),
         ];
         for (specs, with_variance) in cases {
-            let err = AggOp::new(&delta_meta(), vec!["k".into()], specs, with_variance);
+            let err = AggOp::new(
+                &delta_meta(),
+                vec!["k".into()],
+                specs,
+                with_variance,
+                1,
+                None,
+            );
             assert!(matches!(err, Err(DataError::Invalid(_))));
         }
         let ok = vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("s__var")];
-        assert!(AggOp::new(&delta_meta(), vec!["k".into()], ok, false).is_ok());
+        assert!(AggOp::new(&delta_meta(), vec!["k".into()], ok, false, 1, None).is_ok());
     }
 
     #[test]
     fn snapshot_input_replace_clears_spilled_state() {
         // A snapshot-kind input replaces state wholesale; spilled
         // partitions must be dropped too, not merged into the refresh.
-        use wake_store::governor::SpillConfig;
         let meta = EdfMeta::new(
             kv_frame(vec![], vec![]).schema().clone(),
             vec!["k".into()],
             UpdateKind::Snapshot,
         );
-        let plan = SpillConfig::with_budget(512)
-            .build_plan(1)
-            .unwrap()
-            .unwrap();
+        let env = op_env(512);
         let mut op = AggOp::new(
             &meta,
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s")],
             false,
+            1,
+            Some(&env),
         )
-        .unwrap()
-        .with_spill(Some(plan));
+        .unwrap();
         let big: Vec<i64> = (0..200).collect();
         let vals: Vec<f64> = (0..200).map(|i| i as f64).collect();
         let s1 = Update::snapshot(kv_frame(big, vals), Progress::single(0, 1, 2));
@@ -1382,10 +1416,10 @@ mod tests {
             ]
         };
         for shards in [2usize, 3, 8] {
-            let mut reference = AggOp::new(&delta_meta(), vec!["k".into()], specs(), true).unwrap();
-            let mut sharded = AggOp::new(&delta_meta(), vec!["k".into()], specs(), true)
-                .unwrap()
-                .with_shards(shards);
+            let mut reference =
+                AggOp::new(&delta_meta(), vec!["k".into()], specs(), true, 1, None).unwrap();
+            let mut sharded =
+                AggOp::new(&delta_meta(), vec!["k".into()], specs(), true, shards, None).unwrap();
             for step in 1..=4i64 {
                 let u = Update::delta(frame(step), Progress::single(0, step as u64 * 25, 100));
                 let a = reference.on_update(0, &u).unwrap();

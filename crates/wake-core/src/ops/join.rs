@@ -40,7 +40,9 @@
 
 use crate::meta::EdfMeta;
 use crate::ops::key_index::KeyIndex;
-use crate::ops::partitions::{concat_partials, KeyedState, Partition, Partitions};
+use crate::ops::partitions::{
+    concat_partials, spill_split, KeyedState, Partition, Partitions, FANOUT, MAX_DEPTH,
+};
 use crate::ops::{Operator, RowRef, RowStore};
 use crate::progress::Progress;
 use crate::update::{Update, UpdateKind};
@@ -49,7 +51,7 @@ use std::sync::Arc;
 use wake_data::hash::{hash_keys, keys_equal, KeyHashes};
 use wake_data::{DataError, DataFrame, Schema};
 use wake_store::colfile::{Chunk, RunWriter};
-use wake_store::governor::{SpillEnv, SpillPlan};
+use wake_store::governor::SpillEnv;
 
 /// Join flavours.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -551,7 +553,7 @@ impl JoinCore {
 
 /// One spill partition of a join shard — the payload the shared
 /// [`Partitions`] layer routes to, evicts and rehydrates.
-// A shard holds at most `fanout` (≤ 8 by default) of these, so the
+// A shard holds at most `FANOUT` (8) of these, so the
 // StreamSpill variant's four inline run handles (~450 B) cost a few KB
 // per shard — not worth an extra allocation per run access.
 #[allow(clippy::large_enum_variant)]
@@ -620,13 +622,13 @@ fn load_buffered(cfg: &Arc<JoinConfig>, left: &RunWriter, right: &RunWriter) -> 
     Ok(core)
 }
 
-/// Scatter chunks into `fanout` sub-partitions by the hash digit at
+/// Scatter chunks into [`FANOUT`] sub-partitions by the hash digit at
 /// `depth` (recursive grace-hash split). Flags scatter with their rows.
 fn scatter_chunks(chunks: Vec<Chunk>, env: &SpillEnv, depth: usize) -> Result<Vec<Vec<Chunk>>> {
-    let mut out: Vec<Vec<Chunk>> = (0..env.fanout).map(|_| Vec::new()).collect();
+    let mut out: Vec<Vec<Chunk>> = (0..FANOUT).map(|_| Vec::new()).collect();
     for c in chunks {
         let hashes = chunk_hashes(&c)?;
-        let sels = env.sub_selections(&hashes.hashes, depth);
+        let sels = spill_split(env, &hashes.hashes, depth);
         for (p, sel) in sels.iter().enumerate() {
             if sel.is_empty() {
                 continue;
@@ -652,7 +654,7 @@ fn scatter_chunks(chunks: Vec<Chunk>, env: &SpillEnv, depth: usize) -> Result<Ve
 /// Resolve one spilled streaming partition from its runs `[l0, r0, l1,
 /// r1]`: emit exactly the matches not already emitted before eviction
 /// (see [`JoinPart::StreamSpill`]), plus the right-EOF flush (left-join
-/// nulls, anti rows). Recurses into `fanout` sub-partitions while the
+/// nulls, anti rows). Recurses into [`FANOUT`] sub-partitions while the
 /// runs exceed the shard budget — the multi-pass half of grace hash.
 fn resolve_stream(
     cfg: &Arc<JoinConfig>,
@@ -662,7 +664,7 @@ fn resolve_stream(
     out: &mut Vec<DataFrame>,
 ) -> Result<()> {
     let total: usize = runs.iter().flatten().map(|c| c.byte_size()).sum();
-    if total > env.shard_budget() && depth < env.max_depth {
+    if total > env.shard_budget() && depth < MAX_DEPTH {
         let [l0s, r0s, l1s, r1s] = runs.map(|run| scatter_chunks(run, env, depth));
         for (((l0, r0), l1), r1) in l0s?.into_iter().zip(r0s?).zip(l1s?).zip(r1s?) {
             resolve_stream(cfg, env, depth + 1, [l0, r0, l1, r1], out)?;
@@ -919,12 +921,20 @@ pub struct JoinOp {
 }
 
 impl JoinOp {
+    /// The join on `shards` hash-range shards (one runs on the caller's
+    /// thread, more on persistent workers — see [`crate::ops::sharded`]).
+    /// Under a `spill` env, when a shard exceeds its slice of the
+    /// operator's budget the largest spill partition is evicted to disk
+    /// and its matches resolve out-of-core; `None` keeps the unbounded
+    /// resident path.
     pub fn new(
         left: &EdfMeta,
         right: &EdfMeta,
         left_on: Vec<String>,
         right_on: Vec<String>,
         kind: JoinKind,
+        shards: usize,
+        spill: Option<&SpillEnv>,
     ) -> Result<Self> {
         if left_on.len() != right_on.len() || left_on.is_empty() {
             return Err(DataError::Invalid(
@@ -975,7 +985,7 @@ impl JoinOp {
             out_schema,
         });
         Ok(JoinOp {
-            keyed: KeyedState::new(cfg.clone()),
+            keyed: KeyedState::new(cfg.clone(), shards, spill),
             cfg,
             left_eof: false,
             right_eof: false,
@@ -983,25 +993,6 @@ impl JoinOp {
             progress: Progress::new(),
             meta,
         })
-    }
-
-    /// Govern this operator's memory: when the per-shard slice of
-    /// `plan.op_budget()` is exceeded, the largest spill partition is
-    /// evicted to disk and its matches resolve out-of-core. Composes
-    /// with [`Self::with_shards`] in either order; must precede
-    /// execution. `None` keeps the unbounded resident path.
-    pub fn with_spill(mut self, spill: Option<SpillPlan>) -> Self {
-        self.keyed = self.keyed.with_spill(spill);
-        self
-    }
-
-    /// Re-plan the operator onto `shards` hash-range shards (one runs on
-    /// the caller's thread, more on persistent workers — see
-    /// [`crate::ops::sharded`]). Must be called before any update is
-    /// consumed.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.keyed = self.keyed.with_shards(shards);
-        self
     }
 
     /// Join the shards' partials: key-disjoint, so plain concat.
@@ -1117,7 +1108,7 @@ impl Operator for JoinOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::testutil::kv_frame;
+    use crate::ops::testutil::{kv_frame, op_env};
     use std::sync::Arc;
     use wake_data::{Column, DataType, Field, Value};
 
@@ -1158,12 +1149,18 @@ mod tests {
     }
 
     fn join(kind: JoinKind) -> JoinOp {
+        join_on(kind, 1, None)
+    }
+
+    fn join_on(kind: JoinKind, shards: usize, spill: Option<&SpillEnv>) -> JoinOp {
         JoinOp::new(
             &left_meta(),
             &right_meta(),
             vec!["k".into()],
             vec!["rk".into()],
             kind,
+            shards,
+            spill,
         )
         .unwrap()
     }
@@ -1266,6 +1263,8 @@ mod tests {
             vec!["k".into()],
             vec!["rk".into()],
             JoinKind::Inner,
+            1,
+            None,
         )
         .unwrap();
         assert_eq!(op.meta().kind, UpdateKind::Snapshot);
@@ -1318,6 +1317,8 @@ mod tests {
             vec!["k".into()],
             vec!["k".into()],
             JoinKind::Inner,
+            1,
+            None,
         )
         .unwrap();
         assert_eq!(
@@ -1328,13 +1329,24 @@ mod tests {
 
     #[test]
     fn key_validation() {
-        assert!(JoinOp::new(&left_meta(), &right_meta(), vec![], vec![], JoinKind::Inner).is_err());
+        assert!(JoinOp::new(
+            &left_meta(),
+            &right_meta(),
+            vec![],
+            vec![],
+            JoinKind::Inner,
+            1,
+            None
+        )
+        .is_err());
         assert!(JoinOp::new(
             &left_meta(),
             &right_meta(),
             vec!["missing".into()],
             vec!["rk".into()],
-            JoinKind::Inner
+            JoinKind::Inner,
+            1,
+            None
         )
         .is_err());
         // v (Float64) vs name (Utf8) is incompatible.
@@ -1343,7 +1355,9 @@ mod tests {
             &right_meta(),
             vec!["v".into()],
             vec!["name".into()],
-            JoinKind::Inner
+            JoinKind::Inner,
+            1,
+            None
         )
         .is_err());
     }
@@ -1363,6 +1377,8 @@ mod tests {
             vec!["k".into()],
             vec!["rk".into()],
             JoinKind::Inner,
+            1,
+            None,
         )
         .unwrap();
         op.on_update(0, &upd_l(vec![1, 2], vec![0.0, 0.0], 2, 2))
@@ -1436,11 +1452,7 @@ mod tests {
     fn state_bytes_includes_spill_pending_buffers() {
         // A spilled partition's write-behind buffer counts against the
         // budget until it is flushed to disk.
-        use wake_store::governor::SpillConfig;
-        let mut cfg = SpillConfig::with_budget(256);
-        cfg.fanout = 2;
-        let plan = cfg.build_plan(1).unwrap().unwrap();
-        let env = plan.shard_env(1);
+        let env = op_env(256);
         let mut shard = Partitions::new(join(JoinKind::Inner).cfg.clone(), Some(env.clone()));
         let stream_left = |shard: &mut Partitions<JoinPart>, frame: &Arc<DataFrame>| {
             let task = JoinTask::Frame {
@@ -1465,6 +1477,7 @@ mod tests {
                 _ => 0,
             })
             .sum();
+        assert!(env.governor.metrics().evictions > 0, "never spilled");
         assert!(pending > 0, "expected unflushed spill-pending bytes");
         assert!(shard.state_bytes() >= before.min(pending));
         let accounted: usize = shard.state_bytes();
@@ -1500,7 +1513,6 @@ mod tests {
         // must be exactly the resident operator's. Covers every join
         // kind, null keys, duplicate keys, post-right-EOF left arrivals,
         // and both S=1 and sharded execution.
-        use wake_store::governor::SpillConfig;
         let schema = kv_frame(vec![], vec![]).schema().clone();
         let lframe = |ks: &[Option<i64>]| {
             DataFrame::from_rows(
@@ -1528,12 +1540,10 @@ mod tests {
             JoinKind::Anti,
         ] {
             for shards in [1usize, 2] {
-                let mut cfg = SpillConfig::with_budget(256);
-                cfg.fanout = 4;
-                let plan = cfg.build_plan(1).unwrap().unwrap();
-                let governor = plan.governor.clone();
+                let env = op_env(256);
+                let governor = env.governor.clone();
                 let mut reference = join(kind);
-                let mut spilled = join(kind).with_spill(Some(plan)).with_shards(shards);
+                let mut spilled = join_on(kind, shards, Some(&env));
                 let mut ref_outs = Vec::new();
                 let mut sp_outs = Vec::new();
                 let mut step = 0u64;
@@ -1571,39 +1581,71 @@ mod tests {
 
     #[test]
     fn oversized_partition_recurses_into_subpartitions() {
-        // One evicted partition whose runs far exceed the shard budget:
-        // resolution must recursively re-partition (multi-pass grace
-        // hash) and still produce the resident operator's multiset.
-        use wake_store::governor::SpillConfig;
+        // Evicted partitions whose runs together hold more than FANOUT
+        // shard slices: at least one partition's runs exceed the slice,
+        // so its resolution must recursively re-partition (multi-pass
+        // grace hash) — and still produce the resident operator's
+        // multiset.
         let n = 1200i64;
-        let lf = kv_frame((0..n).map(|i| i % 97).collect(), vec![0.5; n as usize]);
-        let rf = right_frame(
+        let lf = Arc::new(kv_frame(
+            (0..n).map(|i| i % 97).collect(),
+            vec![0.5; n as usize],
+        ));
+        let rf = Arc::new(right_frame(
             (0..n / 2).map(|i| i % 101).collect(),
             (0..n / 2).map(|_| "r").collect(),
-        );
+        ));
         for kind in [JoinKind::Inner, JoinKind::Left] {
-            let mut cfg = SpillConfig::with_budget(2048);
-            cfg.fanout = 2;
-            cfg.max_depth = 3;
-            let plan = cfg.build_plan(1).unwrap().unwrap();
-            let governor = plan.governor.clone();
             let mut reference = join(kind);
-            let mut spilled = join(kind).with_spill(Some(plan));
             let mut ref_outs = Vec::new();
-            let mut sp_outs = Vec::new();
-            let ul = Update::delta(lf.clone(), Progress::single(0, 1, 2));
-            let ur = Update::delta(rf.clone(), Progress::single(1, 1, 1));
+            let ul = Update::delta((*lf).clone(), Progress::single(0, 1, 2));
+            let ur = Update::delta((*rf).clone(), Progress::single(1, 1, 1));
             ref_outs.push(reference.on_update(0, &ul).unwrap());
-            sp_outs.push(spilled.on_update(0, &ul).unwrap());
             ref_outs.push(reference.on_update(1, &ur).unwrap());
-            sp_outs.push(spilled.on_update(1, &ur).unwrap());
             ref_outs.push(reference.on_eof(1).unwrap());
-            sp_outs.push(spilled.on_eof(1).unwrap());
             ref_outs.push(reference.on_eof(0).unwrap());
-            sp_outs.push(spilled.on_eof(0).unwrap());
-            assert_eq!(all_rows(&ref_outs), all_rows(&sp_outs), "{kind:?}");
-            let m = governor.metrics();
-            assert!(m.evictions > 0 && m.spilled_bytes > 2048, "{kind:?}: {m:?}");
+
+            // One shard of the spilling operator, driven task by task so
+            // its runs can be weighed before right EOF resolves them.
+            let env = op_env(2048);
+            let mut shard = Partitions::new(reference.cfg.clone(), Some(env.clone()));
+            let mut outs = Vec::new();
+            for (port, frame) in [(0, &lf), (1, &rf)] {
+                let hashes = hash_keys(frame, &[0]);
+                let task = JoinTask::Frame {
+                    port,
+                    frame: frame.clone(),
+                    hashes,
+                };
+                outs.push(JoinPart::run(&mut shard, task).unwrap().0);
+            }
+            let mut run_bytes = 0;
+            for part in shard.parts() {
+                if let JoinPart::StreamSpill { l0, r0, l1, r1, .. } = part {
+                    for run in [l0, r0, l1, r1] {
+                        run_bytes += run
+                            .read_all()
+                            .unwrap()
+                            .iter()
+                            .map(Chunk::byte_size)
+                            .sum::<usize>();
+                    }
+                }
+            }
+            assert!(
+                run_bytes > FANOUT * env.shard_budget(),
+                "{kind:?}: {run_bytes} run bytes cannot force a recursion"
+            );
+            for task in [JoinTask::RightEof, JoinTask::FinalFlush] {
+                outs.push(JoinPart::run(&mut shard, task).unwrap().0);
+            }
+            let mut rows: Vec<Vec<Value>> = outs.iter().flat_map(rows_sorted).collect();
+            rows.sort();
+            assert_eq!(all_rows(&ref_outs), rows, "{kind:?}");
+            assert!(
+                env.governor.metrics().evictions > 0,
+                "{kind:?}: never spilled"
+            );
         }
     }
 
@@ -1612,28 +1654,27 @@ mod tests {
         // Snapshot-input (recompute-mode) joins spill their buffered
         // sides; every refresh must re-join to the same multiset, and a
         // snapshot refresh must clear spilled buffers too.
-        use wake_store::governor::SpillConfig;
         let snap_left = EdfMeta::new(
             kv_frame(vec![], vec![]).schema().clone(),
             vec!["k".into()],
             UpdateKind::Snapshot,
         );
-        let build = || {
+        let build = |spill: Option<&SpillEnv>| {
             JoinOp::new(
                 &snap_left,
                 &right_meta(),
                 vec!["k".into()],
                 vec!["rk".into()],
                 JoinKind::Inner,
+                1,
+                spill,
             )
             .unwrap()
         };
-        let mut cfg = SpillConfig::with_budget(512);
-        cfg.fanout = 4;
-        let plan = cfg.build_plan(1).unwrap().unwrap();
-        let governor = plan.governor.clone();
-        let mut reference = build();
-        let mut spilled = build().with_spill(Some(plan));
+        let env = op_env(512);
+        let governor = env.governor.clone();
+        let mut reference = build(None);
+        let mut spilled = build(Some(&env));
         let big: Vec<i64> = (0..120).collect();
         let vals: Vec<f64> = (0..120).map(|i| i as f64).collect();
         let s1 = Update::snapshot(kv_frame(big, vals), Progress::single(0, 1, 3));
@@ -1687,7 +1728,7 @@ mod tests {
         ] {
             for shards in [2usize, 3, 8] {
                 let mut reference = join(kind);
-                let mut sharded = join(kind).with_shards(shards);
+                let mut sharded = join_on(kind, shards, None);
                 let mut step = 0u64;
                 let mut feed = |op: &mut JoinOp, port: usize, f: &DataFrame| {
                     step += 1;

@@ -232,6 +232,15 @@ pub(crate) mod testutil {
     pub fn snapshot(frame: DataFrame, processed: u64, total: u64) -> Update {
         Update::snapshot(frame, Progress::single(0, processed, total))
     }
+
+    /// The operator-level spill env of a one-operator query under
+    /// `budget` bytes.
+    pub fn op_env(budget: usize) -> wake_store::SpillEnv {
+        wake_store::SpillConfig::with_budget(budget)
+            .build_env(1)
+            .unwrap()
+            .unwrap()
+    }
 }
 
 #[cfg(test)]

@@ -2,14 +2,17 @@
 //! every hash-keyed operator.
 //!
 //! A hash-keyed operator (join, group-by) keeps its state three levels
-//! deep, each level picked by the next digits of a row's key hash:
+//! deep, each level picked by the next digits of a row's key hash — one
+//! kernel, `wake_data::partition`, reads them all:
 //!
 //! ```text
-//! operator ─ S shards              (wake_data::partition, the hash's high bits)
-//!            └ F spill partitions  (wake_store::partition, the remainder chain)
+//! operator ─ S shards              shard = (h·S) >> 64
+//!            └ F spill partitions  part at depth d = ((h·S·F^(d+1)) >> 64) mod F
 //!              └ payload `P`       (a join core, a group table — the operator's own)
 //! ```
 //!
+//! `F` is [`FANOUT`]. A spilled join partition that is still too large
+//! splits again, one digit deeper, while its depth is below [`MAX_DEPTH`].
 //! Two decisions are the same whatever the payload, and this module is the
 //! only place that knows either:
 //!
@@ -33,9 +36,24 @@ use crate::ops::OpReport;
 use crate::Result;
 use std::sync::Arc;
 use wake_data::hash::KeyHashes;
-use wake_data::partition::shard_selections;
+use wake_data::partition::{shard_selections, spill_selections};
 use wake_data::{DataFrame, Schema};
-use wake_store::governor::{SpillEnv, SpillPlan};
+use wake_store::governor::SpillEnv;
+
+/// Spill partitions per shard under a memory budget, and the fan-out of
+/// every recursive split of an oversized partition.
+pub(crate) const FANOUT: usize = 8;
+
+/// Recursion limit of the split: `FANOUT^MAX_DEPTH` leaf partitions per
+/// shard. It only matters under pathological key skew, where the leaf is
+/// processed in memory regardless of budget.
+pub(crate) const MAX_DEPTH: usize = 4;
+
+/// Split a shard's rows (their `hashes`) over its [`FANOUT`] spill
+/// partitions at `depth` (0 = the first split below shard routing).
+pub(crate) fn spill_split(env: &SpillEnv, hashes: &[u64], depth: usize) -> Vec<Vec<u32>> {
+    spill_selections(hashes, env.shards(), FANOUT, depth)
+}
 
 /// One spill partition's worth of an operator's keyed state.
 pub trait Partition: Sized + Send + 'static {
@@ -109,7 +127,7 @@ pub struct Partitions<P: Partition> {
 
 impl<P: Partition> Partitions<P> {
     pub fn new(cfg: Arc<P::Cfg>, spill: Option<SpillEnv>) -> Self {
-        let fanout = spill.as_ref().map_or(1, |env| env.fanout.max(1));
+        let fanout = if spill.is_some() { FANOUT } else { 1 };
         Partitions {
             parts: (0..fanout).map(|_| P::new(&cfg)).collect(),
             cfg,
@@ -150,7 +168,7 @@ impl<P: Partition> Partitions<P> {
         if let [only] = self.parts.as_mut_slice() {
             f(only, frame, hashes)?;
         } else if let Some(env) = &self.spill {
-            let sels = env.sub_selections(&hashes.hashes, 0);
+            let sels = spill_split(env, &hashes.hashes, 0);
             for (part, sel) in self.parts.iter_mut().zip(&sels) {
                 if every || !sel.is_empty() {
                     let (sub, sub_hashes) = sub_frame(frame, &hashes, sel);
@@ -233,52 +251,31 @@ impl<P: Partition> ShardWork for Partitions<P> {
 
 /// What a hash-keyed operator holds: its `S` shards (on the caller's
 /// thread at `S = 1`, on persistent workers above — see
-/// [`crate::ops::sharded`]), the memory plan they were built under, and
+/// [`crate::ops::sharded`]), whether a memory budget governs them, and
 /// the per-shard footprint last reported.
 pub struct KeyedState<P: Partition> {
-    cfg: Arc<P::Cfg>,
     shards: ShardedState<Partitions<P>>,
-    /// `None` = unbounded, the resident-only path.
-    plan: Option<SpillPlan>,
+    /// `false` = unbounded, the resident-only path.
+    spills: bool,
     /// Shard state may live on worker threads, so the footprint travels
     /// with task results.
     shard_bytes: Vec<usize>,
-    /// A task has run; re-planning now would drop folded state.
-    ran: bool,
 }
 
 impl<P: Partition> KeyedState<P> {
-    /// One shard, no budget.
-    pub fn new(cfg: Arc<P::Cfg>) -> Self {
-        Self::build(cfg, None, 1)
-    }
-
-    /// Govern memory by `plan` (`None` = unbounded). Composes with
-    /// [`Self::with_shards`] in either order; must precede execution.
-    pub fn with_spill(self, plan: Option<SpillPlan>) -> Self {
-        debug_assert!(!self.ran, "with_spill must precede execution");
-        let shards = self.num_shards();
-        Self::build(self.cfg, plan, shards)
-    }
-
-    /// Re-plan onto `shards` hash-range shards; must precede execution.
-    pub fn with_shards(self, shards: usize) -> Self {
-        debug_assert!(!self.ran, "with_shards must precede execution");
-        Self::build(self.cfg, self.plan, shards.max(1))
-    }
-
-    fn build(cfg: Arc<P::Cfg>, plan: Option<SpillPlan>, shards: usize) -> Self {
-        let env = plan.as_ref().map(|p| p.shard_env(shards));
+    /// `shards` hash-range shards (at least one), each governing its slice
+    /// of the operator-level `spill` env (`None` = unbounded).
+    pub fn new(cfg: Arc<P::Cfg>, shards: usize, spill: Option<&SpillEnv>) -> Self {
+        let shards = shards.max(1);
+        let env = spill.map(|op| op.shard_env(shards));
         KeyedState {
             shards: ShardedState::new(
                 (0..shards)
                     .map(|_| Partitions::new(cfg.clone(), env.clone()))
                     .collect(),
             ),
-            cfg,
-            plan,
+            spills: env.is_some(),
             shard_bytes: vec![0; shards],
-            ran: false,
         }
     }
 
@@ -286,9 +283,9 @@ impl<P: Partition> KeyedState<P> {
         self.shards.num_shards()
     }
 
-    /// Whether a memory plan governs this state.
+    /// Whether a memory budget governs this state.
     pub fn spills(&self) -> bool {
-        self.plan.is_some()
+        self.spills
     }
 
     /// Whether any level routes rows by key hash. When nothing does, a
@@ -325,7 +322,6 @@ impl<P: Partition> KeyedState<P> {
     /// Scatter `tasks` (one optional task per shard), join, and return the
     /// outputs in shard order with the reported footprints recorded.
     pub fn run(&mut self, tasks: Vec<Option<P::Task>>) -> Result<Vec<Option<P::Out>>> {
-        self.ran = true;
         let replies = self.shards.run(tasks)?;
         let mut outs = Vec::with_capacity(replies.len());
         for (reply, shard_bytes) in replies.into_iter().zip(&mut self.shard_bytes) {
@@ -356,12 +352,11 @@ impl<P: Partition> KeyedState<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::testutil::kv_frame;
+    use crate::ops::testutil::{kv_frame, op_env};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Mutex;
     use wake_data::hash::hash_keys;
     use wake_data::DataError;
-    use wake_store::governor::SpillConfig;
 
     /// What the toy payload is told, and what it tells back.
     #[derive(Default)]
@@ -448,16 +443,10 @@ mod tests {
         (frame, hashes)
     }
 
-    fn plan(budget: usize, fanout: usize) -> SpillPlan {
-        let mut cfg = SpillConfig::with_budget(budget);
-        cfg.fanout = fanout;
-        cfg.build_plan(1).unwrap().unwrap()
-    }
-
-    /// One shard of `fanout` toy partitions holding keys `0..400`, with
+    /// One shard of [`FANOUT`] toy partitions holding keys `0..400`, with
     /// nothing evicted yet (the budget is generous until a test lowers it).
-    fn loaded_shard(fanout: usize) -> (Partitions<Toy>, SpillEnv) {
-        let env = plan(1 << 20, fanout).shard_env(1);
+    fn loaded_shard() -> (Partitions<Toy>, SpillEnv) {
+        let env = op_env(1 << 20);
         let mut shard = Partitions::new(Arc::new(ToyCfg::default()), Some(env.clone()));
         let (frame, hashes) = keyed_frame(0..400);
         Toy::run(&mut shard, (frame, hashes, false)).unwrap();
@@ -473,7 +462,7 @@ mod tests {
 
     #[test]
     fn evicts_largest_resident_first_and_stops_when_it_fits_or_nothing_is_left() {
-        let (mut shard, env) = loaded_shard(4);
+        let (mut shard, env) = loaded_shard();
         let mut sizes: Vec<usize> = shard.parts().iter().map(Toy::state_bytes).collect();
         let total: usize = sizes.iter().sum();
         sizes.sort_unstable_by(|a, b| b.cmp(a));
@@ -493,14 +482,14 @@ mod tests {
         assert_eq!(*shard.cfg().victims.lock().unwrap(), sizes);
         assert!(shard.parts().iter().all(|p| p.evicted));
         assert!(shard.state_bytes() > env.shard_budget());
-        assert_eq!(env.governor.metrics().evictions, 4);
+        assert_eq!(env.governor.metrics().evictions, FANOUT);
         assert!(!shard.degraded);
     }
 
     #[test]
     fn poisoned_governor_degrades_flag_first_and_never_evicts_again() {
         // Reads work: everything comes back and the budget is suspended.
-        let (mut shard, env) = loaded_shard(4);
+        let (mut shard, env) = loaded_shard();
         env.governor.set_budget(Some(1));
         enforce(&mut shard).unwrap();
         env.governor.poison();
@@ -509,16 +498,19 @@ mod tests {
         assert!(shard.parts().iter().all(|p| !p.evicted));
         enforce(&mut shard).unwrap();
         assert!(shard.parts().iter().all(|p| !p.evicted), "evicted again");
-        assert_eq!(env.governor.metrics().evictions, 4);
+        assert_eq!(env.governor.metrics().evictions, FANOUT);
 
         // The first rehydration read fails: the error is typed, and the
         // flag is already up — so the shard does not go back to evicting
         // to the dead device on the next frame.
-        let (mut shard, env) = loaded_shard(4);
+        let (mut shard, env) = loaded_shard();
         env.governor.set_budget(Some(2000));
         enforce(&mut shard).unwrap();
         let evictions = env.governor.metrics().evictions;
-        assert!((1..4).contains(&evictions), "some evicted, some resident");
+        assert!(
+            (1..FANOUT).contains(&evictions),
+            "some evicted, some resident"
+        );
         env.governor.poison();
         shard.cfg().fail_reads.store(true, Ordering::SeqCst);
         let err = shard.each(|_| Ok(())).unwrap_err();
@@ -533,7 +525,7 @@ mod tests {
     fn poison_noticed_inside_the_eviction_loop_stops_it() {
         // The device dies after the pre-route check: the loop, not the
         // next frame, must notice.
-        let (mut shard, env) = loaded_shard(4);
+        let (mut shard, env) = loaded_shard();
         env.governor.set_budget(Some(1));
         let (frame, hashes) = keyed_frame(0..0);
         shard
@@ -549,11 +541,8 @@ mod tests {
     #[test]
     fn snapshot_kind_frames_reach_every_shard_and_partition() {
         let (frame, hashes) = keyed_frame(7..8); // one row: one shard, one partition
-        let new_state = || {
-            KeyedState::<Toy>::new(Arc::new(ToyCfg::default()))
-                .with_spill(Some(plan(1 << 20, 4)))
-                .with_shards(3)
-        };
+        let new_state =
+            || KeyedState::<Toy>::new(Arc::new(ToyCfg::default()), 3, Some(&op_env(1 << 20)));
         // Delta-kind: only the owning shard gets a task, only the owning
         // partition sees the frame.
         let mut delta = new_state();
@@ -568,8 +557,8 @@ mod tests {
             .map(|seen| seen.len())
             .sum();
         assert_eq!(visits, 1);
-        // Snapshot-kind: all 3 shards × 4 partitions are visited once,
-        // eleven of them with an empty sub-frame.
+        // Snapshot-kind: all 3 shards × FANOUT partitions are visited
+        // once, all but one of them with an empty sub-frame.
         let mut snap = new_state();
         let tasks = snap.scatter(&frame, hashes, true, |f, h| (f, h, true));
         assert_eq!(tasks.iter().flatten().count(), 3);
@@ -580,7 +569,7 @@ mod tests {
             .flatten()
             .flatten()
             .collect();
-        assert_eq!(seen.len(), 12);
+        assert_eq!(seen.len(), 3 * FANOUT);
         assert!(seen.iter().all(|frames| frames.len() == 1));
         let rows: Vec<usize> = seen.iter().map(|f| f[0].num_rows()).collect();
         assert_eq!(rows.iter().sum::<usize>(), 1);
@@ -592,7 +581,7 @@ mod tests {
     fn one_shard_one_partition_is_a_pass_through() {
         // S = 1 without a budget: the payload is handed the caller's own
         // `Arc<DataFrame>` — no select, no copy — even for an empty frame.
-        let mut state = KeyedState::<Toy>::new(Arc::new(ToyCfg::default()));
+        let mut state = KeyedState::<Toy>::new(Arc::new(ToyCfg::default()), 1, None);
         assert!(!state.routes() && !state.spills());
         for keys in [0..50, 0..0] {
             let (frame, hashes) = keyed_frame(keys);

@@ -499,11 +499,14 @@ mod tests {
         let cfg = EngineConfig::new().with_global_governor(&global);
         let resolved = cfg.spill_config();
         assert!(resolved.global.is_some());
-        // Without a per-query budget the plan still exists: the lease is
-        // the budget.
-        let plan = resolved.build_plan(1).unwrap().expect("lease implies plan");
-        assert_eq!(plan.governor.budget(), Some(1 << 20));
-        drop(plan);
+        // Without a per-query budget the spill env still exists: the
+        // lease is the budget.
+        let env = resolved
+            .build_env(1)
+            .unwrap()
+            .expect("lease implies an env");
+        assert_eq!(env.governor.budget(), Some(1 << 20));
+        drop(env);
         assert!(global.is_idle());
     }
 

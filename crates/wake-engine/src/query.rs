@@ -23,7 +23,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use wake_core::graph::{build_operator_spilling, NodeId, NodeKind, Parallelism, QueryGraph};
+use wake_core::graph::{build_operator, NodeId, NodeKind, Parallelism, QueryGraph};
 use wake_core::ops::Operator;
 use wake_core::progress::Progress;
 use wake_core::update::Update;
@@ -368,14 +368,14 @@ impl Query {
         let start = Instant::now();
         let spill = config
             .spill_config()
-            .build_plan(graph.shardable_node_count())?;
+            .build_env(graph.shardable_node_count())?;
         let level = config.obs_level();
         let on = level.enabled();
         // With observability on, each spillable operator gets a child
-        // spill plan whose ledger records locally *and* forwards to the
+        // spill env whose ledger records locally *and* forwards to the
         // query-wide parent, so the rollup is unchanged. Off: operators
-        // share the parent plan directly (no forwarding).
-        let node_plans: Vec<_> = (0..graph.len())
+        // share the parent env directly (no forwarding).
+        let node_envs: Vec<_> = (0..graph.len())
             .map(|idx| match &spill {
                 Some(p) if on && graph.is_shardable(NodeId(idx)) => Some(p.for_node()),
                 _ => None,
@@ -397,7 +397,7 @@ impl Query {
                 label: graph.node_label(NodeId(idx)),
                 inputs: node.inputs.iter().map(|i| i.0).collect(),
                 obs: Some(NodeObs::new(level)),
-                governor: node_plans[idx].as_ref().map(|p| p.governor.clone()),
+                governor: node_envs[idx].as_ref().map(|p| p.governor.clone()),
                 shards: level.is_profile().then(Mutex::default),
                 ..entry
             }
@@ -459,11 +459,11 @@ impl Query {
                 op_kind => {
                     let inputs: Vec<&wake_core::EdfMeta> =
                         node.inputs.iter().map(|i| &metas[i.0]).collect();
-                    let op = build_operator_spilling(
+                    let op = build_operator(
                         op_kind,
                         &inputs,
                         shards,
-                        node_plans[idx].as_ref().or(spill.as_ref()),
+                        node_envs[idx].as_ref().or(spill.as_ref()),
                     )?;
                     nodes.push(Some(NodeActor {
                         op,

@@ -178,31 +178,31 @@ mod tests {
     }
 
     #[test]
-    fn build_plan_attaches_and_shard_budgets_track_the_lease() {
+    fn build_env_attaches_and_shard_budgets_track_the_lease() {
         let global = GlobalGovernor::new(1 << 20);
         let cfg = SpillConfig {
             global: Some(global.clone()),
             ..SpillConfig::default()
         };
-        // No per-query budget: the plan still exists (the global ledger
+        // No per-query budget: the env still exists (the global ledger
         // bounds the query), and its slice is the whole total while the
         // query runs alone.
-        let plan = cfg.build_plan(2).unwrap().expect("global implies a plan");
+        let op = cfg.build_env(2).unwrap().expect("global implies an env");
         assert_eq!(global.active_leases(), 1);
-        assert_eq!(plan.op_budget(), (1 << 20) / 2);
-        let env = plan.shard_env(2);
+        assert_eq!(op.shard_budget(), (1 << 20) / 2);
+        let env = op.shard_env(2);
         assert_eq!(env.shard_budget(), (1 << 20) / 4);
         // A second resident query halves the first one's slice — and the
         // already-built shard envs see it on their next check.
-        let plan2 = cfg.build_plan(2).unwrap().unwrap();
+        let op2 = cfg.build_env(2).unwrap().unwrap();
         assert_eq!(env.shard_budget(), (1 << 20) / 8);
-        assert_eq!(plan2.op_budget(), (1 << 20) / 4);
-        drop(plan2);
+        assert_eq!(op2.shard_budget(), (1 << 20) / 4);
+        drop(op2);
         assert_eq!(env.shard_budget(), (1 << 20) / 4);
-        // The env shares the plan's governor; the lease lives until the
-        // last holder (plan *and* envs) is gone.
+        // The shard env shares the operator env's governor; the lease
+        // lives until the last holder is gone.
         drop(env);
-        drop(plan);
-        assert!(global.is_idle(), "dropping the plan releases the lease");
+        drop(op);
+        assert!(global.is_idle(), "dropping the envs releases the lease");
     }
 }

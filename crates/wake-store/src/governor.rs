@@ -13,6 +13,14 @@
 //! The [`MemoryGovernor`] itself is the shared ledger: every shard holds
 //! an `Arc` to it and records spill writes, evictions, and rehydrations
 //! through atomics; executors surface the totals as run statistics.
+//!
+//! [`SpillEnv`] is the one handle an operator is built with: the ledger,
+//! the spill directory, and the two divisors of the budget (operators,
+//! shards). The executor builds it at the operator level (one shard);
+//! the operator derives one per shard with [`SpillEnv::shard_env`]. Which
+//! rows go to which spill partition is not this crate's business: the
+//! routing kernel is `wake_data::partition`, and the fan-out and depth
+//! policy live with the operators (`wake_core::ops::partitions`).
 
 use crate::dir::SpillDir;
 use crate::fault::{FaultIo, FaultSchedule};
@@ -41,7 +49,8 @@ pub struct MemoryGovernor {
     /// Total byte budget (`UNBOUNDED` = no limit: spilling disabled).
     /// Atomic because a [`GlobalGovernor`] lease may shrink or grow it
     /// while the query runs; operators re-read it on every enforcement
-    /// check through [`SpillEnv::shard_budget`].
+    /// check through [`SpillEnv::shard_budget`]. Only a root ledger's is
+    /// read: a child reaches its root for the budget.
     budget: AtomicUsize,
     spilled_bytes: AtomicUsize,
     chunks_written: AtomicUsize,
@@ -55,7 +64,7 @@ pub struct MemoryGovernor {
     retry_attempts: u32,
     retry_base_delay: Duration,
     /// Query-wide ledger this one forwards to. Per-operator child ledgers
-    /// (see [`SpillPlan::for_node`]) record locally *and* into the parent,
+    /// (see [`SpillEnv::for_node`]) record locally *and* into the parent,
     /// so the parent's totals stay the exact sum of its children and
     /// existing rollup consumers are unaffected.
     parent: Option<Arc<MemoryGovernor>>,
@@ -89,13 +98,13 @@ impl MemoryGovernor {
         }
     }
 
-    /// A per-operator child of `parent`: same budget and retry policy,
-    /// its own zeroed counters, and every `record_*` forwarded upstream
-    /// so the parent remains the exact query-wide sum. The budget is
-    /// *delegated*, not copied: a lease change on the parent is visible
-    /// through every child immediately.
+    /// A per-operator child of `parent`: same retry policy, its own
+    /// zeroed counters, and every `record_*` forwarded upstream so the
+    /// parent remains the exact query-wide sum. It has no budget of its
+    /// own: reading or setting one reaches the root, so a lease change
+    /// is visible through every child immediately.
     pub fn child_of(parent: &Arc<MemoryGovernor>) -> Self {
-        let mut child = MemoryGovernor::new(parent.budget());
+        let mut child = MemoryGovernor::new(None);
         child.retry_attempts = parent.retry_attempts;
         child.retry_base_delay = parent.retry_base_delay;
         child.parent = Some(parent.clone());
@@ -118,8 +127,7 @@ impl MemoryGovernor {
         self
     }
 
-    /// The query-wide budget, if any. Children delegate to the query-wide
-    /// parent so per-node ledgers track lease changes live.
+    /// The query-wide budget, if any, read from the root ledger.
     pub fn budget(&self) -> Option<usize> {
         if let Some(p) = &self.parent {
             return p.budget();
@@ -128,10 +136,14 @@ impl MemoryGovernor {
         (b != UNBOUNDED).then_some(b)
     }
 
-    /// Replace the current budget (`None` = unbounded). Used by
-    /// [`GlobalGovernor::rebalance`] to grow or shrink a lease while the
-    /// query runs; takes effect at the operators' next enforcement check.
+    /// Replace the query-wide budget (`None` = unbounded) on the root
+    /// ledger. Used by [`GlobalGovernor::rebalance`] to grow or shrink a
+    /// lease while the query runs; takes effect at the operators' next
+    /// enforcement check.
     pub fn set_budget(&self, budget: Option<usize>) {
+        if let Some(p) = &self.parent {
+            return p.set_budget(budget);
+        }
         self.budget
             .store(budget.unwrap_or(UNBOUNDED), Ordering::Release);
     }
@@ -259,10 +271,6 @@ pub struct SpillConfig {
     pub budget_bytes: Option<usize>,
     /// Directory for spill files (None = fresh temp dir per query).
     pub spill_dir: Option<PathBuf>,
-    /// Hash sub-partitions per shard (fan-out of the grace-hash split).
-    pub fanout: usize,
-    /// Maximum recursive re-partitioning depth for oversized partitions.
-    pub max_depth: usize,
     /// The spill device (None = the real filesystem, [`StdIo`]). Tests
     /// and benches inject [`FaultIo`] here.
     pub io: Option<Arc<dyn SpillIo>>,
@@ -274,19 +282,12 @@ pub struct SpillConfig {
     pub retry_base_delay: Option<Duration>,
     /// Process-wide ledger to lease this query's budget from (the
     /// wake-serve server hands every query the same ledger). When set, a
-    /// plan is built even with `budget_bytes = None` — the query is
+    /// spill env is built even with `budget_bytes = None` — the query is
     /// bounded by its leased slice, which shrinks and grows as other
     /// queries enter and leave. An explicit `budget_bytes` additionally
     /// caps the slice from above.
     pub global: Option<Arc<GlobalGovernor>>,
 }
-
-/// Default grace-hash fan-out per shard.
-pub const DEFAULT_FANOUT: usize = 8;
-/// Default recursion limit (8^4 leaf partitions per shard is plenty; the
-/// limit only matters for pathological key skew, where the leaf is
-/// processed in memory regardless of budget).
-pub const DEFAULT_MAX_DEPTH: usize = 4;
 
 impl SpillConfig {
     /// Unbounded memory: spilling off.
@@ -294,7 +295,7 @@ impl SpillConfig {
         Self::default()
     }
 
-    /// Bounded memory with default fan-out and spill dir.
+    /// Bounded memory with the default spill dir.
     pub fn with_budget(bytes: usize) -> Self {
         SpillConfig {
             budget_bytes: Some(bytes),
@@ -335,11 +336,11 @@ impl SpillConfig {
         self
     }
 
-    /// Build the per-operator plan: `spillable_ops` is the number of
-    /// hash-keyed operators in the graph sharing the budget. Returns
-    /// `None` when the config is unbounded (operators then skip all
-    /// spill machinery).
-    pub fn build_plan(&self, spillable_ops: usize) -> Result<Option<SpillPlan>> {
+    /// Build the operator-level spill environment: `spillable_ops` is the
+    /// number of hash-keyed operators in the graph sharing the budget.
+    /// Returns `None` when the config is unbounded (operators then skip
+    /// all spill machinery).
+    pub fn build_env(&self, spillable_ops: usize) -> Result<Option<SpillEnv>> {
         if self.budget_bytes.is_none() && self.global.is_none() {
             return Ok(None);
         }
@@ -347,16 +348,6 @@ impl SpillConfig {
         let dir = match &self.spill_dir {
             Some(p) => SpillDir::at_with(p, io)?,
             None => SpillDir::new_temp_with(io)?,
-        };
-        let fanout = if self.fanout >= 2 {
-            self.fanout
-        } else {
-            DEFAULT_FANOUT
-        };
-        let max_depth = if self.max_depth >= 1 {
-            self.max_depth
-        } else {
-            DEFAULT_MAX_DEPTH
         };
         let mut governor = MemoryGovernor::new(self.budget_bytes).with_retry_policy(
             self.retry_attempts.unwrap_or(DEFAULT_RETRY_ATTEMPTS),
@@ -372,12 +363,11 @@ impl SpillConfig {
             // resident query's slice is re-apportioned here.
             global.attach(&governor, self.budget_bytes);
         }
-        Ok(Some(SpillPlan {
+        Ok(Some(SpillEnv {
             governor,
             dir: Arc::new(dir),
             ops: spillable_ops.max(1),
-            fanout,
-            max_depth,
+            shards: 1,
         }))
     }
 }
@@ -400,57 +390,11 @@ pub fn parse_bytes(s: &str) -> Option<usize> {
     (n > 0).then(|| n.saturating_mul(mult))
 }
 
-/// The resolved per-operator spill plan the executor hands to each
-/// hash-keyed operator at build time.
-#[derive(Debug, Clone)]
-pub struct SpillPlan {
-    pub governor: Arc<MemoryGovernor>,
-    pub dir: Arc<SpillDir>,
-    /// Spillable operators sharing the query budget (never 0). Budgets
-    /// are derived from this and the governor's *live* budget, so a
-    /// global-ledger lease change reaches every operator immediately.
-    ops: usize,
-    pub fanout: usize,
-    pub max_depth: usize,
-}
-
-impl SpillPlan {
-    /// Bytes of buffered state one operator may hold across its shards:
-    /// an equal slice of the governor's current total. Recomputed from
-    /// the live budget on every call (leases move while a query runs).
-    pub fn op_budget(&self) -> usize {
-        (self.governor.budget().unwrap_or(usize::MAX) / self.ops).max(1)
-    }
-
-    /// A per-operator view of this plan: identical knobs and spill dir,
-    /// but a child [`MemoryGovernor`] that records this operator's I/O
-    /// locally while forwarding every count to the query-wide parent.
-    /// Executors hand one of these to each spillable operator and keep
-    /// the child handle to read per-node spill attribution; the parent's
-    /// `metrics()` stays the exact sum over children, so rollup-only
-    /// consumers need no changes.
-    pub fn for_node(&self) -> SpillPlan {
-        SpillPlan {
-            governor: Arc::new(MemoryGovernor::child_of(&self.governor)),
-            ..self.clone()
-        }
-    }
-
-    /// The environment for one of `shards` shards: an equal slice of the
-    /// operator budget plus shared ledger/dir handles.
-    pub fn shard_env(&self, shards: usize) -> SpillEnv {
-        SpillEnv {
-            governor: self.governor.clone(),
-            dir: self.dir.clone(),
-            ops: self.ops,
-            shards: shards.max(1),
-            fanout: self.fanout,
-            max_depth: self.max_depth,
-        }
-    }
-}
-
-/// Everything one shard needs to govern and spill its own state.
+/// Everything an operator — or one of its shards — needs to govern and
+/// spill its own state: the ledger, the spill dir, and how many ways the
+/// query budget is divided. The executor builds the operator-level env
+/// (one shard, [`SpillConfig::build_env`]); an operator hands each shard
+/// [`Self::shard_env`].
 #[derive(Debug, Clone)]
 pub struct SpillEnv {
     pub governor: Arc<MemoryGovernor>,
@@ -459,16 +403,40 @@ pub struct SpillEnv {
     ops: usize,
     /// Shards this operator splits its slice over (never 0).
     shards: usize,
-    pub fanout: usize,
-    pub max_depth: usize,
 }
 
 impl SpillEnv {
+    /// A per-operator view: the same spill dir and divisors, but a child
+    /// [`MemoryGovernor`] that records this operator's I/O locally while
+    /// forwarding every count to the query-wide parent. Executors hand
+    /// one of these to each spillable operator and keep the child handle
+    /// to read per-node spill attribution; the parent's `metrics()` stays
+    /// the exact sum over children.
+    pub fn for_node(&self) -> SpillEnv {
+        SpillEnv {
+            governor: Arc::new(MemoryGovernor::child_of(&self.governor)),
+            ..self.clone()
+        }
+    }
+
+    /// The environment for one of `shards` shards: an equal slice of the
+    /// operator's budget, the same ledger and dir.
+    pub fn shard_env(&self, shards: usize) -> SpillEnv {
+        SpillEnv {
+            shards: shards.max(1),
+            ..self.clone()
+        }
+    }
+
+    /// Shards the operator's slice is divided over — the `S` shard
+    /// routing scaled the hash by (see `wake_data::partition`).
+    pub fn shards(&self) -> usize {
+        self.shards
+    }
+
     /// Bytes of buffered state this shard may hold **right now**: the
-    /// governor's live budget divided over operators then shards, with
-    /// exactly the fixed-budget arithmetic
-    /// (`((total / ops).max(1) / shards).max(1)`). Under a static budget
-    /// this is byte-identical to the former frozen field; under a
+    /// governor's live budget divided over operators then shards
+    /// (`((total / ops).max(1) / shards).max(1)`). Under a
     /// [`GlobalGovernor`] lease it tracks re-apportioning live, so a
     /// query whose slice just shrank starts evicting at its very next
     /// enforcement check.
@@ -481,14 +449,6 @@ impl SpillEnv {
     /// shard's ledger; `tag` names its file.
     pub fn new_run(&self, tag: &str) -> crate::colfile::RunWriter {
         crate::colfile::RunWriter::new(self.dir.clone(), self.governor.clone(), tag)
-    }
-
-    /// Split the rows behind `hashes` over this shard's `fanout` spill
-    /// partitions at `depth` (0 = the first split below shard routing;
-    /// see [`crate::partition`]). The env knows how many high bits shard
-    /// routing consumed, so callers cannot get the chain wrong.
-    pub fn sub_selections(&self, hashes: &[u64], depth: usize) -> Vec<Vec<u32>> {
-        crate::partition::sub_selections(hashes, self.shards, self.fanout, depth)
     }
 }
 
@@ -522,13 +482,13 @@ mod tests {
         assert!(g.is_poisoned());
         g.record_io_retry();
         assert_eq!(g.metrics().io_retries, 1);
-        // Config-level overrides reach the plan's governor.
+        // Config-level overrides reach the env's governor.
         let mut cfg = SpillConfig::with_budget(1 << 20);
         cfg.retry_attempts = Some(7);
         cfg.retry_base_delay = Some(Duration::from_micros(3));
-        let plan = cfg.build_plan(1).unwrap().unwrap();
-        assert_eq!(plan.governor.retry_attempts(), 7);
-        assert_eq!(plan.governor.retry_base_delay(), Duration::from_micros(3));
+        let env = cfg.build_env(1).unwrap().unwrap();
+        assert_eq!(env.governor.retry_attempts(), 7);
+        assert_eq!(env.governor.retry_base_delay(), Duration::from_micros(3));
     }
 
     #[test]
@@ -567,44 +527,62 @@ mod tests {
     }
 
     #[test]
-    fn plan_for_node_shares_dir_and_sums_into_parent() {
+    fn a_child_budget_is_the_root_budget() {
+        let root = Arc::new(MemoryGovernor::new(Some(1024)));
+        let child = Arc::new(MemoryGovernor::child_of(&root));
+        let grandchild = MemoryGovernor::child_of(&child);
+        let sibling = MemoryGovernor::child_of(&root);
+        // Set through a child: the root, and every other child, see it.
+        grandchild.set_budget(Some(512));
+        assert_eq!(root.budget(), Some(512));
+        assert_eq!(sibling.budget(), Some(512));
+        child.set_budget(None);
+        assert_eq!(root.budget(), None);
+        assert_eq!(grandchild.budget(), None);
+        // Set on the root: every child sees it.
+        root.set_budget(Some(64));
+        assert_eq!(child.budget(), Some(64));
+        assert_eq!(grandchild.budget(), Some(64));
+    }
+
+    #[test]
+    fn env_for_node_shares_dir_and_sums_into_parent() {
         let cfg = SpillConfig::with_budget(1 << 20);
-        let plan = cfg.build_plan(2).unwrap().unwrap();
-        let node = plan.for_node();
-        assert_eq!(node.op_budget(), plan.op_budget());
-        assert!(Arc::ptr_eq(&node.dir, &plan.dir));
-        assert!(!Arc::ptr_eq(&node.governor, &plan.governor));
+        let env = cfg.build_env(2).unwrap().unwrap();
+        let node = env.for_node();
+        assert_eq!(node.shard_budget(), env.shard_budget());
+        assert!(Arc::ptr_eq(&node.dir, &env.dir));
+        assert!(!Arc::ptr_eq(&node.governor, &env.governor));
         node.governor.record_spill(64, 1);
-        assert_eq!(plan.governor.metrics().spilled_bytes, 64);
+        assert_eq!(env.governor.metrics().spilled_bytes, 64);
         assert_eq!(node.governor.metrics().spilled_bytes, 64);
     }
 
     #[test]
-    fn plan_apportions_budget_over_ops_and_shards() {
+    fn env_apportions_budget_over_ops_and_shards() {
         let cfg = SpillConfig::with_budget(1 << 20);
-        let plan = cfg.build_plan(4).unwrap().unwrap();
-        assert_eq!(plan.op_budget(), (1 << 20) / 4);
-        let env = plan.shard_env(2);
-        assert_eq!(env.shard_budget(), (1 << 20) / 8);
-        assert_eq!(env.fanout, DEFAULT_FANOUT);
-        // Unbounded config yields no plan.
-        assert!(SpillConfig::unbounded().build_plan(4).unwrap().is_none());
+        let op = cfg.build_env(4).unwrap().unwrap();
+        assert_eq!((op.shards(), op.shard_budget()), (1, (1 << 20) / 4));
+        let shard = op.shard_env(2);
+        assert_eq!((shard.shards(), shard.shard_budget()), (2, (1 << 20) / 8));
+        // Unbounded config yields no env.
+        assert!(SpillConfig::unbounded().build_env(4).unwrap().is_none());
     }
 
     #[test]
-    fn dynamic_budget_flows_through_plan_and_env() {
+    fn dynamic_budget_flows_through_every_env() {
         let cfg = SpillConfig::with_budget(1 << 20);
-        let plan = cfg.build_plan(4).unwrap().unwrap();
-        let env = plan.shard_env(2);
-        assert_eq!(env.shard_budget(), (1 << 20) / 8);
+        let op = cfg.build_env(4).unwrap().unwrap();
+        let shard = op.shard_env(2);
+        assert_eq!(shard.shard_budget(), (1 << 20) / 8);
         // Shrinking the governor's budget (a lease re-apportioning)
         // reaches already-built envs — and per-node child envs — live.
-        plan.governor.set_budget(Some(1 << 16));
-        assert_eq!(env.shard_budget(), (1 << 16) / 8);
-        assert_eq!(plan.op_budget(), (1 << 16) / 4);
-        let node = plan.for_node();
+        op.governor.set_budget(Some(1 << 16));
+        assert_eq!(shard.shard_budget(), (1 << 16) / 8);
+        assert_eq!(op.shard_budget(), (1 << 16) / 4);
+        let node = op.for_node();
         assert_eq!(node.shard_env(2).shard_budget(), (1 << 16) / 8);
-        plan.governor.set_budget(Some(1 << 20));
+        op.governor.set_budget(Some(1 << 20));
         assert_eq!(node.shard_env(2).shard_budget(), (1 << 20) / 8);
     }
 }

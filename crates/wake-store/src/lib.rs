@@ -26,20 +26,20 @@
 //!
 //! ## Pieces
 //!
-//! - [`MemoryGovernor`] / [`SpillConfig`] / [`SpillPlan`]: a per-query
+//! - [`MemoryGovernor`] / [`SpillConfig`] / [`SpillEnv`]: a per-query
 //!   byte budget apportioned to operators and then shards, fed by the
 //!   operators' `state_bytes()` accounting, plus shared spill telemetry
 //!   (bytes written, chunks, evictions, rehydrations, I/O retries).
+//!   `SpillEnv` is the one handle an operator and its shards spill
+//!   through. Which spill partition a row belongs to is decided by
+//!   `wake_data::partition`'s routing kernel, and the fan-out and
+//!   recursion depth by `wake_core::ops::partitions`.
 //! - [`SpillDir`]: lifecycle of the temp directory the spill files live
 //!   in (unique names, eager deletion, recursive cleanup on drop).
 //! - [`colfile`]: the on-disk format — runs of checksummed **chunks**,
 //!   each holding a WCF-serialized `DataFrame` plus optional `KeyHashes`,
 //!   per-row flags, and an opaque operator-state section. Typed on both
 //!   paths: no `Value` boxing on write or read.
-//! - [`partition`]: the remainder-chain hash sub-partitioner — depth `d`
-//!   consumes the next `log2(F)` "digits" of the key hash after shard
-//!   routing, so recursion never re-uses bits and equal keys always land
-//!   in the same sub-partition at every level.
 //! - [`merge`]: typed k-way merge of key-sorted frames (the join-point
 //!   for group-by partials from shards *and* spill partitions).
 //! - [`io`] / [`fault`]: the spill-device boundary ([`SpillIo`]; real
@@ -57,14 +57,13 @@ pub mod global;
 pub mod governor;
 pub mod io;
 pub mod merge;
-pub mod partition;
 pub mod segment;
 
 pub use colfile::{Chunk, RunWriter};
 pub use dir::SpillDir;
 pub use fault::{FaultIo, FaultSchedule, TornWrite};
 pub use global::GlobalGovernor;
-pub use governor::{parse_bytes, MemoryGovernor, SpillConfig, SpillEnv, SpillMetrics, SpillPlan};
+pub use governor::{parse_bytes, MemoryGovernor, SpillConfig, SpillEnv, SpillMetrics};
 pub use io::{SpillIo, StdIo};
 pub use segment::{write_segment, SegmentReader, SegmentSource, DEFAULT_ZONE_ROWS};
 
