@@ -272,6 +272,7 @@ fn bench_sharded_operators(c: &mut Criterion) {
                             AggSpec::min(col("v"), "mn"),
                         ],
                         false,
+                        None,
                         shards,
                         None,
                     )
@@ -300,6 +301,7 @@ fn bench_sharded_operators(c: &mut Criterion) {
                         AggSpec::count_distinct(col("v"), "cd"),
                     ],
                     false,
+                    None,
                     1,
                     None,
                 )

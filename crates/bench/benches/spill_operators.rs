@@ -75,6 +75,7 @@ fn bench_spill_operators(c: &mut Criterion) {
                         vec!["k".into()],
                         vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("n")],
                         false,
+                        None,
                         1,
                         env_for(budget).as_ref(),
                     )
@@ -119,6 +120,7 @@ fn bench_spill_operators(c: &mut Criterion) {
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("n")],
             false,
+            None,
             1,
             env_for(Some(n / 2)).as_ref(),
         )

@@ -1378,7 +1378,7 @@ mod tests {
         let meta = EdfMeta::new(schema, vec![], UpdateKind::Delta);
         for q in [-0.1, 1.5, f64::NAN] {
             let spec = AggSpec::quantile(col("x"), q, "bad");
-            let op = AggOp::new(&meta, vec![], vec![spec], false, 1, None);
+            let op = AggOp::new(&meta, vec![], vec![spec], false, None, 1, None);
             assert!(matches!(op, Err(DataError::Invalid(_))), "{q}");
         }
     }

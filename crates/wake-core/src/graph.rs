@@ -13,9 +13,11 @@ pub use crate::ops::join::JoinKind;
 use crate::ops::{AggOp, FilterOp, JoinOp, MapOp, Operator, SortOp};
 use crate::update::UpdateKind;
 use crate::Result;
+use std::collections::HashSet;
 use std::sync::Arc;
 use wake_data::{DataError, TableSource};
 use wake_expr::Expr;
+use wake_store::SpillEnv;
 
 /// Intra-operator partition parallelism: how many hash-range shards a
 /// hash-keyed node (join, group-by) splits its state into. A query sets
@@ -275,9 +277,9 @@ impl QueryGraph {
         )
     }
 
-    /// Swap the source of a reader node (planner passes use this to
-    /// install pruned/reordered scan views). Panics if `node` is not a
-    /// `Read` — planner passes only rewrite what [`Self::sources`] lists.
+    /// Swap the source of a reader node (the planner installs scan views
+    /// with it). Panics if `node` is not a `Read` — the planner only
+    /// rewrites what [`Self::sources`] lists.
     pub fn replace_source(&mut self, node: NodeId, source: Arc<dyn TableSource>) {
         match &mut self.nodes[node.0].kind {
             NodeKind::Read { source: slot } => *slot = source,
@@ -381,21 +383,57 @@ impl QueryGraph {
         out
     }
 
-    /// Resolve the edf metadata of every node (validating the whole graph).
-    pub fn resolve_metas(&self) -> Result<Vec<EdfMeta>> {
-        let mut metas: Vec<EdfMeta> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let meta = match &node.kind {
-                NodeKind::Read { source } => read_meta(source.as_ref()),
-                _ => {
+    /// The one build loop: walk the nodes in order (every input comes
+    /// before its consumers), take a reader's meta from `read` and build
+    /// every other node's operator from its inputs' metas, on `shards`
+    /// shards under `spill(id)`. A node that emits two columns of one
+    /// name is an error — the second would be unreachable by name — so
+    /// this validates the whole graph.
+    pub fn build<'a>(
+        &self,
+        read: impl Fn(&dyn TableSource) -> EdfMeta,
+        shards: usize,
+        spill: impl Fn(NodeId) -> Option<&'a SpillEnv>,
+    ) -> Result<Built> {
+        let (mut ops, mut metas) = (Vec::new(), Vec::<EdfMeta>::new());
+        for (i, node) in self.nodes.iter().enumerate() {
+            let (op, meta) = match &node.kind {
+                NodeKind::Read { source } => (None, read(source.as_ref())),
+                kind => {
                     let inputs: Vec<&EdfMeta> = node.inputs.iter().map(|i| &metas[i.0]).collect();
-                    build_operator(&node.kind, &inputs, 1, None)?.meta().clone()
+                    let op = build_operator(kind, &inputs, shards, spill(NodeId(i)))?;
+                    let meta = op.meta().clone();
+                    (Some(op), meta)
                 }
             };
+            let mut seen = HashSet::new();
+            let fields = meta.schema.fields();
+            if let Some(f) = fields.iter().find(|f| !seen.insert(f.name.as_str())) {
+                return Err(DataError::Invalid(format!(
+                    "{} emits two columns named {}",
+                    self.node_label(NodeId(i)),
+                    f.name
+                )));
+            }
+            ops.push(op);
             metas.push(meta);
         }
-        Ok(metas)
+        Ok(Built { ops, metas })
     }
+
+    /// Resolve the edf metadata of every node (validating the whole graph).
+    pub fn resolve_metas(&self) -> Result<Vec<EdfMeta>> {
+        Ok(self.build(read_meta, 1, |_| None)?.metas)
+    }
+}
+
+/// A graph's operators, built once, and every node's edf metadata —
+/// what [`QueryGraph::build`] returns.
+pub struct Built {
+    /// One operator per node; `None` at reads, which the executor drives.
+    pub ops: Vec<Option<Box<dyn Operator>>>,
+    /// Every node's output metadata, by node id.
+    pub metas: Vec<EdfMeta>,
 }
 
 /// Metadata of the edf a reader produces: constant attributes, delta mode,
@@ -410,11 +448,11 @@ pub fn read_meta(source: &dyn TableSource) -> EdfMeta {
 /// (optionally) its operator-level spill env. Only hash-keyed operators
 /// (join, group-by) honour `shards > 1` and the spill env; one shard +
 /// `None` is the unsharded, unbounded code path exactly.
-pub fn build_operator(
+fn build_operator(
     kind: &NodeKind,
     inputs: &[&EdfMeta],
     shards: usize,
-    spill: Option<&wake_store::SpillEnv>,
+    spill: Option<&SpillEnv>,
 ) -> Result<Box<dyn Operator>> {
     let need = |n: usize| -> Result<()> {
         if inputs.len() != n {
@@ -462,17 +500,15 @@ pub fn build_operator(
             fixed_growth,
         } => {
             need(1)?;
-            Box::new(
-                AggOp::new(
-                    inputs[0],
-                    keys.clone(),
-                    specs.clone(),
-                    *with_variance,
-                    shards,
-                    spill,
-                )?
-                .with_fixed_growth(*fixed_growth),
-            )
+            Box::new(AggOp::new(
+                inputs[0],
+                keys.clone(),
+                specs.clone(),
+                *with_variance,
+                *fixed_growth,
+                shards,
+                spill,
+            )?)
         }
         NodeKind::Sort {
             by,
@@ -592,6 +628,72 @@ mod tests {
             vec!["k", "v", "k_right", "v_right"]
         );
         let _ = Value::Int(0);
+    }
+
+    #[test]
+    fn a_repeated_output_name_is_rejected_at_build() {
+        let agg = |keys: Vec<&str>, specs: Vec<AggSpec>, with_variance: bool| {
+            let mut g = QueryGraph::new();
+            let r = g.read(source());
+            let a = if with_variance {
+                g.agg_with_ci(r, keys, specs)
+            } else {
+                g.agg(r, keys, specs)
+            };
+            g.sink(a);
+            g
+        };
+        let sum = |alias: &str| AggSpec::sum(col("v"), alias);
+        let count = |alias: &str| AggSpec::count_star(alias);
+        // Left `k, c, c_right` joined to right `k2, c`: the right `c` is
+        // suffixed into a second `c_right`.
+        let suffixed = {
+            let mut g = QueryGraph::new();
+            let r = g.read(source());
+            let l = g.map(
+                r,
+                vec![(col("k"), "k"), (col("v"), "c"), (col("v"), "c_right")],
+            );
+            let rr = g.map(r, vec![(col("k"), "k2"), (col("v"), "c")]);
+            let j = g.join(l, rr, vec!["k"], vec!["k2"]);
+            g.sink(j);
+            g
+        };
+        let mapped = {
+            let mut g = QueryGraph::new();
+            let r = g.read(source());
+            let m = g.map(r, vec![(col("k"), "x"), (col("v"), "x")]);
+            g.sink(m);
+            g
+        };
+        let rejected = [
+            (
+                "a key and an alias",
+                agg(vec!["k"], vec![sum("k"), count("n")], false),
+            ),
+            (
+                "two aliases",
+                agg(vec!["k"], vec![sum("s"), count("s")], false),
+            ),
+            (
+                "an alias and a variance column",
+                agg(vec!["k"], vec![sum("s"), count("s__var")], true),
+            ),
+            ("two keys", agg(vec!["k", "k"], vec![count("n")], false)),
+            ("two map aliases", mapped),
+            ("a join suffix", suffixed),
+        ];
+        for (case, g) in rejected {
+            let err = g.resolve_metas().err();
+            assert!(
+                matches!(err, Some(DataError::Invalid(_))),
+                "{case}: {err:?}"
+            );
+        }
+        // Without the variance columns, `s__var` is just a name.
+        agg(vec!["k"], vec![sum("s"), count("s__var")], false)
+            .resolve_metas()
+            .unwrap();
     }
 
     #[test]

@@ -64,6 +64,7 @@ use crate::ops::Operator;
 use crate::progress::Progress;
 use crate::update::{Update, UpdateKind};
 use crate::Result;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use wake_data::hash::{hash_keys, KeyHashes, KeyStore};
 use wake_data::{Column, DataError, DataFrame, DataType, Field, Schema};
@@ -527,6 +528,10 @@ pub struct AggOp {
     growth: GrowthModel,
     progress: Progress,
     emitted_complete: bool,
+    /// The input's clustering key when the group keys are a prefix of
+    /// it (empty otherwise): the growth prior rests on it, so it is read
+    /// whole.
+    clustering_key: Vec<String>,
     meta: EdfMeta,
 }
 
@@ -537,12 +542,14 @@ impl AggOp {
     /// exceeds its slice of the operator's budget the largest spill
     /// partition is evicted to disk. `None` keeps the unbounded resident
     /// path — as does a zero-key (global) aggregate, whose O(specs) state
-    /// would only pay for partitioning.
+    /// would only pay for partitioning. `fixed_growth` pins the growth
+    /// power instead of fitting it (ablation mode).
     pub fn new(
         input: &EdfMeta,
         keys: Vec<String>,
         specs: Vec<AggSpec>,
         with_variance: bool,
+        fixed_growth: Option<f64>,
         shards: usize,
         spill: Option<&SpillEnv>,
     ) -> Result<Self> {
@@ -577,15 +584,6 @@ impl AggOp {
                 fields.push(Field::mutable(variance_column(&s.alias), DataType::Float64));
             }
         }
-        // Every output column must be reachable by name: a key, an alias
-        // and a `{alias}__var` column may not share one.
-        let mut seen = std::collections::HashSet::new();
-        if let Some(f) = fields.iter().find(|f| !seen.insert(f.name.as_str())) {
-            return Err(DataError::Invalid(format!(
-                "duplicate aggregation output column {}",
-                f.name
-            )));
-        }
         // CI chaining: a Sum over a plain column that has an accompanying
         // `{col}__var` column folds the upstream variance in.
         let carried_var_cols = specs
@@ -601,14 +599,16 @@ impl AggOp {
         // Grouping on (a prefix of) the clustering key means group
         // cardinalities do not grow once seen: prior w = 0 (§2.2 Case 1,
         // Fig 4 "agg by clustering key").
-        let clustered = match &input.clustering_key {
-            Some(ck) => !keys.is_empty() && keys.len() <= ck.len() && ck[..keys.len()] == keys[..],
-            None => false,
+        let clustering_key = input
+            .clustering_key
+            .clone()
+            .filter(|ck| !keys.is_empty() && ck.starts_with(&keys))
+            .unwrap_or_default();
+        let growth = match fixed_growth {
+            Some(w) => GrowthModel::fixed(w),
+            None if !clustering_key.is_empty() => GrowthModel::for_input(UpdateKind::Snapshot),
+            None => GrowthModel::for_input(input.kind),
         };
-        let mut growth = GrowthModel::for_input(input.kind);
-        if clustered {
-            growth = GrowthModel::for_input(UpdateKind::Snapshot); // prior w = 0
-        }
         let key_schema = Arc::new(Schema::new(fields[..keys.len()].to_vec()));
         let schema = Arc::new(Schema::new(fields));
         let meta =
@@ -639,17 +639,9 @@ impl AggOp {
             growth,
             progress: Progress::new(),
             emitted_complete: false,
+            clustering_key,
             meta,
         })
-    }
-
-    /// Pin the growth power instead of fitting it (ablation mode; no-op
-    /// when `fixed` is `None`).
-    pub fn with_fixed_growth(mut self, fixed: Option<f64>) -> Self {
-        if let Some(w) = fixed {
-            self.growth = GrowthModel::fixed(w);
-        }
-        self
     }
 
     fn emit(&mut self, force_exact: bool) -> Result<Update> {
@@ -745,6 +737,27 @@ impl Operator for AggOp {
         &self.meta
     }
 
+    /// A barrier: the keys, every spec's expression and weight, the
+    /// `{col}__var` columns a sum carries, and the clustering key the
+    /// growth prior rests on — whatever is observed of the output.
+    fn reads(&self, _observed: &BTreeSet<String>) -> Vec<BTreeSet<String>> {
+        let cfg = &self.cfg;
+        let exprs = cfg
+            .specs
+            .iter()
+            .flat_map(|s| std::iter::once(&s.expr).chain(&s.weight));
+        let named = exprs.flat_map(|e| e.referenced_columns()).map(String::from);
+        let carried = cfg.carried_var_cols.iter().flatten();
+        vec![cfg
+            .keys
+            .iter()
+            .chain(&self.clustering_key)
+            .chain(carried)
+            .cloned()
+            .chain(named)
+            .collect()]
+    }
+
     fn state_bytes(&self) -> usize {
         self.keyed.state_bytes()
     }
@@ -784,6 +797,7 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s")],
             false,
+            None,
             1,
             None,
         )
@@ -814,6 +828,7 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s")],
             false,
+            None,
             1,
             None,
         )
@@ -837,6 +852,7 @@ mod tests {
             vec![],
             vec![AggSpec::sum(col("v"), "total")],
             false,
+            None,
             1,
             None,
         )
@@ -866,6 +882,7 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s")],
             false,
+            None,
             1,
             None,
         )
@@ -889,6 +906,7 @@ mod tests {
             vec![],
             vec![AggSpec::count_star("n")],
             false,
+            None,
             1,
             None,
         )
@@ -914,6 +932,7 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s")],
             true,
+            None,
             1,
             None,
         )
@@ -933,6 +952,7 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s")],
             false,
+            None,
             1,
             None,
         )
@@ -955,6 +975,7 @@ mod tests {
             vec![],
             vec![AggSpec::sum(col("v"), "s")],
             false,
+            None,
             1,
             None,
         )
@@ -970,6 +991,7 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::count_star("n")],
             false,
+            None,
             1,
             None,
         )
@@ -996,25 +1018,13 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_keys_rejected() {
-        let err = AggOp::new(
-            &delta_meta(),
-            vec!["k".into(), "k".into()],
-            vec![AggSpec::count_star("n")],
-            false,
-            1,
-            None,
-        );
-        assert!(err.is_err());
-    }
-
-    #[test]
     fn output_sorted_by_key() {
         let mut op = AggOp::new(
             &delta_meta(),
             vec!["k".into()],
             vec![AggSpec::count_star("n")],
             false,
+            None,
             1,
             None,
         )
@@ -1069,6 +1079,7 @@ mod tests {
                     vec!["k".into()],
                     specs(),
                     true,
+                    None,
                     shards,
                     spill,
                 )
@@ -1106,6 +1117,7 @@ mod tests {
                 vec!["k".into()],
                 vec![spec.clone()],
                 false,
+                None,
                 1,
                 None,
             );
@@ -1138,8 +1150,18 @@ mod tests {
         };
         let env = op_env(1024);
         let governor = env.governor.clone();
-        let build =
-            |spill| AggOp::new(&delta_meta(), vec!["k".into()], specs(), true, 1, spill).unwrap();
+        let build = |spill| {
+            AggOp::new(
+                &delta_meta(),
+                vec!["k".into()],
+                specs(),
+                true,
+                None,
+                1,
+                spill,
+            )
+            .unwrap()
+        };
         let mut reference = build(None);
         let mut spilled = build(Some(&env));
         for step in 1..=6i64 {
@@ -1190,8 +1212,18 @@ mod tests {
         cfg.retry_base_delay = Some(std::time::Duration::from_micros(10));
         let env = cfg.build_env(1).unwrap().unwrap();
         let governor = env.governor.clone();
-        let build =
-            |spill| AggOp::new(&delta_meta(), vec!["k".into()], specs(), true, 1, spill).unwrap();
+        let build = |spill| {
+            AggOp::new(
+                &delta_meta(),
+                vec!["k".into()],
+                specs(),
+                true,
+                None,
+                1,
+                spill,
+            )
+            .unwrap()
+        };
         let mut reference = build(None);
         let mut spilled = build(Some(&env));
         for step in 1..=8i64 {
@@ -1242,6 +1274,7 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("n")],
             false,
+            None,
             1,
             cfg.build_env(1).unwrap().as_ref(),
         )
@@ -1273,6 +1306,7 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s")],
             false,
+            None,
             1,
             None,
         )
@@ -1298,8 +1332,16 @@ mod tests {
         // state out differently must fail typed: no panic, no estimate
         // from misread bytes.
         let core_of = |spec: AggSpec| {
-            let op =
-                AggOp::new(&delta_meta(), vec!["k".into()], vec![spec], false, 1, None).unwrap();
+            let op = AggOp::new(
+                &delta_meta(),
+                vec!["k".into()],
+                vec![spec],
+                false,
+                None,
+                1,
+                None,
+            )
+            .unwrap();
             AggCore::new(op.cfg.clone())
         };
         let f = kv_frame(vec![1, 2], vec![2.0, 3.0]);
@@ -1321,38 +1363,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_output_names_rejected() {
-        // A key, an alias and a `__var` column name one output each.
-        let cases = [
-            (
-                vec![AggSpec::sum(col("v"), "k"), AggSpec::count_star("k")],
-                false,
-            ),
-            (
-                vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("s")],
-                false,
-            ),
-            (
-                vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("s__var")],
-                true,
-            ),
-        ];
-        for (specs, with_variance) in cases {
-            let err = AggOp::new(
-                &delta_meta(),
-                vec!["k".into()],
-                specs,
-                with_variance,
-                1,
-                None,
-            );
-            assert!(matches!(err, Err(DataError::Invalid(_))));
-        }
-        let ok = vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("s__var")];
-        assert!(AggOp::new(&delta_meta(), vec!["k".into()], ok, false, 1, None).is_ok());
-    }
-
-    #[test]
     fn snapshot_input_replace_clears_spilled_state() {
         // A snapshot-kind input replaces state wholesale; spilled
         // partitions must be dropped too, not merged into the refresh.
@@ -1367,6 +1377,7 @@ mod tests {
             vec!["k".into()],
             vec![AggSpec::sum(col("v"), "s")],
             false,
+            None,
             1,
             Some(&env),
         )
@@ -1416,10 +1427,26 @@ mod tests {
             ]
         };
         for shards in [2usize, 3, 8] {
-            let mut reference =
-                AggOp::new(&delta_meta(), vec!["k".into()], specs(), true, 1, None).unwrap();
-            let mut sharded =
-                AggOp::new(&delta_meta(), vec!["k".into()], specs(), true, shards, None).unwrap();
+            let mut reference = AggOp::new(
+                &delta_meta(),
+                vec!["k".into()],
+                specs(),
+                true,
+                None,
+                1,
+                None,
+            )
+            .unwrap();
+            let mut sharded = AggOp::new(
+                &delta_meta(),
+                vec!["k".into()],
+                specs(),
+                true,
+                None,
+                shards,
+                None,
+            )
+            .unwrap();
             for step in 1..=4i64 {
                 let u = Update::delta(frame(step), Progress::single(0, step as u64 * 25, 100));
                 let a = reference.on_update(0, &u).unwrap();

@@ -10,6 +10,7 @@ use crate::meta::EdfMeta;
 use crate::ops::Operator;
 use crate::update::Update;
 use crate::Result;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use wake_expr::{eval_selection, infer_type, Expr};
 
@@ -57,6 +58,16 @@ impl Operator for FilterOp {
 
     fn meta(&self) -> &EdfMeta {
         &self.meta
+    }
+
+    /// What is observed, and the predicate's columns.
+    fn reads(&self, observed: &BTreeSet<String>) -> Vec<BTreeSet<String>> {
+        let own = self.predicate.referenced_columns().into_iter();
+        vec![observed
+            .iter()
+            .cloned()
+            .chain(own.map(String::from))
+            .collect()]
     }
 }
 

@@ -47,6 +47,7 @@ use crate::ops::{Operator, RowRef, RowStore};
 use crate::progress::Progress;
 use crate::update::{Update, UpdateKind};
 use crate::Result;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use wake_data::hash::{hash_keys, keys_equal, KeyHashes};
 use wake_data::{DataError, DataFrame, Schema};
@@ -1094,6 +1095,39 @@ impl Operator for JoinOp {
 
     fn meta(&self) -> &EdfMeta {
         &self.meta
+    }
+
+    /// Each side's keys, and the observed columns mapped back to the side
+    /// they come from **by position** (the output is the left fields then
+    /// the right ones, renamed by `Schema::join`). A renamed right column
+    /// keeps its name only while the left column it collided with is
+    /// there, so that one is read too. A semi or anti join's output is
+    /// the left side: its right side only answers "is there a match".
+    fn reads(&self, observed: &BTreeSet<String>) -> Vec<BTreeSet<String>> {
+        let cfg = &self.cfg;
+        let keys = |schema: &Schema, idx: &[usize]| -> BTreeSet<String> {
+            idx.iter()
+                .map(|&i| schema.fields()[i].name.clone())
+                .collect()
+        };
+        let mut left = keys(&cfg.left_schema, &cfg.left_on);
+        let mut right = keys(&cfg.right_schema, &cfg.right_on);
+        for name in observed {
+            let Ok(at) = cfg.out_schema.index_of(name) else {
+                continue;
+            };
+            match at.checked_sub(cfg.left_schema.len()) {
+                None => left.insert(name.clone()),
+                Some(j) => {
+                    let own = &cfg.right_schema.fields()[j].name;
+                    if own != name {
+                        left.insert(own.clone());
+                    }
+                    right.insert(own.clone())
+                }
+            };
+        }
+        vec![left, right]
     }
 
     fn state_bytes(&self) -> usize {

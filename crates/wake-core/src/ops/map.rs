@@ -11,6 +11,7 @@ use crate::ops::map_ci::{detect_var_inputs, propagate_variance, VarInputs};
 use crate::ops::Operator;
 use crate::update::Update;
 use crate::Result;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use wake_data::{DataFrame, Field, Schema};
 use wake_expr::{eval, infer_type, Expr};
@@ -132,6 +133,17 @@ impl Operator for MapOp {
 
     fn meta(&self) -> &EdfMeta {
         &self.meta
+    }
+
+    /// A barrier: what the expressions name, and the `{col}__var`
+    /// companions whose variance they propagate — whatever is observed.
+    fn reads(&self, _observed: &BTreeSet<String>) -> Vec<BTreeSet<String>> {
+        let named = self.exprs.iter().flat_map(|(e, _)| e.referenced_columns());
+        let companions = self.var_plans.iter().flatten().flat_map(|p| &p.inputs);
+        vec![named
+            .map(String::from)
+            .chain(companions.map(|(_, vc)| vc.clone()))
+            .collect()]
     }
 }
 

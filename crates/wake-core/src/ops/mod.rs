@@ -28,6 +28,7 @@ pub use sort::SortOp;
 use crate::meta::EdfMeta;
 use crate::update::Update;
 use crate::Result;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use wake_data::{Column, DataFrame, Schema};
 
@@ -42,6 +43,12 @@ pub trait Operator: Send {
 
     /// Static description of the output edf.
     fn meta(&self) -> &EdfMeta;
+
+    /// For each input port, the columns this operator reads when its
+    /// consumers observe `observed` of its output — what the planner
+    /// narrows scans to. A column whose absence would change the output
+    /// metadata (a key kept whole) counts as read.
+    fn reads(&self, observed: &BTreeSet<String>) -> Vec<BTreeSet<String>>;
 
     /// Approximate bytes of buffered operator state (peak-memory metric).
     fn state_bytes(&self) -> usize {

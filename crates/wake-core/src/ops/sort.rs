@@ -20,6 +20,7 @@ use crate::ops::{Operator, RowStore};
 use crate::progress::Progress;
 use crate::update::{Update, UpdateKind};
 use crate::Result;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use wake_data::hash::cmp_rows_by;
 use wake_data::DataFrame;
@@ -171,6 +172,11 @@ impl Operator for SortOp {
 
     fn meta(&self) -> &EdfMeta {
         &self.meta
+    }
+
+    /// What is observed, and the sort keys.
+    fn reads(&self, observed: &BTreeSet<String>) -> Vec<BTreeSet<String>> {
+        vec![observed.iter().chain(&self.by).cloned().collect()]
     }
 
     fn state_bytes(&self) -> usize {

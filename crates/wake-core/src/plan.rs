@@ -1,119 +1,60 @@
-//! Planner passes over a [`QueryGraph`] — run by the engine just before
-//! execution.
+//! The planner: one pass over a [`QueryGraph`], run by the engine just
+//! before execution, that asks every scan for the one view this query
+//! reads it through (`TableSource::view`). Per `Read`, the
+//! [`ScanRequest`] holds:
 //!
-//! Three source-rewriting passes support the persistent-table scan path:
-//!
-//! - [`push_down_predicates`]: for each `Filter` sitting directly on a
-//!   `Read`, lift the conjunctive range/equality predicates the zone
-//!   pruner can decide (via `wake_expr::extract_predicates`) and ask the
-//!   source for a pruned view (`TableSource::pruned`). The `FilterOp`
-//!   **always stays in the plan** — pruning only skips I/O for zones that
-//!   provably contain no qualifying row, so results are unchanged and the
-//!   residual filter handles straddling zones.
-//! - [`reorder_scans`]: replace each source with a seeded random-order
-//!   view (`TableSource::reordered`) — the paper's shuffled-input regime,
-//!   which keeps early estimates representative when on-disk order is
+//! - `seed`: the query's scan seed with the node id mixed in
+//!   ([`node_seed`]), so two scans of one table get distinct but
+//!   deterministic orders — the paper's shuffled-input regime, which
+//!   keeps early estimates representative when on-disk order is
 //!   correlated with values.
+//! - `predicates`: the conjunctive range/equality predicates the zone
+//!   pruner can decide (`wake_expr::extract_predicates`), lifted from a
+//!   `Filter` that is the scan's *sole* consumer (a shared scan must
+//!   serve every consumer the full table). The `FilterOp` **always stays
+//!   in the plan**: pruning only skips zones that provably hold no
+//!   qualifying row, and the filter handles the rest.
+//! - `columns`: what the plan can observe of the scan. The pass builds
+//!   the plan's operators (one shard, no spill) and walks back from the
+//!   sink, asking each operator what it reads of its inputs when its
+//!   consumers observe a given set (`Operator::reads`). A sink, or a node
+//!   nothing consumes, is observed in full. A scan nothing reads keeps
+//!   its first column, since a frame carries its row count in its
+//!   columns. The engine builds the plan again against the views'
+//!   narrowed schemas, so a column wrongly dropped is a typed build
+//!   error, never a wrong answer.
 //!
-//! - [`project_scans`]: walk back from the sink collecting, per `Read`, the
-//!   columns its consumers can observe, and ask the source for a view that
-//!   returns only those (`TableSource::projected`) — a columnar source then
-//!   never fetches, verifies or decodes the rest. The engine resolves the
-//!   plan against the narrowed schemas afterwards, so a column this pass
-//!   wrongly dropped is a typed build error, never a wrong answer.
-//!
-//! All three are no-ops on sources that do not implement the hooks
-//! (in-memory, CSV, single-file WCF), so plans over non-segment tables are
-//! untouched byte for byte.
+//! Every scan of a view-capable source moves to a view of its own, even
+//! with nothing to shuffle, prune or narrow, so its scan counters are the
+//! query's own. Sources without views (in-memory, CSV, single-file WCF)
+//! are untouched byte for byte, and so is every scan of a plan that does
+//! not resolve: reporting that is the engine's build step's job.
 
-use crate::ci::variance_column;
-use crate::graph::{JoinKind, NodeId, NodeKind, QueryGraph};
+use crate::graph::{read_meta, Built, NodeId, NodeKind, QueryGraph};
 use std::collections::BTreeSet;
-use std::sync::Arc;
-use wake_data::{Schema, TableSource};
-use wake_expr::{extract_predicates, Expr};
+use wake_data::{ScanRequest, TableSource};
+use wake_expr::extract_predicates;
 
-/// Swap in the views a pass collected; returns how many.
-fn install(graph: &mut QueryGraph, views: Vec<(NodeId, Arc<dyn TableSource>)>) -> usize {
-    let n = views.len();
-    for (id, source) in views {
-        graph.replace_source(id, source);
-    }
-    n
+/// The scan seed of node `id` in a query seeded with `seed`.
+pub fn node_seed(seed: u64, id: NodeId) -> u64 {
+    seed ^ (id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Lift prunable predicates from filters into their scans. Only rewrites a
-/// `Read` whose *sole* consumer is the filter (a shared scan must serve
-/// every consumer the full table). Returns the number of sources replaced.
-pub fn push_down_predicates(graph: &mut QueryGraph) -> usize {
-    let consumers = graph.consumers();
-    let mut replacements = Vec::new();
-    for node in graph.nodes() {
-        let NodeKind::Filter { predicate } = &node.kind else {
-            continue;
-        };
-        let input = node.inputs[0];
-        let NodeKind::Read { source } = &graph.node(input).kind else {
-            continue;
-        };
-        if consumers[input.0].len() != 1 {
-            continue;
-        }
-        let preds = extract_predicates(predicate);
-        if preds.is_empty() {
-            continue;
-        }
-        if let Some(pruned) = source.pruned(&preds) {
-            replacements.push((input, pruned));
-        }
-    }
-    install(graph, replacements)
-}
-
-/// Replace every reorder-capable source with a seeded random zone order.
-/// Each source mixes its node id into the seed so two scans of the same
-/// table in one plan get distinct (but still deterministic) orders.
-/// Returns the number of sources replaced.
-pub fn reorder_scans(graph: &mut QueryGraph, seed: u64) -> usize {
-    let mut replacements = Vec::new();
-    for id in graph.sources() {
-        let NodeKind::Read { source } = &graph.node(id).kind else {
-            continue;
-        };
-        let mixed = seed ^ (id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        if let Some(reordered) = source.reordered(mixed) {
-            replacements.push((id, reordered));
-        }
-    }
-    install(graph, replacements)
-}
-
-/// The columns evaluating `exprs` over `schema` reads: the ones they name
-/// and, beside each, its `{col}__var` companion where the schema has one
-/// (`MapOp` propagates it, `AggOp` folds it into a sum's variance).
-fn columns_read<'a>(
-    exprs: impl IntoIterator<Item = &'a Expr>,
-    schema: &'a Schema,
-) -> impl Iterator<Item = String> + 'a {
-    let named: BTreeSet<&str> = exprs
-        .into_iter()
-        .flat_map(|e| e.referenced_columns())
-        .collect();
-    named.into_iter().flat_map(|c| {
-        let companion = Some(variance_column(c)).filter(|vc| schema.contains(vc));
-        std::iter::once(c.to_string()).chain(companion)
-    })
-}
-
-/// Per node, the output columns its consumers can observe — the backward
-/// walk behind [`project_scans`]. A node nothing consumes, and the sink,
-/// are observed in full. Map and Agg are barriers: what they read is what
-/// their expressions name, whatever is asked of them. Filter, Sort and
-/// Join hand the request through and add the columns they look at
-/// themselves. `None` if the plan does not resolve (reporting that is the
-/// engine's build step's job).
-fn required_columns(graph: &QueryGraph) -> Option<Vec<BTreeSet<String>>> {
-    let metas = graph.resolve_metas().ok()?;
+/// Per node, the output columns its consumers can observe, from one
+/// build of the plan's operators. The build sees each scan as its view
+/// will be: a shuffled one (`seed` set) has no clustering key. `None` if
+/// the plan does not resolve.
+fn required_columns(graph: &QueryGraph, seed: Option<u64>) -> Option<Vec<BTreeSet<String>>> {
+    let shuffle = ScanRequest {
+        seed,
+        ..ScanRequest::default()
+    };
+    let read = |source: &dyn TableSource| {
+        let meta = read_meta(source);
+        let clustering = shuffle.clustering(meta.clustering_key.clone());
+        meta.with_clustering(clustering)
+    };
+    let Built { ops, metas } = graph.build(read, 1, |_| None).ok()?;
     let consumers = graph.consumers();
     let mut needs: Vec<BTreeSet<String>> = vec![BTreeSet::new(); graph.len()];
     // Nodes are appended after their inputs, so descending ids visit every
@@ -122,125 +63,69 @@ fn required_columns(graph: &QueryGraph) -> Option<Vec<BTreeSet<String>>> {
         if consumers[i].is_empty() || graph.sink_id() == Some(NodeId(i)) {
             needs[i].extend(metas[i].schema.fields().iter().map(|f| f.name.clone()));
         }
-        let node = graph.node(NodeId(i));
-        let need = needs[i].clone();
-        let input = |port: usize| node.inputs[port].0;
-        match &node.kind {
-            NodeKind::Read { .. } => {}
-            NodeKind::Filter { predicate } => {
-                let own = predicate.referenced_columns();
-                needs[input(0)].extend(need.into_iter().chain(own.into_iter().map(String::from)));
-            }
-            NodeKind::Sort { by, .. } => {
-                needs[input(0)].extend(need.into_iter().chain(by.iter().cloned()));
-            }
-            NodeKind::Map { exprs } => {
-                let read = columns_read(exprs.iter().map(|(e, _)| e), &metas[input(0)].schema);
-                needs[input(0)].extend(read);
-            }
-            NodeKind::Agg { keys, specs, .. } => {
-                let meta = &metas[input(0)];
-                let exprs = specs
-                    .iter()
-                    .flat_map(|s| std::iter::once(&s.expr).chain(&s.weight));
-                let read: Vec<String> = columns_read(exprs, &meta.schema).collect();
-                // Grouping on a prefix of the clustering key changes the
-                // growth prior (`AggOp::new`); the key must stay whole for
-                // the operator to see that.
-                let clustering = meta
-                    .clustering_key
-                    .iter()
-                    .filter(|ck| !keys.is_empty() && ck.starts_with(keys))
-                    .flatten();
-                needs[input(0)].extend(keys.iter().chain(clustering).cloned().chain(read));
-            }
-            NodeKind::Join {
-                left_on,
-                right_on,
-                kind,
-            } => {
-                let (left_schema, right_schema) =
-                    (&metas[input(0)].schema, &metas[input(1)].schema);
-                let mut left: BTreeSet<String> = left_on.iter().cloned().collect();
-                let mut right: BTreeSet<String> = right_on.iter().cloned().collect();
-                match kind {
-                    // The output is the left schema; the right side only
-                    // answers "is there a match".
-                    JoinKind::Semi | JoinKind::Anti => left.extend(need),
-                    // The output is the left fields then the right fields,
-                    // a right name the left also has suffixed `_right`:
-                    // map each requested output column back by position.
-                    JoinKind::Inner | JoinKind::Left => {
-                        for name in need {
-                            let Ok(at) = metas[i].schema.index_of(&name) else {
-                                continue;
-                            };
-                            match at.checked_sub(left_schema.len()) {
-                                None => {
-                                    left.insert(name);
-                                }
-                                Some(j) => {
-                                    let own = &right_schema.fields()[j].name;
-                                    // A suffixed column keeps its name only
-                                    // while the left column it collided
-                                    // with is still there.
-                                    if *own != name {
-                                        left.insert(own.clone());
-                                    }
-                                    right.insert(own.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-                needs[input(0)].extend(left);
-                needs[input(1)].extend(right);
-            }
+        let Some(op) = &ops[i] else {
+            continue;
+        };
+        let inputs = &graph.node(NodeId(i)).inputs;
+        for (input, read) in inputs.iter().zip(op.reads(&needs[i])) {
+            needs[input.0].extend(read);
         }
     }
     Some(needs)
 }
 
-/// Narrow every scan to the columns the plan can observe
-/// (`required_columns`), for sources that can skip the cost of the rest
-/// (`TableSource::projected`). A scan observed in full is asked for a
-/// full-width view all the same: this pass runs last and always, so every
-/// scan of a view-capable source ends up on a view of this query's own and
-/// its scan counters never include another query's work. A scan nothing is
-/// read from keeps its first column, since a frame carries its row count
-/// in its columns. Returns the number of sources replaced.
-pub fn project_scans(graph: &mut QueryGraph) -> usize {
-    let Some(needs) = required_columns(graph) else {
+/// Ask every scan for its view — shuffled by `seed` when one is set,
+/// pruned by its sole consumer's filter when `pruning` is on, narrowed
+/// to the columns the plan reads — and install the views the sources
+/// return. Returns the number of sources replaced.
+pub fn view_scans(graph: &mut QueryGraph, seed: Option<u64>, pruning: bool) -> usize {
+    let Some(needs) = required_columns(graph, seed) else {
         return 0;
     };
-    let mut replacements = Vec::new();
+    let consumers = graph.consumers();
+    let mut views = Vec::new();
     for id in graph.sources() {
         let NodeKind::Read { source } = &graph.node(id).kind else {
             continue;
         };
+        let predicates = match consumers[id.0][..] {
+            [(consumer, _)] if pruning => match &graph.node(consumer).kind {
+                NodeKind::Filter { predicate } => extract_predicates(predicate),
+                _ => Vec::new(),
+            },
+            _ => Vec::new(),
+        };
         let fields = source.meta().schema.fields();
-        let mut columns: Vec<&str> = fields
+        let mut columns: Vec<String> = fields
             .iter()
-            .map(|f| f.name.as_str())
-            .filter(|name| needs[id.0].contains(*name))
+            .map(|f| f.name.clone())
+            .filter(|name| needs[id.0].contains(name))
             .collect();
         if columns.is_empty() {
-            columns.extend(fields.first().map(|f| f.name.as_str()));
+            columns.extend(fields.first().map(|f| f.name.clone()));
         }
-        if let Some(projected) = source.projected(&columns) {
-            replacements.push((id, projected));
-        }
+        let request = ScanRequest {
+            seed: seed.map(|s| node_seed(s, id)),
+            predicates,
+            columns,
+        };
+        views.extend(source.view(&request).map(|view| (id, view)));
     }
-    install(graph, replacements)
+    let n = views.len();
+    for (id, view) in views {
+        graph.replace_source(id, view);
+    }
+    n
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::agg::AggSpec;
+    use crate::graph::JoinKind;
     use std::sync::Arc;
-    use wake_data::scan::{ColPredicate, ScanMetrics};
-    use wake_data::source::{TableMeta, TableSource};
+    use wake_data::scan::ScanMetrics;
+    use wake_data::source::TableMeta;
     use wake_data::{Column, DataFrame, DataType, Field, MemorySource, Schema};
     use wake_expr::{col, lit_i64};
 
@@ -250,21 +135,24 @@ mod tests {
         MemorySource::from_frame("t", &df, 5, vec!["k".into()], None).unwrap()
     }
 
-    /// A source that records the predicates and projections pushed into it.
+    /// A source that records the views asked of it and serves each as a
+    /// plain `MemorySource` narrowed to the requested columns.
     #[derive(Debug)]
     struct Recording {
         inner: MemorySource,
-        pruned_calls: std::sync::Mutex<Vec<Vec<ColPredicate>>>,
-        projected_calls: std::sync::Mutex<Vec<Vec<String>>>,
+        requests: std::sync::Mutex<Vec<ScanRequest>>,
     }
 
     impl Recording {
         fn over(inner: MemorySource) -> Arc<Self> {
             Arc::new(Recording {
                 inner,
-                pruned_calls: Default::default(),
-                projected_calls: Default::default(),
+                requests: Default::default(),
             })
+        }
+
+        fn requests(&self) -> Vec<ScanRequest> {
+            self.requests.lock().unwrap().clone()
         }
     }
 
@@ -275,19 +163,12 @@ mod tests {
         fn partition(&self, i: usize) -> wake_data::Result<DataFrame> {
             self.inner.partition(i)
         }
-        fn pruned(&self, preds: &[ColPredicate]) -> Option<Arc<dyn TableSource>> {
-            self.pruned_calls.lock().unwrap().push(preds.to_vec());
-            Some(Arc::new(self.inner.clone()))
-        }
-        fn reordered(&self, _seed: u64) -> Option<Arc<dyn TableSource>> {
-            Some(Arc::new(self.inner.clone()))
-        }
-        fn projected(&self, columns: &[&str]) -> Option<Arc<dyn TableSource>> {
-            let names = columns.iter().map(|c| c.to_string()).collect();
-            self.projected_calls.lock().unwrap().push(names);
+        fn view(&self, request: &ScanRequest) -> Option<Arc<dyn TableSource>> {
+            self.requests.lock().unwrap().push(request.clone());
+            let columns: Vec<&str> = request.columns.iter().map(String::as_str).collect();
             let meta = self.inner.meta();
             let parts = (0..meta.num_partitions())
-                .map(|i| self.inner.partition(i)?.project(columns))
+                .map(|i| self.inner.partition(i)?.project(&columns))
                 .collect::<wake_data::Result<Vec<_>>>()
                 .unwrap();
             let narrowed = MemorySource::new(meta.name.clone(), parts, vec![], None).unwrap();
@@ -309,6 +190,10 @@ mod tests {
         }
     }
 
+    fn pushed(request: &ScanRequest) -> Vec<String> {
+        request.predicates.iter().map(|p| p.to_string()).collect()
+    }
+
     #[test]
     fn pushdown_rewrites_filter_over_read_only() {
         let rec = Recording::over(mem_source());
@@ -316,14 +201,20 @@ mod tests {
         let r = g.read_arc(rec.clone());
         let f = g.filter(r, col("k").lt(lit_i64(5)));
         g.sink(f);
-        assert_eq!(push_down_predicates(&mut g), 1);
-        let calls = rec.pruned_calls.lock().unwrap();
-        assert_eq!(calls.len(), 1);
-        assert_eq!(calls[0][0].to_string(), "k < 5");
-        drop(calls);
-        // The replaced source is the plain MemorySource now; a second pass
-        // finds nothing to push (MemorySource has no pruning hook).
-        assert_eq!(push_down_predicates(&mut g), 0);
+        assert_eq!(view_scans(&mut g, None, true), 1);
+        let requests = rec.requests();
+        assert_eq!(requests.len(), 1);
+        assert_eq!(pushed(&requests[0]), vec!["k < 5"]);
+        // The installed view is a plain MemorySource: a second pass finds
+        // nothing to ask (MemorySource has no views).
+        assert_eq!(view_scans(&mut g, None, true), 0);
+        // Pruning off: the same scan is asked for no predicate.
+        let mut g = QueryGraph::new();
+        let r = g.read_arc(rec.clone());
+        let f = g.filter(r, col("k").lt(lit_i64(5)));
+        g.sink(f);
+        assert_eq!(view_scans(&mut g, None, false), 1);
+        assert!(rec.requests()[1].predicates.is_empty());
     }
 
     #[test]
@@ -336,14 +227,15 @@ mod tests {
         let m = g.map(r, vec![(col("k"), "k2")]);
         let j = g.join(f, m, vec!["k"], vec!["k2"]);
         g.sink(j);
-        assert_eq!(push_down_predicates(&mut g), 0);
-        assert!(rec.pruned_calls.lock().unwrap().is_empty());
-        // Non-extractable predicate: no call either.
+        assert_eq!(view_scans(&mut g, None, true), 1);
+        assert!(rec.requests()[0].predicates.is_empty());
+        // Non-extractable predicate: none pushed either.
         let mut g = QueryGraph::new();
         let r = g.read_arc(rec.clone());
         let f = g.filter(r, col("k").ne(lit_i64(5)));
         g.sink(f);
-        assert_eq!(push_down_predicates(&mut g), 0);
+        assert_eq!(view_scans(&mut g, None, true), 1);
+        assert!(rec.requests()[1].predicates.is_empty());
     }
 
     #[test]
@@ -352,23 +244,25 @@ mod tests {
         let r = g.read(mem_source());
         let f = g.filter(r, col("k").lt(lit_i64(5)));
         g.sink(f);
-        assert_eq!(push_down_predicates(&mut g), 0);
-        assert_eq!(reorder_scans(&mut g, 42), 0);
-        assert_eq!(project_scans(&mut g), 0);
+        assert_eq!(view_scans(&mut g, Some(42), true), 0);
         assert_eq!(scan_metrics_at(&g, r), None);
     }
 
     #[test]
-    fn reorder_and_metrics_cover_capable_sources() {
+    fn seeds_mix_the_node_id_and_views_carry_the_metrics() {
         let rec = Recording::over(mem_source());
         let mut g = QueryGraph::new();
-        let r = g.read_arc(rec.clone());
-        g.sink(r);
-        assert_eq!(scan_metrics_at(&g, r).unwrap().zones_total, 2);
-        assert_eq!(reorder_scans(&mut g, 42), 1);
-        assert_eq!(g.sources(), vec![r]);
-        // After reorder the source is a plain MemorySource: no metrics.
-        assert_eq!(scan_metrics_at(&g, r), None);
+        let r1 = g.read_arc(rec.clone());
+        let r2 = g.read_arc(rec.clone());
+        let j = g.join(r1, r2, vec!["k"], vec!["k"]);
+        g.sink(j);
+        assert_eq!(scan_metrics_at(&g, r1).unwrap().zones_total, 2);
+        assert_eq!(view_scans(&mut g, Some(42), false), 2);
+        let seeds: Vec<_> = rec.requests().iter().map(|r| r.seed).collect();
+        assert_eq!(seeds, vec![Some(42), Some(42 ^ 0x9E37_79B9_7F4A_7C15)]);
+        assert_eq!(g.sources(), vec![r1, r2]);
+        // The views are plain MemorySources: no metrics.
+        assert_eq!(scan_metrics_at(&g, r1), None);
     }
 
     /// `t(k, a, b, c, x, x__var)`, clustered on `(k, a)`.
@@ -400,7 +294,16 @@ mod tests {
 
     /// The columns required of `node` in `g`.
     fn required(g: &QueryGraph, node: NodeId) -> BTreeSet<String> {
-        required_columns(g).unwrap()[node.0].clone()
+        required_columns(g, None).unwrap()[node.0].clone()
+    }
+
+    /// A view of a fresh `wide_source` reading only `columns`.
+    fn narrowed(columns: &[&str]) -> Arc<dyn TableSource> {
+        let request = ScanRequest {
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+            ..ScanRequest::default()
+        };
+        Recording::over(wide_source("t")).view(&request).unwrap()
     }
 
     #[test]
@@ -452,6 +355,8 @@ mod tests {
         g.sink(a);
         assert_eq!(required(&g, r), set(&["a", "k"]));
         assert!(g.resolve_metas().unwrap()[r.0].clustered_on(&["k".into(), "a".into()]));
+        // A shuffled view has no clustering key to keep whole.
+        assert_eq!(required_columns(&g, Some(7)).unwrap()[r.0], set(&["k"]));
     }
 
     #[test]
@@ -470,14 +375,9 @@ mod tests {
         let before = g.resolve_metas().unwrap()[m.0].schema.clone();
         // Narrow both sides by hand and resolve again: same output.
         for id in [l, r] {
-            let NodeKind::Read { source } = &g.node(id).kind else {
-                unreachable!()
-            };
             let need = required(&g, id);
-            let names = source.meta().schema.names();
-            let cols: Vec<&str> = names.into_iter().filter(|n| need.contains(*n)).collect();
-            let narrowed = Recording::over(wide_source("t")).projected(&cols).unwrap();
-            g.replace_source(id, narrowed);
+            let cols: Vec<&str> = need.iter().map(String::as_str).collect();
+            g.replace_source(id, narrowed(&cols));
         }
         assert_eq!(g.resolve_metas().unwrap()[m.0].schema, before);
     }
@@ -522,11 +422,11 @@ mod tests {
         assert_eq!(required(&g, r).len(), all);
         // Nothing to narrow, but each scan still moves to a view of this
         // query's own, so its counters start at zero.
-        assert_eq!(project_scans(&mut g), 2);
+        assert_eq!(view_scans(&mut g, None, false), 2);
         for rec in [rec_l, rec_r] {
-            let calls = rec.projected_calls.lock().unwrap();
-            assert_eq!(calls.len(), 1);
-            assert_eq!(calls[0].len(), all);
+            let requests = rec.requests();
+            assert_eq!(requests.len(), 1);
+            assert_eq!(requests[0].columns.len(), all);
         }
     }
 
@@ -539,18 +439,18 @@ mod tests {
         let a = g.agg(f, vec!["b"], vec![AggSpec::sum(col("a"), "sa")]);
         g.sink(a);
         let sink_before = g.resolve_metas().unwrap()[a.0].clone();
-        assert_eq!(project_scans(&mut g), 1);
-        assert_eq!(
-            *rec.projected_calls.lock().unwrap(),
-            vec![vec!["a".to_string(), "b".into(), "c".into()]]
-        );
+        assert_eq!(view_scans(&mut g, None, true), 1);
+        let requests = rec.requests();
+        assert_eq!(requests.len(), 1);
+        assert_eq!(requests[0].columns, vec!["a", "b", "c"]);
+        assert_eq!(pushed(&requests[0]), vec!["c > 0"]);
         // The plan resolves against the narrowed source to the same sink.
         let metas = g.resolve_metas().unwrap();
         assert_eq!(metas[r.0].schema.names(), vec!["a", "b", "c"]);
         assert_eq!(metas[a.0].schema, sink_before.schema);
         assert_eq!(metas[a.0].primary_key, sink_before.primary_key);
         // The narrowed source is a plain MemorySource: nothing more to ask.
-        assert_eq!(project_scans(&mut g), 0);
+        assert_eq!(view_scans(&mut g, None, true), 0);
         // A scan nothing is read from keeps one column for its row count.
         let rec = Recording::over(wide_source("t"));
         let mut g = QueryGraph::new();
@@ -558,11 +458,8 @@ mod tests {
         let a = g.agg(r, vec![], vec![AggSpec::count_star("n")]);
         g.sink(a);
         assert!(required(&g, r).is_empty());
-        assert_eq!(project_scans(&mut g), 1);
-        assert_eq!(
-            *rec.projected_calls.lock().unwrap(),
-            vec![vec!["k".to_string()]]
-        );
+        assert_eq!(view_scans(&mut g, None, false), 1);
+        assert_eq!(rec.requests()[0].columns, vec!["k"]);
     }
 
     #[test]
@@ -572,8 +469,8 @@ mod tests {
         let r = g.read_arc(rec.clone());
         let f = g.filter(r, col("missing").lt(lit_i64(3)));
         g.sink(f);
-        assert!(required_columns(&g).is_none());
-        assert_eq!(project_scans(&mut g), 0);
-        assert!(rec.projected_calls.lock().unwrap().is_empty());
+        assert!(required_columns(&g, None).is_none());
+        assert_eq!(view_scans(&mut g, Some(7), true), 0);
+        assert!(rec.requests().is_empty());
     }
 }

@@ -36,7 +36,7 @@ pub use frame::DataFrame;
 pub use row::Row;
 pub use scan::{ColPredicate, PredOp, ScanMetrics, ZoneDecision, ZoneStats};
 pub use schema::{Field, Schema};
-pub use source::{MemorySource, TableMeta, TableSource};
+pub use source::{MemorySource, ScanRequest, TableMeta, TableSource};
 pub use value::{DataType, Value};
 
 /// Crate-wide result type.

@@ -9,6 +9,7 @@
 use crate::csv::read_csv_file;
 use crate::error::DataError;
 use crate::frame::DataFrame;
+use crate::scan::ColPredicate;
 use crate::schema::Schema;
 use crate::Result;
 use std::path::PathBuf;
@@ -40,33 +41,43 @@ impl TableMeta {
     }
 }
 
+/// What one query asks of one scan, in the order a source applies it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ScanRequest {
+    /// Visit the partitions in a seeded random order (`None`: read
+    /// order). A shuffled view reports no clustering key.
+    pub seed: Option<u64>,
+    /// A conjunction the rows this query keeps satisfy: the view drops
+    /// the partitions whose statistics refute it, and their rows from
+    /// `partition_rows`, so the progress ratio `t` ranges over the
+    /// retained population.
+    pub predicates: Vec<ColPredicate>,
+    /// The columns the view returns (names from `meta().schema`; the
+    /// view keeps schema order). A key survives only if every one of
+    /// its columns does.
+    pub columns: Vec<String>,
+}
+
+impl ScanRequest {
+    /// The clustering key a view for this request keeps of `key`:
+    /// reading out of order invalidates it.
+    pub fn clustering(&self, key: Option<Vec<String>>) -> Option<Vec<String>> {
+        key.filter(|_| self.seed.is_none())
+    }
+}
+
 /// A readable sequence of partitions with known metadata.
 pub trait TableSource: Send + Sync {
     fn meta(&self) -> &TableMeta;
     /// Materialise partition `i` (0-based, read order).
     fn partition(&self, i: usize) -> Result<DataFrame>;
 
-    /// A view of this source restricted to partitions that may contain rows
-    /// satisfying the conjunction, per zone-map statistics. Sources without
-    /// statistics return `None` and the planner leaves them untouched. The
-    /// returned source's `partition_rows` must cover only surviving zones so
-    /// the progress ratio `t` ranges over the retained population.
-    fn pruned(&self, _preds: &[crate::scan::ColPredicate]) -> Option<Arc<dyn TableSource>> {
-        None
-    }
-
-    /// A view of this source visiting the same partitions in a seeded random
-    /// order. Sources that cannot reorder cheaply return `None`.
-    fn reordered(&self, _seed: u64) -> Option<Arc<dyn TableSource>> {
-        None
-    }
-
-    /// A view of this source that returns only `columns` (names from
-    /// `meta().schema`, in schema order): its `meta().schema` is narrowed
-    /// to them, and a key survives only if every one of its columns does.
-    /// Sources that cannot skip the cost of an unread column return `None`
-    /// and the planner leaves them untouched.
-    fn projected(&self, _columns: &[&str]) -> Option<Arc<dyn TableSource>> {
+    /// The view this query reads the source through (see
+    /// [`ScanRequest`]), with scan counters of its own. Sources that
+    /// cannot shuffle, prune or narrow cheaply return `None` and the
+    /// planner leaves them untouched; so does a source asked for no
+    /// column or for one it does not have.
+    fn view(&self, _request: &ScanRequest) -> Option<Arc<dyn TableSource>> {
         None
     }
 

@@ -357,25 +357,18 @@ impl EngineConfig {
         resolved
     }
 
-    /// Run the planner passes, build the query and start streaming
-    /// estimates on the configured driver. The passes: seeded scan
-    /// reordering first (when a seed is set), predicate pushdown second
-    /// (unless pruning is disabled) — pruning a reordered view keeps the
-    /// shuffled visit order for the surviving zones — and projection
-    /// pushdown last, always: the narrowed view keeps the order and the
-    /// pruned count of the one it narrows. All three are no-ops on
-    /// non-segment sources. The stepped engine is fully lazy (one driver
-    /// step per poll); the threaded engine spawns its node threads here
-    /// and yields from the sink channel. Dropping the returned stream
-    /// cancels the query.
+    /// Plan, build the query and start streaming estimates on the
+    /// configured driver. Planning is one pass (`plan::view_scans`) that
+    /// asks every scan for one view: shuffled by the scan seed when one
+    /// is set, pruned by its filter's predicates unless pruning is off,
+    /// narrowed to the columns the plan reads. It builds each operator
+    /// once to learn what it reads, and the query builds it once more to
+    /// run. Non-segment sources keep their scans. The stepped engine is
+    /// fully lazy (one driver step per poll); the threaded engine spawns
+    /// its node threads here and yields from the sink channel. Dropping
+    /// the returned stream cancels the query.
     pub fn start(&self, mut graph: QueryGraph) -> Result<EstimateStream> {
-        if let Some(seed) = self.scan_seed() {
-            wake_core::plan::reorder_scans(&mut graph, seed);
-        }
-        if self.zone_pruning() {
-            wake_core::plan::push_down_predicates(&mut graph);
-        }
-        wake_core::plan::project_scans(&mut graph);
+        wake_core::plan::view_scans(&mut graph, self.scan_seed(), self.zone_pruning());
         Ok(Query::build(graph, self)?.start())
     }
 }

@@ -37,8 +37,9 @@
 //! (inherent to pipelined execution).
 //!
 //! [`EngineConfig`] resolves the ambient `WAKE_*` environment in exactly
-//! one place and runs the planner passes (scan reordering, zone pruning,
-//! projection) on every start. A query has **one handle**, the stream:
+//! one place and runs the planner's one pass on every start: each segment
+//! scan gets one view, shuffled, pruned and narrowed to what the plan
+//! reads. A query has **one handle**, the stream:
 //! OLA stopping conditions ([`EstimateStream::until_confidence`],
 //! [`EstimateStream::until_rows_processed`],
 //! [`EstimateStream::until_deadline`]) are state on it that ends the

@@ -23,7 +23,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use wake_core::graph::{build_operator, NodeId, NodeKind, Parallelism, QueryGraph};
+use wake_core::graph::{read_meta, Built, NodeId, NodeKind, Parallelism, QueryGraph};
 use wake_core::ops::Operator;
 use wake_core::progress::Progress;
 use wake_core::update::Update;
@@ -352,16 +352,15 @@ pub(crate) struct Query {
 }
 
 impl Query {
-    /// The single constructor: validate `graph`, resolve `config`'s
-    /// driver, parallelism, memory governance and observability, build
-    /// one actor per node. [`EngineConfig::start`] runs the planner
-    /// passes first.
+    /// The single constructor: resolve `config`'s driver, parallelism,
+    /// memory governance and observability, then build one actor per
+    /// node (`QueryGraph::build`, which validates the graph).
+    /// [`EngineConfig::start`] runs the planner pass first.
     pub(crate) fn build(graph: QueryGraph, config: &EngineConfig) -> Result<Query> {
         let kind = config.executor();
         let sink = graph
             .sink_id()
             .ok_or_else(|| DataError::Invalid("query graph has no sink".into()))?;
-        let metas = graph.resolve_metas()?;
         if graph.sources().is_empty() {
             return Err(DataError::Invalid("query graph has no sources".into()));
         }
@@ -433,16 +432,20 @@ impl Query {
             _ => 1,
         };
         let shards = (parallelism.shards() / share).max(1);
+        let Built { ops, metas } = graph.build(read_meta, shards, |id| {
+            node_envs[id.0].as_ref().or(spill.as_ref())
+        })?;
 
         let mut readers = Vec::new();
         let mut nodes = Vec::with_capacity(graph.len());
-        for (idx, (node, routes)) in graph.nodes().iter().zip(routes).enumerate() {
+        let actors = graph.nodes().iter().zip(routes).zip(ops);
+        for (idx, ((node, routes), op)) in actors.enumerate() {
             let recorder = Recorder {
                 node: idx,
                 ledger: ledger.clone(),
             };
-            match &node.kind {
-                NodeKind::Read { source } => {
+            match (&node.kind, op) {
+                (NodeKind::Read { source }, _) => {
                     let meta = source.meta();
                     readers.push(ReaderActor {
                         source: source.clone(),
@@ -456,24 +459,14 @@ impl Query {
                     });
                     nodes.push(None);
                 }
-                op_kind => {
-                    let inputs: Vec<&wake_core::EdfMeta> =
-                        node.inputs.iter().map(|i| &metas[i.0]).collect();
-                    let op = build_operator(
-                        op_kind,
-                        &inputs,
-                        shards,
-                        node_envs[idx].as_ref().or(spill.as_ref()),
-                    )?;
-                    nodes.push(Some(NodeActor {
-                        op,
-                        n_ports: node.inputs.len(),
-                        closed: 0,
-                        state_bytes: 0,
-                        routes,
-                        recorder,
-                    }));
-                }
+                (_, op) => nodes.push(op.map(|op| NodeActor {
+                    op,
+                    n_ports: node.inputs.len(),
+                    closed: 0,
+                    state_bytes: 0,
+                    routes,
+                    recorder,
+                })),
             }
         }
 

@@ -38,14 +38,14 @@
 //! surface as typed `DataError::SpillUnavailable` — never a panic.
 //!
 //! [`SegmentSource`] adapts a segment to the engine's `TableSource`: one
-//! partition per zone, visited in a configurable order. It implements the
-//! planner's three view hooks: `pruned()` drops disqualified zones *and
-//! their rows from `partition_rows`*, so the progress ratio `t` ranges over
-//! the retained population and the growth-model estimates over the filtered
-//! table stay unbiased; `reordered()` visits zones in a seeded random order
-//! (the paper's shuffled-input regime) without touching which zones
-//! survive; `projected()` narrows the schema to the columns the plan reads,
-//! so the others are never fetched.
+//! partition per zone, visited in a configurable order. Its one `view()`
+//! applies a query's `ScanRequest` in three steps: it visits the zones in
+//! a seeded random order (the paper's shuffled-input regime), then drops
+//! the zones the predicates disqualify *and their rows from
+//! `partition_rows`* — so the progress ratio `t` ranges over the retained
+//! population and the growth-model estimates over the filtered table stay
+//! unbiased — then narrows the schema to the columns the plan reads, so
+//! the others are never fetched.
 
 use crate::colfile::{checked_len, checksum64};
 use crate::compress::{codec_name, decode_column, encode_column};
@@ -59,7 +59,7 @@ use wake_data::colfile::{dtype_tag, read_value, tag_dtype, write_value, ByteCurs
 use wake_data::column::ColumnData;
 use wake_data::scan::{decide_zone_all, ColPredicate, ScanMetrics, ScanTelemetry, ZoneDecision};
 use wake_data::schema::{Field, Schema};
-use wake_data::source::{TableMeta, TableSource};
+use wake_data::source::{ScanRequest, TableMeta, TableSource};
 use wake_data::{Column, DataError, DataFrame, Value, ZoneStats};
 
 /// Bumped with the footer layout (`2`: per-column checksums), so a file
@@ -713,27 +713,6 @@ impl SegmentSource {
         }
     }
 
-    /// A view of the same segment with another zone order or column set.
-    /// It gets its *own* telemetry — the planner installs views per query
-    /// run, so run stats never leak across queries sharing the base
-    /// source handle — which starts from this view's shape (zone
-    /// population, pruned count, columns).
-    fn view(
-        &self,
-        order: Vec<usize>,
-        columns: ColumnSet,
-        clustering_key: Option<Vec<String>>,
-    ) -> SegmentSource {
-        let meta = Self::meta_for(&self.reader, &order, &columns, clustering_key);
-        SegmentSource {
-            reader: self.reader.clone(),
-            order,
-            columns,
-            meta,
-            telemetry: self.telemetry.derived(),
-        }
-    }
-
     /// The underlying reader (footer access for tests and telemetry).
     pub fn reader(&self) -> &Arc<SegmentReader> {
         &self.reader
@@ -779,64 +758,56 @@ impl TableSource for SegmentSource {
         Ok(frame)
     }
 
-    fn pruned(&self, preds: &[ColPredicate]) -> Option<Arc<dyn TableSource>> {
-        // Each predicate's column, resolved against the footer once.
-        let schema = &self.reader.footer().schema;
-        let pred_cols: Vec<(&ColPredicate, Option<usize>)> = preds
-            .iter()
-            .map(|p| (p, schema.index_of(&p.column).ok()))
-            .collect();
-        let zones = &self.reader.footer().zones;
-        let surviving: Vec<usize> = self
-            .order
-            .iter()
-            .copied()
-            .filter(|&z| {
-                let stats_of = |ci: usize| Some(&zones.get(z)?.columns.get(ci)?.stats);
-                let decision =
-                    decide_zone_all(pred_cols.iter().map(|&(p, ci)| (p, ci.and_then(stats_of))));
-                decision != ZoneDecision::Prune
-            })
-            .collect();
-        let pruned_count = (self.order.len() - surviving.len()) as u64;
-        // Pruning keeps relative zone order, so a clustering key stays
-        // valid: the surviving rows are still read sorted on it.
-        let view = self.view(
-            surviving,
-            self.columns.clone(),
-            self.meta.clustering_key.clone(),
-        );
-        view.telemetry.add_pruned(pruned_count);
-        Some(Arc::new(view))
-    }
-
-    fn reordered(&self, seed: u64) -> Option<Arc<dyn TableSource>> {
-        let mut order = self.order.clone();
-        let mut state = seed;
-        // Fisher–Yates with a splitmix64 stream: deterministic per seed.
-        for i in (1..order.len()).rev() {
-            // tidy-allow: hostile-len: the modulo bounds the value to `i < order.len()`, so the narrowing is lossless
-            let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
-            order.swap(i, j);
-        }
-        // Reading out of clustering order invalidates the clustering key.
-        Some(Arc::new(self.view(order, self.columns.clone(), None)))
-    }
-
-    fn projected(&self, columns: &[&str]) -> Option<Arc<dyn TableSource>> {
+    /// Shuffle, then prune, then narrow. The view gets its *own*
+    /// telemetry — the planner installs one view per scan per query, so
+    /// run stats never leak across queries sharing the base source —
+    /// which starts from this source's shape plus the zones the request
+    /// pruned and the columns it keeps.
+    fn view(&self, request: &ScanRequest) -> Option<Arc<dyn TableSource>> {
         // A frame carries its row count in its columns, so an empty set
         // cannot be served; an unknown name is the planner's error to
         // report when it resolves the plan against the unnarrowed schema.
-        if columns.is_empty() || !columns.iter().all(|c| self.columns.schema.contains(c)) {
+        let names: Vec<&str> = request.columns.iter().map(String::as_str).collect();
+        if names.is_empty() || !names.iter().all(|c| self.columns.schema.contains(c)) {
             return None;
         }
-        let set = self.reader.column_set(columns).ok()?;
-        let view = self.view(self.order.clone(), set, self.meta.clustering_key.clone());
-        view.telemetry.set_columns(
-            view.columns.len() as u64,
-            self.reader.all_columns.len() as u64,
-        );
-        Some(Arc::new(view))
+        let columns = self.reader.column_set(&names).ok()?;
+        let mut order = self.order.clone();
+        if let Some(seed) = request.seed {
+            let mut state = seed;
+            // Fisher–Yates with a splitmix64 stream: deterministic per seed.
+            for i in (1..order.len()).rev() {
+                // tidy-allow: hostile-len: the modulo bounds the value to `i < order.len()`, so the narrowing is lossless
+                let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
+                order.swap(i, j);
+            }
+        }
+        // Each predicate's column, resolved against the footer once.
+        // Pruning keeps the relative order of the zones that survive.
+        let footer = self.reader.footer();
+        let pred_cols: Vec<(&ColPredicate, Option<usize>)> = request
+            .predicates
+            .iter()
+            .map(|p| (p, footer.schema.index_of(&p.column).ok()))
+            .collect();
+        let visited = order.len();
+        order.retain(|&z| {
+            let stats_of = |ci: usize| Some(&footer.zones.get(z)?.columns.get(ci)?.stats);
+            let decision =
+                decide_zone_all(pred_cols.iter().map(|&(p, ci)| (p, ci.and_then(stats_of))));
+            decision != ZoneDecision::Prune
+        });
+        let clustering_key = request.clustering(self.meta.clustering_key.clone());
+        let telemetry = self.telemetry.derived();
+        telemetry.add_pruned((visited - order.len()) as u64);
+        telemetry.set_columns(columns.len() as u64, self.reader.all_columns.len() as u64);
+        Some(Arc::new(SegmentSource {
+            meta: Self::meta_for(&self.reader, &order, &columns, clustering_key),
+            reader: self.reader.clone(),
+            order,
+            columns,
+            telemetry,
+        }))
     }
 
     fn scan_metrics(&self) -> Option<ScanMetrics> {
@@ -908,6 +879,31 @@ mod tests {
         .unwrap()
     }
 
+    const ALL: &[&str] = &["id", "price", "flag", "ship"];
+
+    fn pred(column: &str, op: PredOp, value: Value) -> ColPredicate {
+        ColPredicate {
+            column: column.into(),
+            op,
+            value,
+        }
+    }
+
+    /// The view of `src` shuffled by `seed`, pruned by `predicates`,
+    /// narrowed to `columns`.
+    fn view_of(
+        src: &dyn TableSource,
+        seed: Option<u64>,
+        predicates: Vec<ColPredicate>,
+        columns: &[&str],
+    ) -> Option<Arc<dyn TableSource>> {
+        src.view(&ScanRequest {
+            seed,
+            predicates,
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+        })
+    }
+
     #[test]
     fn segment_roundtrip_and_pruning() {
         let path = temp_path("roundtrip");
@@ -936,13 +932,13 @@ mod tests {
         }
         assert_eq!(rows, 100);
         // Pruning on id < 16 keeps only the first zone.
-        let pruned = src
-            .pruned(&[ColPredicate {
-                column: "id".into(),
-                op: PredOp::Lt,
-                value: Value::Int(16),
-            }])
-            .unwrap();
+        let pruned = view_of(
+            &src,
+            None,
+            vec![pred("id", PredOp::Lt, Value::Int(16))],
+            ALL,
+        )
+        .unwrap();
         assert_eq!(pruned.meta().num_partitions(), 1);
         assert_eq!(pruned.meta().total_rows(), 16);
         // The pruned *view* carries the run's telemetry (fresh counters,
@@ -954,13 +950,8 @@ mod tests {
         assert_eq!(src.scan_metrics().unwrap().zones_pruned, 0);
         // A predicate nothing satisfies prunes every zone but still
         // presents one empty partition (exact-empty-answer path).
-        let none = src
-            .pruned(&[ColPredicate {
-                column: "id".into(),
-                op: PredOp::Gt,
-                value: Value::Int(1_000_000),
-            }])
-            .unwrap();
+        let never = pred("id", PredOp::Gt, Value::Int(1_000_000));
+        let none = view_of(&src, None, vec![never], ALL).unwrap();
         assert_eq!(none.meta().num_partitions(), 1);
         assert_eq!(none.meta().total_rows(), 0);
         assert_eq!(none.partition(0).unwrap().num_rows(), 0);
@@ -968,21 +959,16 @@ mod tests {
     }
 
     #[test]
-    fn projected_view_narrows_schema_keys_and_reads() {
+    fn narrowed_view_keeps_schema_order_keys_and_reads_less() {
         let path = temp_path("projected");
         let frame = sample_frame(100);
         let pk = ["id".to_string(), "ship".to_string()];
         write_segment("t", &frame, 16, &pk, Some(&pk[..1]), &path, &StdIo).unwrap();
         let src = SegmentSource::open(&path, Arc::new(StdIo)).unwrap();
-        let pruned = src
-            .pruned(&[ColPredicate {
-                column: "id".into(),
-                op: PredOp::Lt,
-                value: Value::Int(40),
-            }])
-            .unwrap();
+        let below_40 = || vec![pred("id", PredOp::Lt, Value::Int(40))];
+        let pruned = view_of(&src, None, below_40(), ALL).unwrap();
         // Any order, duplicates: the view is in schema order.
-        let view = pruned.projected(&["price", "id", "price"]).unwrap();
+        let view = view_of(&src, None, below_40(), &["price", "id", "price"]).unwrap();
         assert_eq!(view.meta().schema.names(), vec!["id", "price"]);
         assert!(view.meta().primary_key.is_empty(), "`ship` is gone");
         assert_eq!(view.meta().clustering_key, Some(vec!["id".to_string()]));
@@ -1006,21 +992,17 @@ mod tests {
         assert_eq!((full.columns_read, full.columns_total), (4, 4));
         // Dropping the clustering column drops the clustering key; an
         // empty or unknown set is not served.
-        let no_id = src.projected(&["price"]).unwrap();
+        let no_id = view_of(&src, None, vec![], &["price"]).unwrap();
         assert!(no_id.meta().clustering_key.is_none());
-        assert!(src.projected(&[]).is_none());
-        assert!(src.projected(&["nope"]).is_none());
-        assert!(view.projected(&["ship"]).is_none(), "outside the view");
+        assert!(view_of(&src, None, vec![], &[]).is_none());
+        assert!(view_of(&src, None, vec![], &["nope"]).is_none());
+        assert!(
+            view_of(view.as_ref(), None, vec![], &["ship"]).is_none(),
+            "outside the view"
+        );
         // A zone-less view presents its empty partition in the narrow schema.
-        let none = src
-            .pruned(&[ColPredicate {
-                column: "id".into(),
-                op: PredOp::Gt,
-                value: Value::Int(1_000_000),
-            }])
-            .unwrap()
-            .projected(&["flag"])
-            .unwrap();
+        let never = pred("id", PredOp::Gt, Value::Int(1_000_000));
+        let none = view_of(&src, None, vec![never], &["flag"]).unwrap();
         assert_eq!(none.partition(0).unwrap().schema().names(), vec!["flag"]);
         std::fs::remove_file(&path).ok();
     }
@@ -1049,25 +1031,98 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn reorder_is_seeded_and_complete() {
-        let path = temp_path("reorder");
-        write_segment("t", &sample_frame(64), 8, &[], None, &path, &StdIo).unwrap();
-        let src = SegmentSource::open(&path, Arc::new(StdIo)).unwrap();
-        let a = src.reordered(7).unwrap();
-        let b = src.reordered(7).unwrap();
-        let c = src.reordered(8).unwrap();
-        let rows = |s: &Arc<dyn TableSource>| s.meta().partition_rows.clone();
-        assert_eq!(rows(&a), rows(&b), "same seed, same order");
-        assert_eq!(a.meta().total_rows(), 64);
-        assert_eq!(c.meta().total_rows(), 64, "permutation, not a sample");
-        assert!(a.meta().clustering_key.is_none());
-        // All zones still readable under the permuted order.
-        let mut total = 0;
-        for i in 0..a.meta().num_partitions() {
-            total += a.partition(i).unwrap().num_rows();
+    /// `order` shuffled Fisher–Yates by a splitmix64 stream from `seed`.
+    fn shuffle(mut order: Vec<usize>, seed: Option<u64>) -> Vec<usize> {
+        let Some(mut state) = seed else {
+            return order;
+        };
+        for i in (1..order.len()).rev() {
+            let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
+            order.swap(i, j);
         }
-        assert_eq!(total, 64);
+        order
+    }
+
+    #[test]
+    fn a_view_visits_the_shuffle_of_its_order_minus_pruned_zones() {
+        let path = temp_path("view-grid");
+        let id = ["id".to_string()];
+        write_segment("t", &sample_frame(100), 8, &id, Some(&id), &path, &StdIo).unwrap();
+        let src = SegmentSource::open(&path, Arc::new(StdIo)).unwrap();
+        let reader = src.reader().clone();
+        let footer = reader.footer();
+        let zones = reader.zone_count();
+        assert_eq!(zones, 13);
+        // A shuffle is pinned: the order is part of every seeded run.
+        assert_eq!(
+            shuffle((0..zones).collect(), Some(7)),
+            vec![2, 4, 9, 8, 6, 10, 5, 1, 7, 3, 12, 0, 11]
+        );
+        let predicate_sets = [
+            vec![],
+            vec![pred("id", PredOp::Lt, Value::Int(40))],
+            vec![
+                pred("id", PredOp::Ge, Value::Int(30)),
+                pred("price", PredOp::Lt, Value::Float(35.0)),
+            ],
+            vec![pred("flag", PredOp::Eq, Value::Str("C".into()))],
+        ];
+        let column_sets: [&[&str]; 3] = [&["id"], &["flag", "price"], &["ship", "id", "flag"]];
+        // The base itself may be a view: the shuffle is of its order.
+        let base_seed = Some(99);
+        let bases: [(Arc<dyn TableSource>, Option<u64>); 2] = [
+            (
+                Arc::new(SegmentSource::from_reader(reader.clone()).unwrap()),
+                None,
+            ),
+            (view_of(&src, base_seed, vec![], ALL).unwrap(), base_seed),
+        ];
+        for (base, base_seed) in &bases {
+            let current = shuffle((0..zones).collect(), *base_seed);
+            for seed in [None, Some(0), Some(7), Some(u64::MAX)] {
+                let order = shuffle(current.clone(), seed);
+                for (preds, survivors) in predicate_sets.iter().zip([13, 5, 6, 0]) {
+                    let kept: Vec<usize> = order
+                        .iter()
+                        .copied()
+                        .filter(|&z| {
+                            let stats = |p: &ColPredicate| {
+                                let ci = footer.schema.index_of(&p.column).ok()?;
+                                Some(&footer.zones[z].columns[ci].stats)
+                            };
+                            decide_zone_all(preds.iter().map(|p| (p, stats(p))))
+                                != ZoneDecision::Prune
+                        })
+                        .collect();
+                    assert_eq!(kept.len(), survivors, "{preds:?}");
+                    for columns in column_sets {
+                        let view = view_of(base.as_ref(), seed, preds.clone(), columns).unwrap();
+                        let rows: Vec<usize> = kept.iter().map(|&z| footer.zones[z].rows).collect();
+                        let want_rows = if kept.is_empty() { vec![0] } else { rows };
+                        assert_eq!(view.meta().partition_rows, want_rows, "{seed:?} {preds:?}");
+                        let names: Vec<&str> = ALL
+                            .iter()
+                            .copied()
+                            .filter(|c| columns.contains(c))
+                            .collect();
+                        assert_eq!(view.meta().schema.names(), names);
+                        let clustered = seed.or(*base_seed).is_none() && names.contains(&"id");
+                        assert_eq!(view.meta().clustering_key.is_some(), clustered);
+                        for (i, &z) in kept.iter().enumerate() {
+                            let want = reader.read_zone(z).unwrap().project(&names).unwrap();
+                            assert!(frames_bit_identical(&view.partition(i).unwrap(), &want));
+                        }
+                        let m = view.scan_metrics().unwrap();
+                        let pruned = (zones - kept.len()) as u64;
+                        assert_eq!((m.zones_total, m.zones_pruned), (zones as u64, pruned));
+                        assert_eq!(m.zones_scanned, kept.len() as u64);
+                        assert_eq!((m.columns_read, m.columns_total), (columns.len() as u64, 4));
+                    }
+                }
+            }
+        }
+        // An unknown column is not served, whatever else is asked.
+        assert!(view_of(&src, Some(7), vec![], &["id", "nope"]).is_none());
         std::fs::remove_file(&path).ok();
     }
 

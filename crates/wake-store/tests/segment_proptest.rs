@@ -14,7 +14,8 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 use wake_data::{
-    Column, DataError, DataFrame, DataType, Field, Schema, TableSource, Value, ZoneStats,
+    Column, DataError, DataFrame, DataType, Field, ScanRequest, Schema, TableSource, Value,
+    ZoneStats,
 };
 use wake_store::colfile::checksum64;
 use wake_store::segment::frames_bit_identical;
@@ -268,7 +269,11 @@ proptest! {
         let cols = pick_columns(mask);
         let set = reader.column_set(&cols).unwrap();
         let source = SegmentSource::from_reader(reader.clone()).unwrap();
-        let view = source.projected(&cols).unwrap();
+        let request = ScanRequest {
+            columns: cols.iter().map(|c| c.to_string()).collect(),
+            ..ScanRequest::default()
+        };
+        let view = source.view(&request).unwrap();
         prop_assert_eq!(view.meta().schema.names(), cols.clone());
         for z in 0..reader.zone_count() {
             let want = reader.read_zone(z).unwrap().project(&cols).unwrap();

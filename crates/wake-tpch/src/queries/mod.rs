@@ -339,7 +339,7 @@ pub fn query_by_name(name: &str) -> Option<QuerySpec> {
 mod tests {
     use super::*;
     use wake_core::graph::NodeKind;
-    use wake_data::TableSource;
+    use wake_data::{ScanRequest, TableSource};
 
     #[test]
     fn registry_is_complete_and_buildable() {
@@ -408,7 +408,7 @@ mod tests {
     /// The clustering contract (`TableMeta::clustering_key`): a source
     /// reporting a key reads its rows sorted on it — across partition
     /// boundaries too, which may split a key value — in memory and
-    /// persisted alike; a reordered view reports no key.
+    /// persisted alike; a shuffled view reports no key.
     #[test]
     fn clustered_tables_read_sorted_on_their_key() {
         let data = Arc::new(TpchData::generate(0.002, 42));
@@ -427,7 +427,18 @@ mod tests {
                 keys
             });
             assert_eq!(memory_keys, disk_keys, "{table}");
-            let shuffled = on_disk.reordered(7).expect("segments reorder");
+            let request = ScanRequest {
+                seed: Some(7),
+                columns: on_disk
+                    .meta()
+                    .schema
+                    .names()
+                    .into_iter()
+                    .map(String::from)
+                    .collect(),
+                ..ScanRequest::default()
+            };
+            let shuffled = on_disk.view(&request).expect("segments shuffle");
             assert!(shuffled.meta().clustering_key.is_none(), "{table}");
         }
         // Equal-size partitions do split a key: the contract is order,

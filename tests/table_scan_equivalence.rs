@@ -7,16 +7,18 @@
 //! intervals valid (no false convergence — including the all-zones-pruned
 //! query, which must end on the exact empty answer). Projection pushdown
 //! (always on through `EngineConfig`) may only skip columns no operator
-//! reads: the stream stays bit-identical, the decoded bytes go down.
+//! reads: the stream stays bit-identical, the decoded bytes go down. The
+//! threaded driver reads the same views as the stepped one.
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use wake::core::graph::{NodeKind, QueryGraph};
+use wake::core::graph::{NodeKind, Parallelism, QueryGraph};
 use wake::core::metrics;
-use wake::data::{DataFrame, ScanMetrics, TableMeta, TableSource};
+use wake::core::plan::{node_seed, view_scans};
+use wake::data::{DataFrame, ScanMetrics, ScanRequest, TableMeta, TableSource};
 use wake::engine::EngineConfig;
 use wake::store::segment::frames_bit_identical;
-use wake::tpch::{all_queries, TpchData, TpchDb};
+use wake::tpch::{all_queries, QuerySpec, TpchData, TpchDb};
 use wake_engine::{EstimateSeries, SeriesExt};
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -25,9 +27,9 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A scan no planner pass can rewrite: it reads and counts through
-/// `inner` but offers no pruned, reordered or projected view, so every
-/// pass is an identity on it — the full-width, stored-order reference.
+/// A scan the planner cannot rewrite: it reads and counts through
+/// `inner` but offers no view, so the planner pass is an identity on it
+/// — the full-width, stored-order reference.
 struct FullScan(Arc<dyn TableSource>);
 
 impl TableSource for FullScan {
@@ -52,6 +54,31 @@ fn full_scan(mut graph: QueryGraph) -> QueryGraph {
         };
         let inner = source.clone();
         graph.replace_source(id, Arc::new(FullScan(inner)));
+    }
+    graph
+}
+
+/// `graph` with every `Read` on the view the planner asks for under
+/// scan seed `seed` with pruning off and every column kept: the shuffle
+/// alone.
+fn shuffled(mut graph: QueryGraph, seed: u64) -> QueryGraph {
+    for id in graph.sources() {
+        let NodeKind::Read { source } = &graph.node(id).kind else {
+            unreachable!("sources() lists reads")
+        };
+        let request = ScanRequest {
+            seed: Some(node_seed(seed, id)),
+            predicates: Vec::new(),
+            columns: source
+                .meta()
+                .schema
+                .names()
+                .into_iter()
+                .map(String::from)
+                .collect(),
+        };
+        let view = source.view(&request).expect("segments shuffle");
+        graph.replace_source(id, view);
     }
     graph
 }
@@ -107,10 +134,10 @@ fn all_queries_persisted_projected_bit_identical() {
     let dir = scratch_dir("projected");
     let disk = TpchDb::persisted(data, 8, &dir).unwrap();
     for spec in all_queries() {
-        // In memory, no planner pass at all; on disk through the engine
-        // config with pruning off, so projection is the one pass that
-        // rewrites a source. Each scan then decodes only the columns the
-        // plan reads — and the estimate stream must not notice.
+        // In memory, no view at all; on disk through the engine config
+        // with pruning off and no seed, so each view only narrows. Each
+        // scan then decodes only the columns the plan reads — and the
+        // estimate stream must not notice.
         let a = EngineConfig::stepped()
             .start(full_scan((spec.build)(&mem)))
             .unwrap()
@@ -145,9 +172,9 @@ fn projection_cuts_decoded_bytes_and_nothing_else() {
     let (mut narrow_bytes, mut full_bytes) = (0, 0);
     for spec in all_queries() {
         // Seeded reordering gives every scan of both runs a view of its
-        // own, so the run's counters are its own; the second run applies
-        // the reorder pass by hand, then `FullScan` makes the projection
-        // pass an identity.
+        // own, so the run's counters are its own; the second run asks
+        // for the shuffled full-width views by hand, then `FullScan`
+        // makes the planner pass an identity.
         let (narrow, narrow_stats) = EngineConfig::stepped()
             .with_zone_pruning(false)
             .with_scan_seed(7)
@@ -155,8 +182,7 @@ fn projection_cuts_decoded_bytes_and_nothing_else() {
             .unwrap()
             .collect_with_stats()
             .unwrap();
-        let mut g = (spec.build)(&disk);
-        wake::core::plan::reorder_scans(&mut g, 7);
+        let g = shuffled((spec.build)(&disk), 7);
         let (full, full_stats) = EngineConfig::stepped()
             .start(full_scan(g))
             .unwrap()
@@ -230,7 +256,8 @@ fn projection_leaves_every_plan_resolving_to_the_same_sink() {
         let mut g = (spec.build)(&disk);
         let sink = g.sink_id().unwrap().0;
         let before = g.resolve_metas().unwrap();
-        let replaced = wake::core::plan::project_scans(&mut g);
+        // No seed, no pruning: the pass only narrows.
+        let replaced = view_scans(&mut g, None, false);
         assert!(replaced > 0, "{}: nothing narrowed", spec.name);
         let after = g
             .resolve_metas()
@@ -271,34 +298,76 @@ fn all_queries_pruned_finals_match_in_memory() {
             .unwrap()
             .collect_series()
             .unwrap();
-        let got = got.final_frame();
+        assert_finals_match(&spec, want, got.final_frame());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `got`, a final over persisted tables, answers `spec` as `want`, the
+/// in-memory final, does: the same rows, values within 1e-9 MAPE.
+fn assert_finals_match(spec: &QuerySpec, want: &DataFrame, got: &DataFrame) {
+    assert_eq!(
+        want.num_rows(),
+        got.num_rows(),
+        "{}: row count {} (mem) vs {} (pruned disk)",
+        spec.name,
+        want.num_rows(),
+        got.num_rows()
+    );
+    if want.num_rows() == 0 {
+        return;
+    }
+    let report = metrics::compare(want, got, spec.keys, spec.values)
+        .unwrap_or_else(|e| panic!("{}: compare failed: {e}", spec.name));
+    assert!(
+        report.recall > 0.999 && report.precision > 0.999,
+        "{}: recall {} precision {}",
+        spec.name,
+        report.recall,
+        report.precision
+    );
+    assert!(
+        report.mape < 1e-9,
+        "{}: pruned final MAPE {}\nmem:\n{}\ndisk:\n{}",
+        spec.name,
+        report.mape,
+        want.pretty(12),
+        got.pretty(12)
+    );
+}
+
+#[test]
+fn threaded_driver_reads_seeded_pruned_views() {
+    let data = Arc::new(TpchData::generate(0.002, 11));
+    let mem = TpchDb::new(data.clone(), 8);
+    let dir = scratch_dir("threaded");
+    let disk = TpchDb::persisted(data, 8, &dir).unwrap();
+    let views = |config: EngineConfig| config.with_scan_seed(7).with_zone_pruning(true);
+    for spec in all_queries() {
+        let want = EngineConfig::stepped()
+            .start((spec.build)(&mem))
+            .unwrap()
+            .collect_series()
+            .unwrap();
+        // The threaded driver on two shards reads every scan through the
+        // same shuffled, pruned, narrowed view the stepped driver does.
+        let (_, stepped) = views(EngineConfig::stepped())
+            .start((spec.build)(&disk))
+            .unwrap()
+            .collect_with_stats()
+            .unwrap();
+        let (got, threaded) = views(EngineConfig::threaded())
+            .with_parallelism(Parallelism::Fixed(2))
+            .start((spec.build)(&disk))
+            .unwrap()
+            .collect_with_stats()
+            .unwrap();
+        assert_finals_match(&spec, want.final_frame(), got.final_frame());
         assert_eq!(
-            want.num_rows(),
-            got.num_rows(),
-            "{}: row count {} (mem) vs {} (pruned disk)",
-            spec.name,
-            want.num_rows(),
-            got.num_rows()
-        );
-        if want.num_rows() == 0 {
-            continue;
-        }
-        let report = metrics::compare(want, got, spec.keys, spec.values)
-            .unwrap_or_else(|e| panic!("{}: compare failed: {e}", spec.name));
-        assert!(
-            report.recall > 0.999 && report.precision > 0.999,
-            "{}: recall {} precision {}",
-            spec.name,
-            report.recall,
-            report.precision
-        );
-        assert!(
-            report.mape < 1e-9,
-            "{}: pruned final MAPE {}\nmem:\n{}\ndisk:\n{}",
-            spec.name,
-            report.mape,
-            want.pretty(12),
-            got.pretty(12)
+            (threaded.scan.zones_scanned, threaded.scan.zones_pruned),
+            (stepped.scan.zones_scanned, stepped.scan.zones_pruned),
+            "{}",
+            spec.name
         );
     }
     std::fs::remove_dir_all(&dir).ok();
