@@ -24,11 +24,10 @@
 //!   narrowed schemas, so a column wrongly dropped is a typed build
 //!   error, never a wrong answer.
 //!
-//! Every scan of a view-capable source moves to a view of its own, even
-//! with nothing to shuffle, prune or narrow, so its scan counters are the
-//! query's own. Sources without views (in-memory, CSV, single-file WCF)
-//! are untouched byte for byte, and so is every scan of a plan that does
-//! not resolve: reporting that is the engine's build step's job.
+//! Every scan moves to a view of its own, even with nothing to shuffle,
+//! prune or narrow, so what it reads and counts belongs to this query.
+//! A plan that does not resolve keeps its scans: reporting that is the
+//! engine's build step's job.
 
 use crate::graph::{read_meta, Built, NodeId, NodeKind, QueryGraph};
 use std::collections::BTreeSet;
@@ -45,14 +44,10 @@ pub fn node_seed(seed: u64, id: NodeId) -> u64 {
 /// will be: a shuffled one (`seed` set) has no clustering key. `None` if
 /// the plan does not resolve.
 fn required_columns(graph: &QueryGraph, seed: Option<u64>) -> Option<Vec<BTreeSet<String>>> {
-    let shuffle = ScanRequest {
-        seed,
-        ..ScanRequest::default()
-    };
     let read = |source: &dyn TableSource| {
-        let meta = read_meta(source);
-        let clustering = shuffle.clustering(meta.clustering_key.clone());
-        meta.with_clustering(clustering)
+        let meta = source.meta();
+        let view = ScanRequest::full(meta, seed).view_meta(meta, meta.partition_rows.clone());
+        read_meta(source).with_clustering(view.and_then(|v| v.clustering_key))
     };
     let Built { ops, metas } = graph.build(read, 1, |_| None).ok()?;
     let consumers = graph.consumers();
@@ -126,7 +121,7 @@ mod tests {
     use std::sync::Arc;
     use wake_data::scan::ScanMetrics;
     use wake_data::source::TableMeta;
-    use wake_data::{Column, DataFrame, DataType, Field, MemorySource, Schema};
+    use wake_data::{Column, DataFrame, DataType, Field, MemorySource, Schema, Value};
     use wake_expr::{col, lit_i64};
 
     fn mem_source() -> MemorySource {
@@ -135,8 +130,8 @@ mod tests {
         MemorySource::from_frame("t", &df, 5, vec!["k".into()], None).unwrap()
     }
 
-    /// A source that records the views asked of it and serves each as a
-    /// plain `MemorySource` narrowed to the requested columns.
+    /// A source that records the views asked of it and serves each as
+    /// its `MemorySource` does.
     #[derive(Debug)]
     struct Recording {
         inner: MemorySource,
@@ -165,14 +160,7 @@ mod tests {
         }
         fn view(&self, request: &ScanRequest) -> Option<Arc<dyn TableSource>> {
             self.requests.lock().unwrap().push(request.clone());
-            let columns: Vec<&str> = request.columns.iter().map(String::as_str).collect();
-            let meta = self.inner.meta();
-            let parts = (0..meta.num_partitions())
-                .map(|i| self.inner.partition(i)?.project(&columns))
-                .collect::<wake_data::Result<Vec<_>>>()
-                .unwrap();
-            let narrowed = MemorySource::new(meta.name.clone(), parts, vec![], None).unwrap();
-            Some(Arc::new(narrowed))
+            self.inner.view(request)
         }
         fn scan_metrics(&self) -> Option<ScanMetrics> {
             Some(ScanMetrics {
@@ -182,10 +170,10 @@ mod tests {
         }
     }
 
-    /// The scan counters of the source read node `id` holds.
-    fn scan_metrics_at(g: &QueryGraph, id: NodeId) -> Option<ScanMetrics> {
+    /// The source read node `id` holds.
+    fn source_at(g: &QueryGraph, id: NodeId) -> &Arc<dyn TableSource> {
         match &g.node(id).kind {
-            NodeKind::Read { source } => source.scan_metrics(),
+            NodeKind::Read { source } => source,
             other => panic!("{other:?} is not a read"),
         }
     }
@@ -205,9 +193,9 @@ mod tests {
         let requests = rec.requests();
         assert_eq!(requests.len(), 1);
         assert_eq!(pushed(&requests[0]), vec!["k < 5"]);
-        // The installed view is a plain MemorySource: a second pass finds
-        // nothing to ask (MemorySource has no views).
-        assert_eq!(view_scans(&mut g, None, true), 0);
+        // The installed view is a MemorySource, which answers a second
+        // pass with a view of its own.
+        assert_eq!(view_scans(&mut g, None, true), 1);
         // Pruning off: the same scan is asked for no predicate.
         let mut g = QueryGraph::new();
         let r = g.read_arc(rec.clone());
@@ -239,13 +227,35 @@ mod tests {
     }
 
     #[test]
-    fn memory_sources_are_untouched() {
-        let mut g = QueryGraph::new();
-        let r = g.read(mem_source());
-        let f = g.filter(r, col("k").lt(lit_i64(5)));
-        g.sink(f);
-        assert_eq!(view_scans(&mut g, Some(42), true), 0);
-        assert_eq!(scan_metrics_at(&g, r), None);
+    fn memory_scans_are_narrowed_and_shuffled_when_seeded() {
+        let int = |n: &str| Field::new(n, DataType::Int64);
+        let schema = Arc::new(Schema::new(vec![int("k"), int("v")]));
+        let ints = || Column::from_i64((0..8).collect());
+        let df = DataFrame::new(schema, vec![ints(), ints()]).unwrap();
+        let key = vec!["k".to_string()];
+        let src = Arc::new(
+            MemorySource::from_frame("t", &df, 1, key.clone(), Some(key.clone())).unwrap(),
+        );
+        for seed in [None, Some(42)] {
+            let mut g = QueryGraph::new();
+            let r = g.read_arc(src.clone());
+            let f = g.filter(r, col("k").lt(lit_i64(5)));
+            let a = g.agg(f, vec![], vec![AggSpec::count_star("n")]);
+            g.sink(a);
+            assert_eq!(view_scans(&mut g, seed, true), 1);
+            let view = source_at(&g, r);
+            assert_eq!(view.meta().schema.names(), vec!["k"]);
+            assert_eq!(view.meta().primary_key, key);
+            assert_eq!(view.meta().clustering_key.is_some(), seed.is_none());
+            // Nothing to prune by: every partition, in the seeded order.
+            let order = wake_data::source::shuffle((0..8).collect(), seed.map(|s| node_seed(s, r)));
+            let keys: Vec<Value> = (0..8)
+                .map(|i| view.partition(i).unwrap().value(0, "k").unwrap())
+                .collect();
+            let want: Vec<Value> = order.into_iter().map(|i| Value::Int(i as i64)).collect();
+            assert_eq!(keys, want, "{seed:?}");
+            assert_eq!(view.scan_metrics(), None);
+        }
     }
 
     #[test]
@@ -256,13 +266,13 @@ mod tests {
         let r2 = g.read_arc(rec.clone());
         let j = g.join(r1, r2, vec!["k"], vec!["k"]);
         g.sink(j);
-        assert_eq!(scan_metrics_at(&g, r1).unwrap().zones_total, 2);
+        assert_eq!(source_at(&g, r1).scan_metrics().unwrap().zones_total, 2);
         assert_eq!(view_scans(&mut g, Some(42), false), 2);
         let seeds: Vec<_> = rec.requests().iter().map(|r| r.seed).collect();
         assert_eq!(seeds, vec![Some(42), Some(42 ^ 0x9E37_79B9_7F4A_7C15)]);
         assert_eq!(g.sources(), vec![r1, r2]);
-        // The views are plain MemorySources: no metrics.
-        assert_eq!(scan_metrics_at(&g, r1), None);
+        // The views are MemorySources: no metrics.
+        assert_eq!(source_at(&g, r1).scan_metrics(), None);
     }
 
     /// `t(k, a, b, c, x, x__var)`, clustered on `(k, a)`.
@@ -449,8 +459,13 @@ mod tests {
         assert_eq!(metas[r.0].schema.names(), vec!["a", "b", "c"]);
         assert_eq!(metas[a.0].schema, sink_before.schema);
         assert_eq!(metas[a.0].primary_key, sink_before.primary_key);
-        // The narrowed source is a plain MemorySource: nothing more to ask.
-        assert_eq!(view_scans(&mut g, None, true), 0);
+        // The narrowed source is a MemorySource: a second pass views it
+        // again, to the same columns.
+        assert_eq!(view_scans(&mut g, None, true), 1);
+        assert_eq!(
+            g.resolve_metas().unwrap()[r.0].schema.names(),
+            vec!["a", "b", "c"]
+        );
         // A scan nothing is read from keeps one column for its row count.
         let rec = Recording::over(wide_source("t"));
         let mut g = QueryGraph::new();

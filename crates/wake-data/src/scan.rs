@@ -251,8 +251,8 @@ counters! {
 
 /// Thread-safe scan counters, one ledger per segment source *view*: the
 /// shape counters (zones total/pruned, columns read/total) describe the
-/// view and carry over to views derived from it ([`Self::derived`]); the
-/// work counters (zones scanned, bytes, decode time) start at zero there.
+/// view and are fixed when it is made; the work counters (zones scanned,
+/// bytes, decode time) start at zero.
 #[derive(Debug, Default)]
 pub struct ScanTelemetry {
     zones_total: AtomicU64,
@@ -276,42 +276,27 @@ fn tel_add(cell: &AtomicU64, n: u64) {
 }
 
 // relaxed: independent telemetry counter; snapshot tolerates staleness
-fn tel_set(cell: &AtomicU64, n: u64) {
-    cell.store(n, Ordering::Relaxed);
-}
-
-// relaxed: independent telemetry counter; snapshot tolerates staleness
 fn tel_get(cell: &AtomicU64) -> u64 {
     cell.load(Ordering::Relaxed)
 }
 
 impl ScanTelemetry {
-    pub fn new() -> Arc<Self> {
-        Arc::new(ScanTelemetry::default())
-    }
-
-    /// The ledger of a view derived from this one's: same shape, no work
-    /// yet — so run stats never leak across queries sharing a base source.
-    pub fn derived(&self) -> Arc<Self> {
-        let view = ScanTelemetry::new();
-        tel_set(&view.zones_total, tel_get(&self.zones_total));
-        tel_set(&view.zones_pruned, tel_get(&self.zones_pruned));
-        tel_set(&view.columns_read, tel_get(&self.columns_read));
-        tel_set(&view.columns_total, tel_get(&self.columns_total));
-        view
-    }
-
-    pub fn set_zones_total(&self, n: u64) {
-        tel_set(&self.zones_total, n);
-    }
-
-    pub fn set_columns(&self, read: u64, total: u64) {
-        tel_set(&self.columns_read, read);
-        tel_set(&self.columns_total, total);
-    }
-
-    pub fn add_pruned(&self, n: u64) {
-        tel_add(&self.zones_pruned, n);
+    /// The ledger of a view of this shape, with no work yet: a fresh one
+    /// per view, so run stats never leak across queries sharing a base
+    /// source.
+    pub fn new(
+        zones_total: u64,
+        zones_pruned: u64,
+        columns_read: u64,
+        columns_total: u64,
+    ) -> Arc<Self> {
+        Arc::new(ScanTelemetry {
+            zones_total: zones_total.into(),
+            zones_pruned: zones_pruned.into(),
+            columns_read: columns_read.into(),
+            columns_total: columns_total.into(),
+            ..ScanTelemetry::default()
+        })
     }
 
     pub fn record_zone_scan(&self, compressed: u64, decompressed: u64, nanos: u64) {
@@ -478,10 +463,7 @@ mod tests {
 
     #[test]
     fn telemetry_accumulates_and_snapshots() {
-        let t = ScanTelemetry::new();
-        t.set_zones_total(10);
-        t.set_columns(4, 16);
-        t.add_pruned(4);
+        let t = ScanTelemetry::new(10, 4, 4, 16);
         t.record_zone_scan(100, 400, 50);
         t.record_zone_scan(200, 800, 70);
         let m = t.snapshot();
@@ -497,17 +479,5 @@ mod tests {
         sum.merge(&m);
         assert_eq!(sum.zones_scanned, 4);
         assert_eq!((sum.columns_read, sum.columns_total), (8, 32));
-        // A derived view keeps the shape and starts its work at zero.
-        let d = t.derived().snapshot();
-        assert_eq!(
-            d,
-            ScanMetrics {
-                zones_total: 10,
-                zones_pruned: 4,
-                columns_read: 4,
-                columns_total: 16,
-                ..Default::default()
-            }
-        );
     }
 }

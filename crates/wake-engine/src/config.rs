@@ -192,12 +192,13 @@ impl EngineConfig {
         self
     }
 
-    /// Visit zones of every reorder-capable source in a seeded random
-    /// order — the paper's shuffled-input regime, which keeps early
-    /// estimates representative when on-disk order is correlated with
-    /// values. Each scan mixes its node id into the seed, so runs are
-    /// reproducible. Default: no reordering (sources are scanned in
-    /// stored zone order).
+    /// Visit the partitions (zones, files) of every source in a seeded
+    /// random order — the paper's shuffled-input regime, which keeps
+    /// early estimates representative when stored order is correlated
+    /// with values. Each scan mixes its node id into the seed, so runs
+    /// are reproducible, and one seed visits an in-memory table and its
+    /// persisted copy in the same order. Default: no reordering (sources
+    /// are scanned in stored order).
     pub fn with_scan_seed(mut self, seed: u64) -> Self {
         self.scan_seed = Some(seed);
         self
@@ -361,12 +362,13 @@ impl EngineConfig {
     /// configured driver. Planning is one pass (`plan::view_scans`) that
     /// asks every scan for one view: shuffled by the scan seed when one
     /// is set, pruned by its filter's predicates unless pruning is off,
-    /// narrowed to the columns the plan reads. It builds each operator
-    /// once to learn what it reads, and the query builds it once more to
-    /// run. Non-segment sources keep their scans. The stepped engine is
-    /// fully lazy (one driver step per poll); the threaded engine spawns
-    /// its node threads here and yields from the sink channel. Dropping
-    /// the returned stream cancels the query.
+    /// narrowed to the columns the plan reads. Every source answers it;
+    /// only segments have zone statistics to prune by. It builds each
+    /// operator once to learn what it reads, and the query builds it
+    /// once more to run. The stepped engine is fully lazy (one driver
+    /// step per poll); the threaded engine spawns its node threads here
+    /// and yields from the sink channel. Dropping the returned stream
+    /// cancels the query.
     pub fn start(&self, mut graph: QueryGraph) -> Result<EstimateStream> {
         wake_core::plan::view_scans(&mut graph, self.scan_seed(), self.zone_pruning());
         Ok(Query::build(graph, self)?.start())

@@ -59,7 +59,7 @@ use wake_data::colfile::{dtype_tag, read_value, tag_dtype, write_value, ByteCurs
 use wake_data::column::ColumnData;
 use wake_data::scan::{decide_zone_all, ColPredicate, ScanMetrics, ScanTelemetry, ZoneDecision};
 use wake_data::schema::{Field, Schema};
-use wake_data::source::{ScanRequest, TableMeta, TableSource};
+use wake_data::source::{shuffle, ScanRequest, TableMeta, TableSource};
 use wake_data::{Column, DataError, DataFrame, Value, ZoneStats};
 
 /// Bumped with the footer layout (`2`: per-column checksums), so a file
@@ -412,16 +412,6 @@ pub struct ColumnSet {
     schema: Arc<Schema>,
 }
 
-impl ColumnSet {
-    fn len(&self) -> usize {
-        self.indices.len()
-    }
-
-    fn contains_all(&self, names: &[String]) -> bool {
-        names.iter().all(|n| self.schema.contains(n))
-    }
-}
-
 /// A handle on one segment file: the parsed footer plus the I/O device and
 /// retry governor used for zone reads.
 pub struct SegmentReader {
@@ -537,7 +527,7 @@ impl SegmentReader {
             .collect::<Result<Vec<_>>>()?;
         indices.sort_unstable();
         indices.dedup();
-        if indices.len() == self.all_columns.len() {
+        if indices.len() == self.all_columns.indices.len() {
             return Ok(self.all_columns.clone());
         }
         let fields = self.footer.schema.fields();
@@ -631,14 +621,6 @@ impl SegmentReader {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A `TableSource` over a segment file: one partition per zone, visited in
 /// a configurable order and narrowed to a column set, with its own scan
 /// telemetry.
@@ -664,68 +646,32 @@ impl SegmentSource {
 
     /// Wrap an already-open reader.
     pub fn from_reader(reader: Arc<SegmentReader>) -> Result<Self> {
-        let order: Vec<usize> = (0..reader.zone_count()).collect();
-        let columns = reader.all_columns.clone();
-        let telemetry = ScanTelemetry::new();
-        telemetry.set_zones_total(order.len() as u64);
-        telemetry.set_columns(columns.len() as u64, columns.len() as u64);
-        let clustering_key = reader.footer().clustering_key.clone();
-        let meta = Self::meta_for(&reader, &order, &columns, clustering_key);
-        Ok(SegmentSource {
-            reader,
-            order,
-            columns,
-            meta,
-            telemetry,
-        })
-    }
-
-    fn meta_for(
-        reader: &SegmentReader,
-        order: &[usize],
-        columns: &ColumnSet,
-        clustering_key: Option<Vec<String>>,
-    ) -> TableMeta {
         let footer = reader.footer();
-        // A zone-less view (empty table, or every zone pruned) presents one
-        // empty partition, mirroring `MemorySource::from_frame` on an empty
-        // frame: the executor sees an exhausted source and emits the exact
-        // empty answer instead of a false-converged estimate.
-        let partition_rows = if order.is_empty() {
-            vec![0]
-        } else {
-            order
-                .iter()
-                .map(|&z| footer.zones.get(z).map_or(0, |zone| zone.rows))
-                .collect()
-        };
-        // A key means something only with all of its columns in view (the
-        // rule `MapOp` applies to a projection).
-        let primary_key = Some(footer.primary_key.clone())
-            .filter(|pk| columns.contains_all(pk))
-            .unwrap_or_default();
-        TableMeta {
+        let columns = reader.all_columns.clone();
+        let (zones, width) = (footer.zones.len() as u64, columns.indices.len() as u64);
+        let table = TableMeta {
             name: footer.name.clone(),
             schema: columns.schema.clone(),
-            primary_key,
-            clustering_key: clustering_key.filter(|ck| columns.contains_all(ck)),
-            partition_rows,
-        }
+            primary_key: footer.primary_key.clone(),
+            clustering_key: footer.clustering_key.clone(),
+            partition_rows: Vec::new(),
+        };
+        // `view_meta` reads an empty table as one empty partition.
+        let rows = footer.zones.iter().map(|zone| zone.rows).collect();
+        Ok(SegmentSource {
+            meta: ScanRequest::full(&table, None)
+                .view_meta(&table, rows)
+                .unwrap_or(table),
+            order: (0..footer.zones.len()).collect(),
+            reader,
+            columns,
+            telemetry: ScanTelemetry::new(zones, 0, width, width),
+        })
     }
 
     /// The underlying reader (footer access for tests and telemetry).
     pub fn reader(&self) -> &Arc<SegmentReader> {
         &self.reader
-    }
-
-    /// Zone visit order (after any pruning/reordering).
-    pub fn zone_order(&self) -> &[usize] {
-        &self.order
-    }
-
-    /// This source's scan counters.
-    pub fn telemetry(&self) -> &Arc<ScanTelemetry> {
-        &self.telemetry
     }
 }
 
@@ -735,19 +681,15 @@ impl TableSource for SegmentSource {
     }
 
     fn partition(&self, i: usize) -> Result<DataFrame> {
-        if self.order.is_empty() {
-            // The synthesized empty partition of a zone-less view.
-            if i == 0 {
-                return Ok(DataFrame::empty(self.columns.schema.clone()));
+        let Some(&zone) = self.order.get(i) else {
+            // A zone-less view's one partition (`ScanRequest::view_meta`).
+            if self.order.is_empty() && i == 0 {
+                return Ok(DataFrame::empty(self.meta.schema.clone()));
             }
             return Err(DataError::ShapeMismatch(format!(
                 "partition {i} out of range"
             )));
-        }
-        let zone = *self
-            .order
-            .get(i)
-            .ok_or_else(|| DataError::ShapeMismatch(format!("partition {i} out of range")))?;
+        };
         let started = std::time::Instant::now();
         let frame = self.reader.read_columns(zone, &self.columns)?;
         self.telemetry.record_zone_scan(
@@ -758,30 +700,11 @@ impl TableSource for SegmentSource {
         Ok(frame)
     }
 
-    /// Shuffle, then prune, then narrow. The view gets its *own*
-    /// telemetry — the planner installs one view per scan per query, so
-    /// run stats never leak across queries sharing the base source —
-    /// which starts from this source's shape plus the zones the request
-    /// pruned and the columns it keeps.
+    /// Shuffle, then prune, then narrow. The view's telemetry is its own
+    /// ([`ScanTelemetry::new`]): this source's shape plus the zones the
+    /// request pruned and the columns it keeps.
     fn view(&self, request: &ScanRequest) -> Option<Arc<dyn TableSource>> {
-        // A frame carries its row count in its columns, so an empty set
-        // cannot be served; an unknown name is the planner's error to
-        // report when it resolves the plan against the unnarrowed schema.
-        let names: Vec<&str> = request.columns.iter().map(String::as_str).collect();
-        if names.is_empty() || !names.iter().all(|c| self.columns.schema.contains(c)) {
-            return None;
-        }
-        let columns = self.reader.column_set(&names).ok()?;
-        let mut order = self.order.clone();
-        if let Some(seed) = request.seed {
-            let mut state = seed;
-            // Fisher–Yates with a splitmix64 stream: deterministic per seed.
-            for i in (1..order.len()).rev() {
-                // tidy-allow: hostile-len: the modulo bounds the value to `i < order.len()`, so the narrowing is lossless
-                let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
-                order.swap(i, j);
-            }
-        }
+        let mut order = shuffle(self.order.clone(), request.seed);
         // Each predicate's column, resolved against the footer once.
         // Pruning keeps the relative order of the zones that survive.
         let footer = self.reader.footer();
@@ -797,12 +720,18 @@ impl TableSource for SegmentSource {
                 decide_zone_all(pred_cols.iter().map(|&(p, ci)| (p, ci.and_then(stats_of))));
             decision != ZoneDecision::Prune
         });
-        let clustering_key = request.clustering(self.meta.clustering_key.clone());
-        let telemetry = self.telemetry.derived();
-        telemetry.add_pruned((visited - order.len()) as u64);
-        telemetry.set_columns(columns.len() as u64, self.reader.all_columns.len() as u64);
+        let zones = order.iter().filter_map(|&z| footer.zones.get(z));
+        let meta = request.view_meta(&self.meta, zones.map(|zone| zone.rows).collect())?;
+        let columns = self.reader.column_set(&meta.schema.names()).ok()?;
+        let base = self.telemetry.snapshot();
+        let telemetry = ScanTelemetry::new(
+            base.zones_total,
+            base.zones_pruned + (visited - order.len()) as u64,
+            columns.indices.len() as u64,
+            base.columns_total,
+        );
         Some(Arc::new(SegmentSource {
-            meta: Self::meta_for(&self.reader, &order, &columns, clustering_key),
+            meta,
             reader: self.reader.clone(),
             order,
             columns,
@@ -1029,18 +958,6 @@ mod tests {
         );
         assert!(reader.read_zone(0).is_ok(), "other zones are intact");
         std::fs::remove_file(&path).ok();
-    }
-
-    /// `order` shuffled Fisher–Yates by a splitmix64 stream from `seed`.
-    fn shuffle(mut order: Vec<usize>, seed: Option<u64>) -> Vec<usize> {
-        let Some(mut state) = seed else {
-            return order;
-        };
-        for i in (1..order.len()).rev() {
-            let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
-            order.swap(i, j);
-        }
-        order
     }
 
     #[test]

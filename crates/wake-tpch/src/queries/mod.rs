@@ -408,7 +408,7 @@ mod tests {
     /// The clustering contract (`TableMeta::clustering_key`): a source
     /// reporting a key reads its rows sorted on it — across partition
     /// boundaries too, which may split a key value — in memory and
-    /// persisted alike; a shuffled view reports no key.
+    /// persisted alike; a shuffled view of either reports no key.
     #[test]
     fn clustered_tables_read_sorted_on_their_key() {
         let data = Arc::new(TpchData::generate(0.002, 42));
@@ -427,19 +427,11 @@ mod tests {
                 keys
             });
             assert_eq!(memory_keys, disk_keys, "{table}");
-            let request = ScanRequest {
-                seed: Some(7),
-                columns: on_disk
-                    .meta()
-                    .schema
-                    .names()
-                    .into_iter()
-                    .map(String::from)
-                    .collect(),
-                ..ScanRequest::default()
-            };
-            let shuffled = on_disk.view(&request).expect("segments shuffle");
-            assert!(shuffled.meta().clustering_key.is_none(), "{table}");
+            for source in [&in_memory, &on_disk] {
+                let request = ScanRequest::full(source.meta(), Some(7));
+                let shuffled = source.view(&request).expect("every source shuffles");
+                assert!(shuffled.meta().clustering_key.is_none(), "{table}");
+            }
         }
         // Equal-size partitions do split a key: the contract is order,
         // not one partition per key value.

@@ -7,8 +7,11 @@
 //! intervals valid (no false convergence — including the all-zones-pruned
 //! query, which must end on the exact empty answer). Projection pushdown
 //! (always on through `EngineConfig`) may only skip columns no operator
-//! reads: the stream stays bit-identical, the decoded bytes go down. The
-//! threaded driver reads the same views as the stepped one.
+//! reads: the stream stays bit-identical, the decoded bytes go down. An
+//! in-memory scan takes the same view — narrowed, and shuffled in the
+//! same order when seeded — so memory and disk stay bit-identical through
+//! the engine. The threaded driver reads the same views as the stepped
+//! one.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -28,8 +31,8 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 /// A scan the planner cannot rewrite: it reads and counts through
-/// `inner` but offers no view, so the planner pass is an identity on it
-/// — the full-width, stored-order reference.
+/// `inner` but declines every view, so the planner pass is an identity
+/// on it — the full-width, stored-order reference.
 struct FullScan(Arc<dyn TableSource>);
 
 impl TableSource for FullScan {
@@ -39,6 +42,10 @@ impl TableSource for FullScan {
 
     fn partition(&self, i: usize) -> Result<DataFrame, wake::data::DataError> {
         self.0.partition(i)
+    }
+
+    fn view(&self, _: &ScanRequest) -> Option<Arc<dyn TableSource>> {
+        None
     }
 
     fn scan_metrics(&self) -> Option<ScanMetrics> {
@@ -66,18 +73,8 @@ fn shuffled(mut graph: QueryGraph, seed: u64) -> QueryGraph {
         let NodeKind::Read { source } = &graph.node(id).kind else {
             unreachable!("sources() lists reads")
         };
-        let request = ScanRequest {
-            seed: Some(node_seed(seed, id)),
-            predicates: Vec::new(),
-            columns: source
-                .meta()
-                .schema
-                .names()
-                .into_iter()
-                .map(String::from)
-                .collect(),
-        };
-        let view = source.view(&request).expect("segments shuffle");
+        let request = ScanRequest::full(source.meta(), Some(node_seed(seed, id)));
+        let view = source.view(&request).expect("every source shuffles");
         graph.replace_source(id, view);
     }
     graph
@@ -134,21 +131,27 @@ fn all_queries_persisted_projected_bit_identical() {
     let dir = scratch_dir("projected");
     let disk = TpchDb::persisted(data, 8, &dir).unwrap();
     for spec in all_queries() {
-        // In memory, no view at all; on disk through the engine config
-        // with pruning off and no seed, so each view only narrows. Each
-        // scan then decodes only the columns the plan reads — and the
-        // estimate stream must not notice.
+        // In memory, no view at all; then in memory and on disk through
+        // the engine config with pruning off and no seed, so each view
+        // only narrows. Each scan then copies or decodes only the columns
+        // the plan reads — and the estimate stream must not notice.
         let a = EngineConfig::stepped()
             .start(full_scan((spec.build)(&mem)))
             .unwrap()
             .collect_series()
             .unwrap();
-        let (b, stats) = EngineConfig::stepped()
-            .with_zone_pruning(false)
-            .start((spec.build)(&disk))
-            .unwrap()
-            .collect_with_stats()
-            .unwrap();
+        let narrowed = |db: &TpchDb| {
+            EngineConfig::stepped()
+                .with_zone_pruning(false)
+                .start((spec.build)(db))
+                .unwrap()
+                .collect_with_stats()
+                .unwrap()
+        };
+        let (m, mem_stats) = narrowed(&mem);
+        assert_streams_bit_identical(spec.name, &a, &m);
+        assert_eq!(mem_stats.scan, ScanMetrics::default(), "{}", spec.name);
+        let (b, stats) = narrowed(&disk);
         assert_streams_bit_identical(spec.name, &a, &b);
         // No TPC-H query reads every column of every table it scans.
         let scan = stats.scan;
@@ -160,6 +163,30 @@ fn all_queries_persisted_projected_bit_identical() {
             scan.columns_total
         );
         assert_eq!(scan.zones_pruned, 0, "{}", spec.name);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn all_queries_seeded_memory_and_persisted_bit_identical() {
+    let data = Arc::new(TpchData::generate(0.002, 42));
+    let mem = TpchDb::new(data.clone(), 8);
+    let dir = scratch_dir("seeded");
+    let disk = TpchDb::persisted(data, 8, &dir).unwrap();
+    let seeded = |db: &TpchDb, spec: &QuerySpec| {
+        EngineConfig::stepped()
+            .with_scan_seed(7)
+            .with_zone_pruning(false)
+            .start((spec.build)(db))
+            .unwrap()
+            .collect_series()
+            .unwrap()
+    };
+    for spec in all_queries() {
+        // One seed, one visit order: an in-memory scan reads its
+        // partitions in the order the segment reads its zones.
+        let (a, b) = (seeded(&mem, &spec), seeded(&disk, &spec));
+        assert_streams_bit_identical(spec.name, &a, &b);
     }
     std::fs::remove_dir_all(&dir).ok();
 }
