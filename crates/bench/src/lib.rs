@@ -14,9 +14,13 @@
 //! | `fig11_depth` | Fig 11 synthetic deep-query latency vs depth |
 //! | `fig12_partition` | Fig 12 partition-size sweep |
 //! | `fig13_pipeline` | Fig 13 pipelined execution timeline (Q6) |
+//! | `ablation_growth` | §5.2 fitted growth model vs pinned `w = 0` / `w = 1` |
 //!
 //! Every binary runs its queries through `EngineConfig::start` (stepped:
-//! [`harness::run_wake`]).
+//! [`harness::run_wake`]). One more binary is a check, not a figure:
+//! `obs_overhead` exits non-zero unless `ObsLevel::Stats` costs < 5 % wall
+//! clock over `Off`. None of them is a timing record: the repo's timing
+//! instrument is `wake-e2e`, and this crate has no `cargo bench` suites.
 //!
 //! Run with `cargo run --release -p wake-bench --bin <name>`. Scale factor
 //! and partition counts default to laptop-friendly values and can be

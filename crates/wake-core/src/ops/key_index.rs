@@ -116,10 +116,6 @@ impl GroupIndex {
         self.map.entry(hash).or_default().push(slot);
     }
 
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
     pub fn byte_size(&self) -> usize {
         self.map.len() * 16 + self.map.values().map(|v| v.len() * 4).sum::<usize>()
     }
@@ -183,7 +179,5 @@ mod tests {
         idx.insert(1, 1); // hash collision: two groups, one bucket
         assert_eq!(idx.candidates(1), &[0, 1]);
         assert!(idx.candidates(2).is_empty());
-        idx.clear();
-        assert!(idx.candidates(1).is_empty());
     }
 }

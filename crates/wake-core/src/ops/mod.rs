@@ -8,22 +8,22 @@
 //! DAG's metadata is known before execution — the *consistency* closure
 //! property (§3.1).
 
-pub mod agg_op;
+pub(crate) mod agg_op;
 pub mod filter;
-pub mod join;
-pub mod key_index;
+pub(crate) mod join;
+pub(crate) mod key_index;
 pub mod map;
 pub mod map_ci;
 pub mod partitions;
 pub mod sharded;
-pub mod sort;
+pub(crate) mod sort;
 pub mod spill;
 
-pub use agg_op::AggOp;
+pub(crate) use agg_op::AggOp;
 pub use filter::FilterOp;
-pub use join::JoinOp;
+pub(crate) use join::JoinOp;
 pub use map::MapOp;
-pub use sort::SortOp;
+pub(crate) use sort::SortOp;
 
 use crate::meta::EdfMeta;
 use crate::update::Update;

@@ -33,7 +33,7 @@ fn escape(field: &str, out: &mut String) {
 }
 
 /// Serialise a frame to CSV text (with header).
-pub fn write_csv<W: Write>(df: &DataFrame, w: &mut W) -> Result<()> {
+pub(crate) fn write_csv<W: Write>(df: &DataFrame, w: &mut W) -> Result<()> {
     let mut line = String::new();
     for (i, name) in df.schema().names().iter().enumerate() {
         if i > 0 {

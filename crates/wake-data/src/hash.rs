@@ -61,7 +61,7 @@ const COMBINE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Finalizing mixer (splitmix64 / murmur3-style avalanche).
 #[inline]
-pub(crate) fn mix64(mut z: u64) -> u64 {
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)

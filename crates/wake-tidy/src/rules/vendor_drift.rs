@@ -1,10 +1,10 @@
 //! `vendor-drift`: vendored stand-ins expose no unused public API.
 //!
 //! Contract of origin: PR 1 vendored offline stand-ins for
-//! rand/crossbeam/criterion/proptest/parking_lot under `crates/vendor/`
-//! with the explicit promise that each is "the API subset this
-//! workspace uses" — so that swapping back to the crates.io versions is
-//! a manifest change, not a port. The subset stays honest only if it
+//! rand/crossbeam/criterion (since deleted)/proptest/parking_lot under
+//! `crates/vendor/` with the explicit promise that each is "the API
+//! subset this workspace uses" — so that swapping back to the crates.io
+//! versions is a manifest change, not a port. The subset stays honest only if it
 //! can't grow silently: a `pub` item added to a vendor crate that
 //! nothing in the workspace references is drift — either dead weight or
 //! the start of a private fork of the upstream API.
@@ -13,7 +13,7 @@
 //! `const`, `static`, `mod`, `union`) and every `macro_rules!` defined
 //! under `crates/vendor/*/src/`, the item's name must appear as an
 //! identifier somewhere outside the defining vendor crate (the rest of
-//! the workspace, other vendor crates, tests, benches, examples).
+//! the workspace, other vendor crates, tests, examples).
 //! `pub(crate)`/`pub(super)` items are internal and exempt, as is
 //! test-gated code. A deliberate extra (e.g. API kept for parity with
 //! upstream's docs) takes a `tidy-allow` naming the upstream it mirrors.

@@ -68,8 +68,8 @@ pub const RELAXED_EXEMPT_FILES: &[&str] = &["crates/wake-obs/src/metrics.rs"];
 ///
 /// `typed-error`: library source trees the discipline applies to.
 /// Vendored stand-ins are excluded — they mirror external crates'
-/// surfaces (criterion's CLI exits, proptest's panicking assertions)
-/// and are covered by `vendor-drift` instead. The bench harness and
+/// surfaces (proptest's panicking assertions, for one) and are covered
+/// by `vendor-drift` instead. The bench harness and
 /// examples are excluded as non-library code.
 pub fn is_library_path(path: &str) -> bool {
     let in_src = path.contains("/src/") || path.starts_with("src/");
@@ -78,18 +78,16 @@ pub fn is_library_path(path: &str) -> bool {
         && !path.starts_with("crates/bench/")
         && !path.starts_with("crates/wake-tidy/")
         && !path.contains("/examples/")
-        && !path.contains("/benches/")
         && !path.contains("/bin/")
         && !path.contains("/tests/")
 }
 
-/// Is this file part of a test tree (integration tests, benches,
-/// examples) — exempt from the panic/typed-error/call-site rules but
-/// still scanned for knob-literal registration?
+/// Is this file part of a test tree (integration tests, examples) —
+/// exempt from the panic/typed-error/call-site rules but still
+/// scanned for knob-literal registration?
 pub fn is_test_path(path: &str) -> bool {
     path.starts_with("tests/")
         || path.contains("/tests/")
-        || path.contains("/benches/")
         || path.contains("/examples/")
         || path.starts_with("examples/")
 }

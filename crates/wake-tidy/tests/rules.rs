@@ -233,7 +233,7 @@ fn typed_error_exempts_vendor_and_bench() {
     let found = findings(
         vec![
             (
-                "crates/vendor/criterion/src/lib.rs",
+                "crates/vendor/proptest/src/lib.rs",
                 include_str!("fixtures/typed_error_bad.rs"),
             ),
             (

@@ -7,7 +7,9 @@
 //! intervals valid (no false convergence — including the all-zones-pruned
 //! query, which must end on the exact empty answer). Projection pushdown
 //! (always on through `EngineConfig`) may only skip columns no operator
-//! reads: the stream stays bit-identical, the decoded bytes go down. An
+//! reads: the stream stays bit-identical, the decoded bytes go down (Q6
+//! on a date-clustered lineitem decodes at most a quarter of the bytes of
+//! every column, and pruning cuts that by 2× again). An
 //! in-memory scan takes the same view — narrowed, and shuffled in the
 //! same order when seeded — so memory and disk stay bit-identical through
 //! the engine. The threaded driver reads the same views as the stepped
@@ -551,5 +553,140 @@ fn pruned_reordered_scan_keeps_estimates_unbiased() {
             interval
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// lineitem's sixteen columns, `n` rows clustered by ship date (seven
+/// years, date-ascending), the other columns hash-scattered.
+fn clustered_lineitem(n: usize) -> DataFrame {
+    use wake::data::value::date_to_days;
+    use wake::data::Column;
+    let start = date_to_days(1992, 1, 1);
+    let span = date_to_days(1998, 12, 31) - start;
+    let mix = |i: usize| wake::data::hash::mix64(i as u64);
+    let ship = |i: usize| start + (i as i64 * span) / n as i64;
+    let ints = |f: &dyn Fn(usize) -> i64| Column::from_i64((0..n).map(f).collect());
+    let floats = |f: &dyn Fn(usize) -> f64| Column::from_f64((0..n).map(f).collect());
+    let dates = |f: &dyn Fn(usize) -> i64| Column::from_dates((0..n).map(f).collect());
+    let pick = |pool: &'static [&'static str], salt: usize| {
+        Column::from_str_iter((0..n).map(move |i| pool[mix(i + salt) as usize % pool.len()]))
+    };
+    DataFrame::new(
+        wake::tpch::schema::lineitem(),
+        vec![
+            ints(&|i| (i / 4) as i64),
+            ints(&|i| (mix(i) % 4_000) as i64),
+            ints(&|i| (mix(i + 1) % 200) as i64),
+            ints(&|i| (i % 4) as i64 + 1),
+            floats(&|i| (mix(i) % 50) as f64 + 1.0),
+            floats(&|i| (mix(i) % 100_000) as f64 * 0.01 + 900.0),
+            floats(&|i| (mix(i) % 11) as f64 * 0.01),
+            floats(&|i| (mix(i + 2) % 9) as f64 * 0.01),
+            pick(&["A", "N", "R"], 3),
+            pick(&["F", "O"], 4),
+            dates(&ship),
+            dates(&|i| ship(i) + (mix(i + 5) % 60) as i64 - 30),
+            dates(&|i| ship(i) + (mix(i + 6) % 30) as i64 + 1),
+            pick(
+                &[
+                    "DELIVER IN PERSON",
+                    "COLLECT COD",
+                    "NONE",
+                    "TAKE BACK RETURN",
+                ],
+                7,
+            ),
+            pick(
+                &["AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK"],
+                8,
+            ),
+            Column::from_str_iter(
+                (0..n).map(|i| format!("carefully final packages {:x}", mix(i + 9))),
+            ),
+        ],
+    )
+    .unwrap()
+}
+
+/// Projection and zone pruning, counted in decoded bytes on Q6 over a
+/// ship-date-clustered lineitem segment of 64 zones. Q6 reads four of
+/// the sixteen columns, so with pruning off the scan visits every zone
+/// but decodes at most a quarter of what decoding every column costs;
+/// its one-year ship-date range then rules out ~6/7 of the zones by
+/// their min/max alone, so pruning must cut the bytes by at least 2×
+/// again.
+#[test]
+fn q6_projection_and_pruning_cut_segment_decoded_bytes() {
+    use wake::expr::{col, lit_date, lit_f64};
+    use wake::store::{write_segment, SegmentReader, SegmentSource, StdIo};
+    const ZONES: usize = 64;
+    let n = 60_000;
+    let dir = scratch_dir("q6-bytes");
+    let path = dir.join("lineitem.wseg");
+    let shipdate = ["l_shipdate".to_string()];
+    let frame = clustered_lineitem(n);
+    write_segment(
+        "lineitem",
+        &frame,
+        n.div_ceil(ZONES),
+        &[],
+        Some(&shipdate),
+        &path,
+        &StdIo,
+    )
+    .unwrap();
+    let reader = SegmentReader::open(&path, Arc::new(StdIo)).unwrap();
+    let q6_scan = |pruning: bool| {
+        let mut g = QueryGraph::new();
+        let li = g.read(SegmentSource::from_reader(reader.clone()).unwrap());
+        let f = g.filter(
+            li,
+            col("l_shipdate")
+                .ge(lit_date(1994, 1, 1))
+                .and(col("l_shipdate").lt(lit_date(1995, 1, 1)))
+                .and(col("l_discount").between(lit_f64(0.05), lit_f64(0.07)))
+                .and(col("l_quantity").lt(lit_f64(24.0))),
+        );
+        let m = g.map(
+            f,
+            vec![(col("l_extendedprice").mul(col("l_discount")), "rev")],
+        );
+        let a = g.agg(
+            m,
+            vec![],
+            vec![wake::core::agg::AggSpec::sum(col("rev"), "revenue")],
+        );
+        g.sink(a);
+        let (_, stats) = EngineConfig::stepped()
+            .with_zone_pruning(pruning)
+            .start(g)
+            .unwrap()
+            .collect_with_stats()
+            .unwrap();
+        stats.scan
+    };
+    let (full, pruned) = (q6_scan(false), q6_scan(true));
+    let all_columns_bytes: u64 = (0..reader.zone_count())
+        .map(|z| reader.read_zone(z).unwrap().byte_size() as u64)
+        .sum();
+    assert_eq!(
+        (full.zones_scanned, full.zones_total),
+        (ZONES as u64, ZONES as u64),
+        "with pruning off every zone is decoded"
+    );
+    assert_eq!((full.columns_read, full.columns_total), (4, 16));
+    assert!(
+        4 * full.decompressed_bytes <= all_columns_bytes,
+        "the projected scan decoded {} bytes vs {all_columns_bytes} for every column: \
+         more than the allowed quarter",
+        full.decompressed_bytes
+    );
+    assert!(pruned.zones_pruned > 0, "nothing pruned");
+    assert!(
+        2 * pruned.decompressed_bytes <= full.decompressed_bytes,
+        "pruning decoded {} bytes vs {} unpruned: less than the required 2× cut",
+        pruned.decompressed_bytes,
+        full.decompressed_bytes
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
